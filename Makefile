@@ -75,7 +75,7 @@ bench:
 # including at -sim-jobs 2 and under the profile-suggested shard
 # layout on the detailed-CPU rows); Mipsy MemBound rows must keep a
 # >= 2x skip speedup; the MXS MemBound row must keep a >= 1.5x
-# parallel-tick speedup (1.4x on hosts with fewer than 4 cores) unless
+# parallel-tick speedup (1.15x on hosts with fewer than 4 cores) unless
 # the baseline marks it par_regression, and its gate_wait_frac may not
 # climb more than 5 points above the committed value when the adopted
 # layout matches; every other row's dimensionless speedup must stay
@@ -97,12 +97,13 @@ telemetry-smoke:
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
-# bench-trace proves the disabled-instrumentation acceptance bar:
-# BenchmarkTracerDisabled, BenchmarkProfDisabled and
-# BenchmarkHostProfDisabled must report 0 allocs/op (CI greps the
-# output for exactly that).
+# bench-trace proves the zero-allocation acceptance bar:
+# BenchmarkTracerDisabled, BenchmarkProfDisabled,
+# BenchmarkHostProfDisabled (instrumentation attached but off) and
+# BenchmarkMXSTick (the detailed CPU's per-cycle path) must report
+# 0 allocs/op (CI greps the output for exactly that).
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick' -benchmem . ./internal/cpu/mxs
 
 # layout-smoke round-trips the profile-guided layout pipeline on real
 # runs: profile a quick sharded memory-bound point, ask the offline

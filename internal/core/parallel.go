@@ -628,7 +628,7 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			ticked := tsum - prevTicks //simlint:allow cycleflow — tsum is a monotone sum of per-worker tick counters, so tsum >= prevTicks
 			prevTicks = tsum
 			span := (w1 - cyc) * uint64(len(s.clocks)) //simlint:allow cycleflow — every window-edge bound exceeds cyc, so w1 > cyc
-			if 2*ticked > span && adaptLen > grid/16 {
+			if 2*ticked > span && adaptLen > max(grid/16, 1) {
 				adaptLen /= 2
 			} else if 8*ticked < span && adaptLen < grid {
 				adaptLen *= 2

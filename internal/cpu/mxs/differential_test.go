@@ -118,6 +118,9 @@ func runModel(t *testing.T, build func() *asm.Builder, model core.CPUModel, arch
 	ctx := &cpu.Context{Space: mem.Identity{Limit: m.Img.Size()}, PC: p.Addr("start")}
 	ctx.Regs[isa.RegSP] = 0x80000
 	m.AddContext(ctx)
+	if model == core.ModelMXS {
+		checkMasksEveryTick(t, m)
+	}
 	if _, err := m.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,187 @@
+package mxs
+
+import (
+	"fmt"
+
+	"cmpsim/internal/cpu"
+	"cmpsim/internal/isa"
+)
+
+// CheckMasks recomputes every slot mask, the consumer sets and the
+// rename table from the robEntry fields of the live window, the way the
+// scan-based pipeline derived them on the fly, and reports the first
+// disagreement with the incrementally maintained state. now is the
+// cycle of the Tick that just returned.
+func (c *CPU) CheckMasks(now uint64) error {
+	if c.count < 0 || c.count > windowSize || (c.head+c.count)%windowSize != c.tail {
+		return fmt.Errorf("ring: head %d tail %d count %d", c.head, c.tail, c.count)
+	}
+	if c.fqLen < 0 || c.fqLen > fetchQueue || c.fqHead < 0 || c.fqHead >= fetchQueue {
+		return fmt.Errorf("fetch ring: head %d len %d", c.fqHead, c.fqLen)
+	}
+	var live, waiting, ready, pending, avail, stores uint32
+	var consumers [windowSize]uint32
+	var writer [64]int8
+	for r := range writer {
+		writer[r] = -1
+	}
+	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
+		e := &c.rob[idx]
+		op := e.inst.Op
+		live |= bit(idx)
+		if e.dest != isa.RegNone {
+			writer[e.dest] = int8(idx)
+		}
+		if serializes(op) {
+			continue
+		}
+		switch {
+		case !e.issued:
+			waiting |= bit(idx)
+		case e.done && e.doneAt <= now:
+			avail |= bit(idx)
+		default:
+			pending |= bit(idx)
+		}
+		if op.IsStore() {
+			stores |= bit(idx)
+		}
+	}
+	// Second pass: avail is complete, so readiness is decidable.
+	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
+		e := &c.rob[idx]
+		ok := true
+		for s := 0; s < int(e.nSrc); s++ {
+			p := int(e.srcProd[s])
+			if p < 0 {
+				continue
+			}
+			if live&bit(p) == 0 || (p-c.head+windowSize)%windowSize >= i {
+				return fmt.Errorf("slot %d source %d: producer slot %d is not an older live entry", idx, s, p)
+			}
+			if c.rob[p].dest != e.srcRegs[s] {
+				return fmt.Errorf("slot %d source %d: reads r%d, producer slot %d writes r%d",
+					idx, s, e.srcRegs[s], p, c.rob[p].dest)
+			}
+			consumers[p] |= bit(idx)
+			if avail&bit(p) == 0 {
+				ok = false
+			}
+		}
+		if ok && waiting&bit(idx) != 0 {
+			ready |= bit(idx)
+		}
+	}
+	for _, m := range []struct {
+		name      string
+		got, want uint32
+	}{
+		{"waiting", c.waiting, waiting},
+		{"ready", c.ready, ready},
+		{"pending", c.pending, pending},
+		{"avail", c.avail, avail},
+		{"stores", c.stores, stores},
+	} {
+		if m.got != m.want {
+			return fmt.Errorf("cycle %d: %s mask %#08x, window entries say %#08x (live %#08x)",
+				now, m.name, m.got, m.want, live)
+		}
+	}
+	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
+		if c.consumers[idx] != consumers[idx] {
+			return fmt.Errorf("cycle %d: consumers[%d] %#08x, true consumers %#08x (live %#08x)",
+				now, idx, c.consumers[idx], consumers[idx], live)
+		}
+	}
+	if c.writer != writer {
+		return fmt.Errorf("cycle %d: rename table %v, window entries say %v", now, c.writer, writer)
+	}
+	return nil
+}
+
+// NextWorkScan is the quiescence proof as the scan-based pipeline
+// computed it: a walk over every window entry that reads only robEntry
+// fields. It is the reference NextWork's mask-bounded proof must equal
+// in every state the tests reach.
+func (c *CPU) NextWorkScan(now uint64) uint64 {
+	if c.ctx.Halted {
+		return cpu.NoWork
+	}
+	if c.irqStop || (c.irq != nil && c.irq.PendingInterrupt(c.id)) {
+		return now + 1
+	}
+	wake := uint64(cpu.NoWork)
+	if !c.fetchStalled && !c.fetchFault && c.fqLen < fetchQueue {
+		if c.fetchReady <= now+1 {
+			return now + 1
+		}
+		wake = c.fetchReady
+	}
+	if c.fqLen > 0 && c.count < windowSize {
+		return now + 1
+	}
+	if c.tr != nil && c.count == windowSize && c.fqLen > 0 {
+		return now + 1
+	}
+	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
+		e := &c.rob[idx]
+		if serializes(e.inst.Op) {
+			if idx == c.head {
+				return now + 1
+			}
+			continue
+		}
+		if !e.issued {
+			ready := now
+			unknown := false
+			for s := 0; s < int(e.nSrc); s++ {
+				p := e.srcProd[s]
+				if p < 0 {
+					continue
+				}
+				pe := &c.rob[p]
+				if !pe.issued {
+					unknown = true
+					break
+				}
+				if !pe.done && pe.doneAt <= now {
+					return now + 1
+				}
+				if pe.doneAt > ready {
+					ready = pe.doneAt
+				}
+			}
+			if unknown {
+				continue
+			}
+			if ready <= now {
+				return now + 1
+			}
+			if ready < wake {
+				wake = ready
+			}
+			continue
+		}
+		if !e.done {
+			if e.doneAt <= now {
+				return now + 1
+			}
+			if e.doneAt < wake {
+				wake = e.doneAt
+			}
+			continue
+		}
+		if idx == c.head {
+			if e.doneAt <= now {
+				return now + 1
+			}
+			if e.doneAt < wake {
+				wake = e.doneAt
+			}
+		}
+	}
+	if wake <= now {
+		return now + 1
+	}
+	return wake
+}

@@ -12,6 +12,7 @@ package mxs
 
 import (
 	"math"
+	"math/bits"
 
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/isa"
@@ -25,42 +26,46 @@ const (
 	fetchWidth  = 2
 	issueWidth  = 2
 	gradWidth   = 2
-	windowSize  = 32
+	windowSize  = 32 // one bit per slot in the uint32 window masks
 	fetchQueue  = 8
+	maxSrcs     = 2 // register sources of any instruction (isa.Inst.Srcs)
 	btbEntries  = 1024
 	invalidLine = ^uint32(0)
 )
 
+// The slot masks need exactly 32 window entries and the fetch ring a
+// power-of-two capacity; either index is out of range otherwise.
+var (
+	_ = [1]struct{}{}[windowSize-32]
+	_ = [1]struct{}{}[fetchQueue&(fetchQueue-1)]
+)
+
 // fetchEntry is one fetched, predicted instruction.
 type fetchEntry struct {
-	pc        uint32 // virtual PC
-	ppc       uint32 // physical PC (profiling attribution)
-	inst      isa.Inst
-	predNext  uint32 // predicted next PC after this instruction
-	predTaken bool
+	pc       uint32 // virtual PC
+	ppc      uint32 // physical PC (profiling attribution)
+	inst     isa.Inst
+	predNext uint32 // predicted next PC after this instruction
 }
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight instruction. Whether a slot is live is the
+// ring position's business (head, count), and which pipeline stage it
+// waits for is a bit in the CPU's slot masks; the fields of a slot
+// outside the ring are stale and never read.
 type robEntry struct {
-	valid bool
-	inst  isa.Inst
-	pc    uint32
-	ppc   uint32 // physical PC (profiling attribution)
-
-	dispatched bool
-	issued     bool
-	done       bool
-	doneAt     uint64
-
-	// Renamed sources: producer ROB slot or -1 for architectural.
-	srcRegs [2]uint8
-	srcProd [2]int
-	nSrc    int
-	dest    uint8
+	doneAt uint64
 
 	// Results.
-	value  uint32
 	fvalue float64
+	value  uint32
+
+	// Store data computed at issue, written at graduation.
+	storeVal  uint32
+	storeFVal float64
+
+	inst isa.Inst
+	pc   uint32
+	ppc  uint32 // physical PC (profiling attribution)
 
 	// Control flow.
 	predNext   uint32
@@ -72,10 +77,27 @@ type robEntry struct {
 	memLevel memsys.Level
 	fwd      bool // load forwarded from an older store
 
-	// Store data computed at issue, written at graduation.
-	storeVal  uint32
-	storeFVal float64
+	issued bool
+	done   bool
+
+	// Renamed sources: producer ROB slot or -1 for architectural.
+	srcRegs [maxSrcs]uint8
+	srcProd [maxSrcs]int8
+	nSrc    uint8
+	dest    uint8
 }
+
+// serializes reports whether op executes only at the ROB head,
+// non-speculatively, and so never enters the issue masks.
+func serializes(op isa.Op) bool {
+	return op == isa.SYSCALL || op == isa.HALT || op == isa.LL || op == isa.SC
+}
+
+// bit is slot's position in a window mask.
+func bit(slot int) uint32 { return 1 << uint(slot) }
+
+// wrap reduces a non-negative ring index to a window slot.
+func wrap(i int) int { return i & (windowSize - 1) }
 
 type btbEntry struct {
 	tag    uint32
@@ -99,7 +121,9 @@ type CPU struct {
 	fetchReady   uint64 // I-miss completion gate
 	fetchLine    uint32
 	fetchLvl     memsys.Level
-	fq           []fetchEntry
+	fq           [fetchQueue]fetchEntry // ring: fqLen entries from fqHead
+	fqHead       int
+	fqLen        int
 	fetchStalled bool // stopped at a serializing instruction or fetch fault
 	fetchFault   bool
 
@@ -108,10 +132,24 @@ type CPU struct {
 	head  int
 	tail  int
 	count int
-	seq   uint64
+
+	// Slot masks: bit i describes rob[i], and only live slots have bits
+	// set. Every per-cycle stage iterates the mask of the entries it has
+	// work for (oldest first, see fromHead) instead of walking the ring.
+	// Serializing instructions execute at the head and appear in none.
+	waiting uint32 // dispatched, not yet issued
+	ready   uint32 // the waiting entries whose every producer is in avail
+	pending uint32 // issued, result not yet visible to consumers
+	avail   uint32 // issued, done, and doneAt reached: result visible
+	stores  uint32 // SW/SB/SD, the loads' ordering hazards
+
+	// consumers[p] holds the live slots that renamed a source to p, from
+	// p's dispatch until its release: what complete wakes and release
+	// detaches.
+	consumers [windowSize]uint32
 
 	// Rename table: last ROB slot writing each unified register, -1 none.
-	writer [64]int
+	writer [64]int8
 
 	btb [btbEntries]btbEntry
 
@@ -191,7 +229,7 @@ func (c *CPU) Tick(now uint64) uint64 {
 		c.irqStop = true
 	}
 	if c.irqStop && c.count == 0 {
-		c.fq = c.fq[:0]
+		c.fqLen = 0
 		c.irq.AckInterrupt(c.id)
 		extra := c.trap.Syscall(now, c.id, c.ctx, cpu.IRQ)
 		c.flushAll(now)
@@ -243,77 +281,29 @@ func (c *CPU) NextWork(now uint64) uint64 {
 		return now + 1 // interrupt delivery and pipeline draining are per-cycle
 	}
 	wake := uint64(cpu.NoWork)
-	if !c.fetchStalled && !c.fetchFault && len(c.fq) < fetchQueue {
+	if !c.fetchStalled && !c.fetchFault && c.fqLen < fetchQueue {
 		if c.fetchReady <= now+1 {
 			return now + 1 // the front end can fetch next cycle
 		}
 		wake = c.fetchReady // I-miss completion re-enables fetch
 	}
-	if len(c.fq) > 0 && c.count < windowSize {
+	if c.fqLen > 0 && c.count < windowSize {
 		return now + 1 // dispatch moves fetched instructions every cycle
 	}
-	if c.tr != nil && c.count == windowSize && len(c.fq) > 0 {
+	if c.tr != nil && c.count == windowSize && c.fqLen > 0 {
 		return now + 1 // the window-full trace event is emitted per cycle
 	}
-	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
-		e := &c.rob[idx]
-		op := e.inst.Op
-		if op == isa.SYSCALL || op == isa.HALT || op == isa.LL || op == isa.SC {
-			if idx == c.head {
-				return now + 1 // serializers execute (and retry) at the head
-			}
-			continue // inert until it reaches the head; older entries bound that
+	// What is left to bound is the window. Serializers behind the head
+	// are inert until they reach it, and an issued, done entry behind
+	// the head only waits to graduate; older entries bound both.
+	if c.count > 0 {
+		e := &c.rob[c.head]
+		if serializes(e.inst.Op) {
+			return now + 1 // serializers execute (and retry) at the head
 		}
-		if !e.issued {
-			// Wakes when its last producer completes. If its operands are
-			// already available, the reason it has not issued (FU conflict,
-			// issue width, a load blocked on an older store or refused by
-			// the memory system) is not provable from here: no skip.
-			ready := now
-			unknown := false
-			for s := 0; s < e.nSrc; s++ {
-				p := e.srcProd[s]
-				if p < 0 {
-					continue
-				}
-				pe := &c.rob[p]
-				if !pe.issued {
-					// The producer's own window entry bounds progress; this
-					// consumer cannot issue before the producer does.
-					unknown = true
-					break
-				}
-				if !pe.done && pe.doneAt <= now {
-					return now + 1 // completion pass cut short by a flush this cycle
-				}
-				if pe.doneAt > ready {
-					ready = pe.doneAt
-				}
-			}
-			if unknown {
-				continue
-			}
-			if ready <= now {
-				return now + 1
-			}
-			if ready < wake {
-				wake = ready
-			}
-			continue
-		}
-		if !e.done {
-			if e.doneAt <= now {
-				return now + 1 // complete() was cut short by a flush this cycle
-			}
-			if e.doneAt < wake {
-				wake = e.doneAt // completion marks it done at doneAt
-			}
-			continue
-		}
-		// Issued and done: values latched, inert — except at the head,
-		// where graduation acts on it (or retries against memory-system
-		// backpressure) as soon as doneAt has passed.
-		if idx == c.head {
+		if e.issued && e.done {
+			// Values latched: graduation acts on it (or retries against
+			// memory-system backpressure) as soon as doneAt has passed.
 			if e.doneAt <= now {
 				return now + 1
 			}
@@ -322,10 +312,61 @@ func (c *CPU) NextWork(now uint64) uint64 {
 			}
 		}
 	}
+	if c.ready != 0 {
+		// Operands available, yet not issued (FU conflict, issue width, a
+		// load blocked on an older store or refused by the memory
+		// system): the reason is not provable from here, so no skip.
+		return now + 1
+	}
+	// A waiting entry that is not ready wakes when its last producer
+	// completes, and it cannot issue before an unissued producer does,
+	// so the pending entries bound every other transition in the
+	// window: the ones still executing by their own doneAt, and a load
+	// that was done at issue (forwarded or unmapped, visible from doneAt
+	// on) through the consumers whose last operand it is.
+	for m := c.pending; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros32(m)
+		pe := &c.rob[p]
+		if !pe.done {
+			if pe.doneAt <= now {
+				return now + 1 // complete() was cut short by a flush this cycle
+			}
+			if pe.doneAt < wake {
+				wake = pe.doneAt // completion marks it done at doneAt
+			}
+			continue
+		}
+		for cm := c.consumers[p] & c.waiting; cm != 0; cm &= cm - 1 {
+			if t := c.operandsAt(&c.rob[bits.TrailingZeros32(cm)]); t < wake {
+				wake = t
+			}
+		}
+	}
 	if wake <= now {
 		return now + 1
 	}
 	return wake
+}
+
+// operandsAt returns the cycle from which every renamed source of e is
+// visible, or cpu.NoWork if one of its producers has not issued yet
+// (that producer's own transitions bound progress).
+func (c *CPU) operandsAt(e *robEntry) uint64 {
+	var at uint64
+	for s := 0; s < int(e.nSrc); s++ {
+		p := e.srcProd[s]
+		if p < 0 {
+			continue
+		}
+		pe := &c.rob[p]
+		if !pe.issued {
+			return cpu.NoWork
+		}
+		if pe.doneAt > at {
+			at = pe.doneAt
+		}
+	}
+	return at
 }
 
 // SkipCycles is the scheduler's bulk-accounting hook: the cycles in
@@ -348,14 +389,11 @@ func (c *CPU) graduate(now uint64) int {
 	n := 0
 	for n < gradWidth && c.count > 0 {
 		e := &c.rob[c.head]
-		if !e.dispatched {
-			break
-		}
 		op := e.inst.Op
 
 		// Serializing instructions execute here, at the head,
 		// non-speculatively.
-		if op == isa.SYSCALL || op == isa.HALT || op == isa.LL || op == isa.SC {
+		if serializes(op) {
 			if !c.serialize(now, e) {
 				break
 			}
@@ -385,8 +423,8 @@ func (c *CPU) graduate(now uint64) int {
 			// even on heavily contended spin locations — and squash the
 			// younger instructions that may have consumed the stale one.
 			c.stats.Replays++
-			c.stats.Squashed += uint64(c.squashAfter(c.head) + len(c.fq))
-			c.fq = c.fq[:0]
+			c.stats.Squashed += uint64(c.squashAfter(c.head) + c.fqLen)
+			c.fqLen = 0
 			c.fetchPC = e.actualNext
 			c.fetchReady = now + 1
 			c.fetchStalled = false
@@ -432,27 +470,35 @@ func (c *CPU) writeDest(e *robEntry) {
 	}
 }
 
-// release frees the head slot, clears rename entries pointing at it, and
-// detaches younger consumers (the committed value is now architectural,
-// so they read the register file instead of a slot that may be reused).
+// release frees the head slot, clears the rename entry pointing at it,
+// and detaches younger consumers (the committed value is now
+// architectural, so they read the register file instead of a slot that
+// may be reused). A consumer can become ready here: a forwarded load
+// graduates in the cycle its doneAt arrives, before complete has made
+// it available, and LL/SC results are never available in the window.
 func (c *CPU) release() {
 	slot := c.head
-	for r := range c.writer {
-		if c.writer[r] == slot {
-			c.writer[r] = -1
-		}
+	if d := c.rob[slot].dest; d != isa.RegNone && int(c.writer[d]) == slot {
+		c.writer[d] = -1
 	}
-	c.rob[slot] = robEntry{}
-	c.head = (c.head + 1) % windowSize
-	c.count--
-	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
-		e := &c.rob[idx]
-		for s := 0; s < e.nSrc; s++ {
-			if e.srcProd[s] == slot {
-				e.srcProd[s] = -1
+	for m := c.consumers[slot]; m != 0; m &= m - 1 {
+		ci := bits.TrailingZeros32(m)
+		ce := &c.rob[ci]
+		for s := 0; s < int(ce.nSrc); s++ {
+			if int(ce.srcProd[s]) == slot {
+				ce.srcProd[s] = -1
 			}
 		}
+		if c.waiting&bit(ci) != 0 && c.srcsAvail(ce) {
+			c.ready |= bit(ci)
+		}
 	}
+	keep := ^bit(slot)
+	c.pending &= keep
+	c.avail &= keep
+	c.stores &= keep
+	c.head = wrap(c.head + 1)
+	c.count--
 }
 
 // loadRefresh re-reads a graduating load's location; if the value
@@ -570,18 +616,16 @@ func (c *CPU) serialize(now uint64, e *robEntry) bool {
 func (c *CPU) flushAll(now uint64) {
 	if c.tr != nil {
 		c.tr.Emit(obsv.Event{
-			Cycle: now, Arg: uint32(c.count + len(c.fq)),
+			Cycle: now, Arg: uint32(c.count + c.fqLen),
 			Kind: obsv.EvFlush, CPU: int8(c.id),
 		})
-	}
-	for i := range c.rob {
-		c.rob[i] = robEntry{}
 	}
 	for i := range c.writer {
 		c.writer[i] = -1
 	}
 	c.head, c.tail, c.count = 0, 0, 0
-	c.fq = c.fq[:0]
+	c.waiting, c.ready, c.pending, c.avail, c.stores = 0, 0, 0, 0, 0
+	c.fqHead, c.fqLen = 0, 0
 	c.fetchLine = invalidLine
 	c.fetchStalled = false
 	c.fetchFault = false
@@ -590,22 +634,35 @@ func (c *CPU) flushAll(now uint64) {
 // --- complete: finish executed instructions, resolve branches ---
 
 func (c *CPU) complete(now uint64) {
-	// Mark newly finished entries and handle branch resolution in
-	// program order, so a mispredicted older branch squashes younger
-	// work before that work can resolve.
-	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
+	// Make newly finished results available and handle branch
+	// resolution in program order, so a mispredicted older branch
+	// squashes younger work before that work can resolve. A load
+	// forwarded from a store (or issued to an unmapped address) is done
+	// at issue but its value is only visible from doneAt on, so
+	// availability keys on doneAt, never on the done flag.
+	for rel := c.fromHead(c.pending); rel != 0; rel &= rel - 1 {
+		idx := wrap(c.head + bits.TrailingZeros32(rel))
 		e := &c.rob[idx]
-		if !e.issued || e.doneAt > now || e.done {
+		if e.doneAt > now {
 			continue
 		}
 		e.done = true
-		if e.inst.Op.IsControl() {
-			c.stats.Branches++
+		c.pending &^= bit(idx)
+		c.avail |= bit(idx)
+		for m := c.consumers[idx] & c.waiting &^ c.ready; m != 0; m &= m - 1 {
+			ci := bits.TrailingZeros32(m)
+			if c.srcsAvail(&c.rob[ci]) {
+				c.ready |= bit(ci)
+			}
 		}
-		if e.inst.Op.IsControl() && e.actualNext != e.predNext {
+		if !e.inst.Op.IsControl() {
+			continue
+		}
+		c.stats.Branches++
+		if e.actualNext != e.predNext {
 			// Misprediction: squash younger entries, redirect fetch.
 			c.stats.Mispredicts++
-			squashed := c.squashAfter(idx) + len(c.fq)
+			squashed := c.squashAfter(idx) + c.fqLen
 			c.stats.Squashed += uint64(squashed)
 			if c.tr != nil {
 				c.tr.Emit(obsv.Event{
@@ -618,54 +675,65 @@ func (c *CPU) complete(now uint64) {
 			c.fetchReady = now + 1
 			c.fetchStalled = false
 			c.fetchFault = false
-			c.fq = c.fq[:0]
+			c.fqLen = 0
 			return
 		}
-		if e.inst.Op.IsControl() {
-			c.updateBTB(e)
+		c.updateBTB(e)
+	}
+}
+
+// fromHead rotates a slot mask so that bit k is the k-th oldest window
+// entry: iterating the result with TrailingZeros32 visits slots
+// (head+k) % windowSize in program order.
+func (c *CPU) fromHead(mask uint32) uint32 { return bits.RotateLeft32(mask, -c.head) }
+
+// srcsAvail reports whether every renamed source of e has produced.
+func (c *CPU) srcsAvail(e *robEntry) bool {
+	for s := 0; s < int(e.nSrc); s++ {
+		if p := e.srcProd[s]; p >= 0 && c.avail&bit(int(p)) == 0 {
+			return false
 		}
 	}
+	return true
 }
 
 // squashAfter removes every entry younger than the one at slot and
 // returns how many were removed.
 func (c *CPU) squashAfter(slot int) int {
-	n := 0
-	for c.count > 0 {
-		last := (c.tail - 1 + windowSize) % windowSize
-		if last == slot {
-			break
+	n := wrap(c.tail - 1 - slot + windowSize)
+	if n == 0 {
+		return 0
+	}
+	var gone uint32 // squashed slots
+	var regs uint64 // unified registers they renamed
+	for i, idx := 0, wrap(slot+1); i < n; i, idx = i+1, wrap(idx+1) {
+		gone |= bit(idx)
+		if d := c.rob[idx].dest; d != isa.RegNone {
+			regs |= 1 << d
+			c.writer[d] = -1
 		}
-		n++
-		e := &c.rob[last]
-		for r := range c.writer {
-			if c.writer[r] == last {
-				c.writer[r] = -1
+	}
+	c.tail = wrap(slot + 1)
+	c.count -= n
+	// Restore rename visibility: the youngest surviving writer of each
+	// register a squashed entry had claimed.
+	if regs != 0 {
+		for i, idx := 0, c.head; i < c.count; i, idx = i+1, wrap(idx+1) {
+			if d := c.rob[idx].dest; d != isa.RegNone && regs&(1<<d) != 0 {
+				c.writer[d] = int8(idx)
 			}
 		}
-		// Restore rename visibility for older writers of the squashed
-		// entry's destination.
-		if e.dest != isa.RegNone {
-			c.rewireWriter(e.dest, last)
-		}
-		c.rob[last] = robEntry{}
-		c.tail = last
-		c.count--
+	}
+	keep := ^gone
+	c.waiting &= keep
+	c.ready &= keep
+	c.pending &= keep
+	c.avail &= keep
+	c.stores &= keep
+	for i := range c.consumers {
+		c.consumers[i] &= keep
 	}
 	return n
-}
-
-// rewireWriter points writer[reg] at the youngest surviving producer.
-func (c *CPU) rewireWriter(reg uint8, excluded int) {
-	c.writer[reg] = -1
-	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
-		if idx == excluded {
-			continue
-		}
-		if c.rob[idx].valid && c.rob[idx].dest == reg {
-			c.writer[reg] = idx
-		}
-	}
 }
 
 func (c *CPU) updateBTB(e *robEntry) {
@@ -685,51 +753,32 @@ type fuBusy [cpu.NumFUClasses]int
 func (c *CPU) issue(now uint64) {
 	var busy fuBusy
 	issued := 0
-	for i, idx := 0, c.head; i < c.count && issued < issueWidth; i, idx = i+1, (idx+1)%windowSize {
+	for rel := c.fromHead(c.ready); rel != 0 && issued < issueWidth; rel &= rel - 1 {
+		idx := wrap(c.head + bits.TrailingZeros32(rel))
 		e := &c.rob[idx]
-		if !e.dispatched || e.issued {
-			continue
-		}
 		op := e.inst.Op
-		if op == isa.SYSCALL || op == isa.HALT || op == isa.LL || op == isa.SC {
-			continue // executed at the head
-		}
-		if !c.operandsReady(e, now) {
-			continue
-		}
 		class := cpu.ClassOf(op)
 		if busy[class] >= class.Copies() {
 			continue
 		}
-		if op.IsLoad() && !c.tryLoad(now, idx, e) {
-			continue
+		if op.IsLoad() {
+			if !c.tryLoad(now, idx, e) {
+				continue
+			}
+		} else {
+			c.execute(now, e)
 		}
-		if !op.IsLoad() {
-			c.execute(now, idx, e)
-		}
+		c.waiting &^= bit(idx)
+		c.ready &^= bit(idx)
+		c.pending |= bit(idx)
 		busy[class]++
 		issued++
 	}
 }
 
-// operandsReady reports whether e's renamed sources have produced.
-func (c *CPU) operandsReady(e *robEntry, now uint64) bool {
-	for s := 0; s < e.nSrc; s++ {
-		p := e.srcProd[s]
-		if p < 0 {
-			continue
-		}
-		pe := &c.rob[p]
-		if !pe.done || pe.doneAt > now {
-			return false
-		}
-	}
-	return true
-}
-
 // readSrc returns the integer value of unified register r for entry e.
 func (c *CPU) readSrc(e *robEntry, r uint8) uint32 {
-	for s := 0; s < e.nSrc; s++ {
+	for s := 0; s < int(e.nSrc); s++ {
 		if e.srcRegs[s] == r && e.srcProd[s] >= 0 {
 			return c.rob[e.srcProd[s]].value
 		}
@@ -743,7 +792,7 @@ func (c *CPU) readSrc(e *robEntry, r uint8) uint32 {
 // readSrcF returns the FP value of unified register r for entry e.
 func (c *CPU) readSrcF(e *robEntry, r uint8) float64 {
 	u := r + isa.RegFPBase
-	for s := 0; s < e.nSrc; s++ {
+	for s := 0; s < int(e.nSrc); s++ {
 		if e.srcRegs[s] == u && e.srcProd[s] >= 0 {
 			return c.rob[e.srcProd[s]].fvalue
 		}
@@ -768,13 +817,11 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 	}
 	e.ea, e.eaOK = pea, true
 
-	// Store-to-load ordering: scan older stores.
+	// Store-to-load ordering: scan older stores, oldest first.
 	lSize := e.inst.Op.MemBytes()
-	for i, j := 0, c.head; j != idx; i, j = i+1, (j+1)%windowSize {
-		se := &c.rob[j]
-		if !se.valid || !se.inst.Op.IsStore() || se.inst.Op == isa.SC {
-			continue
-		}
+	older := c.fromHead(c.stores) & (bit(wrap(idx-c.head+windowSize)) - 1)
+	for ; older != 0; older &= older - 1 {
+		se := &c.rob[wrap(c.head+bits.TrailingZeros32(older))]
 		if !se.issued || !se.done || se.doneAt > now {
 			return false // older store address unknown: wait
 		}
@@ -819,7 +866,7 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 }
 
 // execute performs a non-load instruction's computation at issue.
-func (c *CPU) execute(now uint64, idx int, e *robEntry) {
+func (c *CPU) execute(now uint64, e *robEntry) {
 	in := e.inst
 	op := in.Op
 	e.issued = true
@@ -877,41 +924,56 @@ func (c *CPU) execute(now uint64, idx int, e *robEntry) {
 // --- dispatch ---
 
 func (c *CPU) dispatch(now uint64) {
-	if c.count == windowSize && len(c.fq) > 0 && c.tr != nil {
+	if c.count == windowSize && c.fqLen > 0 && c.tr != nil {
 		c.tr.Emit(obsv.Event{Cycle: now, Kind: obsv.EvROBFull, CPU: int8(c.id)})
 	}
 	n := 0
-	for n < issueWidth && len(c.fq) > 0 && c.count < windowSize {
-		fe := c.fq[0]
-		c.fq = c.fq[1:]
+	for n < issueWidth && c.fqLen > 0 && c.count < windowSize {
+		fe := &c.fq[c.fqHead]
+		c.fqHead = (c.fqHead + 1) & (fetchQueue - 1)
+		c.fqLen--
 		slot := c.tail
 		e := &c.rob[slot]
 		*e = robEntry{
-			valid:      true,
 			inst:       fe.inst,
 			pc:         fe.pc,
 			ppc:        fe.ppc,
-			dispatched: true,
 			predNext:   fe.predNext,
 			actualNext: fe.predNext,
 			dest:       fe.inst.Dest(),
 		}
-		var srcs []uint8
-		srcs = fe.inst.Srcs(srcs)
-		if len(srcs) > 2 {
-			srcs = srcs[:2]
-		}
-		for i, r := range srcs {
+		// No instruction has more than maxSrcs register sources, so Srcs
+		// never outgrows the stack buffer.
+		var buf [maxSrcs]uint8
+		ready := true
+		for i, r := range fe.inst.Srcs(buf[:0]) {
+			p := c.writer[r]
 			e.srcRegs[i] = r
-			e.srcProd[i] = c.writer[r]
+			e.srcProd[i] = p
+			if p >= 0 {
+				c.consumers[p] |= bit(slot)
+				if c.avail&bit(int(p)) == 0 {
+					ready = false
+				}
+			}
+			e.nSrc++
 		}
-		e.nSrc = len(srcs)
+		c.consumers[slot] = 0
 		if e.dest != isa.RegNone {
-			c.writer[e.dest] = slot
+			c.writer[e.dest] = int8(slot)
 		}
-		c.tail = (c.tail + 1) % windowSize
+		op := fe.inst.Op
+		if !serializes(op) {
+			c.waiting |= bit(slot)
+			if ready {
+				c.ready |= bit(slot)
+			}
+			if op.IsStore() {
+				c.stores |= bit(slot)
+			}
+		}
+		c.tail = wrap(c.tail + 1)
 		c.count++
-		c.seq++
 		n++
 	}
 }
@@ -922,7 +984,7 @@ func (c *CPU) fetch(now uint64) {
 	if c.fetchStalled || c.fetchFault || now < c.fetchReady {
 		return
 	}
-	for n := 0; n < fetchWidth && len(c.fq) < fetchQueue; n++ {
+	for n := 0; n < fetchWidth && c.fqLen < fetchQueue; n++ {
 		pc := c.fetchPC
 		ppc, ok := c.ctx.Space.Translate(pc)
 		if !ok {
@@ -943,11 +1005,10 @@ func (c *CPU) fetch(now uint64) {
 			c.fetchFault = true
 			return
 		}
-		fe := fetchEntry{pc: pc, ppc: ppc, inst: in}
-		fe.predNext = c.predict(pc, in)
-		//simlint:allow hotalloc — fetch queue reuses its backing array at steady state
-		c.fq = append(c.fq, fe)
-		c.fetchPC = fe.predNext
+		next := c.predict(pc, in)
+		c.fq[(c.fqHead+c.fqLen)&(fetchQueue-1)] = fetchEntry{pc: pc, ppc: ppc, inst: in, predNext: next}
+		c.fqLen++
+		c.fetchPC = next
 		if in.Op == isa.SYSCALL || in.Op == isa.HALT {
 			// Serialize: nothing is fetched past a trap boundary.
 			c.fetchStalled = true

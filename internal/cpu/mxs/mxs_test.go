@@ -33,6 +33,9 @@ func runBoth(t *testing.T, build func() *asm.Builder, nCPU int, arch core.Arch) 
 			ctx.Regs[asm.A0] = uint32(i)
 			m.AddContext(ctx)
 		}
+		if model == core.ModelMXS {
+			checkMasksEveryTick(t, m)
+		}
 		if _, err := m.Run(100_000_000); err != nil {
 			t.Fatal(err)
 		}

@@ -27,6 +27,7 @@ func runMXS(t *testing.T, b *asm.Builder) (cpu.StallStats, *core.Machine) {
 	ctx := &cpu.Context{Space: mem.Identity{Limit: m.Img.Size()}, PC: p.Addr("start")}
 	ctx.Regs[isa.RegSP] = 0x80000
 	m.AddContext(ctx)
+	checkMasksEveryTick(t, m)
 	res, err := m.Run(10_000_000)
 	if err != nil {
 		t.Fatal(err)

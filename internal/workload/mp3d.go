@@ -247,6 +247,10 @@ func (w *MP3D) Configure(m *core.Machine) error {
 	if w.Particles%w.NumCPUs != 0 {
 		return fmt.Errorf("mp3d: particles (%d) must divide by %d CPUs", w.Particles, w.NumCPUs)
 	}
+	if w.Particles*mp3dRecBytes > mp3dAuxOffset {
+		return fmt.Errorf("mp3d: %d particles overlap the aux table (at most %d fit below it)",
+			w.Particles, mp3dAuxOffset/mp3dRecBytes)
+	}
 	b := asm.NewBuilder()
 	perCPU := w.Particles / w.NumCPUs
 	cellsPer := w.cells() / w.NumCPUs

@@ -21,6 +21,26 @@ func TestMP3DValidatesOnAllArchitectures(t *testing.T) {
 	}
 }
 
+func TestMP3DRejectsParticlesOverlappingAuxTable(t *testing.T) {
+	// The aux table starts mp3dAuxOffset bytes above the particle
+	// array; a larger array would overwrite it and only fail Validate,
+	// after the whole run.
+	fits := mp3dAuxOffset / mp3dRecBytes / 4 * 4
+	for _, tc := range []struct {
+		particles int
+		ok        bool
+	}{{fits, true}, {fits + 4, false}} {
+		w := NewMP3D(MP3DParams{Particles: tc.particles, Steps: 1})
+		m, err := core.NewMachine(core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), w.MemBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Configure(m); (err == nil) != tc.ok {
+			t.Errorf("Configure with %d particles: err = %v, want ok = %v", tc.particles, err, tc.ok)
+		}
+	}
+}
+
 func TestMP3DL1MissRatesDominatedByReplacements(t *testing.T) {
 	// Section 4.1: "the L1 miss rates of all three architectures is
 	// dominated by replacement misses" despite the communication volume.
