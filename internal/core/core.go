@@ -50,14 +50,16 @@ func NewSystem(a Arch, cfg memsys.Config) (memsys.System, error) {
 
 // Core is a CPU model instance driven by the cycle loop.
 type Core interface {
-	// Tick advances the core by one cycle and returns a quiescence
-	// hint: the earliest cycle after now at which this core might have
-	// work (cpu.NoWork if it is now halted). The hint obeys the same
-	// asymmetric contract as NextWork — too small only costs no-op
-	// ticks — and is returned from Tick so the scheduler's common case
-	// (someone is runnable next cycle) costs no extra call: the cycle
-	// loop only falls back to the verifying NextWork scan when every
-	// hint clears cyc+1.
+	// Tick advances the core by one cycle and returns its wake cycle:
+	// the earliest cycle after now at which this core might have work,
+	// assuming no external input first (cpu.NoWork if, and only if, it
+	// is now halted). The cycle loop does not tick the core again before
+	// that cycle unless its interrupt line goes live, so the hint obeys
+	// the same asymmetric contract as NextWork — too small only costs
+	// no-op ticks, too large would change simulation output. With the
+	// line already live at the tick the hint must account for it. Cycles
+	// the core sleeps through are reported through SkipCycles (see
+	// cycleSkipper) before its next tick.
 	Tick(now uint64) uint64
 	Done() bool
 	Stats() cpu.StallStats
@@ -77,10 +79,12 @@ type Core interface {
 }
 
 // cycleSkipper is implemented by CPU models whose per-cycle accounting
-// must be backfilled across a skipped window. MXS charges one stall
-// cycle of blame per zero-graduation cycle; a skipped cycle still
-// happened architecturally, so the scheduler reports every jump to the
-// model before taking it.
+// must be backfilled across the cycles they were not ticked. MXS
+// charges one stall cycle of blame per zero-graduation cycle; a cycle
+// slept through still happened architecturally, so the scheduler
+// reports the range [from, to) right before the core's next tick (and
+// at the end of a RunWindow call), while the state that decides the
+// blame is still the state the core went to sleep in.
 type cycleSkipper interface {
 	SkipCycles(from, to uint64)
 }
@@ -95,8 +99,8 @@ type codeEntry struct {
 
 // CodeRegistry resolves physical addresses to decoded instructions over
 // all loaded programs. It is immutable once the programs are loaded, so
-// all CPUs share it safely; the per-fetch lookup memo lives in the
-// per-CPU CodeCursor each core fetches through.
+// all CPUs share it safely: each core keeps the region its last fetch
+// hit (TextAt) and comes back only when its PC leaves that region.
 type CodeRegistry struct {
 	entries []codeEntry
 }
@@ -134,50 +138,28 @@ func (r *CodeRegistry) Dump(w io.Writer) {
 	}
 }
 
-// InstAt implements cpu.CodeSource by plain scan, with no lookup memo —
-// the registry stays read-only after loading. Cores fetch through a
-// Cursor instead, which adds the last-hit cache without sharing it.
-func (r *CodeRegistry) InstAt(paddr uint32) (isa.Inst, bool) {
+// TextAt implements cpu.CodeSource: the decoded text of the program
+// region containing paddr and the physical address of its first
+// instruction. The registry stays read-only after loading; the
+// per-fetch memo is the region each core holds on to.
+func (r *CodeRegistry) TextAt(paddr uint32) (text []isa.Inst, base uint32, ok bool) {
 	for i := range r.entries {
 		e := &r.entries[i]
 		if paddr >= e.base && paddr < e.end {
-			return e.insts[(paddr-e.base)/4], true
+			return e.insts, e.base, true
 		}
 	}
-	return isa.Inst{}, false
+	return nil, 0, false
 }
 
-// Cursor returns a per-CPU fetch view of the registry. The cursor
-// caches the last entry hit, which covers almost every fetch thanks to
-// code locality; keeping the memo per-CPU (rather than on the shared
-// registry, as it originally was) means concurrent ticks never write
-// shared state on the fetch path.
-func (r *CodeRegistry) Cursor() *CodeCursor { return &CodeCursor{reg: r} }
-
-// CodeCursor is one core's private window onto the shared CodeRegistry.
-//
-//simlint:owned per-cpu — every core gets its own cursor from Machine's newCore
-type CodeCursor struct {
-	reg  *CodeRegistry
-	last int
-}
-
-// InstAt implements cpu.CodeSource.
-func (c *CodeCursor) InstAt(paddr uint32) (isa.Inst, bool) {
-	entries := c.reg.entries
-	if c.last < len(entries) {
-		if e := &entries[c.last]; paddr >= e.base && paddr < e.end {
-			return e.insts[(paddr-e.base)/4], true
-		}
+// InstAt returns the instruction at paddr, for tools that walk the
+// loaded text one address at a time.
+func (r *CodeRegistry) InstAt(paddr uint32) (isa.Inst, bool) {
+	text, base, ok := r.TextAt(paddr)
+	if !ok {
+		return isa.Inst{}, false
 	}
-	for i := range entries {
-		e := &entries[i]
-		if paddr >= e.base && paddr < e.end {
-			c.last = i
-			return e.insts[(paddr-e.base)/4], true
-		}
-	}
-	return isa.Inst{}, false
+	return text[(paddr-base)/4], true
 }
 
 // CPUModel selects the CPU simulator.
@@ -229,6 +211,18 @@ type Machine struct {
 	// simulated time is identical with skipping disabled).
 	skipped uint64
 
+	// The serial loop's per-CPU schedule, valid inside one RunWindow
+	// call and sized once. wakeAt[k] is the cycle CPU k is next ticked
+	// at: the hint its last Tick returned, pulled down to the present
+	// when its interrupt line goes live, cpu.NoWork once it has halted.
+	// tickedTo[k] is the first cycle CPU k has not been accounted for
+	// (one past its last tick); the cycles from there to its next tick
+	// are backfilled through skippers[k], CPUs[k]'s cycleSkipper side
+	// (nil when the model has none).
+	wakeAt   []uint64
+	tickedTo []uint64
+	skippers []cycleSkipper
+
 	// syms is the machine-wide physical-address symbol table, collected
 	// from every loaded program (relocated by its load bias) so a
 	// profile snapshot can resolve physical PCs and data addresses back
@@ -262,6 +256,13 @@ type irqLines struct {
 	live    []bool
 	pending []bool
 	npend   int // live count of buffered raises; bounds the quiescence skip to the next merge
+
+	// wake tells the serial loop that a line went live (raise from
+	// coordinator phase, merge) and stays set while a running CPU has
+	// not yet taken its interrupt, so the loop looks at the lines only
+	// then. ack never touches it: under the parallel scheduler CPUs ack
+	// concurrently, and that scheduler does not read it.
+	wake bool
 }
 
 // raise asserts a line: immediately in coordinator phase, buffered to
@@ -277,6 +278,7 @@ func (q *irqLines) raise(cpuID int, tickPhase bool) {
 		return
 	}
 	q.live[cpuID] = true
+	q.wake = true
 }
 
 // ack clears a CPU's own live line (interrupt taken).
@@ -299,6 +301,27 @@ func (q *irqLines) merge() {
 		}
 	}
 	q.npend = 0
+	q.wake = true
+}
+
+// wakeLive makes every running CPU whose line is live due at cyc: a CPU
+// asleep past cyc went to sleep before the line rose, so its wake cycle
+// does not account for it, and a CPU that has seen the line is ticked on
+// every executed cycle until it takes the interrupt, as it is in the
+// tick-everything reference. Called by the serial loop between the
+// event phase and the tick pass, while wake is set.
+//
+//simlint:arbiter
+func (q *irqLines) wakeLive(wakeAt []uint64, cyc uint64) {
+	q.wake = false
+	for k := range wakeAt[:min(len(wakeAt), len(q.live))] {
+		if q.live[k] && wakeAt[k] != cpu.NoWork {
+			q.wake = true
+			if wakeAt[k] > cyc {
+				wakeAt[k] = cyc
+			}
+		}
+	}
 }
 
 // RaiseIRQ asserts the external interrupt line of a CPU; the CPU takes
@@ -354,7 +377,7 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 	switch model {
 	case ModelMipsy:
 		m.newCore = func(id int, ctx *cpu.Context) Core {
-			c := mipsy.New(id, ctx, m.gatedSys(id), m.Code.Cursor(), m.gatedTrap(id), m.Img, cfg.LineBytes)
+			c := mipsy.New(id, ctx, m.gatedSys(id), m.Code, m.gatedTrap(id), m.Img, cfg.LineBytes)
 			if cfg.Prof != nil {
 				c.SetProfiler(cfg.Prof)
 			}
@@ -481,6 +504,16 @@ func (r *RunResult) IPC() float64 {
 // It returns the first cycle not executed, whether every CPU has halted,
 // and any guest fault. CPU service order rotates each cycle so no
 // processor gets a standing arbitration advantage.
+//
+// An executed cycle ticks only the CPUs that are due (wakeAt[k] <= cyc),
+// in rotation order; a CPU asleep past it is exactly a CPU whose tick
+// would have been a no-op, because its wake cycle is its own proof that
+// nothing happens before then and the one cross-CPU input, its interrupt
+// line, pulls the wake cycle down (irqLines.wakeLive). The loop then
+// advances to the earliest wake cycle: the next cycle in the common
+// case, through jumpTarget when every CPU sleeps past it. Config.NoSkip
+// clamps every hint to the next cycle and so ticks everything, every
+// cycle: the reference the identity tests compare against.
 func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err error) {
 	if len(m.CPUs) == 0 {
 		return start, false, fmt.Errorf("core: machine has no CPUs")
@@ -505,45 +538,97 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	if tel != nil {
 		tel.Windows.Inc()
 	}
+
+	// Every running CPU is due at the window's first cycle: hints are
+	// not carried across calls, so whatever happened to the machine in
+	// between (a restored checkpoint, a swapped core) is seen at once.
+	// Done is asked here only; from now on a halt is Tick returning
+	// cpu.NoWork.
+	if len(m.wakeAt) != cpus {
+		m.wakeAt = make([]uint64, cpus)
+		m.tickedTo = make([]uint64, cpus)
+		m.skippers = make([]cycleSkipper, cpus)
+	}
+	cores, wakeAt, tickedTo, skippers := m.CPUs, m.wakeAt, m.tickedTo, m.skippers
+	// wake is the earliest wake cycle over all CPUs as of the last tick
+	// pass; cpu.NoWork means every CPU has halted.
+	wake := uint64(cpu.NoWork)
+	for k, c := range cores {
+		skippers[k], _ = c.(cycleSkipper)
+		tickedTo[k] = start
+		wakeAt[k] = cpu.NoWork
+		if !c.Done() {
+			wakeAt[k] = start
+			wake = start
+		}
+	}
+	// Jumps cross a grid boundary only while nothing is buffered
+	// (jumpTarget stops at the boundary otherwise), so a merge that runs
+	// late, at the first executed cycle past its boundary, is an empty one.
+	nextGrid := start
+	if start%grid != 0 {
+		nextGrid = gridNext(start, grid)
+	}
+	// Rotate in uint64 so multi-billion-cycle runs can't skew the
+	// arbitration order through a narrowing conversion on 32-bit ints.
+	off := int(cyc % uint64(cpus))
 	for cyc < end {
-		if cyc%grid == 0 {
+		if cyc >= nextGrid {
 			m.irq.merge()
+			nextGrid = gridNext(cyc, grid)
 		}
 		m.Events.RunUntil(cyc)
-		m.inTick = true
-		alive := false
-		// Candidate quiescence horizon, gathered from the ticks' own
-		// return hints. It can only be stale in the safe direction: a
-		// tick later in the rotation may create work for an earlier CPU
-		// (syscall wake, IPI), never remove any, so wake <= cyc+1
-		// soundly suppresses the skip and anything later is re-verified
-		// from fresh post-tick state by nextCycle.
-		wake := uint64(cpu.NoWork)
-		// Rotate in uint64 so multi-billion-cycle runs can't skew the
-		// arbitration order through a narrowing conversion on 32-bit ints.
-		off := int(cyc % uint64(cpus))
-		for i := 0; i < cpus; i++ {
-			c := m.CPUs[(i+off)%cpus]
-			if c.Done() {
-				continue
-			}
-			alive = true
-			if w := c.Tick(cyc); w < wake {
-				wake = w
-			}
+		if m.irq.wake {
+			m.irq.wakeLive(wakeAt, cyc)
 		}
-		m.inTick = false
+		alive := wake != cpu.NoWork // a sleeping CPU counts
+		if alive {
+			m.inTick = true
+			wake = cpu.NoWork
+			k := off
+			for i := 0; i < cpus; i++ {
+				w := wakeAt[k]
+				if w <= cyc {
+					if t := tickedTo[k]; t < cyc && skippers[k] != nil {
+						skippers[k].SkipCycles(t, cyc)
+					}
+					w = cores[k].Tick(cyc)
+					if noSkip && w != cpu.NoWork {
+						w = cyc + 1
+					}
+					wakeAt[k] = w
+					tickedTo[k] = cyc + 1
+				}
+				if w < wake {
+					wake = w
+				}
+				if k++; k == cpus {
+					k = 0
+				}
+			}
+			m.inTick = false
+		}
 		if mets != nil && mets.Due(cyc) {
 			mets.Record(m.probe(cyc))
 		}
 		if !alive {
 			break
 		}
-		if noSkip || wake <= cyc+1 {
-			cyc++
-		} else {
-			cyc = m.nextCycle(cyc, end, mets)
+		// When the last CPU has just halted the next cycle still
+		// executes, so its events, its sample and the !alive break land
+		// where they do without skipping.
+		step := cyc + 1
+		if wake > step && wake != cpu.NoWork && step < end {
+			step = m.jumpTarget(cyc, end, mets)
 		}
+		if step == cyc+1 {
+			if off++; off == cpus {
+				off = 0
+			}
+		} else {
+			off = int(step % uint64(cpus))
+		}
+		cyc = step
 		if tel != nil {
 			telTicked++
 			if telTicked >= 1<<20 {
@@ -554,6 +639,13 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 					telSkipBase = sk
 				}
 			}
+		}
+	}
+	// The cycles a still-running CPU slept through at the end of the
+	// window are charged now: the next call starts from a clean slate.
+	for k, t := range tickedTo {
+		if t < cyc && wakeAt[k] != cpu.NoWork && skippers[k] != nil {
+			skippers[k].SkipCycles(t, cyc)
 		}
 	}
 	if tel != nil {
@@ -577,49 +669,41 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	return cyc, allHalted, nil
 }
 
-// nextCycle is the slow path of the quiescence skip, entered only when
-// the tick pass's candidate horizon says every running CPU is inert
-// past cyc+1. It re-verifies that from fresh post-tick state (a tick
-// can wake another CPU mid-pass) and returns the cycle the loop should
-// execute next: cyc+1 normally, or — when every running CPU, the event
-// calendar, and the sampler are provably inert past cyc+1 — the
-// earliest cycle at which any of them next has work, clamped to end.
-// The skip is recomputed after every executed cycle, so an event that
-// schedules another event (or wakes a CPU) always re-bounds the next
-// jump; nothing scheduled from inside the skipped window can exist,
-// because nothing executes in it. Rotation offsets stay correct for
-// free: off derives from the actual cycle number, and all skipped
-// cycles are cycles in which no CPU would have ticked at all.
-func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
+// jumpTarget is the slow path of the cycle loop, entered only when the
+// wake cycle of every running CPU is past cyc+1. It verifies that
+// against each CPU's NextWork proof and returns the cycle the loop
+// should execute next: cyc+1 if any proof, a live interrupt line, the
+// event calendar or the sampler says so, otherwise the earliest cycle
+// at which any of them next has work, clamped to end. A proof earlier
+// than the CPU's wake cycle replaces it, so the CPU is ticked when the
+// jump lands. The bound is recomputed after every executed cycle, so an
+// event that schedules another event (or raises an interrupt) always
+// re-bounds the next jump; nothing scheduled from inside the jumped
+// cycles can exist, because nothing executes in them.
+func (m *Machine) jumpTarget(cyc, end uint64, mets *obsv.Metrics) uint64 {
 	step := cyc + 1
-	if step >= end {
-		return step
-	}
 	target := uint64(cpu.NoWork)
-	running := false
 	for i, c := range m.CPUs {
-		if c.Done() {
+		if m.wakeAt[i] == cpu.NoWork {
 			continue
 		}
-		running = true
 		// A pending interrupt means the kernel wants this CPU's
-		// attention; deliver on the per-cycle path.
+		// attention; deliver on the per-cycle path. (Hand-assembled
+		// machines have no lines.)
 		if i < len(m.irq.live) && m.irq.live[i] {
 			return step
 		}
 		w := c.NextWork(cyc)
 		if w <= step {
+			m.wakeAt[i] = step
 			return step
+		}
+		if w < m.wakeAt[i] {
+			m.wakeAt[i] = w
 		}
 		if w < target {
 			target = w
 		}
-	}
-	if !running {
-		// Every CPU halted during the cycle just executed; let the loop
-		// run the next cycle per-cycle so its !alive break (and any
-		// final events or sample) happen exactly as without skipping.
-		return step
 	}
 	if ev, ok := m.Events.NextCycle(); ok {
 		if ev <= step {
@@ -631,18 +715,17 @@ func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
 	}
 	if m.irq.npend > 0 {
 		// Buffered tick-phase raises deliver at the next grid boundary;
-		// the skip must not jump over the merge.
+		// the jump must not pass the merge.
 		if b := gridNext(cyc, m.gridSize()); b < target {
 			target = b
 		}
 	}
 	if mets != nil {
-		// The sampler's next due cycle bounds the quiescence skip so
-		// interval samples land on schedule. This is the tree's one
-		// sanctioned obs→sim dataflow: it changes only how the loop
-		// advances time, never what any cycle computes, and the
-		// output-identity tests pin byte-equal results with and without
-		// sampling attached.
+		// The sampler's next due cycle bounds the jump so interval
+		// samples land on schedule. This is the tree's one sanctioned
+		// obs→sim dataflow: it changes only how the loop advances time,
+		// never what any cycle computes, and the output-identity tests
+		// pin byte-equal results with and without sampling attached.
 		//simlint:allow neutral — skip bound only; output byte-identical (see output-identity tests)
 		due := mets.NextDue()
 		if due <= step {
@@ -657,14 +740,6 @@ func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
 	}
 	if target <= step {
 		return step
-	}
-	for _, c := range m.CPUs {
-		if c.Done() {
-			continue
-		}
-		if s, ok := c.(cycleSkipper); ok {
-			s.SkipCycles(step, target)
-		}
 	}
 	m.skipped += target - step
 	return target

@@ -135,19 +135,13 @@ func TestCodeRegistryLookup(t *testing.T) {
 	if _, ok := r.InstAt(p1.TextEnd()); ok {
 		t.Error("lookup exactly at text end should fail")
 	}
-	// Per-CPU cursors carry the last-hit cache; it must not corrupt
-	// cross-entry lookups, and two cursors must not disturb each other.
-	c1, c2 := r.Cursor(), r.Cursor()
-	for i := 0; i < 4; i++ {
-		if _, ok := c1.InstAt(0x1000); !ok {
-			t.Fatal("cursor 1 lookup failed")
-		}
-		if _, ok := c2.InstAt(0x101004); !ok {
-			t.Fatal("cursor 2 lookup failed")
-		}
+	// TextAt hands a core the whole region, which it indexes itself.
+	text, base, ok := r.TextAt(0x101004)
+	if !ok || base != 0x101000 || len(text) != len(p1.Insts) || text[1] != p1.Insts[1] {
+		t.Errorf("TextAt(0x101004) = %d insts at %#x, %v; want %d at 0x101000", len(text), base, ok, len(p1.Insts))
 	}
-	if c1.last == c2.last {
-		t.Error("cursors hitting different entries should memoize independently")
+	if _, _, ok := r.TextAt(0x50000); ok {
+		t.Error("TextAt outside any program should fail")
 	}
 }
 

@@ -568,7 +568,7 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 		}
 		if mets != nil {
 			// Sampler-schedule bound, the same sanctioned obs→sim
-			// dataflow as nextCycle's: it moves only the barrier, never
+			// dataflow as jumpTarget's: it moves only the barrier, never
 			// what any cycle computes (identity pinned by the parallel
 			// byte-identity tests).
 			//simlint:allow neutral — window edge only; output byte-identical (see parallel-identity tests)
@@ -852,7 +852,7 @@ func (s *parSched) worker(w int) {
 // and the window edge. Sound inside a window because a quiescent CPU's
 // skipped cycles make no shared-state access, no event fires inside a
 // window, and the CPU's live IRQ line is frozen until the next
-// coordinator phase — mirroring the serial nextCycle's guards, a live
+// coordinator phase — mirroring the serial jumpTarget's guards, a live
 // line suppresses the skip so delivery stays on the per-cycle path.
 //
 // It returns both the clamped position `pos` the CPU resumes at inside

@@ -156,7 +156,7 @@ func TestEventChainAcrossSkip(t *testing.T) {
 }
 
 // TestRunWindowSteadyStateAllocs pins the scheduler's own steady-state
-// path — event drain, tick-hint gathering, and the nextCycle
+// path — event drain, the due-CPU tick pass, and the jumpTarget
 // verification scan with its jump — at zero allocations per window.
 func TestRunWindowSteadyStateAllocs(t *testing.T) {
 	var log []stubTick
@@ -193,5 +193,286 @@ func TestMetricsBoundariesNotSkipped(t *testing.T) {
 	}
 	if want := []uint64{10, 20, 30, 40}; !reflect.DeepEqual(cycles, want) {
 		t.Errorf("sample cycles = %v, want %v", cycles, want)
+	}
+}
+
+// ---- per-CPU wake mechanics ----
+
+// napCore works for one cycle, then sleeps nap cycles (0: works every
+// cycle). Unlike stubCore it records every Tick it receives, working or
+// not, and every SkipCycles range, so the tests below can say exactly
+// which cycles the loop visited it at. It polls its interrupt line the
+// way the models do: only when ticked.
+type napCore struct {
+	id     int
+	nap    uint64
+	next   uint64 // next working cycle
+	haltAt uint64 // halt when working at or after this cycle (0 = never)
+	halted bool
+
+	ticks  []uint64    // every cycle Tick was called at
+	skips  [][2]uint64 // every SkipCycles range
+	irqAt  []uint64    // cycles at which the line was found live (and acked)
+	order  *[]stubTick // service order shared by the machine's cores
+	m      *Machine    // interrupt source; nil for cores without a line
+	onWork func(now uint64)
+	ctx    cpu.Context
+}
+
+func (s *napCore) Tick(now uint64) uint64 {
+	s.ticks = append(s.ticks, now)
+	if s.order != nil {
+		*s.order = append(*s.order, stubTick{now, s.id})
+	}
+	if s.m != nil && s.m.PendingInterrupt(s.id) {
+		s.m.AckInterrupt(s.id)
+		s.irqAt = append(s.irqAt, now)
+	}
+	if !s.halted && now >= s.next {
+		s.next = now + 1 + s.nap
+		if s.onWork != nil {
+			s.onWork(now)
+		}
+		if s.haltAt != 0 && now >= s.haltAt {
+			s.halted = true
+			s.ctx.Halted = true
+		}
+	}
+	return s.NextWork(now + 1)
+}
+
+func (s *napCore) SkipCycles(from, to uint64) { s.skips = append(s.skips, [2]uint64{from, to}) }
+func (s *napCore) Done() bool                 { return s.halted }
+func (s *napCore) Stats() cpu.StallStats      { return cpu.StallStats{} }
+func (s *napCore) Context() *cpu.Context      { return &s.ctx }
+func (s *napCore) FlushFetchBuffer()          {}
+func (s *napCore) NextWork(now uint64) uint64 {
+	if s.halted {
+		return cpu.NoWork
+	}
+	return max(s.next, now)
+}
+
+// napMachine builds a Machine with interrupt lines around nap cores.
+func napMachine(cores ...*napCore) *Machine {
+	m := &Machine{irq: irqLines{live: make([]bool, len(cores)), pending: make([]bool, len(cores))}}
+	for i, c := range cores {
+		c.id, c.m = i, m
+		m.CPUs = append(m.CPUs, c)
+	}
+	return m
+}
+
+// checkCovered asserts that the core's ticks and SkipCycles ranges
+// account for every cycle of [start, end) exactly once, and that each
+// range runs from one past a tick to the next tick (or to end).
+func checkCovered(t *testing.T, c *napCore, start, end uint64) {
+	t.Helper()
+	seen := make([]int, end-start)
+	for _, at := range c.ticks {
+		seen[at-start]++
+	}
+	ticked := func(at uint64) bool {
+		for _, x := range c.ticks {
+			if x == at {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range c.skips {
+		if r[0] >= r[1] {
+			t.Errorf("cpu %d: empty or inverted SkipCycles(%d, %d)", c.id, r[0], r[1])
+			continue
+		}
+		if r[0] == start || !ticked(r[0]-1) {
+			t.Errorf("cpu %d: SkipCycles(%d, %d) does not start right after a tick", c.id, r[0], r[1])
+		}
+		if r[1] != end && !ticked(r[1]) {
+			t.Errorf("cpu %d: SkipCycles(%d, %d) ends at neither a tick nor the window end", c.id, r[0], r[1])
+		}
+		for at := r[0]; at < r[1]; at++ {
+			seen[at-start]++
+		}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("cpu %d: cycle %d accounted for %d times, want once", c.id, start+uint64(i), n)
+		}
+	}
+}
+
+// TestStaggeredWakes: two cores that work every cycle and one that
+// sleeps 100 cycles at a time, past 2^32. Each core is ticked exactly at
+// its own working cycles, the due cores are served in the cycle's
+// rotation order, and the sleeper's unticked cycles reach it as
+// SkipCycles ranges that tile them exactly.
+func TestStaggeredWakes(t *testing.T) {
+	const n = 1000
+	start := uint64(5)<<32 + 7
+	var order []stubTick
+	cores := []*napCore{{order: &order}, {order: &order}, {nap: 100, order: &order}}
+	m := napMachine(cores...)
+	if next, _, err := m.RunWindow(start, n); err != nil || next != start+n {
+		t.Fatalf("RunWindow = %d, %v; want %d", next, err, start+n)
+	}
+	var want []stubTick
+	for cyc := start; cyc < start+n; cyc++ {
+		off := int(cyc % 3)
+		for i := 0; i < 3; i++ {
+			id := (i + off) % 3
+			if id < 2 || (cyc-start)%101 == 0 {
+				want = append(want, stubTick{cyc, id})
+			}
+		}
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("service order diverges from the rotation over the due cores (%d ticks, want %d)", len(order), len(want))
+	}
+	for i, wantTicks := range []int{n, n, 10} {
+		if got := len(cores[i].ticks); got != wantTicks {
+			t.Errorf("cpu %d ticked %d times, want %d", i, got, wantTicks)
+		}
+		checkCovered(t, cores[i], start, start+n)
+	}
+	if len(cores[0].skips)+len(cores[1].skips) != 0 {
+		t.Error("a core that works every cycle received a SkipCycles range")
+	}
+	if got := m.SkippedCycles(); got != 0 {
+		t.Errorf("skipped = %d, want 0: some core worked on every cycle", got)
+	}
+}
+
+// TestEventPhaseIRQWakesSleeper: an interrupt raised by an event while
+// its target sleeps ticks the target at the event's own cycle, whether
+// the rest of the machine is busy or asleep too.
+func TestEventPhaseIRQWakesSleeper(t *testing.T) {
+	for _, peerNap := range []uint64{0, 10000} {
+		peer, sleeper := &napCore{nap: peerNap}, &napCore{nap: 499}
+		m := napMachine(peer, sleeper)
+		m.Events.Schedule(200, func(uint64) { m.RaiseIRQ(1) })
+		if _, _, err := m.RunWindow(0, 600); err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint64{0, 200, 500}; !reflect.DeepEqual(sleeper.ticks, want) {
+			t.Errorf("peer nap %d: sleeper ticked at %v, want %v", peerNap, sleeper.ticks, want)
+		}
+		if want := []uint64{200}; !reflect.DeepEqual(sleeper.irqAt, want) {
+			t.Errorf("peer nap %d: interrupt taken at %v, want %v", peerNap, sleeper.irqAt, want)
+		}
+		checkCovered(t, sleeper, 0, 600)
+	}
+}
+
+// TestTickPhaseIRQWakesSleeperAtGrid: a raise made from another core's
+// tick is buffered, and reaches the sleeping target at the next grid
+// boundary — not before, and not at its own later wake cycle.
+func TestTickPhaseIRQWakesSleeperAtGrid(t *testing.T) {
+	raiser, sleeper := &napCore{}, &napCore{nap: 499}
+	m := napMachine(raiser, sleeper)
+	m.Cfg.SimWindow = 64
+	raiser.onWork = func(now uint64) {
+		if now == 10 {
+			m.RaiseIRQ(1)
+		}
+	}
+	if _, _, err := m.RunWindow(0, 600); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0, 64, 500}; !reflect.DeepEqual(sleeper.ticks, want) {
+		t.Errorf("sleeper ticked at %v, want %v", sleeper.ticks, want)
+	}
+	if want := []uint64{64}; !reflect.DeepEqual(sleeper.irqAt, want) {
+		t.Errorf("interrupt taken at %v, want %v", sleeper.irqAt, want)
+	}
+}
+
+// TestLiveLineTicksEveryCycle: a core that cannot take its interrupt yet
+// is ticked on every executed cycle while the line stays live, like the
+// reference loop does.
+func TestLiveLineTicksEveryCycle(t *testing.T) {
+	busy, sleeper := &napCore{}, &napCore{nap: 499}
+	m := napMachine(busy, sleeper)
+	sleeper.m = nil // never polls, so never acks
+	m.Events.Schedule(200, func(uint64) { m.RaiseIRQ(1) })
+	if _, _, err := m.RunWindow(0, 300); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(sleeper.ticks), 1+100; got != want {
+		t.Errorf("sleeper ticked %d times, want %d (cycle 0, then 200-299)", got, want)
+	}
+	checkCovered(t, sleeper, 0, 300)
+}
+
+// TestWindowEdgeMidSleep: a RunWindow call that ends while a core sleeps
+// charges the slept cycles before returning, and the next call resumes
+// without charging any of them again.
+func TestWindowEdgeMidSleep(t *testing.T) {
+	busy, sleeper := &napCore{}, &napCore{nap: 499}
+	m := napMachine(busy, sleeper)
+	if _, _, err := m.RunWindow(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]uint64{{1, 100}}; !reflect.DeepEqual(sleeper.skips, want) {
+		t.Errorf("after the first window: SkipCycles ranges %v, want %v", sleeper.skips, want)
+	}
+	if _, _, err := m.RunWindow(100, 900); err != nil {
+		t.Fatal(err)
+	}
+	checkCovered(t, sleeper, 0, 1000)
+	checkCovered(t, busy, 0, 1000)
+}
+
+// TestHaltWhileOneSleeps: when every awake core halts while another
+// still sleeps, the sleeper keeps the machine alive, and the run ends
+// on the cycle it ends on when everything is ticked every cycle.
+func TestHaltWhileOneSleeps(t *testing.T) {
+	run := func(noSkip bool) (uint64, []uint64) {
+		a, b := &napCore{haltAt: 10}, &napCore{nap: 99, haltAt: 100}
+		m := napMachine(a, b)
+		m.Cfg.NoSkip = noSkip
+		next, halted, err := m.RunWindow(0, 5000)
+		if err != nil || !halted {
+			t.Fatalf("noSkip=%v: RunWindow = %d, halted %v, %v", noSkip, next, halted, err)
+		}
+		return next, a.ticks
+	}
+	next, aTicks := run(false)
+	ref, _ := run(true)
+	if next != ref || next != 101 {
+		t.Errorf("run ended at cycle %d, reference %d, want 101", next, ref)
+	}
+	if len(aTicks) != 11 {
+		t.Errorf("halted core ticked %d times, want 11 (cycles 0-10)", len(aTicks))
+	}
+}
+
+// BenchmarkRunWindow times the cycle loop alone, over stub cores whose
+// Tick does nothing: ns/op is host time per executed cycle on a
+// four-CPU machine, with every core due on every cycle and with one
+// core due while three sleep. Both must stay at 0 allocs/op (CI greps).
+func BenchmarkRunWindow(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		asleep int
+	}{{"all-awake", 0}, {"one-of-four", 3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := &Machine{}
+			for i := 0; i < 4; i++ {
+				c := &quietCore{}
+				if i < bc.asleep {
+					c.blockedUntil = 1 << 62
+				}
+				m.CPUs = append(m.CPUs, c)
+			}
+			if _, _, err := m.RunWindow(0, 1); err != nil { // size the schedule
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if next, _, err := m.RunWindow(1, uint64(b.N)); err != nil || next != 1+uint64(b.N) {
+				b.Fatalf("RunWindow = %d, %v", next, err)
+			}
+		})
 	}
 }

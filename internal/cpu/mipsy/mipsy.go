@@ -29,6 +29,10 @@ type CPU struct {
 	nextFree  uint64
 	fetchLine uint32
 
+	// The program region the last fetch hit (see cpu.CodeSource).
+	text     []isa.Inst
+	textBase uint32
+
 	irq cpu.InterruptSource
 
 	stats cpu.StallStats
@@ -147,13 +151,18 @@ func (c *CPU) step(now uint64) {
 		}
 	}
 
-	in, ok := c.code.InstAt(ppc)
-	if !ok {
-		ctx.Faultf("no code at %#x (pc %#x)", ppc, pc)
-		return
+	// ppc below textBase wraps to a huge index, so one compare covers
+	// both ends of the region.
+	i := (ppc - c.textBase) / 4
+	if i >= uint32(len(c.text)) {
+		if c.text, c.textBase, ok = c.code.TextAt(ppc); !ok {
+			ctx.Faultf("no code at %#x (pc %#x)", ppc, pc)
+			return
+		}
+		i = (ppc - c.textBase) / 4
 	}
 
-	c.execute(cur, ppc, in)
+	c.execute(cur, ppc, c.text[i])
 }
 
 // execute runs one instruction whose execution cycle is cur (physical

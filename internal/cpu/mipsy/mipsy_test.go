@@ -13,11 +13,11 @@ import (
 // progSource adapts one assembled program to cpu.CodeSource.
 type progSource struct{ p *asm.Program }
 
-func (s progSource) InstAt(paddr uint32) (isa.Inst, bool) {
+func (s progSource) TextAt(paddr uint32) ([]isa.Inst, uint32, bool) {
 	if paddr < s.p.TextBase || paddr >= s.p.TextEnd() {
-		return isa.Inst{}, false
+		return nil, 0, false
 	}
-	return s.p.Insts[(paddr-s.p.TextBase)/4], true
+	return s.p.Insts, s.p.TextBase, true
 }
 
 type rig struct {

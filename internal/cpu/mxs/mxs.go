@@ -126,6 +126,8 @@ type CPU struct {
 	fqLen        int
 	fetchStalled bool // stopped at a serializing instruction or fetch fault
 	fetchFault   bool
+	text         []isa.Inst // the program region the last fetch hit (see cpu.CodeSource)
+	textBase     uint32
 
 	// Window/ROB ring buffer.
 	rob   [windowSize]robEntry
@@ -1000,11 +1002,17 @@ func (c *CPU) fetch(now uint64) {
 				return
 			}
 		}
-		in, ok := c.code.InstAt(ppc)
-		if !ok {
-			c.fetchFault = true
-			return
+		// ppc below textBase wraps to a huge index, so one compare
+		// covers both ends of the region.
+		i := (ppc - c.textBase) / 4
+		if i >= uint32(len(c.text)) {
+			if c.text, c.textBase, ok = c.code.TextAt(ppc); !ok {
+				c.fetchFault = true
+				return
+			}
+			i = (ppc - c.textBase) / 4
 		}
+		in := c.text[i]
 		next := c.predict(pc, in)
 		c.fq[(c.fqHead+c.fqLen)&(fetchQueue-1)] = fetchEntry{pc: pc, ppc: ppc, inst: in, predNext: next}
 		c.fqLen++

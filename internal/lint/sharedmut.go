@@ -76,7 +76,7 @@ var perCPUDefault = map[string]bool{
 
 // builtinArbiters are the always-on arbitration points: the snoop bus,
 // the directory, the contended-resource acquire, and the serial cycle
-// loop itself (RunWindow/nextCycle execute strictly serially and in
+// loop itself (RunWindow/jumpTarget execute strictly serially and in
 // fixed CPU rotation — they are the master arbiter a parallel scheduler
 // must reproduce at window boundaries). Matched by (package suffix,
 // receiver, method). Extend in source with //simlint:arbiter.
@@ -91,7 +91,7 @@ var builtinArbiters = []struct{ pkgSuffix, recv, name string }{
 	{"internal/coherence", "Directory", "AddSharer"},
 	{"internal/coherence", "Directory", "DropSharer"},
 	{"internal/core", "Machine", "RunWindow"},
-	{"internal/core", "Machine", "nextCycle"},
+	{"internal/core", "Machine", "jumpTarget"},
 }
 
 // OwnershipReport is the machine-readable classification emitted by
