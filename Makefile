@@ -101,12 +101,13 @@ experiments-output:
 # bench-trace proves the zero-allocation acceptance bar:
 # BenchmarkTracerDisabled, BenchmarkProfDisabled,
 # BenchmarkHostProfDisabled (instrumentation attached but off),
-# BenchmarkMXSTick (the detailed CPU's per-cycle path) and the two
-# BenchmarkRunWindow cases (the cycle loop alone over stub cores, ns per
-# executed cycle) must report 0 allocs/op (CI greps the output for
-# exactly that).
+# BenchmarkMXSTick (the detailed CPU's per-cycle path), the two
+# BenchmarkMipsyTick cases (the simple CPU against a one-cycle memory,
+# ns per instruction) and the two BenchmarkRunWindow cases (the cycle
+# loop alone over stub cores, ns per executed cycle) must report
+# 0 allocs/op (CI greps the output for exactly that).
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkRunWindow' -benchmem . ./internal/cpu/mxs ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core
 
 # layout-smoke round-trips the profile-guided layout pipeline on real
 # runs: profile a quick sharded memory-bound point, ask the offline

@@ -106,7 +106,7 @@ func main() {
 		list    = flag.Bool("list", false, "list available workloads")
 		verbose = flag.Bool("v", false, "also print raw cycle counts and IPC")
 		quick   = flag.Bool("quick", false, "use reduced data sets (smoke runs)")
-		noSkip  = flag.Bool("no-skip", false, "disable quiescence skipping in the cycle loop (slower; output is identical)")
+		noSkip  = flag.Bool("no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 
 		jobs     = flag.Int("jobs", 0, "max concurrent architecture runs (0 = GOMAXPROCS); output is identical for any value")
 		simJobs  = flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")

@@ -167,7 +167,7 @@ func main() {
 	flag.StringVar(&obsvFlags.profOut, "prof-out", "", "write per-run cycle-attribution profiles as JSON (cmd/simprof -in); the run tag is spliced into this filename")
 	flag.StringVar(&obsvFlags.hostProfOut, "host-prof-out", "", "write per-run host-schedule profiles as JSON (cmd/parprof -in); the run tag is spliced into this filename")
 	progress := flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
-	flag.BoolVar(&noSkipFlag, "no-skip", false, "disable quiescence skipping in the cycle loop (slower; output is identical)")
+	flag.BoolVar(&noSkipFlag, "no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 	flag.IntVar(&simJobsFlag, "sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
 	flag.StringVar(&layoutFlag, "shard-layout", "", "explicit CPU→worker assignment for the parallel tick, e.g. 0,1,0,1 (empty = contiguous split; parprof -suggest-layout proposes one; output is identical for any layout)")
 	flag.BoolVar(&adaptWinFlag, "sim-window-adapt", false, "let the parallel-tick coordinator fast-forward quiescent stretches and retune window sizes from observed tick density (output is identical)")

@@ -73,7 +73,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "memoize sweep-point results as JSON under this directory (\"\" = off)")
 	progress := flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 	list := flag.Bool("params", false, "list sweepable parameters")
-	noSkip := flag.Bool("no-skip", false, "disable quiescence skipping in the cycle loop (slower; output is identical)")
+	noSkip := flag.Bool("no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 	simJobs := flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
 	layout := flag.String("shard-layout", "", "explicit CPU→worker assignment for the parallel tick, e.g. 0,1,0,1 (empty = contiguous split; parprof -suggest-layout proposes one; output is identical for any layout)")
 	adaptWin := flag.Bool("sim-window-adapt", false, "let the parallel-tick coordinator fast-forward quiescent stretches and retune window sizes from observed tick density (output is identical)")

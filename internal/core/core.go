@@ -50,10 +50,14 @@ func NewSystem(a Arch, cfg memsys.Config) (memsys.System, error) {
 
 // Core is a CPU model instance driven by the cycle loop.
 type Core interface {
-	// Tick advances the core by one cycle and returns its wake cycle:
+	// Tick does the core's work at cycle now and returns its wake cycle:
 	// the earliest cycle after now at which this core might have work,
 	// assuming no external input first (cpu.NoWork if, and only if, it
-	// is now halted). The cycle loop does not tick the core again before
+	// is now halted). A core that takes the machine's run-ahead bound
+	// (cpu.InterruptSource) may also do, inside the same call, the work
+	// of the cycles from now to that bound that involves nothing but
+	// itself; its wake cycle is then the first cycle whose work it has
+	// not done. The cycle loop does not tick the core again before
 	// that cycle unless its interrupt line goes live, so the hint obeys
 	// the same asymmetric contract as NextWork — too small only costs
 	// no-op ticks, too large would change simulation output. With the
@@ -183,7 +187,11 @@ type Machine struct {
 
 	// Events is the machine's discrete-event calendar; events fire at
 	// the top of their cycle, before any CPU ticks. The guest kernel
-	// uses it for preemption timers.
+	// uses it for preemption timers. Schedule from outside the run or
+	// from an event callback only: a CPU ticked earlier in the same
+	// cycle may already have run ahead to the earliest event it could
+	// see, so RunWindow fails when a trap handler, under some CPU's
+	// tick, has scheduled an event below the run-ahead bound.
 	Events event.Queue
 
 	// irq holds the per-CPU external interrupt lines behind the
@@ -222,6 +230,14 @@ type Machine struct {
 	wakeAt   []uint64
 	tickedTo []uint64
 	skippers []cycleSkipper
+
+	// runAhead says the machine's cores consume the run-ahead bound
+	// (Mipsy does, MXS does not): the serial loop then fixes aheadTo on
+	// every executed cycle, before its ticks (see RunAheadBound).
+	// Otherwise, and outside the serial loop, aheadTo stays zero, which
+	// allows no run-ahead at all.
+	runAhead bool
+	aheadTo  uint64
 
 	// syms is the machine-wide physical-address symbol table, collected
 	// from every loaded program (relocated by its load bias) so a
@@ -338,6 +354,12 @@ func (m *Machine) PendingInterrupt(cpuID int) bool { return m.irq.live[cpuID] }
 // AckInterrupt implements cpu.InterruptSource.
 func (m *Machine) AckInterrupt(cpuID int) { m.irq.ack(cpuID) }
 
+// RunAheadBound implements cpu.InterruptSource: below this cycle no
+// event fires (so no event-phase RaiseIRQ, no kernel timer), no
+// buffered raise is merged, no sample is taken and RunWindow does not
+// return, which are all the ways anything outside a CPU reaches it.
+func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
+
 // interruptible is implemented by CPU models that poll an external
 // interrupt line.
 type interruptible interface {
@@ -376,6 +398,7 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 	}
 	switch model {
 	case ModelMipsy:
+		m.runAhead = true
 		m.newCore = func(id int, ctx *cpu.Context) Core {
 			c := mipsy.New(id, ctx, m.gatedSys(id), m.Code, m.gatedTrap(id), m.Img, cfg.LineBytes)
 			if cfg.Prof != nil {
@@ -511,9 +534,19 @@ func (r *RunResult) IPC() float64 {
 // nothing happens before then and the one cross-CPU input, its interrupt
 // line, pulls the wake cycle down (irqLines.wakeLive). The loop then
 // advances to the earliest wake cycle: the next cycle in the common
-// case, through jumpTarget when every CPU sleeps past it. Config.NoSkip
-// clamps every hint to the next cycle and so ticks everything, every
-// cycle: the reference the identity tests compare against.
+// case, through jumpTarget when every CPU sleeps past it.
+//
+// On a machine whose cores run ahead (Machine.runAhead), every executed
+// cycle first fixes the run-ahead bound its ticks may work up to:
+// horizon, with the grid term unconditional because a raise buffered by
+// one CPU's tick must find the CPUs ticked before it no further than the
+// boundary it is merged at. An event scheduled from tick phase below the
+// bound would find them past it, and is returned as an error.
+//
+// Config.NoSkip clamps every hint and the bound to the next cycle and so
+// ticks everything, every cycle, one instruction per tick: the reference
+// the identity tests compare against. The instruments that see the order
+// of guest events across CPUs (orderedInstruments) clamp the bound too.
 func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err error) {
 	if len(m.CPUs) == 0 {
 		return start, false, fmt.Errorf("core: machine has no CPUs")
@@ -572,6 +605,8 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	// Rotate in uint64 so multi-billion-cycle runs can't skew the
 	// arbitration order through a narrowing conversion on 32-bit ints.
 	off := int(cyc % uint64(cpus))
+	ahead, oneInst := m.runAhead, noSkip || m.orderedInstruments()
+	var tickErr error
 	for cyc < end {
 		if cyc >= nextGrid {
 			m.irq.merge()
@@ -580,6 +615,12 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		m.Events.RunUntil(cyc)
 		if m.irq.wake {
 			m.irq.wakeLive(wakeAt, cyc)
+		}
+		if ahead {
+			m.aheadTo = cyc + 1
+			if !oneInst {
+				m.aheadTo = m.horizon(cyc, end, nextGrid, mets)
+			}
 		}
 		alive := wake != cpu.NoWork // a sleeping CPU counts
 		if alive {
@@ -607,6 +648,12 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 				}
 			}
 			m.inTick = false
+			if ahead {
+				if ev, ok := m.Events.NextCycle(); ok && ev < m.aheadTo {
+					tickErr = fmt.Errorf("core: event scheduled from tick phase at cycle %d for cycle %d, below the run-ahead bound %d", cyc, ev, m.aheadTo)
+					break
+				}
+			}
 		}
 		if mets != nil && mets.Due(cyc) {
 			mets.Record(m.probe(cyc))
@@ -619,7 +666,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		// where they do without skipping.
 		step := cyc + 1
 		if wake > step && wake != cpu.NoWork && step < end {
-			step = m.jumpTarget(cyc, end, mets)
+			step = m.jumpTarget(cyc, end, nextGrid, mets)
 		}
 		if step == cyc+1 {
 			if off++; off == cpus {
@@ -648,11 +695,15 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 			skippers[k].SkipCycles(t, cyc)
 		}
 	}
+	m.aheadTo = 0
 	if tel != nil {
 		tel.CyclesTicked.Add(telTicked)
 		if sk := m.skipped; sk > telSkipBase {
 			tel.CyclesSkipped.Add(sk - telSkipBase)
 		}
+	}
+	if tickErr != nil {
+		return cyc, false, tickErr
 	}
 	for _, c := range m.CPUs {
 		if f := c.Context().Fault; f != "" {
@@ -672,15 +723,15 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 // jumpTarget is the slow path of the cycle loop, entered only when the
 // wake cycle of every running CPU is past cyc+1. It verifies that
 // against each CPU's NextWork proof and returns the cycle the loop
-// should execute next: cyc+1 if any proof, a live interrupt line, the
-// event calendar or the sampler says so, otherwise the earliest cycle
-// at which any of them next has work, clamped to end. A proof earlier
-// than the CPU's wake cycle replaces it, so the CPU is ticked when the
-// jump lands. The bound is recomputed after every executed cycle, so an
-// event that schedules another event (or raises an interrupt) always
-// re-bounds the next jump; nothing scheduled from inside the jumped
-// cycles can exist, because nothing executes in them.
-func (m *Machine) jumpTarget(cyc, end uint64, mets *obsv.Metrics) uint64 {
+// should execute next: cyc+1 if any proof, a live interrupt line or the
+// horizon says so, otherwise the earliest cycle at which any of them
+// next has work. A proof earlier than the CPU's wake cycle replaces it,
+// so the CPU is ticked when the jump lands. The bound is recomputed after
+// every executed cycle, so an event that schedules another event (or
+// raises an interrupt) always re-bounds the next jump; nothing scheduled
+// from inside the jumped cycles can exist, because nothing executes in
+// them.
+func (m *Machine) jumpTarget(cyc, end, nextGrid uint64, mets *obsv.Metrics) uint64 {
 	step := cyc + 1
 	target := uint64(cpu.NoWork)
 	for i, c := range m.CPUs {
@@ -705,44 +756,46 @@ func (m *Machine) jumpTarget(cyc, end uint64, mets *obsv.Metrics) uint64 {
 			target = w
 		}
 	}
-	if ev, ok := m.Events.NextCycle(); ok {
-		if ev <= step {
-			return step
-		}
-		if ev < target {
-			target = ev
-		}
-	}
+	// Buffered tick-phase raises deliver at the next grid boundary; the
+	// jump must not pass the merge. With none buffered the merge is an
+	// empty one and the boundary is no bound.
+	grid := uint64(cpu.NoWork)
 	if m.irq.npend > 0 {
-		// Buffered tick-phase raises deliver at the next grid boundary;
-		// the jump must not pass the merge.
-		if b := gridNext(cyc, m.gridSize()); b < target {
-			target = b
-		}
+		grid = nextGrid
 	}
-	if mets != nil {
-		// The sampler's next due cycle bounds the jump so interval
-		// samples land on schedule. This is the tree's one sanctioned
-		// obs→sim dataflow: it changes only how the loop advances time,
-		// never what any cycle computes, and the output-identity tests
-		// pin byte-equal results with and without sampling attached.
-		//simlint:allow neutral — skip bound only; output byte-identical (see output-identity tests)
-		due := mets.NextDue()
-		if due <= step {
-			return step
-		}
-		if due < target {
-			target = due
-		}
-	}
-	if target > end {
-		target = end
-	}
+	target = min(target, m.horizon(cyc, end, grid, mets))
 	if target <= step {
 		return step
 	}
 	m.skipped += target - step
 	return target
+}
+
+// horizon returns the earliest cycle after cyc at which something other
+// than a CPU's own progress needs the loop: the window's end, the next
+// grid boundary the caller must stop at (cpu.NoWork for none), the next
+// event and the sampler's next due cycle. It is the one list of non-CPU
+// bounds, shared by the quiescence jump, which must execute that cycle,
+// and the run-ahead bound, below which a CPU is on its own.
+func (m *Machine) horizon(cyc, end, grid uint64, mets *obsv.Metrics) uint64 {
+	h := min(end, grid)
+	if ev, ok := m.Events.NextCycle(); ok && ev < h {
+		h = ev
+	}
+	if mets != nil {
+		// The sampler's next due cycle bounds the jump and the run-ahead
+		// so interval samples land on schedule, over CPUs that are where
+		// the sample's cycle says. This is the tree's one sanctioned
+		// obs→sim dataflow: it changes only how the loop advances time,
+		// never what any cycle computes, and the output-identity tests
+		// pin byte-equal results with and without sampling attached.
+		//simlint:allow neutral — skip bound only; output byte-identical (see output-identity tests)
+		due := mets.NextDue()
+		if due < h {
+			h = due
+		}
+	}
+	return max(h, cyc+1)
 }
 
 // SkippedCycles returns how many cycles the quiescence-skipping

@@ -70,7 +70,13 @@ func (m *Machine) gridSize() uint64 {
 // ticking. The interval sampler is fine — histogram accumulation is
 // commutative and snapshots happen only at window boundaries.
 func (m *Machine) parActive() bool {
-	return m.par != nil && m.Cfg.Trace == nil && m.Cfg.Prof == nil && m.Cfg.Check == nil
+	return m.par != nil && !m.orderedInstruments()
+}
+
+// orderedInstruments reports whether a guest instrument is attached
+// whose output depends on the order in which CPUs' events reach it.
+func (m *Machine) orderedInstruments() bool {
+	return m.Cfg.Trace != nil || m.Cfg.Prof != nil || m.Cfg.Check != nil
 }
 
 // notHalted is the haltAt sentinel: CPU not yet observed Done this

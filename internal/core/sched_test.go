@@ -9,11 +9,14 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"cmpsim/internal/check"
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
+	"cmpsim/internal/prof"
 )
 
 // stubTick records one executed tick: which core ran at which cycle, in
@@ -444,6 +447,191 @@ func TestHaltWhileOneSleeps(t *testing.T) {
 	}
 	if len(aTicks) != 11 {
 		t.Errorf("halted core ticked %d times, want 11 (cycles 0-10)", len(aTicks))
+	}
+}
+
+// ---- run-ahead bound ----
+
+// aheadCore is a core that takes the machine's run-ahead bound the way
+// Mipsy does: on every Tick it reads the bound, notes it, and (with jump
+// set) does all its work up to it at once, so that at is the first cycle
+// it has not done. It takes its interrupt when ticked with the line live.
+type aheadCore struct {
+	id   int
+	m    *Machine
+	jump bool
+	at   uint64 // first cycle not yet worked
+
+	bounds [][2]uint64 // (now, bound) at every Tick
+	irqs   [][2]uint64 // (now, at) whenever the line was found live
+	onTick func(now uint64)
+	ctx    cpu.Context
+}
+
+func (s *aheadCore) Tick(now uint64) uint64 {
+	b := s.m.RunAheadBound()
+	s.bounds = append(s.bounds, [2]uint64{now, b})
+	if s.m.PendingInterrupt(s.id) {
+		s.m.AckInterrupt(s.id)
+		s.irqs = append(s.irqs, [2]uint64{now, s.at})
+	}
+	if s.onTick != nil {
+		s.onTick(now)
+	}
+	s.at = now + 1
+	if s.jump && b > s.at {
+		s.at = b
+	}
+	return s.at
+}
+
+func (s *aheadCore) Done() bool                 { return false }
+func (s *aheadCore) Stats() cpu.StallStats      { return cpu.StallStats{} }
+func (s *aheadCore) Context() *cpu.Context      { return &s.ctx }
+func (s *aheadCore) FlushFetchBuffer()          {}
+func (s *aheadCore) NextWork(now uint64) uint64 { return max(s.at, now) }
+
+// aheadMachine builds a Machine that keeps a run-ahead bound, with
+// interrupt lines, around ahead cores.
+func aheadMachine(cores ...*aheadCore) *Machine {
+	m := &Machine{runAhead: true, irq: irqLines{live: make([]bool, len(cores)), pending: make([]bool, len(cores))}}
+	for i, c := range cores {
+		c.id, c.m = i, m
+		m.CPUs = append(m.CPUs, c)
+	}
+	return m
+}
+
+// TestRunAheadBoundTerms: on every executed cycle the bound is the
+// earliest of the window's end, the next event, the next grid boundary
+// (buffered raise or not) and the sampler's next due cycle, and never
+// below the next cycle; NoSkip and each instrument that sees cross-CPU
+// order clamp it to the next cycle.
+func TestRunAheadBoundTerms(t *testing.T) {
+	const end, grid, interval = 200, 64, 40
+	setup := func() (*Machine, *aheadCore) {
+		c := &aheadCore{}
+		m := aheadMachine(c)
+		m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
+		m.Cfg.SimWindow = grid
+		m.Cfg.Metrics = obsv.NewMetrics(interval)
+		m.Events.Schedule(100, func(uint64) {})
+		m.Events.Schedule(150, func(uint64) {})
+		return m, c
+	}
+	run := func(m *Machine, c *aheadCore) {
+		t.Helper()
+		if next, _, err := m.RunWindow(0, end); err != nil || next != end {
+			t.Fatalf("RunWindow = %d, %v", next, err)
+		}
+		if len(c.bounds) != end {
+			t.Fatalf("core ticked %d times, want every one of %d cycles", len(c.bounds), end)
+		}
+		if m.RunAheadBound() != 0 {
+			t.Errorf("bound outside RunWindow = %d, want 0", m.RunAheadBound())
+		}
+	}
+
+	m, c := setup()
+	run(m, c)
+	for _, nb := range c.bounds {
+		now := nb[0]
+		want := uint64(end)
+		switch { // an event at now has fired by the time the bound is fixed
+		case now < 100:
+			want = 100
+		case now < 150:
+			want = 150
+		}
+		want = min(want, (now/grid+1)*grid)
+		// The sample at a due cycle is taken after the cycle's ticks.
+		want = min(want, max((now+interval-1)/interval, 1)*interval)
+		want = max(want, now+1)
+		if nb[1] != want {
+			t.Errorf("bound at cycle %d = %d, want %d", now, nb[1], want)
+		}
+	}
+
+	clamps := map[string]func(m *Machine){
+		"NoSkip": func(m *Machine) { m.Cfg.NoSkip = true },
+		"Trace":  func(m *Machine) { m.Cfg.Trace = obsv.NewRing(16) },
+		"Prof":   func(m *Machine) { m.Cfg.Prof = prof.New(1, 32) },
+		"Check":  func(m *Machine) { m.Cfg.Check = check.New(16) },
+	}
+	for name, clamp := range clamps {
+		m, c := setup()
+		clamp(m)
+		run(m, c)
+		for _, nb := range c.bounds {
+			if nb[1] != nb[0]+1 {
+				t.Fatalf("%s: bound at cycle %d = %d, want %d", name, nb[0], nb[1], nb[0]+1)
+			}
+		}
+	}
+
+	// Cores that take no bound: the machine never computes one.
+	m, c = setup()
+	m.runAhead = false
+	run(m, c)
+	for _, nb := range c.bounds {
+		if nb[1] != 0 {
+			t.Fatalf("machine without run-ahead cores: bound at cycle %d = %d, want 0", nb[0], nb[1])
+		}
+	}
+}
+
+// TestRaiseFindsCoresBehind: whatever raises an interrupt line finds the
+// target no further than the cycle the line goes live at, however far
+// the bound let it run: an event-phase raise at the event's cycle, a
+// tick-phase raise by another core at the next grid boundary.
+func TestRaiseFindsCoresBehind(t *testing.T) {
+	runner, raiser := &aheadCore{jump: true}, &aheadCore{}
+	m := aheadMachine(runner, raiser)
+	m.Cfg.SimWindow = 64
+	m.Events.Schedule(333, func(uint64) { m.RaiseIRQ(0) })
+	raiser.onTick = func(now uint64) {
+		if now == 10 {
+			m.RaiseIRQ(0)
+		}
+	}
+	if _, _, err := m.RunWindow(0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]uint64{{64, 64}, {333, 333}}; !reflect.DeepEqual(runner.irqs, want) {
+		t.Errorf("interrupts taken at (cycle, core position) %v, want %v", runner.irqs, want)
+	}
+	if len(runner.bounds) > 40 {
+		t.Errorf("the running core was ticked %d times in 1000 cycles; it never ran ahead", len(runner.bounds))
+	}
+}
+
+// TestTickPhaseEventBelowBound: an event scheduled under a core's tick
+// for a cycle that another core may already have run past is an error
+// naming the cycle; at or past the bound it is an ordinary event.
+func TestTickPhaseEventBelowBound(t *testing.T) {
+	for _, tc := range []struct {
+		at      uint64
+		wantErr string
+	}{{20, "for cycle 20, below the run-ahead bound 64"}, {64, ""}, {500, ""}} {
+		runner, sched := &aheadCore{jump: true}, &aheadCore{}
+		m := aheadMachine(runner, sched)
+		m.Cfg.SimWindow = 64
+		var fired []uint64
+		sched.onTick = func(now uint64) {
+			if now == 10 {
+				m.Events.Schedule(tc.at, func(at uint64) { fired = append(fired, at) })
+			}
+		}
+		next, _, err := m.RunWindow(0, 1000)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || next != 10 {
+				t.Errorf("event for cycle %d: RunWindow = %d, %v; want an error containing %q at cycle 10", tc.at, next, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(fired, []uint64{tc.at}) {
+			t.Errorf("event for cycle %d: err %v, fired at %v", tc.at, err, fired)
+		}
 	}
 }
 

@@ -76,6 +76,15 @@ const IRQ int32 = -1
 type InterruptSource interface {
 	PendingInterrupt(cpuID int) bool
 	AckInterrupt(cpuID int)
+
+	// RunAheadBound is the earliest cycle at which anything outside a
+	// CPU can next raise its line or look at its state. A model that has
+	// finished its work at the cycle it was ticked at may go on to
+	// execute, each at its own cycle below the bound, instructions that
+	// touch nothing but the CPU itself, provided its line is not live. A
+	// bound at or below the next cycle (the zero value included) allows
+	// none, which is the one-instruction tick.
+	RunAheadBound() uint64
 }
 
 // TickGate is the parallel scheduler's shared-state grant: Sync blocks

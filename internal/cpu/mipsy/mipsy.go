@@ -97,14 +97,21 @@ func (c *CPU) NextWork(now uint64) uint64 {
 	return now
 }
 
-// Tick advances the CPU by (at most) one instruction at cycle now and
-// returns the scheduler's quiescence hint (see core.Core): nextFree,
-// which after an executed instruction is exactly the next cycle this
-// CPU can do anything, and during a memory stall is the cycle the
-// blocking access completes. The hint costs nothing — nextFree is
+// Tick does the CPU's work at cycle now (deliver an interrupt, or fetch
+// and execute one instruction, or nothing while a memory reference
+// blocks it), then runs ahead through the CPU-local instructions that
+// follow, and returns the scheduler's quiescence hint (see core.Core):
+// nextFree, which after an executed instruction is exactly the next
+// cycle this CPU can do anything, and during a memory stall is the cycle
+// the blocking access completes. The hint costs nothing — nextFree is
 // already in hand on every path.
 func (c *CPU) Tick(now uint64) uint64 {
 	c.step(now)
+	if c.irq != nil {
+		if bound := c.irq.RunAheadBound(); c.nextFree < bound {
+			c.runAhead(bound)
+		}
+	}
 	if c.ctx.Halted {
 		return cpu.NoWork
 	}
@@ -113,6 +120,46 @@ func (c *CPU) Tick(now uint64) uint64 {
 	}
 	// Faulted (but not halted) or an unreached corner: stay per-cycle.
 	return now + 1
+}
+
+// runAhead executes the instructions after the one step ran, each at
+// its own cycle nextFree, for as long as that cycle is below bound and
+// the instruction is CPU-local: it sits in the fetch line and the text
+// region already held (no IFetch, no TextAt) and is not a memory
+// operation, SYSCALL or HALT, so it reads and writes nothing but ctx,
+// stats and nextFree. Nobody outside the CPU looks at those before bound
+// (cpu.InterruptSource), so executing them now or one tick at a time is
+// the same run; the instruction that ends the run is left for the tick
+// at its own cycle. The interrupt line is polled once, not per
+// instruction: it cannot rise below bound, but it may be live already
+// when the tick found the CPU still blocked, and the instruction at
+// nextFree then belongs to the interrupt.
+func (c *CPU) runAhead(bound uint64) {
+	ctx := c.ctx
+	if ctx.Halted || c.irq.PendingInterrupt(c.id) {
+		return
+	}
+	for c.nextFree < bound {
+		ppc, ok := ctx.Space.Translate(ctx.PC)
+		if !ok || ppc&c.lineMask != c.fetchLine {
+			return
+		}
+		i := (ppc - c.textBase) / 4
+		if i >= uint32(len(c.text)) {
+			return
+		}
+		in := c.text[i]
+		if !cpuLocal(in.Op) {
+			return
+		}
+		c.execute(c.nextFree, ppc, in)
+	}
+}
+
+// cpuLocal reports whether executing op involves nothing outside the
+// CPU: no memory-system call, no trap, no halt.
+func cpuLocal(op isa.Op) bool {
+	return op < isa.LW || (op > isa.SC && op != isa.SYSCALL && op != isa.HALT)
 }
 
 // step executes the cycle: deliver a pending interrupt at the
@@ -172,36 +219,42 @@ func (c *CPU) execute(cur uint64, ppc uint32, in isa.Inst) {
 	next := ctx.PC + 4
 	done := cur + 1
 
-	switch {
-	case in.Op.IsMem():
+	// Opcodes are numbered by group (isa.Op): the integer ALU forms,
+	// most of any instruction stream, come first and are tested first.
+	switch op := in.Op; {
+	case op <= isa.SLTU:
+		c.setReg(in.R1, cpu.ALU(op, ctx.Regs[in.R2], ctx.Regs[in.R3], 0))
+	case op <= isa.SRAI:
+		c.setReg(in.R1, cpu.ALU(op, ctx.Regs[in.R2], 0, in.Imm))
+	case op <= isa.SC:
 		if !c.executeMem(cur, ppc, in, &done) {
 			return // structural stall or fault; retry or stop
 		}
-	case in.Op.IsBranch():
-		if cpu.BranchTaken(in.Op, ctx.Regs[in.R1], ctx.Regs[in.R2]) {
+	case op <= isa.BGE:
+		if cpu.BranchTaken(op, ctx.Regs[in.R1], ctx.Regs[in.R2]) {
 			next = uint32(int64(ctx.PC) + 4 + int64(in.Imm)*4)
 		}
-	case in.Op == isa.J:
+	case op == isa.J:
 		next = uint32(in.Imm) * 4
-	case in.Op == isa.JAL:
+	case op == isa.JAL:
 		ctx.Regs[isa.RegRA] = ctx.PC + 4
 		next = uint32(in.Imm) * 4
-	case in.Op == isa.JR:
+	case op == isa.JR:
 		next = ctx.Regs[in.R2]
-	case in.Op == isa.JALR:
+	case op == isa.JALR:
 		t := ctx.Regs[in.R2]
 		c.setReg(in.R1, ctx.PC+4)
 		next = t
-	case in.Op == isa.HALT:
+	case op == isa.HALT:
 		ctx.Halted = true
 		c.stats.Instructions++
 		if c.prof != nil {
 			c.prof.RetirePC(ppc)
 		}
 		return
-	case in.Op == isa.CPUID:
+	case op == isa.CPUID:
 		c.setReg(in.R1, uint32(c.id))
-	case in.Op == isa.SYSCALL:
+	case op == isa.SYSCALL:
 		ctx.PC = next
 		extra := c.trap.Syscall(cur, c.id, ctx, in.Imm)
 		c.fetchLine = invalidLine // the handler may have switched spaces
@@ -211,25 +264,17 @@ func (c *CPU) execute(cur uint64, ppc uint32, in isa.Inst) {
 		}
 		c.nextFree = done + extra
 		return
-	case in.Op == isa.FMOV, in.Op == isa.FNEG:
-		ctx.FRegs[in.R1] = cpu.FPOp(in.Op, ctx.FRegs[in.R2], 0)
-	case in.Op == isa.FEQ, in.Op == isa.FLT, in.Op == isa.FLE:
-		c.setReg(in.R1, cpu.FPCmp(in.Op, ctx.FRegs[in.R2], ctx.FRegs[in.R3]))
-	case in.Op == isa.CVTIF:
+	case op == isa.FMOV, op == isa.FNEG:
+		ctx.FRegs[in.R1] = cpu.FPOp(op, ctx.FRegs[in.R2], 0)
+	case op == isa.FEQ, op == isa.FLT, op == isa.FLE:
+		c.setReg(in.R1, cpu.FPCmp(op, ctx.FRegs[in.R2], ctx.FRegs[in.R3]))
+	case op == isa.CVTIF:
 		ctx.FRegs[in.R1] = float64(int32(ctx.Regs[in.R2]))
-	case in.Op == isa.CVTFI:
+	case op == isa.CVTFI:
 		c.setReg(in.R1, cpu.CvtFI(ctx.FRegs[in.R2]))
-	case in.Op.IsFPOp():
-		ctx.FRegs[in.R1] = cpu.FPOp(in.Op, ctx.FRegs[in.R2], ctx.FRegs[in.R3])
 	default:
-		// Integer ALU, register or immediate form.
-		var v uint32
-		if in.Op.Format() == isa.FormatR {
-			v = cpu.ALU(in.Op, ctx.Regs[in.R2], ctx.Regs[in.R3], 0)
-		} else {
-			v = cpu.ALU(in.Op, ctx.Regs[in.R2], 0, in.Imm)
-		}
-		c.setReg(in.R1, v)
+		// FADDS..FDIVD, the one group left.
+		ctx.FRegs[in.R1] = cpu.FPOp(op, ctx.FRegs[in.R2], ctx.FRegs[in.R3])
 	}
 
 	ctx.PC = next

@@ -204,12 +204,13 @@ type Config struct {
 	//simlint:cachekey-exempt — output-neutral by contract (enforced by the neutral analyzer; parallel-identity tests pin byte-identical output with a recorder attached)
 	HostProf *hostprof.Recorder
 
-	// NoSkip disables the core loop's quiescence skipping (cmpsim
-	// -no-skip), forcing every cycle to be ticked as before the
-	// event-driven scheduler existed. Output is identical either way —
-	// that is the scheduler's correctness bar, pinned by the skip
-	// regression tests — so this is purely a debugging escape hatch and
-	// the reference side of the skip-vs-no-skip diff.
+	// NoSkip makes the core loop tick every CPU every cycle, one
+	// instruction per tick (cmpsim -no-skip): no quiescence skipping, no
+	// per-CPU wake cycles, no Mipsy run-ahead, as before the event-driven
+	// scheduler existed. Output is identical either way — that is the
+	// scheduler's correctness bar, pinned by the skip regression tests —
+	// so this is purely a debugging escape hatch and the reference side
+	// of the skip-vs-no-skip diff.
 	NoSkip bool
 
 	// SimJobs shards one simulation's per-CPU tick work across up to
