@@ -101,11 +101,13 @@ experiments-output:
 # bench-trace proves the zero-allocation acceptance bar:
 # BenchmarkTracerDisabled, BenchmarkProfDisabled,
 # BenchmarkHostProfDisabled (instrumentation attached but off),
-# BenchmarkMXSTick (the detailed CPU's per-cycle path), the two
+# the two BenchmarkMXSTick cases (the detailed CPU's per-cycle path
+# against a one-cycle memory, and four cores of quick MP3D ticked in
+# rotation over the real shared-memory system), the two
 # BenchmarkMipsyTick cases (the simple CPU against a one-cycle memory,
 # ns per instruction) and the two BenchmarkRunWindow cases (the cycle
 # loop alone over stub cores, ns per executed cycle) must report
-# 0 allocs/op (CI greps the output for exactly that).
+# 0 allocs/op (CI checks each of them by name).
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core
 

@@ -93,11 +93,12 @@ type cycleSkipper interface {
 	SkipCycles(from, to uint64)
 }
 
-// codeEntry is one loaded program's decoded text.
+// codeEntry is one loaded program's text, predecoded at Register: the
+// one copy both CPU models fetch from and the tools disassemble.
 type codeEntry struct {
 	base   uint32
 	end    uint32
-	insts  []isa.Inst
+	uops   []cpu.Uop
 	labels map[uint32][]string // physical address → text labels, for Dump
 }
 
@@ -114,7 +115,7 @@ func (r *CodeRegistry) Register(p *asm.Program, physBias uint32) {
 	e := codeEntry{
 		base:   physBias + p.TextBase,
 		end:    physBias + p.TextEnd(),
-		insts:  p.Insts,
+		uops:   cpu.PredecodeText(p.Insts),
 		labels: make(map[uint32][]string),
 	}
 	for _, s := range p.Symbols() {
@@ -131,26 +132,26 @@ func (r *CodeRegistry) Register(p *asm.Program, physBias uint32) {
 // with the assembler's function and branch-target labels.
 func (r *CodeRegistry) Dump(w io.Writer) {
 	for _, e := range r.entries {
-		fmt.Fprintf(w, "; region %#08x..%#08x (%d instructions)\n", e.base, e.end, len(e.insts))
-		for i, in := range e.insts {
+		fmt.Fprintf(w, "; region %#08x..%#08x (%d instructions)\n", e.base, e.end, len(e.uops))
+		for i := range e.uops {
 			addr := e.base + uint32(4*i)
 			for _, l := range e.labels[addr] {
 				fmt.Fprintf(w, "%s:\n", l)
 			}
-			fmt.Fprintf(w, "%08x:  %s\n", addr, in)
+			fmt.Fprintf(w, "%08x:  %s\n", addr, e.uops[i].Inst)
 		}
 	}
 }
 
-// TextAt implements cpu.CodeSource: the decoded text of the program
+// TextAt implements cpu.CodeSource: the predecoded text of the program
 // region containing paddr and the physical address of its first
 // instruction. The registry stays read-only after loading; the
 // per-fetch memo is the region each core holds on to.
-func (r *CodeRegistry) TextAt(paddr uint32) (text []isa.Inst, base uint32, ok bool) {
+func (r *CodeRegistry) TextAt(paddr uint32) (text []cpu.Uop, base uint32, ok bool) {
 	for i := range r.entries {
 		e := &r.entries[i]
 		if paddr >= e.base && paddr < e.end {
-			return e.insts, e.base, true
+			return e.uops, e.base, true
 		}
 	}
 	return nil, 0, false
@@ -163,7 +164,7 @@ func (r *CodeRegistry) InstAt(paddr uint32) (isa.Inst, bool) {
 	if !ok {
 		return isa.Inst{}, false
 	}
-	return text[(paddr-base)/4], true
+	return text[(paddr-base)/4].Inst, true
 }
 
 // CPUModel selects the CPU simulator.

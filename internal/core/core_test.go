@@ -137,7 +137,7 @@ func TestCodeRegistryLookup(t *testing.T) {
 	}
 	// TextAt hands a core the whole region, which it indexes itself.
 	text, base, ok := r.TextAt(0x101004)
-	if !ok || base != 0x101000 || len(text) != len(p1.Insts) || text[1] != p1.Insts[1] {
+	if !ok || base != 0x101000 || len(text) != len(p1.Insts) || text[1].Inst != p1.Insts[1] {
 		t.Errorf("TextAt(0x101004) = %d insts at %#x, %v; want %d at 0x101000", len(text), base, ok, len(p1.Insts))
 	}
 	if _, _, ok := r.TextAt(0x50000); ok {

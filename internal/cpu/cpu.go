@@ -43,13 +43,13 @@ func (c *Context) Faultf(format string, args ...any) {
 // scheduler may fast-forward the cycle loop.
 const NoWork = ^uint64(0)
 
-// CodeSource resolves a physical address to the decoded text of the
+// CodeSource resolves a physical address to the predecoded text of the
 // loaded program region containing it: text[i] is the instruction at
 // base+4*i. The text is immutable, so a CPU model keeps the region its
 // last fetch hit and indexes it in line, asking again only when the PC
 // leaves it. The simulator core implements it over the loaded programs.
 type CodeSource interface {
-	TextAt(paddr uint32) (text []isa.Inst, base uint32, ok bool)
+	TextAt(paddr uint32) (text []Uop, base uint32, ok bool)
 }
 
 // TrapHandler receives SYSCALL traps. It may mutate the context —

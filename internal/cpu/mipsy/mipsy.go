@@ -30,7 +30,7 @@ type CPU struct {
 	fetchLine uint32
 
 	// The program region the last fetch hit (see cpu.CodeSource).
-	text     []isa.Inst
+	text     []cpu.Uop
 	textBase uint32
 
 	irq cpu.InterruptSource
@@ -126,14 +126,14 @@ func (c *CPU) Tick(now uint64) uint64 {
 // its own cycle nextFree, for as long as that cycle is below bound and
 // the instruction is CPU-local: it sits in the fetch line and the text
 // region already held (no IFetch, no TextAt) and is not a memory
-// operation, SYSCALL or HALT, so it reads and writes nothing but ctx,
-// stats and nextFree. Nobody outside the CPU looks at those before bound
-// (cpu.InterruptSource), so executing them now or one tick at a time is
-// the same run; the instruction that ends the run is left for the tick
-// at its own cycle. The interrupt line is polled once, not per
-// instruction: it cannot rise below bound, but it may be live already
-// when the tick found the CPU still blocked, and the instruction at
-// nextFree then belongs to the interrupt.
+// operation, SYSCALL or HALT (cpu.UopLocal), so it reads and writes
+// nothing but ctx, stats and nextFree. Nobody outside the CPU looks at
+// those before bound (cpu.InterruptSource), so executing them now or
+// one tick at a time is the same run; the instruction that ends the run
+// is left for the tick at its own cycle. The interrupt line is polled
+// once, not per instruction: it cannot rise below bound, but it may be
+// live already when the tick found the CPU still blocked, and the
+// instruction at nextFree then belongs to the interrupt.
 func (c *CPU) runAhead(bound uint64) {
 	ctx := c.ctx
 	if ctx.Halted || c.irq.PendingInterrupt(c.id) {
@@ -148,18 +148,12 @@ func (c *CPU) runAhead(bound uint64) {
 		if i >= uint32(len(c.text)) {
 			return
 		}
-		in := c.text[i]
-		if !cpuLocal(in.Op) {
+		u := &c.text[i]
+		if u.Flags&cpu.UopLocal == 0 {
 			return
 		}
-		c.execute(c.nextFree, ppc, in)
+		c.execute(c.nextFree, ppc, u)
 	}
-}
-
-// cpuLocal reports whether executing op involves nothing outside the
-// CPU: no memory-system call, no trap, no halt.
-func cpuLocal(op isa.Op) bool {
-	return op < isa.LW || (op > isa.SC && op != isa.SYSCALL && op != isa.HALT)
 }
 
 // step executes the cycle: deliver a pending interrupt at the
@@ -209,13 +203,14 @@ func (c *CPU) step(now uint64) {
 		i = (ppc - c.textBase) / 4
 	}
 
-	c.execute(cur, ppc, c.text[i])
+	c.execute(cur, ppc, &c.text[i])
 }
 
 // execute runs one instruction whose execution cycle is cur (physical
 // PC ppc, for profiling). It sets ctx.PC and c.nextFree.
-func (c *CPU) execute(cur uint64, ppc uint32, in isa.Inst) {
+func (c *CPU) execute(cur uint64, ppc uint32, u *cpu.Uop) {
 	ctx := c.ctx
+	in := &u.Inst
 	next := ctx.PC + 4
 	done := cur + 1
 
@@ -227,7 +222,7 @@ func (c *CPU) execute(cur uint64, ppc uint32, in isa.Inst) {
 	case op <= isa.SRAI:
 		c.setReg(in.R1, cpu.ALU(op, ctx.Regs[in.R2], 0, in.Imm))
 	case op <= isa.SC:
-		if !c.executeMem(cur, ppc, in, &done) {
+		if !c.executeMem(cur, ppc, u, &done) {
 			return // structural stall or fault; retry or stop
 		}
 	case op <= isa.BGE:
@@ -289,8 +284,9 @@ func (c *CPU) execute(cur uint64, ppc uint32, in isa.Inst) {
 // instruction could not complete this cycle (structural refusal or
 // fault); on refusal the PC is left unchanged so the instruction
 // retries.
-func (c *CPU) executeMem(cur uint64, ppc uint32, in isa.Inst, done *uint64) bool {
+func (c *CPU) executeMem(cur uint64, ppc uint32, u *cpu.Uop, done *uint64) bool {
 	ctx := c.ctx
+	in := &u.Inst
 	ea := ctx.Regs[in.R2] + uint32(in.Imm)
 	pea, ok := ctx.Space.Translate(ea)
 	if !ok {
@@ -311,8 +307,7 @@ func (c *CPU) executeMem(cur uint64, ppc uint32, in isa.Inst, done *uint64) bool
 		return false // PC already advanced; skip the caller's epilogue
 	}
 
-	write := in.Op.IsStore()
-	res, accepted := c.mem.Access(cur, c.id, pea, write)
+	res, accepted := c.mem.Access(cur, c.id, pea, u.Flags&cpu.UopStore != 0)
 	if !accepted {
 		// MSHRs or write buffer full: stall one cycle and retry.
 		c.stats.DStall[res.Level]++

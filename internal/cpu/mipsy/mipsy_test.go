@@ -11,13 +11,20 @@ import (
 )
 
 // progSource adapts one assembled program to cpu.CodeSource.
-type progSource struct{ p *asm.Program }
+type progSource struct {
+	p    *asm.Program
+	text []cpu.Uop
+}
 
-func (s progSource) TextAt(paddr uint32) ([]isa.Inst, uint32, bool) {
+func newProgSource(p *asm.Program) progSource {
+	return progSource{p: p, text: cpu.PredecodeText(p.Insts)}
+}
+
+func (s progSource) TextAt(paddr uint32) ([]cpu.Uop, uint32, bool) {
 	if paddr < s.p.TextBase || paddr >= s.p.TextEnd() {
 		return nil, 0, false
 	}
-	return s.p.Insts, s.p.TextBase, true
+	return s.text, s.p.TextBase, true
 }
 
 type rig struct {
@@ -41,12 +48,13 @@ func newRig(t *testing.T, b *asm.Builder, n int, trap cpu.TrapHandler) *rig {
 	cfg := memsys.DefaultConfig()
 	sys := memsys.NewSharedMem(cfg)
 	r := &rig{img: img, sys: sys, prog: p}
+	src := newProgSource(p)
 	for i := 0; i < n; i++ {
 		ctx := &cpu.Context{Space: mem.Identity{Limit: img.Size()}, TID: i}
 		ctx.PC = p.Addr("start")
 		ctx.Regs[isa.RegSP] = 0x80000 + uint32(i)*0x1000
 		ctx.Regs[asm.A0] = uint32(i)
-		r.cpus = append(r.cpus, New(i, ctx, sys, progSource{p}, trap, img, cfg.LineBytes))
+		r.cpus = append(r.cpus, New(i, ctx, sys, src, trap, img, cfg.LineBytes))
 	}
 	return r
 }
@@ -330,7 +338,7 @@ func TestUnmappedAccessFaults(t *testing.T) {
 	cfg := memsys.DefaultConfig()
 	sys := memsys.NewSharedMem(cfg)
 	ctx := &cpu.Context{Space: mem.Identity{Limit: img.Size()}, PC: p.Addr("start")}
-	c := New(0, ctx, sys, progSource{p}, nil, img, cfg.LineBytes)
+	c := New(0, ctx, sys, newProgSource(p), nil, img, cfg.LineBytes)
 	for cyc := uint64(0); cyc < 1000 && !c.Done(); cyc++ {
 		c.Tick(cyc)
 	}

@@ -7,8 +7,16 @@ import (
 	"cmpsim/internal/isa"
 )
 
-// CheckMasks recomputes every slot mask, the consumer sets and the
-// rename table from the robEntry fields of the live window, the way the
+// serializes reports whether op executes only at the ROB head,
+// non-speculatively, and so never enters the issue masks: the reference
+// for cpu.UopSerial.
+func serializes(op isa.Op) bool {
+	return op == isa.SYSCALL || op == isa.HALT || op == isa.LL || op == isa.SC
+}
+
+// CheckMasks recomputes every slot mask, the consumer sets, the wait
+// sets, the completion bound and the rename table from the robEntry
+// fields of the live window and the isa predicates, the way the
 // scan-based pipeline derived them on the fly, and reports the first
 // disagreement with the incrementally maintained state. now is the
 // cycle of the Tick that just returned.
@@ -27,8 +35,11 @@ func (c *CPU) CheckMasks(now uint64) error {
 	}
 	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
 		e := &c.rob[idx]
-		op := e.inst.Op
+		op := e.u.Inst.Op
 		live |= bit(idx)
+		if e.flags != e.u.Flags || e.dest != e.u.Inst.Dest() {
+			return fmt.Errorf("slot %d: flags %#x dest %d are not those of %v", idx, e.flags, e.dest, e.u.Inst)
+		}
 		if e.dest != isa.RegNone {
 			writer[e.dest] = int8(idx)
 		}
@@ -42,6 +53,9 @@ func (c *CPU) CheckMasks(now uint64) error {
 			avail |= bit(idx)
 		default:
 			pending |= bit(idx)
+			if c.nextDone > e.doneAt {
+				return fmt.Errorf("cycle %d: nextDone %d, pending slot %d is done at %d", now, c.nextDone, idx, e.doneAt)
+			}
 		}
 		if op.IsStore() {
 			stores |= bit(idx)
@@ -50,25 +64,32 @@ func (c *CPU) CheckMasks(now uint64) error {
 	// Second pass: avail is complete, so readiness is decidable.
 	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
 		e := &c.rob[idx]
-		ok := true
-		for s := 0; s < int(e.nSrc); s++ {
+		var waitOn uint32
+		for s := range e.srcProd {
 			p := int(e.srcProd[s])
 			if p < 0 {
 				continue
 			}
+			if s >= int(e.u.NSrc) {
+				return fmt.Errorf("slot %d: source %d is renamed, %v has %d", idx, s, e.u.Inst, e.u.NSrc)
+			}
 			if live&bit(p) == 0 || (p-c.head+windowSize)%windowSize >= i {
 				return fmt.Errorf("slot %d source %d: producer slot %d is not an older live entry", idx, s, p)
 			}
-			if c.rob[p].dest != e.srcRegs[s] {
+			if c.rob[p].dest != e.u.Src[s] {
 				return fmt.Errorf("slot %d source %d: reads r%d, producer slot %d writes r%d",
-					idx, s, e.srcRegs[s], p, c.rob[p].dest)
+					idx, s, e.u.Src[s], p, c.rob[p].dest)
 			}
 			consumers[p] |= bit(idx)
-			if avail&bit(p) == 0 {
-				ok = false
-			}
+			waitOn |= bit(p) &^ avail
 		}
-		if ok && waiting&bit(idx) != 0 {
+		if waiting&bit(idx) == 0 {
+			continue
+		}
+		if e.waitOn != waitOn {
+			return fmt.Errorf("cycle %d: slot %d waits on %#08x, its producers outside avail are %#08x", now, idx, e.waitOn, waitOn)
+		}
+		if waitOn == 0 {
 			ready |= bit(idx)
 		}
 	}
@@ -125,7 +146,7 @@ func (c *CPU) NextWorkScan(now uint64) uint64 {
 	}
 	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
 		e := &c.rob[idx]
-		if serializes(e.inst.Op) {
+		if serializes(e.u.Inst.Op) {
 			if idx == c.head {
 				return now + 1
 			}
@@ -134,8 +155,7 @@ func (c *CPU) NextWorkScan(now uint64) uint64 {
 		if !e.issued {
 			ready := now
 			unknown := false
-			for s := 0; s < int(e.nSrc); s++ {
-				p := e.srcProd[s]
+			for _, p := range e.srcProd {
 				if p < 0 {
 					continue
 				}

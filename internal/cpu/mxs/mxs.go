@@ -28,7 +28,7 @@ const (
 	gradWidth   = 2
 	windowSize  = 32 // one bit per slot in the uint32 window masks
 	fetchQueue  = 8
-	maxSrcs     = 2 // register sources of any instruction (isa.Inst.Srcs)
+	maxSrcs     = 2 // register sources of any instruction (cpu.Uop.Src)
 	btbEntries  = 1024
 	invalidLine = ^uint32(0)
 )
@@ -44,7 +44,7 @@ var (
 type fetchEntry struct {
 	pc       uint32 // virtual PC
 	ppc      uint32 // physical PC (profiling attribution)
-	inst     isa.Inst
+	u        *cpu.Uop
 	predNext uint32 // predicted next PC after this instruction
 }
 
@@ -63,9 +63,9 @@ type robEntry struct {
 	storeVal  uint32
 	storeFVal float64
 
-	inst isa.Inst
-	pc   uint32
-	ppc  uint32 // physical PC (profiling attribution)
+	u   *cpu.Uop // the instruction, in the program text
+	pc  uint32
+	ppc uint32 // physical PC (profiling attribution)
 
 	// Control flow.
 	predNext   uint32
@@ -80,17 +80,14 @@ type robEntry struct {
 	issued bool
 	done   bool
 
-	// Renamed sources: producer ROB slot or -1 for architectural.
-	srcRegs [maxSrcs]uint8
+	// Renamed sources: srcProd[s] is the ROB slot producing u.Src[s], or
+	// -1 when the value is architectural (or there is no such source).
+	// waitOn holds the producers whose result is not yet visible (not in
+	// avail): the entry is ready when it is empty.
+	waitOn  uint32
 	srcProd [maxSrcs]int8
-	nSrc    uint8
-	dest    uint8
-}
-
-// serializes reports whether op executes only at the ROB head,
-// non-speculatively, and so never enters the issue masks.
-func serializes(op isa.Op) bool {
-	return op == isa.SYSCALL || op == isa.HALT || op == isa.LL || op == isa.SC
+	flags   cpu.UopFlags // u.Flags
+	dest    uint8        // u.Dest
 }
 
 // bit is slot's position in a window mask.
@@ -126,7 +123,7 @@ type CPU struct {
 	fqLen        int
 	fetchStalled bool // stopped at a serializing instruction or fetch fault
 	fetchFault   bool
-	text         []isa.Inst // the program region the last fetch hit (see cpu.CodeSource)
+	text         []cpu.Uop // the program region the last fetch hit (see cpu.CodeSource)
 	textBase     uint32
 
 	// Window/ROB ring buffer.
@@ -140,10 +137,14 @@ type CPU struct {
 	// work for (oldest first, see fromHead) instead of walking the ring.
 	// Serializing instructions execute at the head and appear in none.
 	waiting uint32 // dispatched, not yet issued
-	ready   uint32 // the waiting entries whose every producer is in avail
+	ready   uint32 // the waiting entries whose waitOn is empty
 	pending uint32 // issued, result not yet visible to consumers
 	avail   uint32 // issued, done, and doneAt reached: result visible
 	stores  uint32 // SW/SB/SD, the loads' ordering hazards
+
+	// nextDone is a lower bound on the doneAt of every pending entry:
+	// complete has nothing to do before it.
+	nextDone uint64
 
 	// consumers[p] holds the live slots that renamed a source to p, from
 	// p's dispatch until its release: what complete wakes and release
@@ -240,10 +241,22 @@ func (c *CPU) Tick(now uint64) uint64 {
 		c.fetchReady = now + 1 + extra
 		return c.NextWork(now)
 	}
-	graduated := c.graduate(now)
-	c.complete(now)
-	c.issue(now)
-	c.dispatch(now)
+	// Every stage runs in this order on every cycle; one with nothing to
+	// look at (empty window, no completion due, nothing ready, empty fetch
+	// queue) is not entered.
+	graduated := 0
+	if c.count > 0 {
+		graduated = c.graduate(now)
+	}
+	if c.pending != 0 && c.nextDone <= now {
+		c.complete(now)
+	}
+	if c.ready != 0 {
+		c.issue(now)
+	}
+	if c.fqLen > 0 {
+		c.dispatch(now)
+	}
 	if !c.irqStop {
 		c.fetch(now)
 	}
@@ -300,7 +313,7 @@ func (c *CPU) NextWork(now uint64) uint64 {
 	// the head only waits to graduate; older entries bound both.
 	if c.count > 0 {
 		e := &c.rob[c.head]
-		if serializes(e.inst.Op) {
+		if e.flags&cpu.UopSerial != 0 {
 			return now + 1 // serializers execute (and retry) at the head
 		}
 		if e.issued && e.done {
@@ -355,8 +368,7 @@ func (c *CPU) NextWork(now uint64) uint64 {
 // (that producer's own transitions bound progress).
 func (c *CPU) operandsAt(e *robEntry) uint64 {
 	var at uint64
-	for s := 0; s < int(e.nSrc); s++ {
-		p := e.srcProd[s]
+	for _, p := range e.srcProd {
 		if p < 0 {
 			continue
 		}
@@ -391,11 +403,11 @@ func (c *CPU) graduate(now uint64) int {
 	n := 0
 	for n < gradWidth && c.count > 0 {
 		e := &c.rob[c.head]
-		op := e.inst.Op
+		f := e.flags
 
 		// Serializing instructions execute here, at the head,
 		// non-speculatively.
-		if serializes(op) {
+		if f&cpu.UopSerial != 0 {
 			if !c.serialize(now, e) {
 				break
 			}
@@ -407,17 +419,17 @@ func (c *CPU) graduate(now uint64) int {
 			break
 		}
 
-		if op.IsMem() && !e.eaOK {
-			c.ctx.Faultf("%v: unmapped data address (pc %#x)", op, e.pc)
+		if f&cpu.UopMem != 0 && !e.eaOK {
+			c.ctx.Faultf("%v: unmapped data address (pc %#x)", e.u.Inst.Op, e.pc)
 			break
 		}
-		if op.IsLoad() && c.gate != nil {
+		if f&cpu.UopLoad != 0 && c.gate != nil {
 			// The refresh below reads the shared guest image directly;
 			// under the parallel scheduler, claim the serial-order grant
 			// first so it observes exactly what the serial loop would.
 			c.gate.Sync()
 		}
-		if op.IsLoad() && c.loadRefresh(e) {
+		if f&cpu.UopLoad != 0 && c.loadRefresh(e) {
 			// Another CPU wrote the location between this load's
 			// speculative issue and its graduation (value-based
 			// memory-ordering check, as in the R10000). Commit the load
@@ -435,7 +447,7 @@ func (c *CPU) graduate(now uint64) int {
 			n++
 			continue
 		}
-		if op.IsStore() {
+		if f&cpu.UopStore != 0 {
 			if _, ok := c.mem.Access(now, c.id, e.ea, true); !ok {
 				break // write buffer full; retry next cycle
 			}
@@ -486,12 +498,12 @@ func (c *CPU) release() {
 	for m := c.consumers[slot]; m != 0; m &= m - 1 {
 		ci := bits.TrailingZeros32(m)
 		ce := &c.rob[ci]
-		for s := 0; s < int(ce.nSrc); s++ {
+		for s := range ce.srcProd {
 			if int(ce.srcProd[s]) == slot {
 				ce.srcProd[s] = -1
 			}
 		}
-		if c.waiting&bit(ci) != 0 && c.srcsAvail(ce) {
+		if ce.waitOn &^= bit(slot); ce.waitOn == 0 && c.waiting&bit(ci) != 0 {
 			c.ready |= bit(ci)
 		}
 	}
@@ -507,7 +519,7 @@ func (c *CPU) release() {
 // changed since the speculative read it stores the coherent value into e
 // and reports true.
 func (c *CPU) loadRefresh(e *robEntry) bool {
-	switch e.inst.Op {
+	switch e.u.Inst.Op {
 	case isa.LW:
 		if v := c.img.Read32(e.ea); v != e.value {
 			e.value = v
@@ -529,7 +541,7 @@ func (c *CPU) loadRefresh(e *robEntry) bool {
 
 // writeStore performs the functional memory write of a graduating store.
 func (c *CPU) writeStore(e *robEntry) {
-	switch e.inst.Op {
+	switch e.u.Inst.Op {
 	case isa.SW:
 		c.img.Write32(e.ea, e.storeVal)
 	case isa.SB:
@@ -542,7 +554,8 @@ func (c *CPU) writeStore(e *robEntry) {
 // serialize handles SYSCALL/HALT/LL/SC at the ROB head. Reports whether
 // the instruction graduated this cycle.
 func (c *CPU) serialize(now uint64, e *robEntry) bool {
-	switch e.inst.Op {
+	in := &e.u.Inst
+	switch in.Op {
 	case isa.HALT:
 		c.stats.Instructions++
 		if c.prof != nil {
@@ -552,7 +565,7 @@ func (c *CPU) serialize(now uint64, e *robEntry) bool {
 		return false
 	case isa.SYSCALL:
 		c.ctx.PC = e.pc + 4
-		extra := c.trap.Syscall(now, c.id, c.ctx, e.inst.Imm)
+		extra := c.trap.Syscall(now, c.id, c.ctx, in.Imm)
 		c.stats.Instructions++
 		if c.prof != nil {
 			c.prof.RetirePC(e.ppc)
@@ -566,7 +579,7 @@ func (c *CPU) serialize(now uint64, e *robEntry) bool {
 		return true
 	case isa.LL:
 		if !e.issued {
-			ea := c.ctx.Regs[e.inst.R2] + uint32(e.inst.Imm)
+			ea := c.ctx.Regs[in.R2] + uint32(in.Imm)
 			pea, ok := c.ctx.Space.Translate(ea)
 			if !ok {
 				c.ctx.Faultf("ll: unmapped address %#x (pc %#x)", ea, e.pc)
@@ -591,7 +604,7 @@ func (c *CPU) serialize(now uint64, e *robEntry) bool {
 		c.commit(e)
 		return true
 	case isa.SC:
-		ea := c.ctx.Regs[e.inst.R2] + uint32(e.inst.Imm)
+		ea := c.ctx.Regs[in.R2] + uint32(in.Imm)
 		pea, ok := c.ctx.Space.Translate(ea)
 		if !ok {
 			c.ctx.Faultf("sc: unmapped address %#x (pc %#x)", ea, e.pc)
@@ -604,7 +617,7 @@ func (c *CPU) serialize(now uint64, e *robEntry) bool {
 				c.mem.LLReserve(c.id, pea) // restore the consumed reservation
 				return false
 			}
-			c.img.Write32(pea, c.ctx.Regs[e.inst.R1])
+			c.img.Write32(pea, c.ctx.Regs[in.R1])
 			e.value = 1
 		}
 		e.actualNext = e.pc + 4
@@ -642,22 +655,27 @@ func (c *CPU) complete(now uint64) {
 	// forwarded from a store (or issued to an unmapped address) is done
 	// at issue but its value is only visible from doneAt on, so
 	// availability keys on doneAt, never on the done flag.
+	next := uint64(cpu.NoWork)
 	for rel := c.fromHead(c.pending); rel != 0; rel &= rel - 1 {
 		idx := wrap(c.head + bits.TrailingZeros32(rel))
 		e := &c.rob[idx]
 		if e.doneAt > now {
+			if e.doneAt < next {
+				next = e.doneAt
+			}
 			continue
 		}
 		e.done = true
 		c.pending &^= bit(idx)
 		c.avail |= bit(idx)
-		for m := c.consumers[idx] & c.waiting &^ c.ready; m != 0; m &= m - 1 {
+		for m := c.consumers[idx] & c.waiting; m != 0; m &= m - 1 {
 			ci := bits.TrailingZeros32(m)
-			if c.srcsAvail(&c.rob[ci]) {
+			ce := &c.rob[ci]
+			if ce.waitOn &^= bit(idx); ce.waitOn == 0 {
 				c.ready |= bit(ci)
 			}
 		}
-		if !e.inst.Op.IsControl() {
+		if e.flags&cpu.UopControl == 0 {
 			continue
 		}
 		c.stats.Branches++
@@ -678,26 +696,19 @@ func (c *CPU) complete(now uint64) {
 			c.fetchStalled = false
 			c.fetchFault = false
 			c.fqLen = 0
+			// Cut short: nextDone stays where it was, at or before now,
+			// so the next cycle scans again.
 			return
 		}
 		c.updateBTB(e)
 	}
+	c.nextDone = next
 }
 
 // fromHead rotates a slot mask so that bit k is the k-th oldest window
 // entry: iterating the result with TrailingZeros32 visits slots
 // (head+k) % windowSize in program order.
 func (c *CPU) fromHead(mask uint32) uint32 { return bits.RotateLeft32(mask, -c.head) }
-
-// srcsAvail reports whether every renamed source of e has produced.
-func (c *CPU) srcsAvail(e *robEntry) bool {
-	for s := 0; s < int(e.nSrc); s++ {
-		if p := e.srcProd[s]; p >= 0 && c.avail&bit(int(p)) == 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // squashAfter removes every entry younger than the one at slot and
 // returns how many were removed.
@@ -739,31 +750,36 @@ func (c *CPU) squashAfter(slot int) int {
 }
 
 func (c *CPU) updateBTB(e *robEntry) {
-	idx := (e.pc >> 2) % btbEntries
+	b := &c.btb[(e.pc>>2)%btbEntries]
 	if e.actualNext != e.pc+4 {
-		c.btb[idx] = btbEntry{tag: e.pc, target: e.actualNext, valid: true}
-	} else if c.btb[idx].valid && c.btb[idx].tag == e.pc {
-		c.btb[idx].valid = false
+		*b = btbEntry{tag: e.pc, target: e.actualNext, valid: true}
+	} else if b.valid && b.tag == e.pc {
+		b.valid = false
 	}
 }
 
 // --- issue ---
 
-// fuBusy tracks per-cycle structural limits.
-type fuBusy [cpu.NumFUClasses]int
+// fuCopies is the per-cycle structural limit: the copies of each
+// functional-unit class.
+var fuCopies = func() (n [cpu.NumFUClasses]uint8) {
+	for f := range n {
+		n[f] = uint8(cpu.FUClass(f).Copies())
+	}
+	return n
+}()
 
 func (c *CPU) issue(now uint64) {
-	var busy fuBusy
+	free := fuCopies
 	issued := 0
 	for rel := c.fromHead(c.ready); rel != 0 && issued < issueWidth; rel &= rel - 1 {
 		idx := wrap(c.head + bits.TrailingZeros32(rel))
 		e := &c.rob[idx]
-		op := e.inst.Op
-		class := cpu.ClassOf(op)
-		if busy[class] >= class.Copies() {
+		class := e.u.Class
+		if free[class] == 0 {
 			continue
 		}
-		if op.IsLoad() {
+		if e.flags&cpu.UopLoad != 0 {
 			if !c.tryLoad(now, idx, e) {
 				continue
 			}
@@ -773,16 +789,19 @@ func (c *CPU) issue(now uint64) {
 		c.waiting &^= bit(idx)
 		c.ready &^= bit(idx)
 		c.pending |= bit(idx)
-		busy[class]++
+		if e.doneAt < c.nextDone {
+			c.nextDone = e.doneAt
+		}
+		free[class]--
 		issued++
 	}
 }
 
 // readSrc returns the integer value of unified register r for entry e.
 func (c *CPU) readSrc(e *robEntry, r uint8) uint32 {
-	for s := 0; s < int(e.nSrc); s++ {
-		if e.srcRegs[s] == r && e.srcProd[s] >= 0 {
-			return c.rob[e.srcProd[s]].value
+	for s, p := range e.srcProd {
+		if p >= 0 && e.u.Src[s] == r {
+			return c.rob[p].value
 		}
 	}
 	if r < 32 {
@@ -794,9 +813,9 @@ func (c *CPU) readSrc(e *robEntry, r uint8) uint32 {
 // readSrcF returns the FP value of unified register r for entry e.
 func (c *CPU) readSrcF(e *robEntry, r uint8) float64 {
 	u := r + isa.RegFPBase
-	for s := 0; s < int(e.nSrc); s++ {
-		if e.srcRegs[s] == u && e.srcProd[s] >= 0 {
-			return c.rob[e.srcProd[s]].fvalue
+	for s, p := range e.srcProd {
+		if p >= 0 && e.u.Src[s] == u {
+			return c.rob[p].fvalue
 		}
 	}
 	return c.ctx.FRegs[r]
@@ -805,7 +824,8 @@ func (c *CPU) readSrcF(e *robEntry, r uint8) float64 {
 // tryLoad issues a load: address generation, store-queue check, cache
 // access. Returns false if it must retry later.
 func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
-	ea := c.readSrc(e, e.inst.R2) + uint32(e.inst.Imm)
+	in := &e.u.Inst
+	ea := c.readSrc(e, in.R2) + uint32(in.Imm)
 	pea, ok := c.ctx.Space.Translate(ea)
 	if !ok {
 		// Wrong-path loads may compute garbage addresses; complete
@@ -820,20 +840,20 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 	e.ea, e.eaOK = pea, true
 
 	// Store-to-load ordering: scan older stores, oldest first.
-	lSize := e.inst.Op.MemBytes()
+	lSize := uint32(e.u.Size)
 	older := c.fromHead(c.stores) & (bit(wrap(idx-c.head+windowSize)) - 1)
 	for ; older != 0; older &= older - 1 {
 		se := &c.rob[wrap(c.head+bits.TrailingZeros32(older))]
 		if !se.issued || !se.done || se.doneAt > now {
 			return false // older store address unknown: wait
 		}
-		sSize := se.inst.Op.MemBytes()
+		sSize := uint32(se.u.Size)
 		if se.ea+sSize <= pea || pea+lSize <= se.ea {
 			continue // disjoint
 		}
 		if se.ea == pea && sSize == lSize {
 			// Exact match: forward the store's data.
-			if se.inst.Op == isa.SD {
+			if se.u.Kind == cpu.KindStoreF {
 				e.fvalue = se.storeFVal
 			} else {
 				e.value = se.storeVal
@@ -856,7 +876,7 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 	e.doneAt = res.Done
 	e.memLevel = res.Level
 	e.actualNext = e.pc + 4
-	switch e.inst.Op {
+	switch in.Op {
 	case isa.LW:
 		e.value = c.img.Read32(pea)
 	case isa.LB:
@@ -869,57 +889,57 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 
 // execute performs a non-load instruction's computation at issue.
 func (c *CPU) execute(now uint64, e *robEntry) {
-	in := e.inst
+	u := e.u
+	in := &u.Inst
 	op := in.Op
 	e.issued = true
-	e.doneAt = now + cpu.Latency(op)
+	e.doneAt = now + uint64(u.Lat)
 	e.actualNext = e.pc + 4
 
-	switch {
-	case op.IsStore(): // SW, SB, SD (SC handled at head)
-		ea := c.readSrc(e, in.R2) + uint32(in.Imm)
-		if pea, ok := c.ctx.Space.Translate(ea); ok {
-			e.ea, e.eaOK = pea, true
+	switch u.Kind {
+	case cpu.KindStore, cpu.KindStoreF: // SW, SB, SD (SC handled at head)
+		// An unmapped address leaves eaOK false, and graduation faults if
+		// this store turns out to be on the right path; until then younger
+		// loads order against address 0 (tryLoad reads ea, not eaOK).
+		e.ea, e.eaOK = c.ctx.Space.Translate(c.readSrc(e, in.R2) + uint32(in.Imm))
+		if !e.eaOK {
+			e.ea = 0
 		}
-		// else: eaOK stays false; graduation faults if this store turns
-		// out to be on the right path.
-		if op == isa.SD {
+		if u.Kind == cpu.KindStoreF {
 			e.storeFVal = c.readSrcF(e, in.R1)
 		} else {
 			e.storeVal = c.readSrc(e, in.R1)
 		}
-	case op.IsBranch():
+	case cpu.KindBranch:
 		if cpu.BranchTaken(op, c.readSrc(e, in.R1), c.readSrc(e, in.R2)) {
 			e.actualNext = uint32(int64(e.pc) + 4 + int64(in.Imm)*4)
 		}
-	case op == isa.J:
+	case cpu.KindJ:
 		e.actualNext = uint32(in.Imm) * 4
-	case op == isa.JAL:
+	case cpu.KindJAL:
 		e.value = e.pc + 4
 		e.actualNext = uint32(in.Imm) * 4
-	case op == isa.JR:
+	case cpu.KindJR:
 		e.actualNext = c.readSrc(e, in.R2)
-	case op == isa.JALR:
+	case cpu.KindJALR:
 		e.value = e.pc + 4
 		e.actualNext = c.readSrc(e, in.R2)
-	case op == isa.CPUID:
+	case cpu.KindCPUID:
 		e.value = uint32(c.id)
-	case op == isa.FMOV, op == isa.FNEG:
+	case cpu.KindFPUnary:
 		e.fvalue = cpu.FPOp(op, c.readSrcF(e, in.R2), 0)
-	case op == isa.FEQ, op == isa.FLT, op == isa.FLE:
+	case cpu.KindFPCmp:
 		e.value = cpu.FPCmp(op, c.readSrcF(e, in.R2), c.readSrcF(e, in.R3))
-	case op == isa.CVTIF:
+	case cpu.KindCVTIF:
 		e.fvalue = float64(int32(c.readSrc(e, in.R2)))
-	case op == isa.CVTFI:
+	case cpu.KindCVTFI:
 		e.value = cpu.CvtFI(c.readSrcF(e, in.R2))
-	case op.IsFPOp():
+	case cpu.KindFP:
 		e.fvalue = cpu.FPOp(op, c.readSrcF(e, in.R2), c.readSrcF(e, in.R3))
-	default:
-		if op.Format() == isa.FormatR {
-			e.value = cpu.ALU(op, c.readSrc(e, in.R2), c.readSrc(e, in.R3), 0)
-		} else {
-			e.value = cpu.ALU(op, c.readSrc(e, in.R2), 0, in.Imm)
-		}
+	case cpu.KindALU:
+		e.value = cpu.ALU(op, c.readSrc(e, in.R2), c.readSrc(e, in.R3), 0)
+	case cpu.KindALUImm:
+		e.value = cpu.ALU(op, c.readSrc(e, in.R2), 0, in.Imm)
 	}
 }
 
@@ -936,41 +956,34 @@ func (c *CPU) dispatch(now uint64) {
 		c.fqLen--
 		slot := c.tail
 		e := &c.rob[slot]
-		*e = robEntry{
-			inst:       fe.inst,
-			pc:         fe.pc,
-			ppc:        fe.ppc,
-			predNext:   fe.predNext,
-			actualNext: fe.predNext,
-			dest:       fe.inst.Dest(),
-		}
-		// No instruction has more than maxSrcs register sources, so Srcs
-		// never outgrows the stack buffer.
-		var buf [maxSrcs]uint8
-		ready := true
-		for i, r := range fe.inst.Srcs(buf[:0]) {
-			p := c.writer[r]
-			e.srcRegs[i] = r
-			e.srcProd[i] = p
-			if p >= 0 {
+		u := fe.u
+		e.u, e.flags, e.dest = u, u.Flags, u.Dest
+		e.pc, e.ppc = fe.pc, fe.ppc
+		e.predNext, e.actualNext = fe.predNext, fe.predNext
+		// What a stage may read before this instruction writes it starts
+		// clean; results, store data and ea are written first (tryLoad,
+		// execute, serialize) and keep the previous occupant's bits.
+		e.doneAt, e.issued, e.done = 0, false, false
+		e.eaOK, e.fwd, e.memLevel = false, false, 0
+		e.srcProd = [maxSrcs]int8{-1, -1}
+		e.waitOn = 0
+		for i := 0; i < int(u.NSrc); i++ {
+			if p := c.writer[u.Src[i]]; p >= 0 {
+				e.srcProd[i] = p
 				c.consumers[p] |= bit(slot)
-				if c.avail&bit(int(p)) == 0 {
-					ready = false
-				}
+				e.waitOn |= bit(int(p)) &^ c.avail
 			}
-			e.nSrc++
 		}
 		c.consumers[slot] = 0
 		if e.dest != isa.RegNone {
 			c.writer[e.dest] = int8(slot)
 		}
-		op := fe.inst.Op
-		if !serializes(op) {
+		if e.flags&cpu.UopSerial == 0 {
 			c.waiting |= bit(slot)
-			if ready {
+			if e.waitOn == 0 {
 				c.ready |= bit(slot)
 			}
-			if op.IsStore() {
+			if e.flags&cpu.UopStore != 0 {
 				c.stores |= bit(slot)
 			}
 		}
@@ -1012,12 +1025,12 @@ func (c *CPU) fetch(now uint64) {
 			}
 			i = (ppc - c.textBase) / 4
 		}
-		in := c.text[i]
-		next := c.predict(pc, in)
-		c.fq[(c.fqHead+c.fqLen)&(fetchQueue-1)] = fetchEntry{pc: pc, ppc: ppc, inst: in, predNext: next}
+		u := &c.text[i]
+		next := c.predict(pc, u)
+		c.fq[(c.fqHead+c.fqLen)&(fetchQueue-1)] = fetchEntry{pc: pc, ppc: ppc, u: u, predNext: next}
 		c.fqLen++
 		c.fetchPC = next
-		if in.Op == isa.SYSCALL || in.Op == isa.HALT {
+		if u.Flags&cpu.UopFetchStop != 0 {
 			// Serialize: nothing is fetched past a trap boundary.
 			c.fetchStalled = true
 			return
@@ -1025,17 +1038,15 @@ func (c *CPU) fetch(now uint64) {
 	}
 }
 
-// predict returns the predicted next PC for in at pc.
-func (c *CPU) predict(pc uint32, in isa.Inst) uint32 {
-	switch {
-	case in.Op == isa.J, in.Op == isa.JAL:
-		return uint32(in.Imm) * 4
-	case in.Op == isa.JR, in.Op == isa.JALR, in.Op.IsBranch():
-		idx := (pc >> 2) % btbEntries
-		if b := c.btb[idx]; b.valid && b.tag == pc {
+// predict returns the predicted next PC for u at pc.
+func (c *CPU) predict(pc uint32, u *cpu.Uop) uint32 {
+	switch f := u.Flags; {
+	case f&cpu.UopJump != 0:
+		return uint32(u.Inst.Imm) * 4
+	case f&cpu.UopBTB != 0:
+		if b := &c.btb[(pc>>2)%btbEntries]; b.valid && b.tag == pc {
 			return b.target
 		}
-		return pc + 4
 	}
 	return pc + 4
 }
@@ -1066,9 +1077,8 @@ func (c *CPU) blameN(now, n uint64) {
 		return
 	}
 	e := &c.rob[c.head]
-	op := e.inst.Op
 	switch {
-	case e.issued && !e.fwd && op.IsLoad() && (!e.done || e.doneAt > now):
+	case e.issued && !e.fwd && e.flags&cpu.UopLoad != 0 && (!e.done || e.doneAt > now):
 		if e.memLevel == memsys.LvlL1 {
 			c.stats.PipeStall += n // extra hit latency / bank contention
 			if c.prof != nil {
@@ -1080,7 +1090,7 @@ func (c *CPU) blameN(now, n uint64) {
 				c.prof.DStallPC(e.ppc, uint8(e.memLevel), n)
 			}
 		}
-	case op.IsStore() && e.done && e.doneAt <= now:
+	case e.flags&cpu.UopStore != 0 && e.done && e.doneAt <= now:
 		c.stats.DStall[memsys.LvlL2] += n // write buffer backpressure
 		if c.prof != nil {
 			c.prof.DStallPC(e.ppc, uint8(memsys.LvlL2), n)
