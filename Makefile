@@ -18,12 +18,12 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project's own go/types-based analyzers (determinism,
-# cycleflow, hotalloc, statreg, sharedmut, neutral, cachekey) over the
-# whole module, emitting SARIF for code scanning and the sharedmut
-# ownership classification alongside the terminal findings. See
-# cmd/simlint and the "Correctness tooling" section of the README.
+# cycleflow, hotalloc, statreg, neutral, cachekey) over the whole
+# module, emitting SARIF for code scanning alongside the terminal
+# findings. See cmd/simlint and the "Correctness tooling" section of
+# the README.
 lint:
-	$(GO) run ./cmd/simlint -sarif simlint.sarif -ownership-out ownership.json
+	$(GO) run ./cmd/simlint -sarif simlint.sarif
 
 # lint-baseline regenerates the committed suppression ledger from the
 # current findings and fails if it no longer matches the checked-in
@@ -92,21 +92,23 @@ telemetry-smoke:
 
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —
-# .gitignore'd, like simlint.sarif and ownership.json — so reproduce
-# it locally rather than expecting it in the tree (~30 s on one core;
-# add `-sim-jobs 4` manually for a sharded run, output is identical).
+# .gitignore'd, like simlint.sarif — so reproduce it locally rather
+# than expecting it in the tree (~30 s on one core; add `-sim-jobs 4`
+# manually for a sharded run, output is identical).
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
 # bench-trace proves the zero-allocation acceptance bar:
 # BenchmarkTracerDisabled, BenchmarkProfDisabled,
 # BenchmarkHostProfDisabled (instrumentation attached but off),
-# the two BenchmarkMXSTick cases (the detailed CPU's per-cycle path
-# against a one-cycle memory, and four cores of quick MP3D ticked in
-# rotation over the real shared-memory system), the two
-# BenchmarkMipsyTick cases (the simple CPU against a one-cycle memory,
-# ns per instruction) and the two BenchmarkRunWindow cases (the cycle
-# loop alone over stub cores, ns per executed cycle) must report
+# the three BenchmarkMXSTick cases (the detailed CPU's per-cycle path
+# against a one-cycle memory, four cores of quick MP3D ticked in
+# rotation over the real shared-memory system, and stalled-window, the
+# same on the memory-bound design point with every core ticked only
+# when its wake hint is due: ns per tick and ticks per instruction),
+# the two BenchmarkMipsyTick cases (the simple CPU against a one-cycle
+# memory, ns per instruction) and the two BenchmarkRunWindow cases (the
+# cycle loop alone over stub cores, ns per executed cycle) must report
 # 0 allocs/op (CI checks each of them by name).
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core

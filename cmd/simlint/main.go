@@ -4,10 +4,9 @@
 //	simlint                          # analyze the whole module
 //	simlint ./...                    # same
 //	simlint internal/memsys          # narrow the *output* to packages
-//	simlint -analyzers sharedmut,hotalloc
+//	simlint -analyzers neutral,hotalloc
 //	simlint -json                    # findings as a JSON array
 //	simlint -sarif out.sarif         # SARIF 2.1.0 for code scanning
-//	simlint -ownership-out ownership.json
 //	simlint -write-baseline          # inventory current findings
 //	simlint -list                    # print the suite
 //
@@ -50,7 +49,6 @@ func runWith(argv []string, stdout io.Writer) int {
 		listFlag      = fs.Bool("list", false, "list the analyzers and exit")
 		jsonFlag      = fs.Bool("json", false, "print findings as a JSON array on stdout")
 		sarifFlag     = fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file`")
-		ownershipFlag = fs.String("ownership-out", "", "write the sharedmut ownership classification to `file` as JSON")
 		analyzersFlag = fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
 		baselineFlag  = fs.String("baseline", "", "baseline file (default: "+baselineName+" at the module root, if present)")
 		writeBaseline = fs.Bool("write-baseline", false, "regenerate the baseline from current findings and exit")
@@ -91,20 +89,6 @@ func runWith(argv []string, stdout io.Writer) int {
 	pkgs, err := loader.LoadModule(root)
 	if err != nil {
 		return fail(err)
-	}
-
-	if *ownershipFlag != "" {
-		rep, err := lint.Ownership(pkgs)
-		if err != nil {
-			return fail(err)
-		}
-		data, err := rep.MarshalIndent()
-		if err != nil {
-			return fail(err)
-		}
-		if err := os.WriteFile(*ownershipFlag, append(data, '\n'), 0o644); err != nil {
-			return fail(err)
-		}
 	}
 
 	diags, err := lint.RunAnalyzers(analyzers, pkgs)

@@ -263,6 +263,29 @@ func TestMSHRMergeKeepsEarlierCompletion(t *testing.T) {
 	}
 }
 
+func TestMSHRNextFree(t *testing.T) {
+	for _, tc := range []struct {
+		done []uint64
+		want uint64
+	}{
+		{nil, ^uint64(0)},
+		{[]uint64{50}, 50},
+		{[]uint64{80, 50, 65}, 50},
+		{[]uint64{50, 50}, 50},
+	} {
+		m := NewMSHRFile(len(tc.done))
+		for i, d := range tc.done {
+			m.Allocate(0, uint32(0x100*(i+1)), d, 0)
+		}
+		if got := m.NextFree(); got != tc.want {
+			t.Errorf("NextFree with fills due at %v = %d, want %d", tc.done, got, tc.want)
+		}
+		if tc.done != nil && (!m.Full(tc.want-1) || m.Full(tc.want)) {
+			t.Errorf("fills due at %v: Full must flip at NextFree %d", tc.done, tc.want)
+		}
+	}
+}
+
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Reads: 1, Writes: 2, ReadMisses: 3, WriteMisses: 4, InvMisses: 5, Invalidates: 6, Writebacks: 7}
 	b := a

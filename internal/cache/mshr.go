@@ -105,6 +105,19 @@ func (m *MSHRFile) Full(now uint64) bool {
 	return full
 }
 
+// NextFree returns the cycle the earliest outstanding fill completes:
+// the first cycle at which a file that Full(now) just found full has a
+// free entry (never, for a file of capacity zero).
+func (m *MSHRFile) NextFree() uint64 {
+	free := ^uint64(0)
+	for i := range m.entries {
+		if d := m.entries[i].done; d < free {
+			free = d
+		}
+	}
+	return free
+}
+
 // Lookup reports whether lineAddr has an in-flight miss, and if so when
 // it completes and with which caller tag.
 func (m *MSHRFile) Lookup(now uint64, lineAddr uint32) (done uint64, tag uint8, merged bool) {

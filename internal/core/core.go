@@ -284,8 +284,6 @@ type irqLines struct {
 
 // raise asserts a line: immediately in coordinator phase, buffered to
 // the next grid boundary from tick phase.
-//
-//simlint:arbiter
 func (q *irqLines) raise(cpuID int, tickPhase bool) {
 	if tickPhase {
 		if !q.pending[cpuID] {
@@ -299,14 +297,10 @@ func (q *irqLines) raise(cpuID int, tickPhase bool) {
 }
 
 // ack clears a CPU's own live line (interrupt taken).
-//
-//simlint:arbiter
 func (q *irqLines) ack(cpuID int) { q.live[cpuID] = false }
 
 // merge promotes buffered tick-phase raises onto the live lines; called
 // at SimWindow grid boundaries by both schedulers.
-//
-//simlint:arbiter
 func (q *irqLines) merge() {
 	if q.npend == 0 {
 		return
@@ -327,8 +321,6 @@ func (q *irqLines) merge() {
 // every executed cycle until it takes the interrupt, as it is in the
 // tick-everything reference. Called by the serial loop between the
 // event phase and the tick pass, while wake is set.
-//
-//simlint:arbiter
 func (q *irqLines) wakeLive(wakeAt []uint64, cyc uint64) {
 	q.wake = false
 	for k := range wakeAt[:min(len(wakeAt), len(q.live))] {

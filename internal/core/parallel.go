@@ -97,8 +97,6 @@ type clockSlot struct {
 // drained by the coordinator between runs; rec, when host profiling is
 // attached, additionally receives every contended spin with its peer,
 // site and duration.
-//
-//simlint:owned per-cpu — one gate per CPU, mutated only by the worker that owns the CPU (coordinator drains waits and resets grants between barriers)
 type cpuGate struct {
 	s    *parSched
 	cpu  int

@@ -1,8 +1,10 @@
 package mxs_test
 
 import (
+	"slices"
 	"testing"
 
+	"cmpsim/internal/benchfig"
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/workload"
@@ -29,86 +31,129 @@ func (m *oneCycleMem) SCCheck(cpu int, addr uint32) bool {
 func (m *oneCycleMem) ClearReservation(cpu int) { m.reserved = false }
 func (*oneCycleMem) Report() memsys.Report      { return memsys.Report{Name: "one-cycle"} }
 
-// tickBench drives the MXS cores of one machine by hand, every core on
-// every cycle in the serial loop's rotation. Its two cases:
+// tickBench drives the MXS cores of one machine by hand, in the serial
+// loop's rotation. Its three cases:
 //
 //   - one-cycle: quick-scale eqntott on one core over oneCycleMem, integer
 //     code whose data-dependent branches mispredict often, so the squash
 //     path runs at steady state along with dispatch, wakeup, issue and
 //     graduation, and nothing else is timed;
 //   - mp3d-shared-mem: quick-scale MP3D on the default four cores over the
-//     real shared-memory system, so misses keep entries pending for tens
-//     of cycles, the MSHRs and write buffers refuse, and most ticks find
-//     no completion due.
+//     real shared-memory system, every core ticked on every cycle, so
+//     misses keep entries pending for tens of cycles, the MSHRs and write
+//     buffers refuse, and most ticks find no completion due;
+//   - stalled-window: the same program on the memory-bound design point
+//     (benchfig.MXSMemBoundConfig), each core ticked only when its own wake
+//     hint is due, as the cycle loop ticks it: what is timed is the ticks
+//     NextWork could not rule out, and ticks/inst says how many those are.
 type tickBench struct {
-	cpus []core.Core
-	cyc  uint64
-	k    int // cores already ticked at cyc
+	cpus   []core.Core
+	cyc    uint64
+	k      int      // cores already visited at cyc
+	wakeAt []uint64 // per core, the hint of its last tick; nil ticks every cycle
 }
 
-var tickBenchCases = []struct {
+type tickBenchCase struct {
 	name, app string
 	oneCycle  bool
-}{
-	{"one-cycle", "eqntott", true},
-	{"mp3d-shared-mem", "mp3d", false},
+	stalled   bool
 }
 
-func newTickBench(tb testing.TB, app string, oneCycle bool) *tickBench {
+var tickBenchCases = []tickBenchCase{
+	{name: "one-cycle", app: "eqntott", oneCycle: true},
+	{name: "mp3d-shared-mem", app: "mp3d"},
+	{name: "stalled-window", app: "mp3d", stalled: true},
+}
+
+func newTickBench(tb testing.TB, bc tickBenchCase) *tickBench {
 	tb.Helper()
-	w, err := workload.NewQuick(app)
+	w, err := workload.NewQuick(bc.app)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cfg := memsys.DefaultConfig()
-	if oneCycle {
+	if bc.stalled {
+		cfg = benchfig.MXSMemBoundConfig()
+	}
+	if bc.oneCycle {
 		cfg.NumCPUs = 1
 	}
 	m, err := core.NewMachine(core.SharedMem, core.ModelMXS, cfg, w.MemBytes())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if oneCycle {
+	if bc.oneCycle {
 		m.Sys = &oneCycleMem{} // before Configure: the cores capture it as they are built
 	}
 	if err := w.Configure(m); err != nil {
 		tb.Fatal(err)
 	}
-	return &tickBench{cpus: m.CPUs}
+	t := &tickBench{cpus: m.CPUs}
+	if bc.stalled {
+		t.wakeAt = make([]uint64, len(m.CPUs))
+	}
+	return t
 }
 
 // ticks makes n Tick calls and reports whether every core is still
 // running.
 func (t *tickBench) ticks(n int) bool {
 	cpus := len(t.cpus)
-	for ; n > 0; n-- {
-		c := t.cpus[(t.cyc+uint64(t.k))%uint64(cpus)]
-		if c.Done() {
-			return false
+	for n > 0 {
+		k := int((t.cyc + uint64(t.k)) % uint64(cpus))
+		if t.wakeAt == nil || t.wakeAt[k] <= t.cyc {
+			c := t.cpus[k]
+			if c.Done() {
+				return false
+			}
+			w := c.Tick(t.cyc)
+			if t.wakeAt != nil {
+				t.wakeAt[k] = w
+			}
+			n--
 		}
-		c.Tick(t.cyc)
 		if t.k++; t.k == cpus {
 			t.k = 0
 			t.cyc++
+			if t.wakeAt != nil {
+				// Jump to the earliest wake cycle, as the loop does; with
+				// every core halted that is cpu.NoWork, and the core found
+				// due there is Done.
+				t.cyc = max(t.cyc, slices.Min(t.wakeAt))
+			}
 		}
 	}
 	return true
 }
 
-// BenchmarkMXSTick reports host ns per MXS pipeline cycle of one core.
-// CI requires "0 allocs/op" of both cases (make bench-trace).
+// retired returns the instructions the cores have graduated.
+func (t *tickBench) retired() (n uint64) {
+	for _, c := range t.cpus {
+		n += c.Stats().Instructions
+	}
+	return n
+}
+
+// BenchmarkMXSTick reports host ns per MXS Tick call of one core, and
+// the Tick calls made per graduated instruction. CI requires "0
+// allocs/op" of every case (make bench-trace).
 func BenchmarkMXSTick(b *testing.B) {
 	for _, bc := range tickBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			t := newTickBench(b, bc.app, bc.oneCycle)
+			t := newTickBench(b, bc)
+			var retired uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !t.ticks(1) {
 					b.StopTimer()
-					t = newTickBench(b, bc.app, bc.oneCycle)
+					retired += t.retired()
+					t = newTickBench(b, bc)
 					b.StartTimer()
 				}
+			}
+			if retired += t.retired(); retired > 0 {
+				b.ReportMetric(float64(b.N)/float64(retired), "ticks/inst")
 			}
 		})
 	}
@@ -119,7 +164,7 @@ func BenchmarkMXSTick(b *testing.B) {
 func TestTickDoesNotAllocate(t *testing.T) {
 	for _, bc := range tickBenchCases {
 		t.Run(bc.name, func(t *testing.T) {
-			tb := newTickBench(t, bc.app, bc.oneCycle)
+			tb := newTickBench(t, bc)
 			if !tb.ticks(10_000) {
 				t.Fatal("the program halted during warm-up")
 			}

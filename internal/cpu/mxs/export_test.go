@@ -2,9 +2,11 @@ package mxs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/isa"
+	"cmpsim/internal/memsys"
 )
 
 // serializes reports whether op executes only at the ROB head,
@@ -108,6 +110,22 @@ func (c *CPU) CheckMasks(now uint64) error {
 				now, m.name, m.got, m.want, live)
 		}
 	}
+	if c.blocked&^c.ready != 0 {
+		return fmt.Errorf("cycle %d: blocked mask %#08x has entries outside ready %#08x", now, c.blocked, c.ready)
+	}
+	for m := c.blocked; m != 0; m &= m - 1 {
+		if idx := bits.TrailingZeros32(m); c.rob[idx].u.Flags&cpu.UopLoad == 0 {
+			return fmt.Errorf("cycle %d: blocked slot %d holds %v, not a load", now, idx, c.rob[idx].u.Inst)
+		}
+	}
+	for _, r := range []struct {
+		name string
+		at   uint64
+	}{{"issueRetry", c.issueRetry}, {"headRetry", c.headRetry}} {
+		if r.at <= now+1 {
+			return fmt.Errorf("cycle %d: %s %d is neither reset nor past the next cycle", now, r.name, r.at)
+		}
+	}
 	for i, idx := 0, c.head; i < c.count; i, idx = i+1, (idx+1)%windowSize {
 		if c.consumers[idx] != consumers[idx] {
 			return fmt.Errorf("cycle %d: consumers[%d] %#08x, true consumers %#08x (live %#08x)",
@@ -120,10 +138,47 @@ func (c *CPU) CheckMasks(now uint64) error {
 	return nil
 }
 
+// Snapshot is the pipeline state a tick that does nothing leaves alone:
+// ring positions, slot masks, front end, and the architectural PC. Of
+// pending and avail it holds the union and the entries still executing:
+// a load that was done at issue (forwarded, unmapped) moves from one to
+// the other at its doneAt whenever complete next runs, which nothing but
+// a waiting consumer can observe, and NextWork bounds those.
+type Snapshot struct {
+	Head, Tail, Count                         int
+	Waiting, Ready, Executing, Issued, Stores uint32
+	FqLen                                     int
+	FetchPC, FetchLine, PC                    uint32
+	FetchReady                                uint64
+}
+
+func (c *CPU) Snapshot() Snapshot {
+	executing := c.pending
+	for m := c.pending; m != 0; m &= m - 1 {
+		if p := bits.TrailingZeros32(m); c.rob[p].done {
+			executing &^= bit(p)
+		}
+	}
+	return Snapshot{
+		c.head, c.tail, c.count,
+		c.waiting, c.ready, executing, c.pending | c.avail, c.stores,
+		c.fqLen,
+		c.fetchPC, c.fetchLine, c.ctx.PC,
+		c.fetchReady,
+	}
+}
+
+// IRQLive reports whether the CPU's interrupt line is asserted.
+func (c *CPU) IRQLive() bool { return c.irq != nil && c.irq.PendingInterrupt(c.id) }
+
+// WrapMem puts wrap(the CPU's memory system) in its place.
+func (c *CPU) WrapMem(wrap func(memsys.System) memsys.System) { c.mem = wrap(c.mem) }
+
 // NextWorkScan is the quiescence proof as the scan-based pipeline
 // computed it: a walk over every window entry that reads only robEntry
-// fields. It is the reference NextWork's mask-bounded proof must equal
-// in every state the tests reach.
+// fields and bounds by timestamp alone. It answers now+1 to everything
+// the memory system or an older store holds up, so it is the floor:
+// NextWork may prove a longer sleep, never a shorter one.
 func (c *CPU) NextWorkScan(now uint64) uint64 {
 	if c.ctx.Halted {
 		return cpu.NoWork

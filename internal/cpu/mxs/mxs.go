@@ -15,6 +15,7 @@ import (
 	"math/bits"
 
 	"cmpsim/internal/cpu"
+	"cmpsim/internal/cyc"
 	"cmpsim/internal/isa"
 	"cmpsim/internal/mem"
 	"cmpsim/internal/memsys"
@@ -146,6 +147,19 @@ type CPU struct {
 	// complete has nothing to do before it.
 	nextDone uint64
 
+	// What the last Tick could not move and until when, for NextWork;
+	// reset at the top of every Tick, so valid exactly as long as nobody
+	// has ticked the core since. blocked holds the ready loads tryLoad
+	// turned away without touching anything: behind an older store (the
+	// pending and head terms of NextWork bound that store), or refused
+	// by the memory system with a retry cycle (memsys.Result), the
+	// earliest of which is issueRetry. headRetry is the retry cycle of a
+	// refused store at the head. Both cycles are cpu.NoWork when unset
+	// and past now+1 otherwise (retryAt).
+	blocked    uint32
+	issueRetry uint64
+	headRetry  uint64
+
 	// consumers[p] holds the live slots that renamed a source to p, from
 	// p's dispatch until its release: what complete wakes and release
 	// detaches.
@@ -203,6 +217,9 @@ func New(id int, ctx *cpu.Context, sys memsys.System, code cpu.CodeSource, trap 
 		img:       img,
 		lineMask:  ^(lineBytes - 1),
 		fetchLine: invalidLine,
+
+		issueRetry: cpu.NoWork,
+		headRetry:  cpu.NoWork,
 	}
 	c.fetchPC = ctx.PC
 	for i := range c.writer {
@@ -228,6 +245,7 @@ func (c *CPU) Tick(now uint64) uint64 {
 	if c.ctx.Halted {
 		return cpu.NoWork
 	}
+	c.blocked, c.issueRetry, c.headRetry = 0, cpu.NoWork, cpu.NoWork
 	if c.irq != nil && c.irq.PendingInterrupt(c.id) {
 		c.irqStop = true
 	}
@@ -280,14 +298,15 @@ func (c *CPU) Tick(now uint64) uint64 {
 // per-cycle side effect beyond stall blame (which SkipCycles backfills).
 // The proof is conservative — any state whose wake-up time this scan
 // cannot bound returns now+1, which degrades gracefully to the
-// per-cycle loop — and sound only because every timed transition in the
+// per-cycle loop — and sound only because every transition in the
 // pipeline is driven by a cycle number the scan can see: fetchReady for
-// the front end and doneAt for every in-flight instruction. States
-// governed by memory-system backpressure instead of a timestamp (write
-// buffer or MSHR refusal retries, serializing instructions at the
-// head) must be ticked every cycle, both because their retry probes
-// have per-cycle side effects (stat charging, refusal trace events)
-// and because the retry outcome is not visible from here.
+// the front end, doneAt for every in-flight instruction, and for what
+// the memory system refused the retry cycle it gave (memsys.Result),
+// before which a retry changes nothing on either side. What has no such
+// number stays per-cycle: a fetch queue that can dispatch, a ready entry
+// issue did not turn away, an SC or a refused LL at the head, a refusal
+// whose retries do have effects (retry cycle now+1), and any refusal
+// under a tracer, which records each retry.
 func (c *CPU) NextWork(now uint64) uint64 {
 	if c.ctx.Halted {
 		return cpu.NoWork
@@ -313,26 +332,35 @@ func (c *CPU) NextWork(now uint64) uint64 {
 	// the head only waits to graduate; older entries bound both.
 	if c.count > 0 {
 		e := &c.rob[c.head]
-		if e.flags&cpu.UopSerial != 0 {
-			return now + 1 // serializers execute (and retry) at the head
-		}
-		if e.issued && e.done {
-			// Values latched: graduation acts on it (or retries against
-			// memory-system backpressure) as soon as doneAt has passed.
-			if e.doneAt <= now {
+		switch {
+		case e.flags&cpu.UopSerial != 0:
+			// SYSCALL, HALT and SC act, and an LL goes to memory (and
+			// retries there), on every cycle at the head; an issued LL
+			// waits for the cycle before its data, when serialize commits.
+			if e.flags&cpu.UopLoad == 0 || !e.issued {
 				return now + 1
 			}
-			if e.doneAt < wake {
-				wake = e.doneAt
+			wake = min(wake, cyc.Sub(e.doneAt, 1))
+		case e.issued && e.done:
+			// Values latched: graduation acts on it as soon as doneAt has
+			// passed, unless it is a store the memory system refused.
+			switch {
+			case e.doneAt > now:
+				wake = min(wake, e.doneAt)
+			case c.headRetry == cpu.NoWork:
+				return now + 1
+			default:
+				wake = min(wake, c.headRetry)
 			}
 		}
 	}
-	if c.ready != 0 {
-		// Operands available, yet not issued (FU conflict, issue width, a
-		// load blocked on an older store or refused by the memory
-		// system): the reason is not provable from here, so no skip.
+	if c.ready&^c.blocked != 0 {
+		// Operands available, yet not issued for a reason that is not
+		// provable from here (FU conflict, issue width, dispatched after
+		// issue ran, a refused load to retry next cycle): no skip.
 		return now + 1
 	}
+	wake = min(wake, c.issueRetry)
 	// A waiting entry that is not ready wakes when its last producer
 	// completes, and it cannot issue before an unissued producer does,
 	// so the pending entries bound every other transition in the
@@ -448,8 +476,9 @@ func (c *CPU) graduate(now uint64) int {
 			continue
 		}
 		if f&cpu.UopStore != 0 {
-			if _, ok := c.mem.Access(now, c.id, e.ea, true); !ok {
-				break // write buffer full; retry next cycle
+			if r, ok := c.mem.Access(now, c.id, e.ea, true); !ok {
+				c.headRetry = c.retryAt(now, r)
+				break
 			}
 			c.writeStore(e)
 		}
@@ -845,6 +874,7 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 	for ; older != 0; older &= older - 1 {
 		se := &c.rob[wrap(c.head+bits.TrailingZeros32(older))]
 		if !se.issued || !se.done || se.doneAt > now {
+			c.blocked |= bit(idx)
 			return false // older store address unknown: wait
 		}
 		sSize := uint32(se.u.Size)
@@ -865,11 +895,16 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 		}
 		// Partial overlap: wait until the store graduates and writes
 		// memory, then the load reads the merged bytes.
+		c.blocked |= bit(idx)
 		return false
 	}
 
 	res, accepted := c.mem.Access(now, c.id, pea, false)
 	if !accepted {
+		if at := c.retryAt(now, res); at != cpu.NoWork {
+			c.blocked |= bit(idx)
+			c.issueRetry = min(c.issueRetry, at)
+		}
 		return false
 	}
 	e.issued = true
@@ -885,6 +920,17 @@ func (c *CPU) tryLoad(now uint64, idx int, e *robEntry) bool {
 		e.fvalue = c.img.ReadF64(pea)
 	}
 	return true
+}
+
+// retryAt returns the cycle a reference refused at now is worth retrying
+// at, as the memory system bounded it, or cpu.NoWork when it is to be
+// retried next cycle: the bound is no later than that, or a tracer wants
+// the refusal event of every retried cycle.
+func (c *CPU) retryAt(now uint64, refused memsys.Result) uint64 {
+	if c.tr != nil || refused.Done <= now+1 {
+		return cpu.NoWork
+	}
+	return refused.Done
 }
 
 // execute performs a non-load instruction's computation at issue.

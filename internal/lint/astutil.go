@@ -195,3 +195,17 @@ func scopeUnder(prefixes ...string) func(string) bool {
 		return false
 	}
 }
+
+// hasDirective reports whether a comment group carries directive (a
+// "simlint:..." marker) on any of its lines.
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if strings.Contains(c.Text, directive) {
+			return true
+		}
+	}
+	return false
+}

@@ -42,7 +42,7 @@ import (
 var CachekeyAnalyzer = &Analyzer{
 	Name:      "cachekey",
 	Doc:       "every memsys.Config knob must reach the cache fingerprint (or be excluded-and-nil-checked); no config reads outside Config in simulator code",
-	Scope:     scopeUnder(append(append([]string{}, ownershipPackages...), "internal/event", "internal/mem")...),
+	Scope:     scopeUnder("internal/core", "internal/cpu", "internal/cache", "internal/memsys", "internal/coherence", "internal/interconnect", "internal/event", "internal/mem"),
 	RunModule: runCachekey,
 }
 

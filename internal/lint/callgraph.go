@@ -9,11 +9,11 @@ import (
 )
 
 // This file is simlint v2's shared call-graph substrate. The module-wide
-// analyzers (sharedmut, neutral, cachekey, and hotalloc's propagation
-// pass) all need the same question answered: "which functions can run
-// beneath a given root?" — where the roots are the simulator's hot
-// entry points (Core.Tick, Machine.RunWindow) and the edges must cross
-// package boundaries and interface dispatch.
+// analyzers (neutral, cachekey, and hotalloc's propagation pass) all
+// need the same question answered: "which functions can run beneath a
+// given root?" — where the roots are the simulator's hot entry points
+// (Core.Tick, Machine.RunWindow) and the edges must cross package
+// boundaries and interface dispatch.
 //
 // Because the loader type-checks each package independently (the module
 // has no x/tools dependency, so there is no shared go/packages

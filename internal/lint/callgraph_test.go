@@ -136,7 +136,7 @@ func drive(s Sink, now uint64) { s.Observe(now) }
 }
 
 // TestReachableBoundary requires boundary functions to be reached but
-// not traversed through — the arbiter semantics sharedmut builds on.
+// not traversed through.
 func TestReachableBoundary(t *testing.T) {
 	dir := writeFixturePkg(t, `package a
 

@@ -70,14 +70,13 @@ func analyzerByName(t *testing.T, name string) *lint.Analyzer {
 func TestAnalyzersCatchFixtures(t *testing.T) {
 	// Each fixture masquerades as an in-scope simulator package via its
 	// fake relPath: internal/cache for the per-CPU-domain analyzers,
-	// internal/memsys for the ones keyed to the shared domain (sharedmut
-	// ownership defaults, cachekey's Config audit).
+	// internal/memsys for the one keyed to the shared domain (cachekey's
+	// Config audit).
 	fixtures := []struct{ name, relPath string }{
 		{"determinism", "internal/cache"},
 		{"cycleflow", "internal/cache"},
 		{"hotalloc", "internal/cache"},
 		{"statreg", "internal/cache"},
-		{"sharedmut", "internal/memsys"},
 		{"neutral", "internal/cache"},
 		{"cachekey", "internal/memsys"},
 	}
@@ -136,9 +135,9 @@ func TestAnalyzersCatchFixtures(t *testing.T) {
 	}
 }
 
-// The real-module load is shared across the whole-tree tests (shipped
-// tree, ownership golden): type-checking the module from source once is
-// expensive enough to amortize.
+// The real-module load is shared across the whole-tree tests:
+// type-checking the module from source once is expensive enough to
+// amortize.
 var (
 	moduleOnce sync.Once
 	modulePkgs []*lint.Package

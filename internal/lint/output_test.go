@@ -19,8 +19,8 @@ func sampleDiags() []lint.Diagnostic {
 		},
 		{
 			Pos:      token.Position{Filename: "/m/internal/core/core.go", Line: 7, Column: 2},
-			Analyzer: "sharedmut",
-			Message:  "shared field X is written on an arbiter-free path",
+			Analyzer: "neutral",
+			Message:  "telemetry value X flows into simulated state",
 		},
 	}
 }
@@ -45,8 +45,8 @@ func TestJSONFormatPinned(t *testing.T) {
     "file": "internal/core/core.go",
     "line": 7,
     "column": 2,
-    "analyzer": "sharedmut",
-    "message": "shared field X is written on an arbiter-free path"
+    "analyzer": "neutral",
+    "message": "telemetry value X flows into simulated state"
   }
 ]
 `
@@ -68,7 +68,7 @@ func TestJSONFormatPinned(t *testing.T) {
 // result per finding with a module-relative artifact URI.
 func TestSARIFFormatPinned(t *testing.T) {
 	analyzers := []*lint.Analyzer{
-		{Name: "sharedmut", Doc: "classify simulator state"},
+		{Name: "neutral", Doc: "keep observability output-neutral"},
 		{Name: "hotalloc", Doc: "forbid hot-path allocation"},
 	}
 	var buf bytes.Buffer
@@ -91,9 +91,9 @@ func TestSARIFFormatPinned(t *testing.T) {
               }
             },
             {
-              "id": "sharedmut",
+              "id": "neutral",
               "shortDescription": {
-                "text": "classify simulator state"
+                "text": "keep observability output-neutral"
               }
             }
           ]

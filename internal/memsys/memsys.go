@@ -53,9 +53,15 @@ func (l Level) String() string {
 	return "?"
 }
 
-// Result reports the outcome of a memory reference.
+// Result reports the outcome of a memory reference. Done of an accepted
+// reference is the cycle at which the data is available (a store is
+// accepted into the write buffer at now+1). Done of a refused one is
+// its retry cycle: no retry of the same reference before it can be
+// accepted or have any effect on the memory system, so retrying every
+// cycle and sleeping until Done are indistinguishable. It is now+1
+// wherever a refused call does have effects.
 type Result struct {
-	Done  uint64 // cycle at which the data is available / the store is accepted
+	Done  uint64
 	Level Level
 }
 
@@ -66,7 +72,8 @@ type System interface {
 
 	// Access performs a data reference by cpu to physical address addr.
 	// ok=false is a structural refusal (MSHRs or write buffer full): the
-	// CPU must retry next cycle and attribute the stall to Result.Level.
+	// CPU retries, every cycle or from Result.Done on (see Result), and
+	// attributes the stall to Result.Level.
 	Access(now uint64, cpu int, addr uint32, write bool) (Result, bool)
 
 	// IFetch fetches the instruction line containing addr for cpu.
@@ -368,8 +375,6 @@ func (c Config) MXS() Config {
 // writeBuf models a per-CPU store buffer: the CPU retires a store in one
 // cycle while the write (and any allocation fetch it triggers) drains in
 // the background. A full buffer stalls further stores.
-//
-//simlint:owned per-cpu — each CPU drains only its own buffer (wbufs[cpu])
 type writeBuf struct {
 	depth   int
 	pending []uint64 // completion cycles of in-flight stores
@@ -389,6 +394,20 @@ func (w *writeBuf) reap(now uint64) {
 func (w *writeBuf) full(now uint64) bool {
 	w.reap(now)
 	return len(w.pending) >= w.depth
+}
+
+// nextFree returns the cycle the earliest in-flight store drains: the
+// first cycle at which a buffer that full(now) just found full is not
+// (never, for a buffer of depth zero). Only the owning CPU's accepted
+// stores add entries, so the answer holds until its next one.
+func (w *writeBuf) nextFree() uint64 {
+	free := ^uint64(0)
+	for _, done := range w.pending {
+		if done < free {
+			free = done
+		}
+	}
+	return free
 }
 
 func (w *writeBuf) add(done uint64) {
@@ -425,8 +444,6 @@ func newReservations(numCPUs int, lineBytes uint32) reservations {
 // inter-CPU arbitration mechanism (LL/SC): its methods are the declared
 // serialization points the parallel tick must order at window
 // boundaries, exactly like bus acquisition.
-//
-//simlint:arbiter
 func (r *reservations) set(cpu int, addr uint32) {
 	r.addr[cpu] = addr & r.lineMask
 	r.valid[cpu] = true
@@ -434,8 +451,6 @@ func (r *reservations) set(cpu int, addr uint32) {
 
 // clearOthers breaks every other CPU's reservation on addr's line; call
 // on every store.
-//
-//simlint:arbiter
 func (r *reservations) clearOthers(cpu int, addr uint32) {
 	la := addr & r.lineMask
 	for i := range r.valid {
@@ -447,15 +462,12 @@ func (r *reservations) clearOthers(cpu int, addr uint32) {
 
 // checkAndClear consumes cpu's reservation, reporting whether it was
 // still valid for addr's line.
-//
-//simlint:arbiter
 func (r *reservations) checkAndClear(cpu int, addr uint32) bool {
 	ok := r.valid[cpu] && r.addr[cpu] == addr&r.lineMask
 	r.valid[cpu] = false
 	return ok
 }
 
-//simlint:arbiter
 func (r *reservations) clear(cpu int) { r.valid[cpu] = false }
 
 // newICaches builds the private instruction caches common to all three

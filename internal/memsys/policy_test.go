@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -182,5 +184,136 @@ func TestQuickIFetchSane(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wbufOf returns cpu's write buffer in any of the three compositions.
+func wbufOf(s System, cpu int) *writeBuf {
+	switch s := s.(type) {
+	case *SharedL1:
+		return &s.wbufs[cpu]
+	case *SharedL2:
+		return &s.wbufs[cpu]
+	case *SharedMem:
+		return &s.wbufs[cpu]
+	}
+	return nil
+}
+
+// TestRefusalRetryBound pins the contract of a refused Result.Done: a
+// retry of the same reference at any cycle before it is refused again
+// and leaves Report() as it was, and where the bound is exact (the
+// write buffer of every architecture, shared-L1's probe-first MSHR
+// check) it is the earliest completion among what fills the structure
+// and the retry at that cycle is accepted. The per-CPU MSHR files of
+// shared-L2 and shared-mem are consulted after the L1 lookup has been
+// counted, so their refusal promises nothing past the next cycle.
+func TestRefusalRetryBound(t *testing.T) {
+	archs := []struct {
+		name      string
+		mk        func(Config) System
+		mshrExact bool
+	}{
+		{"shared-l1", func(c Config) System { return NewSharedL1(c) }, true},
+		{"shared-l2", func(c Config) System { return NewSharedL2(c) }, false},
+		{"shared-mem", func(c Config) System { return NewSharedMem(c) }, false},
+	}
+	// check retries CPU 0's reference refused at now with bound r.Done.
+	check := func(t *testing.T, s System, now uint64, r Result, exact bool, earliest uint64, addr uint32, write bool) {
+		t.Helper()
+		want := now + 1
+		if exact {
+			want = earliest
+		}
+		if r.Done != want {
+			t.Errorf("refused at %d with retry cycle %d, want %d (exact bound: %v)", now, r.Done, want, exact)
+		}
+		before := s.Report()
+		for at := now + 1; at < r.Done; at++ {
+			if _, ok := s.Access(at, 0, addr, write); ok {
+				t.Fatalf("retry at %d accepted, before the retry cycle %d", at, r.Done)
+			}
+			if after := s.Report(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("retry at %d, before the retry cycle %d, changed the report\nbefore: %+v\n after: %+v", at, r.Done, before, after)
+			}
+		}
+		if _, ok := s.Access(r.Done, 0, addr, write); exact && !ok {
+			t.Errorf("retry at the retry cycle %d refused, and nobody else took the slot", r.Done)
+		}
+	}
+	for _, a := range archs {
+		a := a
+		t.Run(a.name+"/write-buffer", func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.WriteBufDepth = 2
+			s := a.mk(cfg)
+			for i, addr := range []uint32{0x1000, 0x2000} {
+				if _, ok := s.Access(uint64(i), 0, addr, true); !ok {
+					t.Fatalf("store %d refused while the buffer has room", i)
+				}
+			}
+			w := wbufOf(s, 0)
+			if len(w.pending) != 2 || w.pending[0] == w.pending[1] {
+				t.Fatalf("in-flight stores drain at %v, want two distinct cycles", w.pending)
+			}
+			r, ok := s.Access(2, 0, 0x3000, true)
+			if ok {
+				t.Fatal("third store accepted by a two-entry buffer")
+			}
+			check(t, s, 2, r, true, min(w.pending[0], w.pending[1]), 0x3000, true)
+		})
+		for _, write := range []bool{false, true} {
+			write := write
+			if write && a.name == "shared-l2" {
+				continue // a write-through store takes no MSHR
+			}
+			t.Run(fmt.Sprintf("%s/mshr/write=%v", a.name, write), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.MSHRs = 1
+				s := a.mk(cfg)
+				// One entry per CPU: shared-L1's single file holds four, the
+				// private files one each, so CPU 0's second miss finds its
+				// file full either way.
+				earliest := ^uint64(0)
+				for cpu := 0; cpu < cfg.NumCPUs; cpu++ {
+					r, ok := s.Access(uint64(cpu), cpu, 0x1000*uint32(cpu+1), false)
+					if !ok {
+						t.Fatalf("cpu %d's first miss refused", cpu)
+					}
+					if a.mshrExact || cpu == 0 {
+						earliest = min(earliest, r.Done)
+					}
+				}
+				now := uint64(cfg.NumCPUs)
+				r, ok := s.Access(now, 0, 0x9000, write)
+				if ok {
+					t.Fatal("miss accepted with every MSHR busy")
+				}
+				if r.Level != LvlL1 {
+					t.Fatalf("refusal blames %v, want the MSHRs' L1", r.Level)
+				}
+				check(t, s, now, r, a.mshrExact, earliest, 0x9000, write)
+			})
+		}
+	}
+}
+
+func TestWriteBufNextFree(t *testing.T) {
+	for _, tc := range []struct {
+		pending []uint64
+		want    uint64
+	}{
+		{nil, ^uint64(0)},
+		{[]uint64{40}, 40},
+		{[]uint64{90, 40, 70}, 40},
+		{[]uint64{40, 40}, 40},
+	} {
+		w := writeBuf{depth: len(tc.pending), pending: tc.pending}
+		if got := w.nextFree(); got != tc.want {
+			t.Errorf("nextFree of %v = %d, want %d", tc.pending, got, tc.want)
+		}
+		if tc.pending != nil && (!w.full(tc.want-1) || w.full(tc.want)) {
+			t.Errorf("buffer %v: full must flip at nextFree %d", tc.pending, tc.want)
+		}
 	}
 }

@@ -140,13 +140,15 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 	if write {
 		if s.wbufs[cpu].full(now) {
 			s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
-			return Result{Done: now + 1, Level: LvlL2}, false
+			return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
 		}
 	}
 	// Refuse a guaranteed primary miss before consuming a bank slot, so
-	// MSHR-full retry storms do not eat crossbar bandwidth.
+	// MSHR-full retry storms do not eat crossbar bandwidth. Nothing has
+	// been touched yet, and the line cannot arrive before an entry frees:
+	// only a primary miss fills, and every CPU's is refused until then.
 	if s.dcache.Probe(addr) == nil && s.mshr.Full(now) {
-		return Result{Done: now + 1, Level: LvlL1}, false
+		return Result{Done: s.mshr.NextFree(), Level: LvlL1}, false
 	}
 	if write {
 		s.res.clearOthers(cpu, addr)

@@ -240,7 +240,7 @@ func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
 		// Stall until a buffer slot drains; attribute to the L2 (port
 		// contention), as in the paper's Figure 10 discussion.
 		s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
-		return Result{Done: now + 1, Level: LvlL2}, false
+		return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
 	}
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)

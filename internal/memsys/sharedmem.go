@@ -191,8 +191,6 @@ func (s *SharedMem) Access(now uint64, cpu int, addr uint32, write bool) (Result
 // line across all four private hierarchies. It is an arbitration point
 // for its scratch buffer: callers reach it only through Access, which
 // executes under the cycle loop's serial-order grant.
-//
-//simlint:arbiter
 func (s *SharedMem) sanityCheck(now uint64, cpu int, addr uint32, r Result) {
 	chk := s.cfg.Check
 	chk.CheckAccessTime(now, r.Done, cpu, addr)
@@ -219,7 +217,7 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 	if write {
 		if s.wbufs[cpu].full(now) {
 			s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
-			return Result{Done: now + 1, Level: LvlL2}, false
+			return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
 		}
 		s.res.clearOthers(cpu, addr)
 	}
