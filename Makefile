@@ -107,11 +107,13 @@ experiments-output:
 # same on the memory-bound design point with every core ticked only
 # when its wake hint is due: ns per tick and ticks per instruction),
 # the two BenchmarkMipsyTick cases (the simple CPU against a one-cycle
-# memory, ns per instruction) and the two BenchmarkRunWindow cases (the
-# cycle loop alone over stub cores, ns per executed cycle) must report
+# memory, ns per instruction), the two BenchmarkRunWindow cases (the
+# cycle loop alone over stub cores, ns per executed cycle) and
+# BenchmarkCacheInvalidateMiss (a private cache's side of a coherence
+# ping-pong over 64 Ki lines: the invalidation-marker set) must report
 # 0 allocs/op (CI checks each of them by name).
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache
 
 # layout-smoke round-trips the profile-guided layout pipeline on real
 # runs: profile a quick sharded memory-bound point, ask the offline

@@ -131,9 +131,11 @@ type Cache struct {
 	bankMask  uint32
 	clock     uint64 // LRU timestamp source
 
-	// invalidated remembers line addresses removed by coherence so the
-	// next miss on them can be classified as an invalidation miss.
-	invalidated map[uint32]struct{}
+	// invalidated remembers the lines removed by coherence so the next
+	// counted miss on them can be classified as an invalidation miss. The
+	// marker belongs to the line, not to the way it left: another line
+	// refilling that way does not consume it.
+	invalidated lineSet
 
 	stats Stats
 }
@@ -161,13 +163,12 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, numSets))
 	}
 	return &Cache{
-		cfg:         cfg,
-		lines:       make([]Line, numSets*cfg.Assoc),
-		numSets:     numSets,
-		assoc:       cfg.Assoc,
-		lineShift:   uint32(bits.TrailingZeros32(cfg.LineBytes)),
-		bankMask:    cfg.Banks - 1,
-		invalidated: make(map[uint32]struct{}),
+		cfg:       cfg,
+		lines:     make([]Line, numSets*cfg.Assoc),
+		numSets:   numSets,
+		assoc:     cfg.Assoc,
+		lineShift: uint32(bits.TrailingZeros32(cfg.LineBytes)),
+		bankMask:  cfg.Banks - 1,
 	}
 }
 
@@ -218,21 +219,26 @@ type AccessResult struct {
 // calling Fill once the line has been fetched; Access itself does not
 // allocate, because the fill state depends on the coherence protocol.
 func (c *Cache) Access(addr uint32, write bool) AccessResult {
+	return c.AccessProbed(c.Probe(addr), addr, write)
+}
+
+// AccessProbed is Access for a caller that has already looked: ln must
+// be what Probe(addr) returns at this moment. The memory systems probe
+// first, because a reference they refuse must not be counted, and hand
+// the line over instead of having the set scanned twice.
+func (c *Cache) AccessProbed(ln *Line, addr uint32, write bool) AccessResult {
 	c.clock++
 	if write {
 		c.stats.Writes++
 	} else {
 		c.stats.Reads++
 	}
-	if ln := c.Probe(addr); ln != nil {
+	if ln != nil {
 		ln.lru = c.clock
 		return AccessResult{Hit: true, State: ln.State}
 	}
-	inv := false
-	la := c.LineAddr(addr)
-	if _, ok := c.invalidated[la]; ok {
-		inv = true
-		delete(c.invalidated, la)
+	inv := c.invalidated.remove(addr >> c.lineShift)
+	if inv {
 		c.stats.InvMisses++
 	}
 	if write {
@@ -300,7 +306,7 @@ func (c *Cache) Invalidate(addr uint32) (present, dirty bool) {
 	dirty = ln.State == Modified
 	ln.State = Invalid
 	c.stats.Invalidates++
-	c.invalidated[c.LineAddr(addr)] = struct{}{}
+	c.invalidated.add(addr >> c.lineShift)
 	return true, dirty
 }
 
@@ -350,4 +356,46 @@ func (c *Cache) CountValid() int {
 		}
 	}
 	return n
+}
+
+// lineSet is an exact set of line numbers (addr >> lineShift): a bitmap
+// in pages allocated on first use, behind a directory grown to the
+// highest page ever marked. With 32-byte lines a page covers 1 MiB of
+// guest memory, so a cache allocates one 4 KiB page per MiB it has ever
+// had a line invalidated in and nothing after that; add and remove are
+// two indexed loads on the snoop and miss paths.
+type lineSet struct {
+	pages []*linePage
+}
+
+const (
+	linePageShift = 15 // 32 Ki lines, 4 KiB of bits
+	linePageWords = 1 << (linePageShift - 6)
+)
+
+type linePage [linePageWords]uint64
+
+func (s *lineSet) add(line uint32) {
+	p := int(line >> linePageShift)
+	if p >= len(s.pages) {
+		grown := make([]*linePage, p+1) //simlint:allow hotalloc — once per new highest page: at most one pointer per MiB of guest memory over a whole run
+		copy(grown, s.pages)
+		s.pages = grown
+	}
+	if s.pages[p] == nil {
+		s.pages[p] = new(linePage) //simlint:allow hotalloc — first invalidation in this MiB of guest memory; 0 allocs/op at steady state (BenchmarkCacheInvalidateMiss)
+	}
+	s.pages[p][line>>6&(linePageWords-1)] |= 1 << (line & 63)
+}
+
+// remove takes line out of the set and reports whether it was in it.
+func (s *lineSet) remove(line uint32) bool {
+	p := int(line >> linePageShift)
+	if p >= len(s.pages) || s.pages[p] == nil {
+		return false
+	}
+	w, bit := &s.pages[p][line>>6&(linePageWords-1)], uint64(1)<<(line&63)
+	was := *w&bit != 0
+	*w &^= bit
+	return was
 }

@@ -295,3 +295,144 @@ func TestStatsAdd(t *testing.T) {
 		t.Errorf("Add result = %+v", a)
 	}
 }
+
+// markerOp is one step of a marker-set test stream.
+type markerOp struct {
+	kind byte // 'a' load, 'w' store, 'f' fill, 'i' invalidate, 'e' evict for inclusion
+	addr uint32
+}
+
+// checkMarkers runs ops on c beside the reference the marker set
+// replaced, a Go map of invalidated line addresses: set by Invalidate
+// on a present line, consumed by the next counted miss on that line and
+// by nothing else. Every AccessResult.InvMiss and the final Stats must
+// agree with it.
+func checkMarkers(t *testing.T, c *Cache, ops []markerOp) {
+	t.Helper()
+	ref := map[uint32]struct{}{}
+	var want Stats
+	for i, op := range ops {
+		la := c.LineAddr(op.addr)
+		present := c.Probe(op.addr) != nil
+		switch op.kind {
+		case 'a', 'w':
+			write := op.kind == 'w'
+			if write {
+				want.Writes++
+			} else {
+				want.Reads++
+			}
+			_, wantInv := ref[la]
+			if present {
+				wantInv = false
+			} else {
+				delete(ref, la)
+				if write {
+					want.WriteMisses++
+				} else {
+					want.ReadMisses++
+				}
+				if wantInv {
+					want.InvMisses++
+				}
+			}
+			if r := c.Access(op.addr, write); r.Hit != present || r.InvMiss != wantInv {
+				t.Fatalf("op %d %c %#x: got %+v, want Hit %v InvMiss %v", i, op.kind, op.addr, r, present, wantInv)
+			}
+		case 'f':
+			if c.Fill(op.addr, Modified).Dirty {
+				want.Writebacks++
+			}
+		case 'i':
+			c.Invalidate(op.addr)
+			if present {
+				ref[la] = struct{}{}
+				want.Invalidates++
+			}
+		case 'e':
+			c.EvictForInclusion(op.addr)
+		}
+	}
+	if got := c.Stats(); got != want {
+		t.Errorf("stats = %+v, reference says %+v", got, want)
+	}
+}
+
+func TestInvalidationMarkerSet(t *testing.T) {
+	const top = 0xffff_ffe0 // last line of the 32-bit range
+	// A random stream over two sets' worth of conflicting lines at the
+	// bottom, in the middle and at the top of the address range.
+	random := func(seed int64) []markerOp {
+		r := rand.New(rand.NewSource(seed))
+		ops := make([]markerOp, 4000)
+		for i := range ops {
+			addr := uint32(r.Intn(1 << 10))
+			switch r.Intn(3) {
+			case 1:
+				addr += 0x0123_4000
+			case 2:
+				addr = top - addr
+			}
+			ops[i] = markerOp{"awfffiie"[r.Intn(8)], addr}
+		}
+		return ops
+	}
+	for _, tc := range []struct {
+		name  string
+		assoc uint32
+		ops   []markerOp
+	}{
+		// x is invalidated, y and z (same set) refill both ways, and the
+		// next miss on x is still the invalidation's.
+		{"refilled-way", 2, []markerOp{
+			{'a', 0x000}, {'f', 0x000}, {'i', 0x000},
+			{'a', 0x080}, {'f', 0x080}, {'a', 0x100}, {'f', 0x100},
+			{'a', 0x000},
+			{'f', 0x000}, {'e', 0x000}, {'a', 0x000}, // consumed: now a replacement miss
+		}},
+		// An uncounted refill keeps the marker for the miss after it.
+		{"refilled-line", 2, []markerOp{
+			{'f', 0x040}, {'i', 0x040}, {'f', 0x040}, {'e', 0x040}, {'w', 0x040}, {'a', 0x040},
+		}},
+		{"range-ends", 1, []markerOp{
+			{'f', 0}, {'i', 0}, {'f', top}, {'i', top + 0x1c},
+			{'a', 0x20}, {'a', top - 0x20}, // the neighbours are unmarked
+			{'a', top}, {'a', 0x1c}, {'a', top}, {'a', 0},
+		}},
+		{"random-1", 2, random(1)},
+		{"random-2", 1, random(2)},
+		{"random-3", 4, random(3)},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			checkMarkers(t, New(Config{Name: "t", SizeBytes: 128 * tc.assoc, LineBytes: 32, Assoc: tc.assoc}), tc.ops)
+		})
+	}
+}
+
+// BenchmarkCacheInvalidateMiss is the coherence ping-pong as one private
+// cache sees it: every line is missed (an invalidation miss), filled
+// and invalidated again, over 64 Ki lines (2 MiB, two marker pages).
+// The marker set allocates its pages during the warm-up pass and
+// nothing after: 0 allocs/op.
+func BenchmarkCacheInvalidateMiss(b *testing.B) {
+	c := New(Config{Name: "l1d", SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2})
+	const lines = 64 << 10
+	pingPong := func(line uint32) {
+		addr := line % lines * 32
+		c.Access(addr, false)
+		c.Fill(addr, Shared)
+		c.Invalidate(addr)
+	}
+	for i := uint32(0); i < lines; i++ {
+		pingPong(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pingPong(uint32(i))
+	}
+	if s := c.Stats(); s.InvMisses+lines != s.Misses() {
+		b.Fatalf("every miss after the first pass must be an invalidation miss: %+v", s)
+	}
+}

@@ -56,10 +56,17 @@ func (l Level) String() string {
 // Result reports the outcome of a memory reference. Done of an accepted
 // reference is the cycle at which the data is available (a store is
 // accepted into the write buffer at now+1). Done of a refused one is
-// its retry cycle: no retry of the same reference before it can be
-// accepted or have any effect on the memory system, so retrying every
-// cycle and sleeping until Done are indistinguishable. It is now+1
-// wherever a refused call does have effects.
+// its retry cycle, and all three architectures refuse by one rule:
+// probe (the write buffer for a store, then the L1 and the MSHR file
+// for what would be a primary miss), refuse, and only then count the
+// lookup, clear other CPUs' LL reservations or arbitrate for a bank,
+// port or bus. A refused reference has therefore counted and changed
+// nothing, and Done is the cycle the structure that refused it first
+// has room (the earliest write-buffer drain or MSHR fill): unless the
+// CPU has another reference accepted in between, a retry before Done is
+// refused again and the retry at Done gets past that structure, so
+// retrying every cycle and sleeping until Done are indistinguishable
+// in timing and in Report().
 type Result struct {
 	Done  uint64
 	Level Level

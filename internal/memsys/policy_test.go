@@ -200,33 +200,17 @@ func wbufOf(s System, cpu int) *writeBuf {
 	return nil
 }
 
-// TestRefusalRetryBound pins the contract of a refused Result.Done: a
-// retry of the same reference at any cycle before it is refused again
-// and leaves Report() as it was, and where the bound is exact (the
-// write buffer of every architecture, shared-L1's probe-first MSHR
-// check) it is the earliest completion among what fills the structure
-// and the retry at that cycle is accepted. The per-CPU MSHR files of
-// shared-L2 and shared-mem are consulted after the L1 lookup has been
-// counted, so their refusal promises nothing past the next cycle.
+// TestRefusalRetryBound pins the contract of a refused Result.Done in
+// every architecture, for the write buffer and for the MSHRs: it is the
+// earliest completion among what fills the structure, a retry of the
+// same reference at any earlier cycle is refused again and leaves
+// Report() as it was, and the retry at that cycle is accepted.
 func TestRefusalRetryBound(t *testing.T) {
-	archs := []struct {
-		name      string
-		mk        func(Config) System
-		mshrExact bool
-	}{
-		{"shared-l1", func(c Config) System { return NewSharedL1(c) }, true},
-		{"shared-l2", func(c Config) System { return NewSharedL2(c) }, false},
-		{"shared-mem", func(c Config) System { return NewSharedMem(c) }, false},
-	}
 	// check retries CPU 0's reference refused at now with bound r.Done.
-	check := func(t *testing.T, s System, now uint64, r Result, exact bool, earliest uint64, addr uint32, write bool) {
+	check := func(t *testing.T, s System, now uint64, r Result, earliest uint64, addr uint32, write bool) {
 		t.Helper()
-		want := now + 1
-		if exact {
-			want = earliest
-		}
-		if r.Done != want {
-			t.Errorf("refused at %d with retry cycle %d, want %d (exact bound: %v)", now, r.Done, want, exact)
+		if r.Done != earliest {
+			t.Errorf("refused at %d with retry cycle %d, want %d", now, r.Done, earliest)
 		}
 		before := s.Report()
 		for at := now + 1; at < r.Done; at++ {
@@ -237,7 +221,7 @@ func TestRefusalRetryBound(t *testing.T) {
 				t.Fatalf("retry at %d, before the retry cycle %d, changed the report\nbefore: %+v\n after: %+v", at, r.Done, before, after)
 			}
 		}
-		if _, ok := s.Access(r.Done, 0, addr, write); exact && !ok {
+		if _, ok := s.Access(r.Done, 0, addr, write); !ok {
 			t.Errorf("retry at the retry cycle %d refused, and nobody else took the slot", r.Done)
 		}
 	}
@@ -260,7 +244,7 @@ func TestRefusalRetryBound(t *testing.T) {
 			if ok {
 				t.Fatal("third store accepted by a two-entry buffer")
 			}
-			check(t, s, 2, r, true, min(w.pending[0], w.pending[1]), 0x3000, true)
+			check(t, s, 2, r, min(w.pending[0], w.pending[1]), 0x3000, true)
 		})
 		for _, write := range []bool{false, true} {
 			write := write
@@ -271,20 +255,7 @@ func TestRefusalRetryBound(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.MSHRs = 1
 				s := a.mk(cfg)
-				// One entry per CPU: shared-L1's single file holds four, the
-				// private files one each, so CPU 0's second miss finds its
-				// file full either way.
-				earliest := ^uint64(0)
-				for cpu := 0; cpu < cfg.NumCPUs; cpu++ {
-					r, ok := s.Access(uint64(cpu), cpu, 0x1000*uint32(cpu+1), false)
-					if !ok {
-						t.Fatalf("cpu %d's first miss refused", cpu)
-					}
-					if a.mshrExact || cpu == 0 {
-						earliest = min(earliest, r.Done)
-					}
-				}
-				now := uint64(cfg.NumCPUs)
+				now, earliest := fillMSHRs(t, s, cfg)
 				r, ok := s.Access(now, 0, 0x9000, write)
 				if ok {
 					t.Fatal("miss accepted with every MSHR busy")
@@ -292,7 +263,87 @@ func TestRefusalRetryBound(t *testing.T) {
 				if r.Level != LvlL1 {
 					t.Fatalf("refusal blames %v, want the MSHRs' L1", r.Level)
 				}
-				check(t, s, now, r, a.mshrExact, earliest, 0x9000, write)
+				check(t, s, now, r, earliest, 0x9000, write)
+			})
+		}
+	}
+}
+
+// archs builds each of the three compositions from a Config.
+var archs = []struct {
+	name string
+	mk   func(Config) System
+}{
+	{"shared-l1", func(c Config) System { return NewSharedL1(c) }},
+	{"shared-l2", func(c Config) System { return NewSharedL2(c) }},
+	{"shared-mem", func(c Config) System { return NewSharedMem(c) }},
+}
+
+// fillMSHRs has every CPU of s (built from cfg with MSHRs = 1) take one
+// load miss, cpu at cycle cpu, so the file CPU 0's next miss needs is
+// full either way: shared-L1's one file holds an entry per CPU, the
+// private files one. It returns the next cycle and the earliest fill
+// among the entries of that file.
+func fillMSHRs(t *testing.T, s System, cfg Config) (now, earliest uint64) {
+	t.Helper()
+	_, oneFile := s.(*SharedL1)
+	earliest = ^uint64(0)
+	for cpu := 0; cpu < cfg.NumCPUs; cpu++ {
+		r, ok := s.Access(uint64(cpu), cpu, 0x1000*uint32(cpu+1), false)
+		if !ok {
+			t.Fatalf("cpu %d's first miss refused", cpu)
+		}
+		if oneFile || cpu == 0 {
+			earliest = min(earliest, r.Done)
+		}
+	}
+	return uint64(cfg.NumCPUs), earliest
+}
+
+// TestRefusedStoreKeepsReservations holds the store half of the refusal
+// rule: a store refused for a full write buffer or a full MSHR file has
+// not happened, so another CPU's LL reservation on its line survives
+// it, and the same store accepted later breaks it.
+func TestRefusedStoreKeepsReservations(t *testing.T) {
+	const x = 0x9000
+	for _, a := range archs {
+		a := a
+		for _, kind := range []string{"write-buffer", "mshr"} {
+			kind := kind
+			t.Run(a.name+"/"+kind, func(t *testing.T) {
+				cfg := DefaultConfig()
+				// Everything private: in shared-L2 only a write-back store
+				// misses behind an MSHR.
+				cfg.SharedData = func(uint32) bool { return false }
+				var now uint64
+				var s System
+				if kind == "mshr" {
+					cfg.MSHRs = 1
+					s = a.mk(cfg)
+					now, _ = fillMSHRs(t, s, cfg)
+				} else {
+					cfg.WriteBufDepth = 1
+					s = a.mk(cfg)
+					if _, ok := s.Access(0, 0, 0x1000, true); !ok {
+						t.Fatal("first store refused while the buffer has room")
+					}
+					now = 1
+				}
+				s.LLReserve(1, x)
+				r, ok := s.Access(now, 0, x, true)
+				if ok {
+					t.Fatalf("%s: store accepted with the %s full", a.name, kind)
+				}
+				if !s.SCCheck(1, x) {
+					t.Fatalf("%s: a store refused with the %s full broke CPU 1's reservation", a.name, kind)
+				}
+				s.LLReserve(1, x)
+				if _, ok := s.Access(r.Done, 0, x, true); !ok {
+					t.Fatalf("%s: store refused (%s) at its retry cycle %d", a.name, kind, r.Done)
+				}
+				if s.SCCheck(1, x) {
+					t.Errorf("%s: the store accepted after the %s refusal left CPU 1's reservation standing", a.name, kind)
+				}
 			})
 		}
 	}

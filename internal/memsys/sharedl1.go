@@ -135,6 +135,10 @@ func (s *SharedL1) Access(now uint64, cpu int, addr uint32, write bool) (Result,
 // (the interval sampler's occupancy probe).
 func (s *SharedL1) MSHROutstanding(now uint64) int { return s.mshr.Outstanding(now) }
 
+// access follows the refusal rule of Result: the write buffer (stores)
+// and the shared MSHR file (a reference the probe says would be a
+// primary miss) are tested first, and only an accepted reference breaks
+// the other CPUs' reservations, takes a bank slot and counts the lookup.
 func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	la := s.dcache.LineAddr(addr)
 	if write {
@@ -147,7 +151,11 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 	// MSHR-full retry storms do not eat crossbar bandwidth. Nothing has
 	// been touched yet, and the line cannot arrive before an entry frees:
 	// only a primary miss fills, and every CPU's is refused until then.
-	if s.dcache.Probe(addr) == nil && s.mshr.Full(now) {
+	// This is the only MSHR check: nothing below reaps or allocates an
+	// entry before the miss path, so a second one at the same now could
+	// not answer differently.
+	ln := s.dcache.Probe(addr)
+	if ln == nil && s.mshr.Full(now) {
 		return Result{Done: s.mshr.NextFree(), Level: LvlL1}, false
 	}
 	if write {
@@ -167,10 +175,9 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 		return Result{Done: done, Level: lvl}, true
 	}
 
-	r := s.dcache.Access(addr, write)
-	if r.Hit {
+	if s.dcache.AccessProbed(ln, addr, write).Hit {
 		if write {
-			s.dcache.Probe(addr).State = cache.Modified
+			ln.State = cache.Modified
 		}
 		// A tag hit on a line whose fill is still in flight (secondary
 		// miss) completes when the fill does.
@@ -180,10 +187,7 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 		return finish(ready, LvlL1)
 	}
 
-	// Primary miss. Refuse if the MSHR file is full.
-	if s.mshr.Full(now) {
-		return Result{Done: now + 1, Level: LvlL1}, false
-	}
+	// Primary miss; the probe above found an MSHR free for it.
 	dataAt, lvl := s.l2Fetch(ready, la)
 	st := cache.Exclusive
 	if write {

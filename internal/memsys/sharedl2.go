@@ -174,6 +174,11 @@ func (s *SharedL2) MSHROutstanding(now uint64) int {
 	return n
 }
 
+// access follows the refusal rule of Result in both halves: load and
+// store test the write buffer (stores) and the MSHR file (a load or a
+// private store the L1 probe says would be a primary miss) first, and
+// only an accepted reference counts the L1 lookup, breaks the other
+// CPUs' reservations, writes the directory and takes an L2 bank.
 func (s *SharedL2) access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	if write {
 		return s.store(now, cpu, addr)
@@ -184,15 +189,18 @@ func (s *SharedL2) access(now uint64, cpu int, addr uint32, write bool) (Result,
 func (s *SharedL2) load(now uint64, cpu int, addr uint32) (Result, bool) {
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)
-	r := d.Access(addr, false)
-	if r.Hit {
+	// A line enters this L1 only through this CPU's own accepted
+	// references, so until the next of those no retry before an MSHR
+	// frees can find it.
+	ln := d.Probe(addr)
+	if ln == nil && s.mshrs[cpu].Full(now) {
+		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
+	}
+	if d.AccessProbed(ln, addr, false).Hit {
 		if done, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
 			return Result{Done: maxU64(now+1, done), Level: Level(tag)}, true
 		}
 		return Result{Done: now + 1, Level: LvlL1}, true
-	}
-	if s.mshrs[cpu].Full(now) {
-		return Result{Done: now + 1, Level: LvlL1}, false
 	}
 	dataAt, lvl := s.l2Fetch(now+1, la)
 	st := cache.Shared
@@ -242,12 +250,12 @@ func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
 		s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
 		return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
 	}
-	d := s.dcaches[cpu]
-	la := d.LineAddr(addr)
-	s.res.clearOthers(cpu, addr)
 	if !s.isShared(addr) {
 		return s.storePrivate(now, cpu, addr)
 	}
+	d := s.dcaches[cpu]
+	la := d.LineAddr(addr)
+	s.res.clearOthers(cpu, addr)
 	hit := d.Access(addr, true).Hit
 	s.dir.Write(now, la, cpu)
 
@@ -281,16 +289,20 @@ func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
 
 // storePrivate handles a store to private (write-back) data: an L1 hit
 // dirties the line with no L2 traffic at all; a miss write-allocates
-// from the L2 while the CPU continues past its store buffer.
+// from the L2 behind an MSHR (a write-through store takes none) while
+// the CPU continues past its store buffer, and is refused like a load,
+// before anything is cleared or counted, when there is none free.
 func (s *SharedL2) storePrivate(now uint64, cpu int, addr uint32) (Result, bool) {
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)
-	if d.Access(addr, true).Hit {
-		d.Probe(addr).State = cache.Modified
-		return Result{Done: now + 1, Level: LvlL1}, true
+	ln := d.Probe(addr)
+	if ln == nil && s.mshrs[cpu].Full(now) {
+		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
 	}
-	if s.mshrs[cpu].Full(now) {
-		return Result{Done: now + 1, Level: LvlL1}, false
+	s.res.clearOthers(cpu, addr)
+	if d.AccessProbed(ln, addr, true).Hit {
+		ln.State = cache.Modified
+		return Result{Done: now + 1, Level: LvlL1}, true
 	}
 	dataAt, lvl := s.l2Fetch(now+1, la)
 	victim := d.Fill(addr, cache.Modified)

@@ -211,6 +211,11 @@ func (s *SharedMem) MSHROutstanding(now uint64) int {
 	return n
 }
 
+// access follows the refusal rule of Result: the write buffer (stores)
+// and the MSHR file (a reference the L1 probe says would be a primary
+// miss) are tested first, and only an accepted reference counts the L1
+// lookup, breaks the other CPUs' reservations and takes the L2 port and
+// the bus.
 func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	l1 := s.l1s[cpu]
 	la := l1.LineAddr(addr)
@@ -219,6 +224,15 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 			s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
 			return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
 		}
+	}
+	// A line enters this L1 only through this CPU's own primary miss,
+	// and every one of those is refused until an entry frees, so no
+	// earlier retry can find the line.
+	ln := l1.Probe(addr)
+	if ln == nil && s.mshrs[cpu].Full(now) {
+		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
+	}
+	if write {
 		s.res.clearOthers(cpu, addr)
 	}
 
@@ -230,18 +244,16 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 		return Result{Done: done, Level: lvl}, true
 	}
 
-	r := l1.Access(addr, write)
-	if r.Hit {
+	if l1.AccessProbed(ln, addr, write).Hit {
 		if done, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
 			if write {
-				l1.Probe(addr).State = cache.Modified
+				ln.State = cache.Modified
 			}
 			return finish(maxU64(now+1, done), Level(tag))
 		}
 		if !write {
 			return Result{Done: now + 1, Level: LvlL1}, true
 		}
-		ln := l1.Probe(addr)
 		switch ln.State {
 		case cache.Modified:
 			return finish(now+1, LvlL1)
@@ -259,10 +271,7 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 		}
 	}
 
-	// L1 miss.
-	if s.mshrs[cpu].Full(now) {
-		return Result{Done: now + 1, Level: LvlL1}, false
-	}
+	// L1 miss; the probe above found an MSHR free for it.
 	start := s.l2ports[cpu].Acquire(now+1, s.cfg.L2Occ)
 	l2 := s.l2s[cpu]
 	l2r := l2.Access(la, write)

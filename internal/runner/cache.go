@@ -20,7 +20,7 @@ import (
 // (including the NewQuick parameter table), or stall attribution —
 // so stale entries from older simulator revisions can never be
 // returned as current results.
-const SimVersion = 1
+const SimVersion = 2
 
 // Cacheable reports whether a job's result may be memoized: it needs a
 // workload identity and a configuration whose non-scalar fields are

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"cmpsim"
+	"cmpsim/internal/benchfig"
 	"cmpsim/internal/workload"
 )
 
@@ -129,6 +130,31 @@ func TestSkipMatchesNoSkip(t *testing.T) {
 			if skipFig.Chart() != refFig.Chart() {
 				t.Error("figure charts diverge")
 			}
+		})
+	}
+}
+
+// TestSkipMatchesNoSkipMemBound is the bare case where it bites: on the
+// memory-bound design point the private MSHR files of shared-L2 and
+// shared-mem are full most of the time, the bare MXS cores sleep through
+// the refusals and the reference retries every one of them every cycle.
+// A refusal that counted anything would show in the memory report.
+func TestSkipMatchesNoSkipMemBound(t *testing.T) {
+	for _, arch := range []cmpsim.Arch{cmpsim.SharedL2, cmpsim.SharedMem} {
+		arch := arch
+		t.Run(string(arch)+"/bare", func(t *testing.T) {
+			var runs [2]instrumentedRun
+			for i, noSkip := range []bool{false, true} {
+				cfg := benchfig.MXSMemBoundConfig()
+				cfg.NoSkip = noSkip
+				w := workload.NewMP3D(workload.MP3DParams{Particles: 256, Steps: 1})
+				res, err := cmpsim.RunWorkload(w, arch, cmpsim.ModelMXS, &cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i].res = res
+			}
+			diffRuns(t, runs[0], runs[1])
 		})
 	}
 }
