@@ -110,10 +110,13 @@ experiments-output:
 # memory, ns per instruction), the two BenchmarkRunWindow cases (the
 # cycle loop alone over stub cores, ns per executed cycle) and
 # BenchmarkCacheInvalidateMiss (a private cache's side of a coherence
-# ping-pong over 64 Ki lines: the invalidation-marker set) must report
-# 0 allocs/op (CI checks each of them by name).
+# ping-pong over 64 Ki lines: the invalidation-marker set) and
+# BenchmarkImageAccess (a guest Read32/Write32 on pages already present)
+# must report 0 allocs/op (CI checks each of them by name).
+# BenchmarkImageNew, the cost of one workload-sized guest image (its
+# page table), runs beside them for its ns/op.
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem
 
 # layout-smoke round-trips the profile-guided layout pipeline on real
 # runs: profile a quick sharded memory-bound point, ask the offline

@@ -9,6 +9,7 @@
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -657,24 +658,22 @@ func (p *Program) DataEnd() uint32 { return p.DataBase + uint32(len(p.Data)) }
 // processes it is the process's user segment base.
 func (p *Program) Load(img *mem.Image, physBias uint32) {
 	p.LoadText(img, physBias)
-	for i, by := range p.Data {
-		img.Write8(physBias+p.DataBase+uint32(i), by)
-	}
+	p.LoadDataAt(img, physBias+p.DataBase)
 }
 
 // LoadText writes only the encoded text at physBias+TextBase — for
 // processes that share one physical text image but have private data
 // segments.
 func (p *Program) LoadText(img *mem.Image, physBias uint32) {
-	for i, w := range p.Words {
-		img.Write32(physBias+p.TextBase+4*uint32(i), uint32(w))
+	text := make([]byte, 0, 4*len(p.Words))
+	for _, w := range p.Words {
+		text = binary.LittleEndian.AppendUint32(text, uint32(w))
 	}
+	img.WriteBytes(physBias+p.TextBase, text)
 }
 
 // LoadDataAt writes only the data section, placing its first byte at the
 // given physical address (for per-process private data segments).
 func (p *Program) LoadDataAt(img *mem.Image, physBase uint32) {
-	for i, by := range p.Data {
-		img.Write8(physBase+uint32(i), by)
-	}
+	img.WriteBytes(physBase, p.Data)
 }

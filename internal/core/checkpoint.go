@@ -22,7 +22,7 @@ import (
 // also outside the checkpoint, so checkpoints apply to the
 // single-address-space workloads.
 type Checkpoint struct {
-	Mem      []byte
+	Mem      mem.Snapshot
 	Contexts []cpu.Context
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmpsim/internal/core"
+	"cmpsim/internal/mem"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/workload"
 )
@@ -133,7 +134,7 @@ func TestRestoreRejectsMismatchedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck3 := &core.Checkpoint{Mem: make([]byte, 16), Contexts: ck.Contexts}
+	ck3 := &core.Checkpoint{Mem: mem.Snapshot{Size: 16, Pages: make([][]byte, 1)}, Contexts: ck.Contexts}
 	if err := m3.Restore(ck3); err == nil {
 		t.Error("restore with a different memory size must fail")
 	}

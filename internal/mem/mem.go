@@ -7,86 +7,208 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// Image is a flat simulated physical memory. Accessors panic on
-// out-of-range or misaligned addresses: guest programs are part of the
-// simulator's own test corpus, so such an access is a bug in the
-// simulator or a workload, not a recoverable guest error.
+// Image is a simulated physical memory, held as a table of fixed-size
+// pages that are allocated on first write. A page nothing has written
+// reads as zero from one shared zero page, so creating an image costs a
+// pointer per page and a run's memory grows with what the guest touches,
+// not with the image's size.
+//
+// Accessors panic on out-of-range or misaligned addresses: guest
+// programs are part of the simulator's own test corpus, so such an
+// access is a bug in the simulator or a workload, not a recoverable
+// guest error.
 type Image struct {
-	data []byte
+	pages []*page
+	size  uint32
 }
 
-// NewImage allocates a zeroed physical memory of the given size in bytes.
+const (
+	pageShift = 16 // 64 KiB pages: 512 table entries for the 32 MiB image
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
+// zeroPage backs every page that has not been written. It is never
+// written itself: a writer that finds it allocates the page first, or
+// returns if what it writes is zero.
+var zeroPage page
+
+// NewImage returns a zeroed physical memory of the given size in bytes.
+// It allocates only the page table.
 func NewImage(size uint32) *Image {
-	return &Image{data: make([]byte, size)}
+	pages := make([]*page, (uint64(size)+pageMask)>>pageShift)
+	for i := range pages {
+		pages[i] = &zeroPage
+	}
+	return &Image{pages: pages, size: size}
 }
 
 // Size returns the physical memory size in bytes.
-func (m *Image) Size() uint32 { return uint32(len(m.data)) }
+func (m *Image) Size() uint32 { return m.size }
 
-// Snapshot returns a copy of the entire physical memory (for
-// checkpointing).
-func (m *Image) Snapshot() []byte {
-	return append([]byte(nil), m.data...)
+// Snapshot is a copy of a memory image's contents (for checkpointing):
+// one entry per page, nil for a page that reads as all zeros.
+type Snapshot struct {
+	Size  uint32
+	Pages [][]byte
 }
 
-// RestoreSnapshot replaces the memory contents with a snapshot of the
-// same size.
-func (m *Image) RestoreSnapshot(data []byte) error {
-	if len(data) != len(m.data) {
-		return fmt.Errorf("mem: snapshot size %d does not match memory size %d", len(data), len(m.data))
+// Snapshot copies the pages that hold a non-zero byte.
+func (m *Image) Snapshot() Snapshot {
+	s := Snapshot{Size: m.size, Pages: make([][]byte, len(m.pages))}
+	for i, p := range m.pages {
+		if p != &zeroPage && *p != zeroPage {
+			s.Pages[i] = bytes.Clone(p[:])
+		}
 	}
-	copy(m.data, data)
+	return s
+}
+
+// RestoreSnapshot replaces the memory contents with a snapshot of an
+// image of the same size. Pages the snapshot has as zero are dropped.
+func (m *Image) RestoreSnapshot(s Snapshot) error {
+	if s.Size != m.size || len(s.Pages) != len(m.pages) {
+		return fmt.Errorf("mem: snapshot size %d does not match memory size %d", s.Size, m.size)
+	}
+	for i, b := range s.Pages {
+		if len(b) != 0 && len(b) != pageSize {
+			return fmt.Errorf("mem: snapshot page %d has %d bytes, want %d", i, len(b), pageSize)
+		}
+	}
+	for i, b := range s.Pages {
+		switch {
+		case len(b) == 0:
+			m.pages[i] = &zeroPage
+		case m.pages[i] == &zeroPage:
+			m.pages[i] = (*page)(bytes.Clone(b))
+		default:
+			copy(m.pages[i][:], b)
+		}
+	}
 	return nil
 }
 
-func (m *Image) check(addr, n uint32, what string) {
-	if uint64(addr)+uint64(n) > uint64(len(m.data)) {
-		panic(fmt.Sprintf("mem: %s at %#x (size %d) out of range (memory %d bytes)", what, addr, n, len(m.data)))
+// WriteBytes copies b into memory starting at addr, a page at a time.
+// A stretch of zeros that falls on a page nothing has written is
+// skipped: the page already reads as zero and stays unallocated.
+func (m *Image) WriteBytes(addr uint32, b []byte) {
+	if uint64(addr)+uint64(len(b)) > uint64(m.size) {
+		panic(fault{"write", addr, uint32(len(b)), m.size})
 	}
-	if addr%n != 0 {
-		panic(fmt.Sprintf("mem: misaligned %s at %#x (size %d)", what, addr, n))
+	for len(b) > 0 {
+		off := addr & pageMask
+		chunk := b[:min(len(b), pageSize-int(off))]
+		i := addr >> pageShift
+		p := m.pages[i]
+		if p == &zeroPage && !bytes.Equal(chunk, zeroPage[:len(chunk)]) {
+			p = new(page)
+			m.pages[i] = p
+		}
+		if p != &zeroPage {
+			copy(p[off:], chunk)
+		}
+		addr += uint32(len(chunk))
+		b = b[len(chunk):]
 	}
+}
+
+// fault is the panic value of an access that is out of range or
+// misaligned. A value rather than a formatted string, so the accessors
+// that raise it stay small enough to inline; the message is formatted
+// only when something prints it.
+type fault struct {
+	what            string
+	addr, n, memory uint32
+}
+
+func (f fault) Error() string {
+	if uint64(f.addr)+uint64(f.n) > uint64(f.memory) {
+		return fmt.Sprintf("mem: %s at %#x (size %d) out of range (memory %d bytes)", f.what, f.addr, f.n, f.memory)
+	}
+	return fmt.Sprintf("mem: misaligned %s at %#x (size %d)", f.what, f.addr, f.n)
 }
 
 // Read8 reads one byte.
 func (m *Image) Read8(addr uint32) uint8 {
-	m.check(addr, 1, "read8")
-	return m.data[addr]
+	if addr >= m.size {
+		panic(fault{"read8", addr, 1, m.size})
+	}
+	return m.pages[addr>>pageShift][addr&pageMask]
 }
 
 // Write8 writes one byte.
 func (m *Image) Write8(addr uint32, v uint8) {
-	m.check(addr, 1, "write8")
-	m.data[addr] = v
+	if addr >= m.size {
+		panic(fault{"write8", addr, 1, m.size})
+	}
+	i := addr >> pageShift
+	p := m.pages[i]
+	if p == &zeroPage {
+		if v == 0 {
+			return
+		}
+		p = new(page) // first write to this page
+		m.pages[i] = p
+	}
+	p[addr&pageMask] = v
 }
 
 // Read32 reads a 32-bit little-endian word. addr must be 4-byte aligned.
 func (m *Image) Read32(addr uint32) uint32 {
-	m.check(addr, 4, "read32")
-	return binary.LittleEndian.Uint32(m.data[addr:])
+	if uint64(addr)+4 > uint64(m.size) || addr&3 != 0 {
+		panic(fault{"read32", addr, 4, m.size})
+	}
+	return binary.LittleEndian.Uint32(m.pages[addr>>pageShift][addr&pageMask:])
 }
 
 // Write32 writes a 32-bit little-endian word. addr must be 4-byte aligned.
 func (m *Image) Write32(addr uint32, v uint32) {
-	m.check(addr, 4, "write32")
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
+	if uint64(addr)+4 > uint64(m.size) || addr&3 != 0 {
+		panic(fault{"write32", addr, 4, m.size})
+	}
+	i := addr >> pageShift
+	p := m.pages[i]
+	if p == &zeroPage {
+		if v == 0 {
+			return
+		}
+		p = new(page) // first write to this page
+		m.pages[i] = p
+	}
+	binary.LittleEndian.PutUint32(p[addr&pageMask:], v)
 }
 
 // Read64 reads a 64-bit little-endian word. addr must be 8-byte aligned.
 func (m *Image) Read64(addr uint32) uint64 {
-	m.check(addr, 8, "read64")
-	return binary.LittleEndian.Uint64(m.data[addr:])
+	if uint64(addr)+8 > uint64(m.size) || addr&7 != 0 {
+		panic(fault{"read64", addr, 8, m.size})
+	}
+	return binary.LittleEndian.Uint64(m.pages[addr>>pageShift][addr&pageMask:])
 }
 
 // Write64 writes a 64-bit little-endian word. addr must be 8-byte aligned.
 func (m *Image) Write64(addr uint32, v uint64) {
-	m.check(addr, 8, "write64")
-	binary.LittleEndian.PutUint64(m.data[addr:], v)
+	if uint64(addr)+8 > uint64(m.size) || addr&7 != 0 {
+		panic(fault{"write64", addr, 8, m.size})
+	}
+	i := addr >> pageShift
+	p := m.pages[i]
+	if p == &zeroPage {
+		if v == 0 {
+			return
+		}
+		p = new(page) // first write to this page
+		m.pages[i] = p
+	}
+	binary.LittleEndian.PutUint64(p[addr&pageMask:], v)
 }
 
 // ReadF64 reads a float64.

@@ -231,6 +231,9 @@ func (w *Ear) Configure(m *core.Machine) error {
 	if err != nil {
 		return err
 	}
+	if err := checkLayout("ear", m, spmdRegions(p, w.NumCPUs)...); err != nil {
+		return err
+	}
 	w.prog = p
 	setupSPMD(m, p, w.NumCPUs)
 

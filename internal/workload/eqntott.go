@@ -184,6 +184,9 @@ func (w *Eqntott) Configure(m *core.Machine) error {
 	if err != nil {
 		return err
 	}
+	if err := checkLayout("eqntott", m, spmdRegions(p, w.NumCPUs)...); err != nil {
+		return err
+	}
 	w.prog = p
 	w.expected = w.reference()
 	setupSPMD(m, p, w.NumCPUs)

@@ -264,6 +264,10 @@ func (w *FFT) Configure(m *core.Machine) error {
 	if err != nil {
 		return err
 	}
+	vectors := region{"vectors", fftDataBase, fftDataBase + int64(w.Batches)*int64(vecBytes)}
+	if err := checkLayout("fft", m, append(spmdRegions(p, w.NumCPUs), vectors)...); err != nil {
+		return err
+	}
 	w.prog = p
 	setupSPMD(m, p, w.NumCPUs)
 

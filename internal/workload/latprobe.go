@@ -100,6 +100,10 @@ func (w *LatProbe) Configure(m *core.Machine) error {
 	if err != nil {
 		return err
 	}
+	chain := region{"chain", latProbeBase, latProbeBase + int64(w.ChainBytes)}
+	if err := checkLayout("latprobe", m, append(spmdRegions(p, m.Cfg.NumCPUs), chain)...); err != nil {
+		return err
+	}
 	w.prog = p
 	setupSPMD(m, p, m.Cfg.NumCPUs)
 

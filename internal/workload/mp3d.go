@@ -247,10 +247,6 @@ func (w *MP3D) Configure(m *core.Machine) error {
 	if w.Particles%w.NumCPUs != 0 {
 		return fmt.Errorf("mp3d: particles (%d) must divide by %d CPUs", w.Particles, w.NumCPUs)
 	}
-	if w.Particles*mp3dRecBytes > mp3dAuxOffset {
-		return fmt.Errorf("mp3d: %d particles overlap the aux table (at most %d fit below it)",
-			w.Particles, mp3dAuxOffset/mp3dRecBytes)
-	}
 	b := asm.NewBuilder()
 	perCPU := w.Particles / w.NumCPUs
 	cellsPer := w.cells() / w.NumCPUs
@@ -429,6 +425,17 @@ func (w *MP3D) Configure(m *core.Machine) error {
 
 	p, err := b.Assemble(TextBase, DataBase)
 	if err != nil {
+		return err
+	}
+	records := int64(w.Particles) * mp3dRecBytes
+	regions := append(spmdRegions(p, w.NumCPUs),
+		region{"particles", mp3dParticleBase, mp3dParticleBase + records},
+		region{"aux table", mp3dParticleBase + mp3dAuxOffset, mp3dParticleBase + mp3dAuxOffset + records})
+	for c := 0; c < w.NumCPUs; c++ {
+		base := mp3dBufBase + int64(c)*mp3dBufSpacing
+		regions = append(regions, region{fmt.Sprintf("cpu %d collision buffer", c), base, base + mp3dBufEntries*mp3dBufStride})
+	}
+	if err := checkLayout("mp3d", m, regions...); err != nil {
 		return err
 	}
 	w.prog = p

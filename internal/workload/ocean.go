@@ -395,6 +395,9 @@ func (w *Ocean) Configure(m *core.Machine) error {
 	if err != nil {
 		return err
 	}
+	if err := checkLayout("ocean", m, spmdRegions(p, w.NumCPUs)...); err != nil {
+		return err
+	}
 	w.prog = p
 	setupSPMD(m, p, w.NumCPUs)
 

@@ -276,6 +276,17 @@ func (w *Pmake) Configure(m *core.Machine) error {
 	if prog.DataEnd() >= pmakeStackV-0x1000 {
 		return fmt.Errorf("pmake: user image too large (%#x)", prog.DataEnd())
 	}
+	regions := []region{
+		{"text", pmakeTextPhys, pmakeTextPhys + pmakeTextLim},
+		{"kernel", kernel.Base, kernel.Limit},
+	}
+	for i := 0; i < w.Procs; i++ {
+		start := pmakeDataBase + int64(i)*pmakeDataStep
+		regions = append(regions, region{fmt.Sprintf("process %d segment", i), start, start + pmakeUserLim - pmakeDataV})
+	}
+	if err := checkLayout("pmake", m, regions...); err != nil {
+		return err
+	}
 	w.prog = prog
 
 	// One shared text image; a private data segment per process.

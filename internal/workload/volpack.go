@@ -287,6 +287,10 @@ func (w *Volpack) Configure(m *core.Machine) error {
 	if err != nil {
 		return err
 	}
+	volume := region{"volume", volpackVoxBase, volpackVoxBase + int64(d)*int64(n)*int64(n)}
+	if err := checkLayout("volpack", m, append(spmdRegions(p, w.NumCPUs), volume)...); err != nil {
+		return err
+	}
 	w.prog = p
 	setupSPMD(m, p, w.NumCPUs)
 

@@ -116,6 +116,41 @@ func setupSPMD(m *core.Machine, p *asm.Program, n int) {
 	}
 }
 
+// region is a range [start, end) of guest physical memory that a
+// workload fills or hands to the guest.
+type region struct {
+	name       string
+	start, end int64
+}
+
+// spmdRegions are the regions setupSPMD lays out for p run by n
+// threads: the text, the data section and the n stacks below StackTop.
+func spmdRegions(p *asm.Program, n int) []region {
+	return []region{
+		{"text", int64(p.TextBase), int64(p.TextEnd())},
+		{"data", int64(p.DataBase), int64(p.DataEnd())},
+		{"stacks", StackTop - int64(n)*StackSize, StackTop},
+	}
+}
+
+// checkLayout returns an error if a region does not fit in m's memory
+// or two regions overlap. Every Configure calls it before it writes
+// anything, so a workload scaled past its layout is an error, not a
+// panic or a guest that silently overwrites its own data.
+func checkLayout(name string, m *core.Machine, rs ...region) error {
+	for i, r := range rs {
+		if r.start < 0 || r.end > int64(m.Img.Size()) {
+			return fmt.Errorf("%s: %s [%#x, %#x) does not fit in %d bytes of memory", name, r.name, r.start, r.end, m.Img.Size())
+		}
+		for _, o := range rs[:i] {
+			if r.start < o.end && o.start < r.end {
+				return fmt.Errorf("%s: %s [%#x, %#x) overlaps %s [%#x, %#x)", name, r.name, r.start, r.end, o.name, o.start, o.end)
+			}
+		}
+	}
+	return nil
+}
+
 // Run builds a machine for (workload, arch, model), runs it to
 // completion, validates the results, and returns the run result. It is
 // the one-call entry point used by the CLI, the benchmarks and the
