@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace telemetry-smoke host-prof-smoke layout-smoke experiments-output clean
+.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace telemetry-smoke experiments-output size clean
 
 all: build
 
@@ -72,15 +72,13 @@ bench:
 # bench-gate is the CI perf gate: re-measure the figure matrix
 # (median of 3 samples per cell) and diff against the committed
 # baseline. Sim cycle counts must match exactly (determinism anchor —
-# including at -sim-jobs 2 and under the profile-suggested shard
-# layout on the detailed-CPU rows); Mipsy MemBound rows must keep a
-# >= 2x skip speedup; on hosts with 4 or more cores the MXS MemBound
-# row must keep a >= 1.5x parallel-tick speedup unless the baseline
-# marks it par_regression (on fewer cores there is no floor: the serial
-# loop skips per CPU itself, which is all sharding won there), and its
-# gate_wait_frac may not climb more than 5 points above the committed
-# value when the adopted layout matches; every other row's
-# dimensionless speedup must stay within ±30% of its baseline value.
+# including at -sim-jobs 4 on the detailed-CPU rows); Mipsy MemBound
+# rows must keep a >= 2x skip speedup; on hosts with 4 or more cores
+# the MXS MemBound row must keep a >= 1.5x parallel-tick speedup unless
+# the baseline marks it par_regression (on fewer cores there is no
+# floor: the serial loop skips per CPU itself, which is all sharding
+# won there); every other row's dimensionless speedup must stay within
+# ±30% of its baseline value.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_figures.json -samples 3
 
@@ -99,8 +97,8 @@ experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
 # bench-trace proves the zero-allocation acceptance bar:
-# BenchmarkTracerDisabled, BenchmarkProfDisabled,
-# BenchmarkHostProfDisabled (instrumentation attached but off),
+# BenchmarkTracerDisabled, BenchmarkProfDisabled (instrumentation
+# attached but off),
 # the three BenchmarkMXSTick cases (the detailed CPU's per-cycle path
 # against a one-cycle memory, four cores of quick MP3D ticked in
 # rotation over the real shared-memory system, and stalled-window, the
@@ -116,32 +114,32 @@ experiments-output:
 # BenchmarkImageNew, the cost of one workload-sized guest image (its
 # page table), runs beside them for its ns/op.
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem
 
-# layout-smoke round-trips the profile-guided layout pipeline on real
-# runs: profile a quick sharded memory-bound point, ask the offline
-# search (parprof -suggest-layout) for a CPU→worker assignment, then
-# prove the suggested -shard-layout plus -sim-window-adapt leave the
-# simulation output byte-identical to the serial run.
-layout-smoke:
-	$(GO) run ./cmd/parprof -workload mp3d -quick -arch shared-mem -membound -sim-jobs 2 -json layout_prof.json > /dev/null
-	$(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -model mxs > layout_a.txt
-	LAYOUT=$$($(GO) run ./cmd/parprof -in layout_prof.json -suggest-layout 4 | sed -n 's/^rerun with: -shard-layout //p'); \
-	  echo "layout-smoke: adopting -shard-layout $$LAYOUT"; \
-	  $(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -model mxs -sim-jobs 4 -shard-layout "$$LAYOUT" -sim-window-adapt > layout_b.txt
-	cmp layout_a.txt layout_b.txt
-	rm -f layout_a.txt layout_b.txt layout_prof.json
-
-# host-prof-smoke pins the host observatory's determinism contract on a
-# real sharded run: two parprof invocations over the memory-bound
-# 2-CPU MP3D point at -sim-jobs 2 must print byte-identical
-# schedule-shape reports (-sim-only strips the wall-clock half), and
-# the second run leaves its decomposition JSON behind for CI to upload.
-host-prof-smoke:
-	$(GO) run ./cmd/parprof -workload mp3d -quick -arch shared-mem -membound -cpus 2 -sim-jobs 2 -sim-only -json hostprof_smoke.json > hostprof_a.txt
-	$(GO) run ./cmd/parprof -workload mp3d -quick -arch shared-mem -membound -cpus 2 -sim-jobs 2 -sim-only -json hostprof_smoke.json > hostprof_b.txt
-	cmp hostprof_a.txt hostprof_b.txt
-	rm -f hostprof_a.txt hostprof_b.txt
+# size reports what the code base weighs: Go lines (non-test, and test
+# plus testdata) per top-level directory of the root module, benchmark/
+# excluded, and the number of flags each command's -h lists.
+size:
+	@printf '%-12s %8s %8s\n' dir go test; \
+	tgo=0; ttest=0; \
+	for d in . $$(find . -mindepth 1 -maxdepth 1 -type d ! -name '.*' ! -name benchmark | sort); do \
+	  depth=; [ $$d = . ] && depth='-maxdepth 1'; \
+	  go=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
+	  test=$$(find $$d $$depth -name '*.go' \( -name '*_test.go' -o -path '*/testdata/*' \) -exec cat {} + | wc -l); \
+	  [ $$go$$test = 00 ] && continue; \
+	  printf '%-12s %8d %8d\n' $${d#./} $$go $$test; \
+	  tgo=$$((tgo + go)); ttest=$$((ttest + test)); \
+	done; \
+	printf '%-12s %8d %8d\n\n' total $$tgo $$ttest
+	@printf '%-12s %8s\n' command flags; \
+	bin=$$(mktemp -d); total=0; \
+	for c in $$(ls cmd); do \
+	  $(GO) build -o $$bin/$$c ./cmd/$$c || exit 1; \
+	  n=$$($$bin/$$c -h 2>&1 | grep -c '^  -'); \
+	  printf '%-12s %8d\n' $$c $$n; total=$$((total + n)); \
+	done; \
+	rm -rf $$bin; \
+	printf '%-12s %8d\n' total $$total
 
 clean:
 	$(GO) clean ./...

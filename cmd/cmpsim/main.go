@@ -26,7 +26,6 @@ import (
 
 	"cmpsim/internal/check"
 	"cmpsim/internal/core"
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
@@ -110,8 +109,6 @@ func main() {
 
 		jobs     = flag.Int("jobs", 0, "max concurrent architecture runs (0 = GOMAXPROCS); output is identical for any value")
 		simJobs  = flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-		layout   = flag.String("shard-layout", "", "explicit CPU→worker assignment for the parallel tick, e.g. 0,1,0,1 (empty = contiguous split; parprof -suggest-layout proposes one; output is identical for any layout)")
-		adaptWin = flag.Bool("sim-window-adapt", false, "let the parallel-tick coordinator fast-forward quiescent stretches and retune window sizes from observed tick density (output is identical)")
 		cacheDir = flag.String("cache-dir", "", "memoize run results as JSON under this directory (\"\" = off)")
 		progress = flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 
@@ -120,9 +117,6 @@ func main() {
 		profTop  = flag.Int("prof-top", 15, "rows per profile report table")
 
 		sanitize = flag.Bool("sanitize", false, "validate coherence/cycle invariants on every transaction (panics with an event trail on violation)")
-
-		hostProf    = flag.Bool("host-prof", false, "profile the parallel-tick host schedule (gate waits, speedup decomposition); unlike -prof this does NOT force the run serial")
-		hostProfOut = flag.String("host-prof-out", "", "write the host profile as JSON (cmd/parprof -in reads it) to this file")
 
 		traceChrome = flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) to this file")
 		traceJSONL  = flag.String("trace-out", "", "write the raw event trace as JSON Lines (cmd/tracestats input) to this file")
@@ -161,8 +155,6 @@ func main() {
 	}
 	cfg.NoSkip = *noSkip
 	cfg.SimJobs = *simJobs
-	cfg.ShardLayout = *layout
-	cfg.AdaptWindow = *adaptWin
 
 	set, err := telem.Start()
 	if err != nil {
@@ -198,7 +190,6 @@ func main() {
 	rings := make([]*obsv.Ring, len(arches))
 	profs := make([]*regionProfile, len(arches))
 	checkers := make([]*check.Checker, len(arches))
-	hostRecs := make([]*hostprof.Recorder, len(arches))
 	for i, a := range arches {
 		acfg := cfg
 		var tracers []obsv.Tracer
@@ -223,12 +214,6 @@ func main() {
 		}
 		if *profFlag || *profOut != "" {
 			acfg.Prof = prof.New(acfg.NumCPUs, acfg.LineBytes)
-		}
-		if *hostProf || *hostProfOut != "" {
-			// Host-side observer: records the parallel scheduler's own
-			// execution, never sim state, so the run stays parallel.
-			hostRecs[i] = hostprof.New()
-			acfg.HostProf = hostRecs[i]
 		}
 		name := *wlName
 		q := *quick
@@ -301,30 +286,6 @@ func main() {
 					os.Exit(1)
 				}
 				fmt.Printf("wrote profile to %s\n", path)
-			}
-		}
-		if rec := hostRecs[i]; rec != nil {
-			hp := rec.Snapshot(*wlName, string(a), *model)
-			if *hostProf {
-				if err := hp.WriteReport(os.Stdout, *profTop, false); err != nil {
-					fmt.Fprintln(os.Stderr, "cmpsim:", err)
-					os.Exit(1)
-				}
-			}
-			if *hostProfOut != "" {
-				path := splicePath(*hostProfOut, string(a), len(arches) > 1)
-				f, err := os.Create(path)
-				if err == nil {
-					err = hp.WriteJSON(f)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "cmpsim:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote host profile to %s\n", path)
 			}
 		}
 	}

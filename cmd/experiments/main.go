@@ -30,7 +30,6 @@ import (
 	"cmpsim/internal/core"
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/cyc"
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/isa"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
@@ -45,12 +44,11 @@ import (
 // on, every (figure, architecture) run gets its own ring and its own
 // output file, so parallel runs can never interleave events.
 type obsvOpts struct {
-	chrome      string
-	jsonl       string
-	bufSize     int
-	interval    uint64
-	profOut     string
-	hostProfOut string
+	chrome   string
+	jsonl    string
+	bufSize  int
+	interval uint64
+	profOut  string
 }
 
 var obsvFlags obsvOpts
@@ -60,12 +58,8 @@ var obsvFlags obsvOpts
 var noSkipFlag bool
 
 // simJobsFlag shards each dispatched simulation's CPUs across host
-// goroutines; output is identical for any value. layoutFlag and
-// adaptWinFlag are the other two scheduler shape knobs, equally
-// output-neutral.
+// goroutines; output is identical for any value.
 var simJobsFlag int
-var layoutFlag string
-var adaptWinFlag bool
 
 // telemSim, when host telemetry is enabled, is the campaign-wide
 // cycle-loop instrument panel shared by every dispatched job.
@@ -91,9 +85,8 @@ type figureSpec struct {
 // grid accumulates the full experiment job list plus the per-job rings
 // that collect traces for the sink files.
 type grid struct {
-	jobs     []runner.Job
-	rings    []*obsv.Ring
-	hostRecs []*hostprof.Recorder
+	jobs  []runner.Job
+	rings []*obsv.Ring
 }
 
 // addJob appends one run to the grid, wiring per-job observability
@@ -105,8 +98,6 @@ func (g *grid) addJob(wlName string, quick bool, arch core.Arch, model core.CPUM
 	}
 	cfg.NoSkip = noSkipFlag
 	cfg.SimJobs = simJobsFlag
-	cfg.ShardLayout = layoutFlag
-	cfg.AdaptWindow = adaptWinFlag
 	cfg.Telem = telemSim
 	job := runner.Job{
 		Workload: func() (workload.Workload, error) {
@@ -132,16 +123,8 @@ func (g *grid) addJob(wlName string, quick bool, arch core.Arch, model core.CPUM
 	if obsvFlags.profOut != "" {
 		job.Cfg.Prof = prof.New(job.Cfg.NumCPUs, job.Cfg.LineBytes)
 	}
-	var hrec *hostprof.Recorder
-	if obsvFlags.hostProfOut != "" {
-		// Host-schedule observer: unlike Trace/Prof it never forces the
-		// run serial, so -host-prof-out composes with -sim-jobs.
-		hrec = hostprof.New()
-		job.Cfg.HostProf = hrec
-	}
 	g.jobs = append(g.jobs, job)
 	g.rings = append(g.rings, ring)
-	g.hostRecs = append(g.hostRecs, hrec)
 	return len(g.jobs) - 1
 }
 
@@ -165,12 +148,9 @@ func main() {
 	flag.IntVar(&obsvFlags.bufSize, "trace-buf", 1<<20, "trace ring-buffer capacity in events")
 	flag.Uint64Var(&obsvFlags.interval, "metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	flag.StringVar(&obsvFlags.profOut, "prof-out", "", "write per-run cycle-attribution profiles as JSON (cmd/simprof -in); the run tag is spliced into this filename")
-	flag.StringVar(&obsvFlags.hostProfOut, "host-prof-out", "", "write per-run host-schedule profiles as JSON (cmd/parprof -in); the run tag is spliced into this filename")
 	progress := flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 	flag.BoolVar(&noSkipFlag, "no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 	flag.IntVar(&simJobsFlag, "sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-	flag.StringVar(&layoutFlag, "shard-layout", "", "explicit CPU→worker assignment for the parallel tick, e.g. 0,1,0,1 (empty = contiguous split; parprof -suggest-layout proposes one; output is identical for any layout)")
-	flag.BoolVar(&adaptWinFlag, "sim-window-adapt", false, "let the parallel-tick coordinator fast-forward quiescent stretches and retune window sizes from observed tick density (output is identical)")
 	var telem telemetry.Flags
 	telem.Register()
 	telem.RegisterReport()
@@ -264,8 +244,6 @@ func main() {
 		fmt.Printf("  L2 %d-way: cycles=%-10d L2 miss rate=%5.1f%%  L1R=%5.1f%%\n",
 			assoc, res.Cycles, 100*res.MemReport.L2.MissRate(), 100*res.MemReport.L1D.ReplRate())
 		dumpProfile(res.Profile, "mp3d", g.jobs[ablationIdx[i]].Tag)
-		dumpHostProf(g.hostRecs[ablationIdx[i]], "mp3d", string(core.SharedL1),
-			string(core.ModelMipsy), g.jobs[ablationIdx[i]].Tag)
 	}
 	fmt.Println()
 
@@ -427,28 +405,6 @@ func dumpTrace(ring *obsv.Ring, tag string) {
 	}
 }
 
-// dumpHostProf writes one job's host-schedule profile to that job's
-// -host-prof-out file (tag spliced in). No-op when the run carried no
-// recorder.
-func dumpHostProf(rec *hostprof.Recorder, wlName, arch, model, tag string) {
-	if rec == nil {
-		return
-	}
-	p := rec.Snapshot(wlName, arch, model)
-	path := splice(obsvFlags.hostProfOut, tag)
-	f, err := os.Create(path)
-	if err == nil {
-		err = p.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fatalf("%s: write host profile: %v", tag, err)
-	}
-	fmt.Printf("  [host-prof] wrote %s\n", path)
-}
-
 // dumpProfile writes one job's cycle-attribution profile to that job's
 // -prof-out file (tag spliced in). No-op when the run carried no
 // profiler.
@@ -491,7 +447,6 @@ func printFigure(spec figureSpec, g *grid, results []runner.Result) []stats.IPCR
 			dumpTrace(ring, g.jobs[idx].Tag)
 		}
 		dumpProfile(res.Profile, wlName, g.jobs[idx].Tag)
-		dumpHostProf(g.hostRecs[idx], wlName, string(a), string(spec.model), g.jobs[idx].Tag)
 		if res.Metrics != nil {
 			samples := res.Metrics.Samples()
 			var peak float64

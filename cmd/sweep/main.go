@@ -21,13 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
 	"cmpsim/internal/core"
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/runner"
 	"cmpsim/internal/telemetry"
@@ -75,9 +73,6 @@ func main() {
 	list := flag.Bool("params", false, "list sweepable parameters")
 	noSkip := flag.Bool("no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 	simJobs := flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-	layout := flag.String("shard-layout", "", "explicit CPU→worker assignment for the parallel tick, e.g. 0,1,0,1 (empty = contiguous split; parprof -suggest-layout proposes one; output is identical for any layout)")
-	adaptWin := flag.Bool("sim-window-adapt", false, "let the parallel-tick coordinator fast-forward quiescent stretches and retune window sizes from observed tick density (output is identical)")
-	hostProfOut := flag.String("host-prof-out", "", "write per-point host-schedule profiles as JSON (cmd/parprof -in reads them); the point tag is spliced in before the extension")
 	var telem telemetry.Flags
 	telem.Register()
 	telem.RegisterReport()
@@ -129,7 +124,6 @@ func main() {
 
 	var points []uint64
 	var sweepJobs []runner.Job
-	var hostRecs []*hostprof.Recorder
 	for _, vs := range strings.Split(*values, ",") {
 		v, err := strconv.ParseUint(strings.TrimSpace(vs), 10, 64)
 		if err != nil {
@@ -140,19 +134,9 @@ func main() {
 		p.set(&cfg, v)
 		cfg.NoSkip = *noSkip
 		cfg.SimJobs = *simJobs
-		cfg.ShardLayout = *layout
-		cfg.AdaptWindow = *adaptWin
 		if set != nil {
 			cfg.Telem = set.Sim
 		}
-		var hrec *hostprof.Recorder
-		if *hostProfOut != "" {
-			// Host-schedule observer: never forces the point serial, so
-			// -host-prof-out composes with -sim-jobs.
-			hrec = hostprof.New()
-			cfg.HostProf = hrec
-		}
-		hostRecs = append(hostRecs, hrec)
 		name := *wlName
 		points = append(points, v)
 		sweepJobs = append(sweepJobs, runner.Job{
@@ -186,22 +170,5 @@ func main() {
 			points[i], res.Cycles, base/float64(res.Cycles),
 			100*rep.L1D.ReplRate(), 100*rep.L1D.InvRate(),
 			100*rep.L2.ReplRate(), 100*rep.L2.InvRate())
-		if rec := hostRecs[i]; rec != nil {
-			hp := rec.Snapshot(*wlName, *archStr, *model)
-			ext := filepath.Ext(*hostProfOut)
-			path := (*hostProfOut)[:len(*hostProfOut)-len(ext)] + "." + sweepJobs[i].Tag + ext
-			f, err := os.Create(path)
-			if err == nil {
-				err = hp.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("  [host-prof] wrote %s\n", path)
-		}
 	}
 }

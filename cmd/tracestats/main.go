@@ -4,17 +4,8 @@
 // sites, per-CPU structural-stall tallies, the most-invalidated lines,
 // and per-level data-access latency.
 //
-// Traces can mix guest (simulated machine) events with host-timeline
-// events (the parallel-tick scheduler's own execution, written by
-// parprof -jsonl); -tracks selects which side to summarize, so a
-// concatenated or mixed trace still reduces cleanly. Host events get
-// their own section: per-kind counts, window/skip totals, and gate-wait
-// attribution by site.
-//
 //	cmpsim -workload eqntott -arch shared-l2 -trace-out run.jsonl
 //	tracestats -n 10 run.jsonl
-//	parprof -workload mp3d -quick -jsonl host.jsonl
-//	tracestats -tracks host host.jsonl
 //	gzip -dc run.jsonl.gz | tracestats -      # "-" or no arg = stdin
 package main
 
@@ -25,20 +16,12 @@ import (
 	"os"
 	"sort"
 
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/obsv"
 )
 
 func main() {
 	topN := flag.Int("n", 10, "show the top N entries of each table")
-	tracks := flag.String("tracks", "all", "which event tracks to summarize: guest (simulated machine), host (parallel-tick scheduler), or all")
 	flag.Parse()
-	switch *tracks {
-	case "guest", "host", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "tracestats: -tracks must be guest, host or all (got %q)\n", *tracks)
-		os.Exit(2)
-	}
 
 	// "-" (or no argument) reads the trace from stdin, so tracestats
 	// composes with streamed pipelines (decompressors, remote copies):
@@ -73,128 +56,12 @@ func main() {
 		}
 	}
 
-	// Split the trace by track so a mixed file (guest events plus a
-	// parprof host timeline) reduces to the sections the reader asked
-	// for instead of host windows polluting the guest tables.
-	var guest, host []obsv.Event
-	for _, ev := range events {
-		if obsv.HostKind(ev.Kind) {
-			host = append(host, ev)
-		} else {
-			guest = append(guest, ev)
-		}
-	}
-	fmt.Printf("%s: %d events over cycles [%d, %d] (%d guest, %d host)\n\n",
-		name, len(events), first, last, len(guest), len(host))
+	fmt.Printf("%s: %d events over cycles [%d, %d]\n\n", name, len(events), first, last)
 
-	if *tracks != "host" {
-		contention(guest, *topN)
-		structural(guest)
-		invalidations(guest, *topN)
-		latency(guest)
-	}
-	if *tracks != "guest" {
-		hostSummary(host, *topN)
-	}
-}
-
-// hostSummary reduces the host-timeline track: scheduling-window and
-// skip totals per worker, coordinator serial/parallel time, and
-// gate-wait attribution by site (Event field use is documented on the
-// EvHost* kinds in internal/obsv).
-func hostSummary(events []obsv.Event, topN int) {
-	if len(events) == 0 {
-		fmt.Println("host timeline: no host events in trace")
-		return
-	}
-	type wtally struct {
-		windows, winCycles, winUs uint64
-		spins, spinNs             uint64
-		skips, skipCycles         uint64
-	}
-	workers := map[int8]*wtally{}
-	get := func(cpu int8) *wtally {
-		t := workers[cpu]
-		if t == nil {
-			t = &wtally{}
-			workers[cpu] = t
-		}
-		return t
-	}
-	type siteTally struct {
-		spins, ns uint64
-	}
-	sites := map[uint32]*siteTally{}
-	var serialUs, barrierUs, barriers uint64
-	for _, ev := range events {
-		switch ev.Kind {
-		case obsv.EvHostWindow:
-			t := get(ev.CPU)
-			t.windows++
-			t.winCycles += uint64(ev.Addr)
-			t.winUs += uint64(ev.Arg)
-		case obsv.EvHostSpin:
-			t := get(ev.CPU)
-			t.spins++
-			t.spinNs += uint64(ev.Arg)
-			s := sites[ev.Arg2]
-			if s == nil {
-				s = &siteTally{}
-				sites[ev.Arg2] = s
-			}
-			s.spins++
-			s.ns += uint64(ev.Arg)
-		case obsv.EvHostSkip:
-			t := get(ev.CPU)
-			t.skips++
-			t.skipCycles += uint64(ev.Arg)
-		case obsv.EvHostSerial:
-			serialUs += uint64(ev.Arg)
-		case obsv.EvHostBarrier:
-			barriers++
-			barrierUs += uint64(ev.Arg)
-		}
-	}
-	fmt.Printf("host timeline: coordinator serial %dµs, %d parallel regions totalling %dµs\n",
-		serialUs, barriers, barrierUs)
-	if len(workers) > 0 {
-		ids := make([]int8, 0, len(workers))
-		for c := range workers {
-			ids = append(ids, c)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		fmt.Println("  (windows are attributed to worker tracks, spins/skips to CPUs)")
-		fmt.Printf("  %6s %9s %12s %10s %8s %12s %8s %12s\n",
-			"id", "windows", "win-cycles", "win-µs", "spins", "spin-ns", "skips", "skip-cycles")
-		for _, c := range ids {
-			t := workers[c]
-			fmt.Printf("  %6d %9d %12d %10d %8d %12d %8d %12d\n",
-				c, t.windows, t.winCycles, t.winUs, t.spins, t.spinNs, t.skips, t.skipCycles)
-		}
-	}
-	if len(sites) > 0 {
-		keys := make([]uint32, 0, len(sites))
-		for k := range sites {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := sites[keys[i]], sites[keys[j]]
-			if a.ns != b.ns {
-				return a.ns > b.ns
-			}
-			return keys[i] < keys[j]
-		})
-		if len(keys) > topN {
-			keys = keys[:topN]
-		}
-		fmt.Println("gate waits by site (by host ns spun):")
-		fmt.Printf("  %-14s %10s %12s\n", "site", "spins", "spin-ns")
-		for _, k := range keys {
-			s := sites[k]
-			fmt.Printf("  %-14s %10d %12d\n", hostprof.Site(k).String(), s.spins, s.ns)
-		}
-	}
-	fmt.Println()
+	contention(events, *topN)
+	structural(events)
+	invalidations(events, *topN)
+	latency(events)
 }
 
 // site is one (resource, bank) arbitration point.

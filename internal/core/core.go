@@ -383,11 +383,8 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 			pending: make([]bool, cfg.NumCPUs),
 		},
 	}
-	if (cfg.SimJobs > 1 || cfg.ShardLayout != "") && cfg.NumCPUs > 1 {
-		m.par, err = newParSched(m, max(cfg.SimJobs, 2))
-		if err != nil {
-			return nil, err
-		}
+	if cfg.SimJobs > 1 && cfg.NumCPUs > 1 {
+		m.par = newParSched(m, cfg.SimJobs)
 	}
 	switch model {
 	case ModelMipsy:

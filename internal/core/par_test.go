@@ -81,11 +81,7 @@ func stubParMachine(simJobs int, grid uint64, cores ...*gatedStub) *Machine {
 	m.Cfg.SimWindow = grid
 	m.irq = irqLines{live: make([]bool, len(cores)), pending: make([]bool, len(cores))}
 	if simJobs > 1 && len(cores) > 1 {
-		par, err := newParSched(m, simJobs)
-		if err != nil {
-			panic(err)
-		}
-		m.par = par
+		m.par = newParSched(m, simJobs)
 	}
 	for i, c := range cores {
 		c.m = m
@@ -105,14 +101,12 @@ type parCase struct {
 	grid  uint64
 	start uint64
 	n     uint64
-	adapt bool // enable adaptive windows + coordinator fast-forward
 }
 
 func (tc parCase) run(t *testing.T, simJobs int) (log []stubTick, irqSeen []uint64, next uint64, halted bool) {
 	t.Helper()
 	cores := tc.mk()
 	m := stubParMachine(simJobs, tc.grid, cores...)
-	m.Cfg.AdaptWindow = tc.adapt
 	shared := &log
 	seen := &irqSeen
 	for _, c := range cores {
@@ -236,11 +230,10 @@ func TestParallelEventChainAcrossBarriers(t *testing.T) {
 // edge, so the interval time-series has exactly the serial sample
 // points.
 func TestParallelSamplerBoundaries(t *testing.T) {
-	run := func(simJobs int, adapt bool) []uint64 {
+	run := func(simJobs int) []uint64 {
 		var log []stubTick
 		cores := []*gatedStub{{id: 0, blockedUntil: 60}, {id: 1, blockedUntil: 60}}
 		m := stubParMachine(simJobs, 4096, cores...)
-		m.Cfg.AdaptWindow = adapt
 		for _, c := range cores {
 			c.log = &log
 		}
@@ -256,17 +249,11 @@ func TestParallelSamplerBoundaries(t *testing.T) {
 		return cycles
 	}
 	want := []uint64{10, 20, 30, 40}
-	if got := run(1, false); !reflect.DeepEqual(got, want) {
+	if got := run(1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("serial sample cycles = %v, want %v", got, want)
 	}
-	if got := run(2, false); !reflect.DeepEqual(got, want) {
+	if got := run(2); !reflect.DeepEqual(got, want) {
 		t.Errorf("parallel sample cycles = %v, want %v", got, want)
-	}
-	// With adaptive windows the coordinator fast-forwards over the
-	// all-blocked stretch; the jump must still stop at every sampler due
-	// cycle so the time-series is unchanged.
-	if got := run(2, true); !reflect.DeepEqual(got, want) {
-		t.Errorf("adaptive parallel sample cycles = %v, want %v", got, want)
 	}
 }
 
@@ -341,8 +328,8 @@ func TestParallelMidWindowHalt(t *testing.T) {
 }
 
 // TestParallelGateIdempotent: repeated Sync calls within one tick must
-// be free after the first — pinned by counting contended waits on a
-// two-core lockstep machine where every tick syncs twice.
+// be free after the first, on a two-core lockstep machine where every
+// tick syncs twice.
 func TestParallelGateIdempotent(t *testing.T) {
 	var log []stubTick
 	cores := []*gatedStub{{id: 0}, {id: 1}}
@@ -366,139 +353,3 @@ func TestParallelGateIdempotent(t *testing.T) {
 type gateTwice struct{ g cpu.TickGate }
 
 func (g gateTwice) Sync() { g.g.Sync(); g.g.Sync() }
-
-// TestParallelEpochGrantSpansWindows: long-blocked cores publish safe
-// horizons far past the window edge, so their waiters take whole-epoch
-// grants and the horizons carry across window boundaries — the clamp at
-// the window end must never let a grant outrun the serial rotation.
-// Checked with and without adaptive windows (which fast-forward over
-// the all-quiescent stretches the same horizons expose).
-func TestParallelEpochGrantSpansWindows(t *testing.T) {
-	mk := func() []*gatedStub {
-		return []*gatedStub{
-			{id: 0, blockedUntil: 200},
-			{id: 1, blockedUntil: 210},
-			{id: 2},
-			{id: 3, blockedUntil: 90},
-		}
-	}
-	for _, adapt := range []bool{false, true} {
-		parCase{mk: mk, grid: 32, start: 0, n: 300, adapt: adapt}.check(t)
-	}
-	// The scenario must actually exercise the grant path: horizons past
-	// w1 take whole-window grants at window entry.
-	var log []stubTick
-	cores := mk()
-	m := stubParMachine(2, 32, cores...)
-	for _, c := range cores {
-		c.log = &log
-	}
-	if _, _, err := m.RunWindow(0, 300); err != nil {
-		t.Fatal(err)
-	}
-	var grants uint64
-	for _, g := range m.par.grants {
-		grants += g
-	}
-	if grants == 0 {
-		t.Error("no epoch grants taken: scenario does not cover the grant path")
-	}
-}
-
-// TestParallelPeerHaltMidEpoch: a core halting while peers hold granted
-// epochs must publish the not-halted sentinel so waiters stop admitting
-// it — and the run must continue to the serial stop cycle, not wedge on
-// the dead core's stale clock.
-func TestParallelPeerHaltMidEpoch(t *testing.T) {
-	for _, adapt := range []bool{false, true} {
-		parCase{
-			mk: func() []*gatedStub {
-				return []*gatedStub{
-					{id: 0, haltAt: 40},
-					{id: 1, blockedUntil: 100},
-					{id: 2},
-				}
-			},
-			grid: 32, start: 0, n: 300, adapt: adapt,
-		}.check(t)
-	}
-}
-
-// TestParallelEventSplitsGrantedEpoch: an event due mid-stretch while
-// every core's horizon clears it must still cut the window at the due
-// cycle — and an IRQ it raises must reach the blocked target at the
-// exact serial cycle (its first runnable tick). This pins both the
-// event bound on epoch grants and the event bound on the adaptive
-// fast-forward jump.
-func TestParallelEventSplitsGrantedEpoch(t *testing.T) {
-	run := func(simJobs int, adapt bool) ([]uint64, []uint64, []stubTick) {
-		var log []stubTick
-		seen := []uint64{}
-		cores := []*gatedStub{
-			{id: 0, blockedUntil: 10000},
-			{id: 1, blockedUntil: 130, irqSeen: &seen},
-		}
-		m := stubParMachine(simJobs, 4096, cores...)
-		m.Cfg.AdaptWindow = adapt
-		for _, c := range cores {
-			c.log = &log
-		}
-		var fired []uint64
-		m.Events.Schedule(37, func(at uint64) {
-			fired = append(fired, at)
-			m.RaiseIRQ(1)
-			m.Events.Schedule(41, func(at2 uint64) { fired = append(fired, at2) })
-		})
-		if _, _, err := m.RunWindow(0, 300); err != nil {
-			t.Fatal(err)
-		}
-		return fired, seen, log
-	}
-	refFired, refSeen, refLog := run(1, false)
-	if want := []uint64{37, 41}; !reflect.DeepEqual(refFired, want) {
-		t.Fatalf("serial events fired at %v, want %v", refFired, want)
-	}
-	if want := []uint64{130}; !reflect.DeepEqual(refSeen, want) {
-		t.Fatalf("serial IRQ observed at %v, want %v", refSeen, want)
-	}
-	for _, jobs := range []int{2, 4} {
-		for _, adapt := range []bool{false, true} {
-			fired, seen, log := run(jobs, adapt)
-			if !reflect.DeepEqual(fired, refFired) {
-				t.Errorf("sim-jobs=%d adapt=%v events fired at %v, serial %v", jobs, adapt, fired, refFired)
-			}
-			if !reflect.DeepEqual(seen, refSeen) {
-				t.Errorf("sim-jobs=%d adapt=%v IRQ observed at %v, serial %v", jobs, adapt, seen, refSeen)
-			}
-			if !reflect.DeepEqual(log, refLog) {
-				t.Errorf("sim-jobs=%d adapt=%v tick order diverges:\npar:    %v\nserial: %v", jobs, adapt, trunc(log), trunc(refLog))
-			}
-		}
-	}
-}
-
-// TestParallelBufferedIRQInGrantedEpoch: a tick-phase IRQ raised while
-// its target is blocked deep into a granted epoch is buffered, merged
-// onto the live line at the next grid boundary, and observed at the
-// target's first runnable tick — identically serial and parallel, with
-// and without adaptive windows.
-func TestParallelBufferedIRQInGrantedEpoch(t *testing.T) {
-	mk := func() []*gatedStub {
-		seen := []uint64{}
-		return []*gatedStub{
-			{id: 0, raiseAt: 3, raiseTo: 1},
-			{id: 1, blockedUntil: 40, irqSeen: &seen},
-		}
-	}
-	tc := parCase{mk: mk, grid: 16, start: 0, n: 96}
-	// Merge lands at grid boundary 16 inside core 1's granted stretch;
-	// the first runnable tick — and so the observation — is cycle 40.
-	_, seen, _, _ := tc.run(t, 1)
-	if want := []uint64{40}; !reflect.DeepEqual(seen, want) {
-		t.Fatalf("serial IRQ observed at %v, want %v", seen, want)
-	}
-	for _, adapt := range []bool{false, true} {
-		tc.adapt = adapt
-		tc.check(t)
-	}
-}

@@ -42,13 +42,10 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"cmpsim/internal/cpu"
-	"cmpsim/internal/cyc"
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/memsys"
 )
 
@@ -92,78 +89,34 @@ type clockSlot struct {
 
 // cpuGate is one CPU's tick-gate state. tick/synced are written by the
 // owning worker at the top of every tick; Sync implements the
-// rotation-ordered admission spin. waits and siteWaits accumulate
-// contended syncs (total and by gate site) for telemetry and are
-// drained by the coordinator between runs; rec, when host profiling is
-// attached, additionally receives every contended spin with its peer,
-// site and duration.
+// rotation-ordered admission spin.
 type cpuGate struct {
-	s    *parSched
-	cpu  int
-	tick uint64
-
-	// grantedUntil is the waiter-side epoch grant: a cycle bound below
-	// which every cross-shard peer's published safe horizon has already
-	// been observed, so syncs at cycles strictly before it need no clock
-	// loads at all. Sound because horizons only move forward inside a
-	// carried stretch; the coordinator zeroes the grant whenever it
-	// rewinds the clocks (non-quiet window boundary).
-	grantedUntil uint64
-
-	synced    bool
-	waits     uint64
-	siteWaits [hostprof.NumSites]uint64
-	rec       *hostprof.GateRec
-	_         [16]byte // pad to two cache lines: gates are adjacent in one slice
+	s      *parSched
+	cpu    int
+	tick   uint64
+	synced bool
+	_      [32]byte // pad to a cache line: gates are adjacent in one slice
 }
 
-// Sync implements cpu.TickGate — the detailed CPU model's
-// graduation-time guest-image read is the only caller that reaches the
-// gate without a site-tagged shim.
-func (g *cpuGate) Sync() { g.sync(hostprof.SiteMXSImage) }
-
-// sync blocks until every peer CPU has left this CPU's current cycle
-// or sits behind it in the cycle's service rotation. Idempotent within
-// a tick; a no-op on the serial path.
-//
-// Two epoch-grant shortcuts over the original every-peer scan (DESIGN
-// §8.6): same-shard peers are never checked — the owning worker picks
-// its CPUs in (cycle, rotation-position) order, so a same-shard peer's
-// published clock always already satisfies the admission predicate —
-// and a whole-epoch grant is cached in grantedUntil: after one scan,
-// every sync at a cycle below the minimum cross-shard horizon observed
-// is admitted with a single comparison.
-func (g *cpuGate) sync(site hostprof.Site) {
+// Sync implements cpu.TickGate: block until every peer CPU has left
+// this CPU's current cycle or sits behind it in the cycle's service
+// rotation. Idempotent within a tick; a no-op on the serial path.
+func (g *cpuGate) Sync() {
 	s := g.s
 	if !s.active || g.synced {
 		return
 	}
 	g.synced = true
-	t := g.tick
-	if t < g.grantedUntil {
-		return // inside a granted epoch: no peer can reach t anymore
-	}
 	n := len(s.clocks)
+	t := g.tick
 	myPos := rotPos(g.cpu, t, n)
-	myShard := s.shardOf[g.cpu]
-	granted := notHalted
-	spun := false
 	for j := 0; j < n; j++ {
-		if s.shardOf[j] == myShard {
-			continue // own worker's CPUs, self included: safe by pick order
+		if j == g.cpu {
+			continue
 		}
 		jPos := rotPos(j, t, n)
-		cj := s.clocks[j].c.Load()
-		if cj > t || (cj == t && jPos > myPos) {
-			if cj < granted {
-				granted = cj
-			}
-			continue // peer already past: no contention, no timestamps
-		}
-		spun = true
-		tok := g.rec.SpinBegin()
 		for spins := 0; ; spins++ {
-			cj = s.clocks[j].c.Load()
+			cj := s.clocks[j].c.Load()
 			if cj > t || (cj == t && jPos > myPos) {
 				break
 			}
@@ -174,15 +127,6 @@ func (g *cpuGate) sync(site hostprof.Site) {
 				runtime.Gosched()
 			}
 		}
-		g.rec.SpinEnd(tok, j, site, t)
-		if cj < granted {
-			granted = cj
-		}
-	}
-	g.grantedUntil = granted
-	if spun {
-		g.waits++
-		g.siteWaits[site]++
 	}
 }
 
@@ -208,11 +152,10 @@ type winJob struct {
 // sharding. Worker goroutines are spawned per runParallel call and
 // joined before it returns, so an idle Machine holds no goroutines.
 type parSched struct {
-	m       *Machine
-	shards  [][]int     // worker -> owned CPU ids
-	shardOf []int       // CPU id -> owning worker index
-	clocks  []clockSlot // per CPU: safe horizon — no shared-state touch strictly before this cycle
-	gates   []cpuGate   // per CPU: tick-gate state, owned by the sharding worker
+	m      *Machine
+	shards [][]int     // worker -> owned CPU ids (contiguous blocks)
+	clocks []clockSlot // per CPU: the cycle it ticks next; > t means t complete
+	gates  []cpuGate   // per CPU: tick-gate state, owned by the sharding worker
 
 	// active is true only while workers are running a window (set and
 	// cleared by the coordinator around the barrier, so the
@@ -228,98 +171,44 @@ type parSched struct {
 	// their maximum is the serial loop's break cycle.
 	haltAt []uint64
 
-	// Per-worker telemetry accumulators, owner-written during windows,
-	// drained by the coordinator after the final barrier of each
-	// runParallel call.
-	ticks   []uint64 // executed CPU ticks per shard
-	skipped []uint64 // per-CPU cycles locally fast-forwarded per shard
-	grants  []uint64 // epoch grants taken at window entry per shard
-	granted []uint64 // per-CPU cycles those grants covered per shard
-
 	jobs []chan winJob  // per-worker window hand-off (buffered, reused)
 	wg   sync.WaitGroup // window barrier
-
-	// hp is the optional host-side execution observatory
-	// (memsys.Config.HostProf). It observes the host schedule only —
-	// its presence must never force the serial path or perturb sim
-	// output (parActive deliberately ignores it; the parallel-identity
-	// tests pin byte-identical output with a recorder attached).
-	// hpBound tracks the lazy Bind: the recorder binds on the first
-	// runParallel call, not at construction, so a run that never takes
-	// the parallel path (guest instruments forced it serial) snapshots
-	// to an empty profile.
-	hp      *hostprof.Recorder
-	hpBound bool
 }
 
 // newParSched builds the scheduler for up to `jobs` workers over the
-// machine's CPUs. The default assignment splits CPUs into contiguous
-// blocks; Config.ShardLayout overrides it with an explicit CPU→worker
-// map (profile-guided layouts co-locate the hottest waiter-peer pairs,
-// whose gate spins then vanish by the same-shard pick-order argument).
-func newParSched(m *Machine, jobs int) (*parSched, error) {
+// machine's CPUs, splitting them into contiguous shards.
+func newParSched(m *Machine, jobs int) *parSched {
 	ncpu := m.Cfg.NumCPUs
-	var shards [][]int
-	if lay := m.Cfg.ShardLayout; lay != "" {
-		var err error
-		// The layout decides only which host worker ticks which CPU — a
-		// pure host-parallelism knob, excluded from the result-cache key;
-		// output is byte-identical for any assignment (identity tests).
-		//simlint:allow neutral — shard layout is host scheduling shape, not simulated state
-		shards, err = hostprof.ParseShardLayout(lay, ncpu)
-		if err != nil {
-			return nil, fmt.Errorf("core: -shard-layout: %w", err)
-		}
-	} else {
-		nw := jobs
-		// Shard workers beyond the host's cores cannot overlap and only add
-		// gate contention; cap at GOMAXPROCS, but keep at least two shards
-		// so the concurrent machinery stays exercised (and race-detectable)
-		// on small hosts. The shard count is a pure host-parallelism knob —
-		// output is byte-identical for any value (parallel-identity tests).
-		if procs := runtime.GOMAXPROCS(0); nw > procs {
-			nw = procs
-			if nw < 2 {
-				nw = 2
-			}
-		}
-		if nw > ncpu {
-			nw = ncpu
-		}
-		for w := 0; w < nw; w++ {
-			lo, hi := w*ncpu/nw, (w+1)*ncpu/nw
-			ids := make([]int, 0, hi-lo)
-			for id := lo; id < hi; id++ {
-				ids = append(ids, id)
-			}
-			shards = append(shards, ids)
-		}
+	nw := jobs
+	// Shard workers beyond the host's cores cannot overlap and only add
+	// gate contention; cap at GOMAXPROCS, but keep at least two shards
+	// so the concurrent machinery stays exercised (and race-detectable)
+	// on small hosts. The shard count is a pure host-parallelism knob —
+	// output is byte-identical for any value (parallel-identity tests).
+	if procs := runtime.GOMAXPROCS(0); nw > procs {
+		nw = max(procs, 2)
 	}
-	nw := len(shards)
+	nw = min(nw, ncpu)
 	s := &parSched{
-		m:       m,
-		shards:  shards,
-		shardOf: make([]int, ncpu),
-		clocks:  make([]clockSlot, ncpu),
-		gates:   make([]cpuGate, ncpu),
-		haltAt:  make([]uint64, ncpu),
-		ticks:   make([]uint64, nw),
-		skipped: make([]uint64, nw),
-		grants:  make([]uint64, nw),
-		granted: make([]uint64, nw),
-		jobs:    make([]chan winJob, nw),
+		m:      m,
+		clocks: make([]clockSlot, ncpu),
+		gates:  make([]cpuGate, ncpu),
+		haltAt: make([]uint64, ncpu),
+		jobs:   make([]chan winJob, nw),
 	}
 	for i := range s.gates {
 		s.gates[i] = cpuGate{s: s, cpu: i}
 	}
-	for w, ids := range shards {
-		for _, id := range ids {
-			s.shardOf[id] = w
+	for w := 0; w < nw; w++ {
+		lo, hi := w*ncpu/nw, (w+1)*ncpu/nw
+		ids := make([]int, 0, hi-lo)
+		for id := lo; id < hi; id++ {
+			ids = append(ids, id)
 		}
+		s.shards = append(s.shards, ids)
 		s.jobs[w] = make(chan winJob, 1)
 	}
-	s.hp = m.Cfg.HostProf
-	return s, nil
+	return s
 }
 
 // gate returns CPU id's tick gate (for models that must Sync before
@@ -338,27 +227,27 @@ type gatedSys struct {
 func (w gatedSys) Name() string { return w.sys.Name() }
 
 func (w gatedSys) Access(now uint64, cpu int, addr uint32, write bool) (memsys.Result, bool) {
-	w.g.sync(hostprof.SiteAccess)
+	w.g.Sync()
 	return w.sys.Access(now, cpu, addr, write)
 }
 
 func (w gatedSys) IFetch(now uint64, cpu int, addr uint32) memsys.Result {
-	w.g.sync(hostprof.SiteIFetch)
+	w.g.Sync()
 	return w.sys.IFetch(now, cpu, addr)
 }
 
 func (w gatedSys) LLReserve(cpu int, addr uint32) {
-	w.g.sync(hostprof.SiteLLReserve)
+	w.g.Sync()
 	w.sys.LLReserve(cpu, addr)
 }
 
 func (w gatedSys) SCCheck(cpu int, addr uint32) bool {
-	w.g.sync(hostprof.SiteSCCheck)
+	w.g.Sync()
 	return w.sys.SCCheck(cpu, addr)
 }
 
 func (w gatedSys) ClearReservation(cpu int) {
-	w.g.sync(hostprof.SiteClearReserve)
+	w.g.Sync()
 	w.sys.ClearReservation(cpu)
 }
 
@@ -372,7 +261,7 @@ type gatedTrap struct {
 }
 
 func (w gatedTrap) Syscall(now uint64, cpuID int, ctx *cpu.Context, num int32) uint64 {
-	w.g.sync(hostprof.SiteSyscall)
+	w.g.Sync()
 	return w.h.Syscall(now, cpuID, ctx, num)
 }
 
@@ -413,19 +302,6 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 	}
 
 	nw := len(s.shards)
-	// Lazy-bind the host observatory on the first window that actually
-	// takes the parallel path; the worker spawns below publish the
-	// recorders to their owning goroutines.
-	if s.hp != nil && !s.hpBound {
-		s.hp.Bind(len(s.clocks), s.shards)
-		for i := range s.gates {
-			s.gates[i].rec = s.hp.Gate(i)
-		}
-		s.hpBound = true
-	}
-	ctk := s.hp.Coord()
-	rtok := ctk.RunBegin()
-	defer ctk.RunEnd(rtok)
 	for w := 0; w < nw; w++ {
 		//simlint:allow determinism — the tick gate serializes every shared-state access into the serial loop's exact (cycle, rotation) order; identity pinned by the parallel byte-identity tests
 		go s.worker(w)
@@ -437,46 +313,10 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			ch <- winJob{}
 		}
 	}()
-	telBase := cyc
 
-	// Coordinator-serial slices span everything between barriers: IRQ
-	// merge, event calendar, halt scans, window-edge computation,
-	// sampler probes, telemetry flushes.
-	//
-	// carry tracks whether the workers' published safe horizons survive
-	// the window boundary (DESIGN §8.6). A horizon is a NextWork proof
-	// — "no observable work, hence no shared-state touch, strictly
-	// before cycle h, assuming no external input" — so it stays valid
-	// across a boundary exactly when no external input arrived: no
-	// buffered IRQ promoted onto a live line, no event callback ran.
-	// (The interval sampler only reads counters; it never feeds state
-	// back into a CPU, so a sampler cut does not invalidate.) The first
-	// window never carries: clocks are stale from the previous
-	// RunWindow chunk, which may have run serially or not at all.
-	carry := false
-	// Adaptive window sizing (Config.AdaptWindow): adaptLen is the
-	// current window-length target, halved when windows run tick-dense
-	// (lockstep phases realign at cheap barriers instead of per-access
-	// gate spins) and doubled back toward the grid when they run
-	// skip-dominated. The policy input — executed ticks per window — is
-	// deterministic, so the adapted schedule shape is reproducible;
-	// window edges never change simulated state (identity pinned with
-	// the flag on by the parallel byte-identity tests).
-	adaptLen := grid
-	var prevTicks uint64
-	for _, t := range s.ticks {
-		prevTicks += t
-	}
-	stok := ctk.SerialBegin()
 	for cyc < end {
 		if cyc%grid == 0 {
-			if m.irq.npend > 0 {
-				carry = false // merge is about to make lines live
-			}
 			m.irq.merge()
-		}
-		if ev, ok := m.Events.NextCycle(); ok && ev <= cyc {
-			carry = false // event callbacks may wake CPUs / raise IRQs
 		}
 		m.Events.RunUntil(cyc)
 		alive := false
@@ -495,80 +335,14 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			break
 		}
 
-		// Coordinator fast-forward (Config.AdaptWindow): when every live
-		// CPU's carried safe horizon clears the present, the whole
-		// stretch up to the minimum horizon is proven no-op — the serial
-		// loop's global quiescence skip would jump it — so advance
-		// without dispatching a window at all: no worker hand-off, no
-		// barrier, no per-worker grant bookkeeping. Bounded exactly like
-		// a window edge (grid boundary for IRQ merges, run end, next
-		// event, sampler due-cycle + 1), and a live IRQ line never
-		// fast-forwards because skipTo refuses to publish a horizon past
-		// t+1 for it.
-		if m.Cfg.AdaptWindow && carry {
-			h := notHalted
-			for i, c := range m.CPUs {
-				if c.Done() {
-					continue
-				}
-				if v := s.clocks[i].c.Load(); v < h {
-					h = v
-				}
-			}
-			if h > cyc {
-				jump := gridNext(cyc, grid)
-				if end < jump {
-					jump = end
-				}
-				if ev, ok := m.Events.NextCycle(); ok && ev < jump {
-					jump = ev
-				}
-				if mets != nil {
-					// Same sanctioned obs→sim dataflow as the window-edge
-					// clamp below: the sampler schedule bounds the jump,
-					// never what any cycle computes.
-					//simlint:allow neutral — fast-forward bound only; output byte-identical (see parallel-identity tests)
-					if due := mets.NextDue(); due+1 < jump && due+1 > cyc {
-						jump = due + 1
-					}
-				}
-				if h < jump {
-					jump = h
-				}
-				if jump > cyc {
-					for _, c := range m.CPUs {
-						if c.Done() {
-							continue
-						}
-						if cs, ok := c.(cycleSkipper); ok {
-							cs.SkipCycles(cyc, jump)
-						}
-					}
-					ctk.WindowOpen(cyc, jump, hostprof.CutFastForward)
-					last := jump - 1 //simlint:allow cycleflow — jump > cyc >= 0, so jump >= 1
-					if mets != nil && mets.Due(last) {
-						mets.Record(m.probe(last))
-					}
-					cyc = jump
-					continue
-				}
-			}
-		}
-
 		// Window edge: the next grid boundary, clamped by the run end,
 		// the next event and the next sampler due-cycle (+1: the serial
 		// loop samples after ticking the due cycle, so the due cycle
 		// must be a window's last cycle). All bounds exceed cyc, so the
 		// window is non-empty.
-		cut := hostprof.CutGrid
-		w1 := gridNext(cyc, grid)
-		if w1 > end {
-			w1 = end
-			cut = hostprof.CutEnd
-		}
+		w1 := min(gridNext(cyc, grid), end)
 		if ev, ok := m.Events.NextCycle(); ok && ev < w1 {
 			w1 = ev
-			cut = hostprof.CutEvent
 		}
 		if mets != nil {
 			// Sampler-schedule bound, the same sanctioned obs→sim
@@ -577,36 +351,14 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			// byte-identity tests).
 			//simlint:allow neutral — window edge only; output byte-identical (see parallel-identity tests)
 			if due := mets.NextDue(); due < w1 {
-				w1 = due + 1
-				cut = hostprof.CutSampler
-				if w1 <= cyc { // overdue sample: tick one cycle, record
-					w1 = cyc + 1
-				}
+				w1 = max(due+1, cyc+1) // an overdue sample ticks one cycle, then records
 			}
-		}
-		if m.Cfg.AdaptWindow && cyc+adaptLen < w1 {
-			w1 = cyc + adaptLen
-			cut = hostprof.CutAdapt
 		}
 
-		// Quiet boundary: carry the published safe horizons (and the
-		// waiters' cached epoch grants) into the next window — a CPU
-		// whose horizon already clears w1 is granted the whole epoch
-		// without a single re-proving tick. Otherwise rewind every clock
-		// to the present and drop the grant caches with them.
-		if !carry {
-			for i := range s.clocks {
-				s.clocks[i].c.Store(cyc)
-				s.gates[i].grantedUntil = 0
-			}
-		}
-		carry = true
-		for i := range s.haltAt {
+		for i := range s.clocks {
+			s.clocks[i].c.Store(cyc)
 			s.haltAt[i] = notHalted
 		}
-		ctk.WindowOpen(cyc, w1, cut)
-		ctk.SerialEnd(stok)
-		btok := ctk.BarrierBegin()
 		s.active = true
 		m.inTick = true
 		s.wg.Add(nw)
@@ -616,28 +368,6 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 		s.wg.Wait()
 		m.inTick = false
 		s.active = false
-		ctk.BarrierEnd(btok, cyc, w1)
-		stok = ctk.SerialBegin()
-
-		if m.Cfg.AdaptWindow {
-			// Retune the window-length target from this window's tick
-			// density (executed ticks per CPU-cycle — deterministic, so
-			// the adapted schedule reproduces run to run): dense lockstep
-			// phases shrink the window, skip-dominated phases grow it
-			// back toward the grid.
-			var tsum uint64
-			for _, t := range s.ticks {
-				tsum += t
-			}
-			ticked := tsum - prevTicks //simlint:allow cycleflow — tsum is a monotone sum of per-worker tick counters, so tsum >= prevTicks
-			prevTicks = tsum
-			span := (w1 - cyc) * uint64(len(s.clocks)) //simlint:allow cycleflow — every window-edge bound exceeds cyc, so w1 > cyc
-			if 2*ticked > span && adaptLen > max(grid/16, 1) {
-				adaptLen /= 2
-			} else if 8*ticked < span && adaptLen < grid {
-				adaptLen *= 2
-			}
-		}
 
 		allDone := true
 		for _, c := range m.CPUs {
@@ -654,9 +384,7 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			// all-halted pre-check reproduces the serial break exactly.
 			h := uint64(0)
 			for _, at := range s.haltAt {
-				if at > h {
-					h = at
-				}
+				h = max(h, at)
 			}
 			if h < w1 {
 				if mets != nil && mets.Due(h) {
@@ -671,51 +399,10 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			mets.Record(m.probe(last))
 		}
 		cyc = w1
-		if tel != nil {
-			tel.ParWindows.Inc()
-			if cyc > telBase {
-				tel.CyclesTicked.Add(cyc - telBase)
-				telBase = cyc
-			}
-		}
 	}
 
-	ctk.SerialEnd(stok)
-	if tel != nil {
-		if cyc > telBase {
-			tel.CyclesTicked.Add(cyc - telBase)
-		}
-		var gw uint64
-		for i := range s.gates {
-			g := &s.gates[i]
-			gw += g.waits
-			g.waits = 0
-			for site := range g.siteWaits {
-				if n := g.siteWaits[site]; n > 0 {
-					tel.GateWaitsBySite.With(hostprof.Site(site).String()).Add(n)
-					g.siteWaits[site] = 0
-				}
-			}
-		}
-		tel.GateWaits.Add(gw)
-		for w := 0; w < nw; w++ {
-			if s.ticks[w] > 0 {
-				tel.ShardTicks.With(strconv.Itoa(w)).Add(s.ticks[w])
-				s.ticks[w] = 0
-			}
-			if s.skipped[w] > 0 {
-				tel.LocalSkipped.Add(s.skipped[w])
-				s.skipped[w] = 0
-			}
-			if s.grants[w] > 0 {
-				tel.EpochGrants.Add(s.grants[w])
-				s.grants[w] = 0
-			}
-			if s.granted[w] > 0 {
-				tel.EpochGrantedCycles.Add(s.granted[w])
-				s.granted[w] = 0
-			}
-		}
+	if tel != nil && cyc > start {
+		tel.CyclesTicked.Add(cyc - start)
 	}
 	for _, c := range m.CPUs {
 		if f := c.Context().Fault; f != "" {
@@ -736,53 +423,22 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 // told to quit. Within a window it repeatedly picks the owned CPU with
 // the smallest (cycle, rotation-position) — which is always safe to
 // run next, and keeps the globally minimal CPU unblocked — ticks it,
-// and publishes its safe horizon through the CPU's clock: the earliest
-// future cycle at which the CPU can next touch shared state (the
-// unclamped NextWork proof when it skips, the next tick cycle
-// otherwise, "never" once it halts). Quiescent stretches are
-// fast-forwarded per CPU: a skipped cycle makes no shared-state access
-// at all in the serial loop, so skipping it locally cannot reorder
-// anything.
+// and publishes the cycle it ticks next through the CPU's clock.
+// Quiescent stretches are fast-forwarded per CPU: a skipped cycle makes
+// no shared-state access at all in the serial loop, so skipping it
+// locally cannot reorder anything.
 func (s *parSched) worker(w int) {
 	m := s.m
 	noSkip := m.Cfg.NoSkip
 	own := s.shards[w]
 	cur := make([]uint64, len(own))
-	tk := s.hp.Track(w)
 	for jb := range s.jobs[w] {
 		w0, w1 := jb.w0, jb.w1
 		if w0 == w1 {
 			return // quit signal
 		}
-		wtok := tk.WindowBegin(w0)
-		ticks0 := s.ticks[w]
-		// Window entry: resume each owned CPU from its carried safe
-		// horizon. The coordinator left the clocks untouched across a
-		// quiet boundary, so a horizon past w0 is a still-valid NextWork
-		// proof: the cycles up to it are no-ops in the serial loop too,
-		// and SkipCycles replaces them exactly as the in-window local
-		// skip does. A horizon at or past w1 grants the whole epoch —
-		// the CPU neither ticks nor re-proves anything this window.
-		for i, id := range own {
+		for i := range cur {
 			cur[i] = w0
-			h := s.clocks[id].c.Load()
-			if h <= w0 {
-				continue
-			}
-			c := m.CPUs[id]
-			if c.Done() {
-				continue // the pick loop retires it against haltAt
-			}
-			if h > w1 {
-				h = w1
-			}
-			if cs, ok := c.(cycleSkipper); ok {
-				cs.SkipCycles(w0, h)
-			}
-			s.grants[w]++
-			s.granted[w] += h - w0
-			tk.Grant(id, w0, h)
-			cur[i] = h
 		}
 		n := len(s.clocks)
 		for {
@@ -808,9 +464,8 @@ func (s *parSched) worker(w int) {
 			if c.Done() {
 				// Done at the window start (halting ticks are caught
 				// below). Record the observation cycle and retire the
-				// CPU from the window; a halted CPU can never touch
-				// shared state again, so its horizon is "never" and
-				// survives every carry.
+				// CPU from the window; a halted CPU never touches shared
+				// state again.
 				s.haltAt[id] = t
 				s.clocks[id].c.Store(notHalted)
 				cur[best] = w1
@@ -820,8 +475,6 @@ func (s *parSched) worker(w int) {
 			g.tick = t
 			g.synced = false
 			wake := c.Tick(t)
-			s.ticks[w]++
-			tk.Tick(id)
 			if c.Done() {
 				// Halted during this tick: the serial loop would first
 				// see it Done at t+1.
@@ -831,57 +484,34 @@ func (s *parSched) worker(w int) {
 				continue
 			}
 			nt := t + 1
-			hz := nt
 			if !noSkip && wake > nt {
-				v, h := s.skipTo(c, id, t, nt, w1)
-				if h > hz {
-					hz = h
-				}
-				if v > nt {
-					s.skipped[w] += v - nt
-					tk.Skip(id, nt, v)
-					nt = v
-				}
+				nt = s.skipTo(c, id, t, nt, w1)
 			}
-			s.clocks[id].c.Store(hz)
+			s.clocks[id].c.Store(nt)
 			cur[best] = nt
 		}
-		tk.WindowEnd(wtok, w1, cyc.Sub(s.ticks[w], ticks0))
 		s.wg.Done()
 	}
 }
 
 // skipTo is the per-CPU quiescence skip: verify the tick's wake hint
-// against the CPU's own NextWork proof and jump to the earlier of that
-// and the window edge. Sound inside a window because a quiescent CPU's
-// skipped cycles make no shared-state access, no event fires inside a
-// window, and the CPU's live IRQ line is frozen until the next
-// coordinator phase — mirroring the serial jumpTarget's guards, a live
-// line suppresses the skip so delivery stays on the per-cycle path.
-//
-// It returns both the clamped position `pos` the CPU resumes at inside
-// this window and the unclamped proof `horizon`: the position must not
-// cross w1 (the coordinator owns everything past the barrier), but the
-// horizon may — publishing it through the clock lets cross-shard
-// waiters stop checking this CPU for the whole proven stretch, and
-// lets the next window's entry grant resume the skip without a
-// re-proving tick (DESIGN §8.6).
-func (s *parSched) skipTo(c Core, id int, t, step, w1 uint64) (pos, horizon uint64) {
+// against the CPU's own NextWork proof and return the cycle the CPU
+// ticks next, the earlier of that proof and the window edge. Sound
+// inside a window because a quiescent CPU's skipped cycles make no
+// shared-state access, no event fires inside a window, and the CPU's
+// live IRQ line is frozen until the next coordinator phase — mirroring
+// the serial jumpTarget's guards, a live line suppresses the skip so
+// delivery stays on the per-cycle path.
+func (s *parSched) skipTo(c Core, id int, t, step, w1 uint64) uint64 {
 	if s.m.irq.live[id] {
-		return step, step
+		return step
 	}
-	target := c.NextWork(t)
-	if target <= step {
-		return step, step
+	pos := min(c.NextWork(t), w1)
+	if pos <= step {
+		return step
 	}
-	pos = target
-	if pos > w1 {
-		pos = w1
+	if cs, ok := c.(cycleSkipper); ok {
+		cs.SkipCycles(step, pos)
 	}
-	if pos > step {
-		if cs, ok := c.(cycleSkipper); ok {
-			cs.SkipCycles(step, pos)
-		}
-	}
-	return pos, target
+	return pos
 }

@@ -86,17 +86,15 @@ func TestAnalyzersCatchFixtures(t *testing.T) {
 			a := analyzerByName(t, name)
 			dir := filepath.Join("testdata", "src", name)
 			if name == "neutral" {
-				// The neutral fixture consumes stand-in observability
-				// packages; preload them under paths whose suffixes mark
-				// them as the obs surface.
-				for _, sub := range []string{"obsv", "hostprof"} {
-					obs, err := sharedLoader().Load(filepath.Join(dir, sub),
-						"cmpsim/lintfixture/internal/"+sub, "internal/"+sub)
-					if err != nil {
-						t.Fatalf("load %s fixture: %v", sub, err)
-					}
-					sharedLoader().Preload(obs)
+				// The neutral fixture consumes a stand-in observability
+				// package; preload it under a path whose suffix marks it as
+				// the obs surface.
+				obs, err := sharedLoader().Load(filepath.Join(dir, "obsv"),
+					"cmpsim/lintfixture/internal/obsv", "internal/obsv")
+				if err != nil {
+					t.Fatalf("load obsv fixture: %v", err)
 				}
+				sharedLoader().Preload(obs)
 			}
 			pkg, err := sharedLoader().Load(dir, "cmpsim/lintfixture/"+name, fx.relPath)
 			if err != nil {

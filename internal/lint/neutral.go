@@ -56,7 +56,6 @@ var NeutralAnalyzer = &Analyzer{
 // obsPackageSuffixes identify the observability surface.
 var obsPackageSuffixes = []string{
 	"internal/obsv", "internal/prof", "internal/telemetry", "internal/check",
-	"internal/hostprof",
 }
 
 func isObsPkgPath(path string) bool {

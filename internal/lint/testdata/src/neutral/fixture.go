@@ -4,14 +4,10 @@
 // silent.
 package fixture
 
-import (
-	hostprof "cmpsim/lintfixture/internal/hostprof"
-	obsv "cmpsim/lintfixture/internal/obsv"
-)
+import obsv "cmpsim/lintfixture/internal/obsv"
 
 type unit struct {
 	mets  *obsv.Metrics
-	rec   *hostprof.Recorder
 	cyc   uint64
 	count uint64
 	table []uint64
@@ -71,34 +67,4 @@ func (u *unit) gate(now uint64) {
 func (u *unit) justified(now uint64) {
 	//simlint:allow neutral — fixture: suppression must silence the next line
 	u.cyc = u.mets.NextDue()
-}
-
-// The host-schedule observer (internal/hostprof) is held to the same
-// contract: its recorder rides the parallel tick gate, so a reading
-// leaking into sim state would silently break the byte-identical
-// output guarantee.
-
-func (u *unit) hostAssign() {
-	u.cyc = u.rec.Spins() // want "assigned into simulator state"
-}
-
-func (u *unit) hostSteer() {
-	if u.rec.Spins() > 4 { // want "steers simulator control flow"
-		u.count++
-	}
-}
-
-// hostToken is the approved timing idiom: the begin/end token is
-// obs-owned plumbing — holding it and handing it back observes only.
-func (u *unit) hostToken(peer int) {
-	tok := u.rec.SpinBegin() // ok: all-obs-typed result
-	u.count++
-	u.rec.SpinEnd(tok, peer)
-}
-
-// hostGate is presence-plumbing, same as the sampler gate above.
-func (u *unit) hostGate() {
-	if u.rec != nil {
-		u.rec.SpinEnd(u.rec.SpinBegin(), 0)
-	}
 }

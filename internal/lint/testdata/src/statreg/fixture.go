@@ -61,11 +61,10 @@ func (m *BarMetrics) depth() int64 {
 	return m.Depth.Value()
 }
 
-// HostStats mirrors the internal/hostprof snapshot shape (SchedStats,
-// WorkerStats, WaitStats): the recorder increments fields on the hot
-// path and a report renders every one of them — a field only ever
-// incremented would be dead weight silently carried by every parallel
-// window.
+// HostStats is a recorder-shaped stats struct: fields are incremented
+// on the hot path and a report renders every one of them, including an
+// array read back in a loop — a field only ever incremented would be
+// dead weight silently carried by every recording.
 type HostStats struct {
 	Windows  uint64
 	SpinNs   uint64

@@ -15,7 +15,6 @@ import (
 	"cmpsim/internal/cache"
 	"cmpsim/internal/check"
 	"cmpsim/internal/coherence"
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/interconnect"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
@@ -204,20 +203,6 @@ type Config struct {
 	//simlint:cachekey-exempt — output-neutral by contract (enforced by the neutral analyzer)
 	Telem *telemetry.SimMetrics
 
-	// HostProf, when non-nil, attaches the host-side execution
-	// observatory (package hostprof) to the parallel-tick scheduler:
-	// gate-wait attribution by (waiter, peer, site), window cut reasons
-	// and lengths, local-skip distances, coordinator serial time. Like
-	// Telem — and unlike the guest attachments Trace/Prof/Check — it
-	// observes the host schedule, never sim state, so it does NOT force
-	// the serial path and never contributes to the cache key; it does
-	// make a job uncacheable (a cache hit skips the simulation, so there
-	// would be nothing to observe). Serial runs leave it unbound and its
-	// snapshot empty.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (enforced by the neutral analyzer; parallel-identity tests pin byte-identical output with a recorder attached)
-	HostProf *hostprof.Recorder
-
 	// NoSkip makes the core loop tick every CPU every cycle, one
 	// instruction per tick (cmpsim -no-skip): no quiescence skipping, no
 	// per-CPU wake cycles, no Mipsy run-ahead, as before the event-driven
@@ -238,35 +223,6 @@ type Config struct {
 	//
 	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly)
 	SimJobs int
-
-	// ShardLayout overrides the parallel scheduler's contiguous-block
-	// CPU→worker assignment with an explicit one (cmpsim
-	// -shard-layout): a comma-separated worker index per CPU, e.g.
-	// "0,1,0,1" co-schedules CPUs 0+2 and 1+3. Profile-guided layouts
-	// from `parprof -suggest-layout` co-locate the hottest waiter-peer
-	// pairs, whose gate spins then vanish (same-shard accesses are
-	// ordered by the owning worker's pick order, not by spinning). Like
-	// SimJobs it is a pure host-parallelism knob — shared accesses still
-	// happen in exact serial rotation order, output is byte-identical
-	// for any layout (parallel-identity tests) — so it is excluded from
-	// the cache fingerprint by name. Empty selects the default layout.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly under any CPU→worker assignment)
-	ShardLayout string
-
-	// AdaptWindow lets the parallel scheduler pick window edges
-	// adaptively (cmpsim -sim-window-adapt): the coordinator
-	// fast-forwards whole all-quiescent gaps between windows (the
-	// sharded analog of the serial global skip) and shortens windows
-	// below the grid when recent spin counts say a laggard dominates.
-	// Window edges only move barriers, never what any cycle computes —
-	// IRQ-merge grid boundaries still bound every window, so the
-	// delivery contract is untouched and output stays byte-identical
-	// (parallel-identity tests run the whole matrix with this on).
-	// Excluded from the cache fingerprint by name, like SimJobs.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; window edges never change simulated state, only host scheduling)
-	AdaptWindow bool
 
 	// SimWindow is the scheduling-window grid of the core cycle loop, in
 	// cycles: cross-CPU interrupt raises performed from tick phase (a

@@ -32,7 +32,6 @@ func Cacheable(job *Job) bool {
 		job.Cfg.Metrics == nil &&
 		job.Cfg.Check == nil &&
 		job.Cfg.Prof == nil &&
-		job.Cfg.HostProf == nil &&
 		job.Cfg.SharedData == nil
 }
 
@@ -52,13 +51,11 @@ func Key(job *Job) string {
 // fingerprint (and so the cache key) automatically instead of aliasing
 // against old entries. Func, pointer and interface fields — the
 // runtime attachments Trace/Metrics/Check and the SharedData
-// classifier — are skipped; Cacheable requires them nil. SimJobs,
-// ShardLayout and AdaptWindow are skipped by name: the parallel
-// scheduler reproduces the serial grant order exactly (output is
-// byte-identical for any worker count, any CPU→worker assignment and
-// either window policy, pinned by the parallel-identity tests), so a
-// result computed under one host-scheduling configuration is the
-// result under every one and sharding knobs must not fragment the
+// classifier — are skipped; Cacheable requires them nil. SimJobs is
+// skipped by name: the parallel scheduler reproduces the serial grant
+// order exactly (output is byte-identical for any worker count, pinned
+// by the parallel-identity tests), so a result computed at one worker
+// count is the result at every one and the knob must not fragment the
 // cache.
 func Fingerprint(cfg *memsys.Config) string {
 	var sb strings.Builder
@@ -69,9 +66,8 @@ func Fingerprint(cfg *memsys.Config) string {
 		case reflect.Func, reflect.Pointer, reflect.Interface:
 			continue
 		}
-		switch t.Field(i).Name {
-		case "SimJobs", "ShardLayout", "AdaptWindow":
-			continue // output-neutral host-parallelism knobs (see doc comment)
+		if t.Field(i).Name == "SimJobs" {
+			continue // output-neutral host-parallelism knob (see doc comment)
 		}
 		fmt.Fprintf(&sb, "%s=%v;", t.Field(i).Name, v.Field(i).Interface())
 	}

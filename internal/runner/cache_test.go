@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cmpsim/internal/benchfig"
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
@@ -121,9 +122,8 @@ func TestFingerprintCoversEveryScalarKnob(t *testing.T) {
 				t.Errorf("attachment field %s leaked into the fingerprint", f.Name)
 			}
 		default:
-			switch f.Name {
-			case "SimJobs", "ShardLayout", "AdaptWindow":
-				// Output-neutral host-parallelism knobs: skipped by name so
+			if f.Name == "SimJobs" {
+				// Output-neutral host-parallelism knob: skipped by name so
 				// sharded and serial runs share cache entries (see
 				// Fingerprint's doc comment).
 				if strings.Contains(fp, f.Name+"=") {
@@ -134,6 +134,34 @@ func TestFingerprintCoversEveryScalarKnob(t *testing.T) {
 			if !strings.Contains(fp, f.Name+"=") {
 				t.Errorf("scalar knob %s missing from the fingerprint", f.Name)
 			}
+		}
+	}
+}
+
+// TestKeyStable pins the hex keys of representative jobs, so a change
+// to Config or to Fingerprint that would orphan existing cache entries
+// fails here instead of silently recomputing every cell. A deliberate
+// timing change bumps SimVersion and re-records the table.
+func TestKeyStable(t *testing.T) {
+	for _, c := range []struct {
+		arch  core.Arch
+		model core.CPUModel
+		cfg   memsys.Config
+		want  string
+	}{
+		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "59f0953b020843c6cc384ce8b0289976"},
+		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "722eb2580bf04ca9f4ecd5b1a004d500"},
+		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "23c3dace4a251639894907e16530e9a2"},
+		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "d68ef28d7a7e138b051db859bb6a5323"},
+		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "022a99b207a7e9dc622389adf4196f55"},
+		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "22f56962eb5cc7a37374cbfd6f33f11b"},
+		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "a54f1d38771e3bd3ab28d33c56ef8d54"},
+		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "dc815abcfe55901cd938a79e382d60cc"},
+	} {
+		job := smallJob(c.arch)
+		job.Model, job.Cfg = c.model, c.cfg
+		if got := Key(&job); got != c.want {
+			t.Errorf("%s/%s (%d CPUs): key %s, want %s", c.arch, c.model, c.cfg.NumCPUs, got, c.want)
 		}
 	}
 }

@@ -29,23 +29,12 @@ type parRun struct {
 
 func runSharded(t *testing.T, mk func() cmpsim.Workload, arch cmpsim.Arch, model cmpsim.CPUModel, simJobs int) parRun {
 	t.Helper()
-	return runShardedOpts(t, mk, arch, model, simJobs, "", false)
-}
-
-// runShardedOpts additionally takes the two scheduler shape knobs: an
-// explicit CPU→worker layout and the adaptive window-sizing flag. Both
-// are output-neutral by contract; the tests here are that contract's
-// enforcement.
-func runShardedOpts(t *testing.T, mk func() cmpsim.Workload, arch cmpsim.Arch, model cmpsim.CPUModel, simJobs int, layout string, adapt bool) parRun {
-	t.Helper()
 	cfg := cmpsim.DefaultConfig()
 	cfg.SimJobs = simJobs
-	cfg.ShardLayout = layout
-	cfg.AdaptWindow = adapt
 	cfg.Metrics = cmpsim.NewMetrics(5000)
 	res, err := cmpsim.RunWorkload(mk(), arch, model, &cfg)
 	if err != nil {
-		t.Fatalf("%s/%s sim-jobs=%d layout=%q adapt=%v: %v", arch, model, simJobs, layout, adapt, err)
+		t.Fatalf("%s/%s sim-jobs=%d: %v", arch, model, simJobs, err)
 	}
 	return parRun{res: res, samples: cfg.Metrics.Samples(), hist: cfg.Metrics.Hist().String()}
 }
@@ -103,43 +92,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelLayoutAdaptMatchesSerial pins the other two scheduler
-// shape knobs across the full architecture × model matrix: an explicit
-// shard layout (including the degenerate single-shard one a 1-core
-// host's profile suggests, and an interleaved split that breaks the
-// default contiguous assignment) and adaptive window sizing, alone and
-// combined, must all reproduce the serial run byte for byte.
-func TestParallelLayoutAdaptMatchesSerial(t *testing.T) {
-	mk := func() cmpsim.Workload {
-		return workload.NewMP3D(workload.MP3DParams{Particles: 512, Steps: 1})
-	}
-	cases := []struct {
-		name   string
-		jobs   int
-		layout string
-		adapt  bool
-	}{
-		{"layout-single-shard", 2, "0,0,0,0", false},
-		{"layout-interleaved", 2, "0,1,0,1", false},
-		{"adapt", 4, "", true},
-		{"layout-adapt", 2, "0,1,1,0", true},
-	}
-	for _, model := range []cmpsim.CPUModel{cmpsim.ModelMipsy, cmpsim.ModelMXS} {
-		model := model
-		t.Run(string(model), func(t *testing.T) {
-			for _, arch := range cmpsim.Architectures() {
-				ref := runSharded(t, mk, arch, model, 1)
-				for _, c := range cases {
-					t.Run(string(arch)+"/"+c.name, func(t *testing.T) {
-						par := runShardedOpts(t, mk, arch, model, c.jobs, c.layout, c.adapt)
-						diffParRuns(t, c.jobs, par, ref)
-					})
-				}
-			}
-		})
-	}
-}
-
 // TestParallelMatchesSerialKernel exercises the paths the matrix above
 // cannot: the guest kernel's preemption timers raising interrupts from
 // event callbacks, trap-handler mutation of kernel run queues under the
@@ -156,9 +108,6 @@ func TestParallelMatchesSerialKernel(t *testing.T) {
 			for _, jobs := range []int{2, 4} {
 				diffParRuns(t, jobs, runSharded(t, mk, cmpsim.SharedL1, model, jobs), ref)
 			}
-			// Preemption timers and trap-handler IRQs against carried
-			// horizons, fast-forward and a non-contiguous layout.
-			diffParRuns(t, 2, runShardedOpts(t, mk, cmpsim.SharedL1, model, 2, "0,1,0,1", true), ref)
 		})
 	}
 }
