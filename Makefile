@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace telemetry-smoke experiments-output size clean
+.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace experiments-output size clean
 
 all: build
 
@@ -81,12 +81,6 @@ bench:
 # ±30% of its baseline value.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_figures.json -samples 3
-
-# telemetry-smoke scrapes the live /metrics endpoint in the middle of
-# a parallel campaign and reconciles it against the final run report —
-# the ISSUE 6 acceptance criterion, as a hermetic Go test.
-telemetry-smoke:
-	$(GO) test -race -run TestTelemetryHTTPSmoke -v .
 
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —

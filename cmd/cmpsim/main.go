@@ -31,7 +31,6 @@ import (
 	"cmpsim/internal/prof"
 	"cmpsim/internal/runner"
 	"cmpsim/internal/stats"
-	"cmpsim/internal/telemetry"
 	"cmpsim/internal/workload"
 )
 
@@ -123,8 +122,6 @@ func main() {
 		traceBuf    = flag.Int("trace-buf", 1<<20, "trace ring-buffer capacity in events (oldest dropped)")
 		metricsIvl  = flag.Uint64("metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	)
-	var telem telemetry.Flags
-	telem.Register()
 	flag.Parse()
 
 	if *list {
@@ -156,20 +153,9 @@ func main() {
 	cfg.NoSkip = *noSkip
 	cfg.SimJobs = *simJobs
 
-	set, err := telem.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cmpsim:", err)
-		os.Exit(1)
-	}
-	defer telem.Close()
-
 	pool := &runner.Pool{Workers: runner.CapWorkers(*jobs, *simJobs)}
 	if *progress {
 		pool.Progress = os.Stderr
-	}
-	if set != nil {
-		pool.Telem = set.Runner
-		cfg.Telem = set.Sim
 	}
 	if *cacheDir != "" {
 		cache, err := runner.OpenCache(*cacheDir)

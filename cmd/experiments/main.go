@@ -61,10 +61,6 @@ var noSkipFlag bool
 // goroutines; output is identical for any value.
 var simJobsFlag int
 
-// telemSim, when host telemetry is enabled, is the campaign-wide
-// cycle-loop instrument panel shared by every dispatched job.
-var telemSim *telemetry.SimMetrics
-
 // fatalf is the single exit path for run and sink failures: nothing is
 // printed-and-continued, so CI sees a non-zero exit on any broken cell.
 func fatalf(format string, args ...any) {
@@ -98,7 +94,6 @@ func (g *grid) addJob(wlName string, quick bool, arch core.Arch, model core.CPUM
 	}
 	cfg.NoSkip = noSkipFlag
 	cfg.SimJobs = simJobsFlag
-	cfg.Telem = telemSim
 	job := runner.Job{
 		Workload: func() (workload.Workload, error) {
 			if quick {
@@ -151,28 +146,26 @@ func main() {
 	progress := flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 	flag.BoolVar(&noSkipFlag, "no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 	flag.IntVar(&simJobsFlag, "sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-	var telem telemetry.Flags
-	telem.Register()
-	telem.RegisterReport()
+	runReport := flag.Bool("run-report", false, "print a deterministic end-of-campaign run report to stderr")
+	runReportOut := flag.String("run-report-out", "", "write the end-of-campaign run report as JSON to this file")
 	flag.Parse()
 
 	start := time.Now()
 	table1()
 	table2()
 
-	set, err := telem.Start()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer telem.Close()
-
 	pool := &runner.Pool{Workers: runner.CapWorkers(*jobs, simJobsFlag)}
 	if *progress {
 		pool.Progress = os.Stderr
 	}
-	if set != nil {
+	if *runReport || *runReportOut != "" {
+		set := telemetry.New()
 		pool.Telem = set.Runner
-		telemSim = set.Sim
+		defer func() {
+			if err := set.WriteReport(*runReport, *runReportOut); err != nil {
+				fatalf("%v", err)
+			}
+		}()
 	}
 	if *cacheDir != "" {
 		cache, err := runner.OpenCache(*cacheDir)

@@ -29,7 +29,6 @@ import (
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/prof"
 	"cmpsim/internal/runner"
-	"cmpsim/internal/telemetry"
 	"cmpsim/internal/workload"
 )
 
@@ -76,8 +75,6 @@ func main() {
 		folded   = flag.String("folded", "", "write folded-stack lines (flamegraph.pl input) to this file")
 		in       = flag.String("in", "", "render a previously saved profile JSON and exit (no simulation)")
 	)
-	var telem telemetry.Flags
-	telem.Register()
 	flag.Parse()
 
 	if *in != "" {
@@ -105,18 +102,9 @@ func main() {
 		arches = []core.Arch{core.Arch(*archStr)}
 	}
 
-	set, err := telem.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer telem.Close()
-
 	pool := &runner.Pool{Workers: *jobs}
 	if *progress {
 		pool.Progress = os.Stderr
-	}
-	if set != nil {
-		pool.Telem = set.Runner
 	}
 
 	variant := "full"
@@ -130,9 +118,6 @@ func main() {
 			cfg.NumCPUs = *cpus
 		}
 		cfg.Prof = prof.New(cfg.NumCPUs, cfg.LineBytes)
-		if set != nil {
-			cfg.Telem = set.Sim
-		}
 		name := *wlName
 		q := *quick
 		archJobs[i] = runner.Job{

@@ -73,9 +73,8 @@ func main() {
 	list := flag.Bool("params", false, "list sweepable parameters")
 	noSkip := flag.Bool("no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
 	simJobs := flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-	var telem telemetry.Flags
-	telem.Register()
-	telem.RegisterReport()
+	runReport := flag.Bool("run-report", false, "print a deterministic end-of-campaign run report to stderr")
+	runReportOut := flag.String("run-report-out", "", "write the end-of-campaign run report as JSON to this file")
 	flag.Parse()
 
 	if *list {
@@ -99,19 +98,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	set, err := telem.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	defer telem.Close()
-
 	pool := &runner.Pool{Workers: runner.CapWorkers(*jobs, *simJobs)}
 	if *progress {
 		pool.Progress = os.Stderr
 	}
-	if set != nil {
+	if *runReport || *runReportOut != "" {
+		set := telemetry.New()
 		pool.Telem = set.Runner
+		defer func() {
+			if err := set.WriteReport(*runReport, *runReportOut); err != nil {
+				fmt.Fprintln(os.Stderr, "sweep:", err)
+				os.Exit(1)
+			}
+		}()
 	}
 	if *cacheDir != "" {
 		cache, err := runner.OpenCache(*cacheDir)
@@ -134,9 +133,6 @@ func main() {
 		p.set(&cfg, v)
 		cfg.NoSkip = *noSkip
 		cfg.SimJobs = *simJobs
-		if set != nil {
-			cfg.Telem = set.Sim
-		}
 		name := *wlName
 		points = append(points, v)
 		sweepJobs = append(sweepJobs, runner.Job{

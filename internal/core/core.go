@@ -550,17 +550,6 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	grid := m.gridSize()
 	end := start + n
 	cyc := start
-	// Host telemetry: executed iterations accumulate locally and flush
-	// to the shared atomic counters in batches, so the per-cycle cost of
-	// enabled telemetry is one branch and one register increment, and
-	// the disabled path is the nil check alone. Skipped cycles flush as
-	// deltas of m.skipped so the counters stay live mid-window.
-	tel := m.Cfg.Telem
-	var telTicked uint64
-	telSkipBase := m.skipped
-	if tel != nil {
-		tel.Windows.Inc()
-	}
 
 	// Every running CPU is due at the window's first cycle: hints are
 	// not carried across calls, so whatever happened to the machine in
@@ -666,17 +655,6 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 			off = int(step % uint64(cpus))
 		}
 		cyc = step
-		if tel != nil {
-			telTicked++
-			if telTicked >= 1<<20 {
-				tel.CyclesTicked.Add(telTicked)
-				telTicked = 0
-				if sk := m.skipped; sk > telSkipBase {
-					tel.CyclesSkipped.Add(sk - telSkipBase)
-					telSkipBase = sk
-				}
-			}
-		}
 	}
 	// The cycles a still-running CPU slept through at the end of the
 	// window are charged now: the next call starts from a clean slate.
@@ -686,12 +664,6 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		}
 	}
 	m.aheadTo = 0
-	if tel != nil {
-		tel.CyclesTicked.Add(telTicked)
-		if sk := m.skipped; sk > telSkipBase {
-			tel.CyclesSkipped.Add(sk - telSkipBase)
-		}
-	}
 	if tickErr != nil {
 		return cyc, false, tickErr
 	}

@@ -35,8 +35,8 @@
 //     else is either owner-private or touched only under the gate.
 //
 // Shared resources that are not reached through a CPU's tick — the
-// event calendar, the interval sampler, IRQ line delivery, telemetry
-// flushes — run only in the coordinator, between window barriers.
+// event calendar, the interval sampler, IRQ line delivery — run only in
+// the coordinator, between window barriers.
 package core
 
 import (
@@ -285,7 +285,7 @@ func (m *Machine) gatedTrap(id int) cpu.TrapHandler {
 
 // runParallel is RunWindow's sharded twin. The coordinator owns every
 // shared resource that the serial loop touches outside CPU ticks — the
-// event calendar, IRQ delivery, the interval sampler, telemetry — and
+// event calendar, IRQ delivery, the interval sampler — and
 // runs them between window barriers; workers own only their CPUs'
 // ticks. Window edges are chosen so nothing shared can change inside a
 // window: the next event, the next sampler due-cycle and the next IRQ
@@ -293,13 +293,9 @@ func (m *Machine) gatedTrap(id int) cpu.TrapHandler {
 func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err error) {
 	s := m.par
 	mets := m.Cfg.Metrics
-	tel := m.Cfg.Telem
 	grid := m.gridSize()
 	end := start + n
 	cyc := start
-	if tel != nil {
-		tel.Windows.Inc()
-	}
 
 	nw := len(s.shards)
 	for w := 0; w < nw; w++ {
@@ -401,9 +397,6 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 		cyc = w1
 	}
 
-	if tel != nil && cyc > start {
-		tel.CyclesTicked.Add(cyc - start)
-	}
 	for _, c := range m.CPUs {
 		if f := c.Context().Fault; f != "" {
 			return cyc, false, fmt.Errorf("core: cpu fault: %s", f)

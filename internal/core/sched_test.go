@@ -635,6 +635,23 @@ func TestTickPhaseEventBelowBound(t *testing.T) {
 	}
 }
 
+// quietCore is a stub core whose Tick never allocates (unlike stubCore,
+// which appends to a shared log), so it can sit under a 0-allocs/op
+// benchmark: asleep until blockedUntil, then runnable every cycle.
+type quietCore struct {
+	blockedUntil uint64
+	ctx          cpu.Context
+}
+
+func (s *quietCore) Tick(now uint64) uint64 { return s.NextWork(now) }
+func (s *quietCore) Done() bool             { return false }
+func (s *quietCore) Stats() cpu.StallStats  { return cpu.StallStats{} }
+func (s *quietCore) Context() *cpu.Context  { return &s.ctx }
+func (s *quietCore) FlushFetchBuffer()      {}
+func (s *quietCore) NextWork(now uint64) uint64 {
+	return max(now, s.blockedUntil)
+}
+
 // BenchmarkRunWindow times the cycle loop alone, over stub cores whose
 // Tick does nothing: ns/op is host time per executed cycle on a
 // four-CPU machine, with every core due on every cycle and with one

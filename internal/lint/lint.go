@@ -68,7 +68,7 @@ type Analyzer struct {
 // Analyzers is the simlint suite, in reporting order. The first four
 // are the v1 AST-local checkers; neutral and cachekey are the v2
 // module-wide dataflow suite built on the shared call graph
-// (callgraph.go) that machine-checks the telemetry neutrality contract
+// (callgraph.go) that machine-checks the observability neutrality contract
 // and the result cache.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{

@@ -8,14 +8,14 @@ import (
 
 // NeutralAnalyzer proves the observability layers cannot perturb the
 // simulation. The repo's contract since PR 1 is that attaching a
-// tracer, sampler, profiler, checker or telemetry sink never changes
+// tracer, sampler, profiler or checker never changes
 // simulated cycles or statistics — enforced dynamically by the
 // output-identity regression tests, but only for the attachments those
 // tests think to exercise. This analyzer enforces the property's static
 // shadow: inside the simulator packages, no *value that came out of*
 // the observability surface (internal/obsv, internal/prof,
-// internal/telemetry, internal/check) may flow into simulator state or
-// steer simulator control flow.
+// internal/check) may flow into simulator state or steer simulator
+// control flow.
 //
 // A "source" is a non-observability-typed value produced by the
 // observability surface: the result of calling an obs-package function
@@ -44,7 +44,7 @@ import (
 // way.
 var NeutralAnalyzer = &Analyzer{
 	Name: "neutral",
-	Doc:  "forbid dataflow from observability (obsv/prof/telemetry/check) values into simulator state or control flow",
+	Doc:  "forbid dataflow from observability (obsv/prof/check) values into simulator state or control flow",
 	Scope: scopeUnder(
 		"internal/cache", "internal/coherence", "internal/core",
 		"internal/cpu", "internal/memsys", "internal/interconnect",
@@ -55,7 +55,7 @@ var NeutralAnalyzer = &Analyzer{
 
 // obsPackageSuffixes identify the observability surface.
 var obsPackageSuffixes = []string{
-	"internal/obsv", "internal/prof", "internal/telemetry", "internal/check",
+	"internal/obsv", "internal/prof", "internal/check",
 }
 
 func isObsPkgPath(path string) bool {

@@ -20,7 +20,7 @@ func sampleDiags() []lint.Diagnostic {
 		{
 			Pos:      token.Position{Filename: "/m/internal/core/core.go", Line: 7, Column: 2},
 			Analyzer: "neutral",
-			Message:  "telemetry value X flows into simulated state",
+			Message:  "trace value X flows into simulated state",
 		},
 	}
 }
@@ -46,7 +46,7 @@ func TestJSONFormatPinned(t *testing.T) {
     "line": 7,
     "column": 2,
     "analyzer": "neutral",
-    "message": "telemetry value X flows into simulated state"
+    "message": "trace value X flows into simulated state"
   }
 ]
 `

@@ -21,22 +21,13 @@ import (
 // or an inc/dec statement. Fields with no read anywhere are reported at
 // their declaration.
 //
-// Host-side telemetry gets the same treatment: fields of type
-// telemetry.Counter, telemetry.Gauge or telemetry.Histogram in structs
-// suffixed "Stats" or "Metrics" are tracked too, with the mutator calls
-// Inc/Add/Set/Observe playing the role of "incrementing". What counts
-// as exporting such a metric is taking its address (the &m.Field
-// handed to Registry registration — that is how a metric reaches
-// /metrics and the run report) or reading it through Value()/Count().
-// A metric that is only ever mutated never leaves the process.
-//
 // Because it needs the whole module at once, statreg is a module-wide
 // analyzer (RunModule); field identity is matched by (package path,
 // type name, field name) strings since separately type-checked
 // packages have distinct types.Object identities.
 var StatregAnalyzer = &Analyzer{
 	Name:      "statreg",
-	Doc:       "every counter field of a *Stats struct must be read by a report/merge path; every telemetry metric field must be registered or read",
+	Doc:       "every counter field of a *Stats struct must be read by a report/merge path",
 	RunModule: runStatreg,
 }
 
@@ -53,10 +44,8 @@ type fieldDecl struct {
 
 func runStatreg(pass *ModulePass) error {
 	decls := map[fieldKey]fieldDecl{}
-	telem := map[fieldKey]bool{} // keys whose field is a telemetry metric type
 
-	// Pass 1: collect counter fields of *Stats structs in internal/,
-	// and telemetry metric fields of *Stats / *Metrics structs.
+	// Pass 1: collect counter fields of *Stats structs in internal/.
 	for _, pkg := range pass.Packages {
 		if !strings.HasPrefix(pkg.RelPath, "internal/") || pkg.RelPath == "internal/lint" {
 			continue
@@ -64,12 +53,7 @@ func runStatreg(pass *ModulePass) error {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			isStats := strings.HasSuffix(tn.Name(), "Stats")
-			isMetrics := strings.HasSuffix(tn.Name(), "Metrics")
-			if !isStats && !isMetrics {
+			if !ok || !strings.HasSuffix(tn.Name(), "Stats") {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -77,18 +61,8 @@ func runStatreg(pass *ModulePass) error {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				k := fieldKey{pkg.Path, tn.Name(), f.Name()}
-				switch {
-				case isTelemetryMetricType(f.Type()):
-					// *Stats and *Metrics structs both carry telemetry.
-					decls[k] = fieldDecl{pkg: pkg, pos: f.Pos()}
-					telem[k] = true
-				case isStats && isCounterType(f.Type()):
-					// Plain numeric counters stay a *Stats-only rule, so
-					// existing *Metrics structs (e.g. obsv.Metrics) keep
-					// their numeric-field conventions.
-					decls[k] = fieldDecl{pkg: pkg, pos: f.Pos()}
+				if f := st.Field(i); isCounterType(f.Type()) {
+					decls[fieldKey{pkg.Path, tn.Name(), f.Name()}] = fieldDecl{pkg: pkg, pos: f.Pos()}
 				}
 			}
 		}
@@ -118,12 +92,6 @@ func runStatreg(pass *ModulePass) error {
 				if _, tracked := decls[k]; !tracked || read[k] {
 					return
 				}
-				if telem[k] {
-					if isTelemetryExport(sel, stack) {
-						read[k] = true
-					}
-					return
-				}
 				if isReadContext(sel, stack) {
 					read[k] = true
 				}
@@ -133,10 +101,6 @@ func runStatreg(pass *ModulePass) error {
 
 	for k, d := range decls {
 		if read[k] {
-			continue
-		}
-		if telem[k] {
-			pass.Reportf(d.pkg, d.pos, "telemetry metric %s.%s.%s is mutated but never registered or read — it never reaches /metrics or a run report", shortPkg(k.pkgPath), k.typeName, k.fieldName)
 			continue
 		}
 		pass.Reportf(d.pkg, d.pos, "counter %s.%s.%s is incremented but never read by any report or merge path", shortPkg(k.pkgPath), k.typeName, k.fieldName)
@@ -149,52 +113,6 @@ func shortPkg(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// isTelemetryMetricType matches value fields of the host-side metric
-// types. *CounterVec fields are deliberately excluded: a vec is created
-// by Registry.CounterVec, so it is registered by construction.
-func isTelemetryMetricType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	tn := named.Obj()
-	if tn.Pkg() == nil || !strings.HasSuffix(tn.Pkg().Path(), "internal/telemetry") {
-		return false
-	}
-	switch tn.Name() {
-	case "Counter", "Gauge", "Histogram":
-		return true
-	}
-	return false
-}
-
-// telemetryMutators are the metric methods that record a value. Calling
-// one is the telemetry analogue of incrementing a plain counter — it is
-// not evidence the metric is ever exported.
-var telemetryMutators = map[string]bool{
-	"Inc":     true,
-	"Add":     true,
-	"Set":     true,
-	"Observe": true,
-}
-
-// isTelemetryExport reports whether this occurrence of a metric field
-// exports the metric rather than just mutating it. A mutator method
-// call (m.Field.Inc(), .Add, .Set, .Observe) is a write; anything else
-// that isReadContext accepts — most importantly &m.Field at a Registry
-// registration site, but also accessor calls like m.Field.Value() —
-// counts as the read that wires the metric to an output path.
-func isTelemetryExport(sel *ast.SelectorExpr, stack []ast.Node) bool {
-	if len(stack) >= 2 {
-		if p, ok := stack[len(stack)-1].(*ast.SelectorExpr); ok && p.X == sel && telemetryMutators[p.Sel.Name] {
-			if c, ok := stack[len(stack)-2].(*ast.CallExpr); ok && c.Fun == p {
-				return false
-			}
-		}
-	}
-	return isReadContext(sel, stack)
 }
 
 // isCounterType matches the numeric shapes used for counters: integer

@@ -19,7 +19,7 @@ type Config struct {
 	Trace *tracer // want "skipped by the cache fingerprint"
 
 	//simlint:cachekey-exempt — fixture: asserted output-neutral
-	Telem *tracer // ok: exempted with the neutrality argument
+	Sampler *tracer // ok: exempted with the neutrality argument
 
 	Lookup map[string]int // want "cannot render canonically"
 }

@@ -18,7 +18,6 @@ import (
 	"cmpsim/internal/interconnect"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
-	"cmpsim/internal/telemetry"
 )
 
 // Note on cycle arithmetic: latency computations in the compositions go
@@ -190,18 +189,6 @@ type Config struct {
 	// Config copy feeds one collector; like Trace, a non-nil profiler
 	// makes a runner job uncacheable.
 	Prof *prof.Profiler
-
-	// Telem, when non-nil, feeds the core cycle loop's host-side
-	// telemetry counters (ticked/skipped cycles, window counts) in
-	// internal/telemetry. Unlike the guest-observability attachments
-	// above it never influences simulation output and never contributes
-	// to the cache key, so a campaign shares one instance across all
-	// jobs — cached and simulated alike — without bypassing the result
-	// cache. Leave nil for normal runs; the disabled fast path is a
-	// single pointer check per executed cycle.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (enforced by the neutral analyzer)
-	Telem *telemetry.SimMetrics
 
 	// NoSkip makes the core loop tick every CPU every cycle, one
 	// instruction per tick (cmpsim -no-skip): no quiescence skipping, no

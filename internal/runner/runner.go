@@ -20,13 +20,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
-	"cmpsim/internal/obsv"
 	"cmpsim/internal/telemetry"
 	"cmpsim/internal/workload"
 )
@@ -90,11 +88,10 @@ type Pool struct {
 	// itself is unaffected.
 	Progress io.Writer
 
-	// Telem, when non-nil, receives host-side pool metrics: job
-	// lifecycle counters, queue depth, per-worker busy time, cache
-	// effectiveness, attachment counts, and per-job wall-clock records
-	// for the end-of-campaign run report. Every update site is
-	// nil-guarded, so the disabled path costs one pointer check.
+	// Telem, when non-nil, is the job log behind the end-of-campaign run
+	// report: one record per finished job (wall clock, simulated cycles,
+	// cached, failed) and the worker count of each Run. The disabled
+	// path costs one pointer check per job.
 	Telem *telemetry.RunnerMetrics
 
 	mu      sync.Mutex // guards done (Progress lines from worker goroutines)
@@ -149,14 +146,12 @@ func (p *Pool) Run(jobs []Job) []Result {
 	if workers > n {
 		workers = n
 	}
-	if t := p.Telem; t != nil {
-		t.JobsTotal.Add(uint64(n))
-		t.QueueDepth.Add(int64(n))
-		t.Workers.Set(int64(workers))
+	if p.Telem != nil {
+		p.Telem.SetWorkers(workers)
 	}
 	if workers == 1 {
 		for i := range jobs {
-			results[i] = p.runJob(n, 0, &jobs[i])
+			results[i] = p.runJob(n, &jobs[i])
 		}
 		return results
 	}
@@ -168,12 +163,12 @@ func (p *Pool) Run(jobs []Job) []Result {
 		out[i] = make(chan Result, 1)
 	}
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
+	for range workers {
+		go func() {
 			for i := range next {
-				out[i] <- p.runJob(n, worker, &jobs[i])
+				out[i] <- p.runJob(n, &jobs[i])
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		for i := 0; i < n; i++ {
@@ -188,23 +183,12 @@ func (p *Pool) Run(jobs []Job) []Result {
 }
 
 // runJob executes one job, reports its completion to Progress, and
-// feeds the pool telemetry.
-func (p *Pool) runJob(total, worker int, job *Job) Result {
-	t := p.Telem
-	if t != nil {
-		t.JobsStarted.Inc()
-		t.QueueDepth.Add(-1)
-	}
+// appends it to the job log.
+func (p *Pool) runJob(total int, job *Job) Result {
 	start := time.Now()
 	res := p.execJob(job)
 	wall := time.Since(start)
-	if t != nil {
-		t.JobsCompleted.Inc()
-		if res.Err != nil {
-			t.JobsFailed.Inc()
-		}
-		t.JobSeconds.Observe(wall.Seconds())
-		t.WorkerBusy.With(strconv.Itoa(worker)).Add(uint64(wall.Nanoseconds()))
+	if t := p.Telem; t != nil {
 		var cycles uint64
 		if res.Res != nil {
 			cycles = res.Res.Cycles
@@ -249,40 +233,13 @@ func (p *Pool) runJob(total, worker int, job *Job) Result {
 
 // execJob executes one job: cache probe, simulate on miss, fill.
 func (p *Pool) execJob(job *Job) Result {
-	t := p.Telem
-	if t != nil {
-		// Attachment accounting: jobs carrying guest observability run
-		// slower and bypass the cache, so they are tallied separately.
-		if job.Cfg.Trace != nil {
-			t.JobsTraced.Inc()
-		}
-		if job.Cfg.Metrics != nil {
-			t.JobsSampled.Inc()
-		}
-		if job.Cfg.Prof != nil {
-			t.JobsProfiled.Inc()
-		}
-		if job.Cfg.Check != nil {
-			t.JobsChecked.Inc()
-		}
-	}
 	var key string
 	cacheable := p.Cache != nil && Cacheable(job)
 	if cacheable {
 		key = Key(job)
 		res, ok, err := p.Cache.Get(key)
 		if err != nil {
-			if t != nil {
-				t.CacheCorrupt.Inc()
-			}
 			return Result{Err: fmt.Errorf("runner: %s: cache read: %w", job.Tag, err)}
-		}
-		if t != nil {
-			if ok {
-				t.CacheHits.Inc()
-			} else {
-				t.CacheMisses.Inc()
-			}
 		}
 		if ok {
 			return Result{Res: res, Cached: true}
@@ -294,14 +251,6 @@ func (p *Pool) execJob(job *Job) Result {
 	}
 	cfg := job.Cfg
 	res, err := workload.Run(w, job.Arch, job.Model, &cfg)
-	if t != nil {
-		// Trace overhead accounting: when the job's tracer is a plain
-		// ring, fold its emit/drop totals into the campaign counters.
-		if ring, ok := job.Cfg.Trace.(*obsv.Ring); ok && ring != nil {
-			t.TraceEvents.Add(ring.Emitted())
-			t.TraceDropped.Add(ring.Dropped())
-		}
-	}
 	if err != nil {
 		return Result{Err: fmt.Errorf("runner: %s: %w", job.Tag, err)}
 	}

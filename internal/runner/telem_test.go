@@ -1,115 +1,96 @@
 package runner
 
-// Pool telemetry tests: counter bookkeeping across cached and
-// simulated jobs, reconciliation between the scheduler counters and
-// the merged results, output-neutrality of enabled telemetry, and the
-// upgraded progress line format.
+// Job-log tests: one record per finished job across cached, simulated
+// and failed jobs, output-neutrality of an attached log, and the
+// progress line format.
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"regexp"
 	"testing"
 
+	"cmpsim/internal/core"
+	"cmpsim/internal/memsys"
 	"cmpsim/internal/telemetry"
+	"cmpsim/internal/workload"
 )
 
-// TestPoolTelemetryCounts runs the quick grid twice against one cache
-// and checks every pool counter: the first pass is all misses, the
-// second all hits, and the scheduler's ticked+skipped cycles reconcile
-// with the cycle counts of the simulated (non-cached) results.
-func TestPoolTelemetryCounts(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestPoolJobLog runs the quick grid twice against one cache, serially
+// and on four workers: the log holds one record per job and pass, the
+// second pass's all cached, each with a wall clock and the cycles of the
+// result it returned. A job whose workload cannot be built logs exactly
+// one failed record.
+func TestPoolJobLog(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cache, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := telemetry.New().Runner
+			pool := &Pool{Workers: workers, Cache: cache, Telem: log}
+			jobs := smallGrid()
+			cycles := map[string]uint64{}
+			for pass := 0; pass < 2; pass++ {
+				results := pool.Run(jobs)
+				if err := FirstErr(results); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range results {
+					if pass == 1 && cycles[jobs[i].Tag] != r.Res.Cycles {
+						t.Errorf("%s: cached cycles %d, simulated %d", jobs[i].Tag, r.Res.Cycles, cycles[jobs[i].Tag])
+					}
+					cycles[jobs[i].Tag] = r.Res.Cycles
+				}
+			}
+			recs := log.Jobs()
+			if len(recs) != 2*len(jobs) {
+				t.Fatalf("job records = %d, want %d", len(recs), 2*len(jobs))
+			}
+			var cached int
+			for _, r := range recs {
+				if r.Cached {
+					cached++
+				}
+				if r.Failed || r.Seconds <= 0 || r.SimCycles != cycles[r.Tag] {
+					t.Errorf("record %+v: want unfailed, seconds > 0, %d cycles", r, cycles[r.Tag])
+				}
+			}
+			if cached != len(jobs) {
+				t.Errorf("cached job records = %d, want %d", cached, len(jobs))
+			}
+		})
 	}
-	set := telemetry.New()
-	jobs := smallGrid()
-	for i := range jobs {
-		jobs[i].Cfg.Telem = set.Sim
-	}
-	pool := &Pool{Workers: 4, Cache: cache, Telem: set.Runner}
 
-	first := pool.Run(jobs)
-	if err := FirstErr(first); err != nil {
-		t.Fatal(err)
+	log := telemetry.New().Runner
+	broken := Job{
+		Workload: func() (workload.Workload, error) { return nil, errors.New("boom") },
+		Arch:     core.SharedL1,
+		Model:    core.ModelMipsy,
+		Cfg:      memsys.DefaultConfig(),
+		Tag:      "failing",
 	}
-	n := uint64(len(jobs))
-	if got := set.Runner.CacheMisses.Value(); got != n {
-		t.Errorf("first pass: CacheMisses = %d, want %d", got, n)
-	}
-	if got := set.Runner.CacheHits.Value(); got != 0 {
-		t.Errorf("first pass: CacheHits = %d, want 0", got)
-	}
-	var simulated uint64
-	for _, r := range first {
-		simulated += r.Res.Cycles
-	}
-	if got := set.Sim.Cycles(); got != simulated {
-		t.Errorf("scheduler cycles %d != sum of simulated results %d", got, simulated)
-	}
-
-	second := pool.Run(jobs)
-	if err := FirstErr(second); err != nil {
-		t.Fatal(err)
-	}
-	if got := set.Runner.CacheHits.Value(); got != n {
-		t.Errorf("second pass: CacheHits = %d, want %d", got, n)
-	}
-	if got := set.Sim.Cycles(); got != simulated {
-		t.Errorf("cached pass advanced scheduler cycles: %d != %d", got, simulated)
-	}
-	if got := set.Runner.JobsTotal.Value(); got != 2*n {
-		t.Errorf("JobsTotal = %d, want %d", got, 2*n)
-	}
-	if got := set.Runner.JobsCompleted.Value(); got != 2*n {
-		t.Errorf("JobsCompleted = %d, want %d", got, 2*n)
-	}
-	if got := set.Runner.JobsStarted.Value(); got != 2*n {
-		t.Errorf("JobsStarted = %d, want %d", got, 2*n)
-	}
-	if got := set.Runner.JobsFailed.Value(); got != 0 {
-		t.Errorf("JobsFailed = %d, want 0", got)
-	}
-	if got := set.Runner.QueueDepth.Value(); got != 0 {
-		t.Errorf("QueueDepth = %d, want 0 after both runs drained", got)
-	}
-	if got := set.Runner.JobSeconds.Count(); got != 2*n {
-		t.Errorf("JobSeconds.Count = %d, want %d", got, 2*n)
-	}
-	recs := set.Runner.Jobs()
-	if uint64(len(recs)) != 2*n {
-		t.Fatalf("job records = %d, want %d", len(recs), 2*n)
-	}
-	var cached int
-	for _, r := range recs {
-		if r.Cached {
-			cached++
-		}
-	}
-	if uint64(cached) != n {
-		t.Errorf("cached job records = %d, want %d", cached, n)
+	(&Pool{Telem: log}).Run([]Job{broken})
+	if recs := log.Jobs(); len(recs) != 1 || !recs[0].Failed || recs[0].Tag != "failing" {
+		t.Errorf("failing job logged %+v, want one failed record", recs)
 	}
 }
 
-// TestTelemetryDoesNotChangeResults pins the host-telemetry contract:
-// an instrumented run returns bit-identical results to a bare one.
+// TestTelemetryDoesNotChangeResults pins the job log's contract: a run
+// with a log attached returns bit-identical results to a bare one.
 func TestTelemetryDoesNotChangeResults(t *testing.T) {
 	bare := (&Pool{Workers: 2}).Run(smallGrid())
+	logged := (&Pool{Workers: 2, Telem: telemetry.New().Runner}).Run(smallGrid())
 
-	set := telemetry.New()
-	jobs := smallGrid()
-	for i := range jobs {
-		jobs[i].Cfg.Telem = set.Sim
-	}
-	instrumented := (&Pool{Workers: 2, Telem: set.Runner}).Run(jobs)
-
-	if len(bare) != len(instrumented) {
-		t.Fatalf("result counts differ: %d vs %d", len(bare), len(instrumented))
+	if len(bare) != len(logged) {
+		t.Fatalf("result counts differ: %d vs %d", len(bare), len(logged))
 	}
 	for i := range bare {
-		if !reflect.DeepEqual(bare[i].Res, instrumented[i].Res) {
-			t.Errorf("job %d: telemetry changed the simulation result", i)
+		if !reflect.DeepEqual(bare[i].Res, logged[i].Res) {
+			t.Errorf("job %d: the job log changed the simulation result", i)
 		}
 	}
 }

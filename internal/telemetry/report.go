@@ -4,100 +4,102 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"sort"
 	"time"
 )
 
-// RunReport is the deterministic end-of-campaign summary printed by
-// cmd/experiments and cmd/sweep: wall time, throughput, cache
-// effectiveness, worker utilization, per-job rows, and a full metric
-// dump. Everything except the wall-clock figures is a pure function of
-// the metric state, and the rendering is sorted, so two reports built
-// from the same state and elapsed time are byte-identical — which is
-// what the golden-file test pins down.
+// RunReport is the end-of-campaign summary printed by cmd/experiments
+// and cmd/sweep. Every field is a function of the job log and the
+// elapsed time, and the rendering is sorted, so two reports built from
+// the same log and elapsed time are byte-identical — which is what the
+// golden-file test pins down.
 type RunReport struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 
-	JobsTotal     uint64  `json:"jobs_total"`
-	JobsCompleted uint64  `json:"jobs_completed"`
-	JobsFailed    uint64  `json:"jobs_failed"`
-	JobsPerSec    float64 `json:"jobs_per_sec"`
+	// JobsTotal counts the logged jobs; JobsCompleted those that
+	// returned a result without error, JobsFailed the rest.
+	JobsTotal     int `json:"jobs_total"`
+	JobsCompleted int `json:"jobs_completed"`
+	JobsFailed    int `json:"jobs_failed"`
 
-	CacheHits    uint64  `json:"cache_hits"`
-	CacheMisses  uint64  `json:"cache_misses"`
-	CacheCorrupt uint64  `json:"cache_corrupt"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	CacheHits int `json:"cache_hits"` // jobs answered from the result cache
 
-	SimCyclesTicked  uint64  `json:"sim_cycles_ticked"`
-	SimCyclesSkipped uint64  `json:"sim_cycles_skipped"`
-	SimWindows       uint64  `json:"sim_windows"`
-	SimCyclesPerSec  float64 `json:"sim_cycles_per_sec"`
-	SkipFraction     float64 `json:"skip_fraction"`
+	// SimCyclesPerSec is the simulated cycles of the uncached jobs over
+	// the elapsed time: a cache hit simulates nothing.
+	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
 
-	Workers     int64   `json:"workers"`
-	Utilization float64 `json:"utilization"` // busy worker-seconds / (elapsed * workers)
+	Workers     int     `json:"workers"`
+	Utilization float64 `json:"utilization"` // job seconds / (elapsed * workers)
 
-	// JobWallP50/P95 are bucket-upper-bound quantile estimates of the
-	// per-job wall-clock histogram, in seconds.
+	// JobWallP50/P95 are nearest-rank quantiles of the per-job wall
+	// clock, in seconds: each is one job's own time.
 	JobWallP50 float64 `json:"job_wall_p50"`
 	JobWallP95 float64 `json:"job_wall_p95"`
 
-	// Jobs lists completed jobs sorted by tag (ties by completion
+	// Jobs lists the logged jobs sorted by tag (ties by completion
 	// order) so the report is independent of worker scheduling.
 	Jobs []JobRecord `json:"jobs"`
-
-	// Metrics is the full registry dump, sorted by name.
-	Metrics []MetricSnapshot `json:"metrics"`
 }
 
-// BuildReport assembles the report for the given campaign wall time.
+// BuildReport summarizes the job log for the given campaign wall time.
 // Elapsed is a parameter, not read from the clock, so tests can build
-// reports with a fixed value and golden-match the rendering; drivers
-// pass set.Elapsed().
+// reports with a fixed value and golden-match the rendering.
 func (s *Set) BuildReport(elapsed time.Duration) *RunReport {
+	m := s.Runner
+	m.mu.Lock()
+	workers := m.workers
+	m.mu.Unlock()
 	r := &RunReport{
-		ElapsedSeconds:   elapsed.Seconds(),
-		JobsTotal:        s.Runner.JobsTotal.Value(),
-		JobsCompleted:    s.Runner.JobsCompleted.Value(),
-		JobsFailed:       s.Runner.JobsFailed.Value(),
-		CacheHits:        s.Runner.CacheHits.Value(),
-		CacheMisses:      s.Runner.CacheMisses.Value(),
-		CacheCorrupt:     s.Runner.CacheCorrupt.Value(),
-		SimCyclesTicked:  s.Sim.CyclesTicked.Value(),
-		SimCyclesSkipped: s.Sim.CyclesSkipped.Value(),
-		SimWindows:       s.Sim.Windows.Value(),
-		Workers:          s.Runner.Workers.Value(),
-		JobWallP50:       s.Runner.JobSeconds.Quantile(0.50),
-		JobWallP95:       s.Runner.JobSeconds.Quantile(0.95),
-		Jobs:             s.Runner.Jobs(),
-		Metrics:          s.Reg.Snapshot(),
+		ElapsedSeconds: elapsed.Seconds(),
+		Workers:        workers,
+		Jobs:           m.Jobs(),
 	}
-	if r.ElapsedSeconds > 0 {
-		r.JobsPerSec = float64(r.JobsCompleted) / r.ElapsedSeconds
-		r.SimCyclesPerSec = float64(r.SimCyclesTicked+r.SimCyclesSkipped) / r.ElapsedSeconds
-	}
-	if probes := r.CacheHits + r.CacheMisses; probes > 0 {
-		r.CacheHitRate = float64(r.CacheHits) / float64(probes)
-	}
-	if cycles := r.SimCyclesTicked + r.SimCyclesSkipped; cycles > 0 {
-		r.SkipFraction = float64(r.SimCyclesSkipped) / float64(cycles)
-	}
-	if r.Workers > 0 && r.ElapsedSeconds > 0 {
-		var busyNS uint64
-		for _, ns := range s.Runner.WorkerBusy.snapshot() {
-			busyNS += ns
+	r.JobsTotal = len(r.Jobs)
+	secs := make([]float64, 0, len(r.Jobs))
+	var busy, cycles float64
+	for _, j := range r.Jobs {
+		if j.Failed {
+			r.JobsFailed++
 		}
-		r.Utilization = float64(busyNS) / 1e9 / (r.ElapsedSeconds * float64(r.Workers))
+		if j.Cached {
+			r.CacheHits++
+		} else {
+			cycles += float64(j.SimCycles)
+		}
+		secs = append(secs, j.Seconds)
+		busy += j.Seconds
 	}
+	r.JobsCompleted = r.JobsTotal - r.JobsFailed
+	if r.ElapsedSeconds > 0 {
+		r.SimCyclesPerSec = cycles / r.ElapsedSeconds
+		if r.Workers > 0 {
+			r.Utilization = busy / (r.ElapsedSeconds * float64(r.Workers))
+		}
+	}
+	sort.Float64s(secs)
+	r.JobWallP50 = nearestRank(secs, 0.50)
+	r.JobWallP95 = nearestRank(secs, 0.95)
 	sort.SliceStable(r.Jobs, func(i, j int) bool { return r.Jobs[i].Tag < r.Jobs[j].Tag })
 	return r
+}
+
+// nearestRank returns the q-quantile (0..1) of ascending values: the
+// smallest value that at least q of them do not exceed. Zero when empty.
+func nearestRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[max(i, 0)]
 }
 
 // f3 renders a float with 3 decimals — enough resolution for a human
 // report, stable across platforms.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// WriteText renders the report as sorted, aligned text.
+// WriteText renders the report as aligned text.
 func (r *RunReport) WriteText(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -107,12 +109,8 @@ func (r *RunReport) WriteText(w io.Writer) error {
 	}
 	p("== run report ==\n")
 	p("wall time          %ss\n", f3(r.ElapsedSeconds))
-	p("jobs               %d total, %d completed, %d failed (%s jobs/s)\n",
-		r.JobsTotal, r.JobsCompleted, r.JobsFailed, f3(r.JobsPerSec))
-	p("cache              %d hits, %d misses, %d corrupt (hit rate %s)\n",
-		r.CacheHits, r.CacheMisses, r.CacheCorrupt, f3(r.CacheHitRate))
-	p("sim cycles         %d ticked, %d skipped (skip fraction %s) in %d windows\n",
-		r.SimCyclesTicked, r.SimCyclesSkipped, f3(r.SkipFraction), r.SimWindows)
+	p("jobs               %d total, %d completed, %d failed\n", r.JobsTotal, r.JobsCompleted, r.JobsFailed)
+	p("cache hits         %d\n", r.CacheHits)
 	p("host throughput    %s sim-cycles/s\n", f3(r.SimCyclesPerSec))
 	p("workers            %d (utilization %s)\n", r.Workers, f3(r.Utilization))
 	p("job wall clock     p50 %ss, p95 %ss\n", f3(r.JobWallP50), f3(r.JobWallP95))
@@ -134,26 +132,6 @@ func (r *RunReport) WriteText(w io.Writer) error {
 				j.Tag, f3(j.Seconds), j.SimCycles, f3(cps), note)
 		}
 	}
-	p("metrics:\n")
-	for _, m := range r.Metrics {
-		switch {
-		case m.Counter != nil:
-			p("  %s %d\n", m.Name, *m.Counter)
-		case m.Value != nil:
-			p("  %s %d\n", m.Name, *m.Value)
-		case m.Histogram != nil:
-			p("  %s count %d sum %s\n", m.Name, m.Histogram.Count, f3(m.Histogram.Sum))
-		case m.Labels != nil:
-			keys := make([]string, 0, len(m.Labels))
-			for k := range m.Labels {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				p("  %s{%s} %d\n", m.Name, k, m.Labels[k])
-			}
-		}
-	}
 	return err
 }
 
@@ -162,4 +140,30 @@ func (r *RunReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// WriteReport is the -run-report/-run-report-out glue of the commands: it
+// builds the report of the campaign so far and writes it as text to
+// stderr when text is set and as JSON to path when path is not empty.
+func (s *Set) WriteReport(text bool, path string) error {
+	r := s.BuildReport(time.Since(s.start))
+	if text {
+		if err := r.WriteText(os.Stderr); err != nil {
+			return err
+		}
+	}
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = r.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("telemetry: run report: %w", err)
+	}
+	return nil
 }

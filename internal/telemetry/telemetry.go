@@ -1,205 +1,71 @@
-// Package telemetry is the simulator's host-side observability layer:
-// a concurrency-safe metrics registry (counters, gauges, histograms
-// with fixed bucket layouts) that the experiment drivers expose as a
-// live Prometheus-style /metrics endpoint, periodic JSONL heartbeats,
-// and a deterministic end-of-campaign run report.
+// Package telemetry is the worker pool's job log: internal/runner's
+// Pool, given a *RunnerMetrics in Pool.Telem, appends one JobRecord per
+// finished job (tag, wall-clock seconds, simulated cycles, cached,
+// failed) and records the worker count of each Run. The campaign
+// commands (cmd/experiments, cmd/sweep) turn the log into the
+// deterministic end-of-campaign run report behind -run-report and
+// -run-report-out.
 //
-// It is the operational complement of internal/obsv and internal/prof:
-// those observe the *guest* — simulated cycles, coherence events,
-// per-PC stall attribution — while telemetry observes the *host* — how
-// fast the simulator itself is running, how busy the worker pool is,
-// how effective the result cache is. Guest observability must be
-// byte-deterministic; host telemetry is wall-clock-dependent by nature
-// and therefore lives strictly outside the simulated state: no metric
-// here can influence simulation output.
-//
-// The enabled/disabled discipline mirrors internal/obsv: instrumented
-// code holds a nil-able pointer to its metrics struct (RunnerMetrics in
-// internal/runner, SimMetrics via memsys.Config.Telem in the core cycle
-// loop) and guards every update with a nil check, so disabled telemetry
-// costs one pointer comparison and zero allocations. Enabled updates
-// are single atomic operations and also allocation-free, so telemetry
-// can stay on even for long farm campaigns.
+// It observes the host, not the guest: every number here is wall-clock
+// time or a finished job's result, and no simulator package imports it,
+// so nothing here can reach simulated state. With no report asked for
+// the pool holds a nil *RunnerMetrics, and the disabled cost is one nil
+// check per job.
 package telemetry
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
+	"time"
 )
 
-// Counter is a monotonically increasing uint64 metric. The zero value
-// is ready to use; updates are atomic and allocation-free.
-type Counter struct {
-	v atomic.Uint64
+// JobRecord is one finished job's host-side summary.
+type JobRecord struct {
+	Tag       string  `json:"tag"`
+	Seconds   float64 `json:"seconds"`
+	SimCycles uint64  `json:"sim_cycles"`
+	Cached    bool    `json:"cached,omitempty"`
+	Failed    bool    `json:"failed,omitempty"`
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous int64 metric (queue depth, worker count).
-// The zero value is ready to use; updates are atomic.
-type Gauge struct {
-	v atomic.Int64
+// RunnerMetrics is the job log the pool writes from its worker
+// goroutines; all methods are concurrency-safe.
+type RunnerMetrics struct {
+	mu      sync.Mutex
+	jobs    []JobRecord
+	workers int
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// DurationBuckets returns the fixed bucket layout used for wall-clock
-// histograms: upper bounds in seconds on a 1-2.5-5 decade ladder from
-// 1ms to 250s. Returned fresh so a caller cannot mutate the layout
-// under a registered histogram.
-func DurationBuckets() []float64 {
-	return []float64{
-		0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-		0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250,
-	}
+// SetWorkers records the worker count of the pool's latest Run.
+func (m *RunnerMetrics) SetWorkers(n int) {
+	m.mu.Lock()
+	m.workers = n
+	m.mu.Unlock()
 }
 
-// Histogram is a fixed-bucket-layout distribution metric. The bucket
-// bounds are set once at registration (Registry.Histogram) and never
-// change; Observe is lock-free and allocation-free. A Histogram must be
-// registered before use — observing on an uninitialized histogram only
-// feeds the +Inf bucket.
-type Histogram struct {
-	bounds  []float64 // ascending upper bounds; observations > last land in counts[len(bounds)]
-	counts  []atomic.Uint64
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // math.Float64bits of the running sum
+// RecordJob appends one finished job's record.
+func (m *RunnerMetrics) RecordJob(rec JobRecord) {
+	m.mu.Lock()
+	m.jobs = append(m.jobs, rec)
+	m.mu.Unlock()
 }
 
-// init installs the fixed bucket layout. Called by Registry.Histogram.
-func (h *Histogram) init(bounds []float64) {
-	h.bounds = bounds
-	h.counts = make([]atomic.Uint64, len(bounds)+1)
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	if len(h.counts) > 0 {
-		h.counts[i].Add(1)
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile returns an upper-bound estimate of the q-quantile (0..1):
-// the smallest bucket bound whose cumulative count covers q of the
-// observations (+Inf reports the largest finite bound). Zero when
-// nothing was observed.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || len(h.counts) == 0 {
-		return 0
-	}
-	want := uint64(math.Ceil(q * float64(total)))
-	if want == 0 {
-		want = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= want {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// snapshot copies the bucket counts (non-cumulative), count and sum.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    h.Sum(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram, used by the
-// JSON report and the expvar dump. Counts is per-bucket
-// (non-cumulative); its last entry is the overflow (+Inf) bucket.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Count  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-}
-
-// CounterVec is a set of counters distinguished by one label value
-// (e.g. per-worker busy time). Labels are created on first use; With is
-// a read-lock map hit after that, so callers on a hot-ish path should
-// cache the returned *Counter.
-type CounterVec struct {
-	label string
-	mu    sync.RWMutex
-	m     map[string]*Counter
-}
-
-// With returns the counter for the given label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.RLock()
-	c := v.m[value]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.m[value]; c == nil {
-		c = &Counter{}
-		v.m[value] = c
-	}
-	return c
-}
-
-// Label returns the vec's label name.
-func (v *CounterVec) Label() string { return v.label }
-
-// snapshot copies the per-label values.
-func (v *CounterVec) snapshot() map[string]uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]uint64, len(v.m))
-	for k, c := range v.m {
-		out[k] = c.Value()
-	}
+// Jobs returns a copy of the recorded jobs in completion order.
+func (m *RunnerMetrics) Jobs() []JobRecord {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]JobRecord, len(m.jobs))
+	copy(out, m.jobs)
 	return out
+}
+
+// Set is one campaign's job log and the time it started.
+type Set struct {
+	Runner *RunnerMetrics
+
+	start time.Time
+}
+
+// New starts a campaign's job log; point Pool.Telem at its Runner.
+func New() *Set {
+	return &Set{Runner: &RunnerMetrics{}, start: time.Now()}
 }

@@ -4,292 +4,87 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestRegistryConcurrent hammers shared metrics from parallel
-// goroutines (run under -race in make check) and verifies the totals.
-func TestRegistryConcurrent(t *testing.T) {
-	s := New()
-	const workers, perWorker = 8, 10_000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			busy := s.Runner.WorkerBusy.With("w")
-			for i := 0; i < perWorker; i++ {
-				s.Runner.JobsCompleted.Inc()
-				s.Runner.QueueDepth.Add(1)
-				s.Runner.QueueDepth.Add(-1)
-				s.Runner.JobSeconds.Observe(0.01)
-				s.Sim.CyclesTicked.Add(3)
-				busy.Add(5)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	const n = workers * perWorker
-	if got := s.Runner.JobsCompleted.Value(); got != n {
-		t.Errorf("JobsCompleted = %d, want %d", got, n)
-	}
-	if got := s.Runner.QueueDepth.Value(); got != 0 {
-		t.Errorf("QueueDepth = %d, want 0", got)
-	}
-	if got := s.Runner.JobSeconds.Count(); got != n {
-		t.Errorf("JobSeconds.Count = %d, want %d", got, n)
-	}
-	if got, want := s.Runner.JobSeconds.Sum(), float64(n)*0.01; got < want*0.999 || got > want*1.001 {
-		t.Errorf("JobSeconds.Sum = %g, want ~%g", got, want)
-	}
-	if got := s.Sim.CyclesTicked.Value(); got != 3*n {
-		t.Errorf("CyclesTicked = %d, want %d", got, 3*n)
-	}
-	if got := s.Runner.WorkerBusy.With("w").Value(); got != 5*n {
-		t.Errorf("WorkerBusy = %d, want %d", got, 5*n)
-	}
-}
-
-// TestMetricOpsDoNotAllocate pins the enabled-path contract: every
-// hot-path metric update is allocation-free, so telemetry can stay on
-// for long campaigns.
-func TestMetricOpsDoNotAllocate(t *testing.T) {
-	s := New()
-	busy := s.Runner.WorkerBusy.With("0")
-	cases := []struct {
-		name string
-		f    func()
-	}{
-		{"Counter.Inc", func() { s.Runner.JobsCompleted.Inc() }},
-		{"Counter.Add", func() { s.Sim.CyclesTicked.Add(17) }},
-		{"Gauge.Set", func() { s.Runner.QueueDepth.Set(3) }},
-		{"Gauge.Add", func() { s.Runner.QueueDepth.Add(-1) }},
-		{"Histogram.Observe", func() { s.Runner.JobSeconds.Observe(0.25) }},
-		{"CounterVec.With", func() { s.Runner.WorkerBusy.With("0").Inc() }},
-		{"cached vec counter", func() { busy.Add(2) }},
-	}
-	for _, c := range cases {
-		if allocs := testing.AllocsPerRun(200, c.f); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
-		}
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	var c1, c2 Counter
-	r.Counter("dup", "first", &c1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r.Counter("dup", "second", &c2)
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	var h Histogram
-	r.Histogram("h", "", []float64{1, 2, 4}, &h)
-	for _, v := range []float64{0.5, 0.5, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	if got := h.Quantile(0.5); got != 2 {
-		t.Errorf("p50 = %g, want 2 (bucket upper bound)", got)
-	}
-	if got := h.Quantile(0.95); got != 4 {
-		t.Errorf("p95 = %g, want 4 (+Inf reports largest finite bound)", got)
-	}
-	if got := h.Count(); got != 5 {
-		t.Errorf("count = %d, want 5", got)
-	}
-}
-
-// populate fills a Set with fixed values for rendering tests.
-func populate(s *Set) {
-	s.Runner.JobsTotal.Add(4)
-	s.Runner.JobsStarted.Add(4)
-	s.Runner.JobsCompleted.Add(4)
-	s.Runner.JobsFailed.Inc()
-	s.Runner.Workers.Set(2)
-	s.Runner.CacheHits.Add(1)
-	s.Runner.CacheMisses.Add(3)
-	s.Runner.JobSeconds.Observe(0.02)
-	s.Runner.JobSeconds.Observe(0.04)
-	s.Runner.JobSeconds.Observe(0.3)
-	s.Runner.JobSeconds.Observe(0.6)
-	s.Runner.WorkerBusy.With("0").Add(500_000_000)
-	s.Runner.WorkerBusy.With("1").Add(460_000_000)
-	s.Sim.CyclesTicked.Add(900_000)
-	s.Sim.CyclesSkipped.Add(2_100_000)
-	s.Sim.Windows.Add(4)
-	s.Runner.RecordJob(JobRecord{Tag: "fft/smp-4x1", Seconds: 0.3, SimCycles: 1_500_000})
-	s.Runner.RecordJob(JobRecord{Tag: "ear/mp-1x4", Seconds: 0.6, SimCycles: 1_500_000})
-	s.Runner.RecordJob(JobRecord{Tag: "fft/cmp-4x1", Seconds: 0.02, SimCycles: 0, Cached: true})
-	s.Runner.RecordJob(JobRecord{Tag: "ear/cmp-4x1", Seconds: 0.04, SimCycles: 0, Failed: true})
-}
-
-// TestWritePromDeterministic checks the Prometheus rendering is
-// byte-stable and structurally sound.
-func TestWritePromDeterministic(t *testing.T) {
-	s := New()
-	populate(s)
-	var a, b bytes.Buffer
-	if err := s.Reg.WriteProm(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reg.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("two renderings of the same state differ")
-	}
-	out := a.String()
-	for _, want := range []string{
-		"# TYPE sim_jobs_completed_total counter\nsim_jobs_completed_total 4\n",
-		"# TYPE sim_job_wall_seconds histogram\n",
-		`sim_job_wall_seconds_bucket{le="+Inf"} 4`,
-		"sim_job_wall_seconds_count 4\n",
-		`sim_worker_busy_nanoseconds_total{worker="0"} 500000000`,
-		"sim_cycles_skipped_total 2100000\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteProm output missing %q", want)
-		}
-	}
-	// Buckets must be cumulative: le="0.05" covers the 0.02 and 0.04
-	// observations.
-	if !strings.Contains(out, `sim_job_wall_seconds_bucket{le="0.05"} 2`) {
-		t.Errorf("cumulative bucket wrong:\n%s", out)
-	}
-}
-
 // TestRunReportGolden pins the deterministic text rendering of the run
-// report against a golden file (regenerate with go test -run Golden
-// -update).
+// report against one golden file per job log (regenerate with go test
+// -run Golden -update), and the exact per-job quantiles.
 func TestRunReportGolden(t *testing.T) {
-	s := New()
-	populate(s)
-	report := s.BuildReport(1500 * time.Millisecond)
-	var buf bytes.Buffer
-	if err := report.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "report.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("report drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
-	}
+	for _, tc := range []struct {
+		golden   string
+		elapsed  time.Duration
+		workers  int
+		jobs     []JobRecord
+		p50, p95 float64
+	}{
+		{
+			golden: "report.golden", elapsed: 1500 * time.Millisecond, workers: 2,
+			jobs: []JobRecord{
+				{Tag: "fft/smp-4x1", Seconds: 0.3, SimCycles: 1_500_000},
+				{Tag: "ear/mp-1x4", Seconds: 0.6, SimCycles: 1_500_000},
+				{Tag: "fft/cmp-4x1", Seconds: 0.02, SimCycles: 2_000_000, Cached: true},
+				{Tag: "ear/cmp-4x1", Seconds: 0.04, SimCycles: 0, Failed: true},
+			},
+			p50: 0.04, p95: 0.6,
+		},
+		{
+			// A histogram on a 1-2.5-5 bucket ladder files all three in
+			// its 2.5 s bucket and reports p50 = p95 = 2.5 s.
+			golden: "report-1.1s.golden", elapsed: 3400 * time.Millisecond, workers: 1,
+			jobs: []JobRecord{
+				{Tag: "mp3d/shared-l1", Seconds: 1.1, SimCycles: 4_400_000},
+				{Tag: "mp3d/shared-l2", Seconds: 1.1, SimCycles: 4_000_000},
+				{Tag: "mp3d/shared-mem", Seconds: 1.1, SimCycles: 3_600_000},
+			},
+			p50: 1.1, p95: 1.1,
+		},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			s := New()
+			s.Runner.SetWorkers(tc.workers)
+			for _, j := range tc.jobs {
+				s.Runner.RecordJob(j)
+			}
+			report := s.BuildReport(tc.elapsed)
+			if report.JobWallP50 != tc.p50 || report.JobWallP95 != tc.p95 {
+				t.Errorf("p50/p95 = %g/%g, want %g/%g", report.JobWallP50, report.JobWallP95, tc.p50, tc.p95)
+			}
+			var buf bytes.Buffer
+			if err := report.WriteText(&buf); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("report drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+			}
 
-	// The JSON rendering must round-trip the same numbers.
-	var js bytes.Buffer
-	if err := report.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var back RunReport
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.JobsCompleted != 4 || back.CacheHitRate != 0.25 || len(back.Jobs) != 4 {
-		t.Errorf("JSON round-trip mismatch: %+v", back)
-	}
-}
-
-func TestHeartbeat(t *testing.T) {
-	s := New()
-	s.Runner.JobsTotal.Add(10)
-	s.Runner.JobsCompleted.Add(4)
-	s.Sim.CyclesTicked.Add(1000)
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	lockedW := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	hw := s.StartHeartbeat(lockedW, time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	hw.Stop()
-
-	mu.Lock()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	mu.Unlock()
-	if len(lines) < 2 {
-		t.Fatalf("expected several heartbeat lines, got %d", len(lines))
-	}
-	var hb Heartbeat
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &hb); err != nil {
-		t.Fatalf("final beat is not valid JSON: %v", err)
-	}
-	if hb.JobsTotal != 10 || hb.JobsDone != 4 || hb.SimCycles != 1000 {
-		t.Errorf("final beat %+v, want jobs 4/10, cycles 1000", hb)
-	}
-	if hb.ETASeconds <= 0 {
-		t.Errorf("ETASeconds = %g, want > 0 with 6 jobs remaining", hb.ETASeconds)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestServeEndpoints starts the HTTP endpoint on an ephemeral port and
-// checks /metrics, /debug/vars and /debug/pprof all answer.
-func TestServeEndpoints(t *testing.T) {
-	s := New()
-	populate(s)
-	srv, err := s.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		return string(b)
-	}
-
-	if body := get("/metrics"); !strings.Contains(body, "sim_jobs_completed_total 4") {
-		t.Errorf("/metrics missing counter:\n%s", body)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["telemetry"]; !ok {
-		t.Error("/debug/vars missing telemetry map")
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
-		t.Error("/debug/pprof/ index missing goroutine profile")
+			// The JSON rendering must round-trip the same numbers.
+			var js bytes.Buffer
+			if err := report.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			var back RunReport
+			if err := json.Unmarshal(js.Bytes(), &back); err != nil {
+				t.Fatal(err)
+			}
+			if back.JobsTotal != len(tc.jobs) || back.JobWallP50 != tc.p50 || len(back.Jobs) != len(tc.jobs) {
+				t.Errorf("JSON round-trip mismatch: %+v", back)
+			}
+		})
 	}
 }
