@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace experiments-output size clean
+.PHONY: all build check vet lint test race smoke race-smoke bench bench-gate bench-trace experiments-output size clean
 
 all: build
 
@@ -18,20 +18,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project's own go/types-based analyzers (determinism,
-# cycleflow, hotalloc, statreg, neutral, cachekey) over the whole
-# module, emitting SARIF for code scanning alongside the terminal
-# findings. See cmd/simlint and the "Correctness tooling" section of
-# the README.
+# cycleflow, statreg, neutral) over the whole module. See cmd/simlint
+# and the "Correctness tooling" section of the README.
 lint:
-	$(GO) run ./cmd/simlint -sarif simlint.sarif
-
-# lint-baseline regenerates the committed suppression ledger from the
-# current findings and fails if it no longer matches the checked-in
-# file — run it (and commit the diff) after deliberately accepting or
-# burning down inventoried debt.
-lint-baseline:
-	$(GO) run ./cmd/simlint -write-baseline
-	git diff --exit-code .simlint-baseline.json
+	$(GO) run ./cmd/simlint
 
 test:
 	$(GO) test ./...
@@ -84,7 +74,7 @@ bench-gate:
 
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —
-# .gitignore'd, like simlint.sarif — so reproduce it locally rather
+# .gitignore'd — so reproduce it locally rather
 # than expecting it in the tree (~30 s on one core; add `-sim-jobs 4`
 # manually for a sharded run, output is identical).
 experiments-output:

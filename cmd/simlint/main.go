@@ -4,23 +4,20 @@
 //	simlint                          # analyze the whole module
 //	simlint ./...                    # same
 //	simlint internal/memsys          # narrow the *output* to packages
-//	simlint -analyzers neutral,hotalloc
-//	simlint -json                    # findings as a JSON array
-//	simlint -sarif out.sarif         # SARIF 2.1.0 for code scanning
-//	simlint -write-baseline          # inventory current findings
+//	simlint -analyzers neutral,statreg
 //	simlint -list                    # print the suite
 //
-// Findings print as path:line:col: [analyzer] message. Exit status:
+// Findings print as path:line:col: [analyzer] message, paths relative
+// to the module root. Exit status:
 //
-//	0  clean (no findings survived suppression, baseline and filters)
+//	0  clean (no findings survived suppression and filters)
 //	1  findings
 //	2  load/usage error (bad flag, unknown analyzer, type-check failure)
 //
 // Suppress an individual finding with a //simlint:allow <name> comment
-// on the offending line or the line above; inventoried debt lives in
-// .simlint-baseline.json (see -baseline / -write-baseline). Under
-// GITHUB_ACTIONS=true (or -github) findings are also emitted as
-// ::error workflow annotations so they attach to the PR diff.
+// on the offending line or the line above. Under GITHUB_ACTIONS=true
+// each finding is also printed as a ::error workflow annotation, so it
+// attaches to the PR diff.
 package main
 
 import (
@@ -34,8 +31,6 @@ import (
 	"cmpsim/internal/lint"
 )
 
-const baselineName = ".simlint-baseline.json"
-
 func main() {
 	os.Exit(runWith(os.Args[1:], os.Stdout))
 }
@@ -47,12 +42,7 @@ func runWith(argv []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	var (
 		listFlag      = fs.Bool("list", false, "list the analyzers and exit")
-		jsonFlag      = fs.Bool("json", false, "print findings as a JSON array on stdout")
-		sarifFlag     = fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file`")
 		analyzersFlag = fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-		baselineFlag  = fs.String("baseline", "", "baseline file (default: "+baselineName+" at the module root, if present)")
-		writeBaseline = fs.Bool("write-baseline", false, "regenerate the baseline from current findings and exit")
-		githubFlag    = fs.Bool("github", false, "emit GitHub ::error workflow annotations (auto under GITHUB_ACTIONS=true)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -100,62 +90,24 @@ func runWith(argv []string, stdout io.Writer) int {
 	// and the empty list mean everything. Module-wide analyzers still
 	// see the whole module, so narrowing only filters the output.
 	filters := packageFilters(fs.Args())
-	var filtered []lint.Diagnostic
+	github := os.Getenv("GITHUB_ACTIONS") == "true"
+	findings := 0
 	for _, d := range diags {
-		if filters.match(root, d.Pos.Filename) {
-			filtered = append(filtered, d)
+		if !filters.match(root, d.Pos.Filename) {
+			continue
 		}
-	}
-
-	baselinePath := *baselineFlag
-	if baselinePath == "" {
-		baselinePath = filepath.Join(root, baselineName)
-	}
-	if *writeBaseline {
-		b := lint.BaselineOf(root, filtered)
-		if err := b.Save(baselinePath); err != nil {
-			return fail(err)
+		findings++
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(root, file); err == nil {
+			file = filepath.ToSlash(rel)
 		}
-		fmt.Fprintf(stdout, "simlint: wrote %d baseline entries to %s\n", len(b.Entries), baselinePath)
-		return 0
-	}
-	baseline, err := lint.LoadBaseline(baselinePath)
-	if err != nil {
-		return fail(err)
-	}
-	filtered = baseline.Filter(root, filtered)
-
-	if *sarifFlag != "" {
-		f, err := os.Create(*sarifFlag)
-		if err != nil {
-			return fail(err)
-		}
-		if err := lint.WriteSARIF(f, root, analyzers, filtered); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-	}
-
-	github := *githubFlag || os.Getenv("GITHUB_ACTIONS") == "true"
-	if *jsonFlag {
-		if err := lint.WriteJSON(stdout, root, filtered); err != nil {
-			return fail(err)
-		}
-	} else {
-		for _, d := range lint.JSONDiagnostics(root, filtered) {
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Column, d.Analyzer, d.Message)
-		}
-	}
-	if github {
-		for _, d := range lint.JSONDiagnostics(root, filtered) {
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+		if github {
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=simlint %s::%s\n",
-				d.File, d.Line, d.Column, d.Analyzer, escapeAnnotation(d.Message))
+				file, d.Pos.Line, d.Pos.Column, d.Analyzer, escapeAnnotation(d.Message))
 		}
 	}
-	if len(filtered) > 0 {
+	if findings > 0 {
 		return 1
 	}
 	return 0

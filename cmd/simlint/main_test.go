@@ -60,7 +60,7 @@ func TestExitCodeList(t *testing.T) {
 	if got := runWith([]string{"-list"}, &out); got != 0 {
 		t.Fatalf("-list: exit %d, want 0", got)
 	}
-	for _, name := range []string{"determinism", "neutral", "cachekey"} {
+	for _, name := range []string{"determinism", "cycleflow", "statreg", "neutral"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q", name)
 		}

@@ -378,12 +378,12 @@ type linePage [linePageWords]uint64
 func (s *lineSet) add(line uint32) {
 	p := int(line >> linePageShift)
 	if p >= len(s.pages) {
-		grown := make([]*linePage, p+1) //simlint:allow hotalloc — once per new highest page: at most one pointer per MiB of guest memory over a whole run
+		grown := make([]*linePage, p+1) // once per new highest page: at most one pointer per MiB of guest memory over a whole run
 		copy(grown, s.pages)
 		s.pages = grown
 	}
 	if s.pages[p] == nil {
-		s.pages[p] = new(linePage) //simlint:allow hotalloc — first invalidation in this MiB of guest memory; 0 allocs/op at steady state (BenchmarkCacheInvalidateMiss)
+		s.pages[p] = new(linePage) // first invalidation in this MiB of guest memory; 0 allocs/op at steady state (BenchmarkCacheInvalidateMiss)
 	}
 	s.pages[p][line>>6&(linePageWords-1)] |= 1 << (line & 63)
 }

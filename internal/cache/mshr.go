@@ -147,7 +147,7 @@ func (m *MSHRFile) Allocate(now uint64, lineAddr uint32, done uint64, tag uint8)
 	if len(m.entries) >= m.max {
 		return false
 	}
-	m.entries = append(m.entries, mshrSlot{done: done, addr: lineAddr, tag: tag}) //simlint:allow hotalloc — len < max <= cap (NewMSHRFile preallocates), so this never grows the backing array
+	m.entries = append(m.entries, mshrSlot{done: done, addr: lineAddr, tag: tag}) // len < max <= cap (NewMSHRFile preallocates), so this never grows the backing array
 	if m.trace != nil {
 		m.trace.Emit(obsv.Event{
 			Cycle: now, Addr: lineAddr, Arg: uint32(cyc.Lat(done, now)),

@@ -34,7 +34,7 @@ func (c *Context) Faultf(format string, args ...any) {
 	c.Halted = true
 	// A fault halts this CPU for the rest of the run, so the format
 	// executes at most once per context — off the steady-state path.
-	c.Fault = fmt.Sprintf(format, args...) //simlint:allow hotalloc — faults halt the CPU; formats at most once per run
+	c.Fault = fmt.Sprintf(format, args...) // faults halt the CPU; formats at most once per run
 }
 
 // NoWork is the sentinel a CPU model's NextWork returns when the core

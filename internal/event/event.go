@@ -38,7 +38,7 @@ func (q *Queue) less(i, j int) bool {
 // Schedule registers fn to fire at the given cycle.
 func (q *Queue) Schedule(cycle uint64, fn Func) {
 	q.seq++
-	//simlint:allow hotalloc — amortized into the reused backing array; 0 allocs/op at steady state
+	// amortized into the reused backing array; 0 allocs/op at steady state
 	q.h = append(q.h, item{cycle: cycle, seq: q.seq, fn: fn})
 	for i := len(q.h) - 1; i > 0; {
 		parent := (i - 1) / 2

@@ -160,29 +160,6 @@ func pkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
 	return ""
 }
 
-// typeHasMethod reports whether t (or *t) has a method with one of the
-// given names — the duck-typing test for "is this a tracer/metrics
-// sink".
-func typeHasMethod(t types.Type, names ...string) bool {
-	if t == nil {
-		return false
-	}
-	for _, ms := range []*types.MethodSet{
-		types.NewMethodSet(t),
-		types.NewMethodSet(types.NewPointer(t)),
-	} {
-		for i := 0; i < ms.Len(); i++ {
-			name := ms.At(i).Obj().Name()
-			for _, want := range names {
-				if name == want {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // scopeUnder returns a Scope predicate matching packages whose
 // module-relative path equals or sits below one of the prefixes.
 func scopeUnder(prefixes ...string) func(string) bool {
@@ -194,18 +171,4 @@ func scopeUnder(prefixes ...string) func(string) bool {
 		}
 		return false
 	}
-}
-
-// hasDirective reports whether a comment group carries directive (a
-// "simlint:..." marker) on any of its lines.
-func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.Contains(c.Text, directive) {
-			return true
-		}
-	}
-	return false
 }

@@ -8,12 +8,12 @@ import (
 	"strings"
 )
 
-// This file is simlint v2's shared call-graph substrate. The module-wide
-// analyzers (neutral, cachekey, and hotalloc's propagation pass) all
-// need the same question answered: "which functions can run beneath a
+// This file is simlint's call-graph substrate for module-wide
+// reachability analyzers. It answers "which functions can run beneath a
 // given root?" — where the roots are the simulator's hot entry points
 // (Core.Tick, Machine.RunWindow) and the edges must cross package
-// boundaries and interface dispatch.
+// boundaries and interface dispatch. None of the four registered
+// analyzers needs it: all of them are AST-local or field-keyed.
 //
 // Because the loader type-checks each package independently (the module
 // has no x/tools dependency, so there is no shared go/packages
@@ -45,11 +45,10 @@ func (k FuncKey) String() string {
 
 // CallEdge is one static call (or function-value reference) site.
 type CallEdge struct {
-	To      FuncKey
-	Pos     token.Pos
-	Guarded bool // the site only executes with a tracer/metrics sink attached
-	Iface   bool // resolved through interface dispatch (name+arity match)
-	Fatal   bool // the site sits inside panic(...) arguments (the run is dying)
+	To    FuncKey
+	Pos   token.Pos
+	Iface bool // resolved through interface dispatch (name+arity match)
+	Fatal bool // the site sits inside panic(...) arguments (the run is dying)
 }
 
 // FuncNode is one declared function with its outgoing edges.
@@ -214,10 +213,7 @@ func (g *CallGraph) collectEdges(pkg *Package) {
 					return // method idents resolve via their SelectorExpr below
 				}
 				if to, ok := funcKeyOf(fn); ok {
-					node.Edges = append(node.Edges, CallEdge{
-						To: to, Pos: n.Pos(), Guarded: tracerGuarded(info, n, stack),
-						Fatal: inPanicArgs(info, stack),
-					})
+					node.Edges = append(node.Edges, CallEdge{To: to, Pos: n.Pos(), Fatal: inPanicArgs(info, stack)})
 				}
 			case *ast.SelectorExpr:
 				g.selectorEdges(pkg, node, n, stack)
@@ -234,7 +230,6 @@ func (g *CallGraph) selectorEdges(pkg *Package, node *FuncNode, sel *ast.Selecto
 	if !ok {
 		return
 	}
-	guarded := tracerGuarded(info, sel, stack)
 	fatal := inPanicArgs(info, stack)
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
@@ -242,24 +237,24 @@ func (g *CallGraph) selectorEdges(pkg *Package, node *FuncNode, sel *ast.Selecto
 			// Interface dispatch: edge to the interface method itself plus
 			// every module method matching its shape.
 			if to, ok := funcKeyOf(fn); ok {
-				node.Edges = append(node.Edges, CallEdge{To: to, Pos: sel.Pos(), Guarded: guarded, Iface: true, Fatal: fatal})
+				node.Edges = append(node.Edges, CallEdge{To: to, Pos: sel.Pos(), Iface: true, Fatal: fatal})
 			}
 			ms := methodSig{fn.Name(), sig.Params().Len(), sig.Results().Len()}
 			for _, impl := range g.methodsBySig[ms] {
-				node.Edges = append(node.Edges, CallEdge{To: impl, Pos: sel.Pos(), Guarded: guarded, Iface: true, Fatal: fatal})
+				node.Edges = append(node.Edges, CallEdge{To: impl, Pos: sel.Pos(), Iface: true, Fatal: fatal})
 			}
 			return
 		}
 	}
 	if to, ok := funcKeyOf(fn); ok {
-		node.Edges = append(node.Edges, CallEdge{To: to, Pos: sel.Pos(), Guarded: guarded, Fatal: fatal})
+		node.Edges = append(node.Edges, CallEdge{To: to, Pos: sel.Pos(), Fatal: fatal})
 	}
 }
 
 // inPanicArgs reports whether the visited node sits inside the argument
 // list of a panic(...) call. A panicking simulator is no longer on any
 // hot path — allocation and formatting while assembling the panic value
-// are free — and hot-ness must not propagate through such call sites.
+// are free — so a hot-path reachability pass skips such call sites.
 func inPanicArgs(info *types.Info, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		call, ok := stack[i].(*ast.CallExpr)
@@ -290,10 +285,6 @@ func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
 
 // ReachOpts tunes a reachability traversal.
 type ReachOpts struct {
-	// SkipGuarded drops edges whose call site only runs with a tracer
-	// attached (the hotalloc slow path).
-	SkipGuarded bool
-
 	// SkipFatal drops edges whose call site sits inside panic(...)
 	// arguments (the run is already dying there).
 	SkipFatal bool
@@ -331,9 +322,6 @@ func (g *CallGraph) Reachable(roots []FuncKey, opts ReachOpts) map[FuncKey]FuncK
 			continue
 		}
 		for _, e := range node.Edges {
-			if opts.SkipGuarded && e.Guarded {
-				continue
-			}
 			if opts.SkipFatal && e.Fatal {
 				continue
 			}

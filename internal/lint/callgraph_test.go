@@ -167,8 +167,8 @@ func protected() {}
 }
 
 // TestReachableSkipsFatalEdges requires panic-argument call sites not
-// to conduct reachability when SkipFatal is set (the hotalloc rule: a
-// dying simulator allocates for free).
+// to conduct reachability when SkipFatal is set (a dying
+// simulator is on no hot path).
 func TestReachableSkipsFatalEdges(t *testing.T) {
 	dir := writeFixturePkg(t, `package a
 

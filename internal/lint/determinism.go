@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 )
 
 // DeterminismAnalyzer enforces that the simulator's state machines are
@@ -18,7 +19,12 @@ import (
 //     and scheduler interleaving would leak into results;
 //   - ranging over a map — Go randomizes map iteration order, so any
 //     map-order-dependent side effect (ordering of emitted events,
-//     float accumulation order, tie-breaking) varies run to run.
+//     float accumulation order, tie-breaking) varies run to run;
+//   - importing os, flag or syscall — an environment variable, file or
+//     flag read here is configuration outside memsys.Config, which the
+//     runner's result cache fingerprints, so two runs with one cache
+//     key could differ. Test files are not loaded, so golden tests may
+//     still read their files.
 //
 // Map iteration whose effects are provably order-independent (e.g. a
 // deletion-only sweep) is suppressed with //simlint:allow determinism.
@@ -32,11 +38,11 @@ import (
 // TestDeterminismScopeExcludesDriverPool pins it.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global rand, goroutines and map-order iteration in simulator state machines",
+	Doc:  "forbid wall-clock, global rand, goroutines, map-order iteration and os/flag/syscall imports in simulator state machines",
 	Scope: scopeUnder(
 		"internal/cache", "internal/coherence", "internal/core",
 		"internal/cpu", "internal/memsys", "internal/interconnect",
-		"internal/event",
+		"internal/event", "internal/mem",
 	),
 	Run: runDeterminism,
 }
@@ -50,6 +56,10 @@ var wallClockFuncs = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
+// configImports are the packages through which simulator code could
+// read configuration the result cache does not fingerprint.
+var configImports = map[string]bool{"os": true, "flag": true, "syscall": true}
+
 // randConstructors are the math/rand names that do NOT touch the global
 // source: constructing an explicitly seeded generator is the approved
 // pattern.
@@ -60,6 +70,11 @@ var randConstructors = map[string]bool{
 func runDeterminism(pass *Pass) error {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); configImports[path] {
+				pass.Reportf(imp.Pos(), "simulator code imports %s; configuration must come through memsys.Config, which the result cache fingerprints", path)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

@@ -5,15 +5,16 @@
 // module's packages with the standard library's source importer and runs
 // a fixed suite of simulator-invariant analyzers over them:
 //
-//   - determinism: no wall-clock, global rand, goroutines or map-order
-//     iteration inside the simulator state machines
+//   - determinism: no wall-clock, global rand, goroutines, map-order
+//     iteration or os/flag/syscall imports inside the simulator state
+//     machines
 //   - cycleflow: uint64 cycle arithmetic cannot wrap (subtractions must
 //     be guarded, blessed through internal/cyc, or suppressed) and
 //     cycle-taking functions cannot return a completion before "now"
-//   - hotalloc: the tracer-disabled fast path stays allocation- and
-//     fmt-free (the 0 allocs/op contract of internal/obsv)
 //   - statreg: every counter field of a *Stats struct is read by some
 //     report/merge path, so counters cannot be dropped silently
+//   - neutral: no value produced by the observability packages flows
+//     into simulator state or control flow
 //
 // A finding is suppressed by a comment on the same line or the line
 // above, naming the analyzer:
@@ -65,19 +66,13 @@ type Analyzer struct {
 	RunModule func(*ModulePass) error
 }
 
-// Analyzers is the simlint suite, in reporting order. The first four
-// are the v1 AST-local checkers; neutral and cachekey are the v2
-// module-wide dataflow suite built on the shared call graph
-// (callgraph.go) that machine-checks the observability neutrality contract
-// and the result cache.
+// Analyzers is the simlint suite, in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		CycleflowAnalyzer,
-		HotallocAnalyzer,
 		StatregAnalyzer,
 		NeutralAnalyzer,
-		CachekeyAnalyzer,
 	}
 }
 

@@ -69,19 +69,8 @@ func analyzerByName(t *testing.T, name string) *lint.Analyzer {
 // exactly — no misses, no extras, and suppressed lines stay silent.
 func TestAnalyzersCatchFixtures(t *testing.T) {
 	// Each fixture masquerades as an in-scope simulator package via its
-	// fake relPath: internal/cache for the per-CPU-domain analyzers,
-	// internal/memsys for the one keyed to the shared domain (cachekey's
-	// Config audit).
-	fixtures := []struct{ name, relPath string }{
-		{"determinism", "internal/cache"},
-		{"cycleflow", "internal/cache"},
-		{"hotalloc", "internal/cache"},
-		{"statreg", "internal/cache"},
-		{"neutral", "internal/cache"},
-		{"cachekey", "internal/memsys"},
-	}
-	for _, fx := range fixtures {
-		name := fx.name
+	// fake relPath, internal/cache.
+	for _, name := range []string{"determinism", "cycleflow", "statreg", "neutral"} {
 		t.Run(name, func(t *testing.T) {
 			a := analyzerByName(t, name)
 			dir := filepath.Join("testdata", "src", name)
@@ -96,7 +85,7 @@ func TestAnalyzersCatchFixtures(t *testing.T) {
 				}
 				sharedLoader().Preload(obs)
 			}
-			pkg, err := sharedLoader().Load(dir, "cmpsim/lintfixture/"+name, fx.relPath)
+			pkg, err := sharedLoader().Load(dir, "cmpsim/lintfixture/"+name, "internal/cache")
 			if err != nil {
 				t.Fatalf("load fixture: %v", err)
 			}

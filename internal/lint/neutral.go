@@ -25,8 +25,8 @@ import (
 // storing a *prof.Profile into the result struct, comparing an
 // attachment against nil to gate instrumentation — is deliberately
 // exempt: attachment *presence* may gate extra observation-only work
-// (that is the hotalloc guard idiom), but observation *data* must never
-// come back.
+// (the nil-guard idiom of the disabled fast path), but observation
+// *data* must never come back.
 //
 // A source is flagged when it reaches an if/for/switch condition, an
 // assignment whose target is not itself observability-typed, a return

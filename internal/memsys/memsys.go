@@ -208,7 +208,7 @@ type Config struct {
 	// (runner.Fingerprint skips it by name): a cached serial result is
 	// the parallel result. 0 or 1 selects the untouched serial loop.
 	//
-	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly)
+	// output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly)
 	SimJobs int
 
 	// SimWindow is the scheduling-window grid of the core cycle loop, in
@@ -334,7 +334,7 @@ func (w *writeBuf) reap(now uint64) {
 	p := w.pending[:0]
 	for _, done := range w.pending {
 		if done > now {
-			//simlint:allow hotalloc — compacts into the reused backing array, never grows it
+			// compacts into the reused backing array, never grows it
 			p = append(p, done)
 		}
 	}
@@ -363,7 +363,7 @@ func (w *writeBuf) nextFree() uint64 {
 func (w *writeBuf) add(done uint64) {
 	// The backing array is preallocated to depth by newWriteBufs and
 	// add is only called when full() said no; the append never grows.
-	w.pending = append(w.pending, done) //simlint:allow hotalloc — appends into the depth-capacity array preallocated by newWriteBufs
+	w.pending = append(w.pending, done) // appends into the depth-capacity array preallocated by newWriteBufs
 }
 
 func newWriteBufs(n, depth int) []writeBuf {

@@ -355,3 +355,57 @@ func TestSharedL2LoadAfterL2EvictIsReplacementMiss(t *testing.T) {
 		t.Errorf("inclusion evicts = %d, want 2", rep.Dir.InclusionEvicts)
 	}
 }
+
+// TestReferencesDoNotAllocate holds the reference paths of all three
+// architectures to zero allocations with no tracer attached: a load
+// hit, a load miss, a store through the write buffer and an I-fetch.
+// AllocsPerRun truncates its average, so each case is one run of 100
+// references: an append that grows a slice only now and then shows too.
+func TestReferencesDoNotAllocate(t *testing.T) {
+	for _, arch := range []System{
+		NewSharedL1(DefaultConfig()),
+		NewSharedL2(DefaultConfig()),
+		NewSharedMem(DefaultConfig()),
+	} {
+		// References 1000 cycles apart: every earlier one has completed
+		// and the write buffer has drained, so none is refused.
+		now := uint64(0)
+		access := func(addr uint32, write bool) (Result, bool) {
+			now += 1000
+			return arch.Access(now, 0, addr, write)
+		}
+		// Four lines 4 MiB apart share a set in every L1 and L2 of the
+		// default configuration, so visiting them in turn always misses.
+		miss := uint32(0)
+		for _, c := range []struct {
+			name string
+			ref  func() (Result, bool)
+			want func(Result) bool
+		}{
+			{"load-hit", func() (Result, bool) { return access(0x1000, false) },
+				func(r Result) bool { return r.Level == LvlL1 }},
+			{"load-miss", func() (Result, bool) { miss = (miss + 1) % 4; return access(0x100000+miss<<22, false) },
+				func(r Result) bool { return r.Level != LvlL1 }},
+			{"store", func() (Result, bool) { return access(0x2000, true) },
+				func(r Result) bool { return r.Done == now+1 }},
+			{"ifetch", func() (Result, bool) { now += 1000; return arch.IFetch(now, 0, 0x3000), true },
+				func(r Result) bool { return r.Level == LvlL1 }},
+		} {
+			var last Result
+			ok := true
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 100; i++ {
+					var accepted bool
+					last, accepted = c.ref()
+					ok = ok && accepted
+				}
+			})
+			if !ok || !c.want(last) {
+				t.Errorf("%s %s: last reference %+v (accepted %v) is not the path under test", arch.Name(), c.name, last, ok)
+			}
+			if allocs != 0 {
+				t.Errorf("%s %s: %v allocations in 100 references, want 0", arch.Name(), c.name, allocs)
+			}
+		}
+	}
+}

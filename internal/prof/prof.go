@@ -7,8 +7,8 @@
 // per-run attachment installed in memsys.Config.Prof; every hook site
 // in the CPU models and the memory system is a single method call
 // behind one pointer nil-check, so a nil profiler costs one compare
-// per site and zero allocations (pinned by BenchmarkProfDisabled and
-// the hotalloc analyzer). Because the profiler accumulates into
+// per site and zero allocations (pinned by BenchmarkProfDisabled).
+// Because the profiler accumulates into
 // private maps owned by one machine, it is a runtime attachment in
 // the runner's sense: jobs carrying one bypass the result cache.
 //

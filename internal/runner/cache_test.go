@@ -138,6 +138,50 @@ func TestFingerprintCoversEveryScalarKnob(t *testing.T) {
 	}
 }
 
+// TestAttachmentsMakeJobsUncacheable is the other half of the
+// fingerprint contract: the fields Fingerprint skips must each make a
+// job uncacheable when set, or two configs differing only there would
+// share a key. Every func, pointer and interface field of Config is set
+// non-nil in turn. Map, chan and unsafe-pointer fields are refused
+// outright: the fingerprint cannot render them canonically.
+func TestAttachmentsMakeJobsUncacheable(t *testing.T) {
+	// Non-nil values for interface-typed fields; a new interface field
+	// needs an implementation here.
+	implementations := []any{obsv.NewRing(1)}
+	typ := reflect.TypeOf(memsys.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		job := Job{WorkloadKey: "w", Arch: core.SharedL1, Model: core.ModelMipsy, Cfg: memsys.DefaultConfig()}
+		field := reflect.ValueOf(&job.Cfg).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Map, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("Config.%s is a %s, which the fingerprint cannot render; use scalars", f.Name, f.Type.Kind())
+			continue
+		case reflect.Func:
+			field.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value {
+				panic("attachment called by Cacheable")
+			}))
+		case reflect.Pointer:
+			field.Set(reflect.New(f.Type.Elem()))
+		case reflect.Interface:
+			for _, v := range implementations {
+				if reflect.TypeOf(v).Implements(f.Type) {
+					field.Set(reflect.ValueOf(v))
+					break
+				}
+			}
+			if field.IsNil() {
+				t.Fatalf("no non-nil value for Config.%s (%s): add one to implementations", f.Name, f.Type)
+			}
+		default:
+			continue
+		}
+		if Cacheable(&job) {
+			t.Errorf("job with Config.%s set is cacheable, but Fingerprint skips the field: require it nil in Cacheable", f.Name)
+		}
+	}
+}
+
 // TestKeyStable pins the hex keys of representative jobs, so a change
 // to Config or to Fingerprint that would orphan existing cache entries
 // fails here instead of silently recomputing every cell. A deliberate
