@@ -88,8 +88,10 @@ experiments-output:
 # rotation over the real shared-memory system, and stalled-window, the
 # same on the memory-bound design point with every core ticked only
 # when its wake hint is due: ns per tick and ticks per instruction),
-# the two BenchmarkMipsyTick cases (the simple CPU against a one-cycle
-# memory, ns per instruction), the two BenchmarkRunWindow cases (the
+# the three BenchmarkMipsyTick cases (the simple CPU against a one-cycle
+# memory, ns and ticks per instruction; load-every-third-shared runs
+# through its loads and line ends below a shared bound), the two
+# BenchmarkRunWindow cases (the
 # cycle loop alone over stub cores, ns per executed cycle) and
 # BenchmarkCacheInvalidateMiss (a private cache's side of a coherence
 # ping-pong over 64 Ki lines: the invalidation-marker set) and

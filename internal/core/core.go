@@ -53,11 +53,13 @@ type Core interface {
 	// Tick does the core's work at cycle now and returns its wake cycle:
 	// the earliest cycle after now at which this core might have work,
 	// assuming no external input first (cpu.NoWork if, and only if, it
-	// is now halted). A core that takes the machine's run-ahead bound
+	// is now halted). A core that takes the machine's run-ahead bounds
 	// (cpu.InterruptSource) may also do, inside the same call, the work
-	// of the cycles from now to that bound that involves nothing but
-	// itself; its wake cycle is then the first cycle whose work it has
-	// not done. The cycle loop does not tick the core again before
+	// of the cycles after now: below RunAheadBound the work that involves
+	// nothing but itself, and below SharedBound also the work that calls
+	// the memory system or reads and writes the guest image, but never a
+	// trap or a halt. Its wake cycle is then the first cycle whose work it
+	// has not done. The cycle loop does not tick the core again before
 	// that cycle unless its interrupt line goes live, so the hint obeys
 	// the same asymmetric contract as NextWork — too small only costs
 	// no-op ticks, too large would change simulation output. With the
@@ -234,11 +236,12 @@ type Machine struct {
 
 	// runAhead says the machine's cores consume the run-ahead bound
 	// (Mipsy does, MXS does not): the serial loop then fixes aheadTo on
-	// every executed cycle, before its ticks (see RunAheadBound).
-	// Otherwise, and outside the serial loop, aheadTo stays zero, which
-	// allows no run-ahead at all.
+	// every executed cycle, before its ticks, and aheadCyc to that cycle
+	// (see RunAheadBound, SharedBound). Otherwise, and outside the serial
+	// loop, aheadTo stays zero, which allows no run-ahead at all.
 	runAhead bool
 	aheadTo  uint64
+	aheadCyc uint64
 
 	// syms is the machine-wide physical-address symbol table, collected
 	// from every loaded program (relocated by its load bias) so a
@@ -256,19 +259,20 @@ type Machine struct {
 // the serial loop reproduces:
 //
 //   - live are the delivered lines. Within a scheduling window each
-//     line is read (PendingInterrupt) and cleared (AckInterrupt) only
-//     by its own CPU, and written by the coordinator phase (event
-//     callbacks, grid-boundary merges) only between windows — so no two
-//     goroutines ever touch a live line concurrently.
+//     line is read (through the pointer Line hands its CPU) and cleared
+//     (AckInterrupt) only by its own CPU, and written by the coordinator
+//     phase (event callbacks, grid-boundary merges) only between
+//     windows — so no two goroutines ever touch a live line
+//     concurrently. The slice is sized once, in NewMachine, so those
+//     pointers stay valid.
 //   - pending buffers raises made from tick phase (a trap handler
 //     running under some CPU's tick). Tick-phase code runs under the
 //     scheduler's serial-order shared-state grant, so pending is
 //     mutated exclusively; merge promotes it to live at the next
 //     SimWindow grid boundary, identically in both schedulers.
 //
-// The arbitration points are the methods below, declared as such for
-// the sharedmut analyzer: the classification is an enforced invariant
-// of the parallel scheduler, not documentation.
+// Under the parallel scheduler the race detector checks this (the
+// -sim-jobs tests of par_test.go run under -race in CI).
 type irqLines struct {
 	live    []bool
 	pending []bool
@@ -341,8 +345,11 @@ func (q *irqLines) wakeLive(wakeAt []uint64, cyc uint64) {
 // grid boundary, in both the serial and the parallel scheduler.
 func (m *Machine) RaiseIRQ(cpuID int) { m.irq.raise(cpuID, m.inTick) }
 
-// PendingInterrupt implements cpu.InterruptSource.
+// PendingInterrupt reports whether a CPU's interrupt line is live.
 func (m *Machine) PendingInterrupt(cpuID int) bool { return m.irq.live[cpuID] }
+
+// Line implements cpu.InterruptSource.
+func (m *Machine) Line(cpuID int) *bool { return &m.irq.live[cpuID] }
 
 // AckInterrupt implements cpu.InterruptSource.
 func (m *Machine) AckInterrupt(cpuID int) { m.irq.ack(cpuID) }
@@ -352,6 +359,29 @@ func (m *Machine) AckInterrupt(cpuID int) { m.irq.ack(cpuID) }
 // buffered raise is merged, no sample is taken and RunWindow does not
 // return, which are all the ways anything outside a CPU reaches it.
 func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
+
+// SharedBound implements cpu.InterruptSource: RunAheadBound, lowered to
+// the wake cycle of every other running CPU and never below the next
+// cycle. A CPU ticked earlier in this cycle's rotation has its new wake
+// cycle stored; one still due in it (wake cycle at or before the present)
+// acts after this tick, at this cycle, so it counts as the next cycle;
+// a halted CPU (cpu.NoWork) does not count. No other CPU acts below the
+// bound (its wake cycle is its own proof, and the one thing that pulls a
+// wake cycle down, an interrupt line going live, waits for an event or a
+// grid boundary, both terms of RunAheadBound), so every memory-system
+// call, image access and trap is made in the (cycle, rotation) order of
+// the loop that ticks every CPU every cycle. It is a scan of the wake
+// cycles made on demand, so the loop pays nothing for it per executed
+// cycle.
+func (m *Machine) SharedBound(cpuID int) uint64 {
+	b, floor := m.aheadTo, m.aheadCyc+1
+	for j, w := range m.wakeAt {
+		if j != cpuID {
+			b = min(b, max(w, floor)) // branch-free: which CPU wins is data
+		}
+	}
+	return b
+}
 
 // interruptible is implemented by CPU models that poll an external
 // interrupt line.
@@ -531,7 +561,10 @@ func (r *RunResult) IPC() float64 {
 // horizon, with the grid term unconditional because a raise buffered by
 // one CPU's tick must find the CPUs ticked before it no further than the
 // boundary it is merged at. An event scheduled from tick phase below the
-// bound would find them past it, and is returned as an error.
+// bound would find them past it, and is returned as an error. A tick
+// whose run reaches a memory reference asks SharedBound, which lowers the
+// bound to the other CPUs' wake cycles as they stand at that point of
+// the tick pass.
 //
 // Config.NoSkip clamps every hint and the bound to the next cycle and so
 // ticks everything, every cycle, one instruction per tick: the reference
@@ -596,7 +629,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 			m.irq.wakeLive(wakeAt, cyc)
 		}
 		if ahead {
-			m.aheadTo = cyc + 1
+			m.aheadTo, m.aheadCyc = cyc+1, cyc
 			if !oneInst {
 				m.aheadTo = m.horizon(cyc, end, nextGrid, mets)
 			}

@@ -25,8 +25,10 @@
 //     can't both hold a grant, so shared accesses are globally ordered.
 //   - Fidelity: that global order is exactly the serial loop's, by
 //     induction over (t, pos); per-CPU state between shared accesses
-//     is private by the ownership analysis (simlint sharedmut), so
-//     every access computes the same values as its serial twin.
+//     is touched only by the worker that owns the CPU, so every access
+//     computes the same values as its serial twin. Nothing checks that
+//     statically: the -sim-jobs identity tests (par_test.go, here and
+//     in the root package) run under -race in CI.
 //   - Progress: the CPU with the globally minimal (t, pos) never
 //     blocks, and is always some worker's locally minimal CPU, so the
 //     system can't deadlock.

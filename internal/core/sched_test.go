@@ -452,17 +452,21 @@ func TestHaltWhileOneSleeps(t *testing.T) {
 
 // ---- run-ahead bound ----
 
-// aheadCore is a core that takes the machine's run-ahead bound the way
-// Mipsy does: on every Tick it reads the bound, notes it, and (with jump
-// set) does all its work up to it at once, so that at is the first cycle
-// it has not done. It takes its interrupt when ticked with the line live.
+// aheadCore is a core that takes the machine's run-ahead bounds the way
+// Mipsy does: on every Tick it reads both, notes them, and (with jump
+// set) does all its work up to the run-ahead bound at once, so that at is
+// the first cycle it has not done. Without jump it sleeps nap cycles
+// after each tick; with halt it halts at its first. It takes its
+// interrupt when ticked with the line live.
 type aheadCore struct {
 	id   int
 	m    *Machine
 	jump bool
+	nap  uint64
+	halt bool
 	at   uint64 // first cycle not yet worked
 
-	bounds [][2]uint64 // (now, bound) at every Tick
+	bounds [][3]uint64 // (now, bound, shared bound) at every Tick
 	irqs   [][2]uint64 // (now, at) whenever the line was found live
 	onTick func(now uint64)
 	ctx    cpu.Context
@@ -470,7 +474,7 @@ type aheadCore struct {
 
 func (s *aheadCore) Tick(now uint64) uint64 {
 	b := s.m.RunAheadBound()
-	s.bounds = append(s.bounds, [2]uint64{now, b})
+	s.bounds = append(s.bounds, [3]uint64{now, b, s.m.SharedBound(s.id)})
 	if s.m.PendingInterrupt(s.id) {
 		s.m.AckInterrupt(s.id)
 		s.irqs = append(s.irqs, [2]uint64{now, s.at})
@@ -478,18 +482,27 @@ func (s *aheadCore) Tick(now uint64) uint64 {
 	if s.onTick != nil {
 		s.onTick(now)
 	}
-	s.at = now + 1
+	if s.halt {
+		s.ctx.Halted = true
+		return cpu.NoWork
+	}
+	s.at = now + 1 + s.nap
 	if s.jump && b > s.at {
 		s.at = b
 	}
 	return s.at
 }
 
-func (s *aheadCore) Done() bool                 { return false }
-func (s *aheadCore) Stats() cpu.StallStats      { return cpu.StallStats{} }
-func (s *aheadCore) Context() *cpu.Context      { return &s.ctx }
-func (s *aheadCore) FlushFetchBuffer()          {}
-func (s *aheadCore) NextWork(now uint64) uint64 { return max(s.at, now) }
+func (s *aheadCore) Done() bool            { return s.ctx.Halted }
+func (s *aheadCore) Stats() cpu.StallStats { return cpu.StallStats{} }
+func (s *aheadCore) Context() *cpu.Context { return &s.ctx }
+func (s *aheadCore) FlushFetchBuffer()     {}
+func (s *aheadCore) NextWork(now uint64) uint64 {
+	if s.ctx.Halted {
+		return cpu.NoWork
+	}
+	return max(s.at, now)
+}
 
 // aheadMachine builds a Machine that keeps a run-ahead bound, with
 // interrupt lines, around ahead cores.
@@ -506,7 +519,10 @@ func aheadMachine(cores ...*aheadCore) *Machine {
 // earliest of the window's end, the next event, the next grid boundary
 // (buffered raise or not) and the sampler's next due cycle, and never
 // below the next cycle; NoSkip and each instrument that sees cross-CPU
-// order clamp it to the next cycle.
+// order clamp it to the next cycle. The shared bound is that bound
+// lowered to the wake cycle of every other running CPU, one still due in
+// the cycle's rotation counting as the next cycle and a halted one not
+// at all. Both are zero outside RunWindow and under -sim-jobs.
 func TestRunAheadBoundTerms(t *testing.T) {
 	const end, grid, interval = 200, 64, 40
 	setup := func() (*Machine, *aheadCore) {
@@ -527,8 +543,8 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		if len(c.bounds) != end {
 			t.Fatalf("core ticked %d times, want every one of %d cycles", len(c.bounds), end)
 		}
-		if m.RunAheadBound() != 0 {
-			t.Errorf("bound outside RunWindow = %d, want 0", m.RunAheadBound())
+		if m.RunAheadBound() != 0 || m.SharedBound(0) != 0 {
+			t.Errorf("bounds outside RunWindow = %d, %d, want 0", m.RunAheadBound(), m.SharedBound(0))
 		}
 	}
 
@@ -547,8 +563,8 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		// The sample at a due cycle is taken after the cycle's ticks.
 		want = min(want, max((now+interval-1)/interval, 1)*interval)
 		want = max(want, now+1)
-		if nb[1] != want {
-			t.Errorf("bound at cycle %d = %d, want %d", now, nb[1], want)
+		if nb[1] != want || nb[2] != want {
+			t.Errorf("bound at cycle %d = %d, shared %d, want %d for both (no other CPU)", now, nb[1], nb[2], want)
 		}
 	}
 
@@ -563,8 +579,8 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		clamp(m)
 		run(m, c)
 		for _, nb := range c.bounds {
-			if nb[1] != nb[0]+1 {
-				t.Fatalf("%s: bound at cycle %d = %d, want %d", name, nb[0], nb[1], nb[0]+1)
+			if nb[1] != nb[0]+1 || nb[2] != nb[0]+1 {
+				t.Fatalf("%s: bound at cycle %d = %d, shared %d, want %d", name, nb[0], nb[1], nb[2], nb[0]+1)
 			}
 		}
 	}
@@ -574,8 +590,52 @@ func TestRunAheadBoundTerms(t *testing.T) {
 	m.runAhead = false
 	run(m, c)
 	for _, nb := range c.bounds {
-		if nb[1] != 0 {
-			t.Fatalf("machine without run-ahead cores: bound at cycle %d = %d, want 0", nb[0], nb[1])
+		if nb[1] != 0 || nb[2] != 0 {
+			t.Fatalf("machine without run-ahead cores: bounds at cycle %d = %d, %d, want 0", nb[0], nb[1], nb[2])
+		}
+	}
+
+	// Three CPUs: one due every cycle, one asleep 49 cycles after each
+	// tick, one that halts at its first; events at 30 and 120.
+	busy, napper, halter := &aheadCore{}, &aheadCore{nap: 49}, &aheadCore{halt: true}
+	m = aheadMachine(busy, napper, halter)
+	m.Events.Schedule(30, func(uint64) {})
+	m.Events.Schedule(120, func(uint64) {})
+	if next, _, err := m.RunWindow(0, end); err != nil || next != end {
+		t.Fatalf("RunWindow = %d, %v", next, err)
+	}
+	for _, nb := range busy.bounds {
+		now := nb[0]
+		want := (now/50 + 1) * 50 // napper's wake cycle once ticked at or before now
+		if now%50 == 0 && rotPos(1, now, 3) > rotPos(0, now, 3) {
+			want = now + 1 // napper is due at now, after busy in the rotation
+		}
+		if want = min(want, nb[1]); nb[2] != want {
+			t.Errorf("busy CPU's shared bound at cycle %d = %d, want %d (run-ahead bound %d)", now, nb[2], want, nb[1])
+		}
+	}
+	for _, nb := range napper.bounds {
+		if nb[2] != nb[0]+1 {
+			t.Errorf("napping CPU's shared bound at cycle %d = %d, want %d: the busy CPU is due every cycle", nb[0], nb[2], nb[0]+1)
+		}
+	}
+	if len(busy.bounds) != end || len(napper.bounds) != 4 || len(halter.bounds) != 1 {
+		t.Errorf("ticks: busy %d, napper %d, halter %d; want %d, 4, 1", len(busy.bounds), len(napper.bounds), len(halter.bounds), end)
+	}
+
+	// -sim-jobs: the sharded scheduler hands out no bound at all.
+	a, b := &aheadCore{jump: true}, &aheadCore{}
+	m = aheadMachine(a, b)
+	m.Cfg.NumCPUs, m.Cfg.SimJobs = 2, 2
+	m.par = newParSched(m, 2)
+	if next, _, err := m.RunWindow(0, end); err != nil || next != end {
+		t.Fatalf("-sim-jobs 2: RunWindow = %d, %v", next, err)
+	}
+	for _, c := range []*aheadCore{a, b} {
+		for _, nb := range c.bounds {
+			if nb[1] != 0 || nb[2] != 0 {
+				t.Fatalf("-sim-jobs 2: CPU %d's bounds at cycle %d = %d, %d, want 0", c.id, nb[0], nb[1], nb[2])
+			}
 		}
 	}
 }

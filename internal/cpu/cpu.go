@@ -71,10 +71,14 @@ func (NopTrap) Syscall(uint64, int, *Context, int32) uint64 { return 0 }
 // still points at the next unexecuted instruction.
 const IRQ int32 = -1
 
-// InterruptSource lets a CPU model poll for pending external interrupts
-// at instruction boundaries. The simulator core implements it.
+// InterruptSource is a CPU model's external interrupt line and the two
+// bounds on how far one tick may run ahead of the cycle it was ticked
+// at. The simulator core implements it.
 type InterruptSource interface {
-	PendingInterrupt(cpuID int) bool
+	// Line returns the CPU's interrupt line, fixed for the machine's
+	// life: the model reads it at instruction boundaries and clears it
+	// only through AckInterrupt.
+	Line(cpuID int) *bool
 	AckInterrupt(cpuID int)
 
 	// RunAheadBound is the earliest cycle at which anything outside a
@@ -85,6 +89,16 @@ type InterruptSource interface {
 	// bound at or below the next cycle (the zero value included) allows
 	// none, which is the one-instruction tick.
 	RunAheadBound() uint64
+
+	// SharedBound is, for the CPU being ticked, the earliest cycle at
+	// which another CPU can next touch the memory system, the guest image
+	// or the kernel; it is never above RunAheadBound. Below it the run
+	// may also do, each at its own cycle, the work that does touch them
+	// (data references, refused references retried, fetches of a new
+	// line), since nobody else's work falls between; a trap or a halt
+	// still ends the run. It looks at every other CPU, so a model asks
+	// once a tick, when a run first reaches such an instruction.
+	SharedBound(cpuID int) uint64
 }
 
 // TickGate is the parallel scheduler's shared-state grant: Sync blocks

@@ -33,7 +33,8 @@ type CPU struct {
 	text     []cpu.Uop
 	textBase uint32
 
-	irq cpu.InterruptSource
+	irq  cpu.InterruptSource
+	line *bool // the CPU's interrupt line (irq.Line); noLine without a source
 
 	stats cpu.StallStats
 	prof  *prof.Profiler
@@ -41,7 +42,13 @@ type CPU struct {
 
 // SetInterruptSource attaches an external interrupt line, polled between
 // instructions.
-func (c *CPU) SetInterruptSource(src cpu.InterruptSource) { c.irq = src }
+func (c *CPU) SetInterruptSource(src cpu.InterruptSource) {
+	c.irq, c.line = src, src.Line(c.id)
+}
+
+// noLine is the interrupt line of a CPU without an interrupt source:
+// nothing raises it.
+var noLine bool
 
 // SetProfiler attaches a cycle-attribution profiler: every retired
 // instruction and stall cycle is charged to its physical PC, in
@@ -63,6 +70,7 @@ func New(id int, ctx *cpu.Context, sys memsys.System, code cpu.CodeSource, trap 
 		img:       img,
 		lineMask:  ^(lineBytes - 1),
 		fetchLine: invalidLine,
+		line:      &noLine,
 	}
 }
 
@@ -99,12 +107,12 @@ func (c *CPU) NextWork(now uint64) uint64 {
 
 // Tick does the CPU's work at cycle now (deliver an interrupt, or fetch
 // and execute one instruction, or nothing while a memory reference
-// blocks it), then runs ahead through the CPU-local instructions that
-// follow, and returns the scheduler's quiescence hint (see core.Core):
-// nextFree, which after an executed instruction is exactly the next
-// cycle this CPU can do anything, and during a memory stall is the cycle
-// the blocking access completes. The hint costs nothing — nextFree is
-// already in hand on every path.
+// blocks it), then runs ahead through the instructions that follow, and
+// returns the scheduler's quiescence hint (see core.Core): nextFree,
+// which after an executed instruction is exactly the next cycle this CPU
+// can do anything, and during a memory stall is the cycle the blocking
+// access completes. The hint costs nothing — nextFree is already in hand
+// on every path.
 func (c *CPU) Tick(now uint64) uint64 {
 	c.step(now)
 	if c.irq != nil {
@@ -123,25 +131,42 @@ func (c *CPU) Tick(now uint64) uint64 {
 }
 
 // runAhead executes the instructions after the one step ran, each at
-// its own cycle nextFree, for as long as that cycle is below bound and
-// the instruction is CPU-local: it sits in the fetch line and the text
-// region already held (no IFetch, no TextAt) and is not a memory
-// operation, SYSCALL or HALT (cpu.UopLocal), so it reads and writes
-// nothing but ctx, stats and nextFree. Nobody outside the CPU looks at
-// those before bound (cpu.InterruptSource), so executing them now or
-// one tick at a time is the same run; the instruction that ends the run
-// is left for the tick at its own cycle. The interrupt line is polled
-// once, not per instruction: it cannot rise below bound, but it may be
-// live already when the tick found the CPU still blocked, and the
-// instruction at nextFree then belongs to the interrupt.
+// its own cycle nextFree, which is the cycle the one-instruction tick
+// executes it at, for as long as that cycle is below bound and the
+// instruction sits in the text region already held (no TextAt).
+//
+// A CPU-local instruction (cpu.UopLocal: not a memory operation, SYSCALL
+// or HALT) in the fetch line already held reads and writes nothing but
+// ctx, stats and nextFree. Nobody outside the CPU looks at those before
+// bound (cpu.InterruptSource), so executing it now or in a tick of its
+// own is the same run.
+//
+// Any other instruction but SYSCALL and HALT (a load, a store, LL, SC,
+// or the first instruction of a new fetch line) also runs if its cycle
+// is below the shared bound, asked once, when the run first reaches
+// one: no other CPU acts below it, so its IFetch, Access, SCCheck,
+// LLReserve and image accesses come in the order the one-instruction
+// tick makes them. A refused reference stays at its PC and is retried
+// at the next cycle, as in its own ticks. The instruction is looked at
+// before its line is fetched, so a run never fetches the line of a trap
+// it will not execute.
+//
+// The instruction that ends a run is left for the tick at its own cycle.
+// The interrupt line is polled once, not per instruction: it cannot rise
+// below bound, but it may be live already when the tick found the CPU
+// still blocked, and the instruction at nextFree then belongs to the
+// interrupt.
 func (c *CPU) runAhead(bound uint64) {
 	ctx := c.ctx
-	if ctx.Halted || c.irq.PendingInterrupt(c.id) {
+	if ctx.Halted || *c.line {
 		return
 	}
+	// The shared bound, once asked for. An answer at or below the
+	// instruction's cycle ends the run, so zero means not asked yet.
+	shared := uint64(0)
 	for c.nextFree < bound {
 		ppc, ok := ctx.Space.Translate(ctx.PC)
-		if !ok || ppc&c.lineMask != c.fetchLine {
+		if !ok {
 			return
 		}
 		i := (ppc - c.textBase) / 4
@@ -149,10 +174,27 @@ func (c *CPU) runAhead(bound uint64) {
 			return
 		}
 		u := &c.text[i]
-		if u.Flags&cpu.UopLocal == 0 {
+		if u.Flags&cpu.UopLocal != 0 && ppc&c.lineMask == c.fetchLine {
+			c.execute(c.nextFree, ppc, u)
+			continue
+		}
+		if u.Flags&cpu.UopFetchStop != 0 {
 			return
 		}
-		c.execute(c.nextFree, ppc, u)
+		cur := c.nextFree
+		if shared == 0 {
+			shared = c.irq.SharedBound(c.id)
+		}
+		if cur >= shared {
+			return
+		}
+		if ppc&c.lineMask != c.fetchLine {
+			cur = c.fetch(cur, ppc)
+		}
+		c.execute(cur, ppc, u)
+		if ctx.Halted {
+			return // a data reference faulted
+		}
 	}
 }
 
@@ -164,7 +206,7 @@ func (c *CPU) step(now uint64) {
 	if ctx.Halted || now < c.nextFree {
 		return
 	}
-	if c.irq != nil && c.irq.PendingInterrupt(c.id) {
+	if *c.line {
 		// Deliver at the instruction boundary: the PC is the resume point.
 		c.irq.AckInterrupt(c.id)
 		extra := c.trap.Syscall(now, c.id, ctx, cpu.IRQ)
@@ -181,15 +223,7 @@ func (c *CPU) step(now uint64) {
 
 	cur := now
 	if ppc&c.lineMask != c.fetchLine {
-		r := c.mem.IFetch(cur, c.id, ppc)
-		c.fetchLine = ppc & c.lineMask
-		if r.Done > cur+1 {
-			c.stats.IStall[r.Level] += r.Done - (cur + 1)
-			if c.prof != nil {
-				c.prof.IStallPC(ppc, uint8(r.Level), r.Done-(cur+1))
-			}
-			cur = r.Done - 1 //simlint:allow cycleflow — r.Done > cur+1 here, so r.Done >= 2
-		}
+		cur = c.fetch(cur, ppc)
 	}
 
 	// ppc below textBase wraps to a huge index, so one compare covers
@@ -204,6 +238,22 @@ func (c *CPU) step(now uint64) {
 	}
 
 	c.execute(cur, ppc, &c.text[i])
+}
+
+// fetch fetches the line holding ppc at cycle cur, charging the stall,
+// and returns the cycle the instruction at ppc executes at: cur, or the
+// cycle before the line arrives.
+func (c *CPU) fetch(cur uint64, ppc uint32) uint64 {
+	r := c.mem.IFetch(cur, c.id, ppc)
+	c.fetchLine = ppc & c.lineMask
+	if r.Done > cur+1 {
+		c.stats.IStall[r.Level] += r.Done - (cur + 1)
+		if c.prof != nil {
+			c.prof.IStallPC(ppc, uint8(r.Level), r.Done-(cur+1))
+		}
+		cur = r.Done - 1 //simlint:allow cycleflow — r.Done > cur+1 here, so r.Done >= 2
+	}
+	return cur
 }
 
 // execute runs one instruction whose execution cycle is cur (physical

@@ -19,15 +19,21 @@ import (
 const lineBytes = 32 // eight instructions to a fetch line
 
 // flatMem answers every data reference after dataLat cycles and every
-// instruction fetch after fetchLat, and counts its calls.
+// instruction fetch after fetchLat, and counts its calls. The refuse data
+// references from number refuseFrom on (counted from 1, retries
+// included) are refused, as a full MSHR file refuses them.
 type flatMem struct {
-	dataLat, fetchLat uint64
-	accesses, fetches int
+	dataLat, fetchLat  uint64
+	refuseFrom, refuse int
+	accesses, fetches  int
 }
 
 func (m *flatMem) Name() string { return "flat" }
 func (m *flatMem) Access(now uint64, _ int, _ uint32, _ bool) (memsys.Result, bool) {
 	m.accesses++
+	if m.accesses >= m.refuseFrom && m.accesses < m.refuseFrom+m.refuse {
+		return memsys.Result{Done: now + m.dataLat, Level: memsys.LvlL2}, false
+	}
 	return memsys.Result{Done: now + m.dataLat, Level: memsys.LvlL1}, true
 }
 func (m *flatMem) IFetch(now uint64, _ int, _ uint32) memsys.Result {
@@ -39,16 +45,19 @@ func (m *flatMem) SCCheck(int, uint32) bool { return true }
 func (m *flatMem) ClearReservation(int)     {}
 func (m *flatMem) Report() memsys.Report    { return memsys.Report{} }
 
-// boundSource is the rig's cpu.InterruptSource.
+// boundSource is the rig's cpu.InterruptSource: the test sets the line,
+// the run-ahead bound and the shared bound, and reads how often the CPU
+// asked for the shared one.
 type boundSource struct {
-	live  bool
-	bound uint64
-	acks  int
+	live          bool
+	bound, shared uint64
+	acks, asks    int
 }
 
-func (s *boundSource) PendingInterrupt(int) bool { return s.live }
-func (s *boundSource) AckInterrupt(int)          { s.live = false; s.acks++ }
-func (s *boundSource) RunAheadBound() uint64     { return s.bound }
+func (s *boundSource) Line(int) *bool         { return &s.live }
+func (s *boundSource) AckInterrupt(int)       { s.live = false; s.acks++ }
+func (s *boundSource) RunAheadBound() uint64  { return s.bound }
+func (s *boundSource) SharedBound(int) uint64 { s.asks++; return s.shared }
 
 type aheadRig struct {
 	c    *CPU
@@ -279,44 +288,165 @@ func mixProgram(rng *rand.Rand, n int) *asm.Builder {
 	return b
 }
 
-// TestRunAheadMatchesReference: on a random ALU/branch/load mix,
-// registers, PC, Stats and nextFree after N cycles are those of the
-// one-instruction-per-tick CPU, ticked every cycle, whatever the bound;
-// Tick's return is NextWork, and the memory system sees the same calls.
+// TestRunAheadMatchesReference: on a random ALU/branch/load mix over a
+// memory that refuses a few references, registers, PC, Stats and
+// nextFree after N cycles are those of the one-instruction-per-tick CPU,
+// ticked every cycle, whatever the bound and whether the shared bound
+// allows nothing or reaches the bound; Tick's return is NextWork, and the
+// memory system sees the same calls.
 func TestRunAheadMatchesReference(t *testing.T) {
 	const cycles = 20000
+	newMem := func() *flatMem { return &flatMem{dataLat: 3, fetchLat: 2, refuseFrom: 40, refuse: 5} }
 	for seed := int64(1); seed <= 5; seed++ {
-		ref := newAheadRig(t, mixProgram(rand.New(rand.NewSource(seed)), 120), &flatMem{dataLat: 3, fetchLat: 2}, nil)
+		ref := newAheadRig(t, mixProgram(rand.New(rand.NewSource(seed)), 120), newMem(), nil)
 		for now := uint64(0); now < cycles; now++ {
 			ref.c.Tick(now)
 		}
-		for _, window := range []uint64{1, 7, 64, cycles} {
-			src := &boundSource{}
-			r := newAheadRig(t, mixProgram(rand.New(rand.NewSource(seed)), 120), &flatMem{dataLat: 3, fetchLat: 2}, src)
-			ticks := 0
-			for now := uint64(0); now < cycles; ticks++ {
-				// The bound a scheduler would hand out: the next
-				// multiple of window, and never past the end.
-				src.bound = min((now/window+1)*window, cycles)
-				w := r.c.Tick(now)
-				if w != r.c.NextWork(now) || w <= now {
-					t.Fatalf("seed %d window %d: Tick(%d) = %d, NextWork = %d", seed, window, now, w, r.c.NextWork(now))
+		for _, shared := range []bool{false, true} {
+			for _, window := range []uint64{1, 7, 64, cycles} {
+				name := fmt.Sprintf("seed %d window %d shared %v", seed, window, shared)
+				src := &boundSource{}
+				r := newAheadRig(t, mixProgram(rand.New(rand.NewSource(seed)), 120), newMem(), src)
+				ticks := 0
+				for now := uint64(0); now < cycles; ticks++ {
+					// The bound a scheduler would hand out: the next
+					// multiple of window, and never past the end.
+					src.bound = min((now/window+1)*window, cycles)
+					if shared {
+						src.shared = src.bound
+					}
+					w := r.c.Tick(now)
+					if w != r.c.NextWork(now) || w <= now {
+						t.Fatalf("%s: Tick(%d) = %d, NextWork = %d", name, now, w, r.c.NextWork(now))
+					}
+					now = w
 				}
-				now = w
+				got, want := r.c.Context(), ref.c.Context()
+				if got.Regs != want.Regs || got.PC != want.PC {
+					t.Errorf("%s: registers or PC differ from the reference (PC %#x, want %#x)", name, got.PC, want.PC)
+				}
+				if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
+					t.Errorf("%s: stats %+v nextFree %d, reference %+v %d", name, r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
+				}
+				if *r.mem != *ref.mem {
+					t.Errorf("%s: memory calls %+v, reference %+v", name, *r.mem, *ref.mem)
+				}
+				if window > 1 && ticks >= cycles/2 {
+					t.Errorf("%s: %d ticks for %d cycles; nothing ran ahead", name, ticks, cycles)
+				}
+				if shared && window == cycles && ticks != 1 {
+					t.Errorf("%s: %d ticks; a shared bound at the end of the run leaves one", name, ticks)
+				}
 			}
-			got, want := r.c.Context(), ref.c.Context()
-			if got.Regs != want.Regs || got.PC != want.PC {
-				t.Errorf("seed %d window %d: registers or PC differ from the reference (PC %#x, want %#x)", seed, window, got.PC, want.PC)
+		}
+	}
+}
+
+// TestSharedRun: below the shared bound one Tick goes on through loads,
+// a store, LL, SC, a reference refused twice and a fetch-line end, each
+// at the cycle the one-instruction tick executes it at, and stops before
+// a SYSCALL or HALT that opens a line, without fetching that line. What
+// it leaves (registers, PC, Stats, nextFree, the memory system's calls)
+// is the reference's, ticked every cycle up to the run's wake cycle.
+func TestSharedRun(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		emit func(b *asm.Builder)
+	}{
+		{"syscall", func(b *asm.Builder) { b.SYSCALL(7) }},
+		{"halt", func(b *asm.Builder) { b.HALT() }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			build := func() *asm.Builder {
+				b := asm.NewBuilder()
+				b.Label("start")
+				b.ADDI(asm.R1, asm.R1, 5)
+				b.SW(asm.R1, 0, asm.R0)
+				b.LW(asm.R3, 0, asm.R0)
+				b.LL(asm.R4, 4, asm.R0)
+				b.ADDI(asm.R4, asm.R4, 1)
+				b.SC(asm.R4, 4, asm.R0)
+				b.LB(asm.R5, 0, asm.R0) // refused twice
+				for i := 7; i < 2*lineBytes/4; i++ {
+					b.ADDI(asm.R2, asm.R2, 1)
+				}
+				stop.emit(b) // first instruction of the third line
+				return b
 			}
-			if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
-				t.Errorf("seed %d window %d: stats %+v nextFree %d, reference %+v %d", seed, window, r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
+			// Refusals 5 and 6 are the first two tries of the LB.
+			newMem := func() *flatMem { return &flatMem{dataLat: 4, fetchLat: 3, refuseFrom: 5, refuse: 2} }
+			src := &boundSource{bound: far, shared: far}
+			r := newAheadRig(t, build(), newMem(), src)
+			w := r.c.Tick(0)
+			if pc := r.c.Context().PC; pc != 2*lineBytes {
+				t.Fatalf("PC after the run = %#x, want %#x (the %s)", pc, 2*lineBytes, stop.name)
+			}
+			if r.mem.fetches != 2 || len(r.trap.calls) != 0 || r.c.Done() {
+				t.Errorf("the run went past its end: %d fetches (want 2), %d traps, halted %v", r.mem.fetches, len(r.trap.calls), r.c.Done())
+			}
+			if r.mem.accesses != 7 || src.asks != 1 {
+				t.Errorf("%d data references (want 5 and 2 refusals), %d shared-bound asks (want 1)", r.mem.accesses, src.asks)
+			}
+
+			ref := newAheadRig(t, build(), newMem(), nil)
+			for now := uint64(0); now < w; now++ {
+				ref.c.Tick(now)
+			}
+			if got, want := r.c.Context(), ref.c.Context(); got.Regs != want.Regs || got.PC != want.PC {
+				t.Errorf("registers or PC differ from the reference (PC %#x, want %#x)", got.PC, want.PC)
+			}
+			if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree || w != ref.c.nextFree {
+				t.Errorf("stats %+v nextFree %d wake %d, reference %+v %d", r.c.Stats(), r.c.nextFree, w, ref.c.Stats(), ref.c.nextFree)
 			}
 			if *r.mem != *ref.mem {
-				t.Errorf("seed %d window %d: memory calls %+v, reference %+v", seed, window, *r.mem, *ref.mem)
+				t.Errorf("memory calls %+v, reference %+v", *r.mem, *ref.mem)
 			}
-			if window > 1 && ticks >= cycles/2 {
-				t.Errorf("seed %d window %d: %d ticks for %d cycles; nothing ran ahead", seed, window, ticks, cycles)
+			if got := r.c.Stats().DStall[memsys.LvlL2]; got != 2 {
+				t.Errorf("DStall[L2] = %d, want 2: one cycle per refused try", got)
 			}
+		})
+	}
+}
+
+// TestSharedBoundSplitsRun: a reference or a fetch-line end runs only
+// below the shared bound, a CPU-local instruction up to the run-ahead
+// bound past it, and the shared bound is asked for once, only by a run
+// that reaches an instruction needing it.
+func TestSharedBoundSplitsRun(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("start")
+	b.LW(asm.R3, 0, asm.R0) // cycle 0, in step
+	b.ADDI(asm.R1, asm.R1, 1)
+	b.ADDI(asm.R1, asm.R1, 1)
+	b.ADDI(asm.R1, asm.R1, 1)
+	b.LW(asm.R3, 0, asm.R0) // cycle 4
+	for i := 5; i < 16; i++ {
+		b.ADDI(asm.R1, asm.R1, 1) // the one at cycle 8 opens a line
+	}
+	b.HALT()
+	for _, tc := range []struct {
+		bound, shared uint64
+		wantRun       uint64 // instructions, and so the wake cycle
+		wantAccesses  int
+		wantFetches   int
+		wantAsks      int
+	}{
+		{3, far, 3, 1, 1, 0},   // the local bound ends the run before it needs the shared one
+		{12, 0, 4, 1, 1, 1},    // no shared bound: the run stops at the second load
+		{12, 4, 4, 1, 1, 1},    // the load's cycle is the bound: stop
+		{12, 5, 8, 2, 1, 1},    // the load runs, the adds after it run past the shared bound
+		{12, 9, 12, 2, 2, 1},   // so does the line end; the run-ahead bound ends it
+		{12, far, 12, 2, 2, 1}, // and a shared bound past it changes nothing
+	} {
+		src := &boundSource{bound: tc.bound, shared: tc.shared}
+		r := newAheadRig(t, b, &flatMem{dataLat: 1, fetchLat: 1}, src)
+		w := r.c.Tick(0)
+		if r.insts() != tc.wantRun || w != tc.wantRun {
+			t.Errorf("bound %d shared %d: %d instructions, wake %d; want %d", tc.bound, tc.shared, r.insts(), w, tc.wantRun)
+		}
+		if r.mem.accesses != tc.wantAccesses || r.mem.fetches != tc.wantFetches || src.asks != tc.wantAsks {
+			t.Errorf("bound %d shared %d: %d accesses, %d fetches, %d asks; want %d, %d, %d", tc.bound, tc.shared,
+				r.mem.accesses, r.mem.fetches, src.asks, tc.wantAccesses, tc.wantFetches, tc.wantAsks)
 		}
 	}
 }
@@ -342,16 +472,21 @@ func TestDispatchRangesMatchPredicates(t *testing.T) {
 	}
 }
 
-// BenchmarkMipsyTick times the model alone against a one-cycle memory,
-// with the bound out of reach: ns/op is host time per instruction over a
-// straight-line integer loop, and over the same loop with a load as
-// every third instruction (so no run is longer than two). Both must
-// stay at 0 allocs/op (CI greps).
+// BenchmarkMipsyTick times the model alone against a one-cycle memory:
+// ns/op is host time per instruction, ticks/inst how many Tick calls
+// that took. "alu" is a straight-line integer loop and
+// "load-every-third" the same loop with a load as every third
+// instruction, both with the run-ahead bound out of reach and no shared
+// bound, so no run crosses a line end or, in the second, is longer than
+// two; "load-every-third-shared" is the second with the shared bound at
+// the run-ahead bound, 64 cycles past each tick, so runs cross the loads
+// and line ends. All must stay at 0 allocs/op (CI greps).
 func BenchmarkMipsyTick(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
 		loadEvery int
-	}{{"alu", 0}, {"load-every-third", 3}} {
+		shared    bool
+	}{{"alu", 0, false}, {"load-every-third", 3, false}, {"load-every-third-shared", 3, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := asm.NewBuilder()
 			p.Label("start")
@@ -363,13 +498,19 @@ func BenchmarkMipsyTick(b *testing.B) {
 				}
 			}
 			p.J("start")
-			r := newAheadRig(b, p, &flatMem{dataLat: 1, fetchLat: 1}, &boundSource{bound: far})
+			src := &boundSource{bound: far}
+			r := newAheadRig(b, p, &flatMem{dataLat: 1, fetchLat: 1}, src)
 			b.ReportAllocs()
 			b.ResetTimer()
-			now := uint64(0)
-			for r.insts() < uint64(b.N) {
+			now, ticks := uint64(0), 0
+			for ; r.insts() < uint64(b.N); ticks++ {
+				if bc.shared {
+					src.bound = now + 64
+					src.shared = src.bound
+				}
 				now = r.c.Tick(now)
 			}
+			b.ReportMetric(float64(ticks)/float64(r.insts()), "ticks/inst")
 		})
 	}
 }

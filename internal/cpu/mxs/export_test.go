@@ -169,7 +169,7 @@ func (c *CPU) Snapshot() Snapshot {
 }
 
 // IRQLive reports whether the CPU's interrupt line is asserted.
-func (c *CPU) IRQLive() bool { return c.irq != nil && c.irq.PendingInterrupt(c.id) }
+func (c *CPU) IRQLive() bool { return *c.line }
 
 // WrapMem puts wrap(the CPU's memory system) in its place.
 func (c *CPU) WrapMem(wrap func(memsys.System) memsys.System) { c.mem = wrap(c.mem) }
@@ -183,7 +183,7 @@ func (c *CPU) NextWorkScan(now uint64) uint64 {
 	if c.ctx.Halted {
 		return cpu.NoWork
 	}
-	if c.irqStop || (c.irq != nil && c.irq.PendingInterrupt(c.id)) {
+	if c.irqStop || *c.line {
 		return now + 1
 	}
 	wake := uint64(cpu.NoWork)

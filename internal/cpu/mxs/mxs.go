@@ -171,6 +171,7 @@ type CPU struct {
 	btb [btbEntries]btbEntry
 
 	irq     cpu.InterruptSource
+	line    *bool        // the CPU's interrupt line (irq.Line); noLine without a source
 	irqStop bool         // draining the pipeline to take an interrupt
 	gate    cpu.TickGate // shared-state grant under the parallel scheduler; nil serial
 
@@ -182,7 +183,13 @@ type CPU struct {
 // SetInterruptSource attaches an external interrupt line. Delivery is
 // precise: fetch stops, the pipeline drains, then the trap fires with
 // the architectural PC as the resume point.
-func (c *CPU) SetInterruptSource(src cpu.InterruptSource) { c.irq = src }
+func (c *CPU) SetInterruptSource(src cpu.InterruptSource) {
+	c.irq, c.line = src, src.Line(c.id)
+}
+
+// noLine is the interrupt line of a CPU without an interrupt source:
+// nothing raises it.
+var noLine bool
 
 // SetTickGate attaches the parallel scheduler's shared-state grant.
 // Every memory-system and trap call is already gated by the core's
@@ -217,6 +224,7 @@ func New(id int, ctx *cpu.Context, sys memsys.System, code cpu.CodeSource, trap 
 		img:       img,
 		lineMask:  ^(lineBytes - 1),
 		fetchLine: invalidLine,
+		line:      &noLine,
 
 		issueRetry: cpu.NoWork,
 		headRetry:  cpu.NoWork,
@@ -246,7 +254,7 @@ func (c *CPU) Tick(now uint64) uint64 {
 		return cpu.NoWork
 	}
 	c.blocked, c.issueRetry, c.headRetry = 0, cpu.NoWork, cpu.NoWork
-	if c.irq != nil && c.irq.PendingInterrupt(c.id) {
+	if *c.line {
 		c.irqStop = true
 	}
 	if c.irqStop && c.count == 0 {
@@ -311,7 +319,7 @@ func (c *CPU) NextWork(now uint64) uint64 {
 	if c.ctx.Halted {
 		return cpu.NoWork
 	}
-	if c.irqStop || (c.irq != nil && c.irq.PendingInterrupt(c.id)) {
+	if c.irqStop || *c.line {
 		return now + 1 // interrupt delivery and pipeline draining are per-cycle
 	}
 	wake := uint64(cpu.NoWork)
