@@ -94,7 +94,7 @@ func BenchmarkTable2_AccessLatencies(b *testing.B) {
 // BenchmarkFigures runs every entry of the shared benchfig matrix
 // (Figures 4-10 under Mipsy, Figure 11's applications under MXS) as a
 // sub-benchmark; cmd/benchjson measures the identical matrix skip vs.
-// -no-skip and writes BENCH_figures.json.
+// Config.NoSkip and writes BENCH_figures.json.
 func BenchmarkFigures(b *testing.B) {
 	for _, f := range benchfig.Figures() {
 		f := f

@@ -1,7 +1,7 @@
 // Command benchjson establishes the simulator's performance baseline:
 // it measures every figure benchmark of the shared internal/benchfig
 // matrix twice — once with the quiescence-skipping scheduler (the
-// default) and once with Config.NoSkip (the cmpsim -no-skip reference
+// default) and once with Config.NoSkip (the tick-everything reference
 // loop) — via testing.Benchmark, and writes the results to
 // BENCH_figures.json: ns/op, simulated-cycles-per-second and the
 // skip-vs-no-skip speedup per figure. CI uploads the file as an
@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -49,6 +50,7 @@ import (
 	"testing"
 
 	"cmpsim/internal/benchfig"
+	"cmpsim/internal/cli"
 	"cmpsim/internal/core"
 )
 
@@ -315,13 +317,11 @@ func main() {
 	if *gatePath != "" {
 		data, err := os.ReadFile(*gatePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		var baseline report
 		if err := json.Unmarshal(data, &baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *gatePath, err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("%s: %w", *gatePath, err))
 		}
 		if !runGate(baseline, *samples) {
 			os.Exit(1)
@@ -352,8 +352,7 @@ func main() {
 		}
 		row, err := measureFigure(f, *samples)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", f.Name, err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("%s: %w", f.Name, err))
 		}
 		rep.Figures = append(rep.Figures, row)
 		if *verbose {
@@ -366,18 +365,12 @@ func main() {
 		}
 	}
 
-	w, err := os.Create(*out)
+	err := cli.WriteFile(*out, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err == nil {
-		err = w.Close()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 }

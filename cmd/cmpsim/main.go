@@ -5,26 +5,28 @@
 // With -arch all (the default) the three architecture runs are
 // independent, so they dispatch through the internal/runner pool:
 // -jobs shards them across cores and -cache-dir memoizes results;
-// output is identical for any worker count.
+// output is identical for any worker count. The flags it shares with
+// cmd/sweep and cmd/experiments live in internal/cli.
 //
 // Usage:
 //
-//	cmpsim -workload eqntott                 # all three architectures, Mipsy
-//	cmpsim -workload mp3d -arch shared-l1    # one architecture
-//	cmpsim -workload ear -model mxs          # detailed dynamic superscalar model
-//	cmpsim -workload mp3d -l2assoc 4         # the Section 4.1 L2 ablation
-//	cmpsim -workload eqntott -quick -jobs 4  # parallel smoke run
-//	cmpsim -list                             # list workloads
+//	cmpsim -workload eqntott                      # all three architectures, Mipsy
+//	cmpsim -workload mp3d -arch shared-l1         # one architecture
+//	cmpsim -workload ear -model mxs               # detailed dynamic superscalar model
+//	cmpsim -workload mp3d -l2assoc 4              # the Section 4.1 L2 ablation
+//	cmpsim -workload eqntott -quick -jobs 4       # parallel smoke run
+//	cmpsim -workload mp3d -quick -prof            # hot functions, PCs, line heatmap
+//	cmpsim -workload mp3d -quick -prof-out p.json # one profile per architecture, for simprof
+//	cmpsim -list                                  # list workloads
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 
 	"cmpsim/internal/check"
+	"cmpsim/internal/cli"
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
@@ -33,48 +35,6 @@ import (
 	"cmpsim/internal/stats"
 	"cmpsim/internal/workload"
 )
-
-// splicePath inserts arch before the extension when several
-// architectures run in one invocation, so per-run sink files never
-// collide ("prof.json" → "prof.shared-mem.json").
-func splicePath(path, arch string, multi bool) string {
-	if !multi {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return path[:len(path)-len(ext)] + "." + arch + ext
-}
-
-// writeTraces flushes one run's ring to the requested sink files. When
-// several architectures run in one invocation, each run gets its own
-// files with the architecture name spliced in before the extension —
-// two runs never share a sink, so their events cannot interleave.
-func writeTraces(ring *obsv.Ring, chromePath, jsonlPath, arch string, multi bool) error {
-	events := ring.Events()
-	write := func(path string, fn func(io.Writer, []obsv.Event) error) error {
-		if path == "" {
-			return nil
-		}
-		path = splicePath(path, arch, multi)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d events to %s\n", len(events), path)
-		return nil
-	}
-	if err := write(chromePath, obsv.WriteChromeTrace); err != nil {
-		return err
-	}
-	return write(jsonlPath, obsv.WriteJSONL)
-}
 
 // printCoherence prints the coherence-protocol counters of the
 // architectures that have one (bus snooping for shared-mem, the L1
@@ -94,33 +54,22 @@ func printCoherence(rep *memsys.Report) {
 }
 
 func main() {
+	fs := flag.CommandLine
+	wlName := cli.WorkloadFlag(fs, "")
+	archFlag := cli.ArchFlag(fs, "all", true)
+	model := cli.ModelFlag(fs)
+	quick := cli.QuickFlag(fs)
+	cpus := cli.CPUsFlag(fs)
+	poolFlags := cli.PoolFlags(fs)
+	inst := cli.InstrumentFlags(fs)
 	var (
-		wlName  = flag.String("workload", "", "workload to run (see -list)")
-		archStr = flag.String("arch", "all", "architecture: shared-l1, shared-l2, shared-mem, or all")
-		model   = flag.String("model", "mipsy", "CPU model: mipsy or mxs")
-		l2assoc = flag.Uint("l2assoc", 0, "override L2 associativity (0 = paper default)")
-		cpus    = flag.Int("cpus", 0, "override processor count (0 = paper's 4)")
-		regions = flag.Bool("regions", false, "profile data accesses by 256KB physical region")
-		list    = flag.Bool("list", false, "list available workloads")
-		verbose = flag.Bool("v", false, "also print raw cycle counts and IPC")
-		quick   = flag.Bool("quick", false, "use reduced data sets (smoke runs)")
-		noSkip  = flag.Bool("no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
-
-		jobs     = flag.Int("jobs", 0, "max concurrent architecture runs (0 = GOMAXPROCS); output is identical for any value")
-		simJobs  = flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-		cacheDir = flag.String("cache-dir", "", "memoize run results as JSON under this directory (\"\" = off)")
-		progress = flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
-
+		l2assoc  = flag.Uint("l2assoc", 0, "override L2 associativity (0 = paper default)")
+		regions  = flag.Bool("regions", false, "profile data accesses by 256KB physical region")
+		list     = flag.Bool("list", false, "list available workloads")
+		verbose  = flag.Bool("v", false, "also print raw cycle counts and IPC")
 		profFlag = flag.Bool("prof", false, "collect a guest cycle-attribution profile and print hot functions/PCs and the line-sharing heatmap")
-		profOut  = flag.String("prof-out", "", "write the profile as JSON (cmd/simprof -in reads it) to this file")
 		profTop  = flag.Int("prof-top", 15, "rows per profile report table")
-
 		sanitize = flag.Bool("sanitize", false, "validate coherence/cycle invariants on every transaction (panics with an event trail on violation)")
-
-		traceChrome = flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) to this file")
-		traceJSONL  = flag.String("trace-out", "", "write the raw event trace as JSON Lines (cmd/tracestats input) to this file")
-		traceBuf    = flag.Int("trace-buf", 1<<20, "trace ring-buffer capacity in events (oldest dropped)")
-		metricsIvl  = flag.Uint64("metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	)
 	flag.Parse()
 
@@ -136,11 +85,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var arches []core.Arch
-	if *archStr == "all" {
+	arches := []core.Arch{*archFlag}
+	if *archFlag == "all" {
 		arches = core.Arches()
-	} else {
-		arches = []core.Arch{core.Arch(*archStr)}
 	}
 
 	cfg := memsys.DefaultConfig()
@@ -150,28 +97,14 @@ func main() {
 	if *cpus > 0 {
 		cfg.NumCPUs = *cpus
 	}
-	cfg.NoSkip = *noSkip
-	cfg.SimJobs = *simJobs
 
-	pool := &runner.Pool{Workers: runner.CapWorkers(*jobs, *simJobs)}
-	if *progress {
-		pool.Progress = os.Stderr
-	}
-	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cmpsim:", err)
-			os.Exit(1)
-		}
-		pool.Cache = cache
+	pool, err := poolFlags.Open()
+	if err != nil {
+		cli.Fatal(err)
 	}
 
 	// One job per architecture, each with its own tracer, profile and
 	// checker instances so parallel runs share nothing.
-	variant := "full"
-	if *quick {
-		variant = "quick"
-	}
 	archJobs := make([]runner.Job, len(arches))
 	rings := make([]*obsv.Ring, len(arches))
 	profs := make([]*regionProfile, len(arches))
@@ -183,8 +116,7 @@ func main() {
 			profs[i] = newRegionProfile()
 			tracers = append(tracers, profs[i])
 		}
-		if *traceChrome != "" || *traceJSONL != "" {
-			rings[i] = obsv.NewRing(*traceBuf)
+		if rings[i] = inst.Attach(&acfg); rings[i] != nil {
 			tracers = append(tracers, rings[i])
 		}
 		if *sanitize {
@@ -195,27 +127,10 @@ func main() {
 			acfg.Check = checkers[i]
 		}
 		acfg.Trace = obsv.Tee(tracers...)
-		if *metricsIvl > 0 {
-			acfg.Metrics = obsv.NewMetrics(*metricsIvl)
-		}
-		if *profFlag || *profOut != "" {
+		if *profFlag && acfg.Prof == nil {
 			acfg.Prof = prof.New(acfg.NumCPUs, acfg.LineBytes)
 		}
-		name := *wlName
-		q := *quick
-		archJobs[i] = runner.Job{
-			Workload: func() (workload.Workload, error) {
-				if q {
-					return workload.NewQuick(name)
-				}
-				return workload.New(name)
-			},
-			WorkloadKey: name + "/" + variant,
-			Arch:        a,
-			Model:       core.CPUModel(*model),
-			Cfg:         acfg,
-			Tag:         name + "-" + string(a),
-		}
+		archJobs[i] = poolFlags.Job(*wlName, *quick, a, *model, acfg, *wlName+"-"+string(a))
 	}
 
 	results := pool.Run(archJobs)
@@ -223,11 +138,14 @@ func main() {
 	runs := map[core.Arch]*core.RunResult{}
 	for i, a := range arches {
 		if err := results[i].Err; err != nil {
-			fmt.Fprintln(os.Stderr, "cmpsim:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		res := results[i].Res
 		runs[a] = res
+		tag := "" // several architectures: splice each one's name into its sink files
+		if len(arches) > 1 {
+			tag = string(a)
+		}
 		if chk := checkers[i]; chk != nil {
 			// Reaching here means every check passed (a violation panics).
 			fmt.Printf("%-11s sanitize: %d checks, 0 violations\n", a, chk.Checks())
@@ -240,39 +158,17 @@ func main() {
 			fmt.Printf("--- %s: data accesses by 256KB region (top 12 by total latency) ---\n", a)
 			prof.print(os.Stdout, 12)
 		}
-		if ring := rings[i]; ring != nil {
-			if err := writeTraces(ring, *traceChrome, *traceJSONL, string(a), len(arches) > 1); err != nil {
-				fmt.Fprintln(os.Stderr, "cmpsim:", err)
-				os.Exit(1)
-			}
-			if ring.Dropped() > 0 {
-				fmt.Fprintf(os.Stderr, "cmpsim: %s: trace ring dropped %d of %d events (raise -trace-buf)\n",
-					a, ring.Dropped(), ring.Emitted())
-			}
+		if err := inst.WriteTraces(rings[i], tag); err != nil {
+			cli.Fatal(err)
 		}
 		if res.Metrics != nil {
 			fmt.Printf("--- %s: interval metrics ---\n%s", a, res.Metrics.String())
 		}
-		if p := res.Profile; p != nil {
-			p.Workload = *wlName
-			if *profFlag {
-				p.WriteReport(os.Stdout, *profTop)
-			}
-			if *profOut != "" {
-				path := splicePath(*profOut, string(a), len(arches) > 1)
-				f, err := os.Create(path)
-				if err == nil {
-					err = p.WriteJSON(f)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "cmpsim:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote profile to %s\n", path)
-			}
+		if *profFlag {
+			res.Profile.WriteReport(os.Stdout, *profTop)
+		}
+		if err := inst.WriteProfile(res.Profile, tag); err != nil {
+			cli.Fatal(err)
 		}
 	}
 
@@ -285,11 +181,11 @@ func main() {
 		}
 		return
 	}
-	fig := stats.BuildFigure("Result", *wlName, core.CPUModel(*model), runs)
+	fig := stats.BuildFigure("Result", *wlName, *model, runs)
 	fmt.Print(fig.String())
 	fmt.Print(fig.Chart())
 
-	if *model == "mxs" {
+	if *model == core.ModelMXS {
 		fmt.Println("\nIPC breakdown (Figure 11 style):")
 		for _, a := range arches {
 			row := stats.IPCBreakdown(runs[a])

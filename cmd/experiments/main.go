@@ -23,50 +23,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
+	"cmpsim/internal/cli"
 	"cmpsim/internal/core"
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/cyc"
 	"cmpsim/internal/isa"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
-	"cmpsim/internal/prof"
 	"cmpsim/internal/runner"
 	"cmpsim/internal/stats"
-	"cmpsim/internal/telemetry"
-	"cmpsim/internal/workload"
 )
-
-// obsvOpts carries the observability flags; when tracing or sampling is
-// on, every (figure, architecture) run gets its own ring and its own
-// output file, so parallel runs can never interleave events.
-type obsvOpts struct {
-	chrome   string
-	jsonl    string
-	bufSize  int
-	interval uint64
-	profOut  string
-}
-
-var obsvFlags obsvOpts
-
-// noSkipFlag disables quiescence skipping in every dispatched run; the
-// skip regression suite uses it to prove output-identical behavior.
-var noSkipFlag bool
-
-// simJobsFlag shards each dispatched simulation's CPUs across host
-// goroutines; output is identical for any value.
-var simJobsFlag int
-
-// fatalf is the single exit path for run and sink failures: nothing is
-// printed-and-continued, so CI sees a non-zero exit on any broken cell.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 // figureSpec is one printed figure: a workload run on all three
 // architectures under one CPU model. jobIdx are the positions of the
@@ -74,105 +43,69 @@ func fatalf(format string, args ...any) {
 // job slice.
 type figureSpec struct {
 	name   string
+	wl     string
 	model  core.CPUModel
 	jobIdx [3]int
 }
 
-// grid accumulates the full experiment job list plus the per-job rings
-// that collect traces for the sink files.
+// grid accumulates the full experiment job list plus each job's trace
+// ring for the sink files.
 type grid struct {
+	pool  *cli.Pool
+	inst  *cli.Instruments
+	quick *bool
 	jobs  []runner.Job
 	rings []*obsv.Ring
 }
 
-// addJob appends one run to the grid, wiring per-job observability
+// addJob appends one run to the grid, with its own instrument
 // attachments, and returns its job index.
-func (g *grid) addJob(wlName string, quick bool, arch core.Arch, model core.CPUModel, cfg memsys.Config, tag string) int {
-	variant := "full"
-	if quick {
-		variant = "quick"
-	}
-	cfg.NoSkip = noSkipFlag
-	cfg.SimJobs = simJobsFlag
-	job := runner.Job{
-		Workload: func() (workload.Workload, error) {
-			if quick {
-				return workload.NewQuick(wlName)
-			}
-			return workload.New(wlName)
-		},
-		WorkloadKey: wlName + "/" + variant,
-		Arch:        arch,
-		Model:       model,
-		Cfg:         cfg,
-		Tag:         tag,
-	}
-	var ring *obsv.Ring
-	if obsvFlags.chrome != "" || obsvFlags.jsonl != "" {
-		ring = obsv.NewRing(obsvFlags.bufSize)
-		job.Cfg.Trace = ring
-	}
-	if obsvFlags.interval > 0 {
-		job.Cfg.Metrics = obsv.NewMetrics(obsvFlags.interval)
-	}
-	if obsvFlags.profOut != "" {
-		job.Cfg.Prof = prof.New(job.Cfg.NumCPUs, job.Cfg.LineBytes)
-	}
-	g.jobs = append(g.jobs, job)
-	g.rings = append(g.rings, ring)
+func (g *grid) addJob(wl string, arch core.Arch, model core.CPUModel, cfg memsys.Config, tag string) int {
+	g.rings = append(g.rings, g.inst.Attach(&cfg))
+	g.jobs = append(g.jobs, g.pool.Job(wl, *g.quick, arch, model, cfg, tag))
 	return len(g.jobs) - 1
 }
 
 // addFigure appends one workload's three-architecture runs.
-func (g *grid) addFigure(name, wlName string, quick bool, model core.CPUModel) figureSpec {
-	spec := figureSpec{name: name, model: model}
+func (g *grid) addFigure(name, wl string, model core.CPUModel) figureSpec {
+	spec := figureSpec{name: name, wl: wl, model: model}
 	for i, a := range core.Arches() {
-		spec.jobIdx[i] = g.addJob(wlName, quick, a, model, memsys.DefaultConfig(),
-			runTag(name)+"-"+string(a))
+		spec.jobIdx[i] = g.addJob(wl, a, model, memsys.DefaultConfig(), runTag(name)+"-"+string(a))
 	}
 	return spec
 }
 
+// result returns job idx's run after writing its trace and profile
+// files; a failed run or sink ends the campaign with a non-zero exit.
+func (g *grid) result(results []runner.Result, idx int) *core.RunResult {
+	r := results[idx]
+	if r.Err != nil {
+		cli.Fatal(r.Err)
+	}
+	tag := g.jobs[idx].Tag
+	if err := g.inst.WriteTraces(g.rings[idx], tag); err != nil {
+		cli.Fatal(err)
+	}
+	if err := g.inst.WriteProfile(r.Res.Profile, tag); err != nil {
+		cli.Fatal(err)
+	}
+	return r.Res
+}
+
 func main() {
-	quick := flag.Bool("quick", false, "reduced data sets")
+	fs := flag.CommandLine
+	g := grid{quick: cli.QuickFlag(fs), pool: cli.PoolFlags(fs), inst: cli.InstrumentFlags(fs)}
+	g.pool.RunReportFlags(fs)
 	skipMXS := flag.Bool("skip-mxs", false, "skip the detailed-CPU (Figure 11) runs")
-	jobs := flag.Int("jobs", 0, "max concurrent simulation runs (0 = GOMAXPROCS); output is identical for any value")
-	cacheDir := flag.String("cache-dir", "", "memoize run results as JSON under this directory (\"\" = off)")
-	flag.StringVar(&obsvFlags.chrome, "trace", "", "write per-run Chrome traces; the figure and architecture are spliced into this filename")
-	flag.StringVar(&obsvFlags.jsonl, "trace-out", "", "write per-run JSONL traces (cmd/tracestats input)")
-	flag.IntVar(&obsvFlags.bufSize, "trace-buf", 1<<20, "trace ring-buffer capacity in events")
-	flag.Uint64Var(&obsvFlags.interval, "metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
-	flag.StringVar(&obsvFlags.profOut, "prof-out", "", "write per-run cycle-attribution profiles as JSON (cmd/simprof -in); the run tag is spliced into this filename")
-	progress := flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
-	flag.BoolVar(&noSkipFlag, "no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
-	flag.IntVar(&simJobsFlag, "sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-	runReport := flag.Bool("run-report", false, "print a deterministic end-of-campaign run report to stderr")
-	runReportOut := flag.String("run-report-out", "", "write the end-of-campaign run report as JSON to this file")
 	flag.Parse()
 
 	start := time.Now()
 	table1()
 	table2()
 
-	pool := &runner.Pool{Workers: runner.CapWorkers(*jobs, simJobsFlag)}
-	if *progress {
-		pool.Progress = os.Stderr
-	}
-	if *runReport || *runReportOut != "" {
-		set := telemetry.New()
-		pool.Telem = set.Runner
-		defer func() {
-			if err := set.WriteReport(*runReport, *runReportOut); err != nil {
-				fatalf("%v", err)
-			}
-		}()
-	}
-	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		pool.Cache = cache
+	pool, err := g.pool.Open()
+	if err != nil {
+		cli.Fatal(err)
 	}
 
 	// Build the whole grid up front — Figures 4-10, the Section 4.1
@@ -180,7 +113,6 @@ func main() {
 	// every independent cell can execute concurrently. Printing happens
 	// afterwards in spec order, which keeps the output byte-identical to
 	// a serial run.
-	var g grid
 	figures := []struct {
 		name string
 		wl   string
@@ -195,7 +127,7 @@ func main() {
 	}
 	var mipsySpecs []figureSpec
 	for _, f := range figures {
-		mipsySpecs = append(mipsySpecs, g.addFigure(f.name, f.wl, *quick, core.ModelMipsy))
+		mipsySpecs = append(mipsySpecs, g.addFigure(f.name, f.wl, core.ModelMipsy))
 	}
 
 	ablationAssocs := []uint32{1, 4}
@@ -203,7 +135,7 @@ func main() {
 	for _, assoc := range ablationAssocs {
 		cfg := memsys.DefaultConfig()
 		cfg.L2Assoc = assoc
-		ablationIdx = append(ablationIdx, g.addJob("mp3d", *quick, core.SharedL1, core.ModelMipsy,
+		ablationIdx = append(ablationIdx, g.addJob("mp3d", core.SharedL1, core.ModelMipsy,
 			cfg, fmt.Sprintf("ablation-mp3d-l2assoc-%d", assoc)))
 	}
 
@@ -217,33 +149,28 @@ func main() {
 			{"Figure 11b: Eqntott (MXS)", "eqntott"},
 			{"Figure 11c: Ear (MXS)", "ear"},
 		} {
-			mxsSpecs = append(mxsSpecs, g.addFigure(f.name, f.wl, *quick, core.ModelMXS))
+			mxsSpecs = append(mxsSpecs, g.addFigure(f.name, f.wl, core.ModelMXS))
 		}
 	}
 
 	results := pool.Run(g.jobs)
 
 	for _, spec := range mipsySpecs {
-		printFigure(spec, &g, results)
+		g.printFigure(spec, results)
 	}
 
 	fmt.Println("=== Section 4.1 ablation: MP3D shared-L1 with L2 associativity 1 vs 4 ===")
 	for i, assoc := range ablationAssocs {
-		r := results[ablationIdx[i]]
-		if r.Err != nil {
-			fatalf("%v", r.Err)
-		}
-		res := r.Res
+		res := g.result(results, ablationIdx[i])
 		fmt.Printf("  L2 %d-way: cycles=%-10d L2 miss rate=%5.1f%%  L1R=%5.1f%%\n",
 			assoc, res.Cycles, 100*res.MemReport.L2.MissRate(), 100*res.MemReport.L1D.ReplRate())
-		dumpProfile(res.Profile, "mp3d", g.jobs[ablationIdx[i]].Tag)
 	}
 	fmt.Println()
 
 	if !*skipMXS {
 		fmt.Println("=== Figure 11: dynamic superscalar (MXS) results ===")
 		for _, spec := range mxsSpecs {
-			rows := printFigure(spec, &g, results)
+			rows := g.printFigure(spec, results)
 			fmt.Println("IPC loss breakdown (ideal per-CPU IPC = 2):")
 			for _, r := range rows {
 				fmt.Printf("  %-11s IPC=%.3f  lossI=%.3f  lossD=%.3f  lossPipe=%.3f\n",
@@ -254,6 +181,9 @@ func main() {
 	}
 
 	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
+	if err := g.pool.WriteReport(); err != nil {
+		cli.Fatal(err)
+	}
 }
 
 func table1() {
@@ -340,106 +270,20 @@ func table2() {
 // runTag turns a figure name into a filename-safe fragment
 // ("Figure 4: Eqntott" -> "figure-4-eqntott").
 func runTag(name string) string {
-	f := func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		default:
-			return '-'
-		}
-	}
-	tag := strings.Map(f, name)
-	for strings.Contains(tag, "--") {
-		tag = strings.ReplaceAll(tag, "--", "-")
-	}
-	return strings.Trim(tag, "-")
-}
-
-// splice inserts tag before path's extension.
-func splice(path, tag string) string {
-	ext := filepath.Ext(path)
-	return path[:len(path)-len(ext)] + "." + tag + ext
-}
-
-// dumpTrace writes one job's ring to that job's trace files (the job
-// tag is spliced into the filename, so no two runs share a sink). Each
-// file is created, written and closed here, per run — a sink failure
-// is fatal, never printed-and-skipped.
-func dumpTrace(ring *obsv.Ring, tag string) {
-	events := ring.Events()
-	write := func(path string, fn func(*os.File, []obsv.Event) error) {
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f, events)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("  [trace] %d events -> %s\n", len(events), path)
-	}
-	if obsvFlags.chrome != "" {
-		write(splice(obsvFlags.chrome, tag), func(f *os.File, evs []obsv.Event) error {
-			return obsv.WriteChromeTrace(f, evs)
-		})
-	}
-	if obsvFlags.jsonl != "" {
-		write(splice(obsvFlags.jsonl, tag), func(f *os.File, evs []obsv.Event) error {
-			return obsv.WriteJSONL(f, evs)
-		})
-	}
-	if ring.Dropped() > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: trace ring dropped %d of %d events (raise -trace-buf)\n",
-			ring.Dropped(), ring.Emitted())
-	}
-}
-
-// dumpProfile writes one job's cycle-attribution profile to that job's
-// -prof-out file (tag spliced in). No-op when the run carried no
-// profiler.
-func dumpProfile(p *prof.Profile, wlName, tag string) {
-	if p == nil {
-		return
-	}
-	p.Workload = wlName
-	path := splice(obsvFlags.profOut, tag)
-	f, err := os.Create(path)
-	if err == nil {
-		err = p.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fatalf("%s: write profile: %v", tag, err)
-	}
-	fmt.Printf("  [prof] wrote %s\n", path)
+	return strings.Join(strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
+	}), "-")
 }
 
 // printFigure renders one figure from its per-architecture results:
-// trace dumps and metrics summaries first (in architecture order),
-// then the breakdown table, chart and any accounting violations. A
-// failed run aborts with a non-zero exit.
-func printFigure(spec figureSpec, g *grid, results []runner.Result) []stats.IPCRow {
+// sink files and metrics summaries first (in architecture order), then
+// the breakdown table, chart and any accounting violations. A failed
+// run aborts with a non-zero exit.
+func (g *grid) printFigure(spec figureSpec, results []runner.Result) []stats.IPCRow {
 	runs := map[core.Arch]*core.RunResult{}
 	var ipcRows []stats.IPCRow
-	var wlName string
 	for i, a := range core.Arches() {
-		idx := spec.jobIdx[i]
-		r := results[idx]
-		if r.Err != nil {
-			fatalf("%s on %s: %v", spec.name, a, r.Err)
-		}
-		res := r.Res
-		wlName = strings.SplitN(g.jobs[idx].WorkloadKey, "/", 2)[0]
-		if ring := g.rings[idx]; ring != nil {
-			dumpTrace(ring, g.jobs[idx].Tag)
-		}
-		dumpProfile(res.Profile, wlName, g.jobs[idx].Tag)
+		res := g.result(results, spec.jobIdx[i])
 		if res.Metrics != nil {
 			samples := res.Metrics.Samples()
 			var peak float64
@@ -453,7 +297,7 @@ func printFigure(spec figureSpec, g *grid, results []runner.Result) []stats.IPCR
 		runs[a] = res
 		ipcRows = append(ipcRows, stats.IPCBreakdown(res))
 	}
-	fig := stats.BuildFigure(spec.name, wlName, spec.model, runs)
+	fig := stats.BuildFigure(spec.name, spec.wl, spec.model, runs)
 	fmt.Print(fig.String())
 	fmt.Print(fig.Chart())
 	if n := fig.AccountingViolations(); n > 0 {

@@ -25,11 +25,9 @@ import (
 	"strconv"
 	"strings"
 
-	"cmpsim/internal/core"
+	"cmpsim/internal/cli"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/runner"
-	"cmpsim/internal/telemetry"
-	"cmpsim/internal/workload"
 )
 
 // params maps sweepable parameter names to setters on the config.
@@ -62,19 +60,15 @@ var params = map[string]struct {
 }
 
 func main() {
-	wlName := flag.String("workload", "ear", "workload to sweep")
-	archStr := flag.String("arch", "shared-l1", "architecture")
+	fs := flag.CommandLine
+	wlName := cli.WorkloadFlag(fs, "ear")
+	arch := cli.ArchFlag(fs, "shared-l1", false)
+	model := cli.ModelFlag(fs)
 	param := flag.String("param", "", "parameter to sweep (see -params)")
 	values := flag.String("values", "", "comma-separated values")
-	model := flag.String("model", "mipsy", "cpu model")
-	jobs := flag.Int("jobs", 0, "max concurrent sweep points (0 = GOMAXPROCS); output is identical for any value")
-	cacheDir := flag.String("cache-dir", "", "memoize sweep-point results as JSON under this directory (\"\" = off)")
-	progress := flag.Bool("progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 	list := flag.Bool("params", false, "list sweepable parameters")
-	noSkip := flag.Bool("no-skip", false, "tick every CPU every cycle, one instruction per tick: no quiescence skipping, no Mipsy run-ahead (slower; output is identical)")
-	simJobs := flag.Int("sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
-	runReport := flag.Bool("run-report", false, "print a deterministic end-of-campaign run report to stderr")
-	runReportOut := flag.String("run-report-out", "", "write the end-of-campaign run report as JSON to this file")
+	poolFlags := cli.PoolFlags(fs)
+	poolFlags.RunReportFlags(fs)
 	flag.Parse()
 
 	if *list {
@@ -98,29 +92,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	pool := &runner.Pool{Workers: runner.CapWorkers(*jobs, *simJobs)}
-	if *progress {
-		pool.Progress = os.Stderr
-	}
-	if *runReport || *runReportOut != "" {
-		set := telemetry.New()
-		pool.Telem = set.Runner
-		defer func() {
-			if err := set.WriteReport(*runReport, *runReportOut); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
-			}
-		}()
-	}
-	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		pool.Cache = cache
-	}
-
 	var points []uint64
 	var sweepJobs []runner.Job
 	for _, vs := range strings.Split(*values, ",") {
@@ -131,31 +102,25 @@ func main() {
 		}
 		cfg := memsys.DefaultConfig()
 		p.set(&cfg, v)
-		cfg.NoSkip = *noSkip
-		cfg.SimJobs = *simJobs
-		name := *wlName
 		points = append(points, v)
-		sweepJobs = append(sweepJobs, runner.Job{
-			Workload:    func() (workload.Workload, error) { return workload.New(name) },
-			WorkloadKey: name + "/full",
-			Arch:        core.Arch(*archStr),
-			Model:       core.CPUModel(*model),
-			Cfg:         cfg,
-			Tag:         fmt.Sprintf("%s-%s-%s-%d", name, *archStr, *param, v),
-		})
+		sweepJobs = append(sweepJobs, poolFlags.Job(*wlName, false, *arch, *model, cfg,
+			fmt.Sprintf("%s-%s-%s-%d", *wlName, *arch, *param, v)))
 	}
 
+	pool, err := poolFlags.Open()
+	if err != nil {
+		cli.Fatal(err)
+	}
 	results := pool.Run(sweepJobs)
 
-	fmt.Printf("sweeping %s on %s/%s (%s model)\n", *param, *wlName, *archStr, *model)
+	fmt.Printf("sweeping %s on %s/%s (%s model)\n", *param, *wlName, *arch, *model)
 	fmt.Printf("%12s %12s %8s %8s %8s %8s %8s\n", *param, "cycles", "speedup", "L1R%", "L1I%", "L2R%", "L2I%")
 	var base float64
 	for i, r := range results {
 		// Any failed point is a broken sweep: report it and exit non-zero
 		// so CI cannot mistake a partial table for a finished study.
 		if r.Err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", r.Err)
-			os.Exit(1)
+			cli.Fatal(r.Err)
 		}
 		res := r.Res
 		if base == 0 {
@@ -166,5 +131,8 @@ func main() {
 			points[i], res.Cycles, base/float64(res.Cycles),
 			100*rep.L1D.ReplRate(), 100*rep.L1D.InvRate(),
 			100*rep.L2.ReplRate(), 100*rep.L2.InvRate())
+	}
+	if err := poolFlags.WriteReport(); err != nil {
+		cli.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"sort"
 
+	"cmpsim/internal/cli"
 	"cmpsim/internal/obsv"
 )
 
@@ -31,16 +32,14 @@ func main() {
 	if flag.NArg() > 0 && flag.Arg(0) != "-" {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracestats:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		defer f.Close()
 		in, name = f, flag.Arg(0)
 	}
 	events, err := obsv.ReadJSONL(in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestats:", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	if len(events) == 0 {
 		fmt.Printf("%s: empty trace\n", name)

@@ -29,7 +29,6 @@ import (
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
-	"cmpsim/internal/runner"
 	"cmpsim/internal/stats"
 	"cmpsim/internal/workload"
 )
@@ -76,19 +75,6 @@ type Machine = core.Machine
 func NewMachine(arch Arch, model CPUModel, cfg Config, memBytes uint32) (*Machine, error) {
 	return core.NewMachine(arch, model, cfg, memBytes)
 }
-
-// Checkpoint captures a machine's functional state (memory image and
-// hardware contexts), following the paper's methodology: position a
-// workload once, then resume the identical state on each architecture.
-// Serialize with WriteCheckpoint/ReadCheckpoint; timing state restarts
-// cold, as in SimOS.
-type Checkpoint = core.Checkpoint
-
-// WriteCheckpoint serializes a checkpoint (gob, gzip-compressed).
-var WriteCheckpoint = core.WriteCheckpoint
-
-// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.
-var ReadCheckpoint = core.ReadCheckpoint
 
 // Result summarizes a completed simulation run.
 type Result = core.RunResult
@@ -137,30 +123,6 @@ type IPCRow = stats.IPCRow
 
 // IPCBreakdownOf computes a Figure 11 row from an MXS run.
 func IPCBreakdownOf(r *Result) IPCRow { return stats.IPCBreakdown(r) }
-
-// --- parallel runs and result caching (package runner) ---
-
-// Job is one independent simulation run for the parallel runner: a
-// fresh workload on one architecture under one CPU model and config.
-// Distinct jobs share no state, so a grid of them is embarrassingly
-// parallel; see RunnerPool.
-type Job = runner.Job
-
-// JobResult is one Job's outcome, in the same slice position.
-type JobResult = runner.Result
-
-// RunnerPool shards independent jobs across a worker pool and merges
-// results in stable job order — parallel output is bit-identical to
-// serial. Set Cache to memoize results across invocations.
-type RunnerPool = runner.Pool
-
-// RunCache is a directory of JSON-serialized run results keyed by a
-// canonical hash of (sim version, workload, architecture, CPU model,
-// config); repeated invocations skip already-computed runs.
-type RunCache = runner.Cache
-
-// OpenRunCache opens (creating if needed) a result cache directory.
-func OpenRunCache(dir string) (*RunCache, error) { return runner.OpenCache(dir) }
 
 // --- observability (package obsv) ---
 

@@ -1,7 +1,6 @@
 package cmpsim_test
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"testing"
@@ -53,32 +52,6 @@ func TestPublicRunAndFigure(t *testing.T) {
 	fig := cmpsim.BuildFigure("t", "latprobe", cmpsim.ModelMipsy, runs)
 	if len(fig.Rows) != 3 || fig.Chart() == "" {
 		t.Error("figure incomplete")
-	}
-}
-
-func TestPublicCheckpointRoundTrip(t *testing.T) {
-	w, err := cmpsim.NewWorkload("latprobe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := cmpsim.NewMachine(cmpsim.SharedMem, cmpsim.ModelMipsy, cmpsim.DefaultConfig(), w.MemBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Configure(m); err != nil {
-		t.Fatal(err)
-	}
-	ck := m.Checkpoint()
-	var buf bytes.Buffer
-	if err := cmpsim.WriteCheckpoint(&buf, ck); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := cmpsim.ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(ck2); err != nil {
-		t.Fatal(err)
 	}
 }
 

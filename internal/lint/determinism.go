@@ -34,7 +34,7 @@ import (
 // spawn goroutines on purpose: distinct runs share no mutable state,
 // so run-level parallelism is sound precisely because in-run
 // parallelism is banned here. The scope list below is that boundary —
-// internal/runner and cmd/* are intentionally absent, and
+// internal/runner, internal/cli and cmd/* are intentionally absent, and
 // TestDeterminismScopeExcludesDriverPool pins it.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",

@@ -89,16 +89,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	report(p.Pkg, p.Analyzer, p.diags, pos, format, args...)
 }
 
-// ModulePass is a module-wide analyzer's view of every loaded package.
-// Packages is the analyzer's scoped slice; the full module (for
-// cross-package reachability and the shared call graph) is available
-// through Graph and allPackages.
+// ModulePass is a module-wide analyzer's view of its scoped packages.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Packages []*Package
 	diags    *[]Diagnostic
-	all      []*Package
-	shared   *moduleShared
 }
 
 // Reportf records a finding positioned in pkg.
@@ -360,7 +355,6 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 // the findings sorted by position.
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	shared := &moduleShared{}
 	for _, a := range analyzers {
 		var scoped []*Package
 		for _, pkg := range pkgs {
@@ -370,7 +364,7 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) 
 		}
 		switch {
 		case a.RunModule != nil:
-			mp := &ModulePass{Analyzer: a, Packages: scoped, diags: &diags, all: pkgs, shared: shared}
+			mp := &ModulePass{Analyzer: a, Packages: scoped, diags: &diags}
 			if err := a.RunModule(mp); err != nil {
 				return nil, fmt.Errorf("%s: %w", a.Name, err)
 			}

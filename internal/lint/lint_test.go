@@ -175,7 +175,8 @@ func TestShippedTreeClean(t *testing.T) {
 // TestDeterminismScopeExcludesDriverPool pins the goroutine boundary:
 // the determinism analyzer's goroutine ban covers the simulation core,
 // while the driver-level parallelism one level up — internal/runner's
-// worker pool and the cmd/ drivers that dispatch through it — is
+// worker pool, internal/cli and the cmd/ drivers that dispatch through
+// them — is
 // deliberately outside its scope. If the scope ever grows to swallow
 // the runner (breaking the parallel experiment driver) or shrinks to
 // exempt part of the core (losing the in-run goroutine ban), this
@@ -192,7 +193,7 @@ func TestDeterminismScopeExcludesDriverPool(t *testing.T) {
 		}
 	}
 	for _, rel := range []string{
-		"internal/runner", "cmd/experiments", "cmd/sweep", "cmd/cmpsim",
+		"internal/runner", "internal/cli", "cmd/experiments", "cmd/sweep", "cmd/cmpsim",
 		"internal/workload", "internal/stats", "internal/obsv",
 	} {
 		if scope(rel) {

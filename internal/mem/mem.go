@@ -54,48 +54,6 @@ func NewImage(size uint32) *Image {
 // Size returns the physical memory size in bytes.
 func (m *Image) Size() uint32 { return m.size }
 
-// Snapshot is a copy of a memory image's contents (for checkpointing):
-// one entry per page, nil for a page that reads as all zeros.
-type Snapshot struct {
-	Size  uint32
-	Pages [][]byte
-}
-
-// Snapshot copies the pages that hold a non-zero byte.
-func (m *Image) Snapshot() Snapshot {
-	s := Snapshot{Size: m.size, Pages: make([][]byte, len(m.pages))}
-	for i, p := range m.pages {
-		if p != &zeroPage && *p != zeroPage {
-			s.Pages[i] = bytes.Clone(p[:])
-		}
-	}
-	return s
-}
-
-// RestoreSnapshot replaces the memory contents with a snapshot of an
-// image of the same size. Pages the snapshot has as zero are dropped.
-func (m *Image) RestoreSnapshot(s Snapshot) error {
-	if s.Size != m.size || len(s.Pages) != len(m.pages) {
-		return fmt.Errorf("mem: snapshot size %d does not match memory size %d", s.Size, m.size)
-	}
-	for i, b := range s.Pages {
-		if len(b) != 0 && len(b) != pageSize {
-			return fmt.Errorf("mem: snapshot page %d has %d bytes, want %d", i, len(b), pageSize)
-		}
-	}
-	for i, b := range s.Pages {
-		switch {
-		case len(b) == 0:
-			m.pages[i] = &zeroPage
-		case m.pages[i] == &zeroPage:
-			m.pages[i] = (*page)(bytes.Clone(b))
-		default:
-			copy(m.pages[i][:], b)
-		}
-	}
-	return nil
-}
-
 // WriteBytes copies b into memory starting at addr, a page at a time.
 // A stretch of zeros that falls on a page nothing has written is
 // skipped: the page already reads as zero and stays unallocated.

@@ -234,56 +234,3 @@ func TestImageMatchesFlatReference(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotRoundTrip: a restore brings back every page's contents,
-// including pages that were written after the snapshot and must go back
-// to zero, and pages the snapshot holds that have since been zeroed.
-func TestSnapshotRoundTrip(t *testing.T) {
-	m := NewImage(4 * pageSize)
-	m.Write32(8, 0xdeadbeef)
-	m.Write64(2*pageSize+16, 42)
-	m.Write32(3*pageSize, 7)
-	m.Write32(3*pageSize, 0) // present, but all zero again
-	s := m.Snapshot()
-	if s.Pages[0] == nil || s.Pages[1] != nil || s.Pages[2] == nil || s.Pages[3] != nil {
-		t.Fatalf("snapshot keeps pages %v, want only 0 and 2", s.Pages != nil)
-	}
-
-	m.Write32(8, 1)
-	m.Write64(2*pageSize+16, 0)
-	m.Write8(pageSize+5, 9) // a page the snapshot has as zero
-	if err := m.RestoreSnapshot(s); err != nil {
-		t.Fatal(err)
-	}
-	if m.Read32(8) != 0xdeadbeef || m.Read64(2*pageSize+16) != 42 || m.Read8(pageSize+5) != 0 {
-		t.Errorf("restore did not bring back the snapshot's contents")
-	}
-	if m.pages[1] != &zeroPage || m.pages[3] != &zeroPage {
-		t.Errorf("restore kept pages the snapshot has as zero")
-	}
-
-	// The snapshot is a copy: writes after a restore do not reach it.
-	m.Write32(8, 2)
-	if binary.LittleEndian.Uint32(s.Pages[0][8:]) != 0xdeadbeef {
-		t.Errorf("snapshot aliases the image")
-	}
-	// Restoring into a fresh image gives the same contents.
-	fresh := NewImage(4 * pageSize)
-	if err := fresh.RestoreSnapshot(s); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Read32(8) != 0xdeadbeef || fresh.Read64(2*pageSize+16) != 42 {
-		t.Errorf("restore into a fresh image lost contents")
-	}
-
-	if err := NewImage(2 * pageSize).RestoreSnapshot(s); err == nil {
-		t.Error("restore into a smaller image must fail")
-	}
-	bad := Snapshot{Size: s.Size, Pages: [][]byte{make([]byte, 3), nil, nil, nil}}
-	if err := m.RestoreSnapshot(bad); err == nil {
-		t.Error("restore of a short page must fail")
-	}
-	if m.Read32(8) != 2 {
-		t.Error("a rejected restore changed the image")
-	}
-}

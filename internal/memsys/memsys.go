@@ -191,8 +191,8 @@ type Config struct {
 	Prof *prof.Profiler
 
 	// NoSkip makes the core loop tick every CPU every cycle, one
-	// instruction per tick (cmpsim -no-skip): no quiescence skipping, no
-	// per-CPU wake cycles, no Mipsy run-ahead, as before the event-driven
+	// instruction per tick: no quiescence skipping, no per-CPU wake
+	// cycles, no Mipsy run-ahead, as before the event-driven
 	// scheduler existed. Output is identical either way — that is the
 	// scheduler's correctness bar, pinned by the skip regression tests —
 	// so this is purely a debugging escape hatch and the reference side

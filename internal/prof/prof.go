@@ -30,7 +30,8 @@
 //     candidate — the paper's Section 4.2 MP3D story made checkable.
 //
 // Snapshot freezes the maps into a fully sorted, JSON-serializable
-// Profile; rendering lives in report.go and cmd/simprof.
+// Profile; rendering lives in report.go, which cmpsim -prof and
+// cmd/simprof call.
 package prof
 
 import "sort"
@@ -256,7 +257,7 @@ func (e *LineEntry) Traffic() uint64 { return e.Invals + e.C2C }
 // Every slice is fully sorted, so marshaling a Profile — and every
 // renderer in report.go — is byte-deterministic.
 type Profile struct {
-	Workload  string `json:",omitempty"` // filled in by the driver
+	Workload  string `json:",omitempty"` // filled in by workload.Run
 	Arch      string
 	Model     string
 	NumCPUs   int

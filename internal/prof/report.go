@@ -305,7 +305,7 @@ func (p *Profile) WriteReport(w io.Writer, top int) {
 }
 
 // WriteJSON serializes the profile (indented, key-sorted via the
-// struct field order — byte-deterministic). cmd/simprof -in reads it
+// struct field order — byte-deterministic). cmd/simprof reads it
 // back.
 func (p *Profile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"cmpsim/internal/core"
@@ -69,5 +70,26 @@ func TestMXSChaseLatencyMatchesMipsy(t *testing.T) {
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("OoO chase latency %.2f vs in-order %.2f: a dependent chase should not diverge (ratio %.2f)",
 			ooo, mip, ratio)
+	}
+}
+
+// TestNewQuickErrorListsQuickVariants: latprobe has no quick variant,
+// so asking for one must fail and name only the workloads that do.
+func TestNewQuickErrorListsQuickVariants(t *testing.T) {
+	_, err := NewQuick("latprobe")
+	if err == nil {
+		t.Fatal("NewQuick(latprobe) succeeded; latprobe has no quick variant")
+	}
+	_, have, ok := strings.Cut(err.Error(), "(have")
+	if !ok {
+		t.Fatalf("error lists no alternatives: %v", err)
+	}
+	if strings.Contains(have, "latprobe") {
+		t.Errorf("error lists latprobe as a quick variant: %v", err)
+	}
+	for _, n := range []string{"eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "pmake"} {
+		if !strings.Contains(have, n) {
+			t.Errorf("error does not list quick variant %s: %v", n, err)
+		}
 	}
 }

@@ -64,35 +64,36 @@ func New(name string) (Workload, error) {
 	return f(), nil
 }
 
-// NewQuick returns the named workload with reduced data sets: large
-// enough to exercise every architecture's sharing patterns, small
-// enough for smoke runs. This is the single source of the quick
-// parameters used by `experiments -quick`, `cmpsim -quick`, and the
-// sanitized smoke tests in make check.
+// quickBuilders maps the workloads that have one to their reduced
+// data sets: large enough to exercise every architecture's sharing
+// patterns, small enough for smoke runs.
+var quickBuilders = map[string]func() Workload{
+	"eqntott": func() Workload { return NewEqntott(EqntottParams{Words: 128, Iters: 60}) },
+	"mp3d":    func() Workload { return NewMP3D(MP3DParams{Particles: 2048, Steps: 2}) },
+	"ocean":   func() Workload { return NewOcean(OceanParams{N: 66, FineIter: 3, CoarseIt: 2}) },
+	"volpack": func() Workload { return NewVolpack(VolpackParams{Size: 32, Depth: 16}) },
+	"ear":     func() Workload { return NewEar(EarParams{Samples: 400}) },
+	"fft":     func() Workload { return NewFFT(FFTParams{N: 64, Batches: 16}) },
+	"pmake":   func() Workload { return NewPmake(PmakeParams{Procs: 6, Funcs: 48, Passes: 4}) },
+}
+
+// NewQuick returns the named workload with its reduced data sets. This
+// is the single source of the quick parameters used by `experiments
+// -quick`, `cmpsim -quick`, and the sanitized smoke tests in make check.
 func NewQuick(name string) (Workload, error) {
-	switch name {
-	case "eqntott":
-		return NewEqntott(EqntottParams{Words: 128, Iters: 60}), nil
-	case "mp3d":
-		return NewMP3D(MP3DParams{Particles: 2048, Steps: 2}), nil
-	case "ocean":
-		return NewOcean(OceanParams{N: 66, FineIter: 3, CoarseIt: 2}), nil
-	case "volpack":
-		return NewVolpack(VolpackParams{Size: 32, Depth: 16}), nil
-	case "ear":
-		return NewEar(EarParams{Samples: 400}), nil
-	case "fft":
-		return NewFFT(FFTParams{N: 64, Batches: 16}), nil
-	case "pmake":
-		return NewPmake(PmakeParams{Procs: 6, Funcs: 48, Passes: 4}), nil
+	f, ok := quickBuilders[name]
+	if !ok {
+		return nil, fmt.Errorf("workload: no quick variant of %q (have %v)", name, sortedNames(quickBuilders))
 	}
-	return nil, fmt.Errorf("workload: no quick variant of %q (have %v)", name, Names())
+	return f(), nil
 }
 
 // Names lists registered workloads in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(builders))
-	for n := range builders {
+func Names() []string { return sortedNames(builders) }
+
+func sortedNames(m map[string]func() Workload) []string {
+	out := make([]string, 0, len(m))
+	for n := range m {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -174,6 +175,9 @@ func Run(w Workload, arch core.Arch, model core.CPUModel, cfg *memsys.Config) (*
 	}
 	if err := w.Validate(m); err != nil {
 		return nil, fmt.Errorf("workload %s on %s: validation: %w", w.Name(), arch, err)
+	}
+	if res.Profile != nil {
+		res.Profile.Workload = w.Name()
 	}
 	return res, nil
 }

@@ -189,7 +189,7 @@ func TestProfLineSharingOnSharedMem(t *testing.T) {
 }
 
 // profJobs builds the three-architecture profiled job grid the way
-// cmd/simprof does.
+// cmpsim -prof-out does.
 func profJobs() []runner.Job {
 	jobs := make([]runner.Job, 0, 3)
 	for _, a := range core.Arches() {
@@ -223,7 +223,9 @@ func renderProfiles(t *testing.T, workers int) []byte {
 		if p == nil {
 			t.Fatal("job returned no profile")
 		}
-		p.Workload = "eqntott"
+		if p.Workload != "eqntott" {
+			t.Fatalf("profile names workload %q, want eqntott", p.Workload)
+		}
 		p.WriteReport(&buf, 10)
 		if err := p.WriteFolded(&buf); err != nil {
 			t.Fatal(err)
