@@ -92,9 +92,11 @@ experiments-output:
 # rotation over the real shared-memory system, and stalled-window, the
 # same on the memory-bound design point with every core ticked only
 # when its wake hint is due: ns per tick and ticks per instruction),
-# the three BenchmarkMipsyTick cases (the simple CPU against a one-cycle
+# the four BenchmarkMipsyTick cases (the simple CPU against a one-cycle
 # memory, ns and ticks per instruction; load-every-third-shared runs
-# through its loads and line ends below a shared bound), the two
+# through its loads and line ends below a shared bound, alu-lines-icache
+# through line ends that hit its I-cache with the shared bound at the
+# next cycle), the two
 # BenchmarkRunWindow cases (the
 # cycle loop alone over stub cores, ns per executed cycle) and
 # BenchmarkCacheInvalidateMiss (a private cache's side of a coherence

@@ -369,10 +369,12 @@ func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
 // bound (its wake cycle is its own proof, and the one thing that pulls a
 // wake cycle down, an interrupt line going live, waits for an event or a
 // grid boundary, both terms of RunAheadBound), so every memory-system
-// call, image access and trap is made in the (cycle, rotation) order of
-// the loop that ticks every CPU every cycle. It is a scan of the wake
-// cycles made on demand, so the loop pays nothing for it per executed
-// cycle.
+// call that touches state another CPU can see, every image access and
+// every trap is made in the (cycle, rotation) order of the loop that
+// ticks every CPU every cycle. A hit in a CPU's own I-cache
+// (memsys.IFetchHitter) is made below RunAheadBound and keeps only that
+// CPU's program order. It is a scan of the wake cycles made on demand,
+// so the loop pays nothing for it per executed cycle.
 func (m *Machine) SharedBound(cpuID int) uint64 {
 	b, floor := m.aheadTo, m.aheadCyc+1
 	for j, w := range m.wakeAt {
@@ -586,7 +588,8 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 
 	// Every running CPU is due at the window's first cycle: hints are
 	// not carried across calls, so whatever happened to the machine in
-	// between (a restored checkpoint, a swapped core) is seen at once.
+	// between (a core swapped or wrapped, an event scheduled) is seen at
+	// once.
 	// Done is asked here only; from now on a halt is Tick returning
 	// cpu.NoWork.
 	if len(m.wakeAt) != cpus {

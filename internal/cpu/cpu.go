@@ -85,18 +85,22 @@ type InterruptSource interface {
 	// CPU can next raise its line or look at its state. A model that has
 	// finished its work at the cycle it was ticked at may go on to
 	// execute, each at its own cycle below the bound, instructions that
-	// touch nothing but the CPU itself, provided its line is not live. A
-	// bound at or below the next cycle (the zero value included) allows
-	// none, which is the one-instruction tick.
+	// touch nothing but the CPU itself, its private I-cache included
+	// (memsys.IFetchHitter), provided its line is not live. A bound at or
+	// below the next cycle (the zero value included) allows none, which
+	// is the one-instruction tick.
 	RunAheadBound() uint64
 
 	// SharedBound is, for the CPU being ticked, the earliest cycle at
 	// which another CPU can next touch the memory system, the guest image
 	// or the kernel; it is never above RunAheadBound. Below it the run
 	// may also do, each at its own cycle, the work that does touch them
-	// (data references, refused references retried, fetches of a new
-	// line), since nobody else's work falls between; a trap or a halt
-	// still ends the run. It looks at every other CPU, so a model asks
+	// (data references, refused references retried, fetches of a line
+	// the I-cache misses), since nobody else's work falls between; a trap
+	// or a halt still ends the run. So every call that touches state
+	// another CPU can see is made in the (cycle, rotation) order of the
+	// tick-everything loop; a hit in the CPU's own I-cache keeps only the
+	// CPU's program order. It looks at every other CPU, so a model asks
 	// once a tick, when a run first reaches such an instruction.
 	SharedBound(cpuID int) uint64
 }

@@ -7,6 +7,8 @@
 package mipsy
 
 import (
+	"fmt"
+
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/isa"
 	"cmpsim/internal/mem"
@@ -24,10 +26,16 @@ type CPU struct {
 	code cpu.CodeSource
 	trap cpu.TrapHandler
 	img  *mem.Image
+	ihit memsys.IFetchHitter // mem's private I-cache probe; nil if it has none
 
-	lineMask  uint32
-	nextFree  uint64
-	fetchLine uint32
+	lineMask uint32
+	nextFree uint64
+
+	// The fetch line held: its physical base and the virtual base the PC
+	// translated from, invalidLine for none. A space maps a fetch line
+	// linearly (mem.Space), so a PC in the held line translates without
+	// asking the space. Both are set and dropped together.
+	fetchLine, fetchVLine uint32
 
 	// The program region the last fetch hit (see cpu.CodeSource).
 	text     []cpu.Uop
@@ -56,21 +64,26 @@ var noLine bool
 // hook sites on their zero-cost path.
 func (c *CPU) SetProfiler(p *prof.Profiler) { c.prof = p }
 
-// New builds a Mipsy CPU with hardware id id executing ctx.
+// New builds a Mipsy CPU with hardware id id executing ctx. If sys is a
+// memsys.IFetchHitter, a run ahead crosses fetch lines that hit the
+// CPU's own I-cache as it runs through CPU-local instructions.
 func New(id int, ctx *cpu.Context, sys memsys.System, code cpu.CodeSource, trap cpu.TrapHandler, img *mem.Image, lineBytes uint32) *CPU {
 	if trap == nil {
 		trap = cpu.NopTrap{}
 	}
+	ihit, _ := sys.(memsys.IFetchHitter)
 	return &CPU{
-		id:        id,
-		ctx:       ctx,
-		mem:       sys,
-		code:      code,
-		trap:      trap,
-		img:       img,
-		lineMask:  ^(lineBytes - 1),
-		fetchLine: invalidLine,
-		line:      &noLine,
+		id:         id,
+		ctx:        ctx,
+		mem:        sys,
+		code:       code,
+		trap:       trap,
+		img:        img,
+		ihit:       ihit,
+		lineMask:   ^(lineBytes - 1),
+		fetchLine:  invalidLine,
+		fetchVLine: invalidLine,
+		line:       &noLine,
 	}
 }
 
@@ -86,7 +99,18 @@ func (c *CPU) Done() bool { return c.ctx.Halted }
 // FlushFetchBuffer invalidates the fetch line buffer; the kernel's
 // context switches call this because the new context's PC translates
 // differently.
-func (c *CPU) FlushFetchBuffer() { c.fetchLine = invalidLine }
+func (c *CPU) FlushFetchBuffer() { c.fetchLine, c.fetchVLine = invalidLine, invalidLine }
+
+// translatePC translates the PC: through the held fetch line when the PC
+// is in it, through the context's space otherwise. runAhead has a copy
+// in line, as the call costs as much as the fast path.
+func (c *CPU) translatePC() (uint32, bool) {
+	pc := c.ctx.PC
+	if pc&c.lineMask == c.fetchVLine {
+		return c.fetchLine | pc&^c.lineMask, true
+	}
+	return c.ctx.Space.Translate(pc)
+}
 
 // NextWork implements the scheduler's quiescence probe: the earliest
 // cycle at or after now at which Tick can do anything. While blocked on
@@ -136,20 +160,22 @@ func (c *CPU) Tick(now uint64) uint64 {
 // instruction sits in the text region already held (no TextAt).
 //
 // A CPU-local instruction (cpu.UopLocal: not a memory operation, SYSCALL
-// or HALT) in the fetch line already held reads and writes nothing but
-// ctx, stats and nextFree. Nobody outside the CPU looks at those before
-// bound (cpu.InterruptSource), so executing it now or in a tick of its
-// own is the same run.
+// or HALT) reads and writes nothing but ctx, stats and nextFree if its
+// line is the fetch line already held or hits the CPU's own I-cache
+// (memsys.IFetchHitter), whose state and counters no other CPU touches.
+// Nobody outside the CPU looks at any of those before bound
+// (cpu.InterruptSource), so executing it now or in a tick of its own is
+// the same run.
 //
 // Any other instruction but SYSCALL and HALT (a load, a store, LL, SC,
-// or the first instruction of a new fetch line) also runs if its cycle
-// is below the shared bound, asked once, when the run first reaches
-// one: no other CPU acts below it, so its IFetch, Access, SCCheck,
-// LLReserve and image accesses come in the order the one-instruction
-// tick makes them. A refused reference stays at its PC and is retried
-// at the next cycle, as in its own ticks. The instruction is looked at
-// before its line is fetched, so a run never fetches the line of a trap
-// it will not execute.
+// or the first instruction of a line the I-cache misses) also runs if
+// its cycle is below the shared bound, asked once, when the run first
+// reaches one: no other CPU acts below it, so its IFetch, Access,
+// SCCheck, LLReserve and image accesses come in the order the
+// one-instruction tick makes them. A refused reference stays at its PC
+// and is retried at the next cycle, as in its own ticks. The instruction
+// is looked at before its line is fetched, so a run never fetches the
+// line of a trap it will not execute.
 //
 // The instruction that ends a run is left for the tick at its own cycle.
 // The interrupt line is polled once, not per instruction: it cannot rise
@@ -165,16 +191,21 @@ func (c *CPU) runAhead(bound uint64) {
 	// instruction's cycle ends the run, so zero means not asked yet.
 	shared := uint64(0)
 	for c.nextFree < bound {
-		ppc, ok := ctx.Space.Translate(ctx.PC)
-		if !ok {
-			return
+		// translatePC, in line: most PCs are in the held line.
+		pc := ctx.PC
+		ppc := c.fetchLine | pc&^c.lineMask
+		if pc&c.lineMask != c.fetchVLine {
+			var ok bool
+			if ppc, ok = ctx.Space.Translate(pc); !ok {
+				return
+			}
 		}
 		i := (ppc - c.textBase) / 4
 		if i >= uint32(len(c.text)) {
 			return
 		}
 		u := &c.text[i]
-		if u.Flags&cpu.UopLocal != 0 && ppc&c.lineMask == c.fetchLine {
+		if u.Flags&cpu.UopLocal != 0 && (ppc&c.lineMask == c.fetchLine || c.hitLine(ppc)) {
 			c.execute(c.nextFree, ppc, u)
 			continue
 		}
@@ -210,12 +241,12 @@ func (c *CPU) step(now uint64) {
 		// Deliver at the instruction boundary: the PC is the resume point.
 		c.irq.AckInterrupt(c.id)
 		extra := c.trap.Syscall(now, c.id, ctx, cpu.IRQ)
-		c.fetchLine = invalidLine
+		c.FlushFetchBuffer()
 		c.nextFree = now + 1 + extra
 		return
 	}
 	pc := ctx.PC
-	ppc, ok := ctx.Space.Translate(pc)
+	ppc, ok := c.translatePC()
 	if !ok {
 		ctx.Faultf("instruction fetch from unmapped address %#x", pc)
 		return
@@ -240,12 +271,12 @@ func (c *CPU) step(now uint64) {
 	c.execute(cur, ppc, &c.text[i])
 }
 
-// fetch fetches the line holding ppc at cycle cur, charging the stall,
-// and returns the cycle the instruction at ppc executes at: cur, or the
-// cycle before the line arrives.
+// fetch fetches the line holding ppc, the PC's translation, at cycle
+// cur, charging the stall, and returns the cycle the instruction at ppc
+// executes at: cur, or the cycle before the line arrives.
 func (c *CPU) fetch(cur uint64, ppc uint32) uint64 {
 	r := c.mem.IFetch(cur, c.id, ppc)
-	c.fetchLine = ppc & c.lineMask
+	c.holdLine(ppc)
 	if r.Done > cur+1 {
 		c.stats.IStall[r.Level] += r.Done - (cur + 1)
 		if c.prof != nil {
@@ -256,6 +287,23 @@ func (c *CPU) fetch(cur uint64, ppc uint32) uint64 {
 	return cur
 }
 
+// hitLine takes the line holding ppc, the PC's translation, if it hits
+// the CPU's own I-cache, and reports whether it did. A hit is IFetch's
+// hit: the line arrives at the next cycle, with no stall to charge.
+func (c *CPU) hitLine(ppc uint32) bool {
+	if c.ihit == nil || !c.ihit.IFetchHit(c.id, ppc) {
+		return false
+	}
+	c.holdLine(ppc)
+	return true
+}
+
+// holdLine makes the line holding ppc, the PC's translation, the fetch
+// line held.
+func (c *CPU) holdLine(ppc uint32) {
+	c.fetchLine, c.fetchVLine = ppc&c.lineMask, c.ctx.PC&c.lineMask
+}
+
 // execute runs one instruction whose execution cycle is cur (physical
 // PC ppc, for profiling). It sets ctx.PC and c.nextFree.
 func (c *CPU) execute(cur uint64, ppc uint32, u *cpu.Uop) {
@@ -264,62 +312,63 @@ func (c *CPU) execute(cur uint64, ppc uint32, u *cpu.Uop) {
 	next := ctx.PC + 4
 	done := cur + 1
 
-	// Opcodes are numbered by group (isa.Op): the integer ALU forms,
-	// most of any instruction stream, come first and are tested first.
-	switch op := in.Op; {
-	case op <= isa.SLTU:
-		c.setReg(in.R1, cpu.ALU(op, ctx.Regs[in.R2], ctx.Regs[in.R3], 0))
-	case op <= isa.SRAI:
-		c.setReg(in.R1, cpu.ALU(op, ctx.Regs[in.R2], 0, in.Imm))
-	case op <= isa.SC:
+	// One case per cpu.Kind: a dense switch the compiler makes a jump
+	// table.
+	switch u.Kind {
+	case cpu.KindALU:
+		c.setReg(in.R1, cpu.ALU(in.Op, ctx.Regs[in.R2], ctx.Regs[in.R3], 0))
+	case cpu.KindALUImm:
+		c.setReg(in.R1, cpu.ALU(in.Op, ctx.Regs[in.R2], 0, in.Imm))
+	case cpu.KindLoad, cpu.KindStore, cpu.KindStoreF:
 		if !c.executeMem(cur, ppc, u, &done) {
 			return // structural stall or fault; retry or stop
 		}
-	case op <= isa.BGE:
-		if cpu.BranchTaken(op, ctx.Regs[in.R1], ctx.Regs[in.R2]) {
+	case cpu.KindBranch:
+		if cpu.BranchTaken(in.Op, ctx.Regs[in.R1], ctx.Regs[in.R2]) {
 			next = uint32(int64(ctx.PC) + 4 + int64(in.Imm)*4)
 		}
-	case op == isa.J:
+	case cpu.KindJ:
 		next = uint32(in.Imm) * 4
-	case op == isa.JAL:
+	case cpu.KindJAL:
 		ctx.Regs[isa.RegRA] = ctx.PC + 4
 		next = uint32(in.Imm) * 4
-	case op == isa.JR:
+	case cpu.KindJR:
 		next = ctx.Regs[in.R2]
-	case op == isa.JALR:
+	case cpu.KindJALR:
 		t := ctx.Regs[in.R2]
 		c.setReg(in.R1, ctx.PC+4)
 		next = t
-	case op == isa.HALT:
-		ctx.Halted = true
-		c.stats.Instructions++
-		if c.prof != nil {
-			c.prof.RetirePC(ppc)
-		}
-		return
-	case op == isa.CPUID:
+	case cpu.KindFP:
+		ctx.FRegs[in.R1] = cpu.FPOp(in.Op, ctx.FRegs[in.R2], ctx.FRegs[in.R3])
+	case cpu.KindFPUnary:
+		ctx.FRegs[in.R1] = cpu.FPOp(in.Op, ctx.FRegs[in.R2], 0)
+	case cpu.KindFPCmp:
+		c.setReg(in.R1, cpu.FPCmp(in.Op, ctx.FRegs[in.R2], ctx.FRegs[in.R3]))
+	case cpu.KindCVTIF:
+		ctx.FRegs[in.R1] = float64(int32(ctx.Regs[in.R2]))
+	case cpu.KindCVTFI:
+		c.setReg(in.R1, cpu.CvtFI(ctx.FRegs[in.R2]))
+	case cpu.KindCPUID:
 		c.setReg(in.R1, uint32(c.id))
-	case op == isa.SYSCALL:
+	case cpu.KindSyscall:
 		ctx.PC = next
 		extra := c.trap.Syscall(cur, c.id, ctx, in.Imm)
-		c.fetchLine = invalidLine // the handler may have switched spaces
+		c.FlushFetchBuffer() // the handler may have switched spaces
 		c.stats.Instructions++
 		if c.prof != nil {
 			c.prof.RetirePC(ppc)
 		}
 		c.nextFree = done + extra
 		return
-	case op == isa.FMOV, op == isa.FNEG:
-		ctx.FRegs[in.R1] = cpu.FPOp(op, ctx.FRegs[in.R2], 0)
-	case op == isa.FEQ, op == isa.FLT, op == isa.FLE:
-		c.setReg(in.R1, cpu.FPCmp(op, ctx.FRegs[in.R2], ctx.FRegs[in.R3]))
-	case op == isa.CVTIF:
-		ctx.FRegs[in.R1] = float64(int32(ctx.Regs[in.R2]))
-	case op == isa.CVTFI:
-		c.setReg(in.R1, cpu.CvtFI(ctx.FRegs[in.R2]))
+	case cpu.KindHalt:
+		ctx.Halted = true
+		c.stats.Instructions++
+		if c.prof != nil {
+			c.prof.RetirePC(ppc)
+		}
+		return
 	default:
-		// FADDS..FDIVD, the one group left.
-		ctx.FRegs[in.R1] = cpu.FPOp(op, ctx.FRegs[in.R2], ctx.FRegs[in.R3])
+		panic(fmt.Sprintf("mipsy: no case for %v's kind %d", in.Op, u.Kind))
 	}
 
 	ctx.PC = next

@@ -45,6 +45,47 @@ func (m *flatMem) SCCheck(int, uint32) bool { return true }
 func (m *flatMem) ClearReservation(int)     {}
 func (m *flatMem) Report() memsys.Report    { return memsys.Report{} }
 
+// icacheMem is a flatMem behind a private I-cache of fixed contents, the
+// lines whose base addresses are in hit. A fetch from one of them takes
+// one cycle, through IFetch or IFetchHit, and counts in hits (ihits
+// counts those IFetchHit made). A fetch from any other line misses:
+// IFetchHit returns false and counts nothing, IFetch goes to the
+// flatMem's (fetchLat, counted in its fetches) and leaves the line out.
+type icacheMem struct {
+	*flatMem
+	hit         map[uint32]bool
+	hits, ihits int
+}
+
+func (m *icacheMem) IFetch(now uint64, cpu int, addr uint32) memsys.Result {
+	if m.hit[addr&^(lineBytes-1)] {
+		m.hits++
+		return memsys.Result{Done: now + 1, Level: memsys.LvlL1}
+	}
+	return m.flatMem.IFetch(now, cpu, addr)
+}
+
+func (m *icacheMem) IFetchHit(_ int, addr uint32) bool {
+	if !m.hit[addr&^(lineBytes-1)] {
+		return false
+	}
+	m.hits++
+	m.ihits++
+	return true
+}
+
+// lines returns the set of the first n fetch lines, less those in skip.
+func lines(n int, skip ...int) map[uint32]bool {
+	hit := make(map[uint32]bool)
+	for i := 0; i < n; i++ {
+		hit[uint32(i*lineBytes)] = true
+	}
+	for _, i := range skip {
+		delete(hit, uint32(i*lineBytes))
+	}
+	return hit
+}
+
 // boundSource is the rig's cpu.InterruptSource: the test sets the line,
 // the run-ahead bound and the shared bound, and reads how often the CPU
 // asked for the shared one.
@@ -62,13 +103,29 @@ func (s *boundSource) SharedBound(int) uint64 { s.asks++; return s.shared }
 type aheadRig struct {
 	c    *CPU
 	mem  *flatMem
+	ic   *icacheMem // nil on a rig without an I-cache
 	trap *recordingTrap
+	now  uint64 // the next cycle tickTo ticks
 }
 
 // newAheadRig assembles b (text at 0, so "start" opens a fetch line) and
 // builds one CPU on a flat memory. src may be nil: no interrupt source,
 // as on the older rigs.
 func newAheadRig(tb testing.TB, b *asm.Builder, m *flatMem, src *boundSource) *aheadRig {
+	r := &aheadRig{mem: m}
+	r.build(tb, b, m, src)
+	return r
+}
+
+// newICacheRig is newAheadRig with m behind an I-cache holding the lines
+// in hit (icacheMem).
+func newICacheRig(tb testing.TB, b *asm.Builder, m *flatMem, hit map[uint32]bool, src *boundSource) *aheadRig {
+	r := &aheadRig{mem: m, ic: &icacheMem{flatMem: m, hit: hit}}
+	r.build(tb, b, r.ic, src)
+	return r
+}
+
+func (r *aheadRig) build(tb testing.TB, b *asm.Builder, sys memsys.System, src *boundSource) {
 	tb.Helper()
 	p, err := b.Assemble(0, 0x10000)
 	if err != nil {
@@ -77,15 +134,42 @@ func newAheadRig(tb testing.TB, b *asm.Builder, m *flatMem, src *boundSource) *a
 	img := mem.NewImage(1 << 20)
 	p.Load(img, 0)
 	ctx := &cpu.Context{Space: mem.Identity{Limit: img.Size()}, PC: p.Addr("start")}
-	tr := &recordingTrap{}
-	c := New(0, ctx, m, newProgSource(p), tr, img, lineBytes)
+	r.trap = &recordingTrap{}
+	r.c = New(0, ctx, sys, newProgSource(p), r.trap, img, lineBytes)
 	if src != nil {
-		c.SetInterruptSource(src)
+		r.c.SetInterruptSource(src)
 	}
-	return &aheadRig{c: c, mem: m, trap: tr}
 }
 
 func (r *aheadRig) insts() uint64 { return r.c.Stats().Instructions }
+
+// tickTo ticks the rig's CPU at every cycle below w it has not ticked:
+// the reference the run-ahead is held to.
+func (r *aheadRig) tickTo(w uint64) {
+	for ; r.now < w; r.now++ {
+		r.c.Tick(r.now)
+	}
+}
+
+// sameAsReference reports where r differs from ref, a rig of the same
+// program with no interrupt source, ticked every cycle below w:
+// registers, PC, Stats, nextFree and the memory system's calls.
+func sameAsReference(t *testing.T, r, ref *aheadRig, w uint64) {
+	t.Helper()
+	ref.tickTo(w)
+	if got, want := r.c.Context(), ref.c.Context(); got.Regs != want.Regs || got.PC != want.PC {
+		t.Errorf("registers or PC differ from the reference (PC %#x, want %#x)", got.PC, want.PC)
+	}
+	if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
+		t.Errorf("stats %+v nextFree %d, reference %+v %d", r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
+	}
+	if *r.mem != *ref.mem {
+		t.Errorf("memory calls %+v, reference %+v", *r.mem, *ref.mem)
+	}
+	if r.ic != nil && r.ic.hits != ref.ic.hits {
+		t.Errorf("%d I-cache hits, reference %d", r.ic.hits, ref.ic.hits)
+	}
+}
 
 const far = uint64(1) << 40
 
@@ -291,51 +375,66 @@ func mixProgram(rng *rand.Rand, n int) *asm.Builder {
 // TestRunAheadMatchesReference: on a random ALU/branch/load mix over a
 // memory that refuses a few references, registers, PC, Stats and
 // nextFree after N cycles are those of the one-instruction-per-tick CPU,
-// ticked every cycle, whatever the bound and whether the shared bound
-// allows nothing or reaches the bound; Tick's return is NextWork, and the
-// memory system sees the same calls.
+// ticked every cycle, whatever the bound, whether the shared bound
+// allows nothing or reaches the bound, and whether the memory has an
+// I-cache that holds two lines in three; Tick's return is NextWork, and
+// the memory system sees the same calls.
 func TestRunAheadMatchesReference(t *testing.T) {
 	const cycles = 20000
 	newMem := func() *flatMem { return &flatMem{dataLat: 3, fetchLat: 2, refuseFrom: 40, refuse: 5} }
-	for seed := int64(1); seed <= 5; seed++ {
-		ref := newAheadRig(t, mixProgram(rand.New(rand.NewSource(seed)), 120), newMem(), nil)
-		for now := uint64(0); now < cycles; now++ {
-			ref.c.Tick(now)
+	hit := lines(16, 2, 5, 8, 11, 14)
+	newRig := func(seed int64, icache bool, src *boundSource) *aheadRig {
+		b := mixProgram(rand.New(rand.NewSource(seed)), 120)
+		if icache {
+			return newICacheRig(t, b, newMem(), hit, src)
 		}
-		for _, shared := range []bool{false, true} {
-			for _, window := range []uint64{1, 7, 64, cycles} {
-				name := fmt.Sprintf("seed %d window %d shared %v", seed, window, shared)
-				src := &boundSource{}
-				r := newAheadRig(t, mixProgram(rand.New(rand.NewSource(seed)), 120), newMem(), src)
-				ticks := 0
-				for now := uint64(0); now < cycles; ticks++ {
-					// The bound a scheduler would hand out: the next
-					// multiple of window, and never past the end.
-					src.bound = min((now/window+1)*window, cycles)
-					if shared {
-						src.shared = src.bound
+		return newAheadRig(t, b, newMem(), src)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, icache := range []bool{false, true} {
+			ref := newRig(seed, icache, nil)
+			ref.tickTo(cycles)
+			for _, shared := range []bool{false, true} {
+				for _, window := range []uint64{1, 7, 64, cycles} {
+					name := fmt.Sprintf("seed %d window %d shared %v icache %v", seed, window, shared, icache)
+					src := &boundSource{}
+					r := newRig(seed, icache, src)
+					ticks := 0
+					for now := uint64(0); now < cycles; ticks++ {
+						// The bound a scheduler would hand out: the next
+						// multiple of window, and never past the end.
+						src.bound = min((now/window+1)*window, cycles)
+						if shared {
+							src.shared = src.bound
+						}
+						w := r.c.Tick(now)
+						if w != r.c.NextWork(now) || w <= now {
+							t.Fatalf("%s: Tick(%d) = %d, NextWork = %d", name, now, w, r.c.NextWork(now))
+						}
+						now = w
 					}
-					w := r.c.Tick(now)
-					if w != r.c.NextWork(now) || w <= now {
-						t.Fatalf("%s: Tick(%d) = %d, NextWork = %d", name, now, w, r.c.NextWork(now))
+					got, want := r.c.Context(), ref.c.Context()
+					if got.Regs != want.Regs || got.PC != want.PC {
+						t.Errorf("%s: registers or PC differ from the reference (PC %#x, want %#x)", name, got.PC, want.PC)
 					}
-					now = w
-				}
-				got, want := r.c.Context(), ref.c.Context()
-				if got.Regs != want.Regs || got.PC != want.PC {
-					t.Errorf("%s: registers or PC differ from the reference (PC %#x, want %#x)", name, got.PC, want.PC)
-				}
-				if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
-					t.Errorf("%s: stats %+v nextFree %d, reference %+v %d", name, r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
-				}
-				if *r.mem != *ref.mem {
-					t.Errorf("%s: memory calls %+v, reference %+v", name, *r.mem, *ref.mem)
-				}
-				if window > 1 && ticks >= cycles/2 {
-					t.Errorf("%s: %d ticks for %d cycles; nothing ran ahead", name, ticks, cycles)
-				}
-				if shared && window == cycles && ticks != 1 {
-					t.Errorf("%s: %d ticks; a shared bound at the end of the run leaves one", name, ticks)
+					if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
+						t.Errorf("%s: stats %+v nextFree %d, reference %+v %d", name, r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
+					}
+					if *r.mem != *ref.mem {
+						t.Errorf("%s: memory calls %+v, reference %+v", name, *r.mem, *ref.mem)
+					}
+					if icache && r.ic.hits != ref.ic.hits {
+						t.Errorf("%s: %d I-cache hits, reference %d", name, r.ic.hits, ref.ic.hits)
+					}
+					if window > 1 && ticks >= cycles/2 {
+						t.Errorf("%s: %d ticks for %d cycles; nothing ran ahead", name, ticks, cycles)
+					}
+					if shared && window == cycles && ticks != 1 {
+						t.Errorf("%s: %d ticks; a shared bound at the end of the run leaves one", name, ticks)
+					}
+					if icache && window > 1 && r.ic.ihits == 0 {
+						t.Errorf("%s: no run crossed a line on an I-cache hit", name)
+					}
 				}
 			}
 		}
@@ -345,9 +444,12 @@ func TestRunAheadMatchesReference(t *testing.T) {
 // TestSharedRun: below the shared bound one Tick goes on through loads,
 // a store, LL, SC, a reference refused twice and a fetch-line end, each
 // at the cycle the one-instruction tick executes it at, and stops before
-// a SYSCALL or HALT that opens a line, without fetching that line. What
-// it leaves (registers, PC, Stats, nextFree, the memory system's calls)
-// is the reference's, ticked every cycle up to the run's wake cycle.
+// a SYSCALL or HALT that opens a line, without fetching that line. With
+// the shared bound at the next cycle, a run crosses the lines that hit
+// the CPU's I-cache and stops at one that misses, without fetching it.
+// What a run leaves (registers, PC, Stats, nextFree, the memory
+// system's calls) is the reference's, ticked every cycle up to the run's
+// wake cycle.
 func TestSharedRun(t *testing.T) {
 	for _, stop := range []struct {
 		name string
@@ -388,24 +490,69 @@ func TestSharedRun(t *testing.T) {
 				t.Errorf("%d data references (want 5 and 2 refusals), %d shared-bound asks (want 1)", r.mem.accesses, src.asks)
 			}
 
-			ref := newAheadRig(t, build(), newMem(), nil)
-			for now := uint64(0); now < w; now++ {
-				ref.c.Tick(now)
+			if w != r.c.nextFree {
+				t.Errorf("wake %d, nextFree %d", w, r.c.nextFree)
 			}
-			if got, want := r.c.Context(), ref.c.Context(); got.Regs != want.Regs || got.PC != want.PC {
-				t.Errorf("registers or PC differ from the reference (PC %#x, want %#x)", got.PC, want.PC)
-			}
-			if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree || w != ref.c.nextFree {
-				t.Errorf("stats %+v nextFree %d wake %d, reference %+v %d", r.c.Stats(), r.c.nextFree, w, ref.c.Stats(), ref.c.nextFree)
-			}
-			if *r.mem != *ref.mem {
-				t.Errorf("memory calls %+v, reference %+v", *r.mem, *ref.mem)
-			}
+			sameAsReference(t, r, newAheadRig(t, build(), newMem(), nil), w)
 			if got := r.c.Stats().DStall[memsys.LvlL2]; got != 2 {
 				t.Errorf("DStall[L2] = %d, want 2: one cycle per refused try", got)
 			}
 		})
 	}
+
+	// Four lines of adds, then a HALT opening the fifth.
+	adds := func() *asm.Builder {
+		b := asm.NewBuilder()
+		b.Label("start")
+		for i := 0; i < 4*lineBytes/4; i++ {
+			b.ADDI(asm.R1, asm.R1, 1)
+		}
+		b.HALT()
+		return b
+	}
+	newMem := func() *flatMem { return &flatMem{dataLat: 1, fetchLat: 3} }
+
+	t.Run("icache-hit", func(t *testing.T) {
+		// Every line hits: step fetches the first, the run crosses the
+		// others on IFetchHit up to the run-ahead bound (or the HALT) and
+		// never needs the shared bound.
+		for _, bound := range []uint64{20, far} {
+			src := &boundSource{bound: bound, shared: 1}
+			r := newICacheRig(t, adds(), newMem(), lines(5), src)
+			w := r.c.Tick(0)
+			want := min(bound, 4*lineBytes/4)
+			if r.insts() != want || w != want {
+				t.Errorf("bound %d: %d instructions, wake %d; want %d", bound, r.insts(), w, want)
+			}
+			if wantHits := int(want-1) / (lineBytes / 4); r.ic.ihits != wantHits || r.mem.fetches != 0 || src.asks != 0 {
+				t.Errorf("bound %d: %d IFetchHit hits (want %d), %d missed fetches, %d shared-bound asks (want 0)",
+					bound, r.ic.ihits, wantHits, r.mem.fetches, src.asks)
+			}
+			sameAsReference(t, r, newICacheRig(t, adds(), newMem(), lines(5), nil), w)
+		}
+	})
+
+	t.Run("icache-miss", func(t *testing.T) {
+		// The third line misses: the run stops at its first instruction
+		// without fetching it, and the tick at that cycle fetches it.
+		src := &boundSource{bound: far, shared: 1}
+		hit := lines(5, 2)
+		r := newICacheRig(t, adds(), newMem(), hit, src)
+		ref := newICacheRig(t, adds(), newMem(), hit, nil)
+		w := r.c.Tick(0)
+		if want := uint64(2 * lineBytes / 4); r.insts() != want || w != want {
+			t.Errorf("%d instructions, wake %d; want %d", r.insts(), w, want)
+		}
+		if r.ic.ihits != 1 || r.mem.fetches != 0 || src.asks != 1 {
+			t.Errorf("%d IFetchHit hits, %d missed fetches, %d shared-bound asks; want 1, 0, 1", r.ic.ihits, r.mem.fetches, src.asks)
+		}
+		sameAsReference(t, r, ref, w)
+		w = r.c.Tick(w)
+		if r.mem.fetches != 1 {
+			t.Errorf("the tick at the missed line made %d fetches, want 1", r.mem.fetches)
+		}
+		sameAsReference(t, r, ref, w)
+	})
 }
 
 // TestSharedBoundSplitsRun: a reference or a fetch-line end runs only
@@ -451,42 +598,55 @@ func TestSharedBoundSplitsRun(t *testing.T) {
 	}
 }
 
-// TestDispatchRangesMatchPredicates pins what execute assumes about the
-// opcode numbering against the isa predicates (cpu.UopLocal, which ends
-// a run-ahead, is pinned by internal/cpu's predecode conformance test).
-func TestDispatchRangesMatchPredicates(t *testing.T) {
+// TestExecuteCoversEveryKind: execute switches on cpu.Kind, so the kind
+// every opcode decodes to needs a case; each opcode, executed alone,
+// retires one instruction. What the cases compute is
+// TestISAConformance's business.
+func TestExecuteCoversEveryKind(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("start")
+	b.HALT()
 	for op := isa.Op(0); op < isa.NumOps; op++ {
-		alu := !op.IsMem() && !op.IsControl() && !op.IsFPOp() && op != isa.SYSCALL && op != isa.HALT && op != isa.CPUID
-		if got := op <= isa.SRAI; got != alu {
-			t.Errorf("%v: op <= SRAI is %v, integer ALU is %v", op, got, alu)
-		}
-		if got := op <= isa.SLTU; alu && got != (op.Format() == isa.FormatR) {
-			t.Errorf("%v: op <= SLTU is %v, register form is %v", op, got, op.Format() == isa.FormatR)
-		}
-		if got := op > isa.SRAI && op <= isa.SC; got != op.IsMem() {
-			t.Errorf("%v: SRAI < op <= SC is %v, IsMem is %v", op, got, op.IsMem())
-		}
-		if got := op > isa.SC && op <= isa.BGE; got != op.IsBranch() {
-			t.Errorf("%v: SC < op <= BGE is %v, IsBranch is %v", op, got, op.IsBranch())
+		u := cpu.Predecode(isa.Inst{Op: op, R1: 1, R2: 2, R3: 3})
+		r := newAheadRig(t, b, &flatMem{dataLat: 1, fetchLat: 1}, nil)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%v (kind %d): %v", op, u.Kind, p)
+				}
+			}()
+			r.c.execute(0, 0, &u)
+		}()
+		if r.insts() != 1 {
+			t.Errorf("%v (kind %d) retired %d instructions, want 1", op, u.Kind, r.insts())
 		}
 	}
 }
 
 // BenchmarkMipsyTick times the model alone against a one-cycle memory:
 // ns/op is host time per instruction, ticks/inst how many Tick calls
-// that took. "alu" is a straight-line integer loop and
-// "load-every-third" the same loop with a load as every third
+// that took. "alu" is a straight-line integer loop over eight fetch
+// lines and "load-every-third" the same loop with a load as every third
 // instruction, both with the run-ahead bound out of reach and no shared
 // bound, so no run crosses a line end or, in the second, is longer than
 // two; "load-every-third-shared" is the second with the shared bound at
 // the run-ahead bound, 64 cycles past each tick, so runs cross the loads
-// and line ends. All must stay at 0 allocs/op (CI greps).
+// and line ends. "alu-lines-icache" is the first behind an I-cache that
+// holds all eight lines, with the run-ahead bound 64 cycles past each
+// tick and the shared bound at the next cycle, so runs cross the line
+// ends on I-cache hits alone. All must stay at 0 allocs/op (CI greps).
 func BenchmarkMipsyTick(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
 		loadEvery int
 		shared    bool
-	}{{"alu", 0, false}, {"load-every-third", 3, false}, {"load-every-third-shared", 3, true}} {
+		icache    bool
+	}{
+		{"alu", 0, false, false},
+		{"load-every-third", 3, false, false},
+		{"load-every-third-shared", 3, true, false},
+		{"alu-lines-icache", 0, false, true},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := asm.NewBuilder()
 			p.Label("start")
@@ -499,14 +659,22 @@ func BenchmarkMipsyTick(b *testing.B) {
 			}
 			p.J("start")
 			src := &boundSource{bound: far}
-			r := newAheadRig(b, p, &flatMem{dataLat: 1, fetchLat: 1}, src)
+			m := &flatMem{dataLat: 1, fetchLat: 1}
+			r := newAheadRig(b, p, m, src)
+			if bc.icache {
+				r = newICacheRig(b, p, m, lines(8), src)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			now, ticks := uint64(0), 0
 			for ; r.insts() < uint64(b.N); ticks++ {
-				if bc.shared {
+				switch {
+				case bc.shared:
 					src.bound = now + 64
 					src.shared = src.bound
+				case bc.icache:
+					src.bound = now + 64
+					src.shared = now + 1
 				}
 				now = r.c.Tick(now)
 			}

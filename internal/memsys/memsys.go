@@ -100,6 +100,24 @@ type System interface {
 	Report() Report
 }
 
+// IFetchHitter is the optional capability of a System whose instruction
+// caches are private to each CPU, as in all three architectures.
+// IFetchHit probes cpu's own I-cache for addr's line. On a hit it counts
+// the fetch exactly as IFetch's hit path does (LRU and statistics) and
+// returns true; on a miss it changes nothing and returns false, by the
+// same probe-then-count rule a refusal follows (see Result). A hit
+// touches nothing another CPU can see, so a CPU model may make it out of
+// step with the other CPUs' references; a miss must go through IFetch.
+type IFetchHitter interface {
+	IFetchHit(cpu int, addr uint32) bool
+}
+
+var (
+	_ IFetchHitter = (*SharedL1)(nil)
+	_ IFetchHitter = (*SharedL2)(nil)
+	_ IFetchHitter = (*SharedMem)(nil)
+)
+
 // Report aggregates an architecture's statistics for the figures.
 type Report struct {
 	Name      string
@@ -433,6 +451,17 @@ func newICaches(cfg Config) []*cache.Cache {
 		})
 	}
 	return ics
+}
+
+// iFetchHit is IFetchHit on one private I-cache: one probe, and the
+// fetch counted only if it hits.
+func iFetchHit(ic *cache.Cache, addr uint32) bool {
+	ln := ic.Probe(addr)
+	if ln == nil {
+		return false
+	}
+	ic.AccessProbed(ln, addr, false)
+	return true
 }
 
 func maxU64(a, b uint64) uint64 {

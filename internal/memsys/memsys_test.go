@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -356,9 +357,66 @@ func TestSharedL2LoadAfterL2EvictIsReplacementMiss(t *testing.T) {
 	}
 }
 
+// TestIFetchHitMatchesIFetch: on a hit, IFetchHit leaves Report() as
+// IFetch's hit path leaves it on a twin system; on a miss it returns
+// false and leaves Report() byte-equal, so it has acquired no L2 bank,
+// port or bus either, and the IFetch that follows sees the twin's state.
+func TestIFetchHitMatchesIFetch(t *testing.T) {
+	report := func(s System) string {
+		b, err := json.Marshal(s.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, newSys := range []func() System{
+		func() System { return NewSharedL1(DefaultConfig()) },
+		func() System { return NewSharedL2(DefaultConfig()) },
+		func() System { return NewSharedMem(DefaultConfig()) },
+	} {
+		probe, twin := newSys(), newSys()
+		name := probe.Name()
+		for _, s := range []System{probe, twin} {
+			s.IFetch(0, 0, 0x4000)
+			s.Access(100, 1, 0x8000, false)
+		}
+		hitter := probe.(IFetchHitter)
+
+		if !hitter.IFetchHit(0, 0x4004) {
+			t.Fatalf("%s: IFetchHit missed a line cpu 0 has fetched", name)
+		}
+		if r := twin.IFetch(200, 0, 0x4004); r.Level != LvlL1 {
+			t.Fatalf("%s: twin's IFetch at level %v, want a hit", name, r.Level)
+		}
+		if got, want := report(probe), report(twin); got != want {
+			t.Errorf("%s: after a hit Report() = %s\nIFetch's twin: %s", name, got, want)
+		}
+
+		before := report(probe)
+		for _, miss := range []struct {
+			cpu  int
+			addr uint32
+		}{{1, 0x4000}, {0, 0x5000}, {0, 0x8000}} {
+			if hitter.IFetchHit(miss.cpu, miss.addr) {
+				t.Errorf("%s: IFetchHit(cpu %d, %#x) hit a line that I-cache does not hold", name, miss.cpu, miss.addr)
+			}
+		}
+		if after := report(probe); after != before {
+			t.Errorf("%s: misses changed Report()\nbefore %s\nafter  %s", name, before, after)
+		}
+		if got, want := probe.IFetch(300, 1, 0x4000), twin.IFetch(300, 1, 0x4000); got != want {
+			t.Errorf("%s: IFetch after the misses = %+v, twin %+v", name, got, want)
+		}
+		if got, want := report(probe), report(twin); got != want {
+			t.Errorf("%s: after the missed line's IFetch Report() = %s\ntwin: %s", name, got, want)
+		}
+	}
+}
+
 // TestReferencesDoNotAllocate holds the reference paths of all three
 // architectures to zero allocations with no tracer attached: a load
-// hit, a load miss, a store through the write buffer and an I-fetch.
+// hit, a load miss, a store through the write buffer, an I-fetch and an
+// I-cache hit probe.
 // AllocsPerRun truncates its average, so each case is one run of 100
 // references: an append that grows a slice only now and then shows too.
 func TestReferencesDoNotAllocate(t *testing.T) {
@@ -390,6 +448,8 @@ func TestReferencesDoNotAllocate(t *testing.T) {
 				func(r Result) bool { return r.Done == now+1 }},
 			{"ifetch", func() (Result, bool) { now += 1000; return arch.IFetch(now, 0, 0x3000), true },
 				func(r Result) bool { return r.Level == LvlL1 }},
+			{"ifetch-hit", func() (Result, bool) { return Result{}, arch.(IFetchHitter).IFetchHit(0, 0x3000) },
+				func(Result) bool { return true }},
 		} {
 			var last Result
 			ok := true

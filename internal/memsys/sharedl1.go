@@ -219,6 +219,9 @@ func (s *SharedL1) IFetch(now uint64, cpu int, addr uint32) Result {
 	return Result{Done: dataAt, Level: lvl}
 }
 
+// IFetchHit implements IFetchHitter.
+func (s *SharedL1) IFetchHit(cpu int, addr uint32) bool { return iFetchHit(s.icaches[cpu], addr) }
+
 // Report implements System.
 func (s *SharedL1) Report() Report {
 	rep := Report{Name: s.Name(), L1D: s.dcache.Stats(), L2: s.l2.Stats()}

@@ -329,6 +329,9 @@ func (s *SharedL2) IFetch(now uint64, cpu int, addr uint32) Result {
 	return Result{Done: dataAt, Level: lvl}
 }
 
+// IFetchHit implements IFetchHitter.
+func (s *SharedL2) IFetchHit(cpu int, addr uint32) bool { return iFetchHit(s.icaches[cpu], addr) }
+
 // Report implements System.
 func (s *SharedL2) Report() Report {
 	rep := Report{Name: s.Name(), L2: s.l2.Stats()}

@@ -346,6 +346,9 @@ func (s *SharedMem) IFetch(now uint64, cpu int, addr uint32) Result {
 	return Result{Done: dataAt, Level: lvl}
 }
 
+// IFetchHit implements IFetchHitter.
+func (s *SharedMem) IFetchHit(cpu int, addr uint32) bool { return iFetchHit(s.icaches[cpu], addr) }
+
 // Report implements System.
 func (s *SharedMem) Report() Report {
 	rep := Report{Name: s.Name()}
