@@ -371,7 +371,7 @@ func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
 // grid boundary, both terms of RunAheadBound), so every memory-system
 // call that touches state another CPU can see, every image access and
 // every trap is made in the (cycle, rotation) order of the loop that
-// ticks every CPU every cycle. A hit in a CPU's own I-cache
+// ticks every CPU every cycle. A fetch the CPU's own I-cache hits
 // (memsys.IFetchHitter) is made below RunAheadBound and keeps only that
 // CPU's program order. It is a scan of the wake cycles made on demand,
 // so the loop pays nothing for it per executed cycle.
@@ -421,8 +421,15 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 	switch model {
 	case ModelMipsy:
 		m.runAhead = true
+		// Mipsy asks the system built here whether a fetch hits, and
+		// fetches through m.Sys as it stands when the CPU is built. A
+		// wrapper put in Sys's place that forwards IFetch (a counting
+		// probe) so sees every fetch, in the same schedule; a
+		// replacement that does not never fills these I-caches, and every
+		// line-crossing then waits for the shared bound.
+		ihit, _ := sys.(memsys.IFetchHitter)
 		m.newCore = func(id int, ctx *cpu.Context) Core {
-			c := mipsy.New(id, ctx, m.gatedSys(id), m.Code, m.gatedTrap(id), m.Img, cfg.LineBytes)
+			c := mipsy.New(id, ctx, m.gatedSys(id), ihit, m.Code, m.gatedTrap(id), m.Img, cfg.LineBytes)
 			if cfg.Prof != nil {
 				c.SetProfiler(cfg.Prof)
 			}

@@ -26,16 +26,11 @@ type CPU struct {
 	code cpu.CodeSource
 	trap cpu.TrapHandler
 	img  *mem.Image
-	ihit memsys.IFetchHitter // mem's private I-cache probe; nil if it has none
+	ihit memsys.IFetchHitter // whether mem's IFetch hits; nil: never asked
 
-	lineMask uint32
-	nextFree uint64
-
-	// The fetch line held: its physical base and the virtual base the PC
-	// translated from, invalidLine for none. A space maps a fetch line
-	// linearly (mem.Space), so a PC in the held line translates without
-	// asking the space. Both are set and dropped together.
-	fetchLine, fetchVLine uint32
+	lineMask  uint32
+	nextFree  uint64
+	fetchLine uint32
 
 	// The program region the last fetch hit (see cpu.CodeSource).
 	text     []cpu.Uop
@@ -64,26 +59,26 @@ var noLine bool
 // hook sites on their zero-cost path.
 func (c *CPU) SetProfiler(p *prof.Profiler) { c.prof = p }
 
-// New builds a Mipsy CPU with hardware id id executing ctx. If sys is a
-// memsys.IFetchHitter, a run ahead crosses fetch lines that hit the
-// CPU's own I-cache as it runs through CPU-local instructions.
-func New(id int, ctx *cpu.Context, sys memsys.System, code cpu.CodeSource, trap cpu.TrapHandler, img *mem.Image, lineBytes uint32) *CPU {
+// New builds a Mipsy CPU with hardware id id executing ctx. If ihit is
+// not nil, a run ahead crosses the fetch lines it says sys's IFetch hits
+// as it runs through CPU-local instructions. ihit must answer for the
+// I-caches sys fetches through; sys may wrap the system that implements
+// it (a counting probe), so that the wrapper still sees every fetch.
+func New(id int, ctx *cpu.Context, sys memsys.System, ihit memsys.IFetchHitter, code cpu.CodeSource, trap cpu.TrapHandler, img *mem.Image, lineBytes uint32) *CPU {
 	if trap == nil {
 		trap = cpu.NopTrap{}
 	}
-	ihit, _ := sys.(memsys.IFetchHitter)
 	return &CPU{
-		id:         id,
-		ctx:        ctx,
-		mem:        sys,
-		code:       code,
-		trap:       trap,
-		img:        img,
-		ihit:       ihit,
-		lineMask:   ^(lineBytes - 1),
-		fetchLine:  invalidLine,
-		fetchVLine: invalidLine,
-		line:       &noLine,
+		id:        id,
+		ctx:       ctx,
+		mem:       sys,
+		code:      code,
+		trap:      trap,
+		img:       img,
+		ihit:      ihit,
+		lineMask:  ^(lineBytes - 1),
+		fetchLine: invalidLine,
+		line:      &noLine,
 	}
 }
 
@@ -99,18 +94,7 @@ func (c *CPU) Done() bool { return c.ctx.Halted }
 // FlushFetchBuffer invalidates the fetch line buffer; the kernel's
 // context switches call this because the new context's PC translates
 // differently.
-func (c *CPU) FlushFetchBuffer() { c.fetchLine, c.fetchVLine = invalidLine, invalidLine }
-
-// translatePC translates the PC: through the held fetch line when the PC
-// is in it, through the context's space otherwise. runAhead has a copy
-// in line, as the call costs as much as the fast path.
-func (c *CPU) translatePC() (uint32, bool) {
-	pc := c.ctx.PC
-	if pc&c.lineMask == c.fetchVLine {
-		return c.fetchLine | pc&^c.lineMask, true
-	}
-	return c.ctx.Space.Translate(pc)
-}
+func (c *CPU) FlushFetchBuffer() { c.fetchLine = invalidLine }
 
 // NextWork implements the scheduler's quiescence probe: the earliest
 // cycle at or after now at which Tick can do anything. While blocked on
@@ -161,11 +145,11 @@ func (c *CPU) Tick(now uint64) uint64 {
 //
 // A CPU-local instruction (cpu.UopLocal: not a memory operation, SYSCALL
 // or HALT) reads and writes nothing but ctx, stats and nextFree if its
-// line is the fetch line already held or hits the CPU's own I-cache
-// (memsys.IFetchHitter), whose state and counters no other CPU touches.
-// Nobody outside the CPU looks at any of those before bound
-// (cpu.InterruptSource), so executing it now or in a tick of its own is
-// the same run.
+// line is the fetch line already held, and nothing else but the CPU's
+// own I-cache, whose state and counters no other CPU touches, if its
+// line is one ihit says hits (memsys.IFetchHitter). Nobody outside the
+// CPU looks at any of those before bound (cpu.InterruptSource), so
+// executing it now or in a tick of its own is the same run.
 //
 // Any other instruction but SYSCALL and HALT (a load, a store, LL, SC,
 // or the first instruction of a line the I-cache misses) also runs if
@@ -191,21 +175,16 @@ func (c *CPU) runAhead(bound uint64) {
 	// instruction's cycle ends the run, so zero means not asked yet.
 	shared := uint64(0)
 	for c.nextFree < bound {
-		// translatePC, in line: most PCs are in the held line.
-		pc := ctx.PC
-		ppc := c.fetchLine | pc&^c.lineMask
-		if pc&c.lineMask != c.fetchVLine {
-			var ok bool
-			if ppc, ok = ctx.Space.Translate(pc); !ok {
-				return
-			}
+		ppc, ok := ctx.Space.Translate(ctx.PC)
+		if !ok {
+			return
 		}
 		i := (ppc - c.textBase) / 4
 		if i >= uint32(len(c.text)) {
 			return
 		}
 		u := &c.text[i]
-		if u.Flags&cpu.UopLocal != 0 && (ppc&c.lineMask == c.fetchLine || c.hitLine(ppc)) {
+		if u.Flags&cpu.UopLocal != 0 && (ppc&c.lineMask == c.fetchLine || c.hitLine(c.nextFree, ppc)) {
 			c.execute(c.nextFree, ppc, u)
 			continue
 		}
@@ -241,12 +220,12 @@ func (c *CPU) step(now uint64) {
 		// Deliver at the instruction boundary: the PC is the resume point.
 		c.irq.AckInterrupt(c.id)
 		extra := c.trap.Syscall(now, c.id, ctx, cpu.IRQ)
-		c.FlushFetchBuffer()
+		c.fetchLine = invalidLine
 		c.nextFree = now + 1 + extra
 		return
 	}
 	pc := ctx.PC
-	ppc, ok := c.translatePC()
+	ppc, ok := ctx.Space.Translate(pc)
 	if !ok {
 		ctx.Faultf("instruction fetch from unmapped address %#x", pc)
 		return
@@ -271,12 +250,12 @@ func (c *CPU) step(now uint64) {
 	c.execute(cur, ppc, &c.text[i])
 }
 
-// fetch fetches the line holding ppc, the PC's translation, at cycle
-// cur, charging the stall, and returns the cycle the instruction at ppc
-// executes at: cur, or the cycle before the line arrives.
+// fetch fetches the line holding ppc at cycle cur, charging the stall,
+// and returns the cycle the instruction at ppc executes at: cur, or the
+// cycle before the line arrives.
 func (c *CPU) fetch(cur uint64, ppc uint32) uint64 {
 	r := c.mem.IFetch(cur, c.id, ppc)
-	c.holdLine(ppc)
+	c.fetchLine = ppc & c.lineMask
 	if r.Done > cur+1 {
 		c.stats.IStall[r.Level] += r.Done - (cur + 1)
 		if c.prof != nil {
@@ -287,21 +266,15 @@ func (c *CPU) fetch(cur uint64, ppc uint32) uint64 {
 	return cur
 }
 
-// hitLine takes the line holding ppc, the PC's translation, if it hits
-// the CPU's own I-cache, and reports whether it did. A hit is IFetch's
-// hit: the line arrives at the next cycle, with no stall to charge.
-func (c *CPU) hitLine(ppc uint32) bool {
+// hitLine fetches the line holding ppc at cycle cur if ihit says the
+// fetch hits, and reports whether it did. A hit arrives at the next
+// cycle, so fetch charges no stall and returns cur.
+func (c *CPU) hitLine(cur uint64, ppc uint32) bool {
 	if c.ihit == nil || !c.ihit.IFetchHit(c.id, ppc) {
 		return false
 	}
-	c.holdLine(ppc)
+	c.fetch(cur, ppc)
 	return true
-}
-
-// holdLine makes the line holding ppc, the PC's translation, the fetch
-// line held.
-func (c *CPU) holdLine(ppc uint32) {
-	c.fetchLine, c.fetchVLine = ppc&c.lineMask, c.ctx.PC&c.lineMask
 }
 
 // execute runs one instruction whose execution cycle is cur (physical
@@ -353,7 +326,7 @@ func (c *CPU) execute(cur uint64, ppc uint32, u *cpu.Uop) {
 	case cpu.KindSyscall:
 		ctx.PC = next
 		extra := c.trap.Syscall(cur, c.id, ctx, in.Imm)
-		c.FlushFetchBuffer() // the handler may have switched spaces
+		c.fetchLine = invalidLine // the handler may have switched spaces
 		c.stats.Instructions++
 		if c.prof != nil {
 			c.prof.RetirePC(ppc)

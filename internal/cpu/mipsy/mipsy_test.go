@@ -54,7 +54,7 @@ func newRig(t *testing.T, b *asm.Builder, n int, trap cpu.TrapHandler) *rig {
 		ctx.PC = p.Addr("start")
 		ctx.Regs[isa.RegSP] = 0x80000 + uint32(i)*0x1000
 		ctx.Regs[asm.A0] = uint32(i)
-		r.cpus = append(r.cpus, New(i, ctx, sys, src, trap, img, cfg.LineBytes))
+		r.cpus = append(r.cpus, New(i, ctx, sys, sys, src, trap, img, cfg.LineBytes))
 	}
 	return r
 }
@@ -338,7 +338,7 @@ func TestUnmappedAccessFaults(t *testing.T) {
 	cfg := memsys.DefaultConfig()
 	sys := memsys.NewSharedMem(cfg)
 	ctx := &cpu.Context{Space: mem.Identity{Limit: img.Size()}, PC: p.Addr("start")}
-	c := New(0, ctx, sys, newProgSource(p), nil, img, cfg.LineBytes)
+	c := New(0, ctx, sys, sys, newProgSource(p), nil, img, cfg.LineBytes)
 	for cyc := uint64(0); cyc < 1000 && !c.Done(); cyc++ {
 		c.Tick(cyc)
 	}

@@ -46,11 +46,10 @@ func (m *flatMem) ClearReservation(int)     {}
 func (m *flatMem) Report() memsys.Report    { return memsys.Report{} }
 
 // icacheMem is a flatMem behind a private I-cache of fixed contents, the
-// lines whose base addresses are in hit. A fetch from one of them takes
-// one cycle, through IFetch or IFetchHit, and counts in hits (ihits
-// counts those IFetchHit made). A fetch from any other line misses:
-// IFetchHit returns false and counts nothing, IFetch goes to the
-// flatMem's (fetchLat, counted in its fetches) and leaves the line out.
+// lines whose base addresses are in hit. An IFetch from one of them
+// takes one cycle and counts in hits; one from any other line misses and
+// goes to the flatMem's (fetchLat, counted in its fetches), leaving the
+// line out. IFetchHit says which, and ihits counts the times it said hit.
 type icacheMem struct {
 	*flatMem
 	hit         map[uint32]bool
@@ -69,7 +68,6 @@ func (m *icacheMem) IFetchHit(_ int, addr uint32) bool {
 	if !m.hit[addr&^(lineBytes-1)] {
 		return false
 	}
-	m.hits++
 	m.ihits++
 	return true
 }
@@ -113,7 +111,7 @@ type aheadRig struct {
 // as on the older rigs.
 func newAheadRig(tb testing.TB, b *asm.Builder, m *flatMem, src *boundSource) *aheadRig {
 	r := &aheadRig{mem: m}
-	r.build(tb, b, m, src)
+	r.build(tb, b, m, nil, src)
 	return r
 }
 
@@ -121,11 +119,11 @@ func newAheadRig(tb testing.TB, b *asm.Builder, m *flatMem, src *boundSource) *a
 // in hit (icacheMem).
 func newICacheRig(tb testing.TB, b *asm.Builder, m *flatMem, hit map[uint32]bool, src *boundSource) *aheadRig {
 	r := &aheadRig{mem: m, ic: &icacheMem{flatMem: m, hit: hit}}
-	r.build(tb, b, r.ic, src)
+	r.build(tb, b, r.ic, r.ic, src)
 	return r
 }
 
-func (r *aheadRig) build(tb testing.TB, b *asm.Builder, sys memsys.System, src *boundSource) {
+func (r *aheadRig) build(tb testing.TB, b *asm.Builder, sys memsys.System, ihit memsys.IFetchHitter, src *boundSource) {
 	tb.Helper()
 	p, err := b.Assemble(0, 0x10000)
 	if err != nil {
@@ -135,7 +133,7 @@ func (r *aheadRig) build(tb testing.TB, b *asm.Builder, sys memsys.System, src *
 	p.Load(img, 0)
 	ctx := &cpu.Context{Space: mem.Identity{Limit: img.Size()}, PC: p.Addr("start")}
 	r.trap = &recordingTrap{}
-	r.c = New(0, ctx, sys, newProgSource(p), r.trap, img, lineBytes)
+	r.c = New(0, ctx, sys, ihit, newProgSource(p), r.trap, img, lineBytes)
 	if src != nil {
 		r.c.SetInterruptSource(src)
 	}
@@ -153,7 +151,8 @@ func (r *aheadRig) tickTo(w uint64) {
 
 // sameAsReference reports where r differs from ref, a rig of the same
 // program with no interrupt source, ticked every cycle below w:
-// registers, PC, Stats, nextFree and the memory system's calls.
+// registers, PC, Stats, nextFree, the memory system's calls and the
+// I-cache's hits.
 func sameAsReference(t *testing.T, r, ref *aheadRig, w uint64) {
 	t.Helper()
 	ref.tickTo(w)
@@ -396,45 +395,34 @@ func TestRunAheadMatchesReference(t *testing.T) {
 			ref.tickTo(cycles)
 			for _, shared := range []bool{false, true} {
 				for _, window := range []uint64{1, 7, 64, cycles} {
-					name := fmt.Sprintf("seed %d window %d shared %v icache %v", seed, window, shared, icache)
-					src := &boundSource{}
-					r := newRig(seed, icache, src)
-					ticks := 0
-					for now := uint64(0); now < cycles; ticks++ {
-						// The bound a scheduler would hand out: the next
-						// multiple of window, and never past the end.
-						src.bound = min((now/window+1)*window, cycles)
-						if shared {
-							src.shared = src.bound
+					t.Run(fmt.Sprintf("seed %d window %d shared %v icache %v", seed, window, shared, icache), func(t *testing.T) {
+						src := &boundSource{}
+						r := newRig(seed, icache, src)
+						ticks := 0
+						for now := uint64(0); now < cycles; ticks++ {
+							// The bound a scheduler would hand out: the next
+							// multiple of window, and never past the end.
+							src.bound = min((now/window+1)*window, cycles)
+							if shared {
+								src.shared = src.bound
+							}
+							w := r.c.Tick(now)
+							if w != r.c.NextWork(now) || w <= now {
+								t.Fatalf("Tick(%d) = %d, NextWork = %d", now, w, r.c.NextWork(now))
+							}
+							now = w
 						}
-						w := r.c.Tick(now)
-						if w != r.c.NextWork(now) || w <= now {
-							t.Fatalf("%s: Tick(%d) = %d, NextWork = %d", name, now, w, r.c.NextWork(now))
+						sameAsReference(t, r, ref, cycles)
+						if window > 1 && ticks >= cycles/2 {
+							t.Errorf("%d ticks for %d cycles; nothing ran ahead", ticks, cycles)
 						}
-						now = w
-					}
-					got, want := r.c.Context(), ref.c.Context()
-					if got.Regs != want.Regs || got.PC != want.PC {
-						t.Errorf("%s: registers or PC differ from the reference (PC %#x, want %#x)", name, got.PC, want.PC)
-					}
-					if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
-						t.Errorf("%s: stats %+v nextFree %d, reference %+v %d", name, r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
-					}
-					if *r.mem != *ref.mem {
-						t.Errorf("%s: memory calls %+v, reference %+v", name, *r.mem, *ref.mem)
-					}
-					if icache && r.ic.hits != ref.ic.hits {
-						t.Errorf("%s: %d I-cache hits, reference %d", name, r.ic.hits, ref.ic.hits)
-					}
-					if window > 1 && ticks >= cycles/2 {
-						t.Errorf("%s: %d ticks for %d cycles; nothing ran ahead", name, ticks, cycles)
-					}
-					if shared && window == cycles && ticks != 1 {
-						t.Errorf("%s: %d ticks; a shared bound at the end of the run leaves one", name, ticks)
-					}
-					if icache && window > 1 && r.ic.ihits == 0 {
-						t.Errorf("%s: no run crossed a line on an I-cache hit", name)
-					}
+						if shared && window == cycles && ticks != 1 {
+							t.Errorf("%d ticks; a shared bound at the end of the run leaves one", ticks)
+						}
+						if icache && window > 1 && r.ic.ihits == 0 {
+							t.Errorf("no run crossed a line on an I-cache hit")
+						}
+					})
 				}
 			}
 		}

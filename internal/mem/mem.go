@@ -180,13 +180,7 @@ func (m *Image) WriteF64(addr uint32, v float64) {
 }
 
 // Space translates a guest virtual address to a physical address.
-// Implementations must be deterministic and side-effect free, and must
-// map every naturally aligned fetch line linearly: either no address of
-// the line is mapped, or all are, onto one naturally aligned physical
-// line, offset for offset. A CPU model that has translated one address
-// of a line therefore translates the rest of it without asking. Identity
-// and Proc do so for any line size that divides every bound and base
-// they are built with.
+// Implementations must be deterministic and side-effect free.
 type Space interface {
 	// Translate maps a virtual address to physical. ok is false if the
 	// address is unmapped; the CPU models treat that as a fatal guest

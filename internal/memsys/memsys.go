@@ -102,12 +102,13 @@ type System interface {
 
 // IFetchHitter is the optional capability of a System whose instruction
 // caches are private to each CPU, as in all three architectures.
-// IFetchHit probes cpu's own I-cache for addr's line. On a hit it counts
-// the fetch exactly as IFetch's hit path does (LRU and statistics) and
-// returns true; on a miss it changes nothing and returns false, by the
-// same probe-then-count rule a refusal follows (see Result). A hit
-// touches nothing another CPU can see, so a CPU model may make it out of
-// step with the other CPUs' references; a miss must go through IFetch.
+// IFetchHit reports whether cpu's own I-cache holds addr's line, and so
+// whether IFetch(now, cpu, addr) would hit: return Result{Done: now + 1,
+// Level: LvlL1} and touch nothing but that I-cache's LRU order and
+// counters, which no other CPU's call reads or changes. It changes
+// nothing itself. A CPU model may therefore make an IFetch it has been
+// told hits out of step with the other CPUs' references; one that
+// misses must wait its turn.
 type IFetchHitter interface {
 	IFetchHit(cpu int, addr uint32) bool
 }
@@ -451,17 +452,6 @@ func newICaches(cfg Config) []*cache.Cache {
 		})
 	}
 	return ics
-}
-
-// iFetchHit is IFetchHit on one private I-cache: one probe, and the
-// fetch counted only if it hits.
-func iFetchHit(ic *cache.Cache, addr uint32) bool {
-	ln := ic.Probe(addr)
-	if ln == nil {
-		return false
-	}
-	ic.AccessProbed(ln, addr, false)
-	return true
 }
 
 func maxU64(a, b uint64) uint64 {

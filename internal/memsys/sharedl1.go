@@ -220,7 +220,7 @@ func (s *SharedL1) IFetch(now uint64, cpu int, addr uint32) Result {
 }
 
 // IFetchHit implements IFetchHitter.
-func (s *SharedL1) IFetchHit(cpu int, addr uint32) bool { return iFetchHit(s.icaches[cpu], addr) }
+func (s *SharedL1) IFetchHit(cpu int, addr uint32) bool { return s.icaches[cpu].Probe(addr) != nil }
 
 // Report implements System.
 func (s *SharedL1) Report() Report {

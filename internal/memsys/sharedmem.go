@@ -347,7 +347,7 @@ func (s *SharedMem) IFetch(now uint64, cpu int, addr uint32) Result {
 }
 
 // IFetchHit implements IFetchHitter.
-func (s *SharedMem) IFetchHit(cpu int, addr uint32) bool { return iFetchHit(s.icaches[cpu], addr) }
+func (s *SharedMem) IFetchHit(cpu int, addr uint32) bool { return s.icaches[cpu].Probe(addr) != nil }
 
 // Report implements System.
 func (s *SharedMem) Report() Report {

@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
 	"testing"
 
 	"cmpsim/internal/core"
-	"cmpsim/internal/mem"
-	"cmpsim/internal/memsys"
 )
 
 func smallPmake() *Pmake {
@@ -67,65 +64,4 @@ func TestPmakeFewerProcsThanCPUs(t *testing.T) {
 	if _, err := Run(w, core.SharedL1, core.ModelMipsy, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestProcSpacesAreLineAligned: the address spaces pmake hands the
-// kernel map every fetch line linearly (mem.Space), because every
-// segment bound and base is a multiple of the line size; a Mipsy CPU
-// translates a PC in the fetch line it holds without asking the space.
-// A space with one misaligned bound must fail the check.
-func TestProcSpacesAreLineAligned(t *testing.T) {
-	w := NewPmake(PmakeParams{Procs: 6, Funcs: 24, Passes: 3})
-	cfg := memsys.DefaultConfig()
-	m, err := core.NewMachine(core.SharedL2, core.ModelMipsy, cfg, w.MemBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Configure(m); err != nil {
-		t.Fatal(err)
-	}
-	var spaces []mem.Proc
-	for _, c := range m.CPUs {
-		if sp, ok := c.Context().Space.(mem.Proc); ok {
-			spaces = append(spaces, sp)
-		}
-	}
-	if len(spaces) != cfg.NumCPUs {
-		t.Fatalf("%d CPUs run a process space, want %d", len(spaces), cfg.NumCPUs)
-	}
-	// The processes still queued differ from a running one only in
-	// their data segment.
-	for i := 0; i < w.Procs; i++ {
-		sp := spaces[0]
-		sp.DataPhys = pmakeDataPhys(i)
-		spaces = append(spaces, sp)
-	}
-	for _, sp := range spaces {
-		if err := lineAligned(sp, cfg.LineBytes); err != nil {
-			t.Errorf("%+v: %v", sp, err)
-		}
-	}
-	bad := spaces[0]
-	bad.TextLimit += 4
-	if lineAligned(bad, cfg.LineBytes) == nil {
-		t.Errorf("%+v passes the check with TextLimit off the line grid", bad)
-	}
-}
-
-// lineAligned returns why sp may map a line of lineBytes other than
-// linearly, or nil.
-func lineAligned(sp mem.Proc, lineBytes uint32) error {
-	for _, f := range []struct {
-		name string
-		v    uint32
-	}{
-		{"TextPhys", sp.TextPhys}, {"TextLimit", sp.TextLimit},
-		{"DataPhys", sp.DataPhys}, {"UserLimit", sp.UserLimit},
-		{"KernelStart", sp.KernelStart}, {"KernelLimit", sp.KernelLimit},
-	} {
-		if f.v%lineBytes != 0 {
-			return fmt.Errorf("%s %#x is not a multiple of the %d-byte line", f.name, f.v, lineBytes)
-		}
-	}
-	return nil
 }
