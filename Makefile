@@ -104,7 +104,9 @@ experiments-output:
 # BenchmarkImageAccess (a guest Read32/Write32 on pages already present)
 # must report 0 allocs/op (CI checks each of them by name).
 # BenchmarkImageNew, the cost of one workload-sized guest image (its
-# page table), runs beside them for its ns/op.
+# page table), and BenchmarkRunWindow/sampler, the loop with an interval
+# sampler attached (each sample allocates), run beside them for their
+# ns/op.
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem
 

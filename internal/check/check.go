@@ -109,8 +109,20 @@ func (c *Checker) CheckAccessTime(now, done uint64, cpu int, addr uint32) {
 //   - inclusion: an L1 copy implies an L2 copy in the same node;
 //   - write-back consistency: L1 Modified over L2 Shared is illegal
 //     (the silent E→M upgrade makes L1-M over L2-E legal).
+//
+// Every rule is evaluated over every node before it fails, so one
+// Violation names all broken rules and every node's (L1, L2) state; its
+// Rule is the first broken rule, node by node in the order above.
 func (c *Checker) CheckMESI(now uint64, lineAddr uint32, nodes []NodeState) {
 	c.checks++
+	var rule string
+	var broken []string
+	breaks := func(r, format string, args ...any) {
+		if rule == "" {
+			rule = r
+		}
+		broken = append(broken, fmt.Sprintf(format, args...))
+	}
 	owner := -1
 	copies := 0
 	for i, n := range nodes {
@@ -120,20 +132,38 @@ func (c *Checker) CheckMESI(now uint64, lineAddr uint32, nodes []NodeState) {
 		copies++
 		if stateOf(n.L1) >= cache.Exclusive || stateOf(n.L2) >= cache.Exclusive {
 			if owner >= 0 {
-				c.fail("mesi", "line %#x at cycle %d has two exclusive/modified holders: nodes %d and %d", lineAddr, now, owner, i)
+				breaks("mesi", "line %#x at cycle %d has two exclusive/modified holders: nodes %d and %d", lineAddr, now, owner, i)
+			} else {
+				owner = i
 			}
-			owner = i
 		}
 		if n.L1 != nil && n.L2 == nil {
-			c.fail("inclusion", "node %d holds line %#x in L1 (%v) but not in its L2 at cycle %d", i, lineAddr, n.L1.State, now)
+			breaks("inclusion", "node %d holds line %#x in L1 (%v) but not in its L2 at cycle %d", i, lineAddr, n.L1.State, now)
 		}
 		if n.L1 != nil && n.L2 != nil && n.L1.State == cache.Modified && n.L2.State == cache.Shared {
-			c.fail("mesi", "node %d holds line %#x Modified in L1 over a Shared L2 copy at cycle %d", i, lineAddr, now)
+			breaks("mesi", "node %d holds line %#x Modified in L1 over a Shared L2 copy at cycle %d", i, lineAddr, now)
 		}
 	}
 	if owner >= 0 && copies > 1 {
-		c.fail("mesi", "line %#x at cycle %d is exclusive/modified in node %d but %d nodes hold copies", lineAddr, now, owner, copies)
+		breaks("mesi", "line %#x at cycle %d is exclusive/modified in node %d but %d nodes hold copies", lineAddr, now, owner, copies)
 	}
+	if rule == "" {
+		return
+	}
+	held := make([]string, len(nodes))
+	for i, n := range nodes {
+		held[i] = fmt.Sprintf("%d %s/%s", i, heldState(n.L1), heldState(n.L2))
+	}
+	c.fail(rule, "%s; node states (L1/L2, - absent): %s", strings.Join(broken, "; "), strings.Join(held, ", "))
+}
+
+// heldState renders a line's state for a violation report, "-" where
+// the cache holds no line.
+func heldState(ln *cache.Line) string {
+	if ln == nil {
+		return "-"
+	}
+	return ln.State.String()
 }
 
 func stateOf(ln *cache.Line) cache.State {

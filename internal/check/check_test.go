@@ -96,6 +96,36 @@ func TestMESIViolations(t *testing.T) {
 	})
 }
 
+// TestMESIReportsEveryBrokenRule: a line that breaks two rules in two
+// nodes fails once, naming both breaks and every node's state, with the
+// first rule in evaluation order as the Violation's Rule.
+func TestMESIReportsEveryBrokenRule(t *testing.T) {
+	var v *Violation
+	func() {
+		defer func() { v, _ = recover().(*Violation) }()
+		New(8).CheckMESI(30, 0x1000, []NodeState{
+			{L1: line(cache.Modified), L2: line(cache.Shared)}, // dirty L1 over shared L2
+			{},
+			{L1: line(cache.Shared)}, // L1 copy with no L2 backing
+		})
+	}()
+	if v == nil {
+		t.Fatal("expected a violation, got none")
+	}
+	if v.Rule != "mesi" {
+		t.Errorf("rule %q, want mesi (node 0's break comes first)", v.Rule)
+	}
+	for _, want := range []string{
+		"node 0 holds line 0x1000 Modified in L1 over a Shared L2 copy at cycle 30",
+		"node 2 holds line 0x1000 in L1 (S) but not in its L2 at cycle 30",
+		"0 M/S, 1 -/-, 2 S/-",
+	} {
+		if !strings.Contains(v.Msg, want) {
+			t.Errorf("report lacks %q:\n%s", want, v.Msg)
+		}
+	}
+}
+
 func TestDirectoryViolations(t *testing.T) {
 	c := New(8)
 	c.CheckDirectory(10, 0x2000, 0b0101, 0b0101, true) // ok

@@ -76,8 +76,8 @@ type Core interface {
 	// could make progress or have any observable side effect, assuming
 	// no external state changes first; cpu.NoWork if the core is halted.
 	// The quiescence-skipping scheduler jumps the cycle loop to the
-	// minimum NextWork across cores (bounded by pending events, sampler
-	// boundaries and interrupts), so the contract is asymmetric: a value
+	// minimum NextWork across cores (bounded by pending events, the grid
+	// and interrupts), so the contract is asymmetric: a value
 	// that is too small merely costs no-op ticks, while a value that is
 	// too large would change simulation output. Models return now+1
 	// whenever they cannot cheaply prove a longer quiescent window.
@@ -355,9 +355,9 @@ func (m *Machine) Line(cpuID int) *bool { return &m.irq.live[cpuID] }
 func (m *Machine) AckInterrupt(cpuID int) { m.irq.ack(cpuID) }
 
 // RunAheadBound implements cpu.InterruptSource: below this cycle no
-// event fires (so no event-phase RaiseIRQ, no kernel timer), no
-// buffered raise is merged, no sample is taken and RunWindow does not
-// return, which are all the ways anything outside a CPU reaches it.
+// event fires (so no event-phase RaiseIRQ, no kernel timer, no interval
+// sample), no buffered raise is merged and RunWindow does not return,
+// which are all the ways anything outside a CPU reaches it.
 func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
 
 // SharedBound implements cpu.InterruptSource: RunAheadBound, lowered to
@@ -444,6 +444,9 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown CPU model %q", model)
+	}
+	if cfg.Metrics != nil {
+		cfg.Metrics.Arm(&m.Events, m.probe)
 	}
 	return m, nil
 }
@@ -587,7 +590,6 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		return m.runParallel(start, n)
 	}
 	cpus := len(m.CPUs)
-	mets := m.Cfg.Metrics
 	noSkip := m.Cfg.NoSkip
 	grid := m.gridSize()
 	end := start + n
@@ -641,7 +643,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		if ahead {
 			m.aheadTo, m.aheadCyc = cyc+1, cyc
 			if !oneInst {
-				m.aheadTo = m.horizon(cyc, end, nextGrid, mets)
+				m.aheadTo = m.horizon(cyc, end, nextGrid)
 			}
 		}
 		alive := wake != cpu.NoWork // a sleeping CPU counts
@@ -677,18 +679,15 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 				}
 			}
 		}
-		if mets != nil && mets.Due(cyc) {
-			mets.Record(m.probe(cyc))
-		}
 		if !alive {
 			break
 		}
 		// When the last CPU has just halted the next cycle still
-		// executes, so its events, its sample and the !alive break land
-		// where they do without skipping.
+		// executes, so its events and the !alive break land where they
+		// do without skipping.
 		step := cyc + 1
 		if wake > step && wake != cpu.NoWork && step < end {
-			step = m.jumpTarget(cyc, end, nextGrid, mets)
+			step = m.jumpTarget(cyc, end, nextGrid)
 		}
 		if step == cyc+1 {
 			if off++; off == cpus {
@@ -736,7 +735,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 // raises an interrupt) always re-bounds the next jump; nothing scheduled
 // from inside the jumped cycles can exist, because nothing executes in
 // them.
-func (m *Machine) jumpTarget(cyc, end, nextGrid uint64, mets *obsv.Metrics) uint64 {
+func (m *Machine) jumpTarget(cyc, end, nextGrid uint64) uint64 {
 	step := cyc + 1
 	target := uint64(cpu.NoWork)
 	for i, c := range m.CPUs {
@@ -768,7 +767,7 @@ func (m *Machine) jumpTarget(cyc, end, nextGrid uint64, mets *obsv.Metrics) uint
 	if m.irq.npend > 0 {
 		grid = nextGrid
 	}
-	target = min(target, m.horizon(cyc, end, grid, mets))
+	target = min(target, m.horizon(cyc, end, grid))
 	if target <= step {
 		return step
 	}
@@ -778,27 +777,14 @@ func (m *Machine) jumpTarget(cyc, end, nextGrid uint64, mets *obsv.Metrics) uint
 
 // horizon returns the earliest cycle after cyc at which something other
 // than a CPU's own progress needs the loop: the window's end, the next
-// grid boundary the caller must stop at (cpu.NoWork for none), the next
-// event and the sampler's next due cycle. It is the one list of non-CPU
-// bounds, shared by the quiescence jump, which must execute that cycle,
-// and the run-ahead bound, below which a CPU is on its own.
-func (m *Machine) horizon(cyc, end, grid uint64, mets *obsv.Metrics) uint64 {
+// grid boundary the caller must stop at (cpu.NoWork for none) and the
+// next event (the interval sampler is one). It is the one list of
+// non-CPU bounds, shared by the quiescence jump, which must execute that
+// cycle, and the run-ahead bound, below which a CPU is on its own.
+func (m *Machine) horizon(cyc, end, grid uint64) uint64 {
 	h := min(end, grid)
 	if ev, ok := m.Events.NextCycle(); ok && ev < h {
 		h = ev
-	}
-	if mets != nil {
-		// The sampler's next due cycle bounds the jump and the run-ahead
-		// so interval samples land on schedule, over CPUs that are where
-		// the sample's cycle says. This is the tree's one sanctioned
-		// obs→sim dataflow: it changes only how the loop advances time,
-		// never what any cycle computes, and the output-identity tests
-		// pin byte-equal results with and without sampling attached.
-		//simlint:allow neutral — skip bound only; output byte-identical (see output-identity tests)
-		due := mets.NextDue()
-		if due < h {
-			h = due
-		}
 	}
 	return max(h, cyc+1)
 }
@@ -821,9 +807,10 @@ func (m *Machine) Run(maxCycles uint64) (*RunResult, error) {
 }
 
 // Result assembles the run statistics at the given completion cycle.
-// When sampling is enabled, the sampler's final partial interval is
-// flushed at the run's last cycle so short runs still report samples and
-// the interval totals reconcile with the aggregate report.
+// When sampling is enabled, a sample whose event fell past the last
+// window is taken, and the sampler's final partial interval is flushed
+// at the run's last cycle, so short runs still report samples and the
+// interval totals reconcile with the aggregate report.
 func (m *Machine) Result(cycles uint64) *RunResult {
 	res := &RunResult{
 		Arch:      m.Arch,
@@ -835,7 +822,7 @@ func (m *Machine) Result(cycles uint64) *RunResult {
 		res.PerCPU = append(res.PerCPU, c.Stats())
 	}
 	if mets := m.Cfg.Metrics; mets != nil {
-		mets.Flush(m.probe(cycles))
+		mets.Finish(m.probe, cycles)
 		res.Metrics = mets
 	}
 	if pf := m.Cfg.Prof; pf != nil {

@@ -13,7 +13,6 @@ import (
 
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/memsys"
-	"cmpsim/internal/obsv"
 )
 
 // gatedStub is a stub Core that touches "shared state" every runnable
@@ -226,8 +225,8 @@ func TestParallelEventChainAcrossBarriers(t *testing.T) {
 	}
 }
 
-// TestParallelSamplerBoundaries: sampler due-cycles bound the window
-// edge, so the interval time-series has exactly the serial sample
+// TestParallelSamplerBoundaries: sampler events bound the window edge,
+// so the interval time-series has exactly the serial sample
 // points.
 func TestParallelSamplerBoundaries(t *testing.T) {
 	run := func(simJobs int) []uint64 {
@@ -238,7 +237,7 @@ func TestParallelSamplerBoundaries(t *testing.T) {
 			c.log = &log
 		}
 		m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
-		m.Cfg.Metrics = obsv.NewMetrics(10)
+		withMetrics(m, 10)
 		if _, _, err := m.RunWindow(0, 45); err != nil {
 			t.Fatal(err)
 		}

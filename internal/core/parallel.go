@@ -37,8 +37,8 @@
 //     else is either owner-private or touched only under the gate.
 //
 // Shared resources that are not reached through a CPU's tick — the
-// event calendar, the interval sampler, IRQ line delivery — run only in
-// the coordinator, between window barriers.
+// event calendar (the interval sampler included), IRQ line delivery —
+// run only in the coordinator, between window barriers.
 package core
 
 import (
@@ -67,7 +67,7 @@ func (m *Machine) gridSize() uint64 {
 // (tracer, profiler, sanitizer) force the serial loop: their emission
 // order is part of their contract and is not reproduced by sharded
 // ticking. The interval sampler is fine — histogram accumulation is
-// commutative and snapshots happen only at window boundaries.
+// commutative and snapshots are events, run by the coordinator.
 func (m *Machine) parActive() bool {
 	return m.par != nil && !m.orderedInstruments()
 }
@@ -287,14 +287,12 @@ func (m *Machine) gatedTrap(id int) cpu.TrapHandler {
 
 // runParallel is RunWindow's sharded twin. The coordinator owns every
 // shared resource that the serial loop touches outside CPU ticks — the
-// event calendar, IRQ delivery, the interval sampler — and
+// event calendar (interval samples included) and IRQ delivery — and
 // runs them between window barriers; workers own only their CPUs'
 // ticks. Window edges are chosen so nothing shared can change inside a
-// window: the next event, the next sampler due-cycle and the next IRQ
-// merge grid boundary all bound w1.
+// window: the next event and the next IRQ merge grid boundary bound w1.
 func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err error) {
 	s := m.par
-	mets := m.Cfg.Metrics
 	grid := m.gridSize()
 	end := start + n
 	cyc := start
@@ -325,32 +323,15 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			}
 		}
 		if !alive {
-			// Mirror the serial loop's break: the sample due at the
-			// halt cycle (recorded there before breaking) still fires.
-			if mets != nil && mets.Due(cyc) {
-				mets.Record(m.probe(cyc))
-			}
 			break
 		}
 
-		// Window edge: the next grid boundary, clamped by the run end,
-		// the next event and the next sampler due-cycle (+1: the serial
-		// loop samples after ticking the due cycle, so the due cycle
-		// must be a window's last cycle). All bounds exceed cyc, so the
-		// window is non-empty.
+		// Window edge: the next grid boundary, clamped by the run end
+		// and the next event. All bounds exceed cyc, so the window is
+		// non-empty.
 		w1 := min(gridNext(cyc, grid), end)
 		if ev, ok := m.Events.NextCycle(); ok && ev < w1 {
 			w1 = ev
-		}
-		if mets != nil {
-			// Sampler-schedule bound, the same sanctioned obs→sim
-			// dataflow as jumpTarget's: it moves only the barrier, never
-			// what any cycle computes (identity pinned by the parallel
-			// byte-identity tests).
-			//simlint:allow neutral — window edge only; output byte-identical (see parallel-identity tests)
-			if due := mets.NextDue(); due < w1 {
-				w1 = max(due+1, cyc+1) // an overdue sample ticks one cycle, then records
-			}
 		}
 
 		for i := range s.clocks {
@@ -385,16 +366,9 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 				h = max(h, at)
 			}
 			if h < w1 {
-				if mets != nil && mets.Due(h) {
-					mets.Record(m.probe(h))
-				}
 				cyc = h
 				break
 			}
-		}
-		last := w1 - 1 //simlint:allow cycleflow — w1 > cyc >= 0, so w1 >= 1
-		if mets != nil && mets.Due(last) {
-			mets.Record(m.probe(last))
 		}
 		cyc = w1
 	}

@@ -179,14 +179,21 @@ func TestRunWindowSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMetricsBoundariesNotSkipped: sampler due-cycles bound every jump,
-// so the interval time-series has exactly the same sample points with
+// withMetrics attaches an interval sampler to a hand-built machine the
+// way NewMachine does for a configured one.
+func withMetrics(m *Machine, interval uint64) {
+	m.Cfg.Metrics = obsv.NewMetrics(interval)
+	m.Cfg.Metrics.Arm(&m.Events, m.probe)
+}
+
+// TestMetricsBoundariesNotSkipped: sampler events bound every jump, so
+// the interval time-series has exactly the same sample points with
 // skipping as without.
 func TestMetricsBoundariesNotSkipped(t *testing.T) {
 	var log []stubTick
 	m := stubMachine(&stubCore{id: 0, blockedUntil: 60, log: &log})
 	m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
-	m.Cfg.Metrics = obsv.NewMetrics(10)
+	withMetrics(m, 10)
 	if _, _, err := m.RunWindow(0, 45); err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +203,42 @@ func TestMetricsBoundariesNotSkipped(t *testing.T) {
 	}
 	if want := []uint64{10, 20, 30, 40}; !reflect.DeepEqual(cycles, want) {
 		t.Errorf("sample cycles = %v, want %v", cycles, want)
+	}
+}
+
+// TestSamplerWindowEdges: the sample due at a halt cycle is the same
+// whichever window the halt lands in. A core halts on its tick at cycle
+// 40 with a sample due there; the sample's event, at 41, never runs when
+// a window ends right after the halt, and Result takes it instead.
+func TestSamplerWindowEdges(t *testing.T) {
+	run := func(window uint64) []obsv.Sample {
+		var log []stubTick
+		m := stubMachine(&stubCore{id: 0, haltAt: 40, log: &log})
+		m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
+		withMetrics(m, 10)
+		var next uint64
+		for halted := false; !halted; {
+			var err error
+			if next, halted, err = m.RunWindow(next, window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.Result(next).Metrics.Samples()
+	}
+	ends := func(ss []obsv.Sample) (e []uint64) {
+		for _, s := range ss {
+			e = append(e, s.End)
+		}
+		return e
+	}
+	want := run(1 << 20)
+	if got := ends(want); !reflect.DeepEqual(got, []uint64{10, 20, 30, 40, 41}) {
+		t.Fatalf("whole window: sample ends %v, want [10 20 30 40 41]", got)
+	}
+	for _, window := range []uint64{1, 7, 40, 41} {
+		if got := run(window); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d-cycle windows: sample ends %v, want %v", window, ends(got), ends(want))
+		}
 	}
 }
 
@@ -516,8 +559,8 @@ func aheadMachine(cores ...*aheadCore) *Machine {
 }
 
 // TestRunAheadBoundTerms: on every executed cycle the bound is the
-// earliest of the window's end, the next event, the next grid boundary
-// (buffered raise or not) and the sampler's next due cycle, and never
+// earliest of the window's end, the next event (the sampler's among
+// them) and the next grid boundary (buffered raise or not), and never
 // below the next cycle; NoSkip and each instrument that sees cross-CPU
 // order clamp it to the next cycle. The shared bound is that bound
 // lowered to the wake cycle of every other running CPU, one still due in
@@ -530,7 +573,7 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		m := aheadMachine(c)
 		m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
 		m.Cfg.SimWindow = grid
-		m.Cfg.Metrics = obsv.NewMetrics(interval)
+		withMetrics(m, interval)
 		m.Events.Schedule(100, func(uint64) {})
 		m.Events.Schedule(150, func(uint64) {})
 		return m, c
@@ -560,8 +603,8 @@ func TestRunAheadBoundTerms(t *testing.T) {
 			want = 150
 		}
 		want = min(want, (now/grid+1)*grid)
-		// The sample at a due cycle is taken after the cycle's ticks.
-		want = min(want, max((now+interval-1)/interval, 1)*interval)
+		// The sample due at d is an event at the front of d+1.
+		want = min(want, max((now+interval-1)/interval, 1)*interval+1)
 		want = max(want, now+1)
 		if nb[1] != want || nb[2] != want {
 			t.Errorf("bound at cycle %d = %d, shared %d, want %d for both (no other CPU)", now, nb[1], nb[2], want)
@@ -716,11 +759,14 @@ func (s *quietCore) NextWork(now uint64) uint64 {
 // Tick does nothing: ns/op is host time per executed cycle on a
 // four-CPU machine, with every core due on every cycle and with one
 // core due while three sleep. Both must stay at 0 allocs/op (CI greps).
+// sampler is all-awake with an interval sampler probing a shared-memory
+// system every 1000 cycles; each sample allocates, so it is not gated.
 func BenchmarkRunWindow(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
-		asleep int
-	}{{"all-awake", 0}, {"one-of-four", 3}} {
+		name    string
+		asleep  int
+		sampler bool
+	}{{"all-awake", 0, false}, {"one-of-four", 3, false}, {"sampler", 0, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := &Machine{}
 			for i := 0; i < 4; i++ {
@@ -729,6 +775,10 @@ func BenchmarkRunWindow(b *testing.B) {
 					c.blockedUntil = 1 << 62
 				}
 				m.CPUs = append(m.CPUs, c)
+			}
+			if bc.sampler {
+				m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
+				withMetrics(m, 1000)
 			}
 			if _, _, err := m.RunWindow(0, 1); err != nil { // size the schedule
 				b.Fatal(err)

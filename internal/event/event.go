@@ -1,6 +1,7 @@
 // Package event provides the cycle-based discrete-event calendar used by
 // the memory system and the top-level simulator loop. Events scheduled
-// for the same cycle fire in FIFO order, which keeps the whole simulation
+// for the same cycle fire in FIFO order, after the one front-of-cycle
+// item ScheduleFirst may place there, which keeps the whole simulation
 // deterministic.
 package event
 
@@ -27,7 +28,8 @@ type Queue struct {
 	seq uint64
 }
 
-// less orders the heap by cycle, then FIFO by schedule order.
+// less orders the heap by cycle, then FIFO by schedule order; a
+// ScheduleFirst item has seq 0 and so leads its cycle.
 func (q *Queue) less(i, j int) bool {
 	if q.h[i].cycle != q.h[j].cycle {
 		return q.h[i].cycle < q.h[j].cycle
@@ -38,8 +40,21 @@ func (q *Queue) less(i, j int) bool {
 // Schedule registers fn to fire at the given cycle.
 func (q *Queue) Schedule(cycle uint64, fn Func) {
 	q.seq++
+	q.push(item{cycle: cycle, seq: q.seq, fn: fn})
+}
+
+// ScheduleFirst registers fn to fire at the given cycle ahead of every
+// event Schedule places there, whether scheduled before or after it. It
+// is for one front-of-cycle observer (the interval sampler, which reads
+// the state the previous cycle left); the order among several
+// ScheduleFirst items at one cycle is unspecified.
+func (q *Queue) ScheduleFirst(cycle uint64, fn Func) {
+	q.push(item{cycle: cycle, fn: fn})
+}
+
+func (q *Queue) push(it item) {
 	// amortized into the reused backing array; 0 allocs/op at steady state
-	q.h = append(q.h, item{cycle: cycle, seq: q.seq, fn: fn})
+	q.h = append(q.h, it)
 	for i := len(q.h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !q.less(i, parent) {

@@ -2,6 +2,7 @@ package event
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -19,6 +20,25 @@ func TestFIFOWithinCycle(t *testing.T) {
 		if v != i {
 			t.Fatalf("order = %v, want FIFO", got)
 		}
+	}
+}
+
+// TestScheduleFirstLeadsItsCycle: a ScheduleFirst item fires before
+// every item Schedule put at its cycle, scheduled before or after it,
+// and the others keep their FIFO order; earlier cycles still go first.
+func TestScheduleFirstLeadsItsCycle(t *testing.T) {
+	var q Queue
+	var got []string
+	at := func(name string) Func { return func(uint64) { got = append(got, name) } }
+	q.Schedule(10, at("a"))
+	q.Schedule(9, at("early"))
+	q.Schedule(10, at("b"))
+	q.ScheduleFirst(10, at("first"))
+	q.Schedule(10, at("c"))
+	q.Schedule(11, at("late"))
+	q.RunUntil(11)
+	if want := []string{"early", "first", "a", "b", "c", "late"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
 	}
 }
 
@@ -157,16 +177,21 @@ func TestNextCycleSeesRescheduledEvents(t *testing.T) {
 // TestScheduleSteadyStateZeroAllocs is the satellite acceptance gate
 // for the typed heap: once the backing array has reached its high-water
 // mark, the Schedule → RunUntil steady state performs no allocations
-// (container/heap's Push boxed every item into an interface value).
+// (container/heap's Push boxed every item into an interface value),
+// including a front-of-cycle event that re-arms itself through
+// ScheduleFirst, the interval sampler's shape.
 func TestScheduleSteadyStateZeroAllocs(t *testing.T) {
 	var q Queue
 	nop := Func(func(uint64) {})
+	var rearm Func
+	rearm = func(at uint64) { q.ScheduleFirst(at+2, rearm) }
 	// Warm the backing array past any size this loop reaches.
 	for i := 0; i < 64; i++ {
 		q.Schedule(uint64(i), nop)
 	}
 	q.RunUntil(64)
 	cycle := uint64(100)
+	q.ScheduleFirst(cycle, rearm)
 	allocs := testing.AllocsPerRun(1000, func() {
 		q.Schedule(cycle, nop)
 		q.Schedule(cycle+3, nop)

@@ -19,29 +19,21 @@ import (
 //
 // A "source" is a non-observability-typed value produced by the
 // observability surface: the result of calling an obs-package function
-// or method (obsv.Metrics.NextDue returning a cycle, a hypothetical
-// tracer.Dropped() count), or a read of a non-obs-typed field of an
-// obs-declared struct. Plumbing — passing obs-typed handles around,
-// storing a *prof.Profile into the result struct, comparing an
-// attachment against nil to gate instrumentation — is deliberately
-// exempt: attachment *presence* may gate extra observation-only work
+// or method (a hypothetical tracer.Dropped() count), or a read of a
+// non-obs-typed field of an obs-declared struct. Plumbing — passing
+// obs-typed handles around, storing a *prof.Profile into the result
+// struct, comparing an attachment against nil to gate instrumentation —
+// is deliberately exempt: attachment *presence* may gate extra observation-only work
 // (the nil-guard idiom of the disabled fast path), but observation
 // *data* must never come back.
 //
 // A source is flagged when it reaches an if/for/switch condition, an
 // assignment whose target is not itself observability-typed, a return
 // from a function with a non-obs result, an index, or an argument to a
-// non-obs call. One if-condition shape is exempt: a condition gating a
-// body that only performs observation (every statement a call on an obs
-// receiver or an assignment into obs state), the `if mets.Due(cyc) {
-// mets.Record(...) }` sampler idiom — the steered code cannot perturb
-// the simulation because it only observes.
-//
-// The one legitimate counter-example in the tree — the quiescence
-// skipper bounding its jump by the sampler's next due cycle so interval
-// samples land on schedule — carries a //simlint:allow neutral with the
-// byte-identity argument; anything new must argue its case the same
-// way.
+// non-obs call, whatever the steered code does: the interval sampler is
+// an event on the machine's calendar (obsv.Metrics.Arm), so the cycle
+// loop never asks it anything. A case that must consume observation data
+// carries a //simlint:allow neutral with its byte-identity argument.
 var NeutralAnalyzer = &Analyzer{
 	Name: "neutral",
 	Doc:  "forbid dataflow from observability (obsv/prof/check) values into simulator state or control flow",
@@ -216,9 +208,6 @@ func checkUse(pass *Pass, info *types.Info, src ast.Expr, stack []ast.Node, desc
 			if p.Cond != node {
 				return
 			}
-			if ifBodyObservesOnly(info, p) {
-				return
-			}
 			pass.Reportf(src.Pos(), "%s steers simulator control flow (if condition); observability must be output-neutral", desc)
 			return
 		case *ast.ForStmt:
@@ -338,40 +327,4 @@ func callFeedsObs(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// ifBodyObservesOnly reports whether every statement in the if body
-// only observes: calls on obs receivers / obs-package functions, or
-// assignments whose every target is obs-typed. Such a body cannot
-// perturb the simulation, so gating it on observability state is the
-// approved sampler idiom.
-func ifBodyObservesOnly(info *types.Info, ifs *ast.IfStmt) bool {
-	if ifs.Else != nil {
-		return false
-	}
-	if ifs.Body == nil || len(ifs.Body.List) == 0 {
-		return false
-	}
-	for _, st := range ifs.Body.List {
-		switch s := st.(type) {
-		case *ast.ExprStmt:
-			call, ok := s.X.(*ast.CallExpr)
-			if !ok || !callFeedsObs(info, call) {
-				return false
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if isBlank(lhs) {
-					continue
-				}
-				tv, ok := info.Types[lhs]
-				if !ok || !isObsType(tv.Type) {
-					return false
-				}
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }

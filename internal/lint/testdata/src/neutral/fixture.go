@@ -41,10 +41,11 @@ func (u *unit) pkgVar(now uint64) {
 	u.count = obsv.Dropped // want "observability package variable"
 }
 
-// sample is the approved idiom: the gated body only observes, so the
-// steering cannot perturb simulation output.
+// sample steers control flow even though its body only observes: an
+// observer that must run on a schedule is an event, not a polled
+// condition.
 func (u *unit) sample(now uint64) {
-	if u.mets.Due(now) { // ok: body observes only
+	if u.mets.Due(now) { // want "steers simulator control flow"
 		u.mets.Record(now)
 	}
 }

@@ -4,8 +4,8 @@
 // treat its declarations as observability state.
 package obsv
 
-// Metrics mimics the sampler: Due/Record are the approved idiom, and
-// NextDue/Count produce observation data the simulator must not consume.
+// Metrics mimics a polled sampler: Due/NextDue/Count produce observation
+// data the simulator must not consume, and Record feeds it.
 type Metrics struct {
 	interval uint64
 	n        uint64

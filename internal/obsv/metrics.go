@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"cmpsim/internal/cyc"
+	"cmpsim/internal/event"
 )
 
 // maxLevels bounds the memory-hierarchy levels tracked by the latency
@@ -173,18 +174,19 @@ func (s *Sample) L2MissRate() float64 {
 	return float64(s.L2Miss) / float64(s.L2Acc)
 }
 
-// Metrics is the interval sampler: every Interval cycles the core probes
-// the machine and Record turns the delta since the previous probe into a
-// Sample. It also accumulates the latency histogram fed by the memory
-// system on every traced data access. Metrics is carried by pointer in
-// memsys.Config so that configuration copies share one collector.
+// Metrics is the interval sampler: every Interval cycles an event on the
+// machine's calendar probes it and Record turns the delta since the
+// previous probe into a Sample. It also accumulates the latency
+// histogram fed by the memory system on every traced data access.
+// Metrics is carried by pointer in memsys.Config so that configuration
+// copies share one collector.
 type Metrics struct {
 	Interval uint64
 
 	hist    LatencyHist
 	samples []Sample
 	last    Probe
-	nextAt  uint64
+	nextAt  uint64 // end cycle of the next interval to record
 	flushed bool
 }
 
@@ -196,21 +198,39 @@ func NewMetrics(interval uint64) *Metrics {
 	return &Metrics{Interval: interval, nextAt: interval}
 }
 
+// Arm puts the sampler on q as an ordinary self-rescheduling event. The
+// sample due at cycle d fires at the front of cycle d+1 (ScheduleFirst),
+// ahead of every other event there, so probe(d) reads the state cycle d
+// left; it then re-arms for the next due cycle. Being an event, it bounds
+// the scheduler's quiescence jumps and run-ahead like any other, and the
+// loop needs no sampler logic of its own. A Metrics serves one machine
+// and is armed once.
+func (m *Metrics) Arm(q *event.Queue, probe func(cycle uint64) Probe) {
+	var fire event.Func
+	fire = func(uint64) {
+		m.Record(probe(m.nextAt))
+		q.ScheduleFirst(m.nextAt+1, fire)
+	}
+	q.ScheduleFirst(m.nextAt+1, fire)
+}
+
+// Finish ends the series at the run's end cycle: it records the sample
+// still owed, one due before end whose event the run's last window did
+// not reach (the window ended first), then flushes the final partial
+// interval at end.
+func (m *Metrics) Finish(probe func(cycle uint64) Probe, end uint64) {
+	if m.nextAt < end {
+		m.Record(probe(m.nextAt))
+	}
+	m.Flush(probe(end))
+}
+
 // ObserveAccess feeds the latency histogram; called by the memory system
 // for every completed data access when metrics are enabled.
 func (m *Metrics) ObserveAccess(level uint8, lat uint64) { m.hist.Observe(level, lat) }
 
-// Due reports whether a sample boundary has been reached at cycle.
-func (m *Metrics) Due(cycle uint64) bool { return cycle >= m.nextAt }
-
-// NextDue returns the next sample-boundary cycle. The
-// quiescence-skipping scheduler uses it as one of the bounds the cycle
-// loop may not jump over, so interval samples land on exactly the same
-// cycles with and without skipping.
-func (m *Metrics) NextDue() uint64 { return m.nextAt }
-
-// Record closes the interval ending at p.Cycle. The caller probes the
-// machine when Due reports true.
+// Record closes the interval ending at p.Cycle; the next one ends
+// Interval cycles later.
 func (m *Metrics) Record(p Probe) {
 	m.record(p)
 	m.nextAt = p.Cycle + m.Interval

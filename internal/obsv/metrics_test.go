@@ -2,8 +2,11 @@ package obsv
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"cmpsim/internal/event"
 )
 
 func TestHistBuckets(t *testing.T) {
@@ -65,22 +68,40 @@ func probeAt(cycle uint64, insts []uint64, l1dAcc, l1dMiss, l2Acc, l2Miss uint64
 	}
 }
 
+// TestMetricsIntervalLifecycle: the armed sampler is one event, due at
+// the front of the cycle after each boundary, that probes the boundary
+// cycle and re-arms itself Interval cycles later.
 func TestMetricsIntervalLifecycle(t *testing.T) {
 	m := NewMetrics(100)
-	if m.Due(99) {
-		t.Error("due before first boundary")
+	var q event.Queue
+	probes := map[uint64]Probe{
+		100: probeAt(100, []uint64{80, 40}, 30, 6, 6, 3),
+		200: probeAt(200, []uint64{200, 100}, 90, 12, 12, 4),
 	}
-	if !m.Due(100) || !m.Due(150) {
-		t.Error("not due at/after boundary")
+	var asked []uint64
+	m.Arm(&q, func(c uint64) Probe {
+		asked = append(asked, c)
+		return probes[c]
+	})
+	if next, ok := q.NextCycle(); !ok || next != 101 {
+		t.Fatalf("first sample event at %d, %v; want 101", next, ok)
 	}
-	m.Record(probeAt(100, []uint64{80, 40}, 30, 6, 6, 3))
-	if m.Due(150) {
-		t.Error("due again immediately after recording")
+	q.Schedule(101, func(uint64) {
+		if len(asked) != 1 {
+			t.Error("an event scheduled after the sampler fired ahead of it")
+		}
+	})
+	q.RunUntil(100)
+	if len(asked) != 0 {
+		t.Fatalf("sampled at %v before its cycle", asked)
 	}
-	if !m.Due(200) {
-		t.Error("not due at next boundary")
+	q.RunUntil(201)
+	if want := []uint64{100, 200}; !reflect.DeepEqual(asked, want) {
+		t.Fatalf("probed cycles %v, want %v", asked, want)
 	}
-	m.Record(probeAt(200, []uint64{200, 100}, 90, 12, 12, 4))
+	if next, _ := q.NextCycle(); next != 301 {
+		t.Errorf("re-armed for cycle %d, want 301", next)
+	}
 
 	ss := m.Samples()
 	if len(ss) != 2 {
@@ -115,9 +136,6 @@ func TestMetricsIntervalLifecycle(t *testing.T) {
 // ends before the first boundary must still produce one sample.
 func TestMetricsFlushPartialInterval(t *testing.T) {
 	m := NewMetrics(1_000_000)
-	if m.Due(4242) {
-		t.Fatal("short run should never be due")
-	}
 	m.Flush(probeAt(4242, []uint64{4000}, 1000, 100, 100, 50))
 	ss := m.Samples()
 	if len(ss) != 1 {
@@ -130,6 +148,34 @@ func TestMetricsFlushPartialInterval(t *testing.T) {
 	m.Flush(probeAt(5000, []uint64{5000}, 1100, 110, 110, 55))
 	if len(m.Samples()) != 1 {
 		t.Errorf("second flush added a sample")
+	}
+}
+
+// TestMetricsFinishTakesOwedSample: a run whose last window ended right
+// after a due cycle, before the sample's event could fire, still gets
+// that sample from Finish, then the partial interval up to the end.
+func TestMetricsFinishTakesOwedSample(t *testing.T) {
+	for _, tc := range []struct {
+		end  uint64
+		ends []uint64
+	}{
+		{100, []uint64{100}},      // ends on the due cycle: the flush is the sample
+		{101, []uint64{100, 101}}, // the sample's event at 101 never ran
+		{150, []uint64{100, 150}},
+	} {
+		m := NewMetrics(100)
+		var q event.Queue
+		probe := func(c uint64) Probe { return probeAt(c, []uint64{c}, c, 0, 0, 0) }
+		m.Arm(&q, probe)
+		q.RunUntil(min(tc.end, 100))
+		m.Finish(probe, tc.end)
+		var ends []uint64
+		for _, s := range m.Samples() {
+			ends = append(ends, s.End)
+		}
+		if !reflect.DeepEqual(ends, tc.ends) {
+			t.Errorf("end %d: sample ends %v, want %v", tc.end, ends, tc.ends)
+		}
 	}
 }
 
