@@ -76,8 +76,8 @@ type Core interface {
 	// could make progress or have any observable side effect, assuming
 	// no external state changes first; cpu.NoWork if the core is halted.
 	// The quiescence-skipping scheduler jumps the cycle loop to the
-	// minimum NextWork across cores (bounded by pending events, the grid
-	// and interrupts), so the contract is asymmetric: a value
+	// minimum NextWork across cores (bounded by pending events and
+	// interrupts), so the contract is asymmetric: a value
 	// that is too small merely costs no-op ticks, while a value that is
 	// too large would change simulation output. Models return now+1
 	// whenever they cannot cheaply prove a longer quiescent window.
@@ -197,20 +197,15 @@ type Machine struct {
 	// tick, has scheduled an event below the run-ahead bound.
 	Events event.Queue
 
-	// irq holds the per-CPU external interrupt lines behind the
-	// window-boundary arbitration protocol (see irqLines): event-phase
-	// raises land on the live lines immediately, tick-phase raises are
-	// buffered and merged onto the live lines at the next SimWindow grid
-	// boundary, and each CPU reads and acks only its own live line
-	// within a window. Both schedulers follow the same protocol, so
-	// delivery cycles are identical serial and parallel.
+	// irq holds the per-CPU external interrupt lines (see irqLines).
 	irq irqLines
 
 	// inTick distinguishes the two scheduler phases for RaiseIRQ: false
-	// while event callbacks run (coordinator phase — raises deliver
-	// immediately, as the guest kernel's preemption timers always have),
-	// true while CPUs tick (raises buffer until the next grid boundary).
-	inTick bool
+	// while event callbacks run (a raise makes the line live at once, as
+	// the guest kernel's preemption timers do), true while CPUs tick (a
+	// raise is an error, recorded in raiseErr and returned by RunWindow).
+	inTick   bool
+	raiseErr error
 
 	// par is the parallel tick scheduler, built only when the
 	// configuration asks for sharding (SimJobs > 1 on a multi-CPU
@@ -236,9 +231,10 @@ type Machine struct {
 
 	// runAhead says the machine's cores consume the run-ahead bound
 	// (Mipsy does, MXS does not): the serial loop then fixes aheadTo on
-	// every executed cycle, before its ticks, and aheadCyc to that cycle
-	// (see RunAheadBound, SharedBound). Otherwise, and outside the serial
-	// loop, aheadTo stays zero, which allows no run-ahead at all.
+	// every executed cycle, before its ticks (see RunAheadBound,
+	// SharedBound). Otherwise, and outside the serial loop, aheadTo stays
+	// zero, which allows no run-ahead at all. aheadCyc is the cycle the
+	// serial loop is executing.
 	runAhead bool
 	aheadTo  uint64
 	aheadCyc uint64
@@ -254,69 +250,22 @@ type Machine struct {
 	newCore func(id int, ctx *cpu.Context) Core
 }
 
-// irqLines is the per-CPU external-interrupt state under the
-// window-boundary arbitration protocol the parallel tick requires and
-// the serial loop reproduces:
-//
-//   - live are the delivered lines. Within a scheduling window each
-//     line is read (through the pointer Line hands its CPU) and cleared
-//     (AckInterrupt) only by its own CPU, and written by the coordinator
-//     phase (event callbacks, grid-boundary merges) only between
-//     windows — so no two goroutines ever touch a live line
-//     concurrently. The slice is sized once, in NewMachine, so those
-//     pointers stay valid.
-//   - pending buffers raises made from tick phase (a trap handler
-//     running under some CPU's tick). Tick-phase code runs under the
-//     scheduler's serial-order shared-state grant, so pending is
-//     mutated exclusively; merge promotes it to live at the next
-//     SimWindow grid boundary, identically in both schedulers.
-//
-// Under the parallel scheduler the race detector checks this (the
-// -sim-jobs tests of par_test.go run under -race in CI).
+// irqLines is the per-CPU external-interrupt state. A line goes live
+// only in an event callback, which runs between tick passes (between
+// window barriers under -sim-jobs); while CPUs tick, each line is read
+// (through the pointer Line hands its CPU) and cleared (AckInterrupt)
+// only by its own CPU, so no two goroutines ever touch a line
+// concurrently. The slice is sized once, in NewMachine, so those
+// pointers stay valid.
 type irqLines struct {
-	live    []bool
-	pending []bool
-	npend   int // live count of buffered raises; bounds the quiescence skip to the next merge
+	live []bool
 
-	// wake tells the serial loop that a line went live (raise from
-	// coordinator phase, merge) and stays set while a running CPU has
-	// not yet taken its interrupt, so the loop looks at the lines only
-	// then. ack never touches it: under the parallel scheduler CPUs ack
-	// concurrently, and that scheduler does not read it.
+	// wake tells the serial loop that a line went live and stays set
+	// while a running CPU has not yet taken its interrupt, so the loop
+	// looks at the lines only then. AckInterrupt never touches it: under
+	// the parallel scheduler CPUs ack concurrently, and that scheduler
+	// does not read it.
 	wake bool
-}
-
-// raise asserts a line: immediately in coordinator phase, buffered to
-// the next grid boundary from tick phase.
-func (q *irqLines) raise(cpuID int, tickPhase bool) {
-	if tickPhase {
-		if !q.pending[cpuID] {
-			q.pending[cpuID] = true
-			q.npend++
-		}
-		return
-	}
-	q.live[cpuID] = true
-	q.wake = true
-}
-
-// ack clears a CPU's own live line (interrupt taken).
-func (q *irqLines) ack(cpuID int) { q.live[cpuID] = false }
-
-// merge promotes buffered tick-phase raises onto the live lines; called
-// at SimWindow grid boundaries by both schedulers.
-func (q *irqLines) merge() {
-	if q.npend == 0 {
-		return
-	}
-	for i, p := range q.pending {
-		if p {
-			q.live[i] = true
-			q.pending[i] = false
-		}
-	}
-	q.npend = 0
-	q.wake = true
 }
 
 // wakeLive makes every running CPU whose line is live due at cyc: a CPU
@@ -337,27 +286,49 @@ func (q *irqLines) wakeLive(wakeAt []uint64, cyc uint64) {
 	}
 }
 
-// RaiseIRQ asserts the external interrupt line of a CPU; the CPU takes
-// the interrupt at its next instruction boundary (Mipsy) or after
-// draining its pipeline (MXS). Raised from an event callback (the
-// kernel's preemption timers) the line is live the same cycle; raised
-// from tick phase it is buffered and delivered at the next SimWindow
-// grid boundary, in both the serial and the parallel scheduler.
-func (m *Machine) RaiseIRQ(cpuID int) { m.irq.raise(cpuID, m.inTick) }
+// RaiseIRQ asserts the external interrupt line of a CPU from an event
+// callback (the kernel's preemption timers); the line is live the same
+// cycle, and the CPU takes the interrupt at its next instruction
+// boundary (Mipsy) or after draining its pipeline (MXS). A raise from
+// tick phase (a trap handler under some CPU's tick) could find the
+// target already run past the raise, so it changes no line: the first
+// one is recorded with its cycle, and RunWindow returns it as an error.
+func (m *Machine) RaiseIRQ(cpuID int) {
+	if !m.inTick {
+		m.irq.live[cpuID] = true
+		m.irq.wake = true
+		return
+	}
+	if m.raiseErr == nil {
+		m.raiseErr = fmt.Errorf("core: interrupt for cpu %d raised from tick phase at cycle %d", cpuID, m.tickCycle())
+	}
+}
 
-// PendingInterrupt reports whether a CPU's interrupt line is live.
-func (m *Machine) PendingInterrupt(cpuID int) bool { return m.irq.live[cpuID] }
+// tickCycle is the cycle whose tick pass is running: the serial loop's,
+// or under -sim-jobs the earliest progress clock, which is the caller's
+// own while it holds its tick gate's grant (a trap handler does).
+func (m *Machine) tickCycle() uint64 {
+	if m.par == nil || !m.par.active {
+		return m.aheadCyc
+	}
+	t := uint64(notHalted)
+	for i := range m.par.clocks {
+		t = min(t, m.par.clocks[i].c.Load())
+	}
+	return t
+}
 
 // Line implements cpu.InterruptSource.
 func (m *Machine) Line(cpuID int) *bool { return &m.irq.live[cpuID] }
 
-// AckInterrupt implements cpu.InterruptSource.
-func (m *Machine) AckInterrupt(cpuID int) { m.irq.ack(cpuID) }
+// AckInterrupt implements cpu.InterruptSource: the CPU has taken its
+// interrupt.
+func (m *Machine) AckInterrupt(cpuID int) { m.irq.live[cpuID] = false }
 
 // RunAheadBound implements cpu.InterruptSource: below this cycle no
-// event fires (so no event-phase RaiseIRQ, no kernel timer, no interval
-// sample), no buffered raise is merged and RunWindow does not return,
-// which are all the ways anything outside a CPU reaches it.
+// event fires (so no RaiseIRQ, no kernel timer, no interval sample) and
+// RunWindow does not return, which are all the ways anything outside a
+// CPU reaches it.
 func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
 
 // SharedBound implements cpu.InterruptSource: RunAheadBound, lowered to
@@ -367,8 +338,8 @@ func (m *Machine) RunAheadBound() uint64 { return m.aheadTo }
 // acts after this tick, at this cycle, so it counts as the next cycle;
 // a halted CPU (cpu.NoWork) does not count. No other CPU acts below the
 // bound (its wake cycle is its own proof, and the one thing that pulls a
-// wake cycle down, an interrupt line going live, waits for an event or a
-// grid boundary, both terms of RunAheadBound), so every memory-system
+// wake cycle down, an interrupt line going live, waits for an event, a
+// term of RunAheadBound), so every memory-system
 // call that touches state another CPU can see, every image access and
 // every trap is made in the (cycle, rotation) order of the loop that
 // ticks every CPU every cycle. A fetch the CPU's own I-cache hits
@@ -410,10 +381,7 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 		Code:  &CodeRegistry{},
 		Trap:  cpu.NopTrap{},
 		Model: model,
-		irq: irqLines{
-			live:    make([]bool, cfg.NumCPUs),
-			pending: make([]bool, cfg.NumCPUs),
-		},
+		irq:   irqLines{live: make([]bool, cfg.NumCPUs)},
 	}
 	if cfg.SimJobs > 1 && cfg.NumCPUs > 1 {
 		m.par = newParSched(m, cfg.SimJobs)
@@ -557,8 +525,9 @@ func (r *RunResult) IPC() float64 {
 
 // RunWindow advances the machine from cycle start for at most n cycles.
 // It returns the first cycle not executed, whether every CPU has halted,
-// and any guest fault. CPU service order rotates each cycle so no
-// processor gets a standing arbitration advantage.
+// and any guest fault or tick-phase error (which names its cycle). CPU
+// service order rotates each cycle so no processor gets a standing
+// arbitration advantage.
 //
 // An executed cycle ticks only the CPUs that are due (wakeAt[k] <= cyc),
 // in rotation order; a CPU asleep past it is exactly a CPU whose tick
@@ -570,13 +539,12 @@ func (r *RunResult) IPC() float64 {
 //
 // On a machine whose cores run ahead (Machine.runAhead), every executed
 // cycle first fixes the run-ahead bound its ticks may work up to:
-// horizon, with the grid term unconditional because a raise buffered by
-// one CPU's tick must find the CPUs ticked before it no further than the
-// boundary it is merged at. An event scheduled from tick phase below the
-// bound would find them past it, and is returned as an error. A tick
-// whose run reaches a memory reference asks SharedBound, which lowers the
-// bound to the other CPUs' wake cycles as they stand at that point of
-// the tick pass.
+// horizon. A tick whose run reaches a memory reference asks SharedBound,
+// which lowers the bound to the other CPUs' wake cycles as they stand at
+// that point of the tick pass. What a trap handler does under one CPU's
+// tick could find the CPUs ticked before it past the cycle it acts at:
+// an interrupt raise (any cycle) and an event scheduled below the bound
+// are returned as errors after the tick pass.
 //
 // Config.NoSkip clamps every hint and the bound to the next cycle and so
 // ticks everything, every cycle, one instruction per tick: the reference
@@ -591,7 +559,6 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	}
 	cpus := len(m.CPUs)
 	noSkip := m.Cfg.NoSkip
-	grid := m.gridSize()
 	end := start + n
 	cyc := start
 
@@ -619,31 +586,21 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 			wake = start
 		}
 	}
-	// Jumps cross a grid boundary only while nothing is buffered
-	// (jumpTarget stops at the boundary otherwise), so a merge that runs
-	// late, at the first executed cycle past its boundary, is an empty one.
-	nextGrid := start
-	if start%grid != 0 {
-		nextGrid = gridNext(start, grid)
-	}
 	// Rotate in uint64 so multi-billion-cycle runs can't skew the
 	// arbitration order through a narrowing conversion on 32-bit ints.
 	off := int(cyc % uint64(cpus))
 	ahead, oneInst := m.runAhead, noSkip || m.orderedInstruments()
 	var tickErr error
 	for cyc < end {
-		if cyc >= nextGrid {
-			m.irq.merge()
-			nextGrid = gridNext(cyc, grid)
-		}
 		m.Events.RunUntil(cyc)
 		if m.irq.wake {
 			m.irq.wakeLive(wakeAt, cyc)
 		}
+		m.aheadCyc = cyc
 		if ahead {
-			m.aheadTo, m.aheadCyc = cyc+1, cyc
+			m.aheadTo = cyc + 1
 			if !oneInst {
-				m.aheadTo = m.horizon(cyc, end, nextGrid)
+				m.aheadTo = m.horizon(cyc, end)
 			}
 		}
 		alive := wake != cpu.NoWork // a sleeping CPU counts
@@ -672,6 +629,10 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 				}
 			}
 			m.inTick = false
+			if m.raiseErr != nil {
+				tickErr, m.raiseErr = m.raiseErr, nil
+				break
+			}
 			if ahead {
 				if ev, ok := m.Events.NextCycle(); ok && ev < m.aheadTo {
 					tickErr = fmt.Errorf("core: event scheduled from tick phase at cycle %d for cycle %d, below the run-ahead bound %d", cyc, ev, m.aheadTo)
@@ -687,7 +648,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		// do without skipping.
 		step := cyc + 1
 		if wake > step && wake != cpu.NoWork && step < end {
-			step = m.jumpTarget(cyc, end, nextGrid)
+			step = m.jumpTarget(cyc, end)
 		}
 		if step == cyc+1 {
 			if off++; off == cpus {
@@ -731,11 +692,10 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 // horizon says so, otherwise the earliest cycle at which any of them
 // next has work. A proof earlier than the CPU's wake cycle replaces it,
 // so the CPU is ticked when the jump lands. The bound is recomputed after
-// every executed cycle, so an event that schedules another event (or
-// raises an interrupt) always re-bounds the next jump; nothing scheduled
-// from inside the jumped cycles can exist, because nothing executes in
-// them.
-func (m *Machine) jumpTarget(cyc, end, nextGrid uint64) uint64 {
+// every executed cycle, so an event that schedules another event always
+// re-bounds the next jump; nothing scheduled from inside the jumped
+// cycles can exist, because nothing executes in them.
+func (m *Machine) jumpTarget(cyc, end uint64) uint64 {
 	step := cyc + 1
 	target := uint64(cpu.NoWork)
 	for i, c := range m.CPUs {
@@ -760,14 +720,7 @@ func (m *Machine) jumpTarget(cyc, end, nextGrid uint64) uint64 {
 			target = w
 		}
 	}
-	// Buffered tick-phase raises deliver at the next grid boundary; the
-	// jump must not pass the merge. With none buffered the merge is an
-	// empty one and the boundary is no bound.
-	grid := uint64(cpu.NoWork)
-	if m.irq.npend > 0 {
-		grid = nextGrid
-	}
-	target = min(target, m.horizon(cyc, end, grid))
+	target = min(target, m.horizon(cyc, end))
 	if target <= step {
 		return step
 	}
@@ -776,13 +729,13 @@ func (m *Machine) jumpTarget(cyc, end, nextGrid uint64) uint64 {
 }
 
 // horizon returns the earliest cycle after cyc at which something other
-// than a CPU's own progress needs the loop: the window's end, the next
-// grid boundary the caller must stop at (cpu.NoWork for none) and the
-// next event (the interval sampler is one). It is the one list of
-// non-CPU bounds, shared by the quiescence jump, which must execute that
-// cycle, and the run-ahead bound, below which a CPU is on its own.
-func (m *Machine) horizon(cyc, end, grid uint64) uint64 {
-	h := min(end, grid)
+// than a CPU's own progress needs the loop: the window's end or the next
+// event (the interval sampler and the kernel's timers are events). It is
+// the one list of non-CPU bounds, shared by the quiescence jump, which
+// must execute that cycle, and the run-ahead bound, below which a CPU is
+// on its own.
+func (m *Machine) horizon(cyc, end uint64) uint64 {
+	h := end
 	if ev, ok := m.Events.NextCycle(); ok && ev < h {
 		h = ev
 	}

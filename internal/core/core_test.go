@@ -163,15 +163,15 @@ func TestEventsFireBeforeTicks(t *testing.T) {
 
 func TestIRQLines(t *testing.T) {
 	m := newTestMachine(t, SharedMem, ModelMipsy)
-	if m.PendingInterrupt(0) {
+	if *m.Line(0) {
 		t.Error("irq should start clear")
 	}
 	m.RaiseIRQ(2)
-	if !m.PendingInterrupt(2) || m.PendingInterrupt(1) {
+	if !*m.Line(2) || *m.Line(1) {
 		t.Error("RaiseIRQ wrong line")
 	}
 	m.AckInterrupt(2)
-	if m.PendingInterrupt(2) {
+	if *m.Line(2) {
 		t.Error("Ack did not clear")
 	}
 }

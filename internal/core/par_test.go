@@ -3,12 +3,13 @@ package core
 // Scheduler-level tests for the parallel tick path, using stub cores so
 // the barrier and gate mechanics are fully controlled: shared-state
 // access order under the rotation gate, event chains across window
-// barriers, sampler boundaries, tick-phase IRQ buffering, and halt
+// barriers, sampler boundaries, the tick-phase raise error, and halt
 // cycles in mid-window. The end-to-end output-identity proof lives in
 // the root package's par_test.go.
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cmpsim/internal/cpu"
@@ -43,7 +44,7 @@ func (s *gatedStub) Tick(now uint64) uint64 {
 		s.gate.Sync()
 	}
 	*s.log = append(*s.log, stubTick{now, s.id})
-	if s.irqSeen != nil && s.m.PendingInterrupt(s.id) {
+	if s.irqSeen != nil && *s.m.Line(s.id) {
 		*s.irqSeen = append(*s.irqSeen, now)
 		s.m.AckInterrupt(s.id)
 	}
@@ -72,13 +73,16 @@ func (s *gatedStub) NextWork(now uint64) uint64 {
 }
 
 // stubParMachine assembles a Machine over gated stubs with the given
-// shard-worker count (1 = serial) and SimWindow grid.
+// shard-worker count (1 = serial). A no-op event that re-arms itself
+// every grid cycles cuts the parallel scheduler's windows there.
 func stubParMachine(simJobs int, grid uint64, cores ...*gatedStub) *Machine {
 	m := &Machine{}
 	m.Cfg.NumCPUs = len(cores)
 	m.Cfg.SimJobs = simJobs
-	m.Cfg.SimWindow = grid
-	m.irq = irqLines{live: make([]bool, len(cores)), pending: make([]bool, len(cores))}
+	var cut func(at uint64)
+	cut = func(at uint64) { m.Events.Schedule(at+grid, cut) }
+	m.Events.Schedule(grid, cut)
+	m.irq = irqLines{live: make([]bool, len(cores))}
 	if simJobs > 1 && len(cores) > 1 {
 		m.par = newParSched(m, simJobs)
 	}
@@ -256,27 +260,26 @@ func TestParallelSamplerBoundaries(t *testing.T) {
 	}
 }
 
-// TestParallelTickPhaseIRQBuffered: an IRQ raised from tick phase is
-// buffered and merged onto the live line at the next SimWindow grid
-// boundary — the same delivery cycle serial and parallel.
-func TestParallelTickPhaseIRQBuffered(t *testing.T) {
-	tc := parCase{
-		mk: func() []*gatedStub {
-			seen := []uint64{}
-			return []*gatedStub{
-				{id: 0, raiseAt: 3, raiseTo: 1},
-				{id: 1, irqSeen: &seen},
-			}
-		},
-		grid: 16, start: 0, n: 64,
+// TestParallelTickPhaseRaiseIsAnError: an IRQ raised from tick phase is
+// the same error, naming the same cycle, serial and parallel, and the
+// line stays down.
+func TestParallelTickPhaseRaiseIsAnError(t *testing.T) {
+	for _, simJobs := range []int{1, 2} {
+		var log []stubTick
+		seen := []uint64{}
+		cores := []*gatedStub{
+			{id: 0, raiseAt: 10, raiseTo: 1, log: &log},
+			{id: 1, irqSeen: &seen, log: &log},
+		}
+		m := stubParMachine(simJobs, 16, cores...)
+		_, _, err := m.RunWindow(0, 64)
+		if want := "cpu 1 raised from tick phase at cycle 10"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("sim-jobs=%d: RunWindow error %v, want one containing %q", simJobs, err, want)
+		}
+		if *m.Line(1) || len(seen) != 0 {
+			t.Errorf("sim-jobs=%d: line live %v, IRQ observed at %v; want the line down", simJobs, *m.Line(1), seen)
+		}
 	}
-	// The observation cycle must be the first grid boundary after the
-	// raise: cycle 16.
-	_, seen, _, _ := tc.run(t, 1)
-	if want := []uint64{16}; !reflect.DeepEqual(seen, want) {
-		t.Fatalf("serial IRQ observed at %v, want %v", seen, want)
-	}
-	tc.check(t)
 }
 
 // TestParallelCoordinatorPhaseIRQImmediate: an IRQ raised from an event

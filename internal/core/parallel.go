@@ -37,8 +37,9 @@
 //     else is either owner-private or touched only under the gate.
 //
 // Shared resources that are not reached through a CPU's tick — the
-// event calendar (the interval sampler included), IRQ line delivery —
-// run only in the coordinator, between window barriers.
+// event calendar (the interval sampler and the interrupt-raising kernel
+// timers included) — run only in the coordinator, between window
+// barriers.
 package core
 
 import (
@@ -50,17 +51,6 @@ import (
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/memsys"
 )
-
-// gridSize returns the SimWindow scheduling grid. Grid boundaries are
-// absolute cycle numbers (multiples of the grid), so where RunWindow
-// calls chop the run into chunks cannot move them — checkpoint/resume
-// and single-call runs see identical IRQ merge points.
-func (m *Machine) gridSize() uint64 {
-	if w := m.Cfg.SimWindow; w > 0 {
-		return w
-	}
-	return memsys.DefaultSimWindow
-}
 
 // parActive reports whether this RunWindow call takes the parallel
 // path. Guest-observability attachments that record per-event streams
@@ -138,9 +128,6 @@ func (g *cpuGate) Sync() {
 func rotPos(id int, t uint64, n int) int {
 	return (id - int(t%uint64(n)) + n) % n
 }
-
-// gridNext returns the first SimWindow grid boundary strictly after c.
-func gridNext(c, grid uint64) uint64 { return (c/grid + 1) * grid }
 
 // winJob is one scheduling window handed to a worker: advance every
 // owned CPU from cycle w0 up to (not including) w1. A zero-width job
@@ -287,13 +274,12 @@ func (m *Machine) gatedTrap(id int) cpu.TrapHandler {
 
 // runParallel is RunWindow's sharded twin. The coordinator owns every
 // shared resource that the serial loop touches outside CPU ticks — the
-// event calendar (interval samples included) and IRQ delivery — and
-// runs them between window barriers; workers own only their CPUs'
-// ticks. Window edges are chosen so nothing shared can change inside a
-// window: the next event and the next IRQ merge grid boundary bound w1.
+// event calendar, which alone raises interrupts — and runs it between
+// window barriers; workers own only their CPUs' ticks. Window edges are
+// chosen so nothing shared can change inside a window: a window ends at
+// the serial loop's horizon, the next event or the run end.
 func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err error) {
 	s := m.par
-	grid := m.gridSize()
 	end := start + n
 	cyc := start
 
@@ -311,9 +297,6 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 	}()
 
 	for cyc < end {
-		if cyc%grid == 0 {
-			m.irq.merge()
-		}
 		m.Events.RunUntil(cyc)
 		alive := false
 		for _, c := range m.CPUs {
@@ -326,13 +309,9 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 			break
 		}
 
-		// Window edge: the next grid boundary, clamped by the run end
-		// and the next event. All bounds exceed cyc, so the window is
-		// non-empty.
-		w1 := min(gridNext(cyc, grid), end)
-		if ev, ok := m.Events.NextCycle(); ok && ev < w1 {
-			w1 = ev
-		}
+		// Window edge: the serial loop's horizon (the run end or the next
+		// event), past cyc, so the window is non-empty.
+		w1 := m.horizon(cyc, end)
 
 		for i := range s.clocks {
 			s.clocks[i].c.Store(cyc)
@@ -347,6 +326,10 @@ func (m *Machine) runParallel(start, n uint64) (next uint64, halted bool, err er
 		s.wg.Wait()
 		m.inTick = false
 		s.active = false
+		if err := m.raiseErr; err != nil {
+			m.raiseErr = nil
+			return cyc, false, err
+		}
 
 		allDone := true
 		for _, c := range m.CPUs {

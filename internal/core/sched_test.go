@@ -270,7 +270,7 @@ func (s *napCore) Tick(now uint64) uint64 {
 	if s.order != nil {
 		*s.order = append(*s.order, stubTick{now, s.id})
 	}
-	if s.m != nil && s.m.PendingInterrupt(s.id) {
+	if s.m != nil && *s.m.Line(s.id) {
 		s.m.AckInterrupt(s.id)
 		s.irqAt = append(s.irqAt, now)
 	}
@@ -301,7 +301,7 @@ func (s *napCore) NextWork(now uint64) uint64 {
 
 // napMachine builds a Machine with interrupt lines around nap cores.
 func napMachine(cores ...*napCore) *Machine {
-	m := &Machine{irq: irqLines{live: make([]bool, len(cores)), pending: make([]bool, len(cores))}}
+	m := &Machine{irq: irqLines{live: make([]bool, len(cores))}}
 	for i, c := range cores {
 		c.id, c.m = i, m
 		m.CPUs = append(m.CPUs, c)
@@ -410,26 +410,28 @@ func TestEventPhaseIRQWakesSleeper(t *testing.T) {
 	}
 }
 
-// TestTickPhaseIRQWakesSleeperAtGrid: a raise made from another core's
-// tick is buffered, and reaches the sleeping target at the next grid
-// boundary — not before, and not at its own later wake cycle.
-func TestTickPhaseIRQWakesSleeperAtGrid(t *testing.T) {
+// TestTickPhaseRaiseIsAnError: a raise made from another core's tick
+// could find its target already run past it, so it is an error naming
+// the cycle, returned after that cycle's tick pass, and the line stays
+// down.
+func TestTickPhaseRaiseIsAnError(t *testing.T) {
 	raiser, sleeper := &napCore{}, &napCore{nap: 499}
 	m := napMachine(raiser, sleeper)
-	m.Cfg.SimWindow = 64
 	raiser.onWork = func(now uint64) {
 		if now == 10 {
 			m.RaiseIRQ(1)
 		}
 	}
-	if _, _, err := m.RunWindow(0, 600); err != nil {
-		t.Fatal(err)
+	next, _, err := m.RunWindow(0, 600)
+	if want := "cpu 1 raised from tick phase at cycle 10"; err == nil || !strings.Contains(err.Error(), want) || next != 10 {
+		t.Fatalf("RunWindow = %d, %v; want an error containing %q at cycle 10", next, err, want)
 	}
-	if want := []uint64{0, 64, 500}; !reflect.DeepEqual(sleeper.ticks, want) {
-		t.Errorf("sleeper ticked at %v, want %v", sleeper.ticks, want)
+	if *m.Line(1) || len(sleeper.irqAt) != 0 {
+		t.Errorf("line live %v, interrupts taken at %v; want the line down", *m.Line(1), sleeper.irqAt)
 	}
-	if want := []uint64{64}; !reflect.DeepEqual(sleeper.irqAt, want) {
-		t.Errorf("interrupt taken at %v, want %v", sleeper.irqAt, want)
+	// The error is returned once: the machine runs on from there.
+	if _, _, err := m.RunWindow(next+1, 100); err != nil {
+		t.Errorf("next window: %v", err)
 	}
 }
 
@@ -518,7 +520,7 @@ type aheadCore struct {
 func (s *aheadCore) Tick(now uint64) uint64 {
 	b := s.m.RunAheadBound()
 	s.bounds = append(s.bounds, [3]uint64{now, b, s.m.SharedBound(s.id)})
-	if s.m.PendingInterrupt(s.id) {
+	if *s.m.Line(s.id) {
 		s.m.AckInterrupt(s.id)
 		s.irqs = append(s.irqs, [2]uint64{now, s.at})
 	}
@@ -550,7 +552,7 @@ func (s *aheadCore) NextWork(now uint64) uint64 {
 // aheadMachine builds a Machine that keeps a run-ahead bound, with
 // interrupt lines, around ahead cores.
 func aheadMachine(cores ...*aheadCore) *Machine {
-	m := &Machine{runAhead: true, irq: irqLines{live: make([]bool, len(cores)), pending: make([]bool, len(cores))}}
+	m := &Machine{runAhead: true, irq: irqLines{live: make([]bool, len(cores))}}
 	for i, c := range cores {
 		c.id, c.m = i, m
 		m.CPUs = append(m.CPUs, c)
@@ -559,20 +561,18 @@ func aheadMachine(cores ...*aheadCore) *Machine {
 }
 
 // TestRunAheadBoundTerms: on every executed cycle the bound is the
-// earliest of the window's end, the next event (the sampler's among
-// them) and the next grid boundary (buffered raise or not), and never
-// below the next cycle; NoSkip and each instrument that sees cross-CPU
+// earlier of the window's end and the next event (the sampler's among
+// them), and never below the next cycle; NoSkip and each instrument that sees cross-CPU
 // order clamp it to the next cycle. The shared bound is that bound
 // lowered to the wake cycle of every other running CPU, one still due in
 // the cycle's rotation counting as the next cycle and a halted one not
 // at all. Both are zero outside RunWindow and under -sim-jobs.
 func TestRunAheadBoundTerms(t *testing.T) {
-	const end, grid, interval = 200, 64, 40
+	const end, interval = 200, 40
 	setup := func() (*Machine, *aheadCore) {
 		c := &aheadCore{}
 		m := aheadMachine(c)
 		m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())
-		m.Cfg.SimWindow = grid
 		withMetrics(m, interval)
 		m.Events.Schedule(100, func(uint64) {})
 		m.Events.Schedule(150, func(uint64) {})
@@ -602,7 +602,6 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		case now < 150:
 			want = 150
 		}
-		want = min(want, (now/grid+1)*grid)
 		// The sample due at d is an event at the front of d+1.
 		want = min(want, max((now+interval-1)/interval, 1)*interval+1)
 		want = max(want, now+1)
@@ -683,24 +682,17 @@ func TestRunAheadBoundTerms(t *testing.T) {
 	}
 }
 
-// TestRaiseFindsCoresBehind: whatever raises an interrupt line finds the
-// target no further than the cycle the line goes live at, however far
-// the bound let it run: an event-phase raise at the event's cycle, a
-// tick-phase raise by another core at the next grid boundary.
+// TestRaiseFindsCoresBehind: an interrupt raised by an event finds the
+// target no further than the event's cycle, however far the bound let
+// it run.
 func TestRaiseFindsCoresBehind(t *testing.T) {
-	runner, raiser := &aheadCore{jump: true}, &aheadCore{}
-	m := aheadMachine(runner, raiser)
-	m.Cfg.SimWindow = 64
+	runner, peer := &aheadCore{jump: true}, &aheadCore{}
+	m := aheadMachine(runner, peer)
 	m.Events.Schedule(333, func(uint64) { m.RaiseIRQ(0) })
-	raiser.onTick = func(now uint64) {
-		if now == 10 {
-			m.RaiseIRQ(0)
-		}
-	}
 	if _, _, err := m.RunWindow(0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if want := [][2]uint64{{64, 64}, {333, 333}}; !reflect.DeepEqual(runner.irqs, want) {
+	if want := [][2]uint64{{333, 333}}; !reflect.DeepEqual(runner.irqs, want) {
 		t.Errorf("interrupts taken at (cycle, core position) %v, want %v", runner.irqs, want)
 	}
 	if len(runner.bounds) > 40 {
@@ -708,9 +700,24 @@ func TestRaiseFindsCoresBehind(t *testing.T) {
 	}
 }
 
+// TestLoneRunnerTicksOnce: with no event pending, nothing but the
+// window's end bounds a run ahead, so a lone core that runs ahead is
+// ticked once per window.
+func TestLoneRunnerTicksOnce(t *testing.T) {
+	c := &aheadCore{jump: true}
+	m := aheadMachine(c)
+	if next, _, err := m.RunWindow(0, 10000); err != nil || next != 10000 {
+		t.Fatalf("RunWindow = %d, %v", next, err)
+	}
+	if want := [][3]uint64{{0, 10000, 10000}}; !reflect.DeepEqual(c.bounds, want) {
+		t.Errorf("(cycle, bound, shared bound) at every tick = %v, want %v", c.bounds, want)
+	}
+}
+
 // TestTickPhaseEventBelowBound: an event scheduled under a core's tick
 // for a cycle that another core may already have run past is an error
-// naming the cycle; at or past the bound it is an ordinary event.
+// naming the cycle; at or past the bound (here a no-op event's) it is an
+// ordinary event.
 func TestTickPhaseEventBelowBound(t *testing.T) {
 	for _, tc := range []struct {
 		at      uint64
@@ -718,7 +725,7 @@ func TestTickPhaseEventBelowBound(t *testing.T) {
 	}{{20, "for cycle 20, below the run-ahead bound 64"}, {64, ""}, {500, ""}} {
 		runner, sched := &aheadCore{jump: true}, &aheadCore{}
 		m := aheadMachine(runner, sched)
-		m.Cfg.SimWindow = 64
+		m.Events.Schedule(64, func(uint64) {})
 		var fired []uint64
 		sched.onTick = func(now uint64) {
 			if now == 10 {

@@ -229,27 +229,7 @@ type Config struct {
 	//
 	// output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly)
 	SimJobs int
-
-	// SimWindow is the scheduling-window grid of the core cycle loop, in
-	// cycles: cross-CPU interrupt raises performed from tick phase (a
-	// trap handler running under a CPU's tick, as opposed to an event
-	// callback) are buffered and delivered at the next cycle that is a
-	// multiple of SimWindow, in both the serial and the parallel
-	// scheduler, and the parallel scheduler's barriers land on the same
-	// grid. It is part of the delivery contract — a different grid may
-	// legally produce different simulated timing — so unlike SimJobs it
-	// stays in the cache fingerprint. 0 means DefaultSimWindow. (Today's
-	// guest kernel raises interrupts only from timer events, which are
-	// delivered immediately in both modes, so the grid is latent.)
-	SimWindow uint64
 }
-
-// DefaultSimWindow is the scheduling-window grid used when
-// Config.SimWindow is zero: long enough that window barriers are
-// negligible against thousands of simulated cycles of work, short
-// enough that a buffered tick-phase interrupt is never deferred by more
-// than a few microseconds of simulated time.
-const DefaultSimWindow = 4096
 
 // traceAccess reports one completed data access to the tracer and the
 // latency histogram.

@@ -193,14 +193,14 @@ func TestKeyStable(t *testing.T) {
 		cfg   memsys.Config
 		want  string
 	}{
-		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "59f0953b020843c6cc384ce8b0289976"},
-		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "722eb2580bf04ca9f4ecd5b1a004d500"},
-		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "23c3dace4a251639894907e16530e9a2"},
-		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "d68ef28d7a7e138b051db859bb6a5323"},
-		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "022a99b207a7e9dc622389adf4196f55"},
-		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "22f56962eb5cc7a37374cbfd6f33f11b"},
-		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "a54f1d38771e3bd3ab28d33c56ef8d54"},
-		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "dc815abcfe55901cd938a79e382d60cc"},
+		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "4196039dd068ffbf023956bf8ca091f2"},
+		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "47496542285b68c92146c2765753aa39"},
+		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "8d1fd4bc70768fde09bd6c41f1c5c688"},
+		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "c8b6574982a83183470dd8e37e61788c"},
+		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "01e27fe4491a6ff2b1e91329a0a32ff2"},
+		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "3d5a6af718fc2026db3da9e15f799f06"},
+		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "b9f8cbcdb9505b54d609474253f62983"},
+		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "a2030469d298fd5409d102c422677a7e"},
 	} {
 		job := smallJob(c.arch)
 		job.Model, job.Cfg = c.model, c.cfg
