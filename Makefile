@@ -100,15 +100,19 @@ experiments-output:
 # BenchmarkRunWindow cases (the
 # cycle loop alone over stub cores, ns per executed cycle) and
 # BenchmarkCacheInvalidateMiss (a private cache's side of a coherence
-# ping-pong over 64 Ki lines: the invalidation-marker set) and
+# ping-pong over 64 Ki lines: the invalidation-marker set),
 # BenchmarkImageAccess (a guest Read32/Write32 on pages already present)
-# must report 0 allocs/op (CI checks each of them by name).
+# and the load-hit and store rows of BenchmarkAccess on each
+# architecture (shared-l1, shared-l2, shared-mem: one memory-system
+# reference, ns per reference) must report 0 allocs/op (CI checks each
+# of them by name). BenchmarkAccess's load-miss, ifetch and ifetch-hit
+# rows run beside them for their ns/op.
 # BenchmarkImageNew, the cost of one workload-sized guest image (its
 # page table), and BenchmarkRunWindow/sampler, the loop with an interval
 # sampler attached (each sample allocates), run beside them for their
 # ns/op.
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage|BenchmarkAccess' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem ./internal/memsys
 
 # size reports what the code base weighs: Go lines (non-test, and test
 # plus testdata) per top-level directory of the root module, benchmark/

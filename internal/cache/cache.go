@@ -140,28 +140,38 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds a cache from cfg, panicking on invalid geometry (cache
-// configurations are fixed at simulator construction time).
-func New(cfg Config) *Cache {
+// Validate reports why New would reject cfg's geometry, or nil. Banks
+// of 0 means 1.
+func (cfg Config) Validate() error {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes))
+		return fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
 	if cfg.Assoc == 0 {
-		panic(fmt.Sprintf("cache %s: associativity must be >= 1", cfg.Name))
+		return fmt.Errorf("cache %s: associativity must be >= 1", cfg.Name)
+	}
+	if cfg.Banks&(cfg.Banks-1) != 0 {
+		return fmt.Errorf("cache %s: bank count %d not a power of two", cfg.Name, cfg.Banks)
+	}
+	if cfg.SizeBytes%(cfg.LineBytes*cfg.Assoc) != 0 {
+		return fmt.Errorf("cache %s: size %d not divisible by line*assoc", cfg.Name, cfg.SizeBytes)
+	}
+	if numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc); numSets == 0 || numSets&(numSets-1) != 0 {
+		return fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, numSets)
+	}
+	return nil
+}
+
+// New builds a cache from cfg, panicking on invalid geometry (see
+// Validate; a caller that takes the geometry from its user validates it
+// first).
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Banks == 0 {
 		cfg.Banks = 1
 	}
-	if cfg.Banks&(cfg.Banks-1) != 0 {
-		panic(fmt.Sprintf("cache %s: bank count %d not a power of two", cfg.Name, cfg.Banks))
-	}
-	if cfg.SizeBytes%(cfg.LineBytes*cfg.Assoc) != 0 {
-		panic(fmt.Sprintf("cache %s: size %d not divisible by line*assoc", cfg.Name, cfg.SizeBytes))
-	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	if numSets == 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, numSets))
-	}
 	return &Cache{
 		cfg:       cfg,
 		lines:     make([]Line, numSets*cfg.Assoc),

@@ -37,6 +37,9 @@ func Arches() []Arch { return []Arch{SharedL1, SharedL2, SharedMem} }
 
 // NewSystem builds the memory system for an architecture.
 func NewSystem(a Arch, cfg memsys.Config) (memsys.System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	switch a {
 	case SharedL1:
 		return memsys.NewSharedL1(cfg), nil

@@ -12,6 +12,8 @@
 package memsys
 
 import (
+	"fmt"
+
 	"cmpsim/internal/cache"
 	"cmpsim/internal/check"
 	"cmpsim/internal/coherence"
@@ -252,26 +254,6 @@ func (c *Config) traceAccess(now uint64, cpu int, addr uint32, write bool, lvl L
 	}
 }
 
-// traceIFetch reports an instruction-line fetch that missed the L1
-// I-cache (hits are omitted to keep traces tractable — under the simple
-// CPU model every cycle begins with an I-fetch).
-func (c *Config) traceIFetch(now uint64, cpu int, addr uint32, lvl Level, lat uint64) {
-	if c.Trace != nil && lvl != LvlL1 {
-		c.Trace.Emit(obsv.Event{
-			Cycle: now, Addr: addr, Arg: uint32(lat),
-			Kind: obsv.EvIFetch, CPU: int8(cpu), Level: uint8(lvl),
-		})
-	}
-}
-
-// traceRefusal reports a structural refusal (write buffer full; MSHR-full
-// refusals are emitted by the MSHR file itself).
-func (c *Config) traceRefusal(now uint64, cpu int, kind obsv.EventKind) {
-	if c.Trace != nil {
-		c.Trace.Emit(obsv.Event{Cycle: now, Kind: kind, CPU: int8(cpu)})
-	}
-}
-
 // DefaultConfig returns the paper's parameters (Sections 2.1-2.4,
 // Table 2): 16KB 2-way private L1s, 64KB 2-way 4-banked shared L1, 2MB
 // L2 (direct-mapped commodity SRAM), 512KB private L2 per CPU in the
@@ -321,122 +303,54 @@ func (c Config) MXS() Config {
 	return c
 }
 
-// writeBuf models a per-CPU store buffer: the CPU retires a store in one
-// cycle while the write (and any allocation fetch it triggers) drains in
-// the background. A full buffer stalls further stores.
-type writeBuf struct {
-	depth   int
-	pending []uint64 // completion cycles of in-flight stores
-}
-
-func (w *writeBuf) reap(now uint64) {
-	p := w.pending[:0]
-	for _, done := range w.pending {
-		if done > now {
-			// compacts into the reused backing array, never grows it
-			p = append(p, done)
+// Validate reports the first field no architecture can be built with, or
+// nil. core.NewSystem calls it, so a bad design point is an error rather
+// than a panic in cache.New or a CPU retrying a refusal forever (an
+// empty write buffer or MSHR file would refuse every store or miss).
+func (c Config) Validate() error {
+	switch {
+	case c.NumCPUs < 1 || c.NumCPUs > 16:
+		return fmt.Errorf("memsys: NumCPUs %d outside 1..16 (the directory's sharer mask has 16 bits)", c.NumCPUs)
+	case c.MSHRs < 1:
+		return fmt.Errorf("memsys: MSHRs %d, want >= 1", c.MSHRs)
+	case c.WriteBufDepth < 1:
+		return fmt.Errorf("memsys: WriteBufDepth %d, want >= 1", c.WriteBufDepth)
+	case c.SharedL1Banks == 0 || c.L2Banks == 0:
+		return fmt.Errorf("memsys: SharedL1Banks %d, L2Banks %d: a banked cache needs a bank", c.SharedL1Banks, c.L2Banks)
+	}
+	for _, g := range []struct {
+		fields string
+		geom   cache.Config
+	}{
+		{"L1ISize, L1IAssoc", c.l1iGeom()},
+		{"L1DSize, L1DAssoc", c.l1dGeom()},
+		{"SharedL1Size, SharedL1Assoc, SharedL1Banks", c.sharedL1Geom()},
+		{"L2Size, L2Assoc, L2Banks", c.sharedL2Geom()},
+		{"PrivL2Size, L2Assoc", c.privL2Geom()},
+	} {
+		if err := g.geom.Validate(); err != nil {
+			return fmt.Errorf("memsys: LineBytes, %s: %w", g.fields, err)
 		}
 	}
-	w.pending = p
+	return nil
 }
 
-func (w *writeBuf) full(now uint64) bool {
-	w.reap(now)
-	return len(w.pending) >= w.depth
+// The geometry of each kind of cache the architectures build.
+func (c Config) l1iGeom() cache.Config {
+	return cache.Config{Name: "l1i", SizeBytes: c.L1ISize, LineBytes: c.LineBytes, Assoc: c.L1IAssoc}
 }
-
-// nextFree returns the cycle the earliest in-flight store drains: the
-// first cycle at which a buffer that full(now) just found full is not
-// (never, for a buffer of depth zero). Only the owning CPU's accepted
-// stores add entries, so the answer holds until its next one.
-func (w *writeBuf) nextFree() uint64 {
-	free := ^uint64(0)
-	for _, done := range w.pending {
-		if done < free {
-			free = done
-		}
-	}
-	return free
+func (c Config) l1dGeom() cache.Config {
+	return cache.Config{Name: "l1d", SizeBytes: c.L1DSize, LineBytes: c.LineBytes, Assoc: c.L1DAssoc}
 }
-
-func (w *writeBuf) add(done uint64) {
-	// The backing array is preallocated to depth by newWriteBufs and
-	// add is only called when full() said no; the append never grows.
-	w.pending = append(w.pending, done) // appends into the depth-capacity array preallocated by newWriteBufs
+func (c Config) sharedL1Geom() cache.Config {
+	return cache.Config{Name: "shared-l1d", SizeBytes: c.SharedL1Size, LineBytes: c.LineBytes, Assoc: c.SharedL1Assoc, Banks: c.SharedL1Banks}
 }
-
-func newWriteBufs(n, depth int) []writeBuf {
-	bufs := make([]writeBuf, n)
-	for i := range bufs {
-		bufs[i].depth = depth
-		bufs[i].pending = make([]uint64, 0, depth)
-	}
-	return bufs
+func (c Config) l2Geom() cache.Config {
+	return cache.Config{Name: "l2", SizeBytes: c.L2Size, LineBytes: c.LineBytes, Assoc: c.L2Assoc}
 }
-
-// reservations tracks LL/SC line reservations per CPU.
-type reservations struct {
-	lineMask uint32
-	addr     []uint32
-	valid    []bool
+func (c Config) sharedL2Geom() cache.Config {
+	return cache.Config{Name: "shared-l2", SizeBytes: c.L2Size, LineBytes: c.LineBytes, Assoc: c.L2Assoc, Banks: c.L2Banks}
 }
-
-func newReservations(numCPUs int, lineBytes uint32) reservations {
-	return reservations{
-		lineMask: ^(lineBytes - 1),
-		addr:     make([]uint32, numCPUs),
-		valid:    make([]bool, numCPUs),
-	}
-}
-
-// set records cpu's LL reservation. The reservation table is itself an
-// inter-CPU arbitration mechanism (LL/SC): its methods are the declared
-// serialization points the parallel tick must order at window
-// boundaries, exactly like bus acquisition.
-func (r *reservations) set(cpu int, addr uint32) {
-	r.addr[cpu] = addr & r.lineMask
-	r.valid[cpu] = true
-}
-
-// clearOthers breaks every other CPU's reservation on addr's line; call
-// on every store.
-func (r *reservations) clearOthers(cpu int, addr uint32) {
-	la := addr & r.lineMask
-	for i := range r.valid {
-		if i != cpu && r.valid[i] && r.addr[i] == la {
-			r.valid[i] = false
-		}
-	}
-}
-
-// checkAndClear consumes cpu's reservation, reporting whether it was
-// still valid for addr's line.
-func (r *reservations) checkAndClear(cpu int, addr uint32) bool {
-	ok := r.valid[cpu] && r.addr[cpu] == addr&r.lineMask
-	r.valid[cpu] = false
-	return ok
-}
-
-func (r *reservations) clear(cpu int) { r.valid[cpu] = false }
-
-// newICaches builds the private instruction caches common to all three
-// architectures.
-func newICaches(cfg Config) []*cache.Cache {
-	ics := make([]*cache.Cache, cfg.NumCPUs)
-	for i := range ics {
-		ics[i] = cache.New(cache.Config{
-			Name:      "l1i",
-			SizeBytes: cfg.L1ISize,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L1IAssoc,
-		})
-	}
-	return ics
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+func (c Config) privL2Geom() cache.Config {
+	return cache.Config{Name: "priv-l2", SizeBytes: c.PrivL2Size, LineBytes: c.LineBytes, Assoc: c.L2Assoc}
 }

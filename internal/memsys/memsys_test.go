@@ -412,47 +412,54 @@ func TestIFetchHitMatchesIFetch(t *testing.T) {
 	}
 }
 
+// refCase is one reference path of a system: ref makes one reference
+// that takes it, and want says whether the last reference did.
+type refCase struct {
+	name string
+	ref  func() (Result, bool)
+	want func(Result) bool
+}
+
+// referenceCases returns sys's reference paths with no tracer attached: a
+// load hit, a load miss, a store through the write buffer, an I-fetch
+// and an I-cache hit probe. The data references are 1000 cycles apart:
+// every earlier one has completed and the write buffer has drained, so
+// none is refused.
+func referenceCases(sys System) []refCase {
+	now := uint64(0)
+	access := func(addr uint32, write bool) (Result, bool) {
+		now += 1000
+		return sys.Access(now, 0, addr, write)
+	}
+	// Four lines 4 MiB apart share a set in every L1 and L2 of the
+	// default configuration, so visiting them in turn always misses.
+	miss := uint32(0)
+	// Asserted once, out of the measured runs: the runtime now and then
+	// grows a type-assertion site's cache, which allocates.
+	hitter := sys.(IFetchHitter)
+	sys.IFetch(now, 0, 0x3000) // so each I-fetch case hits, run alone or not
+	return []refCase{
+		{"load-hit", func() (Result, bool) { return access(0x1000, false) },
+			func(r Result) bool { return r.Level == LvlL1 }},
+		{"load-miss", func() (Result, bool) { miss = (miss + 1) % 4; return access(0x100000+miss<<22, false) },
+			func(r Result) bool { return r.Level != LvlL1 }},
+		{"store", func() (Result, bool) { return access(0x2000, true) },
+			func(r Result) bool { return r.Done == now+1 }},
+		{"ifetch", func() (Result, bool) { now += 1000; return sys.IFetch(now, 0, 0x3000), true },
+			func(r Result) bool { return r.Level == LvlL1 }},
+		{"ifetch-hit", func() (Result, bool) { return Result{}, hitter.IFetchHit(0, 0x3000) },
+			func(Result) bool { return true }},
+	}
+}
+
 // TestReferencesDoNotAllocate holds the reference paths of all three
-// architectures to zero allocations with no tracer attached: a load
-// hit, a load miss, a store through the write buffer, an I-fetch and an
-// I-cache hit probe.
+// architectures (referenceCases) to zero allocations.
 // AllocsPerRun truncates its average, so each case is one run of 100
 // references: an append that grows a slice only now and then shows too.
 func TestReferencesDoNotAllocate(t *testing.T) {
-	for _, arch := range []System{
-		NewSharedL1(DefaultConfig()),
-		NewSharedL2(DefaultConfig()),
-		NewSharedMem(DefaultConfig()),
-	} {
-		// References 1000 cycles apart: every earlier one has completed
-		// and the write buffer has drained, so none is refused.
-		now := uint64(0)
-		access := func(addr uint32, write bool) (Result, bool) {
-			now += 1000
-			return arch.Access(now, 0, addr, write)
-		}
-		// Four lines 4 MiB apart share a set in every L1 and L2 of the
-		// default configuration, so visiting them in turn always misses.
-		miss := uint32(0)
-		// Asserted once, out of the measured runs: the runtime now and then
-		// grows a type-assertion site's cache, which allocates.
-		hitter := arch.(IFetchHitter)
-		for _, c := range []struct {
-			name string
-			ref  func() (Result, bool)
-			want func(Result) bool
-		}{
-			{"load-hit", func() (Result, bool) { return access(0x1000, false) },
-				func(r Result) bool { return r.Level == LvlL1 }},
-			{"load-miss", func() (Result, bool) { miss = (miss + 1) % 4; return access(0x100000+miss<<22, false) },
-				func(r Result) bool { return r.Level != LvlL1 }},
-			{"store", func() (Result, bool) { return access(0x2000, true) },
-				func(r Result) bool { return r.Done == now+1 }},
-			{"ifetch", func() (Result, bool) { now += 1000; return arch.IFetch(now, 0, 0x3000), true },
-				func(r Result) bool { return r.Level == LvlL1 }},
-			{"ifetch-hit", func() (Result, bool) { return Result{}, hitter.IFetchHit(0, 0x3000) },
-				func(Result) bool { return true }},
-		} {
+	for _, a := range archs {
+		arch := a.mk(DefaultConfig())
+		for _, c := range referenceCases(arch) {
 			var last Result
 			ok := true
 			allocs := testing.AllocsPerRun(1, func() {
@@ -468,6 +475,31 @@ func TestReferencesDoNotAllocate(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s %s: %v allocations in 100 references, want 0", arch.Name(), c.name, allocs)
 			}
+		}
+	}
+}
+
+// BenchmarkAccess times each reference path of referenceCases on each
+// architecture, per reference. The load-hit and store rows of every
+// architecture are on CI's 0-allocs/op list.
+func BenchmarkAccess(b *testing.B) {
+	for _, a := range archs {
+		for _, c := range referenceCases(a.mk(DefaultConfig())) {
+			b.Run(a.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				c.ref() // a cold line's first reference misses
+				b.ResetTimer()
+				var last Result
+				ok := true
+				for i := 0; i < b.N; i++ {
+					var accepted bool
+					last, accepted = c.ref()
+					ok = ok && accepted
+				}
+				if !ok || !c.want(last) {
+					b.Fatalf("last reference %+v (accepted %v) is not the path under test", last, ok)
+				}
+			})
 		}
 	}
 }

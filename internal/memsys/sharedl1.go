@@ -18,66 +18,38 @@ import (
 // 1 cycle with no bank contention; Config.MXS() enables the true
 // 3-cycle hit time and crossbar bank arbitration.
 type SharedL1 struct {
-	cfg Config
-	res reservations
+	cpuSide // mshrs[0] is the one file on the shared cache's miss path
 
-	icaches []*cache.Cache
-	dcache  *cache.Cache
-	dbanks  interconnect.Banks
-	mshr    *cache.MSHRFile // one file on the shared cache's miss path
+	dcache *cache.Cache
+	dbanks interconnect.Banks
 
 	l2     *cache.Cache
 	l2port interconnect.Resource
 	mem    interconnect.Resource
-
-	wbufs []writeBuf
 }
 
 // NewSharedL1 builds the shared-L1 architecture from cfg.
 func NewSharedL1(cfg Config) *SharedL1 {
 	s := &SharedL1{
-		cfg:     cfg,
-		res:     newReservations(cfg.NumCPUs, cfg.LineBytes),
-		icaches: newICaches(cfg),
-		dcache: cache.New(cache.Config{
-			Name:      "shared-l1d",
-			SizeBytes: cfg.SharedL1Size,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.SharedL1Assoc,
-			Banks:     cfg.SharedL1Banks,
-		}),
+		dcache: cache.New(cfg.sharedL1Geom()),
 		dbanks: interconnect.NewBanks("l1-bank", int(cfg.SharedL1Banks)),
-		mshr:   cache.NewMSHRFile(cfg.MSHRs * cfg.NumCPUs),
-		l2: cache.New(cache.Config{
-			Name:      "l2",
-			SizeBytes: cfg.L2Size,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L2Assoc,
-		}),
+		l2:     cache.New(cfg.l2Geom()),
 		l2port: interconnect.Resource{Name: "l2-port"},
 		mem:    interconnect.Resource{Name: "memory"},
-		wbufs:  newWriteBufs(cfg.NumCPUs, cfg.WriteBufDepth),
 	}
+	// Instruction misses share the L2 port with data misses but bypass
+	// the shared D-cache.
+	s.cpuSide = newCPUSide(cfg, true, func(at uint64, _ int, la uint32) (uint64, Level) { return s.l2Fetch(at, la) })
 	if cfg.Trace != nil {
 		s.dbanks.Instrument(cfg.Trace, obsv.ResL1Bank)
 		s.l2port.Instrument(cfg.Trace, obsv.ResL2Port, 0)
 		s.mem.Instrument(cfg.Trace, obsv.ResMem, 0)
-		s.mshr.SetTracer(cfg.Trace, -1) // the MSHR file is shared, not per-CPU
 	}
 	return s
 }
 
 // Name implements System.
 func (s *SharedL1) Name() string { return "shared-l1" }
-
-// LLReserve implements System.
-func (s *SharedL1) LLReserve(cpu int, addr uint32) { s.res.set(cpu, addr) }
-
-// SCCheck implements System.
-func (s *SharedL1) SCCheck(cpu int, addr uint32) bool { return s.res.checkAndClear(cpu, addr) }
-
-// ClearReservation implements System.
-func (s *SharedL1) ClearReservation(cpu int) { s.res.clear(cpu) }
 
 // l2Fetch services a shared-L1 (or I-cache) miss from the L2 and memory,
 // returning the data-ready cycle and the level that supplied the data.
@@ -131,21 +103,14 @@ func (s *SharedL1) Access(now uint64, cpu int, addr uint32, write bool) (Result,
 	return r, ok
 }
 
-// MSHROutstanding returns the number of in-flight misses at cycle now
-// (the interval sampler's occupancy probe).
-func (s *SharedL1) MSHROutstanding(now uint64) int { return s.mshr.Outstanding(now) }
-
 // access follows the refusal rule of Result: the write buffer (stores)
 // and the shared MSHR file (a reference the probe says would be a
 // primary miss) are tested first, and only an accepted reference breaks
 // the other CPUs' reservations, takes a bank slot and counts the lookup.
 func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	la := s.dcache.LineAddr(addr)
-	if write {
-		if s.wbufs[cpu].full(now) {
-			s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
-			return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
-		}
+	if write && s.wbufs[cpu].full(now) {
+		return s.wbufFull(now, cpu)
 	}
 	// Refuse a guaranteed primary miss before consuming a bank slot, so
 	// MSHR-full retry storms do not eat crossbar bandwidth. Nothing has
@@ -155,11 +120,12 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 	// entry before the miss path, so a second one at the same now could
 	// not answer differently.
 	ln := s.dcache.Probe(addr)
-	if ln == nil && s.mshr.Full(now) {
-		return Result{Done: s.mshr.NextFree(), Level: LvlL1}, false
+	mshr := s.mshrs[0]
+	if ln == nil && mshr.Full(now) {
+		return Result{Done: mshr.NextFree(), Level: LvlL1}, false
 	}
 	if write {
-		s.res.clearOthers(cpu, addr)
+		s.breakReservations(cpu, addr)
 	}
 	start := now
 	if s.cfg.SharedL1BankContention {
@@ -167,24 +133,16 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 	}
 	ready := start + s.cfg.SharedL1HitLat
 
-	finish := func(done uint64, lvl Level) (Result, bool) {
-		if write {
-			s.wbufs[cpu].add(done)
-			return Result{Done: now + 1, Level: LvlL1}, true
-		}
-		return Result{Done: done, Level: lvl}, true
-	}
-
 	if s.dcache.AccessProbed(ln, addr, write).Hit {
 		if write {
 			ln.State = cache.Modified
 		}
 		// A tag hit on a line whose fill is still in flight (secondary
 		// miss) completes when the fill does.
-		if done, tag, merged := s.mshr.Lookup(now, la); merged {
-			return finish(maxU64(ready, done), Level(tag))
+		if done, tag, merged := mshr.Lookup(now, la); merged {
+			return s.finish(now, cpu, write, max(ready, done), Level(tag))
 		}
-		return finish(ready, LvlL1)
+		return s.finish(now, cpu, write, ready, LvlL1)
 	}
 
 	// Primary miss; the probe above found an MSHR free for it.
@@ -197,37 +155,14 @@ func (s *SharedL1) access(now uint64, cpu int, addr uint32, write bool) (Result,
 	if victim.Valid && victim.Dirty {
 		s.writebackToL2(ready, victim.LineAddr)
 	}
-	s.mshr.Allocate(now, la, dataAt, uint8(lvl))
-	return finish(dataAt, lvl)
+	mshr.Allocate(now, la, dataAt, uint8(lvl))
+	return s.finish(now, cpu, write, dataAt, lvl)
 }
-
-// IFetch implements System. Instruction misses share the L2 port with
-// data misses but bypass the shared D-cache.
-func (s *SharedL1) IFetch(now uint64, cpu int, addr uint32) Result {
-	ic := s.icaches[cpu]
-	la := ic.LineAddr(addr)
-	r := ic.Access(addr, false)
-	if r.Hit {
-		return Result{Done: now + 1, Level: LvlL1}
-	}
-	dataAt, lvl := s.l2Fetch(now+1, la)
-	ic.Fill(addr, cache.Exclusive)
-	s.cfg.traceIFetch(now, cpu, addr, lvl, cyc.Lat(dataAt, now))
-	if s.cfg.Check != nil {
-		s.cfg.Check.CheckAccessTime(now, dataAt, cpu, addr)
-	}
-	return Result{Done: dataAt, Level: lvl}
-}
-
-// IFetchHit implements IFetchHitter.
-func (s *SharedL1) IFetchHit(cpu int, addr uint32) bool { return s.icaches[cpu].Probe(addr) != nil }
 
 // Report implements System.
 func (s *SharedL1) Report() Report {
-	rep := Report{Name: s.Name(), L1D: s.dcache.Stats(), L2: s.l2.Stats()}
-	for _, ic := range s.icaches {
-		rep.L1I.Add(ic.Stats())
-	}
+	rep := s.report(s.Name())
+	rep.L1D, rep.L2 = s.dcache.Stats(), s.l2.Stats()
 	rep.Resources = []interconnect.ResourceStats{
 		s.dbanks.Stats(),
 		s.l2port.Stats(),

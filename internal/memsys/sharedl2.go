@@ -20,58 +20,32 @@ import (
 // bank, which is what produces the L2 port contention the paper reports
 // for Ocean and the multiprogramming workload.
 type SharedL2 struct {
-	cfg Config
-	res reservations
+	cpuSide
 
-	icaches []*cache.Cache
 	dcaches []*cache.Cache
-	mshrs   []*cache.MSHRFile
-
 	dir     *coherence.Directory
 	l2      *cache.Cache
 	l2banks interconnect.Banks
 	mem     interconnect.Resource
-
-	wbufs []writeBuf
 }
 
 // NewSharedL2 builds the shared-L2 architecture from cfg.
 func NewSharedL2(cfg Config) *SharedL2 {
 	dcaches := make([]*cache.Cache, cfg.NumCPUs)
-	mshrs := make([]*cache.MSHRFile, cfg.NumCPUs)
 	for i := range dcaches {
-		dcaches[i] = cache.New(cache.Config{
-			Name:      "l1d",
-			SizeBytes: cfg.L1DSize,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L1DAssoc,
-		})
-		mshrs[i] = cache.NewMSHRFile(cfg.MSHRs)
+		dcaches[i] = cache.New(cfg.l1dGeom())
 	}
 	s := &SharedL2{
-		cfg:     cfg,
-		res:     newReservations(cfg.NumCPUs, cfg.LineBytes),
-		icaches: newICaches(cfg),
 		dcaches: dcaches,
-		mshrs:   mshrs,
 		dir:     coherence.NewDirectory(dcaches),
-		l2: cache.New(cache.Config{
-			Name:      "shared-l2",
-			SizeBytes: cfg.L2Size,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L2Assoc,
-			Banks:     cfg.L2Banks,
-		}),
+		l2:      cache.New(cfg.sharedL2Geom()),
 		l2banks: interconnect.NewBanks("l2-bank", int(cfg.L2Banks)),
 		mem:     interconnect.Resource{Name: "memory"},
-		wbufs:   newWriteBufs(cfg.NumCPUs, cfg.WriteBufDepth),
 	}
+	s.cpuSide = newCPUSide(cfg, false, func(at uint64, _ int, la uint32) (uint64, Level) { return s.l2Fetch(at, la) })
 	if cfg.Trace != nil {
 		s.l2banks.Instrument(cfg.Trace, obsv.ResL2Bank)
 		s.mem.Instrument(cfg.Trace, obsv.ResMem, 0)
-		for i, m := range s.mshrs {
-			m.SetTracer(cfg.Trace, i)
-		}
 		s.dir.SetTracer(cfg.Trace)
 	}
 	if cfg.Prof != nil {
@@ -93,15 +67,6 @@ func (s *SharedL2) isShared(addr uint32) bool {
 	}
 	return s.cfg.SharedData(addr)
 }
-
-// LLReserve implements System.
-func (s *SharedL2) LLReserve(cpu int, addr uint32) { s.res.set(cpu, addr) }
-
-// SCCheck implements System.
-func (s *SharedL2) SCCheck(cpu int, addr uint32) bool { return s.res.checkAndClear(cpu, addr) }
-
-// ClearReservation implements System.
-func (s *SharedL2) ClearReservation(cpu int) { s.res.clear(cpu) }
 
 // l2Fetch services an L1 (or I-cache) line miss from the shared L2,
 // going to memory below it on an L2 miss. Returns data-ready cycle and
@@ -132,9 +97,18 @@ func (s *SharedL2) evictL2Victim(v cache.Victim, at uint64) {
 	}
 }
 
-// Access implements System.
-func (s *SharedL2) Access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
-	r, ok := s.access(now, cpu, addr, write)
+// Access implements System. It follows the refusal rule of Result in
+// both halves: load and store test the write buffer (stores) and the
+// MSHR file (a load or a private store the L1 probe says would be a
+// primary miss) first, and only an accepted reference counts the L1
+// lookup, breaks the other CPUs' reservations, writes the directory and
+// takes an L2 bank.
+func (s *SharedL2) Access(now uint64, cpu int, addr uint32, write bool) (r Result, ok bool) {
+	if write {
+		r, ok = s.store(now, cpu, addr)
+	} else {
+		r, ok = s.load(now, cpu, addr)
+	}
 	if ok {
 		s.cfg.traceAccess(now, cpu, addr, write, r.Level, cyc.Lat(r.Done, now))
 		if s.cfg.Check != nil {
@@ -164,28 +138,6 @@ func (s *SharedL2) sanityCheck(now uint64, cpu int, addr uint32, r Result) {
 	chk.CheckDirectory(now, la, s.dir.Sharers(la), present, s.l2.Probe(la) != nil)
 }
 
-// MSHROutstanding returns the in-flight misses summed over the CPUs'
-// MSHR files at cycle now.
-func (s *SharedL2) MSHROutstanding(now uint64) int {
-	n := 0
-	for _, m := range s.mshrs {
-		n += m.Outstanding(now)
-	}
-	return n
-}
-
-// access follows the refusal rule of Result in both halves: load and
-// store test the write buffer (stores) and the MSHR file (a load or a
-// private store the L1 probe says would be a primary miss) first, and
-// only an accepted reference counts the L1 lookup, breaks the other
-// CPUs' reservations, writes the directory and takes an L2 bank.
-func (s *SharedL2) access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
-	if write {
-		return s.store(now, cpu, addr)
-	}
-	return s.load(now, cpu, addr)
-}
-
 func (s *SharedL2) load(now uint64, cpu int, addr uint32) (Result, bool) {
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)
@@ -198,7 +150,7 @@ func (s *SharedL2) load(now uint64, cpu int, addr uint32) (Result, bool) {
 	}
 	if d.AccessProbed(ln, addr, false).Hit {
 		if done, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
-			return Result{Done: maxU64(now+1, done), Level: Level(tag)}, true
+			return Result{Done: max(now+1, done), Level: Level(tag)}, true
 		}
 		return Result{Done: now + 1, Level: LvlL1}, true
 	}
@@ -245,17 +197,14 @@ func (s *SharedL2) handleL1Victim(cpu int, v cache.Victim, at uint64) {
 // write buffer) unless the buffer is full.
 func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
 	if s.wbufs[cpu].full(now) {
-		// Stall until a buffer slot drains; attribute to the L2 (port
-		// contention), as in the paper's Figure 10 discussion.
-		s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
-		return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
+		return s.wbufFull(now, cpu)
 	}
 	if !s.isShared(addr) {
 		return s.storePrivate(now, cpu, addr)
 	}
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)
-	s.res.clearOthers(cpu, addr)
+	s.breakReservations(cpu, addr)
 	hit := d.Access(addr, true).Hit
 	s.dir.Write(now, la, cpu)
 
@@ -283,8 +232,7 @@ func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
 		}
 		s.dir.AddSharer(la, cpu)
 	}
-	s.wbufs[cpu].add(done)
-	return Result{Done: now + 1, Level: LvlL1}, true
+	return s.finish(now, cpu, true, done, LvlL1)
 }
 
 // storePrivate handles a store to private (write-back) data: an L1 hit
@@ -299,7 +247,7 @@ func (s *SharedL2) storePrivate(now uint64, cpu int, addr uint32) (Result, bool)
 	if ln == nil && s.mshrs[cpu].Full(now) {
 		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
 	}
-	s.res.clearOthers(cpu, addr)
+	s.breakReservations(cpu, addr)
 	if d.AccessProbed(ln, addr, true).Hit {
 		ln.State = cache.Modified
 		return Result{Done: now + 1, Level: LvlL1}, true
@@ -308,36 +256,13 @@ func (s *SharedL2) storePrivate(now uint64, cpu int, addr uint32) (Result, bool)
 	victim := d.Fill(addr, cache.Modified)
 	s.handleL1Victim(cpu, victim, now+1)
 	s.mshrs[cpu].Allocate(now, la, dataAt, uint8(lvl))
-	s.wbufs[cpu].add(dataAt)
-	return Result{Done: now + 1, Level: LvlL1}, true
+	return s.finish(now, cpu, true, dataAt, LvlL1)
 }
-
-// IFetch implements System.
-func (s *SharedL2) IFetch(now uint64, cpu int, addr uint32) Result {
-	ic := s.icaches[cpu]
-	la := ic.LineAddr(addr)
-	r := ic.Access(addr, false)
-	if r.Hit {
-		return Result{Done: now + 1, Level: LvlL1}
-	}
-	dataAt, lvl := s.l2Fetch(now+1, la)
-	ic.Fill(addr, cache.Exclusive)
-	s.cfg.traceIFetch(now, cpu, addr, lvl, cyc.Lat(dataAt, now))
-	if s.cfg.Check != nil {
-		s.cfg.Check.CheckAccessTime(now, dataAt, cpu, addr)
-	}
-	return Result{Done: dataAt, Level: lvl}
-}
-
-// IFetchHit implements IFetchHitter.
-func (s *SharedL2) IFetchHit(cpu int, addr uint32) bool { return s.icaches[cpu].Probe(addr) != nil }
 
 // Report implements System.
 func (s *SharedL2) Report() Report {
-	rep := Report{Name: s.Name(), L2: s.l2.Stats()}
-	for _, ic := range s.icaches {
-		rep.L1I.Add(ic.Stats())
-	}
+	rep := s.report(s.Name())
+	rep.L2 = s.l2.Stats()
 	for _, d := range s.dcaches {
 		rep.L1D.Add(d.Stats())
 	}

@@ -18,18 +18,14 @@ import (
 // their tags and the slowest responder gates the transfer. Both cache
 // levels participate in MESI snooping, with L2 inclusive of L1.
 type SharedMem struct {
-	cfg Config
-	res reservations
+	cpuSide
 
-	icaches []*cache.Cache
 	l1s     []*cache.Cache
 	l2s     []*cache.Cache
-	l2ports []interconnect.Resource
-	mshrs   []*cache.MSHRFile
+	l2ports interconnect.Banks // one per CPU, in front of its own L2
 
 	snoop *coherence.Snoop
 	bus   interconnect.Resource
-	wbufs []writeBuf
 
 	// chkNodes is preallocated sanitizer scratch, nil unless Check is
 	// set. It is written only inside sanityCheck, which runs under the
@@ -46,45 +42,24 @@ func NewSharedMem(cfg Config) *SharedMem {
 	n := cfg.NumCPUs
 	l1s := make([]*cache.Cache, n)
 	l2s := make([]*cache.Cache, n)
-	ports := make([]interconnect.Resource, n)
-	mshrs := make([]*cache.MSHRFile, n)
 	nodes := make([]coherence.Node, n)
 	for i := 0; i < n; i++ {
-		l1s[i] = cache.New(cache.Config{
-			Name:      "l1d",
-			SizeBytes: cfg.L1DSize,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L1DAssoc,
-		})
-		l2s[i] = cache.New(cache.Config{
-			Name:      "priv-l2",
-			SizeBytes: cfg.PrivL2Size,
-			LineBytes: cfg.LineBytes,
-			Assoc:     cfg.L2Assoc,
-		})
-		ports[i] = interconnect.Resource{Name: "l2-port"}
-		mshrs[i] = cache.NewMSHRFile(cfg.MSHRs)
+		l1s[i] = cache.New(cfg.l1dGeom())
+		l2s[i] = cache.New(cfg.privL2Geom())
 		nodes[i] = coherence.Node{L1: l1s[i], L2: l2s[i]}
 	}
 	s := &SharedMem{
-		cfg:     cfg,
-		res:     newReservations(n, cfg.LineBytes),
-		icaches: newICaches(cfg),
 		l1s:     l1s,
 		l2s:     l2s,
-		l2ports: ports,
-		mshrs:   mshrs,
+		l2ports: interconnect.NewBanks("l2-port", n),
 		snoop:   coherence.NewSnoop(nodes),
 		bus:     interconnect.Resource{Name: "bus"},
-		wbufs:   newWriteBufs(n, cfg.WriteBufDepth),
 	}
+	s.cpuSide = newCPUSide(cfg, false, s.l2Fetch)
 	if cfg.Trace != nil {
 		s.bus.Instrument(cfg.Trace, obsv.ResBus, 0)
-		for i := range s.l2ports {
-			// Per-CPU ports: the owning CPU doubles as the bank index.
-			s.l2ports[i].Instrument(cfg.Trace, obsv.ResL2Port, uint32(i))
-			s.mshrs[i].SetTracer(cfg.Trace, i)
-		}
+		// Per-CPU ports: the owning CPU doubles as the bank index.
+		s.l2ports.Instrument(cfg.Trace, obsv.ResL2Port)
 		s.snoop.SetTracer(cfg.Trace)
 	}
 	if cfg.Prof != nil {
@@ -98,15 +73,6 @@ func NewSharedMem(cfg Config) *SharedMem {
 
 // Name implements System.
 func (s *SharedMem) Name() string { return "shared-mem" }
-
-// LLReserve implements System.
-func (s *SharedMem) LLReserve(cpu int, addr uint32) { s.res.set(cpu, addr) }
-
-// SCCheck implements System.
-func (s *SharedMem) SCCheck(cpu int, addr uint32) bool { return s.res.checkAndClear(cpu, addr) }
-
-// ClearReservation implements System.
-func (s *SharedMem) ClearReservation(cpu int) { s.res.clear(cpu) }
 
 // l1FillState derives the L1 fill state from the local L2 line's state.
 func l1FillState(l2State cache.State) cache.State {
@@ -201,16 +167,6 @@ func (s *SharedMem) sanityCheck(now uint64, cpu int, addr uint32, r Result) {
 	chk.CheckMESI(now, la, s.chkNodes)
 }
 
-// MSHROutstanding returns the in-flight misses summed over the CPUs'
-// MSHR files at cycle now.
-func (s *SharedMem) MSHROutstanding(now uint64) int {
-	n := 0
-	for _, m := range s.mshrs {
-		n += m.Outstanding(now)
-	}
-	return n
-}
-
 // access follows the refusal rule of Result: the write buffer (stores)
 // and the MSHR file (a reference the L1 probe says would be a primary
 // miss) are tested first, and only an accepted reference counts the L1
@@ -219,11 +175,8 @@ func (s *SharedMem) MSHROutstanding(now uint64) int {
 func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	l1 := s.l1s[cpu]
 	la := l1.LineAddr(addr)
-	if write {
-		if s.wbufs[cpu].full(now) {
-			s.cfg.traceRefusal(now, cpu, obsv.EvWBufFull)
-			return Result{Done: s.wbufs[cpu].nextFree(), Level: LvlL2}, false
-		}
+	if write && s.wbufs[cpu].full(now) {
+		return s.wbufFull(now, cpu)
 	}
 	// A line enters this L1 only through this CPU's own primary miss,
 	// and every one of those is refused until an entry frees, so no
@@ -233,15 +186,7 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
 	}
 	if write {
-		s.res.clearOthers(cpu, addr)
-	}
-
-	finish := func(done uint64, lvl Level) (Result, bool) {
-		if write {
-			s.wbufs[cpu].add(done)
-			return Result{Done: now + 1, Level: LvlL1}, true
-		}
-		return Result{Done: done, Level: lvl}, true
+		s.breakReservations(cpu, addr)
 	}
 
 	if l1.AccessProbed(ln, addr, write).Hit {
@@ -249,17 +194,17 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 			if write {
 				ln.State = cache.Modified
 			}
-			return finish(maxU64(now+1, done), Level(tag))
+			return s.finish(now, cpu, write, max(now+1, done), Level(tag))
 		}
 		if !write {
 			return Result{Done: now + 1, Level: LvlL1}, true
 		}
 		switch ln.State {
 		case cache.Modified:
-			return finish(now+1, LvlL1)
+			return s.finish(now, cpu, write, now+1, LvlL1)
 		case cache.Exclusive:
 			ln.State = cache.Modified
-			return finish(now+1, LvlL1)
+			return s.finish(now, cpu, write, now+1, LvlL1)
 		default: // Shared: bus upgrade to invalidate the other copies
 			s.snoop.Upgrade(now, cpu, la)
 			start := s.bus.Acquire(now+1, 2)
@@ -267,7 +212,7 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 			if l2ln := s.l2s[cpu].Probe(la); l2ln != nil {
 				l2ln.State = cache.Modified
 			}
-			return finish(start+s.cfg.UpgLat, LvlC2C)
+			return s.finish(now, cpu, write, start+s.cfg.UpgLat, LvlC2C)
 		}
 	}
 
@@ -311,20 +256,14 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 	v := l1.Fill(addr, l1State)
 	s.writebackL1Victim(cpu, v, start+s.cfg.L2Occ)
 	s.mshrs[cpu].Allocate(now, la, dataAt, uint8(lvl))
-	return finish(dataAt, lvl)
+	return s.finish(now, cpu, write, dataAt, lvl)
 }
 
-// IFetch implements System. Instruction misses go through the CPU's own
-// L2; kernel text shared between processes may be sourced from a remote
-// cache over the bus.
-func (s *SharedMem) IFetch(now uint64, cpu int, addr uint32) Result {
-	ic := s.icaches[cpu]
-	la := ic.LineAddr(addr)
-	r := ic.Access(addr, false)
-	if r.Hit {
-		return Result{Done: now + 1, Level: LvlL1}
-	}
-	start := s.l2ports[cpu].Acquire(now+1, s.cfg.L2Occ)
+// l2Fetch is the I-cache miss path (cpuSide.fetchLine): instruction
+// misses go through the CPU's own L2; kernel text shared between
+// processes may be sourced from a remote cache over the bus.
+func (s *SharedMem) l2Fetch(reqTime uint64, cpu int, la uint32) (uint64, Level) {
+	start := s.l2ports[cpu].Acquire(reqTime, s.cfg.L2Occ)
 	l2 := s.l2s[cpu]
 	l2r := l2.Access(la, false)
 	var dataAt uint64
@@ -338,23 +277,12 @@ func (s *SharedMem) IFetch(now uint64, cpu int, addr uint32) Result {
 		victim := l2.Fill(la, fillState)
 		s.evictL2Victim(cpu, victim, start+s.cfg.L2Lat)
 	}
-	ic.Fill(addr, cache.Exclusive)
-	s.cfg.traceIFetch(now, cpu, addr, lvl, cyc.Lat(dataAt, now))
-	if s.cfg.Check != nil {
-		s.cfg.Check.CheckAccessTime(now, dataAt, cpu, addr)
-	}
-	return Result{Done: dataAt, Level: lvl}
+	return dataAt, lvl
 }
-
-// IFetchHit implements IFetchHitter.
-func (s *SharedMem) IFetchHit(cpu int, addr uint32) bool { return s.icaches[cpu].Probe(addr) != nil }
 
 // Report implements System.
 func (s *SharedMem) Report() Report {
-	rep := Report{Name: s.Name()}
-	for _, ic := range s.icaches {
-		rep.L1I.Add(ic.Stats())
-	}
+	rep := s.report(s.Name())
 	for _, l1 := range s.l1s {
 		rep.L1D.Add(l1.Stats())
 	}
@@ -363,15 +291,6 @@ func (s *SharedMem) Report() Report {
 	}
 	sn := s.snoop.Stats()
 	rep.Snoop = &sn
-	res := []interconnect.ResourceStats{s.bus.Stats()}
-	var ports interconnect.ResourceStats
-	for i := range s.l2ports {
-		st := s.l2ports[i].Stats()
-		ports.Name = st.Name
-		ports.Acquires += st.Acquires
-		ports.WaitCycles += st.WaitCycles
-		ports.BusyCycles += st.BusyCycles
-	}
-	rep.Resources = append(res, ports)
+	rep.Resources = []interconnect.ResourceStats{s.bus.Stats(), s.l2ports.Stats()}
 	return rep
 }

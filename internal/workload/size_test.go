@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"cmpsim/internal/core"
@@ -69,5 +70,42 @@ func TestOversizedWorkloadsFailCleanly(t *testing.T) {
 				t.Logf("refused: %v", err)
 			}
 		})
+	}
+}
+
+// TestBadConfigsFailCleanly feeds Run design points no architecture can
+// be built with, on every architecture. Each must come back as an error
+// naming the offending Config field (memsys.Config.Validate, called by
+// core.NewSystem). Unchecked, an empty write buffer or MSHR file refuses
+// every store or miss forever, bad cache geometry panics in cache.New,
+// zero banks index an empty crossbar and zero CPUs divide by zero.
+func TestBadConfigsFailCleanly(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		set         func(*memsys.Config)
+	}{
+		{"wbuf-0", "WriteBufDepth", func(c *memsys.Config) { c.WriteBufDepth = 0 }},
+		{"mshrs-0", "MSHRs", func(c *memsys.Config) { c.MSHRs = 0 }},
+		{"l1dsize-1000", "L1DSize", func(c *memsys.Config) { c.L1DSize = 1000 }},
+		{"l2assoc-0", "L2Assoc", func(c *memsys.Config) { c.L2Assoc = 0 }},
+		{"cpus-0", "NumCPUs", func(c *memsys.Config) { c.NumCPUs = 0 }},
+		{"cpus-17", "NumCPUs", func(c *memsys.Config) { c.NumCPUs = 17 }},
+		{"l2banks-0", "L2Banks", func(c *memsys.Config) { c.L2Banks = 0 }},
+		{"l1banks-3", "SharedL1Banks", func(c *memsys.Config) { c.SharedL1Banks = 3 }},
+		{"line-24", "LineBytes", func(c *memsys.Config) { c.LineBytes = 24 }},
+	} {
+		for _, arch := range core.Arches() {
+			t.Run(tc.name+"/"+string(arch), func(t *testing.T) {
+				w, err := NewQuick("eqntott")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := memsys.DefaultConfig()
+				tc.set(&cfg)
+				if _, err := Run(w, arch, core.ModelMipsy, &cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Fatalf("Run = %v, want an error naming %s", err, tc.field)
+				}
+			})
+		}
 	}
 }
