@@ -33,12 +33,16 @@ race:
 # architectures with the runtime sanitizer on: every memory transaction
 # is checked for MESI legality, directory/L1 agreement, inclusion,
 # cycle monotonicity and MSHR drain, and any violation panics with an
-# event trail. The last step saves a profile with cmpsim -prof-out and
-# renders it with cmd/simprof, the profile viewer.
+# event trail. MP3D also runs under the out-of-order CPU on shared-mem,
+# the only model that stores to a line while its own read miss is
+# outstanding (a merged store must still upgrade). The last step saves
+# a profile with cmpsim -prof-out and renders it with cmd/simprof, the
+# profile viewer.
 smoke:
 	$(GO) run ./cmd/cmpsim -workload eqntott -quick -sanitize
 	$(GO) run ./cmd/cmpsim -workload fft -quick -sanitize
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -sanitize
+	$(GO) run ./cmd/cmpsim -workload mp3d -quick -model mxs -arch shared-mem -sanitize
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -prof-out $$tmp/p.json && \
 	$(GO) run ./cmd/simprof -top 5 $$tmp/p.json; status=$$?; rm -rf $$tmp; exit $$status

@@ -3,6 +3,9 @@ package memsys
 import (
 	"encoding/json"
 	"testing"
+
+	"cmpsim/internal/cache"
+	"cmpsim/internal/check"
 )
 
 // latency returns the load-to-use latency of a fresh access on sys.
@@ -132,6 +135,42 @@ func TestSharedMemWriteMissWithRemoteDirty(t *testing.T) {
 	// CPU0's copies must be gone.
 	if s.l1s[0].Probe(0x100) != nil || s.l2s[0].Probe(0x100) != nil {
 		t.Error("remote copies survived BusRdX")
+	}
+}
+
+// TestSharedMemMergedStoreUpgrades is the three-access sequence behind
+// the MXS shared-mem sanitizer failures: a store that hits a Shared
+// line whose read miss is still outstanding must upgrade on the bus like
+// any other store to a Shared line. Skipping the upgrade left L1
+// Modified over L2 Shared in the writer and a valid stale copy in the
+// other sharer ("0 S/S, 1 M/S, 2 -/-, 3 -/-").
+func TestSharedMemMergedStoreUpgrades(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Check = check.New(16)
+	s := NewSharedMem(cfg)
+	const line = 0x4000
+	defer func() {
+		if v, ok := recover().(*check.Violation); ok {
+			t.Fatalf("merged store broke coherence: %v", v)
+		}
+	}()
+	s.Access(10, 0, line, false)   // CPU 0 fills E
+	s.Access(1000, 1, line, false) // CPU 1 reads: both S, CPU 1's miss outstanding
+	if _, _, pending := s.mshrs[1].Lookup(1001, line); !pending {
+		t.Fatal("CPU 1's read miss is no longer outstanding at cycle 1001")
+	}
+	if _, ok := s.Access(1001, 1, line, true); !ok { // merges into that miss
+		t.Fatal("store refused")
+	}
+	if s.l1s[0].Probe(line) != nil || s.l2s[0].Probe(line) != nil {
+		t.Error("CPU 0 kept a copy of the line CPU 1 wrote")
+	}
+	l1, l2 := s.l1s[1].Probe(line), s.l2s[1].Probe(line)
+	if l1 == nil || l2 == nil || l1.State != cache.Modified || l2.State != cache.Modified {
+		t.Errorf("CPU 1 holds %v/%v, want M/M", l1, l2)
+	}
+	if up := s.snoop.Stats().Upgrades; up != 1 {
+		t.Errorf("upgrades = %d, want 1", up)
 	}
 }
 

@@ -190,21 +190,22 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 	}
 
 	if l1.AccessProbed(ln, addr, write).Hit {
-		if done, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
-			if write {
-				ln.State = cache.Modified
-			}
-			return s.finish(now, cpu, write, max(now+1, done), Level(tag))
+		// A hit on a line whose miss is still outstanding waits for the
+		// fill, and then takes the same transition as any other hit: a
+		// merged store to a Shared line still upgrades.
+		done, lvl := now+1, LvlL1
+		if fill, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
+			done, lvl = max(now+1, fill), Level(tag)
 		}
 		if !write {
-			return Result{Done: now + 1, Level: LvlL1}, true
+			return Result{Done: done, Level: lvl}, true
 		}
 		switch ln.State {
 		case cache.Modified:
-			return s.finish(now, cpu, write, now+1, LvlL1)
+			return s.finish(now, cpu, write, done, lvl)
 		case cache.Exclusive:
 			ln.State = cache.Modified
-			return s.finish(now, cpu, write, now+1, LvlL1)
+			return s.finish(now, cpu, write, done, lvl)
 		default: // Shared: bus upgrade to invalidate the other copies
 			s.snoop.Upgrade(now, cpu, la)
 			start := s.bus.Acquire(now+1, 2)
@@ -212,7 +213,7 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 			if l2ln := s.l2s[cpu].Probe(la); l2ln != nil {
 				l2ln.State = cache.Modified
 			}
-			return s.finish(now, cpu, write, start+s.cfg.UpgLat, LvlC2C)
+			return s.finish(now, cpu, write, max(done, start+s.cfg.UpgLat), LvlC2C)
 		}
 	}
 

@@ -193,14 +193,14 @@ func TestKeyStable(t *testing.T) {
 		cfg   memsys.Config
 		want  string
 	}{
-		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "4196039dd068ffbf023956bf8ca091f2"},
-		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "47496542285b68c92146c2765753aa39"},
-		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "8d1fd4bc70768fde09bd6c41f1c5c688"},
-		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "c8b6574982a83183470dd8e37e61788c"},
-		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "01e27fe4491a6ff2b1e91329a0a32ff2"},
-		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "3d5a6af718fc2026db3da9e15f799f06"},
-		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "b9f8cbcdb9505b54d609474253f62983"},
-		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "a2030469d298fd5409d102c422677a7e"},
+		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "d305eeebb2c72bf9316ed80e923872cc"},
+		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "7b0bee2fe436f3eac565848ba654aa3a"},
+		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "d702deaa5e1daf0c5c43fe5d313a9025"},
+		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "86081c3e3388c4ed3e5e90d7e840d021"},
+		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "cce0ec657fc53561f56b80678bc5ffa9"},
+		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "389665b576e50277899fe6b9baafd037"},
+		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "28aa57b00fc3348430c3243a9cd153ff"},
+		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "8bfab7ac5ebb8a5cd96160c42ba3926d"},
 	} {
 		job := smallJob(c.arch)
 		job.Model, job.Cfg = c.model, c.cfg

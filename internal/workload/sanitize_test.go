@@ -2,12 +2,13 @@ package workload
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"cmpsim/internal/check"
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
+	"cmpsim/internal/obsv"
+	"cmpsim/internal/prof"
 )
 
 // TestSanitizedRunsClean is the acceptance gate for the runtime
@@ -16,19 +17,15 @@ import (
 // enabled — MESI legality, directory/L1 agreement, inclusion, cycle
 // monotonicity and MSHR drain — and must finish without a violation (a
 // violation panics the run) and with the uninstrumented run's Cycles,
-// PerCPU and MemReport. It also requires the checker to have actually
-// evaluated a meaningful number of invariants, so a mis-wired
-// Config.Check cannot pass silently.
-//
-// Four MXS cells on shared-mem are known to break CheckMESI's
-// write-back rule (ROADMAP item 16). They must keep failing with exactly
-// that rule: a protocol fix flips them here on purpose, and any other
-// violation fails the test.
+// PerCPU and MemReport. The sanitized run also carries a trace ring and
+// a profiler, so it checks that neither changes the simulation. It
+// requires the checker to have actually evaluated a meaningful number
+// of invariants, and the ring and profiler to have recorded the run, so
+// a mis-wired Config field cannot pass silently.
 func TestSanitizedRunsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 84 quick simulations; skipped in -short mode")
 	}
-	knownWriteBack := map[string]bool{"eqntott": true, "mp3d": true, "ocean": true, "ear": true}
 	for _, name := range Names() {
 		if name == "latprobe" {
 			continue // no quick variant
@@ -36,9 +33,8 @@ func TestSanitizedRunsClean(t *testing.T) {
 		for _, arch := range core.Arches() {
 			t.Run(name+"/"+string(arch), func(t *testing.T) {
 				for _, model := range []core.CPUModel{core.ModelMipsy, core.ModelMXS} {
-					known := model == core.ModelMXS && arch == core.SharedMem && knownWriteBack[name]
 					t.Run(string(model), func(t *testing.T) {
-						sanitizedCell(t, name, arch, model, known)
+						sanitizedCell(t, name, arch, model)
 					})
 				}
 			})
@@ -46,10 +42,9 @@ func TestSanitizedRunsClean(t *testing.T) {
 	}
 }
 
-// sanitizedCell runs one quick cell plain and sanitized and compares
-// them; known says the sanitized run must panic with CheckMESI's
-// write-back rule instead.
-func sanitizedCell(t *testing.T, name string, arch core.Arch, model core.CPUModel, known bool) {
+// sanitizedCell runs one quick cell plain and instrumented (sanitizer,
+// trace ring and profiler) and compares them.
+func sanitizedCell(t *testing.T, name string, arch core.Arch, model core.CPUModel) {
 	run := func(cfg memsys.Config) *core.RunResult {
 		w, err := NewQuick(name)
 		if err != nil {
@@ -62,45 +57,30 @@ func sanitizedCell(t *testing.T, name string, arch core.Arch, model core.CPUMode
 		return res
 	}
 	chk := check.New(64)
+	ring := obsv.NewRing(1024)
 	cfg := memsys.DefaultConfig()
 	cfg.Check = chk
-	cfg.Trace = chk // populate the violation trail
-	var got *core.RunResult
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			v, ok := r.(*check.Violation)
-			if !ok {
-				panic(r)
-			}
-			if !known || v.Rule != "mesi" || !strings.Contains(v.Msg, "Modified in L1 over a Shared L2 copy") {
-				t.Fatal(v)
-			}
-			t.Logf("known write-back violation (ROADMAP item 16): %s", v.Msg)
-		}()
-		got = run(cfg)
-	}()
-	if got == nil {
-		return
-	}
-	if known {
-		t.Fatal("ran clean; the known write-back violation is gone, so drop this cell from the known set")
-	}
+	cfg.Trace = obsv.Tee(ring, chk) // the checker's copy is the violation trail
+	cfg.Prof = prof.New(cfg.NumCPUs, cfg.LineBytes)
+	got := run(cfg)
 	if chk.Checks() < 1000 {
 		t.Fatalf("sanitizer ran only %d checks; the Config.Check wiring is broken", chk.Checks())
 	}
+	if ring.Emitted() == 0 {
+		t.Error("the trace ring saw no events; the Config.Trace wiring is broken")
+	}
+	if got.Profile == nil || len(got.Profile.PCs) == 0 {
+		t.Error("the profile attributes no PC; the Config.Prof wiring is broken")
+	}
 	want := run(memsys.DefaultConfig())
 	if got.Cycles != want.Cycles {
-		t.Errorf("sanitized Cycles %d, plain %d", got.Cycles, want.Cycles)
+		t.Errorf("instrumented Cycles %d, plain %d", got.Cycles, want.Cycles)
 	}
 	if !reflect.DeepEqual(got.PerCPU, want.PerCPU) {
-		t.Errorf("sanitized PerCPU differs\n got %+v\nwant %+v", got.PerCPU, want.PerCPU)
+		t.Errorf("instrumented PerCPU differs\n got %+v\nwant %+v", got.PerCPU, want.PerCPU)
 	}
 	if !reflect.DeepEqual(got.MemReport, want.MemReport) {
-		t.Errorf("sanitized MemReport differs\n got %+v\nwant %+v", got.MemReport, want.MemReport)
+		t.Errorf("instrumented MemReport differs\n got %+v\nwant %+v", got.MemReport, want.MemReport)
 	}
 }
 
