@@ -4,9 +4,12 @@
 // write-through invalidate directory for the shared-L2 multiprocessor
 // (one directory entry per shared-L2 line, Section 2.3).
 //
-// The protocol engines manipulate cache *state* only; the memory-system
-// compositions (package memsys) translate protocol outcomes (remote
-// dirty supplier, invalidations sent, ...) into cycles.
+// Coherence decides every state, memsys charges time. For MESI, Local
+// is the requester's side (the states its own L1 and L2 take and the
+// bus transaction it needs) and Snoop the remote side (what every other
+// node's copies become); the memory-system compositions (package
+// memsys) only turn the transaction and what it found (remote copy,
+// invalidations sent, ...) into cycles.
 package coherence
 
 import (
@@ -14,6 +17,54 @@ import (
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
 )
+
+// Bus is the bus transaction an access needs from the snooping domain.
+type Bus uint8
+
+const (
+	BusNone Bus = iota // served by the requester's own hierarchy
+	BusRd              // read miss: remote E/M copies downgrade to Shared
+	BusRdX             // write miss: remote copies are invalidated
+	BusUpgr            // write to a Shared copy: remote copies are invalidated, no data moves
+)
+
+// Local is the requester's side of MESI: given the state of the line in
+// the requesting CPU's L1 and L2 (Invalid where absent) and whether the
+// access writes, it returns the states the two copies take and the bus
+// transaction the access needs. Whether a miss to the line is still
+// outstanding is not an input: an access that merges into one takes the
+// same transition.
+//
+// An L1 hit does not look at the L2 (the read-hit path must not probe
+// it), so the caller passes Invalid for it there, and nl2 then stays
+// Invalid unless the L2 copy must change. A BusRd fills Exclusive;
+// SnoopResult.Fill turns that into Shared when a remote copy answers.
+// The L2 stays inclusive of the L1, so an L1 copy is never over an
+// invalid L2 one.
+func Local(l1, l2 cache.State, write bool) (nl1, nl2 cache.State, bus Bus) {
+	if l1 != cache.Invalid { // L1 hit
+		switch {
+		case !write:
+			return l1, l2, BusNone
+		case l1 == cache.Shared:
+			return cache.Modified, cache.Modified, BusUpgr
+		}
+		return cache.Modified, l2, BusNone // E or M: silent
+	}
+	switch { // L1 miss
+	case l2 == cache.Invalid && write:
+		return cache.Modified, cache.Modified, BusRdX
+	case l2 == cache.Invalid:
+		return cache.Exclusive, cache.Exclusive, BusRd
+	case write && l2 == cache.Shared:
+		return cache.Modified, cache.Modified, BusUpgr
+	case write:
+		return cache.Modified, cache.Modified, BusNone
+	case l2 == cache.Shared:
+		return cache.Shared, cache.Shared, BusNone
+	}
+	return cache.Exclusive, l2, BusNone // E or M in L2: the L1 may upgrade silently
+}
 
 // Node is one CPU's private cache hierarchy in the snoopy system.
 type Node struct {
@@ -65,50 +116,57 @@ type SnoopResult struct {
 	dirtyNode int // node that held the line Modified, -1 if none (profiling)
 }
 
+// Fill is the state a requester's copy takes after the transaction
+// that found r, when Local gave it st: a BusRd answered by a remote copy
+// fills Shared, not Exclusive.
+func (r SnoopResult) Fill(st cache.State) cache.State {
+	if r.RemoteCopy && st == cache.Exclusive {
+		return cache.Shared
+	}
+	return st
+}
+
+// Do issues bus transaction b for cpu's line at cycle now (BusNone
+// does nothing).
+func (s *Snoop) Do(now uint64, cpu int, addr uint32, b Bus) SnoopResult {
+	switch b {
+	case BusRd:
+		return s.Read(now, cpu, addr)
+	case BusRdX:
+		return s.Write(now, cpu, addr)
+	case BusUpgr:
+		return s.Upgrade(now, cpu, addr)
+	}
+	return SnoopResult{dirtyNode: -1}
+}
+
 // Read handles a BusRd issued by cpu at cycle now after missing in its
 // own hierarchy. Remote Modified/Exclusive copies are downgraded to
-// Shared. The caller fills the requester in Shared if RemoteCopy, else
-// Exclusive.
+// Shared, and the requester fills Shared if RemoteCopy (Fill).
 func (s *Snoop) Read(now uint64, cpu int, addr uint32) SnoopResult {
 	s.stats.ReadMissesSnooped++
 	r := SnoopResult{dirtyNode: -1}
 	supplier := -1 // dirty owner if any, else the first node with a copy
-	for i := range s.nodes {
+	for i, n := range s.nodes {
 		if i == cpu {
 			continue
 		}
-		n := s.nodes[i]
-		if ln := n.L2.Probe(addr); ln != nil {
+		for _, c := range [...]*cache.Cache{n.L2, n.L1} {
+			present, wasDirty := c.Downgrade(addr)
+			if !present {
+				continue
+			}
 			r.RemoteCopy = true
-			if supplier < 0 {
+			if supplier < 0 || wasDirty {
 				supplier = i
 			}
-			if _, wasDirty := n.L2.Downgrade(addr); wasDirty {
-				r.RemoteDirty = true
-				r.dirtyNode = i
-				supplier = i
-			}
-		}
-		if ln := n.L1.Probe(addr); ln != nil {
-			r.RemoteCopy = true
-			if supplier < 0 {
-				supplier = i
-			}
-			if _, wasDirty := n.L1.Downgrade(addr); wasDirty {
-				r.RemoteDirty = true
-				r.dirtyNode = i
-				supplier = i
+			if wasDirty {
+				r.RemoteDirty, r.dirtyNode = true, i
 			}
 		}
 	}
-	if r.RemoteDirty || r.RemoteCopy {
-		s.stats.CacheToCache++
-		if s.trace != nil {
-			s.trace.Emit(obsv.Event{Cycle: now, Addr: addr, Kind: obsv.EvC2C, CPU: int8(cpu)})
-		}
-		if s.prof != nil && supplier >= 0 {
-			s.prof.LineC2C(supplier, cpu, addr)
-		}
+	if r.RemoteCopy {
+		s.c2c(now, cpu, supplier, addr)
 	}
 	return r
 }
@@ -119,15 +177,21 @@ func (s *Snoop) Write(now uint64, cpu int, addr uint32) SnoopResult {
 	s.stats.WriteMissesSnooped++
 	r := s.invalidateRemote(now, cpu, addr)
 	if r.RemoteDirty {
-		s.stats.CacheToCache++
-		if s.trace != nil {
-			s.trace.Emit(obsv.Event{Cycle: now, Addr: addr, Kind: obsv.EvC2C, CPU: int8(cpu)})
-		}
-		if s.prof != nil && r.dirtyNode >= 0 {
-			s.prof.LineC2C(r.dirtyNode, cpu, addr)
-		}
+		s.c2c(now, cpu, r.dirtyNode, addr)
 	}
 	return r
+}
+
+// c2c counts a transaction of cpu's that node from supplied
+// cache-to-cache.
+func (s *Snoop) c2c(now uint64, cpu, from int, addr uint32) {
+	s.stats.CacheToCache++
+	if s.trace != nil {
+		s.trace.Emit(obsv.Event{Cycle: now, Addr: addr, Kind: obsv.EvC2C, CPU: int8(cpu)})
+	}
+	if s.prof != nil {
+		s.prof.LineC2C(from, cpu, addr)
+	}
 }
 
 // Upgrade handles a BusUpgr issued by cpu, which holds the line Shared
@@ -144,28 +208,21 @@ func (s *Snoop) Upgrade(now uint64, cpu int, addr uint32) SnoopResult {
 
 func (s *Snoop) invalidateRemote(now uint64, cpu int, addr uint32) SnoopResult {
 	r := SnoopResult{dirtyNode: -1}
-	for i := range s.nodes {
+	for i, n := range s.nodes {
 		if i == cpu {
 			continue
 		}
-		n := s.nodes[i]
 		nodeHit := false
-		if present, dirty := n.L2.Invalidate(addr); present {
-			r.RemoteCopy = true
-			r.Invalidated++
-			nodeHit = true
-			if dirty {
-				r.RemoteDirty = true
-				r.dirtyNode = i
+		for _, c := range [...]*cache.Cache{n.L2, n.L1} {
+			present, dirty := c.Invalidate(addr)
+			if !present {
+				continue
 			}
-		}
-		if present, dirty := n.L1.Invalidate(addr); present {
 			r.RemoteCopy = true
 			r.Invalidated++
 			nodeHit = true
 			if dirty {
-				r.RemoteDirty = true
-				r.dirtyNode = i
+				r.RemoteDirty, r.dirtyNode = true, i
 			}
 		}
 		if nodeHit && s.prof != nil {

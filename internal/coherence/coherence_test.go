@@ -99,6 +99,80 @@ func TestSnoopUpgrade(t *testing.T) {
 	}
 }
 
+// TestLocal lists every input the shared-memory system gives Local: an
+// L1 hit in S, E or M (the L2 is not probed there, so it is passed
+// Invalid) and an L1 miss with the L2 in I, S, E or M, each for a read
+// and for a write.
+func TestLocal(t *testing.T) {
+	const I, S, E, M = cache.Invalid, cache.Shared, cache.Exclusive, cache.Modified
+	for _, c := range []struct {
+		l1, l2   cache.State
+		write    bool
+		nl1, nl2 cache.State
+		bus      Bus
+	}{
+		{S, I, false, S, I, BusNone},
+		{E, I, false, E, I, BusNone},
+		{M, I, false, M, I, BusNone},
+		{S, I, true, M, M, BusUpgr},
+		{E, I, true, M, I, BusNone},
+		{M, I, true, M, I, BusNone},
+		{I, I, false, E, E, BusRd}, // Shared if a remote copy answers (TestFill)
+		{I, I, true, M, M, BusRdX},
+		{I, S, false, S, S, BusNone},
+		{I, S, true, M, M, BusUpgr},
+		{I, E, false, E, E, BusNone},
+		{I, E, true, M, M, BusNone},
+		{I, M, false, E, M, BusNone},
+		{I, M, true, M, M, BusNone},
+	} {
+		nl1, nl2, bus := Local(c.l1, c.l2, c.write)
+		if nl1 != c.nl1 || nl2 != c.nl2 || bus != c.bus {
+			t.Errorf("Local(%v, %v, write=%v) = %v, %v, %d; want %v, %v, %d",
+				c.l1, c.l2, c.write, nl1, nl2, bus, c.nl1, c.nl2, c.bus)
+		}
+	}
+}
+
+// TestFill: only a BusRd's Exclusive fill turns Shared, and only when a
+// remote copy answered.
+func TestFill(t *testing.T) {
+	for _, c := range []struct {
+		r        SnoopResult
+		st, want cache.State
+	}{
+		{SnoopResult{}, cache.Exclusive, cache.Exclusive},
+		{SnoopResult{RemoteCopy: true}, cache.Exclusive, cache.Shared},
+		{SnoopResult{RemoteCopy: true, RemoteDirty: true}, cache.Exclusive, cache.Shared},
+		{SnoopResult{RemoteCopy: true, RemoteDirty: true}, cache.Modified, cache.Modified},
+	} {
+		if got := c.r.Fill(c.st); got != c.want {
+			t.Errorf("%+v.Fill(%v) = %v, want %v", c.r, c.st, got, c.want)
+		}
+	}
+}
+
+func TestSnoopDo(t *testing.T) {
+	s, nodes := newSnoop(2)
+	nodes[1].L2.Fill(0x100, cache.Exclusive)
+	if r := s.Do(0, 0, 0x100, BusRd); !r.RemoteCopy || nodes[1].L2.Probe(0x100).State != cache.Shared {
+		t.Fatalf("BusRd: %+v, remote %v", r, nodes[1].L2.Probe(0x100))
+	}
+	if r := s.Do(1, 0, 0x100, BusUpgr); r.Invalidated != 1 || nodes[1].L2.Probe(0x100) != nil {
+		t.Fatalf("BusUpgr: %+v", r)
+	}
+	nodes[1].L2.Fill(0x100, cache.Modified)
+	if r := s.Do(2, 0, 0x100, BusRdX); !r.RemoteDirty || nodes[1].L2.Probe(0x100) != nil {
+		t.Fatalf("BusRdX: %+v", r)
+	}
+	if r := s.Do(3, 0, 0x100, BusNone); r.RemoteCopy || r.Invalidated != 0 {
+		t.Fatalf("BusNone: %+v", r)
+	}
+	if st := s.Stats(); st.ReadMissesSnooped != 1 || st.Upgrades != 1 || st.WriteMissesSnooped != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
 func newDir(n int) (*Directory, []*cache.Cache) {
 	l1s := make([]*cache.Cache, n)
 	for i := range l1s {

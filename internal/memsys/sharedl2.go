@@ -97,17 +97,20 @@ func (s *SharedL2) evictL2Victim(v cache.Victim, at uint64) {
 	}
 }
 
-// Access implements System. It follows the refusal rule of Result in
-// both halves: load and store test the write buffer (stores) and the
-// MSHR file (a load or a private store the L1 probe says would be a
-// primary miss) first, and only an accepted reference counts the L1
+// Access implements System. It follows the refusal rule of Result on
+// both paths: the write buffer (stores) and the MSHR file (a reference
+// through the write-back path the L1 probe says would be a primary
+// miss) are tested first, and only an accepted reference counts the L1
 // lookup, breaks the other CPUs' reservations, writes the directory and
 // takes an L2 bank.
 func (s *SharedL2) Access(now uint64, cpu int, addr uint32, write bool) (r Result, ok bool) {
-	if write {
+	switch {
+	case write && s.wbufs[cpu].full(now):
+		return s.wbufFull(now, cpu)
+	case write && s.isShared(addr):
 		r, ok = s.store(now, cpu, addr)
-	} else {
-		r, ok = s.load(now, cpu, addr)
+	default:
+		r, ok = s.writeBack(now, cpu, addr, write)
 	}
 	if ok {
 		s.cfg.traceAccess(now, cpu, addr, write, r.Level, cyc.Lat(r.Done, now))
@@ -138,7 +141,15 @@ func (s *SharedL2) sanityCheck(now uint64, cpu int, addr uint32, r Result) {
 	chk.CheckDirectory(now, la, s.dir.Sharers(la), present, s.l2.Probe(la) != nil)
 }
 
-func (s *SharedL2) load(now uint64, cpu int, addr uint32) (Result, bool) {
+// writeBack takes every load and every store to private data through
+// the L1 as a write-back cache: a hit costs one cycle (a load that
+// merges into an outstanding miss waits for its fill; a store dirties
+// the line with no L2 traffic at all); a miss fetches the line from the
+// L2 behind an MSHR and fills it Shared if the line is shared
+// (write-through for stores, tracked by the directory), Exclusive if it
+// is private, Modified for a store. A store miss write-allocates while
+// the CPU continues past its store buffer.
+func (s *SharedL2) writeBack(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)
 	// A line enters this L1 only through this CPU's own accepted
@@ -148,27 +159,34 @@ func (s *SharedL2) load(now uint64, cpu int, addr uint32) (Result, bool) {
 	if ln == nil && s.mshrs[cpu].Full(now) {
 		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
 	}
-	if d.AccessProbed(ln, addr, false).Hit {
-		if done, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
+	if write {
+		s.breakReservations(cpu, addr)
+	}
+	if d.AccessProbed(ln, addr, write).Hit {
+		if write {
+			ln.State = cache.Modified
+		} else if done, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
 			return Result{Done: max(now+1, done), Level: Level(tag)}, true
 		}
 		return Result{Done: now + 1, Level: LvlL1}, true
 	}
 	dataAt, lvl := s.l2Fetch(now+1, la)
-	st := cache.Shared
-	if !s.isShared(addr) {
+	st := cache.Modified
+	if !write {
 		st = cache.Exclusive // private data may be written back silently
+		if s.isShared(addr) {
+			st = cache.Shared
+		}
 	}
-	victim := d.Fill(addr, st)
-	s.handleL1Victim(cpu, victim, now+1)
-	if s.isShared(addr) {
+	s.handleL1Victim(cpu, d.Fill(addr, st), now+1)
+	if st == cache.Shared {
 		// Only shared (write-through) lines carry directory state; a
 		// private line's only consumer is its owner, so the directory —
 		// and with it L2-eviction inclusion — does not track it.
 		s.dir.AddSharer(la, cpu)
 	}
 	s.mshrs[cpu].Allocate(now, la, dataAt, uint8(lvl))
-	return Result{Done: dataAt, Level: lvl}, true
+	return s.finish(now, cpu, write, dataAt, lvl)
 }
 
 // handleL1Victim unregisters an L1 victim from the directory and, for
@@ -194,14 +212,8 @@ func (s *SharedL2) handleL1Victim(cpu int, v cache.Victim, at uint64) {
 // other sharer is invalidated via the directory, the word is written
 // through to the L2 bank, and on an L1 miss the line is also fetched
 // into the writer's L1. The CPU sees a 1-cycle store (it drains from a
-// write buffer) unless the buffer is full.
+// write buffer); Access has refused it if the buffer is full.
 func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
-	if s.wbufs[cpu].full(now) {
-		return s.wbufFull(now, cpu)
-	}
-	if !s.isShared(addr) {
-		return s.storePrivate(now, cpu, addr)
-	}
 	d := s.dcaches[cpu]
 	la := d.LineAddr(addr)
 	s.breakReservations(cpu, addr)
@@ -233,30 +245,6 @@ func (s *SharedL2) store(now uint64, cpu int, addr uint32) (Result, bool) {
 		s.dir.AddSharer(la, cpu)
 	}
 	return s.finish(now, cpu, true, done, LvlL1)
-}
-
-// storePrivate handles a store to private (write-back) data: an L1 hit
-// dirties the line with no L2 traffic at all; a miss write-allocates
-// from the L2 behind an MSHR (a write-through store takes none) while
-// the CPU continues past its store buffer, and is refused like a load,
-// before anything is cleared or counted, when there is none free.
-func (s *SharedL2) storePrivate(now uint64, cpu int, addr uint32) (Result, bool) {
-	d := s.dcaches[cpu]
-	la := d.LineAddr(addr)
-	ln := d.Probe(addr)
-	if ln == nil && s.mshrs[cpu].Full(now) {
-		return Result{Done: s.mshrs[cpu].NextFree(), Level: LvlL1}, false
-	}
-	s.breakReservations(cpu, addr)
-	if d.AccessProbed(ln, addr, true).Hit {
-		ln.State = cache.Modified
-		return Result{Done: now + 1, Level: LvlL1}, true
-	}
-	dataAt, lvl := s.l2Fetch(now+1, la)
-	victim := d.Fill(addr, cache.Modified)
-	s.handleL1Victim(cpu, victim, now+1)
-	s.mshrs[cpu].Allocate(now, la, dataAt, uint8(lvl))
-	return s.finish(now, cpu, true, dataAt, LvlL1)
 }
 
 // Report implements System.

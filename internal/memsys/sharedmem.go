@@ -55,7 +55,7 @@ func NewSharedMem(cfg Config) *SharedMem {
 		snoop:   coherence.NewSnoop(nodes),
 		bus:     interconnect.Resource{Name: "bus"},
 	}
-	s.cpuSide = newCPUSide(cfg, false, s.l2Fetch)
+	s.cpuSide = newCPUSide(cfg, false, func(at uint64, cpu int, la uint32) (uint64, Level) { return s.fetch(at, cpu, la, false, nil) })
 	if cfg.Trace != nil {
 		s.bus.Instrument(cfg.Trace, obsv.ResBus, 0)
 		// Per-CPU ports: the owning CPU doubles as the bank index.
@@ -73,43 +73,6 @@ func NewSharedMem(cfg Config) *SharedMem {
 
 // Name implements System.
 func (s *SharedMem) Name() string { return "shared-mem" }
-
-// l1FillState derives the L1 fill state from the local L2 line's state.
-func l1FillState(l2State cache.State) cache.State {
-	if l2State == cache.Shared {
-		return cache.Shared
-	}
-	// E or M in L2: the L1 may take it exclusively and upgrade silently.
-	return cache.Exclusive
-}
-
-// busFetch performs the bus transaction for a local L2 miss. write says
-// whether this is a BusRdX (write miss). Returns data-ready cycle, the
-// supplying level and the state the requester should fill in.
-func (s *SharedMem) busFetch(cpu int, reqTime uint64, lineAddr uint32, write bool) (uint64, Level, cache.State) {
-	var sn coherence.SnoopResult
-	if write {
-		sn = s.snoop.Write(reqTime, cpu, lineAddr)
-	} else {
-		sn = s.snoop.Read(reqTime, cpu, lineAddr)
-	}
-	if sn.RemoteCopy {
-		// Cache-to-cache transfer: every other processor checks its tags
-		// and the owner sources the line (Table 2: > 50 cycles).
-		start := s.bus.Acquire(reqTime, s.cfg.C2COcc)
-		st := cache.Shared
-		if write {
-			st = cache.Modified
-		}
-		return start + s.cfg.C2CLat, LvlC2C, st
-	}
-	start := s.bus.Acquire(reqTime, s.cfg.MemOcc)
-	st := cache.Exclusive
-	if write {
-		st = cache.Modified
-	}
-	return start + s.cfg.MemLat, LvlMem, st
-}
 
 // evictL2Victim enforces L2->L1 inclusion for cpu and writes dirty
 // victims to memory over the bus.
@@ -197,88 +160,73 @@ func (s *SharedMem) access(now uint64, cpu int, addr uint32, write bool) (Result
 		if fill, tag, merged := s.mshrs[cpu].Lookup(now, la); merged {
 			done, lvl = max(now+1, fill), Level(tag)
 		}
-		if !write {
-			return Result{Done: done, Level: lvl}, true
-		}
-		switch ln.State {
-		case cache.Modified:
-			return s.finish(now, cpu, write, done, lvl)
-		case cache.Exclusive:
-			ln.State = cache.Modified
-			return s.finish(now, cpu, write, done, lvl)
-		default: // Shared: bus upgrade to invalidate the other copies
-			s.snoop.Upgrade(now, cpu, la)
-			start := s.bus.Acquire(now+1, 2)
-			ln.State = cache.Modified
+		nl1, nl2, bus := coherence.Local(ln.State, cache.Invalid, write)
+		ln.State = nl1
+		if bus != coherence.BusNone { // an upgrade: invalidate the other copies
+			at, blvl, _ := s.transact(now, now+1, cpu, la, bus)
 			if l2ln := s.l2s[cpu].Probe(la); l2ln != nil {
-				l2ln.State = cache.Modified
+				l2ln.State = nl2
 			}
-			return s.finish(now, cpu, write, max(done, start+s.cfg.UpgLat), LvlC2C)
+			done, lvl = max(done, at), blvl
 		}
+		return s.finish(now, cpu, write, done, lvl)
 	}
 
 	// L1 miss; the probe above found an MSHR free for it.
-	start := s.l2ports[cpu].Acquire(now+1, s.cfg.L2Occ)
-	l2 := s.l2s[cpu]
-	l2r := l2.Access(la, write)
-	var dataAt uint64
-	var lvl Level
-	var l1State cache.State
-	if l2r.Hit {
-		dataAt = start + s.cfg.L2Lat
-		lvl = LvlL2
-		ln := l2.Probe(la)
-		if write {
-			if ln.State == cache.Shared {
-				// Write to a shared line: upgrade on the bus first.
-				s.snoop.Upgrade(dataAt, cpu, la)
-				bstart := s.bus.Acquire(dataAt, 2)
-				dataAt = bstart + s.cfg.UpgLat
-				lvl = LvlC2C
-			}
-			ln.State = cache.Modified
-			l1State = cache.Modified
-		} else {
-			l1State = l1FillState(ln.State)
-		}
-	} else {
-		var fillState cache.State
-		dataAt, lvl, fillState = s.busFetch(cpu, start+s.cfg.L2Lat, la, write)
-		victim := l2.Fill(la, fillState)
-		// Victim traffic drains concurrently with the fill; charge it
-		// adjacent to the transaction, not at the future completion.
-		s.evictL2Victim(cpu, victim, start+s.cfg.L2Lat)
-		if write {
-			l1State = cache.Modified
-		} else {
-			l1State = l1FillState(fillState)
-		}
-	}
-	v := l1.Fill(addr, l1State)
-	s.writebackL1Victim(cpu, v, start+s.cfg.L2Occ)
+	dataAt, lvl := s.fetch(now+1, cpu, la, write, l1)
 	s.mshrs[cpu].Allocate(now, la, dataAt, uint8(lvl))
 	return s.finish(now, cpu, write, dataAt, lvl)
 }
 
-// l2Fetch is the I-cache miss path (cpuSide.fetchLine): instruction
-// misses go through the CPU's own L2; kernel text shared between
-// processes may be sourced from a remote cache over the bus.
-func (s *SharedMem) l2Fetch(reqTime uint64, cpu int, la uint32) (uint64, Level) {
+// fetch serves cpu's L1 miss on line la, leaving the L1 at reqTime:
+// through the CPU's own L2 port, then over the bus when Local asks for
+// a transaction. It fills l1 (nil for an I-cache miss, which cpuSide
+// fills) in the state Local gives it and returns the cycle the data is
+// ready and the level that supplied it.
+func (s *SharedMem) fetch(reqTime uint64, cpu int, la uint32, write bool, l1 *cache.Cache) (uint64, Level) {
 	start := s.l2ports[cpu].Acquire(reqTime, s.cfg.L2Occ)
+	at := start + s.cfg.L2Lat
 	l2 := s.l2s[cpu]
-	l2r := l2.Access(la, false)
-	var dataAt uint64
-	var lvl Level
-	if l2r.Hit {
-		dataAt = start + s.cfg.L2Lat
-		lvl = LvlL2
+	ln := l2.Probe(la)
+	l2st := cache.Invalid
+	if l2.AccessProbed(ln, la, write).Hit {
+		l2st = ln.State
+	}
+	nl1, nl2, bus := coherence.Local(cache.Invalid, l2st, write)
+	dataAt, lvl := at, LvlL2
+	if bus != coherence.BusNone {
+		var sn coherence.SnoopResult
+		dataAt, lvl, sn = s.transact(at, at, cpu, la, bus)
+		nl1, nl2 = sn.Fill(nl1), sn.Fill(nl2)
+	}
+	if ln != nil {
+		ln.State = nl2
 	} else {
-		var fillState cache.State
-		dataAt, lvl, fillState = s.busFetch(cpu, start+s.cfg.L2Lat, la, false)
-		victim := l2.Fill(la, fillState)
-		s.evictL2Victim(cpu, victim, start+s.cfg.L2Lat)
+		// Victim traffic drains concurrently with the fill; charge it
+		// adjacent to the transaction, not at the future completion.
+		s.evictL2Victim(cpu, l2.Fill(la, nl2), at)
+	}
+	if l1 != nil {
+		s.writebackL1Victim(cpu, l1.Fill(la, nl1), start+s.cfg.L2Occ)
 	}
 	return dataAt, lvl
+}
+
+// transact runs bus transaction b for cpu's line la, snooped at snoopAt
+// and asking for the bus at busAt, and returns the cycle its data (or,
+// for an upgrade, its invalidation) is done, the level that supplied
+// it and what the snoop found.
+func (s *SharedMem) transact(snoopAt, busAt uint64, cpu int, la uint32, b coherence.Bus) (uint64, Level, coherence.SnoopResult) {
+	sn := s.snoop.Do(snoopAt, cpu, la, b)
+	switch {
+	case b == coherence.BusUpgr:
+		return s.bus.Acquire(busAt, 2) + s.cfg.UpgLat, LvlC2C, sn
+	case sn.RemoteCopy:
+		// Cache-to-cache transfer: every other processor checks its tags
+		// and the owner sources the line (Table 2: > 50 cycles).
+		return s.bus.Acquire(busAt, s.cfg.C2COcc) + s.cfg.C2CLat, LvlC2C, sn
+	}
+	return s.bus.Acquire(busAt, s.cfg.MemOcc) + s.cfg.MemLat, LvlMem, sn
 }
 
 // Report implements System.
