@@ -111,12 +111,12 @@ experiments-output:
 # reference, ns per reference) must report 0 allocs/op (CI checks each
 # of them by name). BenchmarkAccess's load-miss, ifetch and ifetch-hit
 # rows run beside them for their ns/op.
-# BenchmarkImageNew, the cost of one workload-sized guest image (its
-# page table), and BenchmarkRunWindow/sampler, the loop with an interval
-# sampler attached (each sample allocates), run beside them for their
-# ns/op.
+# BenchmarkImageNew and BenchmarkCacheNew, the cost of one
+# workload-sized guest image and of the 2 MiB L2 (each its page table),
+# and BenchmarkRunWindow/sampler, the loop with an interval sampler
+# attached (each sample allocates), run beside them for their ns/op.
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCacheInvalidateMiss|BenchmarkImage|BenchmarkAccess' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem ./internal/memsys
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCache|BenchmarkImage|BenchmarkAccess' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem ./internal/memsys
 
 # size reports what the code base weighs: Go lines (non-test, and test
 # plus testdata) per top-level directory of the root module, benchmark/

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -30,33 +31,60 @@ import (
 	"cmpsim/internal/runner"
 )
 
-// params maps sweepable parameter names to setters on the config.
+// The largest value each kind of Config field holds.
+const (
+	maxU32 = math.MaxUint32
+	maxInt = math.MaxInt
+	maxU64 = math.MaxUint64
+)
+
+// params maps sweepable parameter names to setters on the config and
+// the largest value the field they set can hold.
 var params = map[string]struct {
 	help string
+	max  uint64
 	set  func(*memsys.Config, uint64)
 }{
-	"l1dsize":      {"private L1 D-cache bytes", func(c *memsys.Config, v uint64) { c.L1DSize = uint32(v) }},
-	"l1isize":      {"private L1 I-cache bytes", func(c *memsys.Config, v uint64) { c.L1ISize = uint32(v) }},
-	"sharedl1size": {"shared L1 bytes", func(c *memsys.Config, v uint64) { c.SharedL1Size = uint32(v) }},
-	"sharedl1hit": {"shared L1 hit latency (cycles); >1 also enables bank contention", func(c *memsys.Config, v uint64) {
+	"l1dsize":      {"private L1 D-cache bytes", maxU32, func(c *memsys.Config, v uint64) { c.L1DSize = uint32(v) }},
+	"l1isize":      {"private L1 I-cache bytes", maxU32, func(c *memsys.Config, v uint64) { c.L1ISize = uint32(v) }},
+	"sharedl1size": {"shared L1 bytes", maxU32, func(c *memsys.Config, v uint64) { c.SharedL1Size = uint32(v) }},
+	"sharedl1hit": {"shared L1 hit latency (cycles); >1 also enables bank contention", maxU64, func(c *memsys.Config, v uint64) {
 		c.SharedL1HitLat = v
 		c.SharedL1BankContention = v > 1
 	}},
-	"sharedl1banks": {"shared L1 bank count", func(c *memsys.Config, v uint64) {
+	"sharedl1banks": {"shared L1 bank count", maxU32, func(c *memsys.Config, v uint64) {
 		c.SharedL1Banks = uint32(v)
 		c.SharedL1BankContention = true
 	}},
-	"l2assoc":     {"L2 associativity", func(c *memsys.Config, v uint64) { c.L2Assoc = uint32(v) }},
-	"l2lat":       {"uniprocessor-style L2 latency", func(c *memsys.Config, v uint64) { c.L2Lat = v }},
-	"sharedl2lat": {"crossbar L2 latency", func(c *memsys.Config, v uint64) { c.SharedL2Lat = v }},
-	"sharedl2occ": {"crossbar L2 line occupancy (datapath width)", func(c *memsys.Config, v uint64) { c.SharedL2Occ = v }},
-	"memlat":      {"main memory latency", func(c *memsys.Config, v uint64) { c.MemLat = v }},
-	"c2clat":      {"cache-to-cache transfer latency", func(c *memsys.Config, v uint64) { c.C2CLat = v }},
-	"mshrs":       {"outstanding misses per cache port", func(c *memsys.Config, v uint64) { c.MSHRs = int(v) }},
-	"wbuf":        {"write buffer depth", func(c *memsys.Config, v uint64) { c.WriteBufDepth = int(v) }},
-	"privl2size":  {"private L2 bytes per CPU (shared-mem)", func(c *memsys.Config, v uint64) { c.PrivL2Size = uint32(v) }},
-	"cpus": {"processor count — the CMP scaling axis (workloads re-decompose; ocean needs 4)",
+	"l2assoc":     {"L2 associativity", maxU32, func(c *memsys.Config, v uint64) { c.L2Assoc = uint32(v) }},
+	"l2lat":       {"uniprocessor-style L2 latency", maxU64, func(c *memsys.Config, v uint64) { c.L2Lat = v }},
+	"sharedl2lat": {"crossbar L2 latency", maxU64, func(c *memsys.Config, v uint64) { c.SharedL2Lat = v }},
+	"sharedl2occ": {"crossbar L2 line occupancy (datapath width)", maxU64, func(c *memsys.Config, v uint64) { c.SharedL2Occ = v }},
+	"memlat":      {"main memory latency", maxU64, func(c *memsys.Config, v uint64) { c.MemLat = v }},
+	"c2clat":      {"cache-to-cache transfer latency", maxU64, func(c *memsys.Config, v uint64) { c.C2CLat = v }},
+	"mshrs":       {"outstanding misses per cache port", maxInt, func(c *memsys.Config, v uint64) { c.MSHRs = int(v) }},
+	"wbuf":        {"write buffer depth", maxInt, func(c *memsys.Config, v uint64) { c.WriteBufDepth = int(v) }},
+	"privl2size":  {"private L2 bytes per CPU (shared-mem)", maxU32, func(c *memsys.Config, v uint64) { c.PrivL2Size = uint32(v) }},
+	"cpus": {"processor count — the CMP scaling axis (workloads re-decompose; ocean needs 4)", maxInt,
 		func(c *memsys.Config, v uint64) { c.NumCPUs = int(v) }},
+}
+
+// parseValues parses the -values list of parameter name. A value its
+// field cannot hold is an error, not a sweep point that runs one value
+// and prints another.
+func parseValues(name, values string) ([]uint64, error) {
+	var points []uint64
+	for _, vs := range strings.Split(values, ",") {
+		v, err := strconv.ParseUint(strings.TrimSpace(vs), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("-param %s: %w", name, err)
+		}
+		if v > params[name].max {
+			return nil, fmt.Errorf("-param %s: value %d does not fit its field (at most %d)", name, v, params[name].max)
+		}
+		points = append(points, v)
+	}
+	return points, nil
 }
 
 func main() {
@@ -92,17 +120,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	var points []uint64
+	points, err := parseValues(*param, *values)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
+	}
 	var sweepJobs []runner.Job
-	for _, vs := range strings.Split(*values, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(vs), 10, 64)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
-		}
+	for _, v := range points {
 		cfg := memsys.DefaultConfig()
 		p.set(&cfg, v)
-		points = append(points, v)
 		sweepJobs = append(sweepJobs, poolFlags.Job(*wlName, false, *arch, *model, cfg,
 			fmt.Sprintf("%s-%s-%s-%d", *wlName, *arch, *param, v)))
 	}

@@ -122,10 +122,21 @@ type Victim struct {
 }
 
 // Cache is a set-associative, LRU-replaced cache.
+//
+// Its lines are held by the page, the way mem.Image holds guest memory:
+// a table of pages of whole sets, each allocated by the first Fill into
+// one of its sets. A page no Fill has reached is a shared all-Invalid
+// page, so a lookup there misses with no presence test, and creating a
+// cache costs one pointer per page instead of all its lines. Pages
+// never move, so a *Line from Probe stays valid for the cache's
+// lifetime.
 type Cache struct {
-	cfg       Config
-	lines     []Line // numSets * assoc
-	numSets   uint32
+	pages     []*page
+	zero      *page  // the all-Invalid page unfilled entries point at
+	pageLen   int    // lines in a filled page
+	pageShift uint32 // log2 of the sets in one page
+	pageMask  uint32 // a set's index within its page
+	setMask   uint32
 	assoc     uint32
 	lineShift uint32
 	bankMask  uint32
@@ -140,6 +151,22 @@ type Cache struct {
 	stats Stats
 }
 
+// page holds the lines of 1<<pageShift consecutive sets, set after set.
+type page []Line
+
+// pageLines bounds a page of whole sets: 256 lines of 16 bytes, 4 KiB
+// (measured against 64 and 1024 in DESIGN §4). A set of more ways than
+// this is a page on its own.
+const pageLines = 256
+
+// zeroLines backs every unfilled page of every cache whose sets fit in
+// pageLines. It is never written: Fill allocates a page before writing
+// into it, and every other writer writes only a line Probe found valid.
+var (
+	zeroLines [pageLines]Line
+	zeroPage  = page(zeroLines[:])
+)
+
 // Validate reports why New would reject cfg's geometry, or nil. Banks
 // of 0 means 1.
 func (cfg Config) Validate() error {
@@ -152,18 +179,24 @@ func (cfg Config) Validate() error {
 	if cfg.Banks&(cfg.Banks-1) != 0 {
 		return fmt.Errorf("cache %s: bank count %d not a power of two", cfg.Name, cfg.Banks)
 	}
-	if cfg.SizeBytes%(cfg.LineBytes*cfg.Assoc) != 0 {
+	if uint64(cfg.SizeBytes)%cfg.setBytes() != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by line*assoc", cfg.Name, cfg.SizeBytes)
 	}
-	if numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc); numSets == 0 || numSets&(numSets-1) != 0 {
+	if numSets := cfg.sets(); numSets == 0 || numSets&(numSets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, numSets)
 	}
 	return nil
 }
 
+// setBytes is the bytes one set covers, in 64 bits: LineBytes*Assoc can
+// pass 32.
+func (cfg Config) setBytes() uint64 { return uint64(cfg.LineBytes) * uint64(cfg.Assoc) }
+
+func (cfg Config) sets() uint32 { return uint32(uint64(cfg.SizeBytes) / cfg.setBytes()) }
+
 // New builds a cache from cfg, panicking on invalid geometry (see
 // Validate; a caller that takes the geometry from its user validates it
-// first).
+// first). It allocates only the page table.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -171,26 +204,38 @@ func New(cfg Config) *Cache {
 	if cfg.Banks == 0 {
 		cfg.Banks = 1
 	}
-	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	return &Cache{
-		cfg:       cfg,
-		lines:     make([]Line, numSets*cfg.Assoc),
-		numSets:   numSets,
+	numSets := cfg.sets()
+	pageShift := uint32(0) // as many sets as fit in pageLines: at least one, at most all
+	for uint64(1)<<(pageShift+1) <= uint64(numSets) && uint64(cfg.Assoc)<<(pageShift+1) <= pageLines {
+		pageShift++
+	}
+	c := &Cache{
+		pages:     make([]*page, numSets>>pageShift),
+		zero:      &zeroPage,
+		pageLen:   int(cfg.Assoc << pageShift),
+		pageShift: pageShift,
+		pageMask:  1<<pageShift - 1,
+		setMask:   numSets - 1,
 		assoc:     cfg.Assoc,
 		lineShift: uint32(bits.TrailingZeros32(cfg.LineBytes)),
 		bankMask:  cfg.Banks - 1,
 	}
+	if c.pageLen > pageLines {
+		z := make(page, c.pageLen) // a set wider than the shared zero page
+		c.zero = &z
+	}
+	for i := range c.pages {
+		c.pages[i] = c.zero
+	}
+	return c
 }
-
-// Config returns the cache's geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // LineAddr masks addr down to its line base address.
 func (c *Cache) LineAddr(addr uint32) uint32 {
-	return addr &^ (c.cfg.LineBytes - 1)
+	return addr >> c.lineShift << c.lineShift
 }
 
 // BankOf returns the bank index servicing addr (line-interleaved).
@@ -198,17 +243,19 @@ func (c *Cache) BankOf(addr uint32) uint32 {
 	return (addr >> c.lineShift) & c.bankMask
 }
 
-func (c *Cache) set(addr uint32) []Line {
-	tag := addr >> c.lineShift
-	setIdx := tag & (c.numSets - 1)
-	return c.lines[setIdx*c.assoc : (setIdx+1)*c.assoc]
+// set returns tag's set; a set no Fill has reached is in the zero page.
+// It stays small enough for Probe to inline into the memory systems.
+func (c *Cache) set(tag uint32) []Line {
+	s := tag & c.setMask
+	way := (s & c.pageMask) * c.assoc
+	return (*c.pages[s>>c.pageShift])[way : way+c.assoc]
 }
 
 // Probe returns the line holding addr, or nil on miss. Probe does not
 // update LRU state or statistics; it is the snooping/directory interface.
 func (c *Cache) Probe(addr uint32) *Line {
 	tag := addr >> c.lineShift
-	set := c.set(addr)
+	set := c.set(tag)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == tag {
 			return &set[i]
@@ -268,7 +315,11 @@ func (c *Cache) Fill(addr uint32, state State) Victim {
 	}
 	c.clock++
 	tag := addr >> c.lineShift
-	set := c.set(addr)
+	if pg := (tag & c.setMask) >> c.pageShift; c.pages[pg] == c.zero {
+		p := make(page, c.pageLen) // the first fill of this page's sets
+		c.pages[pg] = &p
+	}
+	set := c.set(tag)
 	// Reuse the matching or an invalid way if present.
 	victimIdx := 0
 	var oldest uint64 = ^uint64(0)
@@ -346,23 +397,17 @@ func (c *Cache) Downgrade(addr uint32) (present, wasDirty bool) {
 	return true, wasDirty
 }
 
-// FlushDirtyLines calls fn for each Modified line and marks it clean
-// (Exclusive). Used at workload-region boundaries when draining caches.
-func (c *Cache) FlushDirtyLines(fn func(lineAddr uint32)) {
-	for i := range c.lines {
-		if c.lines[i].State == Modified {
-			fn(c.victimAddr(c.lines[i].Tag))
-			c.lines[i].State = Exclusive
-		}
-	}
-}
-
 // CountValid returns the number of valid lines (for tests and reports).
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			n++
+	for _, p := range c.pages {
+		if p == c.zero {
+			continue
+		}
+		for i := range *p {
+			if (*p)[i].State != Invalid {
+				n++
+			}
 		}
 	}
 	return n

@@ -17,12 +17,19 @@ func TestGeometryValidation(t *testing.T) {
 		{Name: "assoc", SizeBytes: 256, LineBytes: 32, Assoc: 0},
 		{Name: "banks", SizeBytes: 256, LineBytes: 32, Assoc: 2, Banks: 3},
 		{Name: "size", SizeBytes: 100, LineBytes: 32, Assoc: 2},
+		// line*assoc is 1<<32: a 32-bit product wraps to 0.
+		{Name: "wrap", SizeBytes: 2 << 20, LineBytes: 32, Assoc: 1 << 27},
 	}
 	for _, cfg := range bad {
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted %+v", cfg.Name, cfg)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", cfg.Name)
+				if r := recover(); r != err.Error() {
+					t.Errorf("%s: New panicked with %v, want Validate's %q", cfg.Name, r, err)
 				}
 			}()
 			New(cfg)
@@ -137,19 +144,6 @@ func TestBankInterleaving(t *testing.T) {
 	if c.BankOf(0x23) != c.BankOf(0x20) {
 		t.Error("within-line offsets changed bank")
 	}
-}
-
-func TestFlushDirtyLines(t *testing.T) {
-	c := small()
-	c.Fill(0x00, Modified)
-	c.Fill(0x20, Exclusive)
-	c.Fill(0x40, Modified)
-	var flushed []uint32
-	c.FlushDirtyLines(func(la uint32) { flushed = append(flushed, la) })
-	if len(flushed) != 2 {
-		t.Fatalf("flushed %v", flushed)
-	}
-	c.FlushDirtyLines(func(la uint32) { t.Errorf("line %#x still dirty", la) })
 }
 
 func TestStatsRates(t *testing.T) {

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"cmpsim/internal/cache"
@@ -514,6 +515,22 @@ func TestReferencesDoNotAllocate(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s %s: %v allocations in 100 references, want 0", arch.Name(), c.name, allocs)
 			}
+		}
+	}
+}
+
+// TestNewSystemAllocates: building a machine costs its caches' page
+// tables and its per-CPU state, not the 1.1 MiB of tag entries its
+// caches can hold.
+func TestNewSystemAllocates(t *testing.T) {
+	for _, a := range archs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := a.mk(DefaultConfig())
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: New allocated %d bytes, want at most 64 KiB", a.name, got)
 		}
 	}
 }

@@ -88,6 +88,7 @@ func TestBadConfigsFailCleanly(t *testing.T) {
 		{"mshrs-0", "MSHRs", func(c *memsys.Config) { c.MSHRs = 0 }},
 		{"l1dsize-1000", "L1DSize", func(c *memsys.Config) { c.L1DSize = 1000 }},
 		{"l2assoc-0", "L2Assoc", func(c *memsys.Config) { c.L2Assoc = 0 }},
+		{"l2assoc-2^27", "L2Assoc", func(c *memsys.Config) { c.L2Assoc = 1 << 27 }}, // LineBytes*L2Assoc is 1<<32
 		{"cpus-0", "NumCPUs", func(c *memsys.Config) { c.NumCPUs = 0 }},
 		{"cpus-17", "NumCPUs", func(c *memsys.Config) { c.NumCPUs = 17 }},
 		{"l2banks-0", "L2Banks", func(c *memsys.Config) { c.L2Banks = 0 }},
