@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet lint test race smoke race-smoke bench bench-gate bench-trace experiments-output size clean
+.PHONY: all build check vet lint test race bench-module smoke race-smoke bench bench-gate bench-trace experiments-output size clean
 
 all: build
 
@@ -9,10 +9,10 @@ build:
 
 # check is the verification gate: static analysis (vet + the simlint
 # invariant suite), the full test suite under the race detector (the
-# trace ring is the shared-state hot spot), a sanitized smoke run of
-# every architecture, and a race-checked parallel smoke of the runner
-# pool.
-check: vet lint race smoke race-smoke
+# trace ring is the shared-state hot spot), the nested benchmark
+# module's vet and tests, a sanitized smoke run of every architecture,
+# and a race-checked parallel smoke of the runner pool.
+check: vet lint race bench-module smoke race-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +28,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-module vets and tests benchmark/, a nested module that imports
+# the root's internal packages: `go test ./...` does not reach it, so a
+# root change could otherwise break `bash benchmark/run.sh` unseen.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # smoke runs one reduced-size workload per traffic pattern on all three
 # architectures with the runtime sanitizer on: every memory transaction
@@ -59,9 +65,9 @@ race-smoke:
 	$(GO) run -race ./cmd/cmpsim -workload eqntott -quick -sanitize -jobs 4
 	$(GO) run -race ./cmd/cmpsim -workload mp3d -quick -model mxs -sim-jobs 4
 
-# bench runs the figure-benchmark matrix (internal/benchfig) through
-# cmd/benchjson and writes BENCH_figures.json: ns/op and simulated
-# cycles/sec per figure, with and without the quiescence-skipping
+# bench runs every row of the figure table (internal/benchfig) at bench
+# size through cmd/benchjson and writes BENCH_figures.json: ns/op and
+# simulated cycles/sec per row, with and without the quiescence-skipping
 # scheduler, plus the skip speedup. CI uploads the file as an artifact
 # so every PR leaves a perf trajectory to regress against.
 bench:
@@ -83,7 +89,7 @@ bench-gate:
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —
 # .gitignore'd — so reproduce it locally rather
-# than expecting it in the tree (~30 s on one core; add `-sim-jobs 4`
+# than expecting it in the tree (~13 s on a 2-core host; add `-sim-jobs 4`
 # manually for a sharded run, output is identical).
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt

@@ -104,16 +104,23 @@ func BenchmarkFigures(b *testing.B) {
 
 // --- Section 4.1 ablation ---
 
+// BenchmarkAblation_MP3DL2Assoc runs the benchfig ablation's app and
+// architecture at its quick size, with a 2-way point between its
+// direct-mapped and 4-way L2.
 func BenchmarkAblation_MP3DL2Assoc(b *testing.B) {
-	for _, assoc := range []uint32{1, 2, 4} {
+	ab := benchfig.Ablation()
+	for _, assoc := range []uint32{ab.L2Assocs[0], 2, ab.L2Assocs[1]} {
 		assoc := assoc
 		b.Run(benchName("l2assoc", int(assoc)), func(b *testing.B) {
 			var missRate float64
 			for i := 0; i < b.N; i++ {
 				cfg := cmpsim.DefaultConfig()
 				cfg.L2Assoc = assoc
-				w := workload.NewMP3D(workload.MP3DParams{Particles: 2048, Steps: 2})
-				res, err := cmpsim.RunWorkload(w, cmpsim.SharedL1, cmpsim.ModelMipsy, &cfg)
+				w, err := workload.NewQuick(ab.App)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := cmpsim.RunWorkload(w, ab.Arch, cmpsim.ModelMipsy, &cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

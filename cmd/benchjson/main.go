@@ -1,11 +1,11 @@
 // Command benchjson establishes the simulator's performance baseline:
-// it measures every figure benchmark of the shared internal/benchfig
-// matrix twice — once with the quiescence-skipping scheduler (the
-// default) and once with Config.NoSkip (the tick-everything reference
-// loop) — via testing.Benchmark, and writes the results to
-// BENCH_figures.json: ns/op, simulated-cycles-per-second and the
-// skip-vs-no-skip speedup per figure. CI uploads the file as an
-// artifact so future PRs have a perf trajectory to regress against.
+// it measures every row of the internal/benchfig figure table twice —
+// once with the quiescence-skipping scheduler (the default) and once
+// with Config.NoSkip (the tick-everything reference loop) — via
+// testing.Benchmark, and writes the results to BENCH_figures.json:
+// ns/op, simulated-cycles-per-second and the skip-vs-no-skip speedup
+// per figure. CI uploads the file as an artifact so future PRs have a
+// perf trajectory to regress against.
 //
 // Detailed-CPU (MXS) rows are additionally measured with the parallel
 // tick scheduler at -sim-jobs 4. The simulated cycle count must match
@@ -17,27 +17,24 @@
 // disarming the gate everywhere else.
 //
 // With -gate it becomes the CI perf gate instead: it re-measures the
-// matrix and compares against the committed baseline without writing
-// anything. Simulated cycle counts must match the baseline exactly
-// (they are deterministic; a mismatch means the baseline is stale and
-// must be regenerated). Wall-clock figures differ across hardware, so
-// the gate checks dimensionless same-host speedups instead of ns/op:
-// Mipsy MemBound rows must keep a skip-vs-no-skip speedup of at least
-// 2x, the MXS MemBound row must keep a parallel-vs-serial speedup of
-// at least 1.5x on hosts with four or more cores (on fewer the floor
-// does not apply: the serial loop skips per CPU itself, so without
-// cores to overlap on sharding has nothing to win), and every
-// other row must stay within ±30% of its baseline skip speedup.
-// -samples N measures each cell N times and takes the median, damping
-// scheduler noise on shared CI runners.
+// table and compares against the committed baseline without writing
+// anything. Simulated cycle counts must match exactly (they are
+// deterministic; a mismatch means the baseline is stale). Wall-clock
+// figures differ across hardware, so the rest of the gate checks
+// same-host speedups: the memory-bound rows (benchfig.Figure.MemBound)
+// keep floors, 2x skip-vs-no-skip under Mipsy and 1.5x parallel-vs-serial
+// under MXS on hosts with four or more cores, and every other row stays
+// within ±30% of its baseline skip speedup. -samples N measures each
+// cell N times and takes the median, damping scheduler noise on shared
+// CI runners.
 //
 //	benchjson                         # all figures -> BENCH_figures.json
-//	benchjson -figures 'MP3D|Ocean'   # subset, same file
-//	benchjson -out /dev/stdout        # print instead of writing
+//	benchjson -figures 'MP3D|Ocean' -out /dev/stdout   # print a subset
 //	benchjson -gate BENCH_figures.json -samples 3   # CI perf gate
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,8 +42,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
 	"testing"
 
 	"cmpsim/internal/benchfig"
@@ -117,21 +113,15 @@ func benchFigure(f benchfig.Figure, noSkip bool, simJobs int) (testing.Benchmark
 // parJobs is the worker count of the parallel-tick measurement cell.
 const parJobs = 4
 
+// cyclesPerSec converts a run's ns/op, always positive once
+// testing.Benchmark has run it without error, to simulated cycles/s.
 func cyclesPerSec(cycles uint64, nsPerOp int64) float64 {
-	if nsPerOp <= 0 {
-		return 0
-	}
 	return float64(cycles) / (float64(nsPerOp) * 1e-9)
 }
 
-// medianInt64 returns the median of vs (which must be non-empty).
-func medianInt64(vs []int64) int64 {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs[len(vs)/2]
-}
-
-func medianFloat64(vs []float64) float64 {
-	sort.Float64s(vs)
+// median returns the median of vs (which must be non-empty).
+func median[T cmp.Ordered](vs []T) T {
+	slices.Sort(vs)
 	return vs[len(vs)/2]
 }
 
@@ -166,9 +156,7 @@ func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
 		cycles = c
 		skipNs = append(skipNs, skip.NsPerOp())
 		noSkipNs = append(noSkipNs, ref.NsPerOp())
-		if ns := skip.NsPerOp(); ns > 0 {
-			ratios = append(ratios, float64(ref.NsPerOp())/float64(ns))
-		}
+		ratios = append(ratios, float64(ref.NsPerOp())/float64(skip.NsPerOp()))
 		if par {
 			pres, pc, err := benchFigure(f, false, parJobs)
 			if err != nil {
@@ -178,49 +166,39 @@ func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
 				return figureRow{}, fmt.Errorf("sim cycles diverge at -sim-jobs %d: serial %d vs parallel %d", parJobs, c, pc)
 			}
 			parNs = append(parNs, pres.NsPerOp())
-			if ns := pres.NsPerOp(); ns > 0 {
-				parRatios = append(parRatios, float64(skip.NsPerOp())/float64(ns))
-			}
+			parRatios = append(parRatios, float64(skip.NsPerOp())/float64(pres.NsPerOp()))
 		}
 	}
 	row := figureRow{
 		Name:           f.Name,
 		Model:          string(f.Model),
 		SimCyclesPerOp: cycles,
-		SkipNsPerOp:    medianInt64(skipNs),
-		NoSkipNsPerOp:  medianInt64(noSkipNs),
+		SkipNsPerOp:    median(skipNs),
+		NoSkipNsPerOp:  median(noSkipNs),
 	}
 	row.SkipSimCyclesPerS = cyclesPerSec(cycles, row.SkipNsPerOp)
 	row.NoSkipSimCyclesPerS = cyclesPerSec(cycles, row.NoSkipNsPerOp)
-	if len(ratios) > 0 {
-		row.Speedup = medianFloat64(ratios)
-	}
+	row.Speedup = median(ratios)
 	if par {
 		row.ParJobs = parJobs
-		row.ParNsPerOp = medianInt64(parNs)
+		row.ParNsPerOp = median(parNs)
 		row.ParSimCyclesPerS = cyclesPerSec(cycles, row.ParNsPerOp)
-		if len(parRatios) > 0 {
-			row.ParSpeedup = medianFloat64(parRatios)
-		}
-		row.ParRegression = row.ParSpeedup > 0 && row.ParSpeedup < 1
+		row.ParSpeedup = median(parRatios)
+		row.ParRegression = row.ParSpeedup < 1
 	}
 	return row, nil
 }
 
-// gate tolerances. Mipsy MemBound rows exist precisely to prove the
-// quiescence-skipping scheduler earns its keep on latency-dominated
-// configurations (the MXS MemBound row is exempt from the skip floor:
-// its out-of-order CPUs block at staggered times, so the serial global
-// skip barely fires there — that row's sentinel is the parallel-tick
-// floor instead). The default rows only guard against the skip
-// machinery itself regressing, so they get a wide hardware-tolerant
-// band around the baseline's dimensionless speedup. Parallel speedups
-// are floor-checked rather than banded: the baseline may come from a
-// host with a different core count, so comparing against it is
-// meaningless. Rows the baseline marks par_regression are excluded
-// from the floor entirely, and so is every row on a host with fewer
-// than parJobs cores: all sharding can win there is the per-CPU skip,
-// which the serial loop it is compared against does itself.
+// gate tolerances. The memory-bound Mipsy rows prove the skipping
+// scheduler earns its keep where latency dominates; the memory-bound MXS
+// row is exempt from that floor (its out-of-order CPUs block at
+// staggered times, so the serial global skip barely fires) and is the
+// parallel-tick sentinel instead. The default rows only guard the skip
+// machinery, with a hardware-tolerant band around the baseline speedup.
+// Parallel speedups get a floor, not a band, since the baseline host may
+// have another core count; baselines marked par_regression, and hosts
+// with fewer than parJobs cores (where sharding only wins the per-CPU
+// skip the serial loop does itself), are exempt.
 const (
 	gateMemBoundMinSpeedup = 2.0
 	gateSpeedupTolerance   = 0.30
@@ -234,55 +212,49 @@ func runGate(baseline report, samples int) bool {
 	for _, row := range baseline.Figures {
 		base[row.Name] = row
 	}
-	pass := true
+	pass, status := true, ""
 	fail := func(name, format string, args ...any) {
-		pass = false
+		pass, status = false, "FAIL"
 		fmt.Fprintf(os.Stderr, "benchjson: gate FAIL %s: %s\n", name, fmt.Sprintf(format, args...))
 	}
-	seen := map[string]bool{}
 	for _, f := range benchfig.Figures() {
 		b, ok := base[f.Name]
 		if !ok {
 			fail(f.Name, "not in the baseline (regenerate BENCH_figures.json)")
 			continue
 		}
-		seen[f.Name] = true
+		delete(base, f.Name)
 		row, err := measureFigure(f, samples)
 		if err != nil {
 			fail(f.Name, "%v", err)
 			continue
 		}
-		status := "ok"
-		memBound := strings.Contains(f.Name, "MemBound")
+		status = "ok"
 		switch {
 		case row.SimCyclesPerOp != b.SimCyclesPerOp:
 			fail(f.Name, "sim cycles changed: %d -> %d (simulation output moved; regenerate the baseline deliberately)",
 				b.SimCyclesPerOp, row.SimCyclesPerOp)
-			status = "FAIL"
-		case memBound && f.Model == core.ModelMipsy:
+		case f.MemBound() && f.Model == core.ModelMipsy:
 			if row.Speedup < gateMemBoundMinSpeedup {
 				fail(f.Name, "skip speedup %.2fx below the %.1fx floor (baseline %.2fx)",
 					row.Speedup, gateMemBoundMinSpeedup, b.Speedup)
-				status = "FAIL"
 			}
-		case memBound:
-			// MXS MemBound: the parallel-tick sentinel, checked below.
+		case f.MemBound():
+			// Memory-bound MXS: the parallel-tick sentinel, checked below.
 		default:
 			lo := b.Speedup * (1 - gateSpeedupTolerance)
 			hi := b.Speedup * (1 + gateSpeedupTolerance)
 			if row.Speedup < lo || row.Speedup > hi {
 				fail(f.Name, "skip speedup %.2fx outside ±%.0f%% of baseline %.2fx [%.2f, %.2f]",
 					row.Speedup, 100*gateSpeedupTolerance, b.Speedup, lo, hi)
-				status = "FAIL"
 			}
 		}
-		if memBound && row.ParJobs > 0 && status == "ok" {
+		if f.MemBound() && row.ParJobs > 0 && status == "ok" {
 			// A baseline marked par_regression records that sharding loses
 			// on its host; the floor would only re-measure that fact.
 			if !b.ParRegression && runtime.NumCPU() >= parJobs && row.ParSpeedup < gateParMinSpeedup {
 				fail(f.Name, "parallel-tick speedup %.2fx at -sim-jobs %d below the %.2fx floor (baseline %.2fx)",
 					row.ParSpeedup, row.ParJobs, gateParMinSpeedup, b.ParSpeedup)
-				status = "FAIL"
 			}
 		}
 		line := fmt.Sprintf("%-28s %12d sim-cycles  speedup %.2fx (baseline %.2fx)",
@@ -296,11 +268,33 @@ func runGate(baseline report, samples int) bool {
 		fmt.Fprintf(os.Stderr, "%s  %s\n", line, status)
 	}
 	for _, row := range baseline.Figures {
-		if !seen[row.Name] {
+		if _, left := base[row.Name]; left {
 			fail(row.Name, "in the baseline but no longer measured (regenerate BENCH_figures.json)")
 		}
 	}
 	return pass
+}
+
+// selectFigures returns the table rows whose names match pattern ("" =
+// every row). A pattern that matches none is an error listing the
+// names, so a typo cannot write an empty baseline.
+func selectFigures(pattern string) ([]benchfig.Figure, error) {
+	re, err := regexp.Compile(pattern)
+	if err != nil {
+		return nil, err
+	}
+	var sel []benchfig.Figure
+	var names []string
+	for _, f := range benchfig.Figures() {
+		names = append(names, f.Name)
+		if re.MatchString(f.Name) {
+			sel = append(sel, f)
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("-figures %q matches none of %v", pattern, names)
+	}
+	return sel, nil
 }
 
 func main() {
@@ -310,8 +304,13 @@ func main() {
 	gatePath := flag.String("gate", "", "CI gate mode: compare fresh measurements against this baseline file and exit non-zero on regression (writes nothing)")
 	samples := flag.Int("samples", 1, "measure each cell N times and keep the median ns/op")
 	flag.Parse()
-	if *samples < 1 {
-		*samples = 1
+	sel, err := selectFigures(*figures)
+	if err == nil && *samples < 1 {
+		err = fmt.Errorf("-samples %d: want at least 1", *samples)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(2)
 	}
 
 	if *gatePath != "" {
@@ -330,26 +329,13 @@ func main() {
 		return
 	}
 
-	var sel *regexp.Regexp
-	if *figures != "" {
-		re, err := regexp.Compile(*figures)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		sel = re
-	}
-
 	rep := report{
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	for _, f := range benchfig.Figures() {
-		if sel != nil && !sel.MatchString(f.Name) {
-			continue
-		}
+	for _, f := range sel {
 		row, err := measureFigure(f, *samples)
 		if err != nil {
 			cli.Fatal(fmt.Errorf("%s: %w", f.Name, err))
@@ -365,7 +351,7 @@ func main() {
 		}
 	}
 
-	err := cli.WriteFile(*out, func(w io.Writer) error {
+	err = cli.WriteFile(*out, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)

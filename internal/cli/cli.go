@@ -2,8 +2,9 @@
 // (one parameter sweep) and cmd/experiments (the paper's whole grid)
 // share. Each registers only the groups it uses: PoolFlags (plus
 // RunReportFlags), the run-shape flags one at a time, and
-// InstrumentFlags. -arch and -model are checked as they are parsed, so
-// an unknown value exits 2, listing the valid ones, before any job runs.
+// InstrumentFlags. -workload, -arch and -model are checked as they are
+// parsed, so an unknown value exits 2, listing the valid ones, before
+// any job runs.
 // Like internal/runner, this is driver code outside the determinism
 // analyzer's scope.
 package cli
@@ -109,9 +110,13 @@ func (p *Pool) Job(name string, quick bool, arch core.Arch, model core.CPUModel,
 	}
 }
 
-// WorkloadFlag registers -workload with default def.
+// WorkloadFlag registers -workload with default def, which may be ""
+// (none chosen). A name that is not a registered workload fails the
+// parse.
 func WorkloadFlag(fs *flag.FlagSet, def string) *string {
-	return fs.String("workload", def, "workload to run (cmpsim -list names them)")
+	w, valid := def, workload.Names()
+	fs.Func("workload", fmt.Sprintf("workload to run: one of %v (default %q)", valid, def), oneOf(&w, valid))
+	return &w
 }
 
 // ArchFlag registers -arch with default def. With all set it also

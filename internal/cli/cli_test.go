@@ -27,6 +27,7 @@ func parse(args ...string) (*Pool, *Instruments, *core.Arch, *core.CPUModel, err
 	pool := PoolFlags(fs)
 	pool.RunReportFlags(fs)
 	inst := InstrumentFlags(fs)
+	WorkloadFlag(fs, "")
 	arch := ArchFlag(fs, "all", true)
 	model := ModelFlag(fs)
 	return pool, inst, arch, model, fs.Parse(args)
@@ -127,9 +128,10 @@ func TestPoolShape(t *testing.T) {
 	}
 }
 
-// TestArchAndModelRejectedAtParse: an unknown -arch or -model fails the
-// parse itself, naming every valid value; "all" is valid only where the
-// driver registers it.
+// TestArchAndModelRejectedAtParse: an unknown -arch, -model or
+// -workload fails the parse itself, naming every valid value; "all" is
+// valid only where the command registers it, and -workload's "" default
+// parses.
 func TestArchAndModelRejectedAtParse(t *testing.T) {
 	_, _, arch, model, err := parse()
 	if err != nil || *arch != "all" || *model != core.ModelMipsy {
@@ -145,6 +147,7 @@ func TestArchAndModelRejectedAtParse(t *testing.T) {
 	}{
 		{[]string{"-arch", "shared-l3"}, []string{"shared-l1", "shared-l2", "shared-mem", "all"}},
 		{[]string{"-model", "ooo"}, []string{"mipsy", "mxs"}},
+		{[]string{"-workload", "nope"}, []string{"eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "pmake", "latprobe"}},
 	} {
 		_, _, _, _, err := parse(c.args...)
 		if err == nil {

@@ -61,9 +61,11 @@ func goldenCells() []mxsCell {
 	for _, app := range []string{"eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "pmake"} {
 		add("paper", memsys.DefaultConfig(), app, quick(app))
 	}
-	add("mxs-membound", benchfig.MXSMemBoundConfig(), "mp3d", func() (workload.Workload, error) {
-		return workload.NewMP3D(workload.MP3DParams{Particles: 2048, Steps: 1}), nil
-	})
+	for _, f := range benchfig.Figures() {
+		if f.Name == "Figure11_MXS_MP3D_MemBound" {
+			add("mxs-membound", f.Config(), f.App, func() (workload.Workload, error) { return f.New(), nil })
+		}
+	}
 	add("mxs-membound", benchfig.MXSMemBoundConfig(), "pmake", quick("pmake"))
 	return cells
 }
