@@ -74,15 +74,15 @@ bench:
 	$(GO) run ./cmd/benchjson
 
 # bench-gate is the CI perf gate: re-measure the figure matrix
-# (median of 3 samples per cell) and diff against the committed
-# baseline. Sim cycle counts must match exactly (determinism anchor —
-# including at -sim-jobs 4 on the detailed-CPU rows); Mipsy MemBound
-# rows must keep a >= 2x skip speedup; on hosts with 4 or more cores
-# the MXS MemBound row must keep a >= 1.5x parallel-tick speedup unless
-# the baseline marks it par_regression (on fewer cores there is no
-# floor: the serial loop skips per CPU itself, which is all sharding
-# won there); every other row's dimensionless speedup must stay within
-# ±30% of its baseline value.
+# (median of 3 samples per cell) and check same-host speedups against
+# the committed baseline. Mipsy MemBound rows must keep a >= 2x skip
+# speedup; on hosts with 4 or more cores the MXS MemBound row must keep
+# a >= 1.5x parallel-tick speedup unless the baseline marks it
+# par_regression (on fewer cores there is no floor: the serial loop
+# skips per CPU itself, which is all sharding won there); every other
+# row's dimensionless speedup must stay within ±30% of its baseline
+# value. Cycle counts must agree across samples and with -sim-jobs 4;
+# the exact counts themselves are TestLedger's (make test, make check).
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_figures.json -samples 3
 

@@ -17,11 +17,9 @@
 // disarming the gate everywhere else.
 //
 // With -gate it becomes the CI perf gate instead: it re-measures the
-// table and compares against the committed baseline without writing
-// anything. Simulated cycle counts must match exactly (they are
-// deterministic; a mismatch means the baseline is stale). Wall-clock
-// figures differ across hardware, so the rest of the gate checks
-// same-host speedups: the memory-bound rows (benchfig.Figure.MemBound)
+// table and compares same-host speedups against the committed baseline
+// without writing anything (the exact cycle counts are the root
+// package's TestLedger): the memory-bound rows (benchfig.Figure.MemBound)
 // keep floors, 2x skip-vs-no-skip under Mipsy and 1.5x parallel-vs-serial
 // under MXS on hosts with four or more cores, and every other row stays
 // within ±30% of its baseline skip speedup. -samples N measures each
@@ -231,9 +229,6 @@ func runGate(baseline report, samples int) bool {
 		}
 		status = "ok"
 		switch {
-		case row.SimCyclesPerOp != b.SimCyclesPerOp:
-			fail(f.Name, "sim cycles changed: %d -> %d (simulation output moved; regenerate the baseline deliberately)",
-				b.SimCyclesPerOp, row.SimCyclesPerOp)
 		case f.MemBound() && f.Model == core.ModelMipsy:
 			if row.Speedup < gateMemBoundMinSpeedup {
 				fail(f.Name, "skip speedup %.2fx below the %.1fx floor (baseline %.2fx)",

@@ -15,11 +15,13 @@ import (
 )
 
 // SimVersion stamps every cache key. Bump it whenever a change can
-// alter simulated timing or statistics for an unchanged configuration
-// — memory-system or CPU-model behavior, workload construction
-// (including the NewQuick parameter table), or stall attribution —
+// alter simulated timing or statistics for an unchanged configuration,
 // so stale entries from older simulator revisions can never be
-// returned as current results.
+// returned as current results. TestLedger (testdata/ledger.json in the
+// root package) enforces the bump for every cell it runs: its -update
+// refuses to record moved results at an unchanged SimVersion. The
+// full-size parameter tables (workload.New, cache key "name/full") are
+// not in the ledger, so a change there still needs a bump by hand.
 const SimVersion = 3
 
 // Cacheable reports whether a job's result may be memoized: it needs a
@@ -38,10 +40,12 @@ func Cacheable(job *Job) bool {
 // Key returns the cache key of a job: a hex SHA-256 over the sim
 // version, the workload identity, the architecture, the CPU model and
 // the canonical config fingerprint.
-func Key(job *Job) string {
+func Key(job *Job) string { return key(SimVersion, job) }
+
+func key(version int, job *Job) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d\x00%s\x00%s\x00%s\x00%s",
-		SimVersion, job.WorkloadKey, job.Arch, job.Model, Fingerprint(&job.Cfg))
+		version, job.WorkloadKey, job.Arch, job.Model, Fingerprint(&job.Cfg))
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -184,8 +184,8 @@ func TestAttachmentsMakeJobsUncacheable(t *testing.T) {
 
 // TestKeyStable pins the hex keys of representative jobs, so a change
 // to Config or to Fingerprint that would orphan existing cache entries
-// fails here instead of silently recomputing every cell. A deliberate
-// timing change bumps SimVersion and re-records the table.
+// fails here instead of silently recomputing every cell. The keys are
+// taken at version 0, so a SimVersion bump leaves the table as it is.
 func TestKeyStable(t *testing.T) {
 	for _, c := range []struct {
 		arch  core.Arch
@@ -193,19 +193,19 @@ func TestKeyStable(t *testing.T) {
 		cfg   memsys.Config
 		want  string
 	}{
-		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "d305eeebb2c72bf9316ed80e923872cc"},
-		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "7b0bee2fe436f3eac565848ba654aa3a"},
-		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "d702deaa5e1daf0c5c43fe5d313a9025"},
-		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "86081c3e3388c4ed3e5e90d7e840d021"},
-		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "cce0ec657fc53561f56b80678bc5ffa9"},
-		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "389665b576e50277899fe6b9baafd037"},
-		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "28aa57b00fc3348430c3243a9cd153ff"},
-		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "8bfab7ac5ebb8a5cd96160c42ba3926d"},
+		{core.SharedL1, core.ModelMipsy, memsys.DefaultConfig(), "94e7a09264926d886bdd296760fdb860"},
+		{core.SharedL2, core.ModelMipsy, memsys.DefaultConfig(), "fe09b00f4a3a896dc0ed6d1af645045a"},
+		{core.SharedMem, core.ModelMipsy, memsys.DefaultConfig(), "4c76008ff878d5f62aed24a83df07833"},
+		{core.SharedL1, core.ModelMXS, memsys.DefaultConfig(), "4bc1ce13948f093f992bad5c6f929e50"},
+		{core.SharedL2, core.ModelMXS, memsys.DefaultConfig(), "cd55f33abd110c89633c4a01506f8b41"},
+		{core.SharedMem, core.ModelMXS, memsys.DefaultConfig(), "aec979a991eefaae00e971ab65b2b0d5"},
+		{core.SharedMem, core.ModelMipsy, benchfig.MemBoundConfig(), "5597b4df78670dd674c2221db7560f5c"},
+		{core.SharedMem, core.ModelMXS, benchfig.MXSMemBoundConfig(), "9aef80a5f4a8c0d8b9be90c88c21278d"},
 	} {
 		job := smallJob(c.arch)
 		job.Model, job.Cfg = c.model, c.cfg
-		if got := Key(&job); got != c.want {
-			t.Errorf("%s/%s (%d CPUs): key %s, want %s", c.arch, c.model, c.cfg.NumCPUs, got, c.want)
+		if got := key(0, &job); got != c.want || Key(&job) != key(SimVersion, &job) {
+			t.Errorf("%s/%s (%d CPUs): key %s, want %s, and Key must be key at SimVersion", c.arch, c.model, c.cfg.NumCPUs, got, c.want)
 		}
 	}
 }
