@@ -181,3 +181,53 @@ func TestLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLedgerRules holds decideLedger to the ledger's rules on a
+// two-row file.
+func TestLedgerRules(t *testing.T) {
+	rows := []ledgerRow{{Row: "a", Cycles: 100, Instructions: 50, MemReport: "00", Skipped: 7}, {Row: "b", Cycles: 200}}
+	at := func(version int, rows []ledgerRow) ledgerFile { return ledgerFile{version, ledgerDigest(rows), rows} }
+	with := func(edit func(*ledgerRow)) []ledgerRow {
+		rs := slices.Clone(rows)
+		edit(&rs[1])
+		return rs
+	}
+	slower := with(func(r *ledgerRow) { r.Cycles++ })
+	skipped := with(func(r *ledgerRow) { r.Skipped = 9 })
+	handEdited := ledgerFile{3, ledgerDigest(rows), slower}
+	for _, c := range []struct {
+		name    string
+		file    ledgerFile
+		got     []ledgerRow
+		version int
+		update  bool
+		want    string
+	}{
+		{"equal", at(3, rows), rows, 3, false, "pass"},
+		{"equal/update", at(3, rows), rows, 3, true, "pass"},
+		{"moved", at(3, rows), slower, 3, false, "fail"},
+		{"moved/update", at(3, rows), slower, 3, true, "fail"},
+		{"moved/bumped", at(3, rows), slower, 4, false, "fail"},
+		{"moved/bumped/update", at(3, rows), slower, 4, true, "write"},
+		{"skipped", at(3, rows), skipped, 3, false, "fail"},
+		{"skipped/update", at(3, rows), skipped, 3, true, "write"},
+		{"bumped", at(3, rows), rows, 4, false, "fail"},
+		{"bumped/update", at(3, rows), rows, 4, true, "write"},
+		{"hand-edited", handEdited, slower, 3, false, "fail"},
+		{"hand-edited/update", handEdited, slower, 3, true, "fail"},
+		{"row-dropped", at(3, rows), rows[:1], 3, false, "fail"},
+		{"row-added", at(3, rows[:1]), rows, 3, false, "fail"},
+	} {
+		got, why := decideLedger(c.file, c.got, c.version, c.update)
+		if got != c.want || got == "fail" && why == nil {
+			t.Errorf("%s: %s, want %s (%q)", c.name, got, c.want, why)
+		}
+	}
+	if _, why := decideLedger(at(3, rows), slower, 3, true); !strings.Contains(why[0], "b\n got: ") ||
+		!strings.Contains(why[len(why)-1], "bump runner.SimVersion to 4") {
+		t.Errorf("the refusal does not name the moved row and the bump: %q", why)
+	}
+	if _, why := decideLedger(handEdited, slower, 3, false); !strings.Contains(strings.Join(why, "\n"), "edited by hand") {
+		t.Errorf("a hand edit is not named: %q", why)
+	}
+}
