@@ -66,7 +66,9 @@ func (h *LatencyHist) Quantile(level uint8, q float64) uint64 {
 	if level >= maxLevels || h.Count[level] == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.Count[level]))
+	// The conversion keeps the product out of a fused multiply-add, so
+	// every host picks the same bucket.
+	target := uint64(float64(q * float64(h.Count[level])))
 	if target == 0 {
 		target = 1
 	}

@@ -219,7 +219,8 @@ func (f Figure) Chart() string {
 		for _, s := range segs {
 			sum += s.v
 		}
-		total := int(sum*width + 0.5)
+		// float64(x*y): the same cells on every host (no fused multiply-add).
+		total := int(float64(sum*width) + 0.5)
 		var cols [len(segs)]int
 		alloc := 0
 		for i, s := range segs {
@@ -229,7 +230,7 @@ func (f Figure) Chart() string {
 		for alloc < total {
 			best, bestFrac := -1, -1.0
 			for i, s := range segs {
-				frac := s.v*width - float64(cols[i])
+				frac := float64(s.v*width) - float64(cols[i])
 				if frac > bestFrac {
 					best, bestFrac = i, frac
 				}

@@ -83,8 +83,10 @@ func (w *Ear) initialState() *earState {
 	}
 	st.out[0] = make([]float64, w.Channels+1)
 	st.out[1] = make([]float64, w.Channels+1)
+	// Every float64(x*y) here and in advance rounds the product before
+	// the add, as the guest does: no fused multiply-add on any host.
 	for i := range st.sig {
-		st.sig[i] = rng.Float64()*2 - 1
+		st.sig[i] = float64(float64(rng.Float64())*2) - 1
 	}
 	for c := 0; c < w.Channels; c++ {
 		st.a[c] = 0.3 + 0.4*float64(c)/float64(w.Channels)
@@ -109,12 +111,12 @@ func (w *Ear) advance(st *earState) {
 		for c := 0; c < w.Channels; c++ {
 			x := prev[c]
 			for k := 0; k < earStages; k++ {
-				y := st.a[c]*x + st.bc[c]*st.state[c*earStages+k]
+				y := float64(st.a[c]*x) + float64(st.bc[c]*st.state[c*earStages+k])
 				st.state[c*earStages+k] = y
 				x = y
 			}
 			cur[c+1] = x
-			st.energy[c] += x * x
+			st.energy[c] += float64(x * x)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func (w *FFT) inputs() [][]float64 {
 			// A mix of tones; cheap, deterministic, and exactly
 			// representable operations are not required here since both
 			// guest and mirror read the same initialized memory.
-			a[2*i] = math.Sin(2*math.Pi*float64((v+1)*i)/float64(w.N)) + 0.25*float64(i%5)
+			a[2*i] = math.Sin(2*math.Pi*float64((v+1)*i)/float64(w.N)) + float64(0.25*float64(i%5))
 			a[2*i+1] = 0.5 * math.Cos(2*math.Pi*float64(i*3)/float64(w.N))
 		}
 		vs[v] = a
@@ -127,8 +127,9 @@ func (w *FFT) fftMirror(a []float64, tw []float64, rev []uint32) {
 				wi := tw[2*k*step+1]
 				ur, ui := a[2*(i+k)], a[2*(i+k)+1]
 				tr, ti := a[2*(i+k+half)], a[2*(i+k+half)+1]
-				vr := tr*wr - ti*wi
-				vi := tr*wi + ti*wr
+				// Rounded products, as the guest computes them (no fused multiply-add).
+				vr := float64(tr*wr) - float64(ti*wi)
+				vi := float64(tr*wi) + float64(ti*wr)
 				a[2*(i+k)] = ur + vr
 				a[2*(i+k)+1] = ui + vi
 				a[2*(i+k+half)] = ur - vr

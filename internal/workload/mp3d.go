@@ -154,10 +154,12 @@ func (w *MP3D) initialState() *mp3dState {
 		st.x[i] = rng.Float64() * g
 		st.y[i] = rng.Float64() * g
 		st.z[i] = rng.Float64() * g
-		st.vx[i] = rng.Float64() - 0.5
-		st.vy[i] = rng.Float64() - 0.5
-		st.vz[i] = rng.Float64() - 0.5
-		st.aux[i] = 1.0 + float64(i%5)*0.25
+		// float64(x*y) rounds the product before the add (here, inside
+		// Float64), as the guest does: no fused multiply-add on any host.
+		st.vx[i] = float64(rng.Float64()) - 0.5
+		st.vy[i] = float64(rng.Float64()) - 0.5
+		st.vz[i] = float64(rng.Float64()) - 0.5
+		st.aux[i] = 1.0 + float64(float64(i%5)*0.25)
 	}
 	// Step 0 reads cells[0]; seed it with a deterministic census of the
 	// initial positions so the first velocity nudge is meaningful.
@@ -195,11 +197,11 @@ func (w *MP3D) advance(st *mp3dState) {
 		}
 		for i := 0; i < w.Particles; i++ {
 			c := prev[w.cellOf(st.x[i], st.y[i], st.z[i])]
-			nudge := float64(c-k) * mp3dEps * st.aux[i]
+			nudge := float64(float64(c-k) * mp3dEps * st.aux[i])
 			st.vx[i] += nudge
-			st.x[i] += st.vx[i] * mp3dDt
-			st.y[i] += st.vy[i] * mp3dDt
-			st.z[i] += st.vz[i] * mp3dDt
+			st.x[i] += float64(st.vx[i] * mp3dDt)
+			st.y[i] += float64(st.vy[i] * mp3dDt)
+			st.z[i] += float64(st.vz[i] * mp3dDt)
 			if st.x[i] < 0 {
 				st.x[i] += g
 			}

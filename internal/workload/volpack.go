@@ -78,11 +78,13 @@ func (w *Volpack) voxels() []uint8 {
 	return v
 }
 
+// shadeTable and weightTable round each product before the add
+// (float64(x*y)), as the guest does: no fused multiply-add on any host.
 func shadeTable() []float64 {
 	t := make([]float64, volpackTblLen)
 	for i := range t {
 		fi := float64(int32(i))
-		t[i] = 1.0 / (1.0 + fi*fi*0.001)
+		t[i] = 1.0 / (1.0 + float64(fi*fi*0.001))
 	}
 	return t
 }
@@ -90,7 +92,7 @@ func shadeTable() []float64 {
 func weightTable(depth int) []float64 {
 	t := make([]float64, depth)
 	for z := range t {
-		t[z] = 1.0 / (1.0 + float64(int32(z))*0.25)
+		t[z] = 1.0 / (1.0 + float64(float64(int32(z))*0.25))
 	}
 	return t
 }
@@ -109,7 +111,7 @@ func (w *Volpack) reference(vox []uint8) (inter, final []float64) {
 					continue // early ray termination
 				}
 				v := vox[(z*n+row)*n+x]
-				inter[y*n+x] += table[v] * wt[z]
+				inter[y*n+x] += float64(table[v] * wt[z])
 			}
 		}
 	}
