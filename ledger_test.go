@@ -22,9 +22,8 @@ var update = flag.Bool("update", false, "rewrite testdata/ledger.json (refused w
 
 const ledgerPath = "testdata/ledger.json"
 
-// ledgerRow is one simulation's outcome. Every column but Skipped is a
-// result and enters the file's digest; Skipped is the scheduler's own
-// column (cycles jumped instead of ticked), which -update re-records.
+// ledgerRow is one simulation's outcome. Every column but Skipped, the
+// scheduler's own (cycles jumped instead of ticked), is in the digest.
 type ledgerRow struct {
 	Row                  string
 	Cycles, Instructions uint64
@@ -39,7 +38,6 @@ type ledgerFile struct {
 	Rows       []ledgerRow `json:"rows"`
 }
 
-// String is the row's line in the file.
 func (r ledgerRow) String() string {
 	line, _ := json.Marshal(r)
 	return string(line)
@@ -55,11 +53,9 @@ func ledgerDigest(rows []ledgerRow) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
-// decideLedger says whether the rows computed at simulator version
-// version "pass", "fail" or "write" the committed file, and why. Any
-// difference fails: a moved row, a digest that is not the file's own
-// rows', another sim_version. -update writes instead, unless results
-// moved while version still equals the file's sim_version.
+// decideLedger says whether rows got, computed at simulator version
+// version, "pass", "fail" or "write" the committed file, and why: any
+// difference fails, unless -update writes it; moved results need a bump.
 func decideLedger(file ledgerFile, got []ledgerRow, version int, update bool) (string, []string) {
 	var why []string
 	want := map[string]ledgerRow{}
@@ -92,10 +88,9 @@ func decideLedger(file ledgerFile, got []ledgerRow, version int, update bool) (s
 	return "write", why
 }
 
-// ledgerJobs lists the rows, each a job tagged with its name: every
-// benchfig figure row; the seven applications' quick cells; quick pmake
-// under MXS on the 4-CPU memory-bound point; and the ablation's 4-way L2
-// (its direct-mapped row is quick/mp3d/shared-l1/mipsy).
+// ledgerJobs lists the rows: every benchfig figure row, the quick cells,
+// quick pmake under MXS on the memory-bound point and the ablation's
+// 4-way L2 (its direct-mapped row is quick/mp3d/shared-l1/mipsy).
 func ledgerJobs() []runner.Job {
 	var jobs []runner.Job
 	add := func(name string, model core.CPUModel, cfg memsys.Config, mk func() (workload.Workload, error), arches ...core.Arch) {
@@ -138,9 +133,8 @@ func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
 	return ledgerRow{job.Tag, res.Cycles, res.Instructions(), res.PerCPU, fmt.Sprintf("%x", sha256.Sum256(rep))[:16], m.SkippedCycles()}
 }
 
-// TestLedger holds every exact count of the repo to testdata/ledger.json
-// (see decideLedger). A deliberate re-baseline is a runner.SimVersion
-// bump plus `go test -run TestLedger -update .`.
+// TestLedger holds every exact count of the repo to testdata/ledger.json.
+// A re-baseline is a runner.SimVersion bump plus `-run TestLedger -update`.
 func TestLedger(t *testing.T) {
 	var file ledgerFile
 	raw, err := os.ReadFile(ledgerPath)
