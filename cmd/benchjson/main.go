@@ -297,12 +297,10 @@ func main() {
 	figures := flag.String("figures", "", "regexp selecting figure names (\"\" = all)")
 	verbose := flag.Bool("v", true, "print a progress line per figure on stderr")
 	gatePath := flag.String("gate", "", "CI gate mode: compare fresh measurements against this baseline file and exit non-zero on regression (writes nothing)")
-	samples := flag.Int("samples", 1, "measure each cell N times and keep the median ns/op")
+	var samples int
+	cli.CountVar(flag.CommandLine, &samples, "samples", 1, 1, "measure each cell N times and keep the median ns/op")
 	flag.Parse()
 	sel, err := selectFigures(*figures)
-	if err == nil && *samples < 1 {
-		err = fmt.Errorf("-samples %d: want at least 1", *samples)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(2)
@@ -317,7 +315,7 @@ func main() {
 		if err := json.Unmarshal(data, &baseline); err != nil {
 			cli.Fatal(fmt.Errorf("%s: %w", *gatePath, err))
 		}
-		if !runGate(baseline, *samples) {
+		if !runGate(baseline, samples) {
 			os.Exit(1)
 		}
 		fmt.Fprintln(os.Stderr, "benchjson: gate passed")
@@ -331,7 +329,7 @@ func main() {
 		NumCPU:    runtime.NumCPU(),
 	}
 	for _, f := range sel {
-		row, err := measureFigure(f, *samples)
+		row, err := measureFigure(f, samples)
 		if err != nil {
 			cli.Fatal(fmt.Errorf("%s: %w", f.Name, err))
 		}

@@ -68,9 +68,10 @@ func main() {
 		list     = flag.Bool("list", false, "list available workloads")
 		verbose  = flag.Bool("v", false, "also print raw cycle counts and IPC")
 		profFlag = flag.Bool("prof", false, "collect a guest cycle-attribution profile and print hot functions/PCs and the line-sharing heatmap")
-		profTop  = flag.Int("prof-top", 15, "rows per profile report table")
 		sanitize = flag.Bool("sanitize", false, "validate coherence/cycle invariants on every transaction (panics with an event trail on violation)")
 	)
+	var profTop int
+	cli.CountVar(fs, &profTop, "prof-top", 15, 1, "rows per profile report table")
 	flag.Parse()
 
 	if *list {
@@ -165,7 +166,7 @@ func main() {
 			fmt.Printf("--- %s: interval metrics ---\n%s", a, res.Metrics.String())
 		}
 		if *profFlag {
-			res.Profile.WriteReport(os.Stdout, *profTop)
+			res.Profile.WriteReport(os.Stdout, profTop)
 		}
 		if err := inst.WriteProfile(res.Profile, tag); err != nil {
 			cli.Fatal(err)

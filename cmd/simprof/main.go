@@ -21,7 +21,8 @@ import (
 )
 
 func main() {
-	top := flag.Int("top", 15, "rows per report table")
+	var top int
+	cli.CountVar(flag.CommandLine, &top, "top", 15, 1, "rows per report table")
 	folded := flag.String("folded", "", "also write folded-stack lines (flamegraph.pl input) to this file")
 	flag.Parse()
 
@@ -38,7 +39,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	p.WriteReport(os.Stdout, *top)
+	p.WriteReport(os.Stdout, top)
 	if *folded == "" {
 		return
 	}

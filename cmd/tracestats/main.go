@@ -21,7 +21,8 @@ import (
 )
 
 func main() {
-	topN := flag.Int("n", 10, "show the top N entries of each table")
+	var topN int
+	cli.CountVar(flag.CommandLine, &topN, "n", 10, 1, "show the top N entries of each table")
 	flag.Parse()
 
 	// "-" (or no argument) reads the trace from stdin, so tracestats
@@ -57,9 +58,9 @@ func main() {
 
 	fmt.Printf("%s: %d events over cycles [%d, %d]\n\n", name, len(events), first, last)
 
-	contention(events, *topN)
+	contention(events, topN)
 	structural(events)
-	invalidations(events, *topN)
+	invalidations(events, topN)
 	latency(events)
 }
 

@@ -23,8 +23,9 @@ var goToolFlags = map[string]bool{
 
 var (
 	// flagDef matches a flag registration: flag.String("name", …),
-	// fs.Uint64Var(&v, "name", …), fs.Func("name", …) and the like.
-	flagDef    = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|Float64|Duration|String|Func|BoolFunc)(?:Var)?\((?:&[\w.]+, )?"([\w-]+)"`)
+	// fs.Uint64Var(&v, "name", …), fs.Func("name", …),
+	// cli.CountVar(fs, &v, "name", …) and the like.
+	flagDef    = regexp.MustCompile(`\b(?:Bool|Int|Int64|Uint|Uint64|Float64|Duration|String|Func|BoolFunc|Count)(?:Var)?\((?:[\w.]+, )?(?:&[\w.]+, )?"([\w-]+)"`)
 	makeTarget = regexp.MustCompile(`(?m)^([\w-]+):`)
 	fenced     = regexp.MustCompile("(?ms)^\\s*```.*?^\\s*```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
@@ -46,8 +47,8 @@ type Pool struct {
 // PoolFlags registers -jobs, -sim-jobs, -cache-dir and -progress on fs.
 func PoolFlags(fs *flag.FlagSet) *Pool {
 	p := &Pool{}
-	fs.IntVar(&p.jobs, "jobs", 0, "max concurrent simulation runs (0 = GOMAXPROCS); output is identical for any value")
-	fs.IntVar(&p.simJobs, "sim-jobs", 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
+	CountVar(fs, &p.jobs, "jobs", 0, 0, "max concurrent simulation runs (0 = GOMAXPROCS); output is identical for any value")
+	CountVar(fs, &p.simJobs, "sim-jobs", 1, 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
 	fs.StringVar(&p.cacheDir, "cache-dir", "", "memoize run results as JSON under this directory (\"\" = off)")
 	fs.BoolVar(&p.progress, "progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 	return p
@@ -157,7 +158,27 @@ func QuickFlag(fs *flag.FlagSet) *bool {
 
 // CPUsFlag registers -cpus.
 func CPUsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("cpus", 0, "override processor count (0 = paper's 4)")
+	var n int
+	CountVar(fs, &n, "cpus", 0, 0, "override processor count (0 = paper's 4)")
+	return &n
+}
+
+// CountVar registers an integer flag name on fs, stored in p, that
+// refuses a value below min at parse time, naming the minimum (an
+// ExitOnError flag set exits 2).
+func CountVar(fs *flag.FlagSet, p *int, name string, def, min int, usage string) {
+	*p = def
+	fs.Func(name, fmt.Sprintf("%s (default %d)", usage, def), func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil {
+			return err
+		}
+		if v < int64(min) {
+			return fmt.Errorf("want at least %d", min)
+		}
+		*p = int(v)
+		return nil
+	})
 }
 
 // Instruments is the instrument flag group.
@@ -174,7 +195,7 @@ func InstrumentFlags(fs *flag.FlagSet) *Instruments {
 	const spliced = "; with several runs each run's tag is spliced in before the extension"
 	fs.StringVar(&in.trace, "trace", "", "write a Chrome trace (chrome://tracing, Perfetto) to this file"+spliced)
 	fs.StringVar(&in.traceOut, "trace-out", "", "write the raw event trace as JSON Lines (cmd/tracestats input) to this file"+spliced)
-	fs.IntVar(&in.traceBuf, "trace-buf", 1<<20, "trace ring-buffer capacity in events (oldest dropped)")
+	CountVar(fs, &in.traceBuf, "trace-buf", 1<<20, 1, "trace ring-buffer capacity in events (oldest dropped)")
 	fs.Uint64Var(&in.interval, "metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	fs.StringVar(&in.profOut, "prof-out", "", "write the cycle-attribution profile as JSON (cmd/simprof input) to this file"+spliced)
 	return in

@@ -169,6 +169,42 @@ func TestArchAndModelRejectedAtParse(t *testing.T) {
 	}
 }
 
+// TestCountsRejectedAtParse: a count flag below its minimum fails the
+// parse, naming the minimum, and the defaults and the minimum itself
+// parse (0 keeps its meaning for -cpus and -jobs).
+func TestCountsRejectedAtParse(t *testing.T) {
+	parse := func(args ...string) (*Pool, *Instruments, int, int, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		pool, inst, cpus := PoolFlags(fs), InstrumentFlags(fs), CPUsFlag(fs)
+		var top int
+		CountVar(fs, &top, "top", 15, 1, "rows per table")
+		err := fs.Parse(args)
+		return pool, inst, *cpus, top, err
+	}
+	pool, inst, cpus, top, err := parse()
+	if err != nil || pool.jobs != 0 || pool.simJobs != 1 || inst.traceBuf != 1<<20 || cpus != 0 || top != 15 {
+		t.Fatalf("defaults: jobs %d sim-jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, pool.simJobs, inst.traceBuf, cpus, top, err)
+	}
+	pool, inst, cpus, top, err = parse("-jobs", "0", "-sim-jobs", "1", "-trace-buf", "1", "-cpus", "0", "-top", "0x10")
+	if err != nil || pool.jobs != 0 || pool.simJobs != 1 || inst.traceBuf != 1 || cpus != 0 || top != 16 {
+		t.Fatalf("minimums: jobs %d sim-jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, pool.simJobs, inst.traceBuf, cpus, top, err)
+	}
+	for _, c := range []struct{ flag, value, want string }{
+		{"-cpus", "-1", "want at least 0"},
+		{"-jobs", "-2", "want at least 0"},
+		{"-sim-jobs", "0", "want at least 1"},
+		{"-sim-jobs", "-1", "want at least 1"},
+		{"-trace-buf", "-5", "want at least 1"},
+		{"-top", "-1", "want at least 1"},
+		{"-top", "ten", "invalid syntax"},
+	} {
+		if _, _, _, _, err := parse(c.flag, c.value); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: error %v, want %q", c.flag, c.value, err, c.want)
+		}
+	}
+}
+
 // TestBadArchExitsTwo runs the parse the way a driver does, on an
 // ExitOnError flag set, in a child process: an unknown -arch must end
 // it with exit status 2 before anything else happens.
