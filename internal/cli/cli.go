@@ -2,9 +2,9 @@
 // (one parameter sweep) and cmd/experiments (the paper's whole grid)
 // share. Each registers only the groups it uses: PoolFlags (plus
 // RunReportFlags), the run-shape flags one at a time, and
-// InstrumentFlags. -workload, -arch and -model are checked as they are
-// parsed, so an unknown value exits 2, listing the valid ones, before
-// any job runs.
+// InstrumentFlags. -workload, -arch, -model and the counts (CountVar)
+// are checked as they are parsed, so an unknown or out-of-range value
+// exits 2, naming what is valid, before any job runs.
 // Like internal/runner, this is driver code outside the determinism
 // analyzer's scope.
 package cli
