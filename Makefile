@@ -11,7 +11,7 @@ build:
 # invariant suite), the full test suite under the race detector (the
 # trace ring is the shared-state hot spot), the nested benchmark
 # module's vet and tests, a sanitized smoke run of every architecture,
-# and a race-checked parallel smoke of the runner pool.
+# and race-checked parallel smokes of the runner pool.
 check: vet lint race bench-module smoke race-smoke
 
 vet:
@@ -53,17 +53,15 @@ smoke:
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -prof-out $$tmp/p.json && \
 	$(GO) run ./cmd/simprof -top 5 $$tmp/p.json; status=$$?; rm -rf $$tmp; exit $$status
 
-# race-smoke drives both parallelism axes under the race detector on
-# real simulations, not just the unit tests. First the internal/runner
-# worker pool: all three architectures of a sanitized quick workload run
-# concurrently on 4 workers, proving the pool's job isolation (no shared
-# tracer, checker, or counter state). Then the intra-simulation parallel
-# tick: a detailed-CPU quick workload sharded across 4 sim workers
-# (-sanitize is omitted there — the sanitizer forces the serial path,
-# so a sanitized run would not exercise the tick gate at all).
+# race-smoke drives the internal/runner worker pool under the race
+# detector on real simulations, not just the unit tests: all three
+# architectures of a quick workload run concurrently on 4 workers,
+# proving the pool's job isolation (no shared tracer, checker, or
+# counter state). The first run is sanitized under the simple CPU, the
+# second runs the detailed CPU (MXS).
 race-smoke:
 	$(GO) run -race ./cmd/cmpsim -workload eqntott -quick -sanitize -jobs 4
-	$(GO) run -race ./cmd/cmpsim -workload mp3d -quick -model mxs -sim-jobs 4
+	$(GO) run -race ./cmd/cmpsim -workload mp3d -quick -model mxs -jobs 4
 
 # bench runs every row of the figure table (internal/benchfig) at bench
 # size through cmd/benchjson and writes BENCH_figures.json: ns/op and
@@ -76,21 +74,17 @@ bench:
 # bench-gate is the CI perf gate: re-measure the figure matrix
 # (median of 3 samples per cell) and check same-host speedups against
 # the committed baseline. Mipsy MemBound rows must keep a >= 2x skip
-# speedup; on hosts with 4 or more cores the MXS MemBound row must keep
-# a >= 1.5x parallel-tick speedup unless the baseline marks it
-# par_regression (on fewer cores there is no floor: the serial loop
-# skips per CPU itself, which is all sharding won there); every other
-# row's dimensionless speedup must stay within ±30% of its baseline
-# value. Cycle counts must agree across samples and with -sim-jobs 4;
-# the exact counts themselves are TestLedger's (make test, make check).
+# speedup; the MXS MemBound row has no rule; every other row's
+# dimensionless speedup must stay within ±30% of its baseline value.
+# Cycle counts must agree across samples; the exact counts themselves
+# are TestLedger's (make test, make check).
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_figures.json -samples 3
 
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —
 # .gitignore'd — so reproduce it locally rather
-# than expecting it in the tree (~13 s on a 2-core host; add `-sim-jobs 4`
-# manually for a sharded run, output is identical).
+# than expecting it in the tree (~13 s on a 2-core host).
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 

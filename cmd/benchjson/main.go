@@ -7,22 +7,13 @@
 // per figure. CI uploads the file as an artifact so future PRs have a
 // perf trajectory to regress against.
 //
-// Detailed-CPU (MXS) rows are additionally measured with the parallel
-// tick scheduler at -sim-jobs 4. The simulated cycle count must match
-// the serial run exactly, and the wall-clock ratio against the same
-// sample's serial run is recorded as par_speedup. A row whose parallel
-// run is slower than its serial run is marked par_regression: true and
-// excluded from the gate's parallel floor — the mark makes honest
-// baselines from hosts where sharding cannot win committable without
-// disarming the gate everywhere else.
-//
 // With -gate it becomes the CI perf gate instead: it re-measures the
 // table and compares same-host speedups against the committed baseline
 // without writing anything (the exact cycle counts are the root
-// package's TestLedger): the memory-bound rows (benchfig.Figure.MemBound)
-// keep floors, 2x skip-vs-no-skip under Mipsy and 1.5x parallel-vs-serial
-// under MXS on hosts with four or more cores, and every other row stays
-// within ±30% of its baseline skip speedup. -samples N measures each
+// package's TestLedger): the memory-bound Mipsy rows
+// (benchfig.Figure.MemBound) keep a 2x skip-vs-no-skip floor, the
+// memory-bound MXS row is exempt, and every other row stays within ±30%
+// of its baseline skip speedup. -samples N measures each
 // cell N times and takes the median, damping scheduler noise on shared
 // CI runners.
 //
@@ -61,20 +52,6 @@ type figureRow struct {
 	NoSkipNsPerOp       int64   `json:"noskip_ns_per_op"`
 	NoSkipSimCyclesPerS float64 `json:"noskip_sim_cycles_per_sec"`
 	Speedup             float64 `json:"speedup"`
-
-	// Parallel-tick measurement (MXS rows only; zero elsewhere).
-	// ParSpeedup is the median of per-sample serial/parallel ratios;
-	// each ratio pairs back-to-back runs of the same sample. Simulated
-	// cycles are verified identical to the serial run, so
-	// SimCyclesPerOp serves the parallel throughput number too.
-	// ParRegression marks a row whose parallel run lost to its serial
-	// run on this host; the gate excludes marked rows from the parallel
-	// floor.
-	ParJobs          int     `json:"par_jobs,omitempty"`
-	ParNsPerOp       int64   `json:"par_ns_per_op,omitempty"`
-	ParSimCyclesPerS float64 `json:"par_sim_cycles_per_sec,omitempty"`
-	ParSpeedup       float64 `json:"par_speedup,omitempty"`
-	ParRegression    bool    `json:"par_regression,omitempty"`
 }
 
 // report is the BENCH_figures.json schema. No timestamp on purpose:
@@ -87,15 +64,14 @@ type report struct {
 	Figures   []figureRow `json:"figures"`
 }
 
-// benchFigure times one (figure, noSkip, simJobs) cell and returns the
-// result plus the simulated cycles of a single op.
-func benchFigure(f benchfig.Figure, noSkip bool, simJobs int) (testing.BenchmarkResult, uint64, error) {
+// benchFigure times one (figure, noSkip) cell and returns the result
+// plus the simulated cycles of a single op.
+func benchFigure(f benchfig.Figure, noSkip bool) (testing.BenchmarkResult, uint64, error) {
 	var cycles uint64
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		cfg := f.Config()
 		cfg.NoSkip = noSkip
-		cfg.SimJobs = simJobs
 		for i := 0; i < b.N; i++ {
 			_, c, err := benchfig.Run(f, &cfg)
 			if err != nil {
@@ -107,9 +83,6 @@ func benchFigure(f benchfig.Figure, noSkip bool, simJobs int) (testing.Benchmark
 	})
 	return r, cycles, runErr
 }
-
-// parJobs is the worker count of the parallel-tick measurement cell.
-const parJobs = 4
 
 // cyclesPerSec converts a run's ns/op, always positive once
 // testing.Benchmark has run it without error, to simulated cycles/s.
@@ -130,21 +103,16 @@ func median[T cmp.Ordered](vs []T) T {
 // skewing the quotient of two independently-noisy medians. Sim cycles
 // must be identical across every sample — they are deterministic, and a
 // drift here is a simulator bug worth dying on.
-// MXS figures additionally measure the parallel tick scheduler at
-// parJobs workers, pairing each sample's parallel run against that
-// sample's serial skip run for the par_speedup ratio; its simulated
-// cycles must match the serial run exactly.
 func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
-	par := f.Model == core.ModelMXS
-	var skipNs, noSkipNs, parNs []int64
-	var ratios, parRatios []float64
+	var skipNs, noSkipNs []int64
+	var ratios []float64
 	var cycles uint64
 	for s := 0; s < samples; s++ {
-		skip, c, err := benchFigure(f, false, 1)
+		skip, c, err := benchFigure(f, false)
 		if err != nil {
 			return figureRow{}, err
 		}
-		ref, _, err := benchFigure(f, true, 1)
+		ref, _, err := benchFigure(f, true)
 		if err != nil {
 			return figureRow{}, err
 		}
@@ -155,17 +123,6 @@ func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
 		skipNs = append(skipNs, skip.NsPerOp())
 		noSkipNs = append(noSkipNs, ref.NsPerOp())
 		ratios = append(ratios, float64(ref.NsPerOp())/float64(skip.NsPerOp()))
-		if par {
-			pres, pc, err := benchFigure(f, false, parJobs)
-			if err != nil {
-				return figureRow{}, err
-			}
-			if pc != c {
-				return figureRow{}, fmt.Errorf("sim cycles diverge at -sim-jobs %d: serial %d vs parallel %d", parJobs, c, pc)
-			}
-			parNs = append(parNs, pres.NsPerOp())
-			parRatios = append(parRatios, float64(skip.NsPerOp())/float64(pres.NsPerOp()))
-		}
 	}
 	row := figureRow{
 		Name:           f.Name,
@@ -177,30 +134,17 @@ func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
 	row.SkipSimCyclesPerS = cyclesPerSec(cycles, row.SkipNsPerOp)
 	row.NoSkipSimCyclesPerS = cyclesPerSec(cycles, row.NoSkipNsPerOp)
 	row.Speedup = median(ratios)
-	if par {
-		row.ParJobs = parJobs
-		row.ParNsPerOp = median(parNs)
-		row.ParSimCyclesPerS = cyclesPerSec(cycles, row.ParNsPerOp)
-		row.ParSpeedup = median(parRatios)
-		row.ParRegression = row.ParSpeedup < 1
-	}
 	return row, nil
 }
 
 // gate tolerances. The memory-bound Mipsy rows prove the skipping
 // scheduler earns its keep where latency dominates; the memory-bound MXS
-// row is exempt from that floor (its out-of-order CPUs block at
-// staggered times, so the serial global skip barely fires) and is the
-// parallel-tick sentinel instead. The default rows only guard the skip
-// machinery, with a hardware-tolerant band around the baseline speedup.
-// Parallel speedups get a floor, not a band, since the baseline host may
-// have another core count; baselines marked par_regression, and hosts
-// with fewer than parJobs cores (where sharding only wins the per-CPU
-// skip the serial loop does itself), are exempt.
+// row has no rule (no floor has been set for it). The default rows only
+// guard the skip machinery, with a hardware-tolerant band around the
+// baseline speedup.
 const (
 	gateMemBoundMinSpeedup = 2.0
 	gateSpeedupTolerance   = 0.30
-	gateParMinSpeedup      = 1.5 // on hosts with >= parJobs cores (CI runners)
 )
 
 // runGate re-measures every figure of the baseline and applies the
@@ -235,7 +179,7 @@ func runGate(baseline report, samples int) bool {
 					row.Speedup, gateMemBoundMinSpeedup, b.Speedup)
 			}
 		case f.MemBound():
-			// Memory-bound MXS: the parallel-tick sentinel, checked below.
+			// Memory-bound MXS: exempt (see the gate tolerances).
 		default:
 			lo := b.Speedup * (1 - gateSpeedupTolerance)
 			hi := b.Speedup * (1 + gateSpeedupTolerance)
@@ -244,23 +188,8 @@ func runGate(baseline report, samples int) bool {
 					row.Speedup, 100*gateSpeedupTolerance, b.Speedup, lo, hi)
 			}
 		}
-		if f.MemBound() && row.ParJobs > 0 && status == "ok" {
-			// A baseline marked par_regression records that sharding loses
-			// on its host; the floor would only re-measure that fact.
-			if !b.ParRegression && runtime.NumCPU() >= parJobs && row.ParSpeedup < gateParMinSpeedup {
-				fail(f.Name, "parallel-tick speedup %.2fx at -sim-jobs %d below the %.2fx floor (baseline %.2fx)",
-					row.ParSpeedup, row.ParJobs, gateParMinSpeedup, b.ParSpeedup)
-			}
-		}
-		line := fmt.Sprintf("%-28s %12d sim-cycles  speedup %.2fx (baseline %.2fx)",
-			f.Name, row.SimCyclesPerOp, row.Speedup, b.Speedup)
-		if row.ParJobs > 0 {
-			line += fmt.Sprintf("  par %.2fx", row.ParSpeedup)
-			if row.ParRegression {
-				line += " (par regression)"
-			}
-		}
-		fmt.Fprintf(os.Stderr, "%s  %s\n", line, status)
+		fmt.Fprintf(os.Stderr, "%-28s %12d sim-cycles  speedup %.2fx (baseline %.2fx)  %s\n",
+			f.Name, row.SimCyclesPerOp, row.Speedup, b.Speedup, status)
 	}
 	for _, row := range baseline.Figures {
 		if _, left := base[row.Name]; left {
@@ -335,12 +264,8 @@ func main() {
 		}
 		rep.Figures = append(rep.Figures, row)
 		if *verbose {
-			line := fmt.Sprintf("%-28s %12d sim-cycles  skip %10dns/op  no-skip %10dns/op  %.2fx",
+			fmt.Fprintf(os.Stderr, "%-28s %12d sim-cycles  skip %10dns/op  no-skip %10dns/op  %.2fx\n",
 				f.Name, row.SimCyclesPerOp, row.SkipNsPerOp, row.NoSkipNsPerOp, row.Speedup)
-			if row.ParJobs > 0 {
-				line += fmt.Sprintf("  par%d %10dns/op  %.2fx", row.ParJobs, row.ParNsPerOp, row.ParSpeedup)
-			}
-			fmt.Fprintln(os.Stderr, line)
 		}
 	}
 

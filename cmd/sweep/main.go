@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"cmpsim/internal/cli"
+	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/runner"
 )
@@ -113,6 +114,12 @@ func main() {
 	p, ok := params[*param]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "sweep: unknown -param %q (try -params)\n", *param)
+		os.Exit(2)
+	}
+	if *param == "sharedl1hit" && *model == core.ModelMXS {
+		// core.NewMachine applies Config.MXS over the swept value, so every
+		// point would run at 3 cycles and print another value.
+		fmt.Fprintln(os.Stderr, "sweep: -param sharedl1hit does not vary under -model mxs: the MXS model fixes the shared-L1 hit time at 3 cycles (Config.MXS, Section 4.4)")
 		os.Exit(2)
 	}
 	if *values == "" {

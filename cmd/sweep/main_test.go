@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -33,5 +36,26 @@ func TestValuesMustFitTheirField(t *testing.T) {
 		if p.max == 0 {
 			t.Errorf("-param %s has no largest value", name)
 		}
+	}
+}
+
+// TestSharedL1HitRefusedUnderMXS runs the command in a child process:
+// the MXS model fixes the shared-L1 hit time, so sweeping it under
+// -model mxs exits 2 with the reason before any point runs.
+func TestSharedL1HitRefusedUnderMXS(t *testing.T) {
+	if os.Getenv("SWEEP_TEST_MAIN") == "1" {
+		os.Args = []string{"sweep", "-workload", "ear", "-arch", "shared-l1", "-model", "mxs", "-param", "sharedl1hit", "-values", "1,5"}
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSharedL1HitRefusedUnderMXS$")
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("child exited with %v, want status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "fixes the shared-L1 hit time at 3 cycles") || !strings.Contains(string(out), "Section 4.4") {
+		t.Errorf("output does not give the reason:\n%s", out)
 	}
 }

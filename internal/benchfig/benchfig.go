@@ -62,12 +62,10 @@ func MemBoundConfig() memsys.Config {
 }
 
 // MXSMemBoundConfig is the memory-bound design point on the paper's
-// 4-CPU machine, for the detailed-CPU parallel-tick sentinel row: the
-// out-of-order cores spend most cycles with full MSHRs at staggered
-// times, so the sharded scheduler's per-CPU quiescence skip removes
-// no-op ticks the serial loop must execute (it can only skip cycles
-// where every CPU is blocked at once), and the heavy per-tick pipeline
-// work of the active CPUs overlaps across host cores.
+// 4-CPU machine, for the detailed-CPU memory-bound row: the out-of-order
+// cores spend most cycles with full MSHRs at staggered times, so the
+// cycle loop's per-CPU wake cycles skip ticks that a skip of the whole
+// machine could not.
 func MXSMemBoundConfig() memsys.Config {
 	cfg := MemBoundConfig()
 	cfg.NumCPUs = 4
@@ -122,8 +120,8 @@ func Figures() []Figure {
 		{"Figure6_Ocean_MemBound", "", "ocean", core.ModelMipsy, MemBoundConfig, func() workload.Workload {
 			return workload.NewOcean(workload.OceanParams{N: 258, FineIter: 1, CoarseIt: 1})
 		}},
-		// Detailed-CPU memory-bound row: the parallel-tick (-sim-jobs)
-		// speedup sentinel. See MXSMemBoundConfig.
+		// Detailed-CPU memory-bound row: CPUs blocked at staggered
+		// times. See MXSMemBoundConfig.
 		{"Figure11_MXS_MP3D_MemBound", "", "mp3d", core.ModelMXS, MXSMemBoundConfig, func() workload.Workload {
 			return workload.NewMP3D(workload.MP3DParams{Particles: 2048, Steps: 1})
 		}},

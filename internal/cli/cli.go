@@ -37,18 +37,17 @@ func Fatal(err error) {
 
 // Pool is the runner-pool flag group.
 type Pool struct {
-	jobs, simJobs    int
+	jobs             int
 	cacheDir         string
 	progress, report bool
 	reportOut        string
 	telem            *telemetry.Set
 }
 
-// PoolFlags registers -jobs, -sim-jobs, -cache-dir and -progress on fs.
+// PoolFlags registers -jobs, -cache-dir and -progress on fs.
 func PoolFlags(fs *flag.FlagSet) *Pool {
 	p := &Pool{}
 	CountVar(fs, &p.jobs, "jobs", 0, 0, "max concurrent simulation runs (0 = GOMAXPROCS); output is identical for any value")
-	CountVar(fs, &p.simJobs, "sim-jobs", 1, 1, "shard each simulation's CPUs across up to N host goroutines (1 = serial; output is identical for any value; composes with -jobs under a host-core cap)")
 	fs.StringVar(&p.cacheDir, "cache-dir", "", "memoize run results as JSON under this directory (\"\" = off)")
 	fs.BoolVar(&p.progress, "progress", false, "print per-job completion lines (wall time, cache status) on stderr; stdout is unaffected")
 	return p
@@ -60,12 +59,11 @@ func (p *Pool) RunReportFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.reportOut, "run-report-out", "", "write the end-of-campaign run report as JSON to this file")
 }
 
-// Open builds the runner pool the flags describe: -jobs workers capped
-// so that workers × -sim-jobs fits the host (runner.CapWorkers), the
+// Open builds the runner pool the flags describe: -jobs workers, the
 // -cache-dir cache, -progress lines on stderr, and a job log when a run
 // report is asked for.
 func (p *Pool) Open() (*runner.Pool, error) {
-	pool := &runner.Pool{Workers: runner.CapWorkers(p.jobs, p.simJobs)}
+	pool := &runner.Pool{Workers: p.jobs}
 	if p.progress {
 		pool.Progress = os.Stderr
 	}
@@ -93,10 +91,9 @@ func (p *Pool) WriteReport() error {
 }
 
 // Job returns the job that runs workload name (its quick variant when
-// quick) on arch under model with cfg, sharded -sim-jobs ways. Its
-// cache key names the workload and the variant: "mp3d/quick".
+// quick) on arch under model with cfg. Its cache key names the
+// workload and the variant: "mp3d/quick".
 func (p *Pool) Job(name string, quick bool, arch core.Arch, model core.CPUModel, cfg memsys.Config, tag string) runner.Job {
-	cfg.SimJobs = p.simJobs
 	variant, build := "full", workload.New
 	if quick {
 		variant, build = "quick", workload.NewQuick

@@ -15,7 +15,6 @@ import (
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
-	"cmpsim/internal/runner"
 	"cmpsim/internal/workload"
 )
 
@@ -47,11 +46,10 @@ func TestSplice(t *testing.T) {
 	}
 }
 
-// TestJobKey: the job's cache key is "name/quick" or "name/full", its
-// workload closure builds that variant, and -sim-jobs reaches the
-// config without entering the key.
+// TestJobKey: the job's cache key is "name/quick" or "name/full" and
+// its workload closure builds that variant.
 func TestJobKey(t *testing.T) {
-	pool, _, _, _, err := parse("-sim-jobs", "3")
+	pool, _, _, _, err := parse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +62,6 @@ func TestJobKey(t *testing.T) {
 		if job.WorkloadKey != key || job.Arch != core.SharedL2 || job.Model != core.ModelMXS || job.Tag != "mp3d-shared-l2" {
 			t.Errorf("quick=%v: job %+v, want key %s", quick, job, key)
 		}
-		if job.Cfg.SimJobs != 3 {
-			t.Errorf("quick=%v: Cfg.SimJobs = %d, want 3", quick, job.Cfg.SimJobs)
-		}
 		got, err := job.Workload()
 		if err != nil {
 			t.Fatal(err)
@@ -75,20 +70,14 @@ func TestJobKey(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("quick=%v: workload %+v, want %+v", quick, got, want)
 		}
-		serial := job
-		serial.Cfg.SimJobs = 1
-		if runner.Key(&job) != runner.Key(&serial) {
-			t.Errorf("quick=%v: -sim-jobs changed the cache key", quick)
-		}
 	}
 }
 
-// TestPoolShape: -jobs and -sim-jobs size the pool through
-// runner.CapWorkers, and the other pool flags switch on the cache, the
-// progress lines and the run report.
+// TestPoolShape: -jobs sizes the pool, and the other pool flags switch
+// on the cache, the progress lines and the run report.
 func TestPoolShape(t *testing.T) {
-	for _, c := range []struct{ jobs, simJobs string }{{"0", "1"}, {"3", "1"}, {"4", "2"}, {"0", "2"}, {"1", "64"}} {
-		p, _, _, _, err := parse("-jobs", c.jobs, "-sim-jobs", c.simJobs)
+	for _, jobs := range []string{"0", "3", "64"} {
+		p, _, _, _, err := parse("-jobs", jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +85,11 @@ func TestPoolShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := runner.CapWorkers(p.jobs, p.simJobs); pool.Workers != want {
-			t.Errorf("-jobs %s -sim-jobs %s: %d workers, want %d", c.jobs, c.simJobs, pool.Workers, want)
+		if pool.Workers != p.jobs {
+			t.Errorf("-jobs %s: %d workers", jobs, pool.Workers)
 		}
 		if pool.Cache != nil || pool.Progress != nil || pool.Telem != nil {
-			t.Errorf("-jobs %s -sim-jobs %s: pool has attachments nobody asked for: %+v", c.jobs, c.simJobs, pool)
+			t.Errorf("-jobs %s: pool has attachments nobody asked for: %+v", jobs, pool)
 		}
 		if err := p.WriteReport(); err != nil {
 			t.Errorf("WriteReport without a report asked for: %v", err)
@@ -183,18 +172,16 @@ func TestCountsRejectedAtParse(t *testing.T) {
 		return pool, inst, *cpus, top, err
 	}
 	pool, inst, cpus, top, err := parse()
-	if err != nil || pool.jobs != 0 || pool.simJobs != 1 || inst.traceBuf != 1<<20 || cpus != 0 || top != 15 {
-		t.Fatalf("defaults: jobs %d sim-jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, pool.simJobs, inst.traceBuf, cpus, top, err)
+	if err != nil || pool.jobs != 0 || inst.traceBuf != 1<<20 || cpus != 0 || top != 15 {
+		t.Fatalf("defaults: jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, inst.traceBuf, cpus, top, err)
 	}
-	pool, inst, cpus, top, err = parse("-jobs", "0", "-sim-jobs", "1", "-trace-buf", "1", "-cpus", "0", "-top", "0x10")
-	if err != nil || pool.jobs != 0 || pool.simJobs != 1 || inst.traceBuf != 1 || cpus != 0 || top != 16 {
-		t.Fatalf("minimums: jobs %d sim-jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, pool.simJobs, inst.traceBuf, cpus, top, err)
+	pool, inst, cpus, top, err = parse("-jobs", "0", "-trace-buf", "1", "-cpus", "0", "-top", "0x10")
+	if err != nil || pool.jobs != 0 || inst.traceBuf != 1 || cpus != 0 || top != 16 {
+		t.Fatalf("minimums: jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, inst.traceBuf, cpus, top, err)
 	}
 	for _, c := range []struct{ flag, value, want string }{
 		{"-cpus", "-1", "want at least 0"},
 		{"-jobs", "-2", "want at least 0"},
-		{"-sim-jobs", "0", "want at least 1"},
-		{"-sim-jobs", "-1", "want at least 1"},
 		{"-trace-buf", "-5", "want at least 1"},
 		{"-top", "-1", "want at least 1"},
 		{"-top", "ten", "invalid syntax"},

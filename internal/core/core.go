@@ -14,6 +14,7 @@ import (
 	"cmpsim/internal/check"
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/cpu/mipsy"
+	"cmpsim/internal/cpu/mxs"
 	"cmpsim/internal/event"
 	"cmpsim/internal/isa"
 	"cmpsim/internal/mem"
@@ -210,17 +211,12 @@ type Machine struct {
 	inTick   bool
 	raiseErr error
 
-	// par is the parallel tick scheduler, built only when the
-	// configuration asks for sharding (SimJobs > 1 on a multi-CPU
-	// machine); nil means the serial loop runs unconditionally.
-	par *parSched
-
 	// skipped counts the cycles the quiescence-skipping scheduler
 	// fast-forwarded over instead of ticking (a pure speed metric:
 	// simulated time is identical with skipping disabled).
 	skipped uint64
 
-	// The serial loop's per-CPU schedule, valid inside one RunWindow
+	// The cycle loop's per-CPU schedule, valid inside one RunWindow
 	// call and sized once. wakeAt[k] is the cycle CPU k is next ticked
 	// at: the hint its last Tick returned, pulled down to the present
 	// when its interrupt line goes live, cpu.NoWork once it has halted.
@@ -233,11 +229,11 @@ type Machine struct {
 	skippers []cycleSkipper
 
 	// runAhead says the machine's cores consume the run-ahead bound
-	// (Mipsy does, MXS does not): the serial loop then fixes aheadTo on
+	// (Mipsy does, MXS does not): the cycle loop then fixes aheadTo on
 	// every executed cycle, before its ticks (see RunAheadBound,
-	// SharedBound). Otherwise, and outside the serial loop, aheadTo stays
-	// zero, which allows no run-ahead at all. aheadCyc is the cycle the
-	// serial loop is executing.
+	// SharedBound). Otherwise, and outside the cycle loop, aheadTo stays
+	// zero, which allows no run-ahead at all. aheadCyc is the cycle
+	// being executed.
 	runAhead bool
 	aheadTo  uint64
 	aheadCyc uint64
@@ -254,20 +250,17 @@ type Machine struct {
 }
 
 // irqLines is the per-CPU external-interrupt state. A line goes live
-// only in an event callback, which runs between tick passes (between
-// window barriers under -sim-jobs); while CPUs tick, each line is read
-// (through the pointer Line hands its CPU) and cleared (AckInterrupt)
-// only by its own CPU, so no two goroutines ever touch a line
-// concurrently. The slice is sized once, in NewMachine, so those
-// pointers stay valid.
+// only in an event callback, which runs between tick passes; while CPUs
+// tick, each line is read (through the pointer Line hands its CPU) and
+// cleared (AckInterrupt) only by its own CPU. The slice is sized once,
+// in NewMachine, so those pointers stay valid.
 type irqLines struct {
 	live []bool
 
-	// wake tells the serial loop that a line went live and stays set
+	// wake tells the cycle loop that a line went live and stays set
 	// while a running CPU has not yet taken its interrupt, so the loop
-	// looks at the lines only then. AckInterrupt never touches it: under
-	// the parallel scheduler CPUs ack concurrently, and that scheduler
-	// does not read it.
+	// looks at the lines only then. AckInterrupt never touches it: the
+	// loop clears it in wakeLive once no running CPU's line is live.
 	wake bool
 }
 
@@ -275,7 +268,7 @@ type irqLines struct {
 // asleep past cyc went to sleep before the line rose, so its wake cycle
 // does not account for it, and a CPU that has seen the line is ticked on
 // every executed cycle until it takes the interrupt, as it is in the
-// tick-everything reference. Called by the serial loop between the
+// tick-everything reference. Called by the cycle loop between the
 // event phase and the tick pass, while wake is set.
 func (q *irqLines) wakeLive(wakeAt []uint64, cyc uint64) {
 	q.wake = false
@@ -303,22 +296,8 @@ func (m *Machine) RaiseIRQ(cpuID int) {
 		return
 	}
 	if m.raiseErr == nil {
-		m.raiseErr = fmt.Errorf("core: interrupt for cpu %d raised from tick phase at cycle %d", cpuID, m.tickCycle())
+		m.raiseErr = fmt.Errorf("core: interrupt for cpu %d raised from tick phase at cycle %d", cpuID, m.aheadCyc)
 	}
-}
-
-// tickCycle is the cycle whose tick pass is running: the serial loop's,
-// or under -sim-jobs the earliest progress clock, which is the caller's
-// own while it holds its tick gate's grant (a trap handler does).
-func (m *Machine) tickCycle() uint64 {
-	if m.par == nil || !m.par.active {
-		return m.aheadCyc
-	}
-	t := uint64(notHalted)
-	for i := range m.par.clocks {
-		t = min(t, m.par.clocks[i].c.Load())
-	}
-	return t
 }
 
 // Line implements cpu.InterruptSource.
@@ -386,9 +365,6 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 		Model: model,
 		irq:   irqLines{live: make([]bool, cfg.NumCPUs)},
 	}
-	if cfg.SimJobs > 1 && cfg.NumCPUs > 1 {
-		m.par = newParSched(m, cfg.SimJobs)
-	}
 	switch model {
 	case ModelMipsy:
 		m.runAhead = true
@@ -400,18 +376,22 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 		// line-crossing then waits for the shared bound.
 		ihit, _ := sys.(memsys.IFetchHitter)
 		m.newCore = func(id int, ctx *cpu.Context) Core {
-			c := mipsy.New(id, ctx, m.gatedSys(id), ihit, m.Code, m.gatedTrap(id), m.Img, cfg.LineBytes)
+			c := mipsy.New(id, ctx, m.Sys, ihit, m.Code, m.Trap, m.Img, cfg.LineBytes)
 			if cfg.Prof != nil {
 				c.SetProfiler(cfg.Prof)
 			}
 			return c
 		}
 	case ModelMXS:
-		if newMXSCore == nil {
-			return nil, fmt.Errorf("core: MXS model not linked")
-		}
 		m.newCore = func(id int, ctx *cpu.Context) Core {
-			return newMXSCore(id, ctx, m, cfg)
+			c := mxs.New(id, ctx, m.Sys, m.Code, m.Trap, m.Img, cfg.LineBytes)
+			if cfg.Trace != nil {
+				c.SetTracer(cfg.Trace)
+			}
+			if cfg.Prof != nil {
+				c.SetProfiler(cfg.Prof)
+			}
+			return c
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown CPU model %q", model)
@@ -421,10 +401,6 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 	}
 	return m, nil
 }
-
-// newMXSCore is set by the mxs glue file; separated so the core package
-// compiles while the detailed model is plugged in.
-var newMXSCore func(id int, ctx *cpu.Context, m *Machine, cfg memsys.Config) Core
 
 // SetTrapHandler installs the guest kernel's trap handler. Must be
 // called before AddContext so the CPUs capture it.
@@ -552,13 +528,11 @@ func (r *RunResult) IPC() float64 {
 // Config.NoSkip clamps every hint and the bound to the next cycle and so
 // ticks everything, every cycle, one instruction per tick: the reference
 // the identity tests compare against. The instruments that see the order
-// of guest events across CPUs (orderedInstruments) clamp the bound too.
+// of guest events across CPUs (tracer, profiler, sanitizer) clamp the
+// bound too.
 func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err error) {
 	if len(m.CPUs) == 0 {
 		return start, false, fmt.Errorf("core: machine has no CPUs")
-	}
-	if m.parActive() {
-		return m.runParallel(start, n)
 	}
 	cpus := len(m.CPUs)
 	noSkip := m.Cfg.NoSkip
@@ -592,7 +566,8 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	// Rotate in uint64 so multi-billion-cycle runs can't skew the
 	// arbitration order through a narrowing conversion on 32-bit ints.
 	off := int(cyc % uint64(cpus))
-	ahead, oneInst := m.runAhead, noSkip || m.orderedInstruments()
+	ahead := m.runAhead
+	oneInst := noSkip || m.Cfg.Trace != nil || m.Cfg.Prof != nil || m.Cfg.Check != nil
 	var tickErr error
 	for cyc < end {
 		m.Events.RunUntil(cyc)

@@ -105,19 +105,6 @@ type InterruptSource interface {
 	SharedBound(cpuID int) uint64
 }
 
-// TickGate is the parallel scheduler's shared-state grant: Sync blocks
-// until every CPU ahead of this one in the current cycle's service
-// rotation has finished its tick, then returns with the shared
-// simulation state (memory system, guest memory image, kernel
-// structures) exactly as the serial loop would present it. The core
-// installs it around every memory-system and trap call; a CPU model
-// that reads the shared guest image outside those calls (MXS's
-// graduation-time load refresh) must call Sync itself first. Sync is
-// idempotent within one tick and free once the grant is held.
-type TickGate interface {
-	Sync()
-}
-
 // FUClass identifies a functional-unit type. The paper's CPU has two
 // copies of every unit except the memory data port (Section 2.1).
 type FUClass uint8

@@ -171,9 +171,8 @@ type CPU struct {
 	btb [btbEntries]btbEntry
 
 	irq     cpu.InterruptSource
-	line    *bool        // the CPU's interrupt line (irq.Line); noLine without a source
-	irqStop bool         // draining the pipeline to take an interrupt
-	gate    cpu.TickGate // shared-state grant under the parallel scheduler; nil serial
+	line    *bool // the CPU's interrupt line (irq.Line); noLine without a source
+	irqStop bool  // draining the pipeline to take an interrupt
 
 	tr    obsv.Tracer    // optional event tracer; nil means disabled
 	prof  *prof.Profiler // optional cycle-attribution profiler; nil means disabled
@@ -190,15 +189,6 @@ func (c *CPU) SetInterruptSource(src cpu.InterruptSource) {
 // noLine is the interrupt line of a CPU without an interrupt source:
 // nothing raises it.
 var noLine bool
-
-// SetTickGate attaches the parallel scheduler's shared-state grant.
-// Every memory-system and trap call is already gated by the core's
-// wrappers; the one place this model touches shared state directly is
-// the graduation-time load refresh, which re-reads the guest image
-// with no memory-system call in front of it, so graduate() syncs the
-// gate explicitly before refreshing. nil (the default, and always in
-// serial runs) keeps that site on its zero-cost path.
-func (c *CPU) SetTickGate(g cpu.TickGate) { c.gate = g }
 
 // SetTracer attaches an event tracer; pipeline flushes, branch
 // mispredictions and window-full dispatch stalls then emit events.
@@ -458,12 +448,6 @@ func (c *CPU) graduate(now uint64) int {
 		if f&cpu.UopMem != 0 && !e.eaOK {
 			c.ctx.Faultf("%v: unmapped data address (pc %#x)", e.u.Inst.Op, e.pc)
 			break
-		}
-		if f&cpu.UopLoad != 0 && c.gate != nil {
-			// The refresh below reads the shared guest image directly;
-			// under the parallel scheduler, claim the serial-order grant
-			// first so it observes exactly what the serial loop would.
-			c.gate.Sync()
 		}
 		if f&cpu.UopLoad != 0 && c.loadRefresh(e) {
 			// Another CPU wrote the location between this load's

@@ -71,10 +71,7 @@ func newCPUSide(cfg Config, sharedMSHRs bool, fetchLine func(uint64, int, uint32
 }
 
 // LLReserve implements System. The reservations are read by every CPU's
-// stores, so they are shared state: under -sim-jobs each LLReserve,
-// SCCheck, ClearReservation and Access first takes the CPU's tick-gate
-// grant (core's gatedSys), which orders the calls as the serial loop
-// makes them.
+// stores.
 func (c *cpuSide) LLReserve(cpu int, addr uint32) {
 	c.resAddr[cpu] = addr & c.lineMask
 	c.resValid[cpu] = true

@@ -220,16 +220,9 @@ type Config struct {
 	// of the skip-vs-no-skip diff.
 	NoSkip bool
 
-	// SimJobs shards one simulation's per-CPU tick work across up to
-	// this many host goroutines (cmpsim -sim-jobs). Shared-resource
-	// accesses are granted in exact serial rotation order by the core
-	// scheduler's per-tick gate, so output is byte-identical for any
-	// value — the parallel-identity regression tests pin that — and the
-	// field is therefore excluded from the runner's cache fingerprint
-	// (runner.Fingerprint skips it by name): a cached serial result is
-	// the parallel result. 0 or 1 selects the untouched serial loop.
-	//
-	// output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly)
+	// SimJobs has no effect: nothing reads it. It stays only because
+	// the benchmark module (benchmark/run.go, frozen) assigns it, and
+	// ROADMAP item 1(a) deletes both.
 	SimJobs int
 }
 

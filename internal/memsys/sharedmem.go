@@ -28,12 +28,8 @@ type SharedMem struct {
 	bus   interconnect.Resource
 
 	// chkNodes is preallocated sanitizer scratch, nil unless Check is
-	// set. It is written only inside sanityCheck, which runs under the
-	// memory system's serial-order arbitration: sanityCheck is called
-	// from Access, and every Access happens either on the serial cycle
-	// loop or under the parallel scheduler's tick-gate grant (in
-	// practice a Checker forces the serial loop outright — parActive
-	// refuses to shard sanitized runs).
+	// set. It is written only inside sanityCheck, which Access calls on
+	// the one cycle loop.
 	chkNodes []check.NodeState
 }
 

@@ -56,11 +56,8 @@ func key(version int, job *Job) string {
 // against old entries. Func, pointer and interface fields — the
 // runtime attachments Trace/Metrics/Check and the SharedData
 // classifier — are skipped; Cacheable requires them nil. SimJobs is
-// skipped by name: the parallel scheduler reproduces the serial grant
-// order exactly (output is byte-identical for any worker count, pinned
-// by the parallel-identity tests), so a result computed at one worker
-// count is the result at every one and the knob must not fragment the
-// cache.
+// skipped by name: the field has no effect (see its doc comment), and
+// leaving it out keeps every cache key unchanged.
 func Fingerprint(cfg *memsys.Config) string {
 	var sb strings.Builder
 	v := reflect.ValueOf(*cfg)
@@ -71,7 +68,7 @@ func Fingerprint(cfg *memsys.Config) string {
 			continue
 		}
 		if t.Field(i).Name == "SimJobs" {
-			continue // output-neutral host-parallelism knob (see doc comment)
+			continue // inert field (see doc comment)
 		}
 		fmt.Fprintf(&sb, "%s=%v;", t.Field(i).Name, v.Field(i).Interface())
 	}

@@ -123,8 +123,7 @@ func TestFingerprintCoversEveryScalarKnob(t *testing.T) {
 			}
 		default:
 			if f.Name == "SimJobs" {
-				// Output-neutral host-parallelism knob: skipped by name so
-				// sharded and serial runs share cache entries (see
+				// Inert field: skipped by name so cache keys stay put (see
 				// Fingerprint's doc comment).
 				if strings.Contains(fp, f.Name+"=") {
 					t.Errorf("output-neutral knob %s leaked into the fingerprint", f.Name)

@@ -99,30 +99,6 @@ type Pool struct {
 	started time.Time // start of the current Run, for progress rate/ETA
 }
 
-// CapWorkers returns the pool worker count to use when every simulation
-// itself runs simJobs shard goroutines (Config.SimJobs): the requested
-// count (0 = GOMAXPROCS), clamped so pool workers × shard workers never
-// oversubscribes the host. With simJobs <= 1 the request passes through
-// unchanged, preserving Pool.Workers' contract that an explicit
-// above-GOMAXPROCS count is honored.
-func CapWorkers(jobs, simJobs int) int {
-	if simJobs <= 1 {
-		return jobs
-	}
-	procs := runtime.GOMAXPROCS(0)
-	w := jobs
-	if w <= 0 || w > procs {
-		w = procs
-	}
-	if limit := procs / simJobs; w > limit {
-		w = limit
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run executes every job and returns their results in job order.
 // Output is deterministic: the merged results are bit-identical
 // regardless of the worker count, because each job's machine is fully
