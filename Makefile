@@ -113,10 +113,12 @@ experiments-output:
 # rows run beside them for their ns/op.
 # BenchmarkImageNew and BenchmarkCacheNew, the cost of one
 # workload-sized guest image and of the 2 MiB L2 (each its page table),
-# and BenchmarkRunWindow/sampler, the loop with an interval sampler
+# BenchmarkAssemble, building, assembling and loading the full-size
+# Ocean program (B/op: what its uninitialized grids cost), and
+# BenchmarkRunWindow/sampler, the loop with an interval sampler
 # attached (each sample allocates), run beside them for their ns/op.
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCache|BenchmarkImage|BenchmarkAccess' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem ./internal/memsys
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkMXSTick|BenchmarkMipsyTick|BenchmarkRunWindow|BenchmarkCache|BenchmarkImage|BenchmarkAccess|BenchmarkAssemble' -benchmem . ./internal/cpu/mxs ./internal/cpu/mipsy ./internal/core ./internal/cache ./internal/mem ./internal/memsys ./internal/asm
 
 # size reports what the code base weighs: Go lines (non-test, and test
 # plus testdata) per top-level directory of the root module, benchmark/

@@ -127,14 +127,23 @@ type symbol struct {
 	value uint32
 }
 
+// chunk is one initialized stretch of a data section: bytes placed at
+// byte offset off. A data section is its chunks, in offset order and
+// never touching, plus a size; every byte no chunk covers is zero.
+type chunk struct {
+	off   uint32
+	bytes []byte
+}
+
 // Builder accumulates a guest program. Create with NewBuilder, emit
 // instructions and data, then call Assemble.
 type Builder struct {
 	text     []isa.Inst
-	data     []byte
+	chunks   []chunk // the data section's initialized stretches
+	size     uint32  // data section size in bytes, zeros included
 	syms     map[string]symbol
 	fixups   []fixup
-	dataSyms []fixup // data words holding a label's final address
+	dataSyms []fixup // data words holding a label's final address (inst = byte offset)
 	errs     []error
 }
 
@@ -379,7 +388,7 @@ func (b *Builder) DataLabel(name string) {
 		b.errorf("asm: duplicate label %q", name)
 		return
 	}
-	b.syms[name] = symbol{text: false, value: uint32(len(b.data))}
+	b.syms[name] = symbol{text: false, value: b.size}
 }
 
 // AlignData pads the data section to an n-byte boundary (n power of two).
@@ -388,16 +397,15 @@ func (b *Builder) AlignData(n uint32) {
 		b.errorf("asm: align %d not a power of two", n)
 		return
 	}
-	for uint32(len(b.data))%n != 0 {
-		b.data = append(b.data, 0)
-	}
+	b.Zero(-b.size & (n - 1))
 }
 
 // Word32 appends 32-bit little-endian words to the data section.
 func (b *Builder) Word32(vs ...uint32) {
 	b.AlignData(4)
-	for _, v := range vs {
-		b.data = append(b.data, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	out := b.initialized(4 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(out[4*i:], v)
 	}
 }
 
@@ -405,28 +413,55 @@ func (b *Builder) Word32(vs ...uint32) {
 // (for jump tables and function pointers).
 func (b *Builder) WordSym(label string) {
 	b.AlignData(4)
-	b.dataSyms = append(b.dataSyms, fixup{inst: len(b.data), label: label})
-	b.data = append(b.data, 0, 0, 0, 0)
+	off := b.size
+	b.initialized(4)
+	if b.size != off { // the section did not overflow
+		b.dataSyms = append(b.dataSyms, fixup{inst: int(off), label: label})
+	}
 }
 
 // Float64 appends float64 values to the data section (8-byte aligned).
 func (b *Builder) Float64(vs ...float64) {
 	b.AlignData(8)
-	for _, v := range vs {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			b.data = append(b.data, byte(bits>>(8*i)))
-		}
+	out := b.initialized(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 	}
 }
 
-// Zero appends n zero bytes (uninitialized storage).
-func (b *Builder) Zero(n uint32) {
-	b.data = append(b.data, make([]byte, n)...)
+// Zero appends n zero bytes (uninitialized storage). Zeros occupy no
+// bytes in the builder, the Program or the image: Zero only advances
+// the data size.
+func (b *Builder) Zero(n uint32) { b.grow(n) }
+
+// grow advances the data size by n bytes, refusing to wrap past 4 GiB.
+func (b *Builder) grow(n uint32) bool {
+	if b.size+n < b.size {
+		b.errorf("asm: data section of %#x bytes cannot grow by %#x past 4 GiB", b.size, n)
+		return false
+	}
+	b.size += n
+	return true
+}
+
+// initialized appends n bytes to the data section and returns them, zero,
+// for the caller to fill. They extend the last chunk when it ends where
+// they start and open a new chunk there otherwise.
+func (b *Builder) initialized(n int) []byte {
+	off := b.size
+	if !b.grow(uint32(n)) {
+		return make([]byte, n) // assembly fails; the bytes go nowhere
+	}
+	if k := len(b.chunks) - 1; k < 0 || b.chunks[k].off+uint32(len(b.chunks[k].bytes)) != off {
+		b.chunks = append(b.chunks, chunk{off: off})
+	}
+	c := &b.chunks[len(b.chunks)-1]
+	c.bytes = append(c.bytes, make([]byte, n)...)
+	return c.bytes[len(c.bytes)-n:]
 }
 
 // DataSize returns the current size of the data section in bytes.
-func (b *Builder) DataSize() uint32 { return uint32(len(b.data)) }
+func (b *Builder) DataSize() uint32 { return b.size }
 
 // --- Assembly ---
 
@@ -436,7 +471,8 @@ type Program struct {
 	DataBase uint32     // byte address of the data section
 	Insts    []isa.Inst // decoded instructions, index = (pc-TextBase)/4
 	Words    []isa.Word // encoded instructions, parallel to Insts
-	Data     []byte     // initialized data section
+	DataSize uint32     // data section size in bytes, zeros included
+	chunks   []chunk    // the data section's initialized stretches
 	syms     map[string]uint32
 }
 
@@ -451,8 +487,18 @@ func (b *Builder) Assemble(textBase, dataBase uint32) (*Program, error) {
 		b.errorf("asm: data base %#x not 8-byte aligned", dataBase)
 	}
 	textEnd := uint64(textBase) + 4*uint64(len(b.text))
-	if dataBase >= textBase && uint64(dataBase) < textEnd {
-		b.errorf("asm: data base %#x overlaps text [%#x,%#x)", dataBase, textBase, textEnd)
+	dataEnd := uint64(dataBase) + uint64(b.size)
+	// The data section counts as at least its base byte, so a data base
+	// inside the text is refused even when the section is empty.
+	if len(b.text) > 0 && uint64(dataBase) < textEnd && uint64(textBase) < max(dataEnd, uint64(dataBase)+1) {
+		b.errorf("asm: data [%#x,%#x) overlaps text [%#x,%#x)", dataBase, dataEnd, textBase, textEnd)
+	}
+	// TextEnd and DataEnd are addresses, so each section ends below 2^32.
+	if textEnd > math.MaxUint32 {
+		b.errorf("asm: text [%#x,%#x) does not end below 2^32", textBase, textEnd)
+	}
+	if dataEnd > math.MaxUint32 {
+		b.errorf("asm: data [%#x,%#x) does not end below 2^32", dataBase, dataEnd)
 	}
 
 	addrOf := func(name string) (uint32, bool) {
@@ -497,18 +543,29 @@ func (b *Builder) Assemble(textBase, dataBase uint32) (*Program, error) {
 		}
 	}
 
-	data := make([]byte, len(b.data))
-	copy(data, b.data)
+	// Copy the chunks into one buffer, so that the WordSym patches below
+	// and later programs assembled from this builder stay apart.
+	n := 0
+	for _, c := range b.chunks {
+		n += len(c.bytes)
+	}
+	buf := make([]byte, 0, n)
+	chunks := make([]chunk, len(b.chunks))
+	for i, c := range b.chunks {
+		buf = append(buf, c.bytes...)
+		chunks[i] = chunk{off: c.off, bytes: buf[len(buf)-len(c.bytes):]}
+	}
 	for _, f := range b.dataSyms {
 		target, ok := addrOf(f.label)
 		if !ok {
 			b.errorf("asm: undefined label %q in data word", f.label)
 			continue
 		}
-		data[f.inst] = byte(target)
-		data[f.inst+1] = byte(target >> 8)
-		data[f.inst+2] = byte(target >> 16)
-		data[f.inst+3] = byte(target >> 24)
+		off := uint32(f.inst)
+		i := sort.Search(len(chunks), func(i int) bool {
+			return chunks[i].off+uint32(len(chunks[i].bytes)) > off
+		})
+		binary.LittleEndian.PutUint32(chunks[i].bytes[off-chunks[i].off:], target)
 	}
 
 	if len(b.errs) > 0 {
@@ -536,7 +593,8 @@ func (b *Builder) Assemble(textBase, dataBase uint32) (*Program, error) {
 		DataBase: dataBase,
 		Insts:    insts,
 		Words:    words,
-		Data:     data,
+		DataSize: b.size,
+		chunks:   chunks,
 		syms:     syms,
 	}, nil
 }
@@ -650,7 +708,7 @@ func (p *Program) Listing() string {
 func (p *Program) TextEnd() uint32 { return p.TextBase + 4*uint32(len(p.Insts)) }
 
 // DataEnd returns the first byte address past the data section.
-func (p *Program) DataEnd() uint32 { return p.DataBase + uint32(len(p.Data)) }
+func (p *Program) DataEnd() uint32 { return p.DataBase + p.DataSize }
 
 // Load writes the encoded text and the data section into the image at
 // physBias plus the program's bases. physBias is 0 when the program's
@@ -665,15 +723,19 @@ func (p *Program) Load(img *mem.Image, physBias uint32) {
 // processes that share one physical text image but have private data
 // segments.
 func (p *Program) LoadText(img *mem.Image, physBias uint32) {
-	text := make([]byte, 0, 4*len(p.Words))
-	for _, w := range p.Words {
-		text = binary.LittleEndian.AppendUint32(text, uint32(w))
+	for i, w := range p.Words {
+		img.Write32(physBias+p.TextBase+4*uint32(i), uint32(w))
 	}
-	img.WriteBytes(physBias+p.TextBase, text)
 }
 
 // LoadDataAt writes only the data section, placing its first byte at the
-// given physical address (for per-process private data segments).
+// given physical address (for per-process private data segments). It
+// clears the section and then writes the initialized chunks; clearing
+// touches only pages already present, so on fresh memory the zeros cost
+// nothing.
 func (p *Program) LoadDataAt(img *mem.Image, physBase uint32) {
-	img.WriteBytes(physBase, p.Data)
+	img.Clear(physBase, p.DataSize)
+	for _, c := range p.chunks {
+		img.WriteBytes(physBase+c.off, c.bytes)
+	}
 }

@@ -1,6 +1,12 @@
 package asm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -292,4 +298,231 @@ func TestSymbols(t *testing.T) {
 			t.Errorf("Symbols()[%d] = %v, want %v", i, syms[i], w)
 		}
 	}
+}
+
+// TestAssembleRefusesBadLayouts: a data section that covers any text
+// byte, a section that does not end below 2^32, and a Zero that would
+// wrap the data size are errors.
+func TestAssembleRefusesBadLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		nops               int
+		data               func(b *Builder)
+		textBase, dataBase uint32
+		want               string
+	}{
+		{"data overlaps text from below", 2, func(b *Builder) { b.Zero(0x2000) }, 0x1000, 0, "overlaps text"},
+		{"data ends inside text", 2, func(b *Builder) { b.Zero(0x1004) }, 0x1000, 0, "overlaps text"},
+		{"data wraps past 2^32", 1, func(b *Builder) { b.Zero(0x100) }, 0x1000, 0xFFFFFF80, "below 2^32"},
+		{"data ends at 2^32", 1, func(b *Builder) { b.Zero(0x80) }, 0x1000, 0xFFFFFF80, "below 2^32"},
+		{"text wraps past 2^32", 2, func(b *Builder) {}, 0xFFFFFFFC, 0x1000, "below 2^32"},
+		{"Zero wraps the data size", 1, func(b *Builder) { b.Zero(0xFFFFFFF0); b.Zero(0x10) }, 0x1000, 0x8000, "past 4 GiB"},
+		{"WordSym wraps the data size", 1, func(b *Builder) { b.Zero(0xFFFFFFFC); b.WordSym("x") }, 0x1000, 0x8000, "past 4 GiB"},
+	} {
+		b := NewBuilder()
+		for i := 0; i < tc.nops; i++ {
+			b.NOP()
+		}
+		b.DataLabel("x")
+		tc.data(b)
+		_, err := b.Assemble(tc.textBase, tc.dataBase)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	// Touching is not overlapping: data may end where the text starts.
+	b := NewBuilder()
+	b.NOP()
+	b.Zero(0x1000)
+	if _, err := b.Assemble(0x1000, 0); err != nil {
+		t.Errorf("data [0,0x1000) below text at 0x1000: %v", err)
+	}
+}
+
+// denseData applies each data directive to a Builder and mirrors it
+// into a flat byte slice, the reference the sparse section must load as.
+type denseData struct {
+	b      *Builder
+	bytes  []byte
+	labels map[string]int // label → offset
+	syms   map[int]string // WordSym offset → label
+}
+
+// pad zero-fills the mirror to an n-byte boundary.
+func (d *denseData) pad(n int) {
+	for len(d.bytes)%n != 0 {
+		d.bytes = append(d.bytes, 0)
+	}
+}
+
+func (d *denseData) align(n int) {
+	d.b.AlignData(uint32(n))
+	d.pad(n)
+}
+
+func (d *denseData) label(name string) {
+	d.b.DataLabel(name)
+	d.labels[name] = len(d.bytes)
+}
+
+func (d *denseData) zero(n int) {
+	d.b.Zero(uint32(n))
+	d.bytes = append(d.bytes, make([]byte, n)...)
+}
+
+func (d *denseData) word32(vs ...uint32) {
+	d.b.Word32(vs...)
+	d.pad(4)
+	for _, v := range vs {
+		d.bytes = binary.LittleEndian.AppendUint32(d.bytes, v)
+	}
+}
+
+func (d *denseData) float64(vs ...float64) {
+	d.b.Float64(vs...)
+	d.pad(8)
+	for _, v := range vs {
+		d.bytes = binary.LittleEndian.AppendUint64(d.bytes, math.Float64bits(v))
+	}
+}
+
+func (d *denseData) wordSym(label string) {
+	d.b.WordSym(label)
+	d.pad(4)
+	d.syms[len(d.bytes)] = label
+	d.bytes = append(d.bytes, 0, 0, 0, 0)
+}
+
+// image returns the dense section as p should load it, every WordSym
+// word patched with its label's address in p, after checking p's data
+// labels and DataSize against the mirror.
+func (d *denseData) image(t *testing.T, p *Program) []byte {
+	t.Helper()
+	out := append([]byte(nil), d.bytes...)
+	for off, label := range d.syms {
+		binary.LittleEndian.PutUint32(out[off:], p.Addr(label))
+	}
+	for name, off := range d.labels {
+		if got, want := p.Addr(name), p.DataBase+uint32(off); got != want {
+			t.Errorf("label %s at %#x, want %#x", name, got, want)
+		}
+	}
+	if p.DataSize != uint32(len(d.bytes)) {
+		t.Errorf("DataSize = %#x, want %#x", p.DataSize, len(d.bytes))
+	}
+	return out
+}
+
+// buildMixedData interleaves every data directive at random, zero runs
+// crossing 64 KiB pages among them, and returns the dense mirror.
+func buildMixedData(seed int64) *denseData {
+	rng := rand.New(rand.NewSource(seed))
+	d := &denseData{b: NewBuilder(), labels: map[string]int{}, syms: map[int]string{}}
+	d.b.Label("start")
+	d.b.LA(R1, "d0")
+	d.b.HALT()
+	for i := 0; i < 400; i++ {
+		switch rng.Intn(7) {
+		case 0:
+			d.label(fmt.Sprintf("d%d", len(d.labels)))
+		case 1:
+			d.align(1 << rng.Intn(5))
+		case 2:
+			d.zero([]int{0, 1, 3, 64, 70000}[rng.Intn(5)])
+		case 3:
+			vs := make([]uint32, rng.Intn(4))
+			for j := range vs {
+				vs[j] = rng.Uint32() >> (32 * rng.Intn(2)) // some words zero
+			}
+			d.word32(vs...)
+		case 4:
+			d.float64(rng.Float64(), 0)
+		case 5:
+			d.wordSym("start")
+		case 6:
+			if len(d.labels) > 0 {
+				d.wordSym(fmt.Sprintf("d%d", rng.Intn(len(d.labels))))
+			}
+		}
+	}
+	if len(d.labels) == 0 {
+		d.label("d0")
+	}
+	return d
+}
+
+// TestSparseDataMatchesDense: a data section built from every directive
+// loads byte for byte like the flat section the test builds beside it,
+// text included, and two programs assembled from one builder at
+// different bases keep their own WordSym words.
+func TestSparseDataMatchesDense(t *testing.T) {
+	const size = 4 << 20
+	d := buildMixedData(1)
+	var progs []*Program
+	for _, dataBase := range []uint32{0x10000, 0x20008} {
+		p, err := d.b.Assemble(0x1000, dataBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		want := make([]byte, size)
+		for i, w := range p.Words {
+			binary.LittleEndian.PutUint32(want[p.TextBase+4*uint32(i):], uint32(w))
+		}
+		copy(want[p.DataBase:], d.image(t, p))
+		img := mem.NewImage(size)
+		p.Load(img, 0)
+		for a := range want {
+			if got := img.Read8(uint32(a)); got != want[a] {
+				t.Fatalf("data base %#x: byte %#x = %#x, want %#x", p.DataBase, a, got, want[a])
+			}
+		}
+	}
+}
+
+// TestLoadDataAtClearsGaps: loading over memory written beforehand
+// leaves every uninitialized byte zero and nothing outside the section
+// changed.
+func TestLoadDataAtClearsGaps(t *testing.T) {
+	const size, base = 4 << 20, 0x30000
+	d := buildMixedData(2)
+	p, err := d.b.Assemble(0x1000, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := mem.NewImage(size)
+	junk := bytes.Repeat([]byte{0xa5}, size)
+	img.WriteBytes(0, junk)
+	p.LoadDataAt(img, base)
+	want := junk
+	copy(want[base:], d.image(t, p))
+	for a := range want {
+		if got := img.Read8(uint32(a)); got != want[a] {
+			t.Fatalf("byte %#x = %#x, want %#x", a, got, want[a])
+		}
+	}
+}
+
+// TestZeroCostsNothing: a 16 MiB Zero takes no memory to build, assemble
+// or load. Every image page is 64 KiB, so staying under 64 KiB in all
+// (the builder's own tables included) also shows that no page of the
+// range was allocated. The text's page is made present beforehand.
+func TestZeroCostsNothing(t *testing.T) {
+	img := mem.NewImage(32 << 20)
+	img.Write8(0, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewBuilder()
+	b.Label("start")
+	b.HALT()
+	b.DataLabel("big")
+	b.Zero(16 << 20)
+	b.MustAssemble(0x1000, 0x10000).Load(img, 0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("building, assembling and loading a 16 MiB Zero allocated %d bytes, want under 64 KiB", got)
+	}
+	runtime.KeepAlive(img)
 }

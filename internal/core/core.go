@@ -102,10 +102,11 @@ type cycleSkipper interface {
 // codeEntry is one loaded program's text, predecoded at Register: the
 // one copy both CPU models fetch from and the tools disassemble.
 type codeEntry struct {
-	base   uint32
-	end    uint32
-	uops   []cpu.Uop
-	labels map[uint32][]string // physical address → text labels, for Dump
+	base uint32
+	end  uint32
+	uops []cpu.Uop
+	prog *asm.Program // for Dump's labels
+	bias uint32       // physBias the program was registered at
 }
 
 // CodeRegistry resolves physical addresses to decoded instructions over
@@ -119,15 +120,11 @@ type CodeRegistry struct {
 // Register adds p's text, relocated by physBias, to the registry.
 func (r *CodeRegistry) Register(p *asm.Program, physBias uint32) {
 	e := codeEntry{
-		base:   physBias + p.TextBase,
-		end:    physBias + p.TextEnd(),
-		uops:   cpu.PredecodeText(p.Insts),
-		labels: make(map[uint32][]string),
-	}
-	for _, s := range p.Symbols() {
-		if s.Text {
-			e.labels[physBias+s.Start] = append(e.labels[physBias+s.Start], s.Name)
-		}
+		base: physBias + p.TextBase,
+		end:  physBias + p.TextEnd(),
+		uops: cpu.PredecodeText(p.Insts),
+		prog: p,
+		bias: physBias,
 	}
 	r.entries = append(r.entries, e)
 	sort.Slice(r.entries, func(i, j int) bool { return r.entries[i].base < r.entries[j].base })
@@ -138,10 +135,16 @@ func (r *CodeRegistry) Register(p *asm.Program, physBias uint32) {
 // with the assembler's function and branch-target labels.
 func (r *CodeRegistry) Dump(w io.Writer) {
 	for _, e := range r.entries {
+		labels := make(map[uint32][]string) // physical address → text labels
+		for _, s := range e.prog.Symbols() {
+			if s.Text {
+				labels[e.bias+s.Start] = append(labels[e.bias+s.Start], s.Name)
+			}
+		}
 		fmt.Fprintf(w, "; region %#08x..%#08x (%d instructions)\n", e.base, e.end, len(e.uops))
 		for i := range e.uops {
 			addr := e.base + uint32(4*i)
-			for _, l := range e.labels[addr] {
+			for _, l := range labels[addr] {
 				fmt.Fprintf(w, "%s:\n", l)
 			}
 			fmt.Fprintf(w, "%08x:  %s\n", addr, e.uops[i].Inst)

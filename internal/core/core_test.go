@@ -194,3 +194,49 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Errorf("nondeterministic: %d vs %d cycles", a, b)
 	}
 }
+
+// TestCodeRegistryDump pins cmd/disasm's listing: regions in address
+// order, each text label (aliases sorted) on its own line before the
+// instruction it marks, physical addresses relocated by the bias, and
+// no data labels.
+func TestCodeRegistryDump(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("main")
+	b.LI(asm.R1, 3)
+	b.Label("loop")
+	b.Label("again") // alias of loop
+	b.ADDI(asm.R1, asm.R1, -1)
+	b.BNEZ(asm.R1, "loop")
+	b.HALT()
+	b.DataLabel("table")
+	b.Word32(7)
+	p, err := b.Assemble(0x1000, 0x4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r CodeRegistry
+	r.Register(p, 0x20000)
+	r.Register(p, 0)
+	var out strings.Builder
+	r.Dump(&out)
+	const want = `; region 0x00001000..0x00001010 (4 instructions)
+main:
+00001000:  addi r1, r0, 3
+again:
+loop:
+00001004:  addi r1, r1, -1
+00001008:  bne r1, r0, -2
+0000100c:  halt
+; region 0x00021000..0x00021010 (4 instructions)
+main:
+00021000:  addi r1, r0, 3
+again:
+loop:
+00021004:  addi r1, r1, -1
+00021008:  bne r1, r0, -2
+0002100c:  halt
+`
+	if got := out.String(); got != want {
+		t.Errorf("Dump:\n%s\nwant:\n%s", got, want)
+	}
+}

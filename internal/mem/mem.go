@@ -78,6 +78,23 @@ func (m *Image) WriteBytes(addr uint32, b []byte) {
 	}
 }
 
+// Clear zeroes n bytes starting at addr. A page nothing has written
+// already reads as zero and is skipped, so Clear never allocates.
+func (m *Image) Clear(addr, n uint32) {
+	if uint64(addr)+uint64(n) > uint64(m.size) {
+		panic(fault{"clear", addr, n, m.size})
+	}
+	for n > 0 {
+		off := addr & pageMask
+		k := min(n, pageSize-off)
+		if p := m.pages[addr>>pageShift]; p != &zeroPage {
+			clear(p[off : off+k])
+		}
+		addr += k
+		n -= k
+	}
+}
+
 // fault is the panic value of an access that is out of range or
 // misaligned. A value rather than a formatted string, so the accessors
 // that raise it stay small enough to inline; the message is formatted

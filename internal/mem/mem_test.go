@@ -54,6 +54,7 @@ func TestImagePanicsOnBadAccess(t *testing.T) {
 		{func() { m.WriteF64(12, 1) }, "mem: write64 at 0xc (size 8) out of range (memory 16 bytes)"},
 		{func() { m.WriteF64(4, 1) }, "mem: misaligned write64 at 0x4 (size 8)"},
 		{func() { m.WriteBytes(10, make([]byte, 7)) }, "mem: write at 0xa (size 7) out of range (memory 16 bytes)"},
+		{func() { m.Clear(12, 5) }, "mem: clear at 0xc (size 5) out of range (memory 16 bytes)"},
 	} {
 		got := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
@@ -141,8 +142,8 @@ func TestQuickImage32RoundTrip(t *testing.T) {
 
 // TestImageMatchesFlatReference drives the paged image and a flat byte
 // slice with the same random operation stream (aligned 1-, 4- and
-// 8-byte reads and writes, bulk writes, many of them zeros, at page
-// edges and at the last word of memory) and requires equal reads,
+// 8-byte reads and writes, bulk writes, many of them zeros, and clears,
+// at page edges and at the last word of memory) and requires equal reads,
 // equal final contents, and storage only for pages that were given a
 // non-zero byte.
 func TestImageMatchesFlatReference(t *testing.T) {
@@ -176,7 +177,7 @@ func TestImageMatchesFlatReference(t *testing.T) {
 			}
 		}
 		for op := 0; op < 20000; op++ {
-			switch rng.Intn(7) {
+			switch rng.Intn(8) {
 			case 0:
 				a := addr(1)
 				if got, want := m.Read8(a), ref[a]; got != want {
@@ -220,6 +221,11 @@ func TestImageMatchesFlatReference(t *testing.T) {
 				m.WriteBytes(a, b)
 				copy(ref[a:], b)
 				mark(a, b)
+			case 7:
+				a := addr(1)
+				n := uint32(rng.Intn(int(min(size-a, 3*pageSize)) + 1))
+				m.Clear(a, n)
+				clear(ref[a : a+n])
 			}
 		}
 		for a := range ref {

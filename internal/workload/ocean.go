@@ -170,18 +170,18 @@ func (w *Ocean) emitSweep(b *asm.Builder, tag string, n int) {
 	b.BLT(asm.R16, asm.R11, tag+"_ri") // i < r1
 }
 
-// Configure implements Workload. Four CPUs use the paper's 2x2 square
+// Emit writes Ocean's guest program for w.NumCPUs processors, text and
+// data, into a new builder. Four CPUs use the paper's 2x2 square
 // subgrid decomposition; other processor counts fall back to row strips
 // (the other common Ocean decomposition).
-func (w *Ocean) Configure(m *core.Machine) error {
-	w.NumCPUs = m.Cfg.NumCPUs
+func (w *Ocean) Emit() (*asm.Builder, error) {
 	n, cN := w.N, w.coarseN()
 	quad := w.NumCPUs == 4
 	if quad && ((n-2)%2 != 0 || (cN-2)%2 != 0) {
-		return fmt.Errorf("ocean: interior sizes must be even for a 2x2 decomposition (N=%d)", n)
+		return nil, fmt.Errorf("ocean: interior sizes must be even for a 2x2 decomposition (N=%d)", n)
 	}
 	if !quad && ((n-2)%w.NumCPUs != 0 || (cN-2)%w.NumCPUs != 0) {
-		return fmt.Errorf("ocean: interiors (%d, %d) must divide into %d row strips", n-2, cN-2, w.NumCPUs)
+		return nil, fmt.Errorf("ocean: interiors (%d, %d) must divide into %d row strips", n-2, cN-2, w.NumCPUs)
 	}
 	fineHalf := (n - 2) / 2
 	coarseHalf := (cN - 2) / 2
@@ -390,11 +390,22 @@ func (w *Ocean) Configure(m *core.Machine) error {
 	b.DataLabel("gridD")
 	b.Zero(uint32(8 * cN * cN))
 	guestlib.EmitBarrierData(b, "bar", w.NumCPUs)
+	return b, nil
+}
 
+// Configure implements Workload: it assembles Emit's program for the
+// machine's processor count, loads it and fills grid A.
+func (w *Ocean) Configure(m *core.Machine) error {
+	w.NumCPUs = m.Cfg.NumCPUs
+	b, err := w.Emit()
+	if err != nil {
+		return err
+	}
 	p, err := b.Assemble(TextBase, DataBase)
 	if err != nil {
 		return err
 	}
+	n := w.N
 	if err := checkLayout("ocean", m, spmdRegions(p, w.NumCPUs)...); err != nil {
 		return err
 	}
