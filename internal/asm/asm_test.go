@@ -414,7 +414,7 @@ func (d *denseData) image(t *testing.T, p *Program) []byte {
 }
 
 // buildMixedData interleaves every data directive at random, zero runs
-// crossing 64 KiB pages among them, and returns the dense mirror.
+// crossing 16 KiB pages among them, and returns the dense mirror.
 func buildMixedData(seed int64) *denseData {
 	rng := rand.New(rand.NewSource(seed))
 	d := &denseData{b: NewBuilder(), labels: map[string]int{}, syms: map[int]string{}}
@@ -506,7 +506,7 @@ func TestLoadDataAtClearsGaps(t *testing.T) {
 }
 
 // TestZeroCostsNothing: a 16 MiB Zero takes no memory to build, assemble
-// or load. Every image page is 64 KiB, so staying under 64 KiB in all
+// or load. Every image page is 16 KiB, so staying under 16 KiB in all
 // (the builder's own tables included) also shows that no page of the
 // range was allocated. The text's page is made present beforehand.
 func TestZeroCostsNothing(t *testing.T) {
@@ -521,8 +521,8 @@ func TestZeroCostsNothing(t *testing.T) {
 	b.Zero(16 << 20)
 	b.MustAssemble(0x1000, 0x10000).Load(img, 0)
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Errorf("building, assembling and loading a 16 MiB Zero allocated %d bytes, want under 64 KiB", got)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("building, assembling and loading a 16 MiB Zero allocated %d bytes, want under 16 KiB", got)
 	}
 	runtime.KeepAlive(img)
 }

@@ -50,11 +50,22 @@ type Config struct {
 	Banks     uint32 // power of two; lines are interleaved across banks
 }
 
-// Line is one cache line's bookkeeping state.
+// Line is one cache line's bookkeeping state, 8 bytes.
 type Line struct {
 	Tag   uint32 // line address (addr >> lineShift); valid only if State != Invalid
 	State State
-	lru   uint64
+	lru   [3]byte // 24-bit LRU stamp, little-endian; see Cache.tick
+}
+
+// maxStamp is the largest LRU stamp a Line holds.
+const maxStamp = 1<<24 - 1
+
+func (ln *Line) stamp() uint32 {
+	return uint32(ln.lru[0]) | uint32(ln.lru[1])<<8 | uint32(ln.lru[2])<<16
+}
+
+func (ln *Line) setStamp(s uint32) {
+	ln.lru = [3]byte{byte(s), byte(s >> 8), byte(s >> 16)}
 }
 
 // Stats counts cache events. All counters are cumulative.
@@ -140,7 +151,7 @@ type Cache struct {
 	assoc     uint32
 	lineShift uint32
 	bankMask  uint32
-	clock     uint64 // LRU timestamp source
+	clock     uint32 // LRU timestamp source, at most maxStamp
 
 	// invalidated remembers the lines removed by coherence so the next
 	// counted miss on them can be classified as an invalidation miss. The
@@ -154,7 +165,7 @@ type Cache struct {
 // page holds the lines of 1<<pageShift consecutive sets, set after set.
 type page []Line
 
-// pageLines bounds a page of whole sets: 256 lines of 16 bytes, 4 KiB
+// pageLines bounds a page of whole sets: 256 lines of 8 bytes, 2 KiB
 // (measured against 64 and 1024 in DESIGN §4). A set of more ways than
 // this is a page on its own.
 const pageLines = 256
@@ -284,14 +295,14 @@ func (c *Cache) Access(addr uint32, write bool) AccessResult {
 // first, because a reference they refuse must not be counted, and hand
 // the line over instead of having the set scanned twice.
 func (c *Cache) AccessProbed(ln *Line, addr uint32, write bool) AccessResult {
-	c.clock++
+	now := c.tick()
 	if write {
 		c.stats.Writes++
 	} else {
 		c.stats.Reads++
 	}
 	if ln != nil {
-		ln.lru = c.clock
+		ln.setStamp(now)
 		return AccessResult{Hit: true, State: ln.State}
 	}
 	inv := c.invalidated.remove(addr >> c.lineShift)
@@ -313,7 +324,7 @@ func (c *Cache) Fill(addr uint32, state State) Victim {
 	if state == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	c.clock++
+	now := c.tick()
 	tag := addr >> c.lineShift
 	if pg := (tag & c.setMask) >> c.pageShift; c.pages[pg] == c.zero {
 		p := make(page, c.pageLen) // the first fill of this page's sets
@@ -322,19 +333,19 @@ func (c *Cache) Fill(addr uint32, state State) Victim {
 	set := c.set(tag)
 	// Reuse the matching or an invalid way if present.
 	victimIdx := 0
-	var oldest uint64 = ^uint64(0)
+	var oldest uint32 = ^uint32(0)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == tag {
 			set[i].State = state
-			set[i].lru = c.clock
+			set[i].setStamp(now)
 			return Victim{}
 		}
 		if set[i].State == Invalid {
 			victimIdx = i
 			oldest = 0
-		} else if set[i].lru < oldest {
+		} else if st := set[i].stamp(); st < oldest {
 			victimIdx = i
-			oldest = set[i].lru
+			oldest = st
 		}
 	}
 	v := Victim{}
@@ -348,8 +359,52 @@ func (c *Cache) Fill(addr uint32, state State) Victim {
 			c.stats.Writebacks++
 		}
 	}
-	set[victimIdx] = Line{Tag: tag, State: state, lru: c.clock}
+	set[victimIdx] = Line{Tag: tag, State: state}
+	set[victimIdx].setStamp(now)
 	return v
+}
+
+// tick advances the LRU clock and returns the new stamp. Before the
+// clock would pass maxStamp, renumber rewrites every valid line's stamp
+// as its rank in its set, 1 for the least recently used, and the clock
+// restarts above the highest rank. Fill only compares the stamps of one
+// set's valid ways, so every later victim is the one a 64-bit clock
+// would have chosen.
+func (c *Cache) tick() uint32 {
+	if c.clock == maxStamp {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber ranks the valid ways of every filled set by stamp. It runs
+// once per 2^24 accesses and fills, so quadratic in the associativity
+// is cheap enough.
+func (c *Cache) renumber() {
+	rank := make([]uint32, c.assoc)
+	for _, p := range c.pages {
+		if p == c.zero {
+			continue
+		}
+		for s := 0; s < len(*p); s += int(c.assoc) {
+			set := (*p)[s : s+int(c.assoc)]
+			for i := range set {
+				rank[i] = 1
+				for j := range set {
+					if set[j].State != Invalid && set[j].stamp() < set[i].stamp() {
+						rank[i]++
+					}
+				}
+			}
+			for i := range set {
+				if set[i].State != Invalid {
+					set[i].setStamp(rank[i])
+				}
+			}
+		}
+	}
+	c.clock = c.assoc
 }
 
 func (c *Cache) victimAddr(tag uint32) uint32 {

@@ -3,6 +3,7 @@ package mxs
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/isa"
@@ -260,3 +261,6 @@ func (c *CPU) NextWorkScan(now uint64) uint64 {
 	}
 	return wake
 }
+
+// BTBEntrySize is the size of one BTB entry in bytes.
+const BTBEntrySize = unsafe.Sizeof(btbEntry{})

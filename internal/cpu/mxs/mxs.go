@@ -97,10 +97,12 @@ func bit(slot int) uint32 { return 1 << uint(slot) }
 // wrap reduces a non-negative ring index to a window slot.
 func wrap(i int) int { return i & (windowSize - 1) }
 
+// btbEntry predicts the target of the branch at tag&^1. PCs are word
+// aligned, so bit 0 of tag is the valid bit: a valid entry holds pc|1
+// and the zero entry is invalid.
 type btbEntry struct {
 	tag    uint32
 	target uint32
-	valid  bool
 }
 
 // CPU is one MXS core.
@@ -773,9 +775,9 @@ func (c *CPU) squashAfter(slot int) int {
 func (c *CPU) updateBTB(e *robEntry) {
 	b := &c.btb[(e.pc>>2)%btbEntries]
 	if e.actualNext != e.pc+4 {
-		*b = btbEntry{tag: e.pc, target: e.actualNext, valid: true}
-	} else if b.valid && b.tag == e.pc {
-		b.valid = false
+		*b = btbEntry{tag: e.pc | 1, target: e.actualNext}
+	} else if b.tag == e.pc|1 {
+		b.tag = 0
 	}
 }
 
@@ -1082,7 +1084,7 @@ func (c *CPU) predict(pc uint32, u *cpu.Uop) uint32 {
 	case f&cpu.UopJump != 0:
 		return uint32(u.Inst.Imm) * 4
 	case f&cpu.UopBTB != 0:
-		if b := &c.btb[(pc>>2)%btbEntries]; b.valid && b.tag == pc {
+		if b := &c.btb[(pc>>2)%btbEntries]; b.tag == pc|1 {
 			return b.target
 		}
 	}

@@ -2,10 +2,12 @@ package mxs_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"cmpsim/internal/asm"
 	"cmpsim/internal/core"
 	"cmpsim/internal/cpu"
+	"cmpsim/internal/cpu/mxs"
 	"cmpsim/internal/isa"
 	"cmpsim/internal/mem"
 	"cmpsim/internal/memsys"
@@ -33,6 +35,17 @@ func runMXS(t *testing.T, b *asm.Builder) (cpu.StallStats, *core.Machine) {
 		t.Fatal(err)
 	}
 	return res.PerCPU[0], m
+}
+
+// TestCPUSize pins the packed BTB entry and the core built around its
+// 1024 of them: a field added to either would regrow every MXS cell.
+func TestCPUSize(t *testing.T) {
+	if mxs.BTBEntrySize != 8 {
+		t.Errorf("a BTB entry is %d bytes, want 8", mxs.BTBEntrySize)
+	}
+	if got := unsafe.Sizeof(mxs.CPU{}); got > 12<<10 {
+		t.Errorf("mxs.CPU is %d bytes, want at most 12 KiB", got)
+	}
 }
 
 func TestBTBLearnsLoopBranch(t *testing.T) {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 )
@@ -24,7 +25,9 @@ import (
 //     flag read here is configuration outside memsys.Config, which the
 //     runner's result cache fingerprints, so two runs with one cache
 //     key could differ. Test files are not loaded, so golden tests may
-//     still read their files.
+//     still read their files;
+//   - a float product feeding + or - — the compiler may fuse the pair
+//     into one multiply-add on some hosts, so write float64(x*y).
 //
 // Map iteration whose effects are provably order-independent (e.g. a
 // deletion-only sweep) is suppressed with //simlint:allow determinism.
@@ -38,7 +41,7 @@ import (
 // TestDeterminismScopeExcludesDriverPool pins it.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global rand, goroutines, map-order iteration and os/flag/syscall imports in simulator state machines",
+	Doc:  "forbid wall-clock, global rand, goroutines, map-order iteration, os/flag/syscall imports and fusable float products in simulator state machines",
 	Scope: scopeUnder(
 		"internal/cache", "internal/coherence", "internal/core",
 		"internal/cpu", "internal/memsys", "internal/interconnect",
@@ -94,6 +97,15 @@ func runDeterminism(pass *Pass) error {
 						}
 					}
 				}
+			case *ast.BinaryExpr:
+				if n.Op == token.ADD || n.Op == token.SUB {
+					reportFusable(pass, n.X)
+					reportFusable(pass, n.Y)
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN {
+					reportFusable(pass, n.Rhs[0])
+				}
 			case *ast.RangeStmt:
 				tv, ok := info.Types[n.X]
 				if !ok {
@@ -107,4 +119,26 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// reportFusable flags x if it is a non-constant floating-point product:
+// one operand of a + or -, or the right side of += or -=. Go lets a
+// compiler fuse such a pair into one multiply-add, rounding once
+// instead of twice, and the arm64, ppc64le and riscv64 compilers do, so
+// the result would depend on the host. An explicit conversion of the
+// product rounds it and keeps the pair apart.
+func reportFusable(pass *Pass, x ast.Expr) {
+	x = ast.Unparen(x)
+	mul, ok := x.(*ast.BinaryExpr)
+	if !ok || mul.Op != token.MUL {
+		return
+	}
+	tv, ok := pass.Pkg.Info.Types[mul]
+	if !ok || tv.Value != nil {
+		return
+	}
+	if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
+		pass.Reportf(mul.Pos(), "float product %s feeds + or - and may be fused into one multiply-add on some hosts; write %s(%s)",
+			types.ExprString(mul), tv.Type, types.ExprString(mul))
+	}
 }

@@ -6,8 +6,8 @@
 // a fixed suite of simulator-invariant analyzers over them:
 //
 //   - determinism: no wall-clock, global rand, goroutines, map-order
-//     iteration or os/flag/syscall imports inside the simulator state
-//     machines
+//     iteration, os/flag/syscall imports or fusable float products
+//     inside the simulator state machines
 //   - cycleflow: uint64 cycle arithmetic cannot wrap (subtractions must
 //     be guarded, blessed through internal/cyc, or suppressed) and
 //     cycle-taking functions cannot return a completion before "now"

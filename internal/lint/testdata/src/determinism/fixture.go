@@ -37,3 +37,10 @@ func (t *table) tick(now uint64) uint64 {
 	_ = os.Getenv("CMPSIM_MODE") // ok: reported once, at the import
 	return x
 }
+
+func (t *table) scale(a, b, c float64) float64 {
+	d := a*b + c          // want "may be fused"
+	d -= a * b            // want "may be fused"
+	d += float64(a*b) - c // ok: the conversion rounds the product
+	return d + a/b        // ok: only a product fuses
+}

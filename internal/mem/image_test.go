@@ -9,15 +9,22 @@ import (
 )
 
 // TestNewImageAllocatesOnlyTheTable: a workload-sized image costs its
-// page table, not its 32 MiB.
+// page table, not its 32 MiB. The table is 2 048 pointers, which the
+// allocator rounds up to 18 KiB. The least of three tries counts: the
+// count is process-wide, and under -race the test runner has been seen
+// to allocate inside the window.
 func TestNewImageAllocatesOnlyTheTable(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	img := mem.NewImage(workload.MemBytes)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(img)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
-		t.Errorf("NewImage(%d) allocated %d bytes, want at most 16 KiB", workload.MemBytes, got)
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		img := mem.NewImage(workload.MemBytes)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(img)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 20<<10 {
+		t.Errorf("NewImage(%d) allocated %d bytes, want at most 20 KiB for its 2 048-pointer page table", workload.MemBytes, least)
 	}
 }
 
@@ -31,7 +38,7 @@ func BenchmarkImageNew(b *testing.B) {
 
 // BenchmarkImageAccess is the guest's load/store path on pages that
 // are already present: a Read32 and a Write32 per op, striding across
-// four pages. It must not allocate.
+// sixteen pages. It must not allocate.
 func BenchmarkImageAccess(b *testing.B) {
 	const span = 256 << 10
 	img := mem.NewImage(workload.MemBytes)

@@ -29,7 +29,7 @@ type Image struct {
 }
 
 const (
-	pageShift = 16 // 64 KiB pages: 512 table entries for the 32 MiB image
+	pageShift = 14 // 16 KiB pages: 2 048 table entries for the 32 MiB image
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
