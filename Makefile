@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet lint test race bench-module smoke race-smoke bench bench-gate bench-trace experiments-output size clean
+.PHONY: all build check vet lint test race bench-module smoke race-smoke bench bench-trace experiments-output size clean
 
 all: build
 
@@ -67,19 +67,12 @@ race-smoke:
 # size through cmd/benchjson and writes BENCH_figures.json: ns/op and
 # simulated cycles/sec per row, with and without the quiescence-skipping
 # scheduler, plus the skip speedup. CI uploads the file as an artifact
-# so every PR leaves a perf trajectory to regress against.
+# so every PR leaves a perf trajectory; no host time is gated. What is
+# gated is exact: TestLedger (make test, make check) pins each row's
+# cycle and work counts and holds the memory-bound Mipsy rows to a
+# skipped-cycle floor.
 bench:
 	$(GO) run ./cmd/benchjson
-
-# bench-gate is the CI perf gate: re-measure the figure matrix
-# (median of 3 samples per cell) and check same-host speedups against
-# the committed baseline. Mipsy MemBound rows must keep a >= 2x skip
-# speedup; the MXS MemBound row has no rule; every other row's
-# dimensionless speedup must stay within ±30% of its baseline value.
-# Cycle counts must agree across samples; the exact counts themselves
-# are TestLedger's (make test, make check).
-bench-gate:
-	$(GO) run ./cmd/benchjson -gate BENCH_figures.json -samples 3
 
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —

@@ -85,6 +85,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cmpsim: -workload is required (try -list)")
 		os.Exit(2)
 	}
+	if err := cli.CheckQuick(*wlName, *quick); err != nil {
+		fmt.Fprintln(os.Stderr, "cmpsim:", err)
+		os.Exit(2)
+	}
 
 	arches := []core.Arch{*archFlag}
 	if *archFlag == "all" {

@@ -26,8 +26,8 @@ type Figure struct {
 }
 
 // MemBound reports whether the row runs a memory-bound design point
-// instead of the paper's parameters; cmd/benchjson holds those rows to
-// speedup floors rather than to a band around the baseline.
+// instead of the paper's parameters; the root package's TestLedger
+// holds the Mipsy ones to a floor on the share of cycles skipped.
 func (f Figure) MemBound() bool { return f.Cfg != nil }
 
 // Config returns the memory-system configuration this figure is

@@ -11,7 +11,7 @@ import (
 // on: unique names (BENCH_figures.json keys), constructors that build
 // the application the row names, a full and a quick variant for every
 // workload cmd/experiments runs, and the memory-bound rows exactly the
-// three *_MemBound sentinels cmd/benchjson gates on floors.
+// three *_MemBound sentinels whose skipped cycles TestLedger floors.
 func TestTableInvariants(t *testing.T) {
 	names := map[string]bool{}
 	memBound := 0

@@ -3,8 +3,9 @@
 // share. Each registers only the groups it uses: PoolFlags (plus
 // RunReportFlags), the run-shape flags one at a time, and
 // InstrumentFlags. -workload, -arch, -model and the counts (CountVar)
-// are checked as they are parsed, so an unknown or out-of-range value
-// exits 2, naming what is valid, before any job runs.
+// are checked as they are parsed, and -quick against -workload right
+// after (CheckQuick), so an unknown or out-of-range value exits 2,
+// naming what is valid, before any job runs.
 // Like internal/runner, this is driver code outside the determinism
 // analyzer's scope.
 package cli
@@ -151,6 +152,18 @@ func oneOf[T ~string](v *T, valid []T) func(string) error {
 // QuickFlag registers -quick.
 func QuickFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("quick", false, "use reduced data sets (smoke runs)")
+}
+
+// CheckQuick refuses -quick for a workload with no quick variant,
+// naming those that have one. The two flags may come in either order,
+// so a driver that registers both calls it right after the parse and
+// exits 2 on its error, as the parse does.
+func CheckQuick(name string, quick bool) error {
+	if !quick || name == "" {
+		return nil
+	}
+	_, err := workload.NewQuick(name)
+	return err
 }
 
 // CPUsFlag registers -cpus.

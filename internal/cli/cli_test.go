@@ -19,17 +19,22 @@ import (
 )
 
 // parse registers one driver's groups on a fresh flag set and parses
-// args; the error is the flag package's.
+// args; the error is the flag package's, or CheckQuick's after it.
 func parse(args ...string) (*Pool, *Instruments, *core.Arch, *core.CPUModel, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	pool := PoolFlags(fs)
 	pool.RunReportFlags(fs)
 	inst := InstrumentFlags(fs)
-	WorkloadFlag(fs, "")
+	w := WorkloadFlag(fs, "")
 	arch := ArchFlag(fs, "all", true)
 	model := ModelFlag(fs)
-	return pool, inst, arch, model, fs.Parse(args)
+	quick := QuickFlag(fs)
+	err := fs.Parse(args)
+	if err == nil {
+		err = CheckQuick(*w, *quick)
+	}
+	return pool, inst, arch, model, err
 }
 
 func TestSplice(t *testing.T) {
@@ -118,9 +123,9 @@ func TestPoolShape(t *testing.T) {
 }
 
 // TestArchAndModelRejectedAtParse: an unknown -arch, -model or
-// -workload fails the parse itself, naming every valid value; "all" is
-// valid only where the command registers it, and -workload's "" default
-// parses.
+// -workload, or -quick with a workload that has no quick variant, fails
+// the parse itself, naming every valid value; "all" is valid only where
+// the command registers it, and -workload's "" default parses.
 func TestArchAndModelRejectedAtParse(t *testing.T) {
 	_, _, arch, model, err := parse()
 	if err != nil || *arch != "all" || *model != core.ModelMipsy {
@@ -130,6 +135,11 @@ func TestArchAndModelRejectedAtParse(t *testing.T) {
 	if err != nil || *arch != core.SharedL2 || *model != core.ModelMXS {
 		t.Fatalf("arch %q model %q err %v", *arch, *model, err)
 	}
+	for _, args := range [][]string{{"-quick"}, {"-quick", "-workload", "mp3d"}, {"-workload", "latprobe"}} {
+		if _, _, _, _, err := parse(args...); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
 	for _, c := range []struct {
 		args  []string
 		valid []string
@@ -137,6 +147,7 @@ func TestArchAndModelRejectedAtParse(t *testing.T) {
 		{[]string{"-arch", "shared-l3"}, []string{"shared-l1", "shared-l2", "shared-mem", "all"}},
 		{[]string{"-model", "ooo"}, []string{"mipsy", "mxs"}},
 		{[]string{"-workload", "nope"}, []string{"eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "pmake", "latprobe"}},
+		{[]string{"-quick", "-workload", "latprobe"}, []string{"no quick variant of \"latprobe\"", "eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "pmake"}},
 	} {
 		_, _, _, _, err := parse(c.args...)
 		if err == nil {

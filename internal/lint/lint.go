@@ -61,6 +61,9 @@ type Analyzer struct {
 	// module-relative import path, e.g. "internal/cache"). nil means
 	// every package.
 	Scope func(relPath string) bool
+	// Wide, if set, admits more packages to Run than Scope does; Run
+	// applies only its module-wide rules to those.
+	Wide func(relPath string) bool
 
 	Run       func(*Pass) error
 	RunModule func(*ModulePass) error
@@ -358,7 +361,7 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) 
 	for _, a := range analyzers {
 		var scoped []*Package
 		for _, pkg := range pkgs {
-			if a.Scope == nil || a.Scope(pkg.RelPath) {
+			if a.Scope == nil || a.Scope(pkg.RelPath) || a.Wide != nil && a.Wide(pkg.RelPath) {
 				scoped = append(scoped, pkg)
 			}
 		}

@@ -69,11 +69,19 @@ func analyzerByName(t *testing.T, name string) *lint.Analyzer {
 // exactly — no misses, no extras, and suppressed lines stay silent.
 func TestAnalyzersCatchFixtures(t *testing.T) {
 	// Each fixture masquerades as an in-scope simulator package via its
-	// fake relPath, internal/cache.
-	for _, name := range []string{"determinism", "cycleflow", "statreg", "neutral"} {
-		t.Run(name, func(t *testing.T) {
+	// fake relPath, internal/cache; determinism-driver stands for a
+	// package outside the simulator core.
+	for _, c := range []struct{ name, fixture, rel string }{
+		{"determinism", "determinism", "internal/cache"},
+		{"determinism", "determinism-driver", "internal/workload"},
+		{"cycleflow", "cycleflow", "internal/cache"},
+		{"statreg", "statreg", "internal/cache"},
+		{"neutral", "neutral", "internal/cache"},
+	} {
+		name := c.name
+		t.Run(c.fixture, func(t *testing.T) {
 			a := analyzerByName(t, name)
-			dir := filepath.Join("testdata", "src", name)
+			dir := filepath.Join("testdata", "src", c.fixture)
 			if name == "neutral" {
 				// The neutral fixture consumes a stand-in observability
 				// package; preload it under a path whose suffix marks it as
@@ -85,7 +93,7 @@ func TestAnalyzersCatchFixtures(t *testing.T) {
 				}
 				sharedLoader().Preload(obs)
 			}
-			pkg, err := sharedLoader().Load(dir, "cmpsim/lintfixture/"+name, "internal/cache")
+			pkg, err := sharedLoader().Load(dir, "cmpsim/lintfixture/"+c.fixture, c.rel)
 			if err != nil {
 				t.Fatalf("load fixture: %v", err)
 			}
