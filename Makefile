@@ -93,9 +93,11 @@ experiments-output:
 # memory, ns and ticks per instruction; load-every-third-shared runs
 # through its loads and line ends below a shared bound, alu-lines-icache
 # through line ends that hit its I-cache with the shared bound at the
-# next cycle), the two
+# next cycle), the three
 # BenchmarkRunWindow cases (the
-# cycle loop alone over stub cores, ns per executed cycle) and
+# cycle loop alone over stub cores, ns per simulated cycle: all-awake,
+# one-of-four, the lone-CPU stretch, and staggered-jump, the jump over
+# cores that declare exact hints) and
 # BenchmarkCacheInvalidateMiss (a private cache's side of a coherence
 # ping-pong over 64 Ki lines: the invalidation-marker set),
 # BenchmarkImageAccess (a guest Read32/Write32 on pages already present)

@@ -99,6 +99,16 @@ type cycleSkipper interface {
 	SkipCycles(from, to uint64)
 }
 
+// exactHinter is implemented by CPU models whose wake cycle is exact:
+// from the tick that returned it up to the cycle itself, NextWork
+// answers the hint and nothing earlier. The quiescence jump takes such
+// a core's wake cycle as it stands and asks NextWork only of the
+// others. RunWindow resolves it from CPUs[k] at entry, so a wrapper that
+// embeds only Core (a counting probe) hides it and is scanned.
+type exactHinter interface {
+	ExactHints()
+}
+
 // codeEntry is one loaded program's text, predecoded at Register: the
 // one copy both CPU models fetch from and the tools disassemble.
 type codeEntry struct {
@@ -226,10 +236,12 @@ type Machine struct {
 	// tickedTo[k] is the first cycle CPU k has not been accounted for
 	// (one past its last tick); the cycles from there to its next tick
 	// are backfilled through skippers[k], CPUs[k]'s cycleSkipper side
-	// (nil when the model has none).
+	// (nil when the model has none). exact[k] says CPUs[k] is an
+	// exactHinter.
 	wakeAt   []uint64
 	tickedTo []uint64
 	skippers []cycleSkipper
+	exact    []bool
 
 	// runAhead says the machine's cores consume the run-ahead bound
 	// (Mipsy does, MXS does not): the cycle loop then fixes aheadTo on
@@ -505,7 +517,8 @@ func (r *RunResult) IPC() float64 {
 	return float64(r.Instructions()) / float64(r.Cycles)
 }
 
-// RunWindow advances the machine from cycle start for at most n cycles.
+// RunWindow advances the machine from cycle start for at most n cycles
+// (through the last cycle, cpu.NoWork excluded, if start+n overflows).
 // It returns the first cycle not executed, whether every CPU has halted,
 // and any guest fault or tick-phase error (which names its cycle). CPU
 // service order rotates each cycle so no processor gets a standing
@@ -517,7 +530,9 @@ func (r *RunResult) IPC() float64 {
 // nothing happens before then and the one cross-CPU input, its interrupt
 // line, pulls the wake cycle down (irqLines.wakeLive). The loop then
 // advances to the earliest wake cycle: the next cycle in the common
-// case, through jumpTarget when every CPU sleeps past it.
+// case, through jumpTarget when every CPU sleeps past it. When exactly
+// one CPU is due at the next cycle, stretch ticks it alone for as long
+// as it stays the only one.
 //
 // On a machine whose cores run ahead (Machine.runAhead), every executed
 // cycle first fixes the run-ahead bound its ticks may work up to:
@@ -529,10 +544,10 @@ func (r *RunResult) IPC() float64 {
 // are returned as errors after the tick pass.
 //
 // Config.NoSkip clamps every hint and the bound to the next cycle and so
-// ticks everything, every cycle, one instruction per tick: the reference
-// the identity tests compare against. The instruments that see the order
-// of guest events across CPUs (tracer, profiler, sanitizer) clamp the
-// bound too.
+// ticks everything, every cycle, one instruction per tick, in the plain
+// tick pass: the reference the identity tests compare against. The
+// instruments that see the order of guest events across CPUs (tracer,
+// profiler, sanitizer) clamp the bound too.
 func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err error) {
 	if len(m.CPUs) == 0 {
 		return start, false, fmt.Errorf("core: machine has no CPUs")
@@ -540,6 +555,9 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	cpus := len(m.CPUs)
 	noSkip := m.Cfg.NoSkip
 	end := start + n
+	if end < start {
+		end = cpu.NoWork
+	}
 	cyc := start
 
 	// Every running CPU is due at the window's first cycle: hints are
@@ -552,6 +570,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		m.wakeAt = make([]uint64, cpus)
 		m.tickedTo = make([]uint64, cpus)
 		m.skippers = make([]cycleSkipper, cpus)
+		m.exact = make([]bool, cpus)
 	}
 	cores, wakeAt, tickedTo, skippers := m.CPUs, m.wakeAt, m.tickedTo, m.skippers
 	// wake is the earliest wake cycle over all CPUs as of the last tick
@@ -559,6 +578,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	wake := uint64(cpu.NoWork)
 	for k, c := range cores {
 		skippers[k], _ = c.(cycleSkipper)
+		_, m.exact[k] = c.(exactHinter)
 		tickedTo[k] = start
 		wakeAt[k] = cpu.NoWork
 		if !c.Done() {
@@ -577,6 +597,9 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		if m.irq.wake {
 			m.irq.wakeLive(wakeAt, cyc)
 		}
+		if wake == cpu.NoWork { // a sleeping CPU counts as alive
+			break
+		}
 		m.aheadCyc = cyc
 		if ahead {
 			m.aheadTo = cyc + 1
@@ -584,48 +607,53 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 				m.aheadTo = m.horizon(cyc, end)
 			}
 		}
-		alive := wake != cpu.NoWork // a sleeping CPU counts
-		if alive {
-			m.inTick = true
-			wake = cpu.NoWork
-			k := off
-			for i := 0; i < cpus; i++ {
-				w := wakeAt[k]
-				if w <= cyc {
-					if t := tickedTo[k]; t < cyc && skippers[k] != nil {
-						skippers[k].SkipCycles(t, cyc)
-					}
-					w = cores[k].Tick(cyc)
-					if noSkip && w != cpu.NoWork {
-						w = cyc + 1
-					}
-					wakeAt[k] = w
-					tickedTo[k] = cyc + 1
+		m.inTick = true
+		// wake2 is the second-earliest wake cycle, which is the earliest
+		// of the rest when one CPU is due alone.
+		wake = cpu.NoWork
+		wake2 := uint64(cpu.NoWork)
+		k := off
+		for i := 0; i < cpus; i++ {
+			w := wakeAt[k]
+			if w <= cyc {
+				if t := tickedTo[k]; t < cyc && skippers[k] != nil {
+					skippers[k].SkipCycles(t, cyc)
 				}
-				if w < wake {
-					wake = w
+				w = cores[k].Tick(cyc)
+				if noSkip && w != cpu.NoWork {
+					w = cyc + 1
 				}
-				if k++; k == cpus {
-					k = 0
-				}
+				wakeAt[k] = w
+				tickedTo[k] = cyc + 1
 			}
-			m.inTick = false
-			if m.raiseErr != nil {
-				tickErr, m.raiseErr = m.raiseErr, nil
-				break
-			}
-			if ahead {
-				if ev, ok := m.Events.NextCycle(); ok && ev < m.aheadTo {
-					tickErr = fmt.Errorf("core: event scheduled from tick phase at cycle %d for cycle %d, below the run-ahead bound %d", cyc, ev, m.aheadTo)
-					break
-				}
+			wake2 = min(wake2, max(w, wake)) // branch-free: which CPU wins is data
+			wake = min(wake, w)
+			if k++; k == cpus {
+				k = 0
 			}
 		}
-		if !alive {
+		m.inTick = false
+		if m.tickPhaseFault() {
+			tickErr = m.tickPhaseErr(cyc)
 			break
 		}
+		if wake <= cyc+1 && wake2 > cyc+1 && !noSkip && !m.irq.wake {
+			lone := 0
+			for wakeAt[lone] > cyc+1 {
+				lone++
+			}
+			last, err := m.stretch(lone, cyc, wake2, end, oneInst)
+			if err != nil {
+				cyc, tickErr = last, err
+				break
+			}
+			if last != cyc {
+				cyc, wake = last, min(wakeAt[lone], wake2)
+				off = int(cyc % uint64(cpus))
+			}
+		}
 		// When the last CPU has just halted the next cycle still
-		// executes, so its events and the !alive break land where they
+		// executes, so its events and the halted break land where they
 		// do without skipping.
 		step := cyc + 1
 		if wake > step && wake != cpu.NoWork && step < end {
@@ -666,21 +694,94 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	return cyc, allHalted, nil
 }
 
+// tickPhaseFault says the ticks just made left an error for
+// tickPhaseErr: an interrupt raise RaiseIRQ recorded under one of them
+// or, on a machine whose cores run ahead, an event they scheduled below
+// the bound they were handed.
+func (m *Machine) tickPhaseFault() bool {
+	if m.raiseErr != nil {
+		return true
+	}
+	if !m.runAhead {
+		return false
+	}
+	ev, ok := m.Events.NextCycle()
+	return ok && ev < m.aheadTo
+}
+
+// tickPhaseErr returns, once, the error tickPhaseFault found in the
+// ticks made at cyc.
+func (m *Machine) tickPhaseErr(cyc uint64) error {
+	if err := m.raiseErr; err != nil {
+		m.raiseErr = nil
+		return err
+	}
+	ev, _ := m.Events.NextCycle()
+	return fmt.Errorf("core: event scheduled from tick phase at cycle %d for cycle %d, below the run-ahead bound %d", cyc, ev, m.aheadTo)
+}
+
+// stretch ticks CPU k, the one running CPU due at cyc+1, alone on the
+// cycles after cyc for as long as its hint keeps it due every cycle,
+// below others (the earliest wake cycle of the rest) and below the
+// horizon, which is recomputed after every tick because a trap handler
+// under it may schedule an event. On those cycles a tick pass would find
+// no event to run, no live line (the caller checks irqLines.wake, and
+// only an event raises a line) and no other CPU due, so stretch keeps
+// only the pass's duties towards k: the SkipCycles backfill before its
+// first tick, the cycle and run-ahead bound its ticks read, and the
+// tick-phase errors after each tick. It returns the last cycle it
+// ticked (cyc if none) with that cycle's error.
+func (m *Machine) stretch(k int, cyc, others, end uint64, oneInst bool) (uint64, error) {
+	at, h := cyc+1, m.horizon(cyc, end)
+	if at >= min(others, h) {
+		return cyc, nil
+	}
+	c := m.CPUs[k]
+	if t := m.tickedTo[k]; t < at && m.skippers[k] != nil {
+		m.skippers[k].SkipCycles(t, at)
+	}
+	m.inTick = true
+	for {
+		// h is horizon(at, end): at < h, so the floor at+1 does not bind.
+		m.aheadCyc = at
+		if m.runAhead {
+			m.aheadTo = at + 1
+			if !oneInst {
+				m.aheadTo = h
+			}
+		}
+		w := c.Tick(at)
+		m.wakeAt[k], m.tickedTo[k] = w, at+1
+		if m.tickPhaseFault() {
+			m.inTick = false
+			return at, m.tickPhaseErr(at)
+		}
+		h = m.horizon(at, end)
+		if w > at+1 || at+1 >= min(others, h) {
+			break
+		}
+		at++
+	}
+	m.inTick = false
+	return at, nil
+}
+
 // jumpTarget is the slow path of the cycle loop, entered only when the
-// wake cycle of every running CPU is past cyc+1. It verifies that
-// against each CPU's NextWork proof and returns the cycle the loop
-// should execute next: cyc+1 if any proof, a live interrupt line or the
-// horizon says so, otherwise the earliest cycle at which any of them
-// next has work. A proof earlier than the CPU's wake cycle replaces it,
-// so the CPU is ticked when the jump lands. The bound is recomputed after
-// every executed cycle, so an event that schedules another event always
+// wake cycle of every running CPU is past cyc+1. It returns the cycle
+// the loop should execute next: cyc+1 if a live interrupt line or the
+// horizon says so, otherwise the earliest wake cycle. A core that
+// declares exact hints (exactHinter) is taken at its wake cycle; any
+// other is asked for its NextWork proof, which cancels the jump if it
+// says cyc+1 and replaces the wake cycle if it is earlier, so the CPU is
+// ticked when the jump lands. The bound is recomputed after every
+// executed cycle, so an event that schedules another event always
 // re-bounds the next jump; nothing scheduled from inside the jumped
 // cycles can exist, because nothing executes in them.
 func (m *Machine) jumpTarget(cyc, end uint64) uint64 {
 	step := cyc + 1
 	target := uint64(cpu.NoWork)
-	for i, c := range m.CPUs {
-		if m.wakeAt[i] == cpu.NoWork {
+	for i, w := range m.wakeAt {
+		if w == cpu.NoWork {
 			continue
 		}
 		// A pending interrupt means the kernel wants this CPU's
@@ -689,17 +790,14 @@ func (m *Machine) jumpTarget(cyc, end uint64) uint64 {
 		if i < len(m.irq.live) && m.irq.live[i] {
 			return step
 		}
-		w := c.NextWork(cyc)
-		if w <= step {
-			m.wakeAt[i] = step
-			return step
+		if !m.exact[i] {
+			if w = m.CPUs[i].NextWork(cyc); w <= step {
+				m.wakeAt[i] = step
+				return step
+			}
+			m.wakeAt[i] = min(m.wakeAt[i], w)
 		}
-		if w < m.wakeAt[i] {
-			m.wakeAt[i] = w
-		}
-		if w < target {
-			target = w
-		}
+		target = min(target, w)
 	}
 	target = min(target, m.horizon(cyc, end))
 	if target <= step {

@@ -8,6 +8,7 @@ package core
 // cross a would-be skip window, and sampler boundaries.
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -257,6 +258,7 @@ type napCore struct {
 	halted bool
 
 	ticks  []uint64    // every cycle Tick was called at
+	asked  int         // NextWork calls
 	skips  [][2]uint64 // every SkipCycles range
 	irqAt  []uint64    // cycles at which the line was found live (and acked)
 	order  *[]stubTick // service order shared by the machine's cores
@@ -284,7 +286,7 @@ func (s *napCore) Tick(now uint64) uint64 {
 			s.ctx.Halted = true
 		}
 	}
-	return s.NextWork(now + 1)
+	return s.wakeCycle(now + 1)
 }
 
 func (s *napCore) SkipCycles(from, to uint64) { s.skips = append(s.skips, [2]uint64{from, to}) }
@@ -293,6 +295,12 @@ func (s *napCore) Stats() cpu.StallStats      { return cpu.StallStats{} }
 func (s *napCore) Context() *cpu.Context      { return &s.ctx }
 func (s *napCore) FlushFetchBuffer()          {}
 func (s *napCore) NextWork(now uint64) uint64 {
+	s.asked++
+	return s.wakeCycle(now)
+}
+
+// wakeCycle is NextWork without the count, for the core's own Tick.
+func (s *napCore) wakeCycle(now uint64) uint64 {
 	if s.halted {
 		return cpu.NoWork
 	}
@@ -412,8 +420,9 @@ func TestEventPhaseIRQWakesSleeper(t *testing.T) {
 
 // TestTickPhaseRaiseIsAnError: a raise made from another core's tick
 // could find its target already run past it, so it is an error naming
-// the cycle, returned after that cycle's tick pass, and the line stays
-// down.
+// the cycle, returned after that cycle's tick, and the line stays down.
+// Cycle 10 lies inside a lone-CPU stretch (the sleeper is asleep from
+// cycle 1 to 499), so the stretch's own check is the one that returns it.
 func TestTickPhaseRaiseIsAnError(t *testing.T) {
 	raiser, sleeper := &napCore{}, &napCore{nap: 499}
 	m := napMachine(raiser, sleeper)
@@ -437,19 +446,32 @@ func TestTickPhaseRaiseIsAnError(t *testing.T) {
 
 // TestLiveLineTicksEveryCycle: a core that cannot take its interrupt yet
 // is ticked on every executed cycle while the line stays live, like the
-// reference loop does.
+// reference loop does: beside a busy core (no jump) and beside one that
+// sleeps too, where the line must cancel every jump, also on cores that
+// declare exact hints and so are never asked NextWork.
 func TestLiveLineTicksEveryCycle(t *testing.T) {
-	busy, sleeper := &napCore{}, &napCore{nap: 499}
-	m := napMachine(busy, sleeper)
-	sleeper.m = nil // never polls, so never acks
-	m.Events.Schedule(200, func(uint64) { m.RaiseIRQ(1) })
-	if _, _, err := m.RunWindow(0, 300); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		peerNap uint64
+		exact   bool
+	}{{0, false}, {999, false}, {999, true}} {
+		peer, sleeper := &napCore{nap: tc.peerNap}, &napCore{nap: 499}
+		m := napMachine(peer, sleeper)
+		if tc.exact {
+			m.CPUs[0], m.CPUs[1] = exactNap{peer}, exactNap{sleeper}
+		}
+		sleeper.m = nil // never polls, so never acks
+		m.Events.Schedule(200, func(uint64) { m.RaiseIRQ(1) })
+		if _, _, err := m.RunWindow(0, 300); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(sleeper.ticks), 1+100; got != want {
+			t.Errorf("%+v: sleeper ticked %d times, want %d (cycle 0, then 200-299)", tc, got, want)
+		}
+		if asked := peer.asked + sleeper.asked; tc.exact && asked != 0 {
+			t.Errorf("%+v: NextWork asked %d times, want 0", tc, asked)
+		}
+		checkCovered(t, sleeper, 0, 300)
 	}
-	if got, want := len(sleeper.ticks), 1+100; got != want {
-		t.Errorf("sleeper ticked %d times, want %d (cycle 0, then 200-299)", got, want)
-	}
-	checkCovered(t, sleeper, 0, 300)
 }
 
 // TestWindowEdgeMidSleep: a RunWindow call that ends while a core sleeps
@@ -492,6 +514,120 @@ func TestHaltWhileOneSleeps(t *testing.T) {
 	}
 	if len(aTicks) != 11 {
 		t.Errorf("halted core ticked %d times, want 11 (cycles 0-10)", len(aTicks))
+	}
+}
+
+// TestRunWindowToTheEnd: a window that reaches past the last cycle runs
+// to the last cycle, so a core that halts is reached under it.
+func TestRunWindowToTheEnd(t *testing.T) {
+	var log []stubTick
+	m := stubMachine(&stubCore{id: 0, haltAt: 100, log: &log})
+	if next, halted, err := m.RunWindow(1, math.MaxUint64); err != nil || !halted || next != 101 {
+		t.Fatalf("RunWindow(1, MaxUint64) = %d, %v, %v; want 101, true, nil", next, halted, err)
+	}
+	if len(log) != 100 {
+		t.Errorf("core worked on %d cycles, want 100 (1-100)", len(log))
+	}
+}
+
+// ---- exact hints and the lone-CPU stretch ----
+
+// exactNap is a napCore that declares its hints exact (exactHinter).
+type exactNap struct{ *napCore }
+
+func (exactNap) ExactHints() {}
+
+// TestExactHintsSkipNextWork: a jump takes the wake cycle of a core that
+// declares exact hints without asking it, and still asks the one that
+// does not; both are ticked exactly at their working cycles, and the
+// jumps cover the same cycles either way.
+func TestExactHintsSkipNextWork(t *testing.T) {
+	run := func(exact bool) (*napCore, *napCore, uint64) {
+		trusted, scanned := &napCore{nap: 99}, &napCore{nap: 149}
+		m := napMachine(trusted, scanned)
+		if exact {
+			m.CPUs[0] = exactNap{trusted}
+		}
+		if _, _, err := m.RunWindow(0, 1000); err != nil {
+			t.Fatal(err)
+		}
+		return trusted, scanned, m.SkippedCycles()
+	}
+	trusted, scanned, skipped := run(true)
+	refTrusted, refScanned, refSkipped := run(false)
+	if trusted.asked != 0 {
+		t.Errorf("the core with exact hints was asked NextWork %d times, want 0", trusted.asked)
+	}
+	if scanned.asked == 0 || scanned.asked != refScanned.asked {
+		t.Errorf("the core without was asked NextWork %d times, want the %d of a machine without exact hints", scanned.asked, refScanned.asked)
+	}
+	if !reflect.DeepEqual(trusted.ticks, refTrusted.ticks) || !reflect.DeepEqual(scanned.ticks, refScanned.ticks) || skipped != refSkipped {
+		t.Errorf("ticks %v %v, skipped %d; without exact hints %v %v, skipped %d",
+			trusted.ticks, scanned.ticks, skipped, refTrusted.ticks, refScanned.ticks, refSkipped)
+	}
+	if want := []uint64{0, 100, 200, 300, 400, 500, 600, 700, 800, 900}; !reflect.DeepEqual(trusted.ticks, want) {
+		t.Errorf("core with exact hints ticked at %v, want %v", trusted.ticks, want)
+	}
+	checkCovered(t, trusted, 0, 1000)
+	checkCovered(t, scanned, 0, 1000)
+}
+
+// TestLoneCoreStretch: a core that works on every cycle while the others
+// sleep is ticked on every one of them up to the earliest other wake,
+// the next event (one it schedules under its own tick among them) and
+// the window's end, with the cores due together served in rotation
+// order. Its first tick after a nap charges the nap (SkipCycles), also
+// when that tick opens a stretch (cycle 101, after another core's tick
+// at 100), and every core's ticks and ranges tile the window.
+func TestLoneCoreStretch(t *testing.T) {
+	const end = 250
+	var order []stubTick
+	lone, a, b := &napCore{order: &order}, &napCore{nap: 99, order: &order}, &napCore{nap: 149, order: &order}
+	m := napMachine(lone, a, b)
+	var seen []int
+	event := func(uint64) { seen = append(seen, len(lone.ticks)) }
+	lone.onWork = func(now uint64) {
+		switch now {
+		case 9:
+			lone.next = 30 // naps over 10-29
+		case 40:
+			m.Events.Schedule(45, event)
+		case 60:
+			lone.next = 101 // naps over 61-100
+		}
+	}
+	m.Events.Schedule(130, event)
+	if next, _, err := m.RunWindow(0, end); err != nil || next != end {
+		t.Fatalf("RunWindow = %d, %v; want %d", next, err, end)
+	}
+	works := func(id int, cyc uint64) bool {
+		switch id {
+		case 0:
+			return cyc < 10 || cyc >= 30 && cyc <= 60 || cyc >= 101
+		case 1:
+			return cyc%100 == 0
+		}
+		return cyc%150 == 0
+	}
+	var want []stubTick
+	for cyc := uint64(0); cyc < end; cyc++ {
+		for i := 0; i < 3; i++ {
+			if id := (i + int(cyc%3)) % 3; works(id, cyc) {
+				want = append(want, stubTick{cyc, id})
+			}
+		}
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("service order diverges from the rotation over the working cores:\n got %v\nwant %v", order, want)
+	}
+	if want := []int{10 + 45 - 30, 10 + 31 + 130 - 101}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("the events at 45 and 130 found the lone core ticked %v times, want %v (through cycles 44 and 129)", seen, want)
+	}
+	if want := [][2]uint64{{10, 30}, {61, 101}}; !reflect.DeepEqual(lone.skips, want) {
+		t.Errorf("lone core's SkipCycles ranges %v, want %v", lone.skips, want)
+	}
+	for _, c := range []*napCore{lone, a, b} {
+		checkCovered(t, c, 0, end)
 	}
 }
 
@@ -703,7 +839,8 @@ func TestLoneRunnerTicksOnce(t *testing.T) {
 // TestTickPhaseEventBelowBound: an event scheduled under a core's tick
 // for a cycle that another core may already have run past is an error
 // naming the cycle; at or past the bound (here a no-op event's) it is an
-// ordinary event.
+// ordinary event. The scheduling core runs alone from cycle 1 (the other
+// ran ahead to 64), so cycle 10 lies inside a lone-CPU stretch.
 func TestTickPhaseEventBelowBound(t *testing.T) {
 	for _, tc := range []struct {
 		at      uint64
@@ -733,33 +870,50 @@ func TestTickPhaseEventBelowBound(t *testing.T) {
 
 // quietCore is a stub core whose Tick never allocates (unlike stubCore,
 // which appends to a shared log), so it can sit under a 0-allocs/op
-// benchmark: asleep until blockedUntil, then runnable every cycle.
+// benchmark: asleep until blockedUntil, then runnable every cycle, or,
+// with nap set, asleep nap cycles after every tick.
 type quietCore struct {
 	blockedUntil uint64
+	nap          uint64
 	ctx          cpu.Context
 }
 
-func (s *quietCore) Tick(now uint64) uint64 { return s.NextWork(now) }
-func (s *quietCore) Done() bool             { return false }
-func (s *quietCore) Stats() cpu.StallStats  { return cpu.StallStats{} }
-func (s *quietCore) Context() *cpu.Context  { return &s.ctx }
-func (s *quietCore) FlushFetchBuffer()      {}
+func (s *quietCore) Tick(now uint64) uint64 {
+	if s.nap != 0 {
+		s.blockedUntil = now + s.nap
+	}
+	return s.NextWork(now)
+}
+func (s *quietCore) Done() bool            { return false }
+func (s *quietCore) Stats() cpu.StallStats { return cpu.StallStats{} }
+func (s *quietCore) Context() *cpu.Context { return &s.ctx }
+func (s *quietCore) FlushFetchBuffer()     {}
 func (s *quietCore) NextWork(now uint64) uint64 {
 	return max(now, s.blockedUntil)
 }
 
+// exactQuiet is a quietCore that declares its hints exact.
+type exactQuiet struct{ *quietCore }
+
+func (exactQuiet) ExactHints() {}
+
 // BenchmarkRunWindow times the cycle loop alone, over stub cores whose
-// Tick does nothing: ns/op is host time per executed cycle on a
-// four-CPU machine, with every core due on every cycle and with one
-// core due while three sleep. Both must stay at 0 allocs/op (CI greps).
-// sampler is all-awake with an interval sampler probing a shared-memory
-// system every 1000 cycles; each sample allocates, so it is not gated.
+// Tick does nothing, on a four-CPU machine. all-awake has every core
+// due on every cycle; one-of-four has one core due while three sleep
+// (the lone-CPU stretch); staggered-jump has every core sleep 17, 19, 23
+// and 29 cycles after each tick and declare exact hints, so most
+// executed cycles tick one core and jump. ns/op is host time per
+// simulated cycle, which is per executed cycle in the first two. All
+// three must stay at 0 allocs/op (CI greps). sampler is all-awake with
+// an interval sampler probing a shared-memory system every 1000 cycles;
+// each sample allocates, so it is not gated.
 func BenchmarkRunWindow(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		asleep  int
+		naps    []uint64
 		sampler bool
-	}{{"all-awake", 0, false}, {"one-of-four", 3, false}, {"sampler", 0, true}} {
+	}{{"all-awake", 0, nil, false}, {"one-of-four", 3, nil, false}, {"staggered-jump", 0, []uint64{17, 19, 23, 29}, false}, {"sampler", 0, nil, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := &Machine{}
 			for i := 0; i < 4; i++ {
@@ -767,7 +921,12 @@ func BenchmarkRunWindow(b *testing.B) {
 				if i < bc.asleep {
 					c.blockedUntil = 1 << 62
 				}
-				m.CPUs = append(m.CPUs, c)
+				if bc.naps == nil {
+					m.CPUs = append(m.CPUs, c)
+					continue
+				}
+				c.nap = bc.naps[i]
+				m.CPUs = append(m.CPUs, exactQuiet{c})
 			}
 			if bc.sampler {
 				m.Sys = memsys.NewSharedMem(memsys.DefaultConfig())

@@ -113,6 +113,11 @@ func (c *CPU) NextWork(now uint64) uint64 {
 	return now
 }
 
+// ExactHints declares Tick's wake cycle exact to the cycle loop: it is
+// nextFree, which NextWork answers at every cycle before it, so a
+// quiescence jump takes it without asking NextWork again.
+func (c *CPU) ExactHints() {}
+
 // Tick does the CPU's work at cycle now (deliver an interrupt, or fetch
 // and execute one instruction, or nothing while a memory reference
 // blocks it), then runs ahead through the instructions that follow, and

@@ -293,6 +293,13 @@ func (c *CPU) Tick(now uint64) uint64 {
 	return c.NextWork(now)
 }
 
+// ExactHints declares Tick's wake cycle exact to the cycle loop: a
+// stalled tick returns NextWork, and across the cycles it rules out the
+// state NextWork reads does not change (the sleep oracle of
+// masks_test.go ticks them and checks), so it answers the same cycle
+// there and a quiescence jump takes the hint without asking again.
+func (c *CPU) ExactHints() {}
+
 // NextWork implements the scheduler's quiescence probe: the earliest
 // cycle at or after now at which Tick can make progress or have a
 // per-cycle side effect beyond stall blame (which SkipCycles backfills).

@@ -171,7 +171,11 @@ func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
 	m.Sys = &sysCounter{m.Sys, &work}
 	must(w.Configure(m))
 	for k, c := range m.CPUs {
-		m.CPUs[k] = &coreCounter{c, &work}
+		cc := &coreCounter{c, &work}
+		m.CPUs[k] = cc
+		if _, ok := c.(interface{ ExactHints() }); ok {
+			m.CPUs[k] = exactCounter{cc}
+		}
 	}
 	res, err := m.Run(2_000_000_000)
 	must(err)
@@ -238,6 +242,13 @@ func (c *coreCounter) SkipCycles(from, to uint64) {
 		s.SkipCycles(from, to)
 	}
 }
+
+// exactCounter is a coreCounter around a model that declares exact wake
+// hints, and declares them too, so the NextWork column counts the calls
+// the default loop makes.
+type exactCounter struct{ *coreCounter }
+
+func (exactCounter) ExactHints() {}
 
 // TestLedger holds every exact count of the repo to testdata/ledger.json
 // and the memory-bound Mipsy rows to skipFloor. A re-baseline is a
