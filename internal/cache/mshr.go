@@ -47,9 +47,12 @@ func (m *MSHRFile) SetTracer(tr obsv.Tracer, cpu int) {
 }
 
 // reap drops entries whose fills have completed by now, swapping the
-// last slot into the hole. Entries are reaped lazily, so retire events
-// can be emitted well after their timestamped completion cycle; tracers
-// must tolerate that (sinks sort).
+// last slot into the hole. Dropping them is exact because a file is
+// asked at nondecreasing cycles: the cycle loop makes every
+// memory-system call in cycle order across the machine (the sanitizer's
+// cycle-monotonic rule checks it). Entries are reaped at the next call,
+// so retire events can be emitted well after their timestamped
+// completion cycle; tracers must tolerate that (sinks sort).
 func (m *MSHRFile) reap(now uint64) {
 	if m.trace == nil {
 		for i := 0; i < len(m.entries); {

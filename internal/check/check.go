@@ -3,7 +3,7 @@
 // when -sanitize is set. Where package lint proves properties of the
 // source, check validates the actual simulated state — MESI legality,
 // single-writer/multiple-reader, directory/L1 agreement, inclusion,
-// per-CPU time monotonicity and MSHR leak-freedom at drain.
+// machine-wide time monotonicity and MSHR leak-freedom at drain.
 //
 // The Checker also implements obsv.Tracer: teed into Config.Trace it
 // keeps the last N events in a ring, and a violation panics with a
@@ -61,7 +61,8 @@ type NodeState struct {
 // Checker validates transactions. The zero value is not usable; use New.
 type Checker struct {
 	trail   *obsv.Ring
-	lastNow []uint64 // per-CPU last access time
+	lastNow uint64 // the machine's last access time
+	lastCPU int    // the CPU that made that access
 	checks  uint64
 }
 
@@ -84,20 +85,19 @@ func (c *Checker) fail(rule, format string, args ...any) {
 }
 
 // CheckAccessTime validates one completed reference: the completion
-// cannot precede the request, and each CPU's request times must be
-// nondecreasing (the cycle loop never moves a CPU backwards in time).
+// cannot precede the request, and request times must be nondecreasing
+// across the whole machine (the cycle loop makes every CPU's references
+// in cycle order, so no CPU's reference reaches a shared level before
+// an earlier one of another CPU).
 func (c *Checker) CheckAccessTime(now, done uint64, cpu int, addr uint32) {
 	c.checks++
 	if done < now {
 		c.fail("cycle-monotonic", "cpu %d access of %#x at cycle %d completed at %d, before it was issued", cpu, addr, now, done)
 	}
-	for len(c.lastNow) <= cpu {
-		c.lastNow = append(c.lastNow, 0)
+	if now < c.lastNow {
+		c.fail("cycle-monotonic", "cpu %d issued an access at cycle %d after cpu %d's at cycle %d", cpu, now, c.lastCPU, c.lastNow)
 	}
-	if now < c.lastNow[cpu] {
-		c.fail("cycle-monotonic", "cpu %d issued an access at cycle %d after one at cycle %d", cpu, now, c.lastNow[cpu])
-	}
-	c.lastNow[cpu] = now
+	c.lastNow, c.lastCPU = now, cpu
 }
 
 // CheckMESI validates the coherence protocol's global state for one

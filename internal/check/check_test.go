@@ -9,8 +9,8 @@ import (
 )
 
 // mustViolate runs f and requires it to panic with a *Violation on the
-// given rule.
-func mustViolate(t *testing.T, rule string, f func()) *Violation {
+// given rule, which it returns.
+func mustViolate(t *testing.T, rule string, f func()) (v *Violation) {
 	t.Helper()
 	defer func() {
 		t.Helper()
@@ -18,8 +18,8 @@ func mustViolate(t *testing.T, rule string, f func()) *Violation {
 		if r == nil {
 			t.Fatalf("expected a %q violation, got none", rule)
 		}
-		v, ok := r.(*Violation)
-		if !ok {
+		var ok bool
+		if v, ok = r.(*Violation); !ok {
 			t.Fatalf("panic value %T, want *Violation", r)
 		}
 		if v.Rule != rule {
@@ -47,11 +47,22 @@ func TestAccessTimeViolations(t *testing.T) {
 		c2.CheckAccessTime(50, 51, 1, 0x2000) // CPU 1 moved backwards
 	})
 
-	// Different CPUs may interleave at different times.
-	c3 := New(8)
-	c3.CheckAccessTime(100, 101, 0, 0x1000)
-	c3.CheckAccessTime(50, 51, 1, 0x2000)
-	c3.CheckAccessTime(101, 102, 0, 0x3000)
+	// The order is machine-wide: CPU 1 may not issue below CPU 0's
+	// last access, and the violation names both CPUs.
+	v := mustViolate(t, "cycle-monotonic", func() {
+		c3 := New(8)
+		c3.CheckAccessTime(100, 101, 0, 0x1000)
+		c3.CheckAccessTime(50, 51, 1, 0x2000)
+	})
+	if !strings.Contains(v.Msg, "cpu 1 issued an access at cycle 50 after cpu 0's at cycle 100") {
+		t.Errorf("violation %v does not name both CPUs and cycles", v)
+	}
+
+	// CPUs interleave at one cycle and move forward together.
+	c4 := New(8)
+	c4.CheckAccessTime(100, 101, 1, 0x1000)
+	c4.CheckAccessTime(100, 101, 0, 0x2000)
+	c4.CheckAccessTime(101, 102, 1, 0x3000)
 }
 
 func TestMESIViolations(t *testing.T) {

@@ -545,9 +545,11 @@ func (r *RunResult) IPC() float64 {
 //
 // Config.NoSkip clamps every hint and the bound to the next cycle and so
 // ticks everything, every cycle, one instruction per tick, in the plain
-// tick pass: the reference the identity tests compare against. The
-// instruments that see the order of guest events across CPUs (tracer,
-// profiler, sanitizer) clamp the bound too.
+// tick pass: the reference the identity tests compare against. No
+// instrument (tracer, profiler, sanitizer) moves the bound: every
+// memory-system call past a CPU's own I-cache, every image access and
+// every trap is made in the reference's (cycle, rotation) order whatever
+// the bound, so the instruments see the default schedule.
 func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err error) {
 	if len(m.CPUs) == 0 {
 		return start, false, fmt.Errorf("core: machine has no CPUs")
@@ -590,7 +592,6 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	// arbitration order through a narrowing conversion on 32-bit ints.
 	off := int(cyc % uint64(cpus))
 	ahead := m.runAhead
-	oneInst := noSkip || m.Cfg.Trace != nil || m.Cfg.Prof != nil || m.Cfg.Check != nil
 	var tickErr error
 	for cyc < end {
 		m.Events.RunUntil(cyc)
@@ -603,7 +604,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 		m.aheadCyc = cyc
 		if ahead {
 			m.aheadTo = cyc + 1
-			if !oneInst {
+			if !noSkip {
 				m.aheadTo = m.horizon(cyc, end)
 			}
 		}
@@ -642,7 +643,7 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 			for wakeAt[lone] > cyc+1 {
 				lone++
 			}
-			last, err := m.stretch(lone, cyc, wake2, end, oneInst)
+			last, err := m.stretch(lone, cyc, wake2, end)
 			if err != nil {
 				cyc, tickErr = last, err
 				break
@@ -731,7 +732,7 @@ func (m *Machine) tickPhaseErr(cyc uint64) error {
 // first tick, the cycle and run-ahead bound its ticks read, and the
 // tick-phase errors after each tick. It returns the last cycle it
 // ticked (cyc if none) with that cycle's error.
-func (m *Machine) stretch(k int, cyc, others, end uint64, oneInst bool) (uint64, error) {
+func (m *Machine) stretch(k int, cyc, others, end uint64) (uint64, error) {
 	at, h := cyc+1, m.horizon(cyc, end)
 	if at >= min(others, h) {
 		return cyc, nil
@@ -745,10 +746,7 @@ func (m *Machine) stretch(k int, cyc, others, end uint64, oneInst bool) (uint64,
 		// h is horizon(at, end): at < h, so the floor at+1 does not bind.
 		m.aheadCyc = at
 		if m.runAhead {
-			m.aheadTo = at + 1
-			if !oneInst {
-				m.aheadTo = h
-			}
+			m.aheadTo = h
 		}
 		w := c.Tick(at)
 		m.wakeAt[k], m.tickedTo[k] = w, at+1

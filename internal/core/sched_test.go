@@ -698,8 +698,9 @@ func aheadMachine(cores ...*aheadCore) *Machine {
 
 // TestRunAheadBoundTerms: on every executed cycle the bound is the
 // earlier of the window's end and the next event (the sampler's among
-// them), and never below the next cycle; NoSkip and each instrument that sees cross-CPU
-// order clamp it to the next cycle. The shared bound is that bound
+// them), and never below the next cycle; NoSkip clamps it to the next
+// cycle, and no instrument (tracer, profiler, sanitizer) moves it. The
+// shared bound is that bound
 // lowered to the wake cycle of every other running CPU, one still due in
 // the cycle's rotation counting as the next cycle and a halted one not
 // at all. Both are zero outside RunWindow.
@@ -727,10 +728,8 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		}
 	}
 
-	m, c := setup()
-	run(m, c)
-	for _, nb := range c.bounds {
-		now := nb[0]
+	// bound is the default bound at cycle now.
+	bound := func(now uint64) uint64 {
 		want := uint64(end)
 		switch { // an event at now has fired by the time the bound is fixed
 		case now < 100:
@@ -740,31 +739,31 @@ func TestRunAheadBoundTerms(t *testing.T) {
 		}
 		// The sample due at d is an event at the front of d+1.
 		want = min(want, max((now+interval-1)/interval, 1)*interval+1)
-		want = max(want, now+1)
-		if nb[1] != want || nb[2] != want {
-			t.Errorf("bound at cycle %d = %d, shared %d, want %d for both (no other CPU)", now, nb[1], nb[2], want)
-		}
+		return max(want, now+1)
 	}
-
-	clamps := map[string]func(m *Machine){
-		"NoSkip": func(m *Machine) { m.Cfg.NoSkip = true },
-		"Trace":  func(m *Machine) { m.Cfg.Trace = obsv.NewRing(16) },
-		"Prof":   func(m *Machine) { m.Cfg.Prof = prof.New(1, 32) },
-		"Check":  func(m *Machine) { m.Cfg.Check = check.New(16) },
-	}
-	for name, clamp := range clamps {
+	for name, attach := range map[string]func(m *Machine){
+		"default": func(*Machine) {},
+		"NoSkip":  func(m *Machine) { m.Cfg.NoSkip = true },
+		"Trace":   func(m *Machine) { m.Cfg.Trace = obsv.NewRing(16) },
+		"Prof":    func(m *Machine) { m.Cfg.Prof = prof.New(1, 32) },
+		"Check":   func(m *Machine) { m.Cfg.Check = check.New(16) },
+	} {
 		m, c := setup()
-		clamp(m)
+		attach(m)
 		run(m, c)
 		for _, nb := range c.bounds {
-			if nb[1] != nb[0]+1 || nb[2] != nb[0]+1 {
-				t.Fatalf("%s: bound at cycle %d = %d, shared %d, want %d", name, nb[0], nb[1], nb[2], nb[0]+1)
+			want := bound(nb[0])
+			if name == "NoSkip" {
+				want = nb[0] + 1
+			}
+			if nb[1] != want || nb[2] != want {
+				t.Fatalf("%s: bound at cycle %d = %d, shared %d, want %d for both (no other CPU)", name, nb[0], nb[1], nb[2], want)
 			}
 		}
 	}
 
 	// Cores that take no bound: the machine never computes one.
-	m, c = setup()
+	m, c := setup()
 	m.runAhead = false
 	run(m, c)
 	for _, nb := range c.bounds {

@@ -118,162 +118,152 @@ func (c *CPU) NextWork(now uint64) uint64 {
 // quiescence jump takes it without asking NextWork again.
 func (c *CPU) ExactHints() {}
 
-// Tick does the CPU's work at cycle now (deliver an interrupt, or fetch
-// and execute one instruction, or nothing while a memory reference
-// blocks it), then runs ahead through the instructions that follow, and
-// returns the scheduler's quiescence hint (see core.Core): nextFree,
-// which after an executed instruction is exactly the next cycle this CPU
-// can do anything, and during a memory stall is the cycle the blocking
-// access completes. The hint costs nothing — nextFree is already in hand
-// on every path.
+// Tick does the CPU's work from cycle now on and returns the scheduler's
+// quiescence hint (see core.Core): nextFree, which after an executed
+// instruction is exactly the next cycle this CPU can do anything, and
+// during a memory stall is the cycle the blocking access completes. A
+// free CPU first takes a pending interrupt at the instruction boundary;
+// then it runs (see run). The hint costs nothing — nextFree is already
+// in hand on every path.
 func (c *CPU) Tick(now uint64) uint64 {
-	c.step(now)
-	if c.irq != nil {
-		if bound := c.irq.RunAheadBound(); c.nextFree < bound {
-			c.runAhead(bound)
-		}
-	}
-	if c.ctx.Halted {
+	ctx := c.ctx
+	if ctx.Halted {
 		return cpu.NoWork
 	}
-	if c.nextFree > now {
-		return c.nextFree
+	if now >= c.nextFree {
+		c.nextFree = now
+		if *c.line {
+			// Deliver at the instruction boundary: the PC is the resume point.
+			c.irq.AckInterrupt(c.id)
+			extra := c.trap.Syscall(now, c.id, ctx, cpu.IRQ)
+			c.fetchLine = invalidLine
+			c.nextFree = now + 1 + extra
+		}
 	}
-	// Faulted (but not halted) or an unreached corner: stay per-cycle.
-	return now + 1
+	// A line still live was found by a tick at which the CPU is still
+	// blocked: the instruction at nextFree belongs to the interrupt, which
+	// the tick at nextFree delivers. A handler may also have halted the
+	// CPU.
+	if !*c.line && !ctx.Halted {
+		c.run(now)
+	}
+	if ctx.Halted {
+		return cpu.NoWork
+	}
+	return c.nextFree
 }
 
-// runAhead executes the instructions after the one step ran, each at
-// its own cycle nextFree, which is the cycle the one-instruction tick
-// executes it at, for as long as that cycle is below bound and the
-// instruction sits in the text region already held (no TextAt).
+// run executes instructions, each at its own cycle nextFree, for as
+// long as one rule allows; the instruction that ends a run is left for
+// the tick at its own cycle.
 //
-// A CPU-local instruction (cpu.UopLocal: not a memory operation, SYSCALL
-// or HALT) reads and writes nothing but ctx, stats and nextFree if its
-// line is the fetch line already held, and nothing else but the CPU's
-// own I-cache, whose state and counters no other CPU touches, if its
-// line is one ihit says hits (memsys.IFetchHitter). Nobody outside the
-// CPU looks at any of those before bound (cpu.InterruptSource), so
-// executing it now or in a tick of its own is the same run.
+// The instruction at now, the tick's own cycle, may do anything: fault,
+// trap, halt, or switch the text region (cpu.CodeSource's TextAt).
 //
-// Any other instruction but SYSCALL and HALT (a load, a store, LL, SC,
-// or the first instruction of a line the I-cache misses) also runs if
-// its cycle is below the shared bound, asked once, when the run first
-// reaches one: no other CPU acts below it, so its IFetch, Access,
-// SCCheck, LLReserve and image accesses come in the order the
-// one-instruction tick makes them. A refused reference stays at its PC
-// and is retried at the next cycle, as in its own ticks. The instruction
-// is looked at before its line is fetched, so a run never fetches the
-// line of a trap it will not execute.
+// A later instruction runs if it is CPU-local (cpu.UopLocal: not a
+// memory operation, SYSCALL or HALT), its line is the fetch line already
+// held or one ihit says the CPU's I-cache holds (memsys.IFetchHitter),
+// and its cycle is below the run-ahead bound. It then reads and writes
+// nothing but ctx, stats, nextFree and the CPU's own I-cache, whose
+// state and counters no other CPU touches, and nobody outside the CPU
+// looks at any of those before the bound (cpu.InterruptSource).
 //
-// The instruction that ends a run is left for the tick at its own cycle.
-// The interrupt line is polled once, not per instruction: it cannot rise
-// below bound, but it may be live already when the tick found the CPU
-// still blocked, and the instruction at nextFree then belongs to the
-// interrupt.
-func (c *CPU) runAhead(bound uint64) {
+// Any other later instruction but SYSCALL and HALT (a load, a store, LL,
+// SC, or one whose line the I-cache misses) runs if its cycle is below
+// the shared bound, asked once, when the run first reaches one: no other
+// CPU acts below it, so its IFetch, Access, SCCheck, LLReserve and image
+// accesses come in the (cycle, rotation) order of the loop that ticks
+// every CPU every cycle. A later instruction outside the held text
+// region ends the run. The instruction is looked at before its line is
+// fetched, so a run never fetches the line of a trap it will not
+// execute.
+//
+// A fetch that misses only moves nextFree to the cycle before the line
+// arrives, and the rule is applied again there; a refused reference
+// stays at its PC and is retried at the next cycle. No instruction
+// therefore runs at a cycle the rule has not allowed. The interrupt line
+// cannot rise inside a tick, so it is not polled here.
+func (c *CPU) run(now uint64) {
 	ctx := c.ctx
-	if ctx.Halted || *c.line {
-		return
+	// lim is the run-ahead bound, raised past now: the instruction at the
+	// tick's own cycle always runs. No interrupt source allows nothing
+	// more.
+	lim := now + 1
+	if c.irq != nil {
+		lim = max(lim, c.irq.RunAheadBound())
 	}
 	// The shared bound, once asked for. An answer at or below the
 	// instruction's cycle ends the run, so zero means not asked yet.
 	shared := uint64(0)
-	for c.nextFree < bound {
+	for c.nextFree < lim {
 		ppc, ok := ctx.Space.Translate(ctx.PC)
-		if !ok {
-			return
-		}
+		// ppc below textBase wraps to a huge index, so one compare covers
+		// both ends of the region.
 		i := (ppc - c.textBase) / 4
-		if i >= uint32(len(c.text)) {
-			return
+		if !ok || i >= uint32(len(c.text)) {
+			switch {
+			case c.nextFree != now:
+				return
+			case !ok:
+				ctx.Faultf("instruction fetch from unmapped address %#x", ctx.PC)
+				return
+			}
+			if c.text, c.textBase, ok = c.code.TextAt(ppc); !ok {
+				ctx.Faultf("no code at %#x (pc %#x)", ppc, ctx.PC)
+				return
+			}
+			i = (ppc - c.textBase) / 4
 		}
 		u := &c.text[i]
-		if u.Flags&cpu.UopLocal != 0 && (ppc&c.lineMask == c.fetchLine || c.hitLine(c.nextFree, ppc)) {
+		if u.Flags&cpu.UopLocal != 0 && ppc&c.lineMask == c.fetchLine {
 			c.execute(c.nextFree, ppc, u)
 			continue
 		}
-		if u.Flags&cpu.UopFetchStop != 0 {
-			return
-		}
 		cur := c.nextFree
-		if shared == 0 {
-			shared = c.irq.SharedBound(c.id)
+		// A later instruction needs the shared bound unless it is local
+		// and its line hits the I-cache. The tick's own instruction needs
+		// neither bound and fetches its line without asking ihit.
+		if cur != now && (u.Flags&cpu.UopLocal == 0 || !c.hitLine(cur, ppc)) {
+			if u.Flags&cpu.UopFetchStop != 0 {
+				return
+			}
+			if shared == 0 {
+				shared = c.irq.SharedBound(c.id)
+			}
+			if cur >= shared {
+				return
+			}
 		}
-		if cur >= shared {
-			return
-		}
-		if ppc&c.lineMask != c.fetchLine {
-			cur = c.fetch(cur, ppc)
+		if ppc&c.lineMask != c.fetchLine && !c.fetch(cur, ppc) {
+			continue // the instruction waits for its line
 		}
 		c.execute(cur, ppc, u)
 		if ctx.Halted {
-			return // a data reference faulted
-		}
-	}
-}
-
-// step executes the cycle: deliver a pending interrupt at the
-// instruction boundary, or fetch and run one instruction if the CPU is
-// free.
-func (c *CPU) step(now uint64) {
-	ctx := c.ctx
-	if ctx.Halted || now < c.nextFree {
-		return
-	}
-	if *c.line {
-		// Deliver at the instruction boundary: the PC is the resume point.
-		c.irq.AckInterrupt(c.id)
-		extra := c.trap.Syscall(now, c.id, ctx, cpu.IRQ)
-		c.fetchLine = invalidLine
-		c.nextFree = now + 1 + extra
-		return
-	}
-	pc := ctx.PC
-	ppc, ok := ctx.Space.Translate(pc)
-	if !ok {
-		ctx.Faultf("instruction fetch from unmapped address %#x", pc)
-		return
-	}
-
-	cur := now
-	if ppc&c.lineMask != c.fetchLine {
-		cur = c.fetch(cur, ppc)
-	}
-
-	// ppc below textBase wraps to a huge index, so one compare covers
-	// both ends of the region.
-	i := (ppc - c.textBase) / 4
-	if i >= uint32(len(c.text)) {
-		if c.text, c.textBase, ok = c.code.TextAt(ppc); !ok {
-			ctx.Faultf("no code at %#x (pc %#x)", ppc, pc)
 			return
 		}
-		i = (ppc - c.textBase) / 4
 	}
-
-	c.execute(cur, ppc, &c.text[i])
 }
 
 // fetch fetches the line holding ppc at cycle cur, charging the stall,
-// and returns the cycle the instruction at ppc executes at: cur, or the
-// cycle before the line arrives.
-func (c *CPU) fetch(cur uint64, ppc uint32) uint64 {
+// and reports whether the line is there at the next cycle. If it is not,
+// nextFree moves to the cycle before it arrives, the instruction's cycle.
+func (c *CPU) fetch(cur uint64, ppc uint32) bool {
 	r := c.mem.IFetch(cur, c.id, ppc)
 	c.fetchLine = ppc & c.lineMask
-	if r.Done > cur+1 {
-		c.stats.IStall[r.Level] += r.Done - (cur + 1)
-		if c.prof != nil {
-			c.prof.IStallPC(ppc, uint8(r.Level), r.Done-(cur+1))
-		}
-		cur = r.Done - 1 //simlint:allow cycleflow — r.Done > cur+1 here, so r.Done >= 2
+	if r.Done <= cur+1 {
+		return true
 	}
-	return cur
+	c.stats.IStall[r.Level] += r.Done - (cur + 1)
+	if c.prof != nil {
+		c.prof.IStallPC(ppc, uint8(r.Level), r.Done-(cur+1))
+	}
+	c.nextFree = r.Done - 1 //simlint:allow cycleflow — r.Done > cur+1 here, so r.Done >= 2
+	return false
 }
 
 // hitLine fetches the line holding ppc at cycle cur if ihit says the
 // fetch hits, and reports whether it did. A hit arrives at the next
-// cycle, so fetch charges no stall and returns cur.
+// cycle, so fetch charges no stall.
 func (c *CPU) hitLine(cur uint64, ppc uint32) bool {
 	if c.ihit == nil || !c.ihit.IFetchHit(c.id, ppc) {
 		return false

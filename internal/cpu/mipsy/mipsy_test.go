@@ -296,10 +296,12 @@ func TestCPUIDDistinguishesCPUs(t *testing.T) {
 
 type recordingTrap struct {
 	calls []int32
+	at    []uint64 // the cycle of each call
 }
 
 func (r *recordingTrap) Syscall(now uint64, cpuID int, ctx *cpu.Context, num int32) uint64 {
 	r.calls = append(r.calls, num)
+	r.at = append(r.at, now)
 	ctx.Regs[asm.RV] = uint32(num) * 2
 	return 5
 }

@@ -19,18 +19,34 @@ import (
 const lineBytes = 32 // eight instructions to a fetch line
 
 // flatMem answers every data reference after dataLat cycles and every
-// instruction fetch after fetchLat, and counts its calls. The refuse data
-// references from number refuseFrom on (counted from 1, retries
-// included) are refused, as a full MSHR file refuses them.
+// instruction fetch after fetchLat, and counts its calls; last is the
+// cycle of the last data reference. The refuse data references from
+// number refuseFrom on (counted from 1, retries included) are refused,
+// as a full MSHR file refuses them.
 type flatMem struct {
 	dataLat, fetchLat  uint64
 	refuseFrom, refuse int
 	accesses, fetches  int
+	last               uint64
+
+	// tick and shared are the cycle of the Tick under way and the shared
+	// bound it was handed, kept up to date by the test that reads
+	// outside: the calls made at any other cycle at or past the bound.
+	tick, shared uint64
+	outside      int
+}
+
+func (m *flatMem) order(now uint64) {
+	if now != m.tick && now >= m.shared {
+		m.outside++
+	}
 }
 
 func (m *flatMem) Name() string { return "flat" }
 func (m *flatMem) Access(now uint64, _ int, _ uint32, _ bool) (memsys.Result, bool) {
 	m.accesses++
+	m.last = now
+	m.order(now)
 	if m.accesses >= m.refuseFrom && m.accesses < m.refuseFrom+m.refuse {
 		return memsys.Result{Done: now + m.dataLat, Level: memsys.LvlL2}, false
 	}
@@ -38,6 +54,7 @@ func (m *flatMem) Access(now uint64, _ int, _ uint32, _ bool) (memsys.Result, bo
 }
 func (m *flatMem) IFetch(now uint64, _ int, _ uint32) memsys.Result {
 	m.fetches++
+	m.order(now)
 	return memsys.Result{Done: now + m.fetchLat, Level: memsys.LvlL1}
 }
 func (m *flatMem) LLReserve(int, uint32)    {}
@@ -145,6 +162,7 @@ func (r *aheadRig) insts() uint64 { return r.c.Stats().Instructions }
 // the reference the run-ahead is held to.
 func (r *aheadRig) tickTo(w uint64) {
 	for ; r.now < w; r.now++ {
+		r.mem.tick = r.now
 		r.c.Tick(r.now)
 	}
 }
@@ -162,8 +180,9 @@ func sameAsReference(t *testing.T, r, ref *aheadRig, w uint64) {
 	if r.c.Stats() != ref.c.Stats() || r.c.nextFree != ref.c.nextFree {
 		t.Errorf("stats %+v nextFree %d, reference %+v %d", r.c.Stats(), r.c.nextFree, ref.c.Stats(), ref.c.nextFree)
 	}
-	if *r.mem != *ref.mem {
-		t.Errorf("memory calls %+v, reference %+v", *r.mem, *ref.mem)
+	if got, want := [3]uint64{uint64(r.mem.accesses), uint64(r.mem.fetches), r.mem.last},
+		[3]uint64{uint64(ref.mem.accesses), uint64(ref.mem.fetches), ref.mem.last}; got != want {
+		t.Errorf("memory calls (data references, missed fetches, cycle of the last reference) %v, reference %v", got, want)
 	}
 	if r.ic != nil && r.ic.hits != ref.ic.hits {
 		t.Errorf("%d I-cache hits, reference %d", r.ic.hits, ref.ic.hits)
@@ -373,11 +392,15 @@ func mixProgram(rng *rand.Rand, n int) *asm.Builder {
 
 // TestRunAheadMatchesReference: on a random ALU/branch/load mix over a
 // memory that refuses a few references, registers, PC, Stats and
-// nextFree after N cycles are those of the one-instruction-per-tick CPU,
+// nextFree after N cycles are those of the CPU without an interrupt
+// source, which runs only the instruction at its tick's own cycle,
 // ticked every cycle, whatever the bound, whether the shared bound
 // allows nothing or reaches the bound, and whether the memory has an
 // I-cache that holds two lines in three; Tick's return is NextWork, and
-// the memory system sees the same calls.
+// the memory system sees the same calls. Neither CPU makes a data
+// reference or a missed fetch at a cycle other than its tick's unless
+// the shared bound is above it: the instruction after a missed line
+// waits for the tick at its own cycle like any other.
 func TestRunAheadMatchesReference(t *testing.T) {
 	const cycles = 20000
 	newMem := func() *flatMem { return &flatMem{dataLat: 3, fetchLat: 2, refuseFrom: 40, refuse: 5} }
@@ -406,6 +429,7 @@ func TestRunAheadMatchesReference(t *testing.T) {
 							if shared {
 								src.shared = src.bound
 							}
+							r.mem.tick, r.mem.shared = now, src.shared
 							w := r.c.Tick(now)
 							if w != r.c.NextWork(now) || w <= now {
 								t.Fatalf("Tick(%d) = %d, NextWork = %d", now, w, r.c.NextWork(now))
@@ -413,6 +437,9 @@ func TestRunAheadMatchesReference(t *testing.T) {
 							now = w
 						}
 						sameAsReference(t, r, ref, cycles)
+						if r.mem.outside != 0 || ref.mem.outside != 0 {
+							t.Errorf("%d calls (reference: %d) made outside their tick's cycle at or past the shared bound", r.mem.outside, ref.mem.outside)
+						}
 						if window > 1 && ticks >= cycles/2 {
 							t.Errorf("%d ticks for %d cycles; nothing ran ahead", ticks, cycles)
 						}
@@ -430,9 +457,11 @@ func TestRunAheadMatchesReference(t *testing.T) {
 }
 
 // TestSharedRun: below the shared bound one Tick goes on through loads,
-// a store, LL, SC, a reference refused twice and a fetch-line end, each
-// at the cycle the one-instruction tick executes it at, and stops before
-// a SYSCALL or HALT that opens a line, without fetching that line. With
+// a store, LL, SC, a reference refused twice and a missed fetch line,
+// each at its own cycle (after the miss, the cycle before the line
+// arrives), the one the CPU without an interrupt source runs it at in a
+// tick of its own, and stops before a SYSCALL or HALT that opens a
+// line, without fetching that line. With
 // the shared bound at the next cycle, a run crosses the lines that hit
 // the CPU's I-cache and stops at one that misses, without fetching it.
 // What a run leaves (registers, PC, Stats, nextFree, the memory
@@ -501,7 +530,7 @@ func TestSharedRun(t *testing.T) {
 	newMem := func() *flatMem { return &flatMem{dataLat: 1, fetchLat: 3} }
 
 	t.Run("icache-hit", func(t *testing.T) {
-		// Every line hits: step fetches the first, the run crosses the
+		// Every line hits: the tick fetches the first, the run crosses the
 		// others on IFetchHit up to the run-ahead bound (or the HALT) and
 		// never needs the shared bound.
 		for _, bound := range []uint64{20, far} {
@@ -550,7 +579,7 @@ func TestSharedRun(t *testing.T) {
 func TestSharedBoundSplitsRun(t *testing.T) {
 	b := asm.NewBuilder()
 	b.Label("start")
-	b.LW(asm.R3, 0, asm.R0) // cycle 0, in step
+	b.LW(asm.R3, 0, asm.R0) // cycle 0, the tick's own
 	b.ADDI(asm.R1, asm.R1, 1)
 	b.ADDI(asm.R1, asm.R1, 1)
 	b.ADDI(asm.R1, asm.R1, 1)
@@ -583,6 +612,95 @@ func TestSharedBoundSplitsRun(t *testing.T) {
 			t.Errorf("bound %d shared %d: %d accesses, %d fetches, %d asks; want %d, %d, %d", tc.bound, tc.shared,
 				r.mem.accesses, r.mem.fetches, src.asks, tc.wantAccesses, tc.wantFetches, tc.wantAsks)
 		}
+	}
+}
+
+// TestMissedLineWaits: a fetch that misses only moves the instruction
+// to the cycle before its line arrives, 4 here, and the rule that lets
+// a later instruction run is applied there. A load runs in the tick that
+// took the miss only if the shared bound is above 4; otherwise the tick
+// at 4 issues it, at 4.
+func TestMissedLineWaits(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("start")
+	b.LW(asm.R3, 0, asm.R0)
+	b.HALT()
+	for _, tc := range []struct {
+		shared   uint64
+		inMiss   bool   // the load runs in the tick that took the miss
+		wantWake uint64 // that tick's wake cycle
+	}{
+		{1, false, 4},
+		{4, false, 4},
+		{5, true, 5},
+		{far, true, 5},
+	} {
+		src := &boundSource{bound: far, shared: tc.shared}
+		r := newAheadRig(t, b, &flatMem{dataLat: 1, fetchLat: 5}, src)
+		w := r.c.Tick(0)
+		if r.mem.fetches != 1 || w != tc.wantWake || (r.mem.accesses == 1) != tc.inMiss {
+			t.Fatalf("shared bound %d: Tick(0) made %d fetches and %d data references, wake %d; want 1, load issued %v, wake %d",
+				tc.shared, r.mem.fetches, r.mem.accesses, w, tc.inMiss, tc.wantWake)
+		}
+		if !tc.inMiss {
+			if w = r.c.Tick(w); r.mem.accesses != 1 || r.mem.fetches != 1 || w != 5 {
+				t.Fatalf("shared bound %d: Tick(4) made %d data references and %d fetches in all, wake %d; want 1, 1 and 5",
+					tc.shared, r.mem.accesses, r.mem.fetches, w)
+			}
+		}
+		if r.mem.last != 4 || r.c.Stats().IStall[memsys.LvlL1] != 4 {
+			t.Errorf("shared bound %d: load issued at %d with %d I-stall cycles; want 4 and 4", tc.shared, r.mem.last, r.c.Stats().IStall[memsys.LvlL1])
+		}
+		sameAsReference(t, r, newAheadRig(t, b, &flatMem{dataLat: 1, fetchLat: 5}, nil), w)
+	}
+}
+
+// TestMissedLineTrapWaits: a SYSCALL whose line missed traps in the tick
+// at its own cycle, 4, not in the tick that took the miss, however far
+// the bounds reach.
+func TestMissedLineTrapWaits(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("start")
+	b.SYSCALL(7)
+	b.HALT()
+	r := newAheadRig(t, b, &flatMem{dataLat: 1, fetchLat: 5}, &boundSource{bound: far, shared: far})
+	if w := r.c.Tick(0); w != 4 || len(r.trap.calls) != 0 {
+		t.Fatalf("Tick(0): wake %d, trap calls %v; want 4 and none", w, r.trap.calls)
+	}
+	r.c.Tick(4)
+	if len(r.trap.calls) != 1 || r.trap.calls[0] != 7 || r.trap.at[0] != 4 {
+		t.Errorf("trap calls %v at cycles %v, want [7] at [4]", r.trap.calls, r.trap.at)
+	}
+}
+
+// TestLineLiveDuringFetch: an interrupt line that goes live while a
+// missed line is in flight (an event at 2, so the run-ahead bound of the
+// tick that took the miss is 2) is taken at the instruction's cycle,
+// before the instruction, which then runs after the handler.
+func TestLineLiveDuringFetch(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("start")
+	b.ADDI(asm.R1, asm.R1, 1)
+	b.HALT()
+	src := &boundSource{bound: 2, shared: 2}
+	r := newAheadRig(t, b, &flatMem{dataLat: 1, fetchLat: 5}, src)
+	if w := r.c.Tick(0); w != 4 || r.insts() != 0 {
+		t.Fatalf("Tick(0): wake %d, %d instructions; want 4 and none", w, r.insts())
+	}
+	src.live, src.bound, src.shared = true, 5, 5
+	if w := r.c.Tick(2); w != 4 || src.acks != 0 {
+		t.Fatalf("Tick(2) with the line live: wake %d, %d acks; want 4 and none", w, src.acks)
+	}
+	r.c.Tick(4)
+	if len(r.trap.calls) != 1 || r.trap.calls[0] != cpu.IRQ || r.trap.at[0] != 4 || r.insts() != 0 || r.c.Context().PC != 0 {
+		t.Fatalf("Tick(4): trap calls %v at %v, %d instructions, PC %#x; want the interrupt at 4 and the add not yet run",
+			r.trap.calls, r.trap.at, r.insts(), r.c.Context().PC)
+	}
+	// The handler took 5 cycles and dropped the fetch line: the add's line
+	// is fetched again at 10 and the add runs at 14.
+	src.bound, src.shared = far, far
+	if w := r.c.Tick(10); w != 15 || r.insts() != 1 || r.mem.fetches != 2 {
+		t.Errorf("Tick(10): wake %d, %d instructions, %d fetches; want 15, 1 and 2", w, r.insts(), r.mem.fetches)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package cyc provides guarded cycle arithmetic for the simulator's
 // uint64 cycle domain. Raw uint64 subtraction silently wraps to a huge
-// positive number when the operands arrive out of order (a lazily
-// reaped completion timestamp older than "now", a grant issued before
-// the request under a reordered calendar), which then poisons every
-// downstream latency statistic. The simlint cycleflow analyzer flags
+// positive number when the operands arrive out of order (a completion
+// timestamp older than "now", a grant issued before the request), which
+// then poisons every downstream latency statistic. The simlint cycleflow analyzer flags
 // unguarded uint64 subtractions in the timing packages; routing them
 // through this package is the blessed form.
 package cyc

@@ -40,9 +40,8 @@ func (r *Resource) Acquire(now, occ uint64) uint64 {
 	if r.busyUntil > start {
 		start = r.busyUntil
 	}
-	// start >= now by construction, but grant timestamps have arrived
-	// out of order before (lazily reaped retirements); saturate rather
-	// than wrap the wait accounting if they ever do again.
+	// start >= now by construction; the wait accounting saturates
+	// rather than wraps should that ever change.
 	wait := cyc.Sub(start, now)
 	r.busyUntil = start + occ
 	r.acquires++

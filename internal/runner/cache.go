@@ -22,7 +22,7 @@ import (
 // refuses to record moved results at an unchanged SimVersion. The
 // full-size parameter tables (workload.New, cache key "name/full") are
 // not in the ledger, so a change there still needs a bump by hand.
-const SimVersion = 3
+const SimVersion = 4
 
 // Cacheable reports whether a job's result may be memoized: it needs a
 // workload identity and a configuration whose non-scalar fields are

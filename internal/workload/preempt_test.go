@@ -21,8 +21,8 @@ type preemptOutcome struct {
 }
 
 // runPreempted runs pmake with a timer quantum and only the interval
-// sampler attached, so nothing clamps the scheduler: noSkip is the
-// tick-everything, one-instruction-per-tick reference; chunk > 0 drives
+// sampler attached: noSkip is the tick-everything,
+// one-instruction-per-tick reference; chunk > 0 drives
 // the run through RunWindow calls of that many cycles.
 func runPreempted(t *testing.T, arch core.Arch, model core.CPUModel, quantum int, noSkip bool, chunk uint64) preemptOutcome {
 	t.Helper()
@@ -65,8 +65,8 @@ func runPreempted(t *testing.T, arch core.Arch, model core.CPUModel, quantum int
 // cut into 777-cycle RunWindow calls must reproduce the NoSkip run: end
 // cycle, every CPU's stall counters, the memory report, the kernel's
 // switch and preemption counts, and every 1000-cycle interval sample.
-// The instrumented identity suites cannot see this: a tracer or
-// profiler clamps the run-ahead.
+// The instrumented identity suites run one pmake on shared-L1 at the
+// default quantum; this grid covers quanta and windows.
 func TestPreemptionIdentity(t *testing.T) {
 	for _, model := range []core.CPUModel{core.ModelMipsy, core.ModelMXS} {
 		for _, arch := range core.Arches() {

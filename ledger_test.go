@@ -168,7 +168,8 @@ func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
 	var work ledgerWork
 	// The CPUs capture m.Sys when Configure builds them, and are
 	// wrapped once built.
-	m.Sys = &sysCounter{m.Sys, &work}
+	sys := &sysCounter{System: m.Sys, n: &work}
+	m.Sys = sys
 	must(w.Configure(m))
 	for k, c := range m.CPUs {
 		cc := &coreCounter{c, &work}
@@ -180,20 +181,41 @@ func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
 	res, err := m.Run(2_000_000_000)
 	must(err)
 	must(w.Validate(m))
+	if sys.backward != 0 {
+		t.Errorf("%d memory-system calls arrived below an earlier one; the first: %s", sys.backward, sys.first)
+	}
 	rep, _ := json.Marshal(res.MemReport)
 	return ledgerRow{job.Tag, res.Cycles, res.Instructions(), res.PerCPU, fmt.Sprintf("%x", sha256.Sum256(rep))[:16], m.SkippedCycles(), work}
 }
 
 // sysCounter counts a machine's memory-system calls into its
-// ledgerWork. It forwards the optional methods core finds by type
-// assertion; IFetchHit it hides, since core.NewMachine has already
-// handed Mipsy the system it built.
+// ledgerWork, and checks that the calls which reach beyond a CPU's own
+// I-cache (every Access, and every IFetch that misses) arrive in cycle
+// order across the machine: it counts the ones below an earlier one in
+// backward and describes the first. It forwards the optional methods
+// core finds by type assertion; IFetchHit it hides, since
+// core.NewMachine has already handed Mipsy the system it built.
 type sysCounter struct {
 	memsys.System
-	n *ledgerWork
+	n        *ledgerWork
+	last     uint64 // the cycle of the last ordered call
+	backward uint64
+	first    string
+}
+
+// order checks one ordered call made at cycle now against the one
+// before it.
+func (s *sysCounter) order(call string, now uint64, cpu int) {
+	if now < s.last {
+		if s.backward++; s.first == "" {
+			s.first = fmt.Sprintf("%s by cpu %d at cycle %d, after a call at cycle %d", call, cpu, now, s.last)
+		}
+	}
+	s.last = now
 }
 
 func (s *sysCounter) Access(now uint64, cpu int, addr uint32, write bool) (memsys.Result, bool) {
+	s.order("Access", now, cpu)
 	r, ok := s.System.Access(now, cpu, addr, write)
 	s.n.Access++
 	if !ok {
@@ -202,9 +224,15 @@ func (s *sysCounter) Access(now uint64, cpu int, addr uint32, write bool) (memsy
 	return r, ok
 }
 
+// IFetch counts every fetch. A hit in the CPU's own I-cache is the one
+// that arrives at the next cycle, and is left out of the order.
 func (s *sysCounter) IFetch(now uint64, cpu int, addr uint32) memsys.Result {
 	s.n.IFetch++
-	return s.System.IFetch(now, cpu, addr)
+	r := s.System.IFetch(now, cpu, addr)
+	if r.Done > now+1 {
+		s.order("a missed IFetch", now, cpu)
+	}
+	return r
 }
 
 func (s *sysCounter) SetSharedData(f func(addr uint32) bool) {
@@ -250,8 +278,9 @@ type exactCounter struct{ *coreCounter }
 
 func (exactCounter) ExactHints() {}
 
-// TestLedger holds every exact count of the repo to testdata/ledger.json
-// and the memory-bound Mipsy rows to skipFloor. A re-baseline is a
+// TestLedger holds every exact count of the repo to testdata/ledger.json,
+// the memory-bound Mipsy rows to skipFloor, and every row's
+// memory-system calls to cycle order (sysCounter). A re-baseline is a
 // runner.SimVersion bump plus `-run TestLedger -update`; moved work
 // columns alone need only `-update`.
 func TestLedger(t *testing.T) {

@@ -108,10 +108,9 @@ func TestSkipMatchesNoSkip(t *testing.T) {
 				skip := runInstrumented(t, mk, arch, model, false)
 				ref := runInstrumented(t, mk, arch, model, true)
 				t.Run(string(arch), func(t *testing.T) { diffRuns(t, skip, ref) })
-				// The instruments shorten some of the loop's sleeps (a
-				// tracer is owed the refusal event of every retried cycle,
-				// an ordered instrument clamps Mipsy's run-ahead), so the
-				// loop as it runs bare is held to the reference as well.
+				// A tracer shortens some of the loop's sleeps (MXS owes it
+				// the refusal event of every retried cycle), so the loop as
+				// it runs bare is held to the reference as well.
 				t.Run(string(arch)+"/bare", func(t *testing.T) {
 					bare, err := cmpsim.RunWorkload(mk(), arch, model, nil)
 					if err != nil {
@@ -141,8 +140,7 @@ func TestSkipMatchesNoSkip(t *testing.T) {
 // a refusal that counted anything would show in the memory report. The
 // bare Mipsy CPUs spend most cycles parked on 800-cycle misses, so a
 // tick's run goes on through loads, stores and line fetches up to the
-// other CPU's wake cycle (the shared bound), the runs the instrumented
-// suites clamp away.
+// other CPU's wake cycle (the shared bound).
 func TestSkipMatchesNoSkipMemBound(t *testing.T) {
 	for _, tc := range []struct {
 		prefix string
