@@ -63,8 +63,9 @@ race-smoke:
 	$(GO) run -race ./cmd/cmpsim -workload eqntott -quick -sanitize -jobs 4
 	$(GO) run -race ./cmd/cmpsim -workload mp3d -quick -model mxs -jobs 4
 
-# bench runs every row of the figure table (internal/benchfig) at bench
-# size through cmd/benchjson and writes BENCH_figures.json: ns/op and
+# bench runs every row of the figure table (internal/benchfig) at the
+# paper's size, the cells cmd/experiments prints, through cmd/benchjson
+# and writes BENCH_figures.json: ns/op and
 # simulated cycles/sec per row, with and without the quiescence-skipping
 # scheduler, plus the skip speedup. CI uploads the file as an artifact
 # so every PR leaves a perf trajectory; no host time is gated. What is

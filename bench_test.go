@@ -1,18 +1,18 @@
 // Benchmarks regenerating the paper's tables and figures. Each
-// BenchmarkFigures sub-benchmark runs one workload of the shared
-// internal/benchfig matrix on all three architectures and reports the
+// BenchmarkFigures sub-benchmark runs one row of the shared
+// internal/benchfig table on all three architectures and reports the
 // normalized execution times (the heights of the paper's bars) as
 // custom metrics:
 //
 //	go test -bench=. -benchmem
 //
-// The data sets are reduced from the paper-scale defaults so a full
-// bench sweep stays in the minutes range; cmd/experiments runs the
-// paper-scale versions. Absolute cycle counts differ from the 1996
-// testbed by design — the shapes (who wins, by roughly what factor) are
-// the reproduction target. cmd/benchjson (make bench) measures the same
-// matrix with and without quiescence skipping and writes the
-// BENCH_figures.json perf baseline.
+// A titled row runs at the paper's size, the cells cmd/experiments
+// prints; the ablations run at the quick size (workload.NewQuick).
+// Absolute cycle counts differ from the 1996 testbed by design — the
+// shapes (who wins, by roughly what factor) are the reproduction
+// target. cmd/benchjson (make bench) measures the same table with and
+// without quiescence skipping and writes the BENCH_figures.json perf
+// baseline.
 package cmpsim_test
 
 import (
@@ -145,7 +145,10 @@ func BenchmarkAblation_SharedL1HitTime(b *testing.B) {
 				cfg := cmpsim.DefaultConfig()
 				cfg.SharedL1HitLat = hit
 				cfg.SharedL1BankContention = hit > 1
-				w := workload.NewEar(workload.EarParams{Samples: 250})
+				w, err := workload.NewQuick("ear")
+				if err != nil {
+					b.Fatal(err)
+				}
 				res, err := cmpsim.RunWorkload(w, cmpsim.SharedL1, cmpsim.ModelMipsy, &cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -168,7 +171,10 @@ func BenchmarkAblation_SharedL1Banks(b *testing.B) {
 				cfg.SharedL1Banks = banks
 				cfg.SharedL1HitLat = 3
 				cfg.SharedL1BankContention = true
-				w := workload.NewOcean(workload.OceanParams{N: 34, FineIter: 2, CoarseIt: 1})
+				w, err := workload.NewQuick("ocean")
+				if err != nil {
+					b.Fatal(err)
+				}
 				res, err := cmpsim.RunWorkload(w, cmpsim.SharedL1, cmpsim.ModelMipsy, &cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -191,7 +197,10 @@ func BenchmarkAblation_SharedL2Datapath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := cmpsim.DefaultConfig()
 				cfg.SharedL2Occ = occ
-				w := workload.NewOcean(workload.OceanParams{N: 66, FineIter: 2, CoarseIt: 1})
+				w, err := workload.NewQuick("ocean")
+				if err != nil {
+					b.Fatal(err)
+				}
 				res, err := cmpsim.RunWorkload(w, cmpsim.SharedL2, cmpsim.ModelMipsy, &cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -213,7 +222,10 @@ func BenchmarkAblation_C2CLatency(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := cmpsim.DefaultConfig()
 				cfg.C2CLat = lat
-				w := workload.NewEqntott(workload.EqntottParams{Words: 128, Iters: 30})
+				w, err := workload.NewQuick("eqntott")
+				if err != nil {
+					b.Fatal(err)
+				}
 				res, err := cmpsim.RunWorkload(w, cmpsim.SharedMem, cmpsim.ModelMipsy, &cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,6 +58,7 @@ type grid struct {
 	jobs    []runner.Job
 	rings   []*obsv.Ring
 	results []runner.Result
+	written map[int]bool // jobs whose sink files are written
 }
 
 // addJob appends one run to the grid, with its own instrument
@@ -84,13 +86,14 @@ func (g *grid) addFigures(model core.CPUModel) []figureSpec {
 	return specs
 }
 
-// result returns job idx's run after writing its trace and profile
-// files; a failed run or sink is an error that ends the campaign.
+// result returns job idx's run, writing its sink files the first time;
+// a failed run or sink is an error that ends the campaign.
 func (g *grid) result(idx int) (*core.RunResult, error) {
 	r := g.results[idx]
-	if r.Err != nil {
-		return nil, r.Err
+	if r.Err != nil || g.written[idx] {
+		return r.Res, r.Err
 	}
+	g.written[idx] = true
 	tag := g.jobs[idx].Tag
 	if err := g.inst.WriteTraces(g.rings[idx], tag); err != nil {
 		return nil, err
@@ -123,23 +126,25 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Build the whole grid up front — the Mipsy figures, the Section 4.1
-	// ablation, and the MXS figures — then dispatch it through one pool
-	// run so every independent cell can execute concurrently. Printing
-	// happens afterwards in table order, which keeps the output
-	// byte-identical to a serial run.
+	// ablation (its first point, the paper's L2, is its figure's cell)
+	// and the MXS figures — then dispatch it through one pool run so
+	// every cell can execute concurrently. Printing follows in table
+	// order, which keeps the output byte-identical to a serial run.
 	mipsySpecs := g.addFigures(core.ModelMipsy)
-	ab, ablationJob := benchfig.Ablation(), len(g.jobs)
-	for _, assoc := range ab.L2Assocs {
+	ab := benchfig.Ablation()
+	fig := mipsySpecs[slices.IndexFunc(mipsySpecs, func(s figureSpec) bool { return s.App == ab.App })]
+	ablationJobs := []int{fig.jobIdx[slices.Index(core.Arches(), ab.Arch)]}
+	for _, assoc := range ab.L2Assocs[1:] {
 		cfg := memsys.DefaultConfig()
 		cfg.L2Assoc = assoc
-		g.addJob(ab.App, ab.Arch, core.ModelMipsy, cfg, fmt.Sprintf("ablation-%s-l2assoc-%d", ab.App, assoc))
+		ablationJobs = append(ablationJobs, g.addJob(ab.App, ab.Arch, core.ModelMipsy, cfg, fmt.Sprintf("ablation-%s-l2assoc-%d", ab.App, assoc)))
 	}
 	var mxsSpecs []figureSpec
 	if !*skipMXS {
 		mxsSpecs = g.addFigures(core.ModelMXS)
 	}
 
-	g.results = pool.Run(g.jobs)
+	g.results, g.written = pool.Run(g.jobs), map[int]bool{}
 
 	for _, spec := range mipsySpecs {
 		if err := g.printFigure(spec); err != nil {
@@ -149,7 +154,7 @@ func run(args []string, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "=== %s ===\n", ab.Title)
 	for i, assoc := range ab.L2Assocs {
-		res, err := g.result(ablationJob + i)
+		res, err := g.result(ablationJobs[i])
 		if err != nil {
 			return err
 		}

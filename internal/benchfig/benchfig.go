@@ -1,10 +1,10 @@
 // Package benchfig is the paper's figure table: every figure's title,
-// bench name, workload, CPU model, configuration and bench-size data
-// set, plus the Section 4.1 ablation. cmd/experiments prints the titled
-// rows at full or quick scale; the root package's BenchmarkFigures
-// suite and cmd/benchjson run every row at bench size, so `go test
-// -bench Figures` and the BENCH_figures.json perf baseline measure
-// exactly the same work.
+// bench name, workload, CPU model and configuration, plus the Section
+// 4.1 ablation. cmd/experiments prints the titled rows at the paper's
+// size (workload.New) or quick (workload.NewQuick); BenchmarkFigures,
+// TestLedger and cmd/benchjson run them at the paper's, the cells the
+// figures print. Only the memory-bound sentinel rows size their own
+// data sets.
 package benchfig
 
 import (
@@ -21,8 +21,8 @@ type Figure struct {
 	Title string // cmd/experiments' heading; "" = a benchmark-only row
 	App   string // workload registry name (workload.New, workload.NewQuick)
 	Model core.CPUModel
-	Cfg   func() memsys.Config // nil = memsys.DefaultConfig (the paper's parameters)
-	New   func() workload.Workload
+	Cfg   func() memsys.Config     // nil = memsys.DefaultConfig (the paper's parameters)
+	New   func() workload.Workload // a memory-bound row's own data set; nil = workload.New(App)
 }
 
 // MemBound reports whether the row runs a memory-bound design point
@@ -37,6 +37,15 @@ func (f Figure) Config() memsys.Config {
 		return f.Cfg()
 	}
 	return memsys.DefaultConfig()
+}
+
+// Workload builds the row's workload: its own data set if it has one,
+// else App at the paper's size.
+func (f Figure) Workload() (workload.Workload, error) {
+	if f.New != nil {
+		return f.New(), nil
+	}
+	return workload.New(f.App)
 }
 
 // MemBoundConfig is the memory-latency-bound design point used by the
@@ -80,40 +89,20 @@ const MXSTitle = "Figure 11: dynamic superscalar (MXS) results"
 // untitled memory-bound sentinel rows.
 func Figures() []Figure {
 	return []Figure{
-		{"Figure4_Eqntott", "Figure 4: Eqntott", "eqntott", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewEqntott(workload.EqntottParams{Words: 128, Iters: 40})
-		}},
-		{"Figure5_MP3D", "Figure 5: MP3D", "mp3d", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewMP3D(workload.MP3DParams{Particles: 2048, Steps: 2})
-		}},
-		{"Figure6_Ocean", "Figure 6: Ocean", "ocean", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewOcean(workload.OceanParams{N: 66, FineIter: 2, CoarseIt: 2})
-		}},
-		{"Figure7_Volpack", "Figure 7: Volpack", "volpack", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewVolpack(workload.VolpackParams{Size: 32, Depth: 16})
-		}},
-		{"Figure8_Ear", "Figure 8: Ear", "ear", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewEar(workload.EarParams{Samples: 250})
-		}},
-		{"Figure9_FFT", "Figure 9: FFT", "fft", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewFFT(workload.FFTParams{N: 64, Batches: 8})
-		}},
-		{"Figure10_Pmake", "Figure 10: Multiprogramming + OS", "pmake", core.ModelMipsy, nil, func() workload.Workload {
-			return workload.NewPmake(workload.PmakeParams{Procs: 6, Funcs: 32, Passes: 3})
-		}},
-		{"Figure11_MXS_Pmake", "Figure 11a: Multiprogramming (MXS)", "pmake", core.ModelMXS, nil, func() workload.Workload {
-			return workload.NewPmake(workload.PmakeParams{Procs: 6, Funcs: 32, Passes: 2})
-		}},
-		{"Figure11_MXS_Eqntott", "Figure 11b: Eqntott (MXS)", "eqntott", core.ModelMXS, nil, func() workload.Workload {
-			return workload.NewEqntott(workload.EqntottParams{Words: 128, Iters: 30})
-		}},
-		{"Figure11_MXS_Ear", "Figure 11c: Ear (MXS)", "ear", core.ModelMXS, nil, func() workload.Workload {
-			return workload.NewEar(workload.EarParams{Samples: 150})
-		}},
+		{Name: "Figure4_Eqntott", Title: "Figure 4: Eqntott", App: "eqntott", Model: core.ModelMipsy},
+		{Name: "Figure5_MP3D", Title: "Figure 5: MP3D", App: "mp3d", Model: core.ModelMipsy},
+		{Name: "Figure6_Ocean", Title: "Figure 6: Ocean", App: "ocean", Model: core.ModelMipsy},
+		{Name: "Figure7_Volpack", Title: "Figure 7: Volpack", App: "volpack", Model: core.ModelMipsy},
+		{Name: "Figure8_Ear", Title: "Figure 8: Ear", App: "ear", Model: core.ModelMipsy},
+		{Name: "Figure9_FFT", Title: "Figure 9: FFT", App: "fft", Model: core.ModelMipsy},
+		{Name: "Figure10_Pmake", Title: "Figure 10: Multiprogramming + OS", App: "pmake", Model: core.ModelMipsy},
+		{Name: "Figure11_MXS_Pmake", Title: "Figure 11a: Multiprogramming (MXS)", App: "pmake", Model: core.ModelMXS},
+		{Name: "Figure11_MXS_Eqntott", Title: "Figure 11b: Eqntott (MXS)", App: "eqntott", Model: core.ModelMXS},
+		{Name: "Figure11_MXS_Ear", Title: "Figure 11c: Ear (MXS)", App: "ear", Model: core.ModelMXS},
 		// Memory-latency-bound variants of the MP3D and Ocean figures:
-		// larger data sets than the default rows (MP3D 8192 particles,
-		// Ocean on a 258x258 grid) under MemBoundConfig, where 90%+ of
-		// cycles are fully blocked and the quiescence skip dominates.
+		// data sets of their own (MP3D 8192 particles, Ocean on a
+		// 258x258 grid) under MemBoundConfig, where 90%+ of cycles are
+		// fully blocked and the quiescence skip dominates.
 		{"Figure5_MP3D_MemBound", "", "mp3d", core.ModelMipsy, MemBoundConfig, func() workload.Workload {
 			return workload.NewMP3D(workload.MP3DParams{Particles: 8192, Steps: 1})
 		}},
@@ -142,10 +131,10 @@ func Ablation() AssocAblation {
 	return AssocAblation{"Section 4.1 ablation: MP3D shared-L1 with L2 associativity 1 vs 4", "mp3d", core.SharedL1, []uint32{1, 4}}
 }
 
-// Run executes one iteration of a figure benchmark — the workload on
-// all three architectures — and returns the per-architecture results
-// plus the total number of simulated cycles, the numerator of the
-// simulated-cycles-per-second throughput metric. cfg overrides the
+// Run executes one iteration of a figure benchmark — the row's
+// workload (f.Workload) on all three architectures — and returns the
+// per-architecture results plus the total number of simulated cycles,
+// the numerator of the simulated-cycles-per-second throughput metric. cfg overrides the
 // memory-system parameters; nil uses the figure's own (f.Config).
 func Run(f Figure, cfg *memsys.Config) (map[core.Arch]*core.RunResult, uint64, error) {
 	if cfg == nil {
@@ -155,7 +144,11 @@ func Run(f Figure, cfg *memsys.Config) (map[core.Arch]*core.RunResult, uint64, e
 	runs := make(map[core.Arch]*core.RunResult, 3)
 	var cycles uint64
 	for _, a := range core.Arches() {
-		res, err := workload.Run(f.New(), a, f.Model, cfg)
+		w, err := f.Workload()
+		if err != nil {
+			return nil, 0, err
+		}
+		res, err := workload.Run(w, a, f.Model, cfg)
 		if err != nil {
 			return nil, 0, err
 		}

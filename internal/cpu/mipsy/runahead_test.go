@@ -156,7 +156,7 @@ func (r *aheadRig) build(tb testing.TB, b *asm.Builder, sys memsys.System, ihit 
 	}
 }
 
-func (r *aheadRig) insts() uint64 { return r.c.Stats().Instructions }
+func (r *aheadRig) insts() uint64 { return r.c.stats.Instructions }
 
 // tickTo ticks the rig's CPU at every cycle below w it has not ticked:
 // the reference the run-ahead is held to.

@@ -2,6 +2,7 @@ package cmpsim_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,7 +14,10 @@ import (
 	"cmpsim/internal/benchfig"
 	"cmpsim/internal/core"
 	"cmpsim/internal/cpu"
+	"cmpsim/internal/kernel"
+	"cmpsim/internal/mem"
 	"cmpsim/internal/memsys"
+	"cmpsim/internal/prof"
 	"cmpsim/internal/runner"
 	"cmpsim/internal/workload"
 )
@@ -24,7 +28,8 @@ const ledgerPath = "testdata/ledger.json"
 
 // ledgerRow is one simulation's outcome. The result columns, Row to
 // MemReport, are in the digest; Skipped and the work columns count the
-// host work the run took and are not.
+// host work the run took, and Image is held to the other rows of its
+// workload and data set (sameImages), so neither is.
 type ledgerRow struct {
 	Row                  string
 	Cycles, Instructions uint64
@@ -32,6 +37,7 @@ type ledgerRow struct {
 	MemReport            string // short SHA-256 of the JSON-encoded memsys.Report
 	Skipped              uint64 // cycles the loop jumped instead of ticking
 	ledgerWork
+	Image string // short SHA-256 of the final image's stored-to chunks (finalImage.hash)
 }
 
 // ledgerWork counts the calls the cycle loop makes into the CPU models
@@ -122,40 +128,58 @@ func decideLedger(file ledgerFile, got []ledgerRow, floored map[string]bool, ver
 	return "write", why
 }
 
-// ledgerJobs lists the rows: every benchfig figure row, the quick cells,
-// quick pmake under MXS on the memory-bound point and the ablation's
-// 4-way L2 (its direct-mapped row is quick/mp3d/shared-l1/mipsy). The
-// rows of the memory-bound Mipsy figures are floored.
+// ledgerJobs lists the rows: every cell cmd/experiments prints at the
+// paper's size, that is every titled benchfig row and the ablation's
+// 4-way L2 (its direct-mapped point is Figure5_MP3D/shared-l1/mipsy),
+// then the memory-bound sentinels, the quick cells, quick pmake under
+// MXS on the memory-bound point and the ablation's quick 4-way L2. The
+// race detector runs all but the paper-size rows, which take the quick
+// rows' code paths. The rows of the memory-bound Mipsy figures are
+// floored. A job's WorkloadKey names its workload and data set: the
+// rows that must end on one image.
 func ledgerJobs() (jobs []runner.Job, floored map[string]bool) {
 	floored = map[string]bool{}
-	add := func(name string, model core.CPUModel, cfg memsys.Config, mk func() (workload.Workload, error), arches ...core.Arch) {
+	add := func(name, key string, mk func() (workload.Workload, error), model core.CPUModel, cfg memsys.Config, arches ...core.Arch) {
 		for _, a := range arches {
-			jobs = append(jobs, runner.Job{Workload: mk, Arch: a, Model: model, Cfg: cfg, Tag: fmt.Sprintf("%s/%s/%s", name, a, model)})
+			jobs = append(jobs, runner.Job{Workload: mk, WorkloadKey: key, Arch: a, Model: model, Cfg: cfg, Tag: fmt.Sprintf("%s/%s/%s", name, a, model)})
 		}
 	}
 	quick := func(app string) func() (workload.Workload, error) {
 		return func() (workload.Workload, error) { return workload.NewQuick(app) }
 	}
+	ab, abCfg := benchfig.Ablation(), memsys.DefaultConfig()
+	abCfg.L2Assoc = ab.L2Assocs[1]
+	abName := func(size string) string { return fmt.Sprintf("%s-l2assoc%d/%s", size, abCfg.L2Assoc, ab.App) }
+	if !raceBuild {
+		for _, f := range benchfig.Figures() {
+			if f.Title != "" {
+				add(f.Name, f.App+"/full", f.Workload, f.Model, f.Config(), core.Arches()...)
+			}
+		}
+		add(abName("full"), ab.App+"/full", func() (workload.Workload, error) { return workload.New(ab.App) }, core.ModelMipsy, abCfg, ab.Arch)
+	}
 	for _, f := range benchfig.Figures() {
-		add(f.Name, f.Model, f.Config(), func() (workload.Workload, error) { return f.New(), nil }, core.Arches()...)
-		if f.MemBound() && f.Model == core.ModelMipsy {
+		if !f.MemBound() {
+			continue
+		}
+		add(f.Name, f.Name, f.Workload, f.Model, f.Config(), core.Arches()...)
+		if f.Model == core.ModelMipsy {
 			for _, j := range jobs[len(jobs)-len(core.Arches()):] {
 				floored[j.Tag] = true
 			}
 		}
 	}
 	for _, app := range []string{"eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "pmake"} {
-		add("quick/"+app, core.ModelMipsy, memsys.DefaultConfig(), quick(app), core.Arches()...)
-		add("quick/"+app, core.ModelMXS, memsys.DefaultConfig(), quick(app), core.Arches()...)
+		add("quick/"+app, app+"/quick", quick(app), core.ModelMipsy, memsys.DefaultConfig(), core.Arches()...)
+		add("quick/"+app, app+"/quick", quick(app), core.ModelMXS, memsys.DefaultConfig(), core.Arches()...)
 	}
-	add("quick-mxs-membound/pmake", core.ModelMXS, benchfig.MXSMemBoundConfig(), quick("pmake"), core.Arches()...)
-	ab, cfg := benchfig.Ablation(), memsys.DefaultConfig()
-	cfg.L2Assoc = ab.L2Assocs[1]
-	add(fmt.Sprintf("quick-l2assoc%d/%s", cfg.L2Assoc, ab.App), core.ModelMipsy, cfg, quick(ab.App), ab.Arch)
+	add("quick-mxs-membound/pmake", "pmake/quick", quick("pmake"), core.ModelMXS, benchfig.MXSMemBoundConfig(), core.Arches()...)
+	add(abName("quick"), ab.App+"/quick", quick(ab.App), core.ModelMipsy, abCfg, ab.Arch)
 	return jobs, floored
 }
 
-func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
+// ledgerRun runs job and returns its row and its final image.
+func ledgerRun(t *testing.T, job runner.Job) (ledgerRow, finalImage) {
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +192,7 @@ func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
 	var work ledgerWork
 	// The CPUs capture m.Sys when Configure builds them, and are
 	// wrapped once built.
-	sys := &sysCounter{System: m.Sys, n: &work}
+	sys := &sysCounter{System: m.Sys, n: &work, stored: make([]uint64, m.Img.Size()>>chunkShift/64+1)}
 	m.Sys = sys
 	must(w.Configure(m))
 	for k, c := range m.CPUs {
@@ -185,7 +209,75 @@ func ledgerRun(t *testing.T, job runner.Job) ledgerRow {
 		t.Errorf("%d memory-system calls arrived below an earlier one; the first: %s", sys.backward, sys.first)
 	}
 	rep, _ := json.Marshal(res.MemReport)
-	return ledgerRow{job.Tag, res.Cycles, res.Instructions(), res.PerCPU, fmt.Sprintf("%x", sha256.Sum256(rep))[:16], m.SkippedCycles(), work}
+	img := finalImage{m.Img, sys.chunks(w), res.Profile}
+	return ledgerRow{job.Tag, res.Cycles, res.Instructions(), res.PerCPU, fmt.Sprintf("%x", sha256.Sum256(rep))[:16], m.SkippedCycles(), work, img.hash()}, img
+}
+
+// chunkShift sizes the chunks of guest memory whose stores sysCounter
+// records: 4 KiB.
+const chunkShift = 12
+
+// finalImage is a finished run's guest memory, restricted to the
+// chunks its CPUs stored to (sysCounter.chunks), with the profile that
+// names its addresses when the run had a profiler.
+type finalImage struct {
+	img     *mem.Image
+	chunks  []uint32 // base addresses, ascending
+	profile *prof.Profile
+}
+
+// hash is a short SHA-256 over the image's chunks, each with its
+// address.
+func (f finalImage) hash() string {
+	h := sha256.New()
+	var buf [1<<chunkShift + 4]byte
+	for _, c := range f.chunks {
+		binary.LittleEndian.PutUint32(buf[:], c)
+		for i := uint32(0); i < 1<<chunkShift; i += 8 {
+			binary.LittleEndian.PutUint64(buf[4+i:], f.img.Read64(c+i))
+		}
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// firstDiff names the lowest word at which two final images differ,
+// with its data symbol in a's profile, or the lowest chunk only one of
+// them stored to.
+func firstDiff(a, b finalImage) string {
+	all := append(slices.Clone(a.chunks), b.chunks...)
+	slices.Sort(all)
+	for _, c := range slices.Compact(all) {
+		if slices.Contains(a.chunks, c) != slices.Contains(b.chunks, c) {
+			return fmt.Sprintf("the chunk at %#x is stored to by one row only", c)
+		}
+		for addr := c; addr < c+1<<chunkShift; addr += 4 {
+			if x, y := a.img.Read32(addr), b.img.Read32(addr); x != y {
+				sym := "no symbol"
+				if name, off, ok := a.profile.DataAt(addr); ok {
+					sym = fmt.Sprintf("%s+%#x", name, off)
+				}
+				return fmt.Sprintf("first difference at %#x (%s): %#x vs %#x", addr, sym, x, y)
+			}
+		}
+	}
+	return "no difference"
+}
+
+// sameImages returns, for each row whose image differs from the first
+// row of its workload and data set (its job's WorkloadKey), the index
+// of that first row and its own.
+func sameImages(jobs []runner.Job, rows []ledgerRow) (pairs [][2]int) {
+	first := map[string]int{}
+	for i, job := range jobs {
+		j, seen := first[job.WorkloadKey]
+		if !seen {
+			first[job.WorkloadKey] = i
+		} else if rows[i].Image != rows[j].Image {
+			pairs = append(pairs, [2]int{j, i})
+		}
+	}
+	return pairs
 }
 
 // sysCounter counts a machine's memory-system calls into its
@@ -201,6 +293,7 @@ type sysCounter struct {
 	last     uint64 // the cycle of the last ordered call
 	backward uint64
 	first    string
+	stored   []uint64 // a bit per 4 KiB chunk of guest memory that a store reached
 }
 
 // order checks one ordered call made at cycle now against the one
@@ -216,12 +309,30 @@ func (s *sysCounter) order(call string, now uint64, cpu int) {
 
 func (s *sysCounter) Access(now uint64, cpu int, addr uint32, write bool) (memsys.Result, bool) {
 	s.order("Access", now, cpu)
+	if write {
+		s.stored[addr>>chunkShift/64] |= 1 << (addr >> chunkShift % 64)
+	}
 	r, ok := s.System.Access(now, cpu, addr, write)
 	s.n.Access++
 	if !ok {
 		s.n.Refused++
 	}
 	return r, ok
+}
+
+// chunks lists the chunks stored to from workload.DataBase up, which
+// must end alike whatever ran them. A workload that boots the kernel
+// leaves out the kernel region, whose scheduler state is timing's.
+func (s *sysCounter) chunks(w workload.Workload) []uint32 {
+	var out []uint32
+	_, boots := w.(interface{ Kernel() *kernel.Kernel })
+	for c := uint32(workload.DataBase); c>>chunkShift/64 < uint32(len(s.stored)); c += 1 << chunkShift {
+		inKernel := boots && c >= kernel.Base && c < kernel.Limit
+		if s.stored[c>>chunkShift/64]&(1<<(c>>chunkShift%64)) != 0 && !inKernel {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // IFetch counts every fetch. A hit in the CPU's own I-cache is the one
@@ -298,12 +409,31 @@ func TestLedger(t *testing.T) {
 		for i, job := range jobs {
 			t.Run(job.Tag, func(t *testing.T) {
 				t.Parallel()
-				got[i] = ledgerRun(t, job)
+				got[i], _ = ledgerRun(t, job)
 			})
 		}
 	})
 	if slices.ContainsFunc(got, func(r ledgerRow) bool { return r.Row == "" }) {
 		t.SkipNow() // a row failed, or -run selected only some rows
+	}
+	var differ []string
+	for _, p := range sameImages(jobs, got) {
+		a, b := jobs[p[0]], jobs[p[1]]
+		for _, j := range []*runner.Job{&a, &b} {
+			j.Cfg.Prof = prof.New(j.Cfg.NumCPUs, j.Cfg.LineBytes)
+		}
+		_, ia := ledgerRun(t, a)
+		_, ib := ledgerRun(t, b)
+		differ = append(differ, fmt.Sprintf("%s and %s end on different images: %s", a.Tag, b.Tag, firstDiff(ia, ib)))
+	}
+	if differ != nil {
+		t.Fatal(strings.Join(differ, "\n"))
+	}
+	if raceBuild { // hold the rows run to their lines, and write nothing
+		file.Rows = slices.DeleteFunc(file.Rows, func(r ledgerRow) bool {
+			return !slices.ContainsFunc(got, func(g ledgerRow) bool { return g.Row == r.Row })
+		})
+		file.Digest, *update = ledgerDigest(file.Rows), false
 	}
 	action, why := decideLedger(file, got, floored, runner.SimVersion, *update)
 	switch action {
@@ -387,6 +517,41 @@ func TestLedgerRules(t *testing.T) {
 	for _, moved := range [][]ledgerRow{skipped, worked} {
 		if ledgerDigest(moved) != ledgerDigest(rows) {
 			t.Errorf("a work column moves the digest: %v", moved[1])
+		}
+	}
+}
+
+// TestImageRules holds sameImages to pairing each row with the first
+// row of its workload and data set when their images differ, and
+// firstDiff to naming the lowest differing word with its symbol.
+func TestImageRules(t *testing.T) {
+	keys := []runner.Job{{WorkloadKey: "x/quick"}, {WorkloadKey: "y/quick"}, {WorkloadKey: "x/quick"}, {WorkloadKey: "x/full"}, {WorkloadKey: "x/quick"}}
+	rows := []ledgerRow{{Image: "a"}, {Image: "b"}, {Image: "a"}, {Image: "c"}, {Image: "d"}}
+	if got := sameImages(keys, rows); !slices.Equal(got, [][2]int{{0, 4}}) {
+		t.Errorf("sameImages = %v, want [[0 4]]", got)
+	}
+	image := func(chunks []uint32, words map[uint32]uint32) finalImage {
+		img := mem.NewImage(1 << 20)
+		for a, v := range words {
+			img.Write32(a, v)
+		}
+		return finalImage{img, chunks, &prof.Profile{Symbols: []prof.Symbol{{Name: "vec", Start: 0x3000, End: 0x4000}}}}
+	}
+	a := image([]uint32{0x2000, 0x3000}, map[uint32]uint32{0x2004: 1, 0x3008: 2, 0x300c: 3})
+	for _, c := range []struct {
+		b    finalImage
+		want string
+	}{
+		{image([]uint32{0x2000, 0x3000}, map[uint32]uint32{0x2004: 1, 0x3008: 2, 0x300c: 3}), "no difference"},
+		{image([]uint32{0x2000, 0x3000}, map[uint32]uint32{0x2004: 1, 0x3008: 5, 0x300c: 6}), "first difference at 0x3008 (vec+0x8): 0x2 vs 0x5"},
+		{image([]uint32{0x2000, 0x3000}, map[uint32]uint32{0x2004: 7, 0x3008: 2, 0x300c: 3}), "first difference at 0x2004 (no symbol): 0x1 vs 0x7"},
+		{image([]uint32{0x1000, 0x2000, 0x3000}, map[uint32]uint32{0x2004: 1, 0x3008: 2, 0x300c: 3}), "the chunk at 0x1000 is stored to by one row only"},
+	} {
+		if got := firstDiff(a, c.b); got != c.want {
+			t.Errorf("firstDiff = %q, want %q", got, c.want)
+		}
+		if got, want := a.hash() == c.b.hash(), c.want == "no difference"; got != want {
+			t.Errorf("%s: equal hashes %v", c.want, got)
 		}
 	}
 }
