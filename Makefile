@@ -18,8 +18,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project's own go/types-based analyzers (determinism,
-# cycleflow, statreg, neutral) over the whole module. See cmd/simlint
-# and the "Correctness tooling" section of the README.
+# statreg) over the whole module, loaded through one `go list -export`.
+# See cmd/simlint and the "Correctness tooling" section of the README.
 lint:
 	$(GO) run ./cmd/simlint
 

@@ -1,18 +1,16 @@
 // Command simlint runs the simulator's invariant analyzers (package
-// internal/lint) over the module:
+// internal/lint) over every package of the module, from any directory
+// inside it:
 //
-//	simlint                          # analyze the whole module
-//	simlint ./...                    # same
-//	simlint internal/memsys          # narrow the *output* to packages
-//	simlint -analyzers neutral,statreg
-//	simlint -list                    # print the suite
+//	simlint         # analyze the module
+//	simlint -list   # print the suite
 //
 // Findings print as path:line:col: [analyzer] message, paths relative
-// to the module root. Exit status:
+// to the working directory. Exit status:
 //
-//	0  clean (no findings survived suppression and filters)
+//	0  clean (no findings survived suppression)
 //	1  findings
-//	2  load/usage error (bad flag, unknown analyzer, type-check failure)
+//	2  load/usage error (bad flag, argument, type-check failure)
 //
 // Suppress an individual finding with a //simlint:allow <name> comment
 // on the offending line or the line above. Under GITHUB_ACTIONS=true
@@ -40,65 +38,37 @@ func main() {
 // is testable in-process.
 func runWith(argv []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
-	var (
-		listFlag      = fs.Bool("list", false, "list the analyzers and exit")
-		analyzersFlag = fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-	)
+	listFlag := fs.Bool("list", false, "list the analyzers and exit")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-
-	analyzers, err := selectAnalyzers(*analyzersFlag)
-	if err != nil {
-		return fail(err)
+	if fs.NArg() > 0 {
+		return fail(fmt.Errorf("unexpected argument %q: simlint always analyzes the whole module", fs.Arg(0)))
 	}
-
 	if *listFlag {
-		for _, a := range analyzers {
+		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
+	}
+
+	pkgs, err := lint.Load("cmpsim/...")
+	if err != nil {
+		return fail(err)
+	}
+	diags, err := lint.RunAnalyzers(lint.Analyzers(), pkgs)
+	if err != nil {
+		return fail(err)
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
 		return fail(err)
 	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		return fail(err)
-	}
-	// The source importer resolves module-internal imports relative to
-	// the working directory's module; run from the root so any package
-	// argument works.
-	if err := os.Chdir(root); err != nil {
-		return fail(err)
-	}
-
-	loader := lint.NewLoader()
-	pkgs, err := loader.LoadModule(root)
-	if err != nil {
-		return fail(err)
-	}
-
-	diags, err := lint.RunAnalyzers(analyzers, pkgs)
-	if err != nil {
-		return fail(err)
-	}
-
-	// Positional args narrow the analysis to matching packages; "./..."
-	// and the empty list mean everything. Module-wide analyzers still
-	// see the whole module, so narrowing only filters the output.
-	filters := packageFilters(fs.Args())
 	github := os.Getenv("GITHUB_ACTIONS") == "true"
-	findings := 0
 	for _, d := range diags {
-		if !filters.match(root, d.Pos.Filename) {
-			continue
-		}
-		findings++
 		file := d.Pos.Filename
-		if rel, err := filepath.Rel(root, file); err == nil {
+		if rel, err := filepath.Rel(cwd, file); err == nil {
 			file = filepath.ToSlash(rel)
 		}
 		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
@@ -107,42 +77,10 @@ func runWith(argv []string, stdout io.Writer) int {
 				file, d.Pos.Line, d.Pos.Column, d.Analyzer, escapeAnnotation(d.Message))
 		}
 	}
-	if findings > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers resolves -analyzers against the suite, preserving
-// suite order; an unknown name is a usage error (exit 2).
-func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
-	all := lint.Analyzers()
-	if names == "" {
-		return all, nil
-	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		want[n] = true
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	if len(want) > 0 {
-		var unknown []string
-		for n := range want {
-			unknown = append(unknown, n)
-		}
-		return nil, fmt.Errorf("unknown analyzer(s) %s (see simlint -list)", strings.Join(unknown, ", "))
-	}
-	return out, nil
 }
 
 // escapeAnnotation encodes the characters the workflow-command parser
@@ -152,39 +90,6 @@ func escapeAnnotation(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-type filterList []string
-
-func packageFilters(args []string) filterList {
-	var fl filterList
-	for _, a := range args {
-		a = strings.TrimPrefix(a, "./")
-		a = strings.TrimSuffix(a, "/...")
-		a = strings.Trim(a, "/")
-		if a == "." || a == "" {
-			return nil // whole module
-		}
-		fl = append(fl, a)
-	}
-	return fl
-}
-
-func (fl filterList) match(root, file string) bool {
-	if len(fl) == 0 {
-		return true
-	}
-	rel, err := filepath.Rel(root, file)
-	if err != nil {
-		return true
-	}
-	rel = filepath.ToSlash(rel)
-	for _, f := range fl {
-		if strings.HasPrefix(rel, f+"/") || filepath.Dir(rel) == f {
-			return true
-		}
-	}
-	return false
 }
 
 func fail(err error) int {

@@ -12,8 +12,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"cmpsim/internal/cyc"
 )
 
 // State is the MESI state of a cache line. Non-coherent caches use
@@ -98,8 +96,9 @@ func (s *Stats) Add(o Stats) {
 func (s Stats) Misses() uint64 { return s.ReadMisses + s.WriteMisses }
 
 // ReplMisses returns misses not caused by invalidation (cold, capacity
-// and conflict misses).
-func (s Stats) ReplMisses() uint64 { return cyc.Sub(s.Misses(), s.InvMisses) }
+// and conflict misses). Every invalidation miss is also counted as a
+// read or write miss, so the difference cannot wrap.
+func (s Stats) ReplMisses() uint64 { return s.Misses() - s.InvMisses }
 
 // MissRate returns misses per reference (the paper's "local miss rate").
 func (s Stats) MissRate() float64 {

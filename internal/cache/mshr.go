@@ -3,7 +3,6 @@ package cache
 import (
 	"sort"
 
-	"cmpsim/internal/cyc"
 	"cmpsim/internal/obsv"
 )
 
@@ -153,7 +152,7 @@ func (m *MSHRFile) Allocate(now uint64, lineAddr uint32, done uint64, tag uint8)
 	m.entries = append(m.entries, mshrSlot{done: done, addr: lineAddr, tag: tag}) // len < max <= cap (NewMSHRFile preallocates), so this never grows the backing array
 	if m.trace != nil {
 		m.trace.Emit(obsv.Event{
-			Cycle: now, Addr: lineAddr, Arg: uint32(cyc.Lat(done, now)),
+			Cycle: now, Addr: lineAddr, Arg: uint32(done - now),
 			Kind: obsv.EvMSHRAlloc, CPU: m.cpu,
 		})
 	}

@@ -472,10 +472,10 @@ func (m *Machine) addSymbols(p *asm.Program, physBias uint32, withData bool) {
 	// Ordering observability metadata (prof.Symbol) at program-load
 	// time, before the first tick; the data never reaches simulation.
 	sort.SliceStable(m.syms, func(i, j int) bool {
-		if m.syms[i].Start != m.syms[j].Start { //simlint:allow neutral — load-time symbol-table ordering
+		if m.syms[i].Start != m.syms[j].Start {
 			return m.syms[i].Start < m.syms[j].Start
 		}
-		return m.syms[i].Name < m.syms[j].Name //simlint:allow neutral — load-time symbol-table ordering
+		return m.syms[i].Name < m.syms[j].Name
 	})
 }
 

@@ -257,7 +257,7 @@ func (c *CPU) fetch(cur uint64, ppc uint32) bool {
 	if c.prof != nil {
 		c.prof.IStallPC(ppc, uint8(r.Level), r.Done-(cur+1))
 	}
-	c.nextFree = r.Done - 1 //simlint:allow cycleflow — r.Done > cur+1 here, so r.Done >= 2
+	c.nextFree = r.Done - 1 // r.Done > cur+1 here, so r.Done >= 2
 	return false
 }
 

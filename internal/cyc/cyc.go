@@ -1,10 +1,11 @@
-// Package cyc provides guarded cycle arithmetic for the simulator's
-// uint64 cycle domain. Raw uint64 subtraction silently wraps to a huge
-// positive number when the operands arrive out of order (a completion
-// timestamp older than "now", a grant issued before the request), which
-// then poisons every downstream latency statistic. The simlint cycleflow analyzer flags
-// unguarded uint64 subtractions in the timing packages; routing them
-// through this package is the blessed form.
+// Package cyc provides saturating arithmetic for the simulator's uint64
+// cycle and counter domain. Raw uint64 subtraction wraps to a huge
+// positive number when its operands are out of order, so a difference
+// whose operands have no structural order goes through Sub, as obsv's
+// interval deltas against a snapshot do. Where the order is structural
+// the simulator subtracts directly: a memory-system completion is never
+// before its issue cycle, which the sanitizer checks on every accepted
+// reference.
 package cyc
 
 // Sub returns a-b, saturating to 0 when b > a instead of wrapping.

@@ -6,7 +6,6 @@
 package interconnect
 
 import (
-	"cmpsim/internal/cyc"
 	"cmpsim/internal/obsv"
 )
 
@@ -40,9 +39,7 @@ func (r *Resource) Acquire(now, occ uint64) uint64 {
 	if r.busyUntil > start {
 		start = r.busyUntil
 	}
-	// start >= now by construction; the wait accounting saturates
-	// rather than wraps should that ever change.
-	wait := cyc.Sub(start, now)
+	wait := start - now // start >= now by construction
 	r.busyUntil = start + occ
 	r.acquires++
 	r.waitCycles += wait

@@ -7,92 +7,6 @@ import (
 	"testing"
 )
 
-func parseExprT(t *testing.T, src string) ast.Expr {
-	t.Helper()
-	e, err := parser.ParseExpr(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	return e
-}
-
-func parseDeclT(t *testing.T, src string) *ast.FuncDecl {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "t.go", "package p\n"+src, 0)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	t.Fatalf("no func decl in %q", src)
-	return nil
-}
-
-func TestUnparenAndExprKey(t *testing.T) {
-	e := parseExprT(t, "((x))")
-	if _, ok := unparen(e).(*ast.Ident); !ok {
-		t.Errorf("unparen(((x))) = %T, want *ast.Ident", unparen(e))
-	}
-	a, b := parseExprT(t, "(cur + 1)"), parseExprT(t, "cur+1")
-	if exprKey(a) != exprKey(b) {
-		t.Errorf("exprKey treats %q and %q as different", "(cur + 1)", "cur+1")
-	}
-}
-
-func TestConjunctsAndDisjuncts(t *testing.T) {
-	if got := conjuncts(parseExprT(t, "a && b && (c || d)")); len(got) != 3 {
-		t.Errorf("conjuncts = %d terms, want 3", len(got))
-	}
-	if got := disjuncts(parseExprT(t, "a || b || c")); len(got) != 3 {
-		t.Errorf("disjuncts = %d terms, want 3", len(got))
-	}
-	if got := conjuncts(parseExprT(t, "a")); len(got) != 1 {
-		t.Errorf("conjuncts of a non-&& expr = %d terms, want 1", len(got))
-	}
-}
-
-func TestHasNowParam(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"func f(now uint64) {}", true},
-		{"func f(a int, now uint64) {}", true},
-		{"func f(cycle, now uint64) {}", true},
-		{"func f(now uint32) {}", false}, // wrong type
-		{"func f(later uint64) {}", false},
-		{"func f() {}", false},
-	}
-	for _, c := range cases {
-		if got := hasNowParam(parseDeclT(t, c.src)); got != c.want {
-			t.Errorf("hasNowParam(%q) = %v, want %v", c.src, got, c.want)
-		}
-	}
-}
-
-func TestIsTerminalAndBodyTerminates(t *testing.T) {
-	terminating := []string{
-		"func f() { if x { return } }",
-		"func f() { if x { break } }",
-		"func f() { if x { panic(1) } }",
-		"func f() { if x { y++; return } }",
-	}
-	for _, src := range terminating {
-		fd := parseDeclT(t, src)
-		ifs := fd.Body.List[0].(*ast.IfStmt)
-		if !bodyTerminates(ifs) {
-			t.Errorf("bodyTerminates(%q) = false, want true", src)
-		}
-	}
-	fd := parseDeclT(t, "func f() { if x { y++ } }")
-	if bodyTerminates(fd.Body.List[0].(*ast.IfStmt)) {
-		t.Error("a non-terminal body reported terminating")
-	}
-}
-
 func TestScopeUnder(t *testing.T) {
 	scope := scopeUnder("internal/cache", "internal/core")
 	for _, rel := range []string{"internal/cache", "internal/cache/lru", "internal/core"} {
@@ -129,12 +43,6 @@ func TestInspectStackOrder(t *testing.T) {
 		}
 		if stack[len(stack)-1] == call {
 			t.Error("stack includes the visited node itself")
-		}
-		if enclosingFunc(stack) == nil {
-			t.Error("enclosingFunc missed the FuncDecl on the stack")
-		}
-		if !containsNode(stack[len(stack)-1], call) {
-			t.Error("containsNode(parent, node) = false")
 		}
 	})
 	if !sawCall {

@@ -1,20 +1,21 @@
 // Package lint is simlint's analysis framework: a small, dependency-free
 // re-implementation of the go/analysis driver model on top of go/parser
 // and go/types (the module deliberately has no external dependencies, so
-// golang.org/x/tools is not available). It loads and type-checks the
-// module's packages with the standard library's source importer and runs
-// a fixed suite of simulator-invariant analyzers over them:
+// golang.org/x/tools is not available). Load type-checks the module's
+// packages from source, taking standard-library imports from the export
+// data `go list -export` builds, and RunAnalyzers runs a fixed suite of
+// simulator-invariant analyzers over them:
 //
 //   - determinism: no wall-clock, global rand, goroutines, map-order
-//     iteration, os/flag/syscall imports or fusable float products
-//     inside the simulator state machines
-//   - cycleflow: uint64 cycle arithmetic cannot wrap (subtractions must
-//     be guarded, blessed through internal/cyc, or suppressed) and
-//     cycle-taking functions cannot return a completion before "now"
+//     iteration or os/flag/syscall imports inside the simulator state
+//     machines
 //   - statreg: every counter field of a *Stats struct is read by some
 //     report/merge path, so counters cannot be dropped silently
-//   - neutral: no value produced by the observability packages flows
-//     into simulator state or control flow
+//
+// Each rule is kept for a bug the tests cannot see: an environment read
+// in the simulator passes every test while the variable is unset, and a
+// counter dropped from every report passes every test that reads it
+// directly.
 //
 // A finding is suppressed by a comment on the same line or the line
 // above, naming the analyzer:
@@ -27,13 +28,17 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -61,9 +66,6 @@ type Analyzer struct {
 	// module-relative import path, e.g. "internal/cache"). nil means
 	// every package.
 	Scope func(relPath string) bool
-	// Wide, if set, admits more packages to Run than Scope does; Run
-	// applies only its module-wide rules to those.
-	Wide func(relPath string) bool
 
 	Run       func(*Pass) error
 	RunModule func(*ModulePass) error
@@ -73,9 +75,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		CycleflowAnalyzer,
 		StatregAnalyzer,
-		NeutralAnalyzer,
 	}
 }
 
@@ -120,7 +120,6 @@ func report(pkg *Package, a *Analyzer, diags *[]Diagnostic, pos token.Pos, forma
 type Package struct {
 	Path    string // full import path ("cmpsim/internal/cache")
 	RelPath string // module-relative ("internal/cache"; "" for the root)
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -171,187 +170,103 @@ func (p *Package) collectAllows() {
 	}
 }
 
-// Loader loads and type-checks module packages, sharing one file set
-// and one source importer (which caches transitively-imported packages
-// across loads).
-type Loader struct {
-	Fset *token.FileSet
-	imp  types.Importer
-
-	// preloaded maps import paths to packages registered via Preload,
-	// consulted before the source importer. Fixture tests use it to
-	// stand in for module packages (a fake internal/obsv the go tool
-	// could never resolve from a testdata directory).
-	preloaded map[string]*types.Package
+// listed is the part of one `go list -json` record the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	Module     *struct{ Path string }
 }
 
-// NewLoader returns a loader backed by the standard library's source
-// importer (type-checks imports from source; no export data needed).
-func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:      fset,
-		imp:       importer.ForCompiler(fset, "source", nil),
-		preloaded: map[string]*types.Package{},
-	}
-}
-
-// Preload registers an already-loaded package under its import path so
-// later Loads can import it by that path.
-func (l *Loader) Preload(p *Package) { l.preloaded[p.Path] = p.Types }
-
-// loaderImporter resolves preloaded paths first, then delegates to the
-// source importer.
-type loaderImporter struct{ l *Loader }
-
-func (li loaderImporter) Import(path string) (*types.Package, error) {
-	if p := li.l.preloaded[path]; p != nil {
-		return p, nil
-	}
-	return li.l.imp.Import(path)
-}
-
-func (li loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p := li.l.preloaded[path]; p != nil {
-		return p, nil
-	}
-	if from, ok := li.l.imp.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, dir, mode)
-	}
-	return li.l.imp.Import(path)
-}
-
-// Load parses and type-checks the non-test .go files of the package in
-// dir under the given import path.
-func (l *Loader) Load(dir, path, relPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// Load lists patterns with one `go list -export -deps -json`, run in the
+// working directory, and returns the module packages they match. Every
+// module package (a match or a dependency of one) is parsed and
+// type-checked from source exactly once, in the dependency order go list
+// prints, so packages share their types.Objects; standard-library
+// imports come from the export data go list built.
+func Load(patterns ...string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json"}, patterns...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
+	})
+	var pkgs []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listed
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("go list output: %w", err)
+		}
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
 			continue
 		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return nil, nil
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, n := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
+		pkg, err := check(fset, imp, lp)
 		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", n, err)
+			return nil, err
+		}
+		checked[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	if len(pkgs) == 0 {
+		// go list only warns when a pattern matches nothing.
+		return nil, fmt.Errorf("go list %s matched no packages", strings.Join(patterns, " "))
+	}
+	return pkgs, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// check parses and type-checks one listed module package.
+func check(fset *token.FileSet, imp types.Importer, lp listed) (*Package, error) {
+	var files []*ast.File
+	for _, n := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, n), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: loaderImporter{l},
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := conf.Check(path, l.Fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("type-check %s: %v", path, typeErrs[0])
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", lp.ImportPath, err)
 	}
 	p := &Package{
-		Path:    path,
-		RelPath: relPath,
-		Dir:     dir,
-		Fset:    l.Fset,
+		Path:    lp.ImportPath,
+		RelPath: strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, lp.Module.Path), "/"),
+		Fset:    fset,
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
 	}
 	p.collectAllows()
 	return p, nil
-}
-
-// ModulePath reads the module path from root's go.mod.
-func ModulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("no module line in %s/go.mod", root)
-}
-
-// FindModuleRoot walks up from dir to the directory containing go.mod.
-func FindModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// LoadModule loads every package of the module rooted at root, skipping
-// testdata and hidden directories.
-func (l *Loader) LoadModule(root string) ([]*Package, error) {
-	modPath, err := ModulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		imp := modPath
-		relPath := ""
-		if rel != "." {
-			imp = modPath + "/" + rel
-			relPath = rel
-		}
-		pkg, err := l.Load(path, imp, relPath)
-		if err != nil {
-			return fmt.Errorf("%s: %w", imp, err)
-		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pkgs, nil
 }
 
 // RunAnalyzers runs the given analyzers over the packages and returns
@@ -361,7 +276,7 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) 
 	for _, a := range analyzers {
 		var scoped []*Package
 		for _, pkg := range pkgs {
-			if a.Scope == nil || a.Scope(pkg.RelPath) || a.Wide != nil && a.Wide(pkg.RelPath) {
+			if a.Scope == nil || a.Scope(pkg.RelPath) {
 				scoped = append(scoped, pkg)
 			}
 		}

@@ -2,29 +2,14 @@ package lint_test
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
 	"cmpsim/internal/lint"
 )
-
-// The fixture loader is shared across subtests: the source importer
-// caches every transitively type-checked package, so one loader keeps
-// the suite fast.
-var (
-	loaderOnce sync.Once
-	loader     *lint.Loader
-)
-
-func sharedLoader() *lint.Loader {
-	loaderOnce.Do(func() { loader = lint.NewLoader() })
-	return loader
-}
 
 // wantRe matches the analysistest-style expectation comments used in
 // the fixtures: `// want "substring"`.
@@ -51,56 +36,21 @@ func loadWants(t *testing.T, path string) map[int]string {
 	return wants
 }
 
-// analyzerByName fetches one analyzer from the registered suite, so the
-// test exercises exactly what cmd/simlint runs.
-func analyzerByName(t *testing.T, name string) *lint.Analyzer {
-	t.Helper()
-	for _, a := range lint.Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	t.Fatalf("analyzer %q not registered", name)
-	return nil
-}
-
-// TestAnalyzersCatchFixtures loads each analyzer's seeded-violation
-// fixture and requires the findings to match the `// want` annotations
-// exactly — no misses, no extras, and suppressed lines stay silent.
+// TestAnalyzersCatchFixtures loads each registered analyzer's
+// seeded-violation fixture, testdata/src/<name>, and requires the
+// findings to match the `// want` annotations exactly — no misses, no
+// extras, and suppressed lines stay silent.
 func TestAnalyzersCatchFixtures(t *testing.T) {
-	// Each fixture masquerades as an in-scope simulator package via its
-	// fake relPath, internal/cache; determinism-driver stands for a
-	// package outside the simulator core.
-	for _, c := range []struct{ name, fixture, rel string }{
-		{"determinism", "determinism", "internal/cache"},
-		{"determinism", "determinism-driver", "internal/workload"},
-		{"cycleflow", "cycleflow", "internal/cache"},
-		{"statreg", "statreg", "internal/cache"},
-		{"neutral", "neutral", "internal/cache"},
-	} {
-		name := c.name
-		t.Run(c.fixture, func(t *testing.T) {
-			a := analyzerByName(t, name)
-			dir := filepath.Join("testdata", "src", c.fixture)
-			if name == "neutral" {
-				// The neutral fixture consumes a stand-in observability
-				// package; preload it under a path whose suffix marks it as
-				// the obs surface.
-				obs, err := sharedLoader().Load(filepath.Join(dir, "obsv"),
-					"cmpsim/lintfixture/internal/obsv", "internal/obsv")
-				if err != nil {
-					t.Fatalf("load obsv fixture: %v", err)
-				}
-				sharedLoader().Preload(obs)
-			}
-			pkg, err := sharedLoader().Load(dir, "cmpsim/lintfixture/"+c.fixture, c.rel)
+	for _, a := range lint.Analyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			dir := "testdata/src/" + a.Name
+			pkgs, err := lint.Load("./" + dir)
 			if err != nil {
 				t.Fatalf("load fixture: %v", err)
 			}
-			if pkg == nil {
-				t.Fatalf("fixture %s has no files", dir)
-			}
-			diags, err := lint.RunAnalyzers([]*lint.Analyzer{a}, []*lint.Package{pkg})
+			// Masquerade as a simulator package, inside every scope.
+			pkgs[0].RelPath = "internal/cache"
+			diags, err := lint.RunAnalyzers([]*lint.Analyzer{a}, pkgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,53 +80,24 @@ func TestAnalyzersCatchFixtures(t *testing.T) {
 	}
 }
 
-// The real-module load is shared across the whole-tree tests:
-// type-checking the module from source once is expensive enough to
-// amortize.
-var (
-	moduleOnce sync.Once
-	modulePkgs []*lint.Package
-	moduleRoot string
-	moduleErr  error
-)
-
-func loadRealModule(t *testing.T) (string, []*lint.Package) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	moduleOnce.Do(func() {
-		moduleRoot, moduleErr = lint.FindModuleRoot(".")
-		if moduleErr != nil {
-			return
-		}
-		modulePkgs, moduleErr = sharedLoader().LoadModule(moduleRoot)
-	})
-	if moduleErr != nil {
-		t.Fatal(moduleErr)
-	}
-	return moduleRoot, modulePkgs
-}
-
 // TestShippedTreeClean runs the full suite over the real module and
 // requires zero findings: the simulator itself must satisfy its own
 // invariants (violations that are deliberate carry simlint:allow
 // comments in the source).
 func TestShippedTreeClean(t *testing.T) {
-	root, pkgs := loadRealModule(t)
+	pkgs, err := lint.Load("cmpsim/...")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages from %s; loader is missing the tree", len(pkgs), root)
+		t.Fatalf("loaded only %d packages; loader is missing the tree", len(pkgs))
 	}
 	diags, err := lint.RunAnalyzers(lint.Analyzers(), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
-		rel, rerr := filepath.Rel(root, d.Pos.Filename)
-		if rerr != nil {
-			rel = d.Pos.Filename
-		}
-		t.Errorf("%s", fmt.Sprintf("%s:%d:%d: [%s] %s", rel, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message))
+		t.Error(d)
 	}
 }
 

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -22,32 +21,26 @@ import (
 // their declaration.
 //
 // Because it needs the whole module at once, statreg is a module-wide
-// analyzer (RunModule); field identity is matched by (package path,
-// type name, field name) strings since separately type-checked
-// packages have distinct types.Object identities.
+// analyzer (RunModule). Load type-checks each package once, so a field
+// read anywhere in the module selects the very *types.Var its struct
+// declares.
 var StatregAnalyzer = &Analyzer{
 	Name:      "statreg",
 	Doc:       "every counter field of a *Stats struct must be read by a report/merge path",
 	RunModule: runStatreg,
 }
 
-type fieldKey struct {
-	pkgPath   string
-	typeName  string
-	fieldName string
-}
-
 type fieldDecl struct {
-	pkg *Package
-	pos token.Pos
+	pkg      *Package
+	typeName string
 }
 
 func runStatreg(pass *ModulePass) error {
-	decls := map[fieldKey]fieldDecl{}
+	decls := map[*types.Var]fieldDecl{}
 
 	// Pass 1: collect counter fields of *Stats structs in internal/.
 	for _, pkg := range pass.Packages {
-		if !strings.HasPrefix(pkg.RelPath, "internal/") || pkg.RelPath == "internal/lint" {
+		if !strings.HasPrefix(pkg.RelPath, "internal/") {
 			continue
 		}
 		scope := pkg.Types.Scope()
@@ -62,7 +55,7 @@ func runStatreg(pass *ModulePass) error {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); isCounterType(f.Type()) {
-					decls[fieldKey{pkg.Path, tn.Name(), f.Name()}] = fieldDecl{pkg: pkg, pos: f.Pos()}
+					decls[f] = fieldDecl{pkg: pkg, typeName: tn.Name()}
 				}
 			}
 		}
@@ -72,7 +65,7 @@ func runStatreg(pass *ModulePass) error {
 	}
 
 	// Pass 2: scan every package for reads.
-	read := map[fieldKey]bool{}
+	read := map[*types.Var]bool{}
 	for _, pkg := range pass.Packages {
 		info := pkg.Info
 		for _, f := range pkg.Files {
@@ -85,34 +78,20 @@ func runStatreg(pass *ModulePass) error {
 				if !ok || s.Kind() != types.FieldVal {
 					return
 				}
-				k, ok := fieldKeyOf(s)
-				if !ok {
-					return
-				}
-				if _, tracked := decls[k]; !tracked || read[k] {
-					return
-				}
-				if isReadContext(sel, stack) {
-					read[k] = true
+				v := s.Obj().(*types.Var)
+				if _, tracked := decls[v]; tracked && !read[v] && isReadContext(sel, stack) {
+					read[v] = true
 				}
 			})
 		}
 	}
 
-	for k, d := range decls {
-		if read[k] {
-			continue
+	for v, d := range decls {
+		if !read[v] {
+			pass.Reportf(d.pkg, v.Pos(), "counter %s.%s.%s is incremented but never read by any report or merge path", v.Pkg().Name(), d.typeName, v.Name())
 		}
-		pass.Reportf(d.pkg, d.pos, "counter %s.%s.%s is incremented but never read by any report or merge path", shortPkg(k.pkgPath), k.typeName, k.fieldName)
 	}
 	return nil
-}
-
-func shortPkg(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // isCounterType matches the numeric shapes used for counters: integer
@@ -125,45 +104,6 @@ func isCounterType(t types.Type) bool {
 		return isCounterType(u.Elem())
 	}
 	return false
-}
-
-// fieldKeyOf maps a field selection to its string identity, resolving
-// the receiver through pointers and embedded fields to the named struct
-// that declares the field.
-func fieldKeyOf(s *types.Selection) (fieldKey, bool) {
-	obj, ok := s.Obj().(*types.Var)
-	if !ok || obj.Pkg() == nil {
-		return fieldKey{}, false
-	}
-	t := s.Recv()
-	// Follow the selection's index path through embedded structs so the
-	// key names the struct that actually declares the field.
-	idx := s.Index()
-	for _, i := range idx[:len(idx)-1] {
-		t = derefNamed(t)
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok {
-			return fieldKey{}, false
-		}
-		t = st.Field(i).Type()
-	}
-	t = derefNamed(t)
-	named, ok := t.(*types.Named)
-	if !ok {
-		return fieldKey{}, false
-	}
-	tn := named.Obj()
-	if tn.Pkg() == nil {
-		return fieldKey{}, false
-	}
-	return fieldKey{tn.Pkg().Path(), tn.Name(), obj.Name()}, true
-}
-
-func derefNamed(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // isReadContext reports whether the selector occurrence consumes the

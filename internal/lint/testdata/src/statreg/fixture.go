@@ -53,3 +53,15 @@ func (s *HostStats) report() (uint64, uint64) {
 	}
 	return s.Windows, s.SpinNs + bySite
 }
+
+// DirStats is the bug every test misses: Evicts is counted and its test
+// reads it, but no report prints it. Test files are not loaded, so the
+// test's read does not count.
+type DirStats struct {
+	Invalidations uint64
+	Evicts        uint64 // want "never read"
+}
+
+func (s *DirStats) evict() { s.Evicts++ }
+
+func (s *DirStats) report() uint64 { return s.Invalidations }

@@ -2,7 +2,6 @@ package memsys
 
 import (
 	"cmpsim/internal/cache"
-	"cmpsim/internal/cyc"
 	"cmpsim/internal/obsv"
 )
 
@@ -133,7 +132,7 @@ func (c *cpuSide) IFetch(now uint64, cpu int, addr uint32) Result {
 	ic.Fill(addr, cache.Exclusive)
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.Emit(obsv.Event{
-			Cycle: now, Addr: addr, Arg: uint32(cyc.Lat(dataAt, now)),
+			Cycle: now, Addr: addr, Arg: uint32(dataAt - now),
 			Kind: obsv.EvIFetch, CPU: int8(cpu), Level: uint8(lvl),
 		})
 	}

@@ -22,10 +22,10 @@ import (
 	"cmpsim/internal/prof"
 )
 
-// Note on cycle arithmetic: latency computations in the compositions go
-// through cyc.Lat/cyc.Sub (saturating) so an out-of-order completion
-// timestamp can never wrap a uint64 latency; the simlint cycleflow
-// analyzer enforces this.
+// Note on cycle arithmetic: an accepted reference completes at or after
+// its issue cycle (the sanitizer's CheckAccessTime checks it), and a
+// fill at or after the cycle it was requested, so the compositions take
+// latencies as plain differences.
 
 // Level identifies the deepest memory-hierarchy level involved in
 // servicing a reference; the CPU models attribute stall cycles to it.

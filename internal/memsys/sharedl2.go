@@ -3,7 +3,6 @@ package memsys
 import (
 	"cmpsim/internal/cache"
 	"cmpsim/internal/coherence"
-	"cmpsim/internal/cyc"
 	"cmpsim/internal/interconnect"
 	"cmpsim/internal/obsv"
 )
@@ -113,7 +112,7 @@ func (s *SharedL2) Access(now uint64, cpu int, addr uint32, write bool) (r Resul
 		r, ok = s.writeBack(now, cpu, addr, write)
 	}
 	if ok {
-		s.cfg.traceAccess(now, cpu, addr, write, r.Level, cyc.Lat(r.Done, now))
+		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 		if s.cfg.Check != nil {
 			s.sanityCheck(now, cpu, addr, r)
 		}

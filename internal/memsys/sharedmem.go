@@ -4,7 +4,6 @@ import (
 	"cmpsim/internal/cache"
 	"cmpsim/internal/check"
 	"cmpsim/internal/coherence"
-	"cmpsim/internal/cyc"
 	"cmpsim/internal/interconnect"
 	"cmpsim/internal/obsv"
 )
@@ -103,7 +102,7 @@ func (s *SharedMem) writebackL1Victim(cpu int, v cache.Victim, at uint64) {
 func (s *SharedMem) Access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	r, ok := s.access(now, cpu, addr, write)
 	if ok {
-		s.cfg.traceAccess(now, cpu, addr, write, r.Level, cyc.Lat(r.Done, now))
+		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 		if s.cfg.Check != nil {
 			s.sanityCheck(now, cpu, addr, r)
 		}

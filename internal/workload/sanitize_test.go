@@ -43,7 +43,7 @@ func TestSanitizedRunsClean(t *testing.T) {
 }
 
 // sanitizedCell runs one quick cell plain and instrumented (sanitizer,
-// trace ring and profiler) and compares them.
+// trace ring, profiler and interval sampler) and compares them.
 func sanitizedCell(t *testing.T, name string, arch core.Arch, model core.CPUModel) {
 	run := func(cfg memsys.Config) *core.RunResult {
 		w, err := NewQuick(name)
@@ -62,6 +62,7 @@ func sanitizedCell(t *testing.T, name string, arch core.Arch, model core.CPUMode
 	cfg.Check = chk
 	cfg.Trace = obsv.Tee(ring, chk) // the checker's copy is the violation trail
 	cfg.Prof = prof.New(cfg.NumCPUs, cfg.LineBytes)
+	cfg.Metrics = obsv.NewMetrics(5000)
 	got := run(cfg)
 	if chk.Checks() < 1000 {
 		t.Fatalf("sanitizer ran only %d checks; the Config.Check wiring is broken", chk.Checks())
@@ -71,6 +72,9 @@ func sanitizedCell(t *testing.T, name string, arch core.Arch, model core.CPUMode
 	}
 	if got.Profile == nil || len(got.Profile.PCs) == 0 {
 		t.Error("the profile attributes no PC; the Config.Prof wiring is broken")
+	}
+	if len(cfg.Metrics.Samples()) == 0 {
+		t.Error("the sampler recorded no interval; the Config.Metrics wiring is broken")
 	}
 	want := run(memsys.DefaultConfig())
 	if got.Cycles != want.Cycles {

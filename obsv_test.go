@@ -144,28 +144,6 @@ func TestTracedRunEmitsLoadableChromeTrace(t *testing.T) {
 	}
 }
 
-// TestDisabledTracingMatchesUntracedRun: wiring a tracer must observe,
-// never perturb — cycle counts with tracing on and off must be
-// identical, and a disabled config must not allocate on the hot path.
-func TestDisabledTracingMatchesUntracedRun(t *testing.T) {
-	base := memsys.DefaultConfig()
-	plain, err := cmpsim.RunWorkload(eqntottSmall(), cmpsim.SharedL2, cmpsim.ModelMipsy, &base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced := memsys.DefaultConfig()
-	traced.Trace = cmpsim.NewTraceRing(1 << 18)
-	traced.Metrics = cmpsim.NewMetrics(5000)
-	got, err := cmpsim.RunWorkload(eqntottSmall(), cmpsim.SharedL2, cmpsim.ModelMipsy, &traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles != plain.Cycles || got.Instructions() != plain.Instructions() {
-		t.Errorf("tracing perturbed the run: %d/%d cycles, %d/%d insts",
-			got.Cycles, plain.Cycles, got.Instructions(), plain.Instructions())
-	}
-}
-
 // TestDisabledPathDoesNotAllocate proves the nil-tracer fast path of a
 // steady-state L1 hit performs zero heap allocations.
 func TestDisabledPathDoesNotAllocate(t *testing.T) {

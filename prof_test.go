@@ -125,21 +125,6 @@ func TestProfReconcilesWithStallStatsMXS(t *testing.T) {
 	}
 }
 
-// TestProfDoesNotPerturbRun: attaching a profiler must observe, never
-// perturb — cycle and instruction counts must match an unprofiled run.
-func TestProfDoesNotPerturbRun(t *testing.T) {
-	base := memsys.DefaultConfig()
-	plain, err := cmpsim.RunWorkload(eqntottSmall(), cmpsim.SharedMem, cmpsim.ModelMipsy, &base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := profRun(t, cmpsim.SharedMem, cmpsim.ModelMipsy)
-	if res.Cycles != plain.Cycles || res.Instructions() != plain.Instructions() {
-		t.Errorf("profiling perturbed the run: %d/%d cycles, %d/%d insts",
-			res.Cycles, plain.Cycles, res.Instructions(), plain.Instructions())
-	}
-}
-
 // TestProfSymbolAttribution: the hot-function table must resolve PCs to
 // real guest symbols — an all-hex table means the symbol plumbing from
 // asm.Program.Symbols through core.Machine broke.
