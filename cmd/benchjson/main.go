@@ -61,7 +61,7 @@ func benchFigure(f benchfig.Figure, noSkip bool) (testing.BenchmarkResult, uint6
 		cfg := f.Config()
 		cfg.NoSkip = noSkip
 		for i := 0; i < b.N; i++ {
-			_, c, err := benchfig.Run(f, &cfg)
+			c, err := benchfig.Run(f, cfg)
 			if err != nil {
 				runErr = err
 				b.Fatal(err)

@@ -125,19 +125,23 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Build the whole grid up front — the Mipsy figures, the Section 4.1
-	// ablation (its first point, the paper's L2, is its figure's cell)
+	// Build the whole grid up front — the Mipsy figures, the titled
+	// sweeps (a point at the paper's configuration is its figure's cell)
 	// and the MXS figures — then dispatch it through one pool run so
 	// every cell can execute concurrently. Printing follows in table
 	// order, which keeps the output byte-identical to a serial run.
 	mipsySpecs := g.addFigures(core.ModelMipsy)
-	ab := benchfig.Ablation()
-	fig := mipsySpecs[slices.IndexFunc(mipsySpecs, func(s figureSpec) bool { return s.App == ab.App })]
-	ablationJobs := []int{fig.jobIdx[slices.Index(core.Arches(), ab.Arch)]}
-	for _, assoc := range ab.L2Assocs[1:] {
-		cfg := memsys.DefaultConfig()
-		cfg.L2Assoc = assoc
-		ablationJobs = append(ablationJobs, g.addJob(ab.App, ab.Arch, core.ModelMipsy, cfg, fmt.Sprintf("ablation-%s-l2assoc-%d", ab.App, assoc)))
+	sweeps := slices.DeleteFunc(benchfig.Sweeps(), func(s benchfig.Sweep) bool { return s.Title == "" })
+	sweepJobs := make([][]int, len(sweeps)) // each sweep's jobs, in value order
+	for i, s := range sweeps {
+		for _, v := range s.Values {
+			if s.Default(v) {
+				fig := mipsySpecs[slices.IndexFunc(mipsySpecs, func(f figureSpec) bool { return f.App == s.App })]
+				sweepJobs[i] = append(sweepJobs[i], fig.jobIdx[slices.Index(core.Arches(), s.Arch)])
+			} else {
+				sweepJobs[i] = append(sweepJobs[i], g.addJob(s.App, s.Arch, core.ModelMipsy, s.Config(v), fmt.Sprintf("ablation-%s-%s-%d", s.App, s.Knob, v)))
+			}
+		}
 	}
 	var mxsSpecs []figureSpec
 	if !*skipMXS {
@@ -152,16 +156,18 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "=== %s ===\n", ab.Title)
-	for i, assoc := range ab.L2Assocs {
-		res, err := g.result(ablationJobs[i])
-		if err != nil {
-			return err
+	for i, s := range sweeps {
+		fmt.Fprintf(stdout, "=== %s ===\n", s.Title)
+		for j, v := range s.Values {
+			res, err := g.result(sweepJobs[i][j])
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "  %s: cycles=%-10d L2 miss rate=%5.1f%%  L1R=%5.1f%%\n",
+				fmt.Sprintf(s.Label, v), res.Cycles, 100*res.MemReport.L2.MissRate(), 100*res.MemReport.L1D.ReplRate())
 		}
-		fmt.Fprintf(stdout, "  L2 %d-way: cycles=%-10d L2 miss rate=%5.1f%%  L1R=%5.1f%%\n",
-			assoc, res.Cycles, 100*res.MemReport.L2.MissRate(), 100*res.MemReport.L1D.ReplRate())
+		fmt.Fprintln(stdout)
 	}
-	fmt.Fprintln(stdout)
 
 	if !*skipMXS {
 		fmt.Fprintf(stdout, "=== %s ===\n", benchfig.MXSTitle)

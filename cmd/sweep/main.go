@@ -20,55 +20,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
+	"cmpsim/internal/benchfig"
 	"cmpsim/internal/cli"
 	"cmpsim/internal/core"
-	"cmpsim/internal/memsys"
 	"cmpsim/internal/runner"
 )
-
-// The largest value each kind of Config field holds.
-const (
-	maxU32 = math.MaxUint32
-	maxInt = math.MaxInt
-	maxU64 = math.MaxUint64
-)
-
-// params maps sweepable parameter names to setters on the config and
-// the largest value the field they set can hold.
-var params = map[string]struct {
-	help string
-	max  uint64
-	set  func(*memsys.Config, uint64)
-}{
-	"l1dsize":      {"private L1 D-cache bytes", maxU32, func(c *memsys.Config, v uint64) { c.L1DSize = uint32(v) }},
-	"l1isize":      {"private L1 I-cache bytes", maxU32, func(c *memsys.Config, v uint64) { c.L1ISize = uint32(v) }},
-	"sharedl1size": {"shared L1 bytes", maxU32, func(c *memsys.Config, v uint64) { c.SharedL1Size = uint32(v) }},
-	"sharedl1hit": {"shared L1 hit latency (cycles); >1 also enables bank contention", maxU64, func(c *memsys.Config, v uint64) {
-		c.SharedL1HitLat = v
-		c.SharedL1BankContention = v > 1
-	}},
-	"sharedl1banks": {"shared L1 bank count", maxU32, func(c *memsys.Config, v uint64) {
-		c.SharedL1Banks = uint32(v)
-		c.SharedL1BankContention = true
-	}},
-	"l2assoc":     {"L2 associativity", maxU32, func(c *memsys.Config, v uint64) { c.L2Assoc = uint32(v) }},
-	"l2lat":       {"uniprocessor-style L2 latency", maxU64, func(c *memsys.Config, v uint64) { c.L2Lat = v }},
-	"sharedl2lat": {"crossbar L2 latency", maxU64, func(c *memsys.Config, v uint64) { c.SharedL2Lat = v }},
-	"sharedl2occ": {"crossbar L2 line occupancy (datapath width)", maxU64, func(c *memsys.Config, v uint64) { c.SharedL2Occ = v }},
-	"memlat":      {"main memory latency", maxU64, func(c *memsys.Config, v uint64) { c.MemLat = v }},
-	"c2clat":      {"cache-to-cache transfer latency", maxU64, func(c *memsys.Config, v uint64) { c.C2CLat = v }},
-	"mshrs":       {"outstanding misses per cache port", maxInt, func(c *memsys.Config, v uint64) { c.MSHRs = int(v) }},
-	"wbuf":        {"write buffer depth", maxInt, func(c *memsys.Config, v uint64) { c.WriteBufDepth = int(v) }},
-	"privl2size":  {"private L2 bytes per CPU (shared-mem)", maxU32, func(c *memsys.Config, v uint64) { c.PrivL2Size = uint32(v) }},
-	"cpus": {"processor count — the CMP scaling axis (workloads re-decompose; ocean needs 4)", maxInt,
-		func(c *memsys.Config, v uint64) { c.NumCPUs = int(v) }},
-}
 
 // parseValues parses the -values list of parameter name. A value its
 // field cannot hold is an error, not a sweep point that runs one value
@@ -80,8 +41,8 @@ func parseValues(name, values string) ([]uint64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-param %s: %w", name, err)
 		}
-		if v > params[name].max {
-			return nil, fmt.Errorf("-param %s: value %d does not fit its field (at most %d)", name, v, params[name].max)
+		if v > benchfig.Knobs[name].Max {
+			return nil, fmt.Errorf("-param %s: value %d does not fit its field (at most %d)", name, v, benchfig.Knobs[name].Max)
 		}
 		points = append(points, v)
 	}
@@ -101,17 +62,17 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		names := make([]string, 0, len(params))
-		for name := range params {
+		names := make([]string, 0, len(benchfig.Knobs))
+		for name := range benchfig.Knobs {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("%-14s %s\n", name, params[name].help)
+			fmt.Printf("%-14s %s\n", name, benchfig.Knobs[name].Help)
 		}
 		return
 	}
-	p, ok := params[*param]
+	_, ok := benchfig.Knobs[*param]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "sweep: unknown -param %q (try -params)\n", *param)
 		os.Exit(2)
@@ -134,9 +95,7 @@ func main() {
 	}
 	var sweepJobs []runner.Job
 	for _, v := range points {
-		cfg := memsys.DefaultConfig()
-		p.set(&cfg, v)
-		sweepJobs = append(sweepJobs, poolFlags.Job(*wlName, false, *arch, *model, cfg,
+		sweepJobs = append(sweepJobs, poolFlags.Job(*wlName, false, *arch, *model, benchfig.Sweep{Knob: *param}.Config(v),
 			fmt.Sprintf("%s-%s-%s-%d", *wlName, *arch, *param, v)))
 	}
 

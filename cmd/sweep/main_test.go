@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"cmpsim/internal/benchfig"
 )
 
 // TestValuesMustFitTheirField: a value wider than its Config field is
@@ -32,8 +34,8 @@ func TestValuesMustFitTheirField(t *testing.T) {
 			t.Errorf("-param %s -values %s: error %v, want one naming the parameter", tc.param, tc.values, err)
 		}
 	}
-	for name, p := range params {
-		if p.max == 0 {
+	for name, p := range benchfig.Knobs {
+		if p.Max == 0 {
 			t.Errorf("-param %s has no largest value", name)
 		}
 	}

@@ -1,13 +1,17 @@
 // Package benchfig is the paper's figure table: every figure's title,
-// bench name, workload, CPU model and configuration, plus the Section
-// 4.1 ablation. cmd/experiments prints the titled rows at the paper's
-// size (workload.New) or quick (workload.NewQuick); BenchmarkFigures,
-// TestLedger and cmd/benchjson run them at the paper's, the cells the
-// figures print. Only the memory-bound sentinel rows size their own
-// data sets.
+// bench name, workload, CPU model and configuration, plus the sweeps
+// of DESIGN.md section 5 over cmd/sweep's knobs. cmd/experiments prints
+// the titled rows and sweeps at the paper's size (workload.New) or
+// quick (workload.NewQuick); TestLedger and cmd/benchjson run the rows
+// at the paper's, and TestLedger pins every sweep point. Only the
+// memory-bound sentinel rows size their own data sets.
 package benchfig
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/workload"
@@ -17,7 +21,7 @@ import (
 // architectures under one CPU model, mirroring the corresponding
 // per-application figure of the paper.
 type Figure struct {
-	Name  string // bench sub-name and BENCH_figures.json key, e.g. "Figure5_MP3D"
+	Name  string // BENCH_figures.json key and ledger row prefix, e.g. "Figure5_MP3D"
 	Title string // cmd/experiments' heading; "" = a benchmark-only row
 	App   string // workload registry name (workload.New, workload.NewQuick)
 	Model core.CPUModel
@@ -117,43 +121,114 @@ func Figures() []Figure {
 	}
 }
 
-// AssocAblation is an L2-associativity ablation: App on Arch under the
-// simple CPU, once per associativity in L2Assocs.
-type AssocAblation struct {
-	Title, App string
-	Arch       core.Arch
-	L2Assocs   []uint32
+// Knob is a memsys.Config parameter a sweep varies.
+type Knob struct {
+	Help string
+	Max  uint64 // the largest value the field it sets holds
+	Set  func(*memsys.Config, uint64)
 }
 
-// Ablation returns the Section 4.1 experiment: MP3D on the shared-L1
-// machine with a direct-mapped and a 4-way set-associative L2.
-func Ablation() AssocAblation {
-	return AssocAblation{"Section 4.1 ablation: MP3D shared-L1 with L2 associativity 1 vs 4", "mp3d", core.SharedL1, []uint32{1, 4}}
+// Knobs maps each sweepable parameter's name (cmd/sweep's -param) to
+// its knob.
+var Knobs = map[string]Knob{
+	"l1dsize":      {"private L1 D-cache bytes", math.MaxUint32, func(c *memsys.Config, v uint64) { c.L1DSize = uint32(v) }},
+	"l1isize":      {"private L1 I-cache bytes", math.MaxUint32, func(c *memsys.Config, v uint64) { c.L1ISize = uint32(v) }},
+	"sharedl1size": {"shared L1 bytes", math.MaxUint32, func(c *memsys.Config, v uint64) { c.SharedL1Size = uint32(v) }},
+	"sharedl1hit": {"shared L1 hit latency (cycles); >1 also enables bank contention", math.MaxUint64, func(c *memsys.Config, v uint64) {
+		c.SharedL1HitLat = v
+		c.SharedL1BankContention = v > 1
+	}},
+	"sharedl1banks": {"shared L1 bank count", math.MaxUint32, func(c *memsys.Config, v uint64) {
+		c.SharedL1Banks = uint32(v)
+		c.SharedL1BankContention = true
+	}},
+	"l2assoc":     {"L2 associativity", math.MaxUint32, func(c *memsys.Config, v uint64) { c.L2Assoc = uint32(v) }},
+	"l2lat":       {"uniprocessor-style L2 latency", math.MaxUint64, func(c *memsys.Config, v uint64) { c.L2Lat = v }},
+	"sharedl2lat": {"crossbar L2 latency", math.MaxUint64, func(c *memsys.Config, v uint64) { c.SharedL2Lat = v }},
+	"sharedl2occ": {"crossbar L2 line occupancy (datapath width)", math.MaxUint64, func(c *memsys.Config, v uint64) { c.SharedL2Occ = v }},
+	"memlat":      {"main memory latency", math.MaxUint64, func(c *memsys.Config, v uint64) { c.MemLat = v }},
+	"c2clat":      {"cache-to-cache transfer latency", math.MaxUint64, func(c *memsys.Config, v uint64) { c.C2CLat = v }},
+	"mshrs":       {"outstanding misses per cache port", math.MaxInt, func(c *memsys.Config, v uint64) { c.MSHRs = int(v) }},
+	"wbuf":        {"write buffer depth", math.MaxInt, func(c *memsys.Config, v uint64) { c.WriteBufDepth = int(v) }},
+	"privl2size":  {"private L2 bytes per CPU (shared-mem)", math.MaxUint32, func(c *memsys.Config, v uint64) { c.PrivL2Size = uint32(v) }},
+	"cpus": {"processor count — the CMP scaling axis (workloads re-decompose; ocean needs 4)", math.MaxInt,
+		func(c *memsys.Config, v uint64) { c.NumCPUs = int(v) }},
 }
 
-// Run executes one iteration of a figure benchmark — the row's
-// workload (f.Workload) on all three architectures — and returns the
-// per-architecture results plus the total number of simulated cycles,
-// the numerator of the simulated-cycles-per-second throughput metric. cfg overrides the
-// memory-system parameters; nil uses the figure's own (f.Config).
-func Run(f Figure, cfg *memsys.Config) (map[core.Arch]*core.RunResult, uint64, error) {
-	if cfg == nil {
-		c := f.Config()
-		cfg = &c
+// Sweep is a one-knob study under the simple CPU: App on Arch with Knob
+// at each of Values (ascending) over the paper's configuration, Base
+// set first. As the value rises, cycles never fall if Dir is +1 and
+// never rise if it is -1. Title is cmd/experiments' heading ("" = a
+// sweep only the ledger runs) and Label its format of one point.
+type Sweep struct {
+	Name, Title, Label string
+	App                string
+	Arch               core.Arch
+	Knob               string
+	Values             []uint64
+	Base               []Setting
+	Dir                int
+}
+
+// Setting is one knob at one value.
+type Setting struct {
+	Knob  string
+	Value uint64
+}
+
+// Config returns the configuration of the sweep's point v.
+func (s Sweep) Config(v uint64) memsys.Config {
+	cfg := memsys.DefaultConfig()
+	for _, b := range s.Base {
+		Knobs[b.Knob].Set(&cfg, b.Value)
 	}
-	runs := make(map[core.Arch]*core.RunResult, 3)
+	Knobs[s.Knob].Set(&cfg, v)
+	return cfg
+}
+
+// Default reports whether point v is the paper's configuration, a cell
+// the figures already run.
+func (s Sweep) Default(v uint64) bool { return reflect.DeepEqual(s.Config(v), memsys.DefaultConfig()) }
+
+// Point names point v by its settings, e.g. "sharedl1hit3-sharedl1banks2".
+func (s Sweep) Point(v uint64) string {
+	var name string
+	for _, b := range s.Base {
+		name += fmt.Sprintf("%s%d-", b.Knob, b.Value)
+	}
+	return fmt.Sprintf("%s%s%d", name, s.Knob, v)
+}
+
+// Sweeps returns the Section 4.1 ablation, the one sweep cmd/experiments
+// prints, then the design choices of DESIGN.md section 5.
+func Sweeps() []Sweep {
+	return []Sweep{
+		{Name: "MP3DL2Assoc", Title: "Section 4.1 ablation: MP3D shared-L1 with L2 associativity 1 vs 4", Label: "L2 %d-way",
+			App: "mp3d", Arch: core.SharedL1, Knob: "l2assoc", Values: []uint64{1, 4}, Dir: -1},
+		{Name: "SharedL1HitTime", App: "ear", Arch: core.SharedL1, Knob: "sharedl1hit", Values: []uint64{1, 3}, Dir: 1},
+		{Name: "SharedL1Banks", App: "ocean", Arch: core.SharedL1, Knob: "sharedl1banks", Values: []uint64{1, 2, 4, 8},
+			Base: []Setting{{"sharedl1hit", 3}}, Dir: -1},
+		{Name: "SharedL2Datapath", App: "ocean", Arch: core.SharedL2, Knob: "sharedl2occ", Values: []uint64{2, 4}, Dir: 1},
+		{Name: "C2CLatency", App: "eqntott", Arch: core.SharedMem, Knob: "c2clat", Values: []uint64{50, 55, 70, 90}, Dir: 1},
+	}
+}
+
+// Run executes one iteration of a figure benchmark, the row's workload
+// (f.Workload) on all three architectures under cfg, and returns the
+// simulated cycles summed over them, the numerator of the
+// simulated-cycles-per-second throughput metric.
+func Run(f Figure, cfg memsys.Config) (uint64, error) {
 	var cycles uint64
 	for _, a := range core.Arches() {
 		w, err := f.Workload()
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		res, err := workload.Run(w, a, f.Model, cfg)
+		res, err := workload.Run(w, a, f.Model, &cfg)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		runs[a] = res
 		cycles += res.Cycles
 	}
-	return runs, cycles, nil
+	return cycles, nil
 }

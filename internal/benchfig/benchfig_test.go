@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cmpsim/internal/core"
-	"cmpsim/internal/memsys"
 	"cmpsim/internal/workload"
 )
 
@@ -15,9 +14,11 @@ import (
 // variant for every workload cmd/experiments runs, the memory-bound
 // rows exactly the three *_MemBound sentinels whose skipped cycles
 // TestLedger floors, and only they with a data set of their own, built
-// for the application the row names. The ablation's first point must
-// be the paper's L2, since cmd/experiments reads it from the
-// ablation's figure cell instead of running it again.
+// for the application the row names. Each sweep has a unique name,
+// both sizes of its app, a direction of ±1, knobs from the table at
+// ascending values their fields hold, and at most one point at the
+// paper's configuration; a titled sweep's is a titled figure's cell,
+// which cmd/experiments reads instead of running it again.
 func TestTableInvariants(t *testing.T) {
 	names := map[string]bool{}
 	memBound := 0
@@ -50,13 +51,27 @@ func TestTableInvariants(t *testing.T) {
 	if memBound != 3 {
 		t.Errorf("%d memory-bound rows, want 3", memBound)
 	}
-	ab := Ablation()
-	hasVariants(t, ab.App)
-	if got, want := ab.L2Assocs[0], memsys.DefaultConfig().L2Assoc; got != want {
-		t.Errorf("the ablation's first L2 is %d-way, the paper's %d-way", got, want)
-	}
-	if !slices.ContainsFunc(Figures(), func(f Figure) bool { return f.Title != "" && f.App == ab.App && f.Model == core.ModelMipsy }) {
-		t.Errorf("no titled Mipsy row runs the ablation's %s", ab.App)
+	for _, s := range Sweeps() {
+		if names[s.Name] || !slices.IsSorted(s.Values) || s.Dir*s.Dir != 1 {
+			t.Errorf("%s: a duplicate name, values %v not ascending, or direction %d not ±1", s.Name, s.Values, s.Dir)
+		}
+		names[s.Name] = true
+		hasVariants(t, s.App)
+		defaults := 0
+		for _, v := range s.Values {
+			for _, b := range append(s.Base, Setting{s.Knob, v}) {
+				if k, ok := Knobs[b.Knob]; !ok || b.Value > k.Max {
+					t.Errorf("%s: knob %q at %d is not in the table or does not fit its field", s.Name, b.Knob, b.Value)
+				}
+			}
+			if s.Default(v) {
+				defaults++
+			}
+		}
+		titled := slices.ContainsFunc(Figures(), func(f Figure) bool { return f.Title != "" && f.App == s.App && f.Model == core.ModelMipsy })
+		if defaults > 1 || s.Title != "" && defaults == 1 && !titled {
+			t.Errorf("%s: %d points at the paper's configuration, titled %q, its app in a titled Mipsy figure: %v", s.Name, defaults, s.Title, titled)
+		}
 	}
 }
 

@@ -92,12 +92,12 @@ func (s *SharedL1) writebackToL2(at uint64, lineAddr uint32) {
 func (s *SharedL1) Access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	r, ok := s.access(now, cpu, addr, write)
 	if ok {
-		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 		if s.cfg.Check != nil {
 			// One shared cache, no coherence: the time invariants are the
 			// whole sanitizer surface here.
 			s.cfg.Check.CheckAccessTime(now, r.Done, cpu, addr)
 		}
+		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 	}
 	return r, ok
 }

@@ -112,10 +112,10 @@ func (s *SharedL2) Access(now uint64, cpu int, addr uint32, write bool) (r Resul
 		r, ok = s.writeBack(now, cpu, addr, write)
 	}
 	if ok {
-		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 		if s.cfg.Check != nil {
 			s.sanityCheck(now, cpu, addr, r)
 		}
+		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 	}
 	return r, ok
 }

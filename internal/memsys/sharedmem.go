@@ -102,10 +102,10 @@ func (s *SharedMem) writebackL1Victim(cpu int, v cache.Victim, at uint64) {
 func (s *SharedMem) Access(now uint64, cpu int, addr uint32, write bool) (Result, bool) {
 	r, ok := s.access(now, cpu, addr, write)
 	if ok {
-		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 		if s.cfg.Check != nil {
 			s.sanityCheck(now, cpu, addr, r)
 		}
+		s.cfg.traceAccess(now, cpu, addr, write, r.Level, r.Done-now)
 	}
 	return r, ok
 }

@@ -22,7 +22,7 @@ import (
 // refuses to record moved results at an unchanged SimVersion. Of the
 // full-size cells (cache key "name/full") it runs the figure table's,
 // so one that moves only others (MXS on mp3d) needs a bump by hand.
-const SimVersion = 5
+const SimVersion = 6
 
 // Cacheable reports whether a job's result may be memoized: it needs a
 // workload identity and a configuration whose non-scalar fields are

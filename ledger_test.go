@@ -129,10 +129,10 @@ func decideLedger(file ledgerFile, got []ledgerRow, floored map[string]bool, ver
 }
 
 // ledgerJobs lists the rows: every cell cmd/experiments prints at the
-// paper's size, that is every titled benchfig row and the ablation's
-// 4-way L2 (its direct-mapped point is Figure5_MP3D/shared-l1/mipsy),
-// then the memory-bound sentinels, the quick cells, quick pmake under
-// MXS on the memory-bound point and the ablation's quick 4-way L2. The
+// paper's size, that is every titled benchfig row and sweep point, then
+// the memory-bound sentinels, the quick cells, quick pmake under MXS on
+// the memory-bound point and every sweep's quick points. A point at the
+// paper's configuration is the row of its figure or quick cell. The
 // race detector runs all but the paper-size rows, which take the quick
 // rows' code paths. The rows of the memory-bound Mipsy figures are
 // floored. A job's WorkloadKey names its workload and data set: the
@@ -147,16 +147,24 @@ func ledgerJobs() (jobs []runner.Job, floored map[string]bool) {
 	quick := func(app string) func() (workload.Workload, error) {
 		return func() (workload.Workload, error) { return workload.NewQuick(app) }
 	}
-	ab, abCfg := benchfig.Ablation(), memsys.DefaultConfig()
-	abCfg.L2Assoc = ab.L2Assocs[1]
-	abName := func(size string) string { return fmt.Sprintf("%s-l2assoc%d/%s", size, abCfg.L2Assoc, ab.App) }
+	// sweeps adds the points of the sweeps run at size that are not
+	// their app's default cell; only a titled sweep runs full-size.
+	sweeps := func(size string, mk func(string) (workload.Workload, error)) {
+		for _, s := range benchfig.Sweeps() {
+			for _, v := range s.Values {
+				if !s.Default(v) && (size == "quick" || s.Title != "") {
+					add(size+"-"+s.Point(v)+"/"+s.App, s.App+"/"+size, func() (workload.Workload, error) { return mk(s.App) }, core.ModelMipsy, s.Config(v), s.Arch)
+				}
+			}
+		}
+	}
 	if !raceBuild {
 		for _, f := range benchfig.Figures() {
 			if f.Title != "" {
 				add(f.Name, f.App+"/full", f.Workload, f.Model, f.Config(), core.Arches()...)
 			}
 		}
-		add(abName("full"), ab.App+"/full", func() (workload.Workload, error) { return workload.New(ab.App) }, core.ModelMipsy, abCfg, ab.Arch)
+		sweeps("full", workload.New)
 	}
 	for _, f := range benchfig.Figures() {
 		if !f.MemBound() {
@@ -174,7 +182,7 @@ func ledgerJobs() (jobs []runner.Job, floored map[string]bool) {
 		add("quick/"+app, app+"/quick", quick(app), core.ModelMXS, memsys.DefaultConfig(), core.Arches()...)
 	}
 	add("quick-mxs-membound/pmake", "pmake/quick", quick("pmake"), core.ModelMXS, benchfig.MXSMemBoundConfig(), core.Arches()...)
-	add(abName("quick"), ab.App+"/quick", quick(ab.App), core.ModelMipsy, abCfg, ab.Arch)
+	sweeps("quick", workload.NewQuick)
 	return jobs, floored
 }
 
@@ -205,8 +213,8 @@ func ledgerRun(t *testing.T, job runner.Job) (ledgerRow, finalImage) {
 	res, err := m.Run(2_000_000_000)
 	must(err)
 	must(w.Validate(m))
-	if sys.backward != 0 {
-		t.Errorf("%d memory-system calls arrived below an earlier one; the first: %s", sys.backward, sys.first)
+	if sys.bad != 0 {
+		t.Errorf("%s: %d memory-system calls out of cycle order or done by their issue cycle; the first: %s", job.Tag, sys.bad, sys.first)
 	}
 	rep, _ := json.Marshal(res.MemReport)
 	img := finalImage{m.Img, sys.chunks(w), res.Profile}
@@ -280,31 +288,62 @@ func sameImages(jobs []runner.Job, rows []ledgerRow) (pairs [][2]int) {
 	return pairs
 }
 
+// sweepOrder names, for each sweep at each size, the neighbouring
+// points the ledger ran whose cycles move against its direction.
+func sweepOrder(sweeps []benchfig.Sweep, jobs []runner.Job, rows []ledgerRow) (why []string) {
+	cycles := map[string]uint64{}
+	for i := range jobs {
+		cycles[runner.Key(&jobs[i])] = rows[i].Cycles
+	}
+	for _, s := range sweeps {
+		for _, size := range []string{"quick", "full"} {
+			last, lastCycles := "", uint64(0) // the previous point the ledger ran
+			for _, v := range s.Values {
+				c, ok := cycles[runner.Key(&runner.Job{WorkloadKey: s.App + "/" + size, Arch: s.Arch, Model: core.ModelMipsy, Cfg: s.Config(v)})]
+				if ok && last != "" && c != lastCycles && c > lastCycles != (s.Dir > 0) {
+					why = append(why, fmt.Sprintf("sweep %s, %s size: %d cycles at %s, %d at %s, against its direction %+d",
+						s.Name, size, lastCycles, last, c, s.Point(v), s.Dir))
+				}
+				if ok {
+					last, lastCycles = s.Point(v), c
+				}
+			}
+		}
+	}
+	return why
+}
+
 // sysCounter counts a machine's memory-system calls into its
 // ledgerWork, and checks that the calls which reach beyond a CPU's own
 // I-cache (every Access, and every IFetch that misses) arrive in cycle
-// order across the machine: it counts the ones below an earlier one in
-// backward and describes the first. It forwards the optional methods
+// order across the machine, and that no accepted Access or IFetch is
+// done by its issue cycle: it counts the calls that break either rule
+// in bad and describes the first. It forwards the optional methods
 // core finds by type assertion; IFetchHit it hides, since
 // core.NewMachine has already handed Mipsy the system it built.
 type sysCounter struct {
 	memsys.System
-	n        *ledgerWork
-	last     uint64 // the cycle of the last ordered call
-	backward uint64
-	first    string
-	stored   []uint64 // a bit per 4 KiB chunk of guest memory that a store reached
+	n      *ledgerWork
+	last   uint64 // the cycle of the last ordered call
+	bad    uint64
+	first  string
+	stored []uint64 // a bit per 4 KiB chunk of guest memory that a store reached
 }
 
 // order checks one ordered call made at cycle now against the one
 // before it.
 func (s *sysCounter) order(call string, now uint64, cpu int) {
 	if now < s.last {
-		if s.backward++; s.first == "" {
-			s.first = fmt.Sprintf("%s by cpu %d at cycle %d, after a call at cycle %d", call, cpu, now, s.last)
-		}
+		s.fail("%s by cpu %d at cycle %d, after a call at cycle %d", call, cpu, now, s.last)
 	}
 	s.last = now
+}
+
+// fail counts one call that breaks a rule, and describes the first.
+func (s *sysCounter) fail(format string, args ...any) {
+	if s.bad++; s.first == "" {
+		s.first = fmt.Sprintf(format, args...)
+	}
 }
 
 func (s *sysCounter) Access(now uint64, cpu int, addr uint32, write bool) (memsys.Result, bool) {
@@ -316,6 +355,8 @@ func (s *sysCounter) Access(now uint64, cpu int, addr uint32, write bool) (memsy
 	s.n.Access++
 	if !ok {
 		s.n.Refused++
+	} else if r.Done <= now {
+		s.fail("Access by cpu %d at cycle %d completes at cycle %d", cpu, now, r.Done)
 	}
 	return r, ok
 }
@@ -340,6 +381,9 @@ func (s *sysCounter) chunks(w workload.Workload) []uint32 {
 func (s *sysCounter) IFetch(now uint64, cpu int, addr uint32) memsys.Result {
 	s.n.IFetch++
 	r := s.System.IFetch(now, cpu, addr)
+	if r.Done <= now {
+		s.fail("IFetch by cpu %d at cycle %d completes at cycle %d", cpu, now, r.Done)
+	}
 	if r.Done > now+1 {
 		s.order("a missed IFetch", now, cpu)
 	}
@@ -390,8 +434,9 @@ type exactCounter struct{ *coreCounter }
 func (exactCounter) ExactHints() {}
 
 // TestLedger holds every exact count of the repo to testdata/ledger.json,
-// the memory-bound Mipsy rows to skipFloor, and every row's
-// memory-system calls to cycle order (sysCounter). A re-baseline is a
+// the memory-bound Mipsy rows to skipFloor, every sweep to its
+// direction (sweepOrder) and every row's memory-system calls to cycle
+// order (sysCounter). A re-baseline is a
 // runner.SimVersion bump plus `-run TestLedger -update`; moved work
 // columns alone need only `-update`.
 func TestLedger(t *testing.T) {
@@ -416,7 +461,7 @@ func TestLedger(t *testing.T) {
 	if slices.ContainsFunc(got, func(r ledgerRow) bool { return r.Row == "" }) {
 		t.SkipNow() // a row failed, or -run selected only some rows
 	}
-	var differ []string
+	broken := sweepOrder(benchfig.Sweeps(), jobs, got)
 	for _, p := range sameImages(jobs, got) {
 		a, b := jobs[p[0]], jobs[p[1]]
 		for _, j := range []*runner.Job{&a, &b} {
@@ -424,10 +469,10 @@ func TestLedger(t *testing.T) {
 		}
 		_, ia := ledgerRun(t, a)
 		_, ib := ledgerRun(t, b)
-		differ = append(differ, fmt.Sprintf("%s and %s end on different images: %s", a.Tag, b.Tag, firstDiff(ia, ib)))
+		broken = append(broken, fmt.Sprintf("%s and %s end on different images: %s", a.Tag, b.Tag, firstDiff(ia, ib)))
 	}
-	if differ != nil {
-		t.Fatal(strings.Join(differ, "\n"))
+	if broken != nil {
+		t.Fatal(strings.Join(broken, "\n"))
 	}
 	if raceBuild { // hold the rows run to their lines, and write nothing
 		file.Rows = slices.DeleteFunc(file.Rows, func(r ledgerRow) bool {
