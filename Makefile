@@ -41,7 +41,9 @@ bench-module:
 # cycle monotonicity and MSHR drain, and any violation panics with an
 # event trail. MP3D also runs under the out-of-order CPU on shared-mem,
 # the only model that stores to a line while its own read miss is
-# outstanding (a merged store must still upgrade). The last step saves
+# outstanding (a merged store must still upgrade). Ocean on shared-L1
+# sweeps the bank count at a 3-cycle hit through cmpsim -set, the
+# SharedL1Banks ablation's points 1 and 8. The last step saves
 # a profile with cmpsim -prof-out and renders it with cmd/simprof, the
 # profile viewer.
 smoke:
@@ -49,6 +51,7 @@ smoke:
 	$(GO) run ./cmd/cmpsim -workload fft -quick -sanitize
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -sanitize
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -model mxs -arch shared-mem -sanitize
+	$(GO) run ./cmd/cmpsim -workload ocean -quick -arch shared-l1 -set sharedl1hit=3 -set sharedl1banks=1,8 -sanitize
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -prof-out $$tmp/p.json && \
 	$(GO) run ./cmd/simprof -top 5 $$tmp/p.json; status=$$?; rm -rf $$tmp; exit $$status

@@ -1,19 +1,24 @@
 // Command cmpsim runs one workload on one or all of the three
 // multiprocessor-microprocessor architectures and prints the paper-style
-// execution-time breakdown and miss-rate table.
+// execution-time breakdown and miss-rate table. -set changes a
+// memory-system knob (internal/benchfig's Knobs); a knob given several
+// values is swept, and each architecture prints one row per value:
+// cycles, speedup over the first value and the key miss rates.
 //
-// With -arch all (the default) the three architecture runs are
-// independent, so they dispatch through the internal/runner pool:
-// -jobs shards them across cores and -cache-dir memoizes results;
-// output is identical for any worker count. The flags it shares with
-// cmd/sweep and cmd/experiments live in internal/cli.
+// The runs (architectures × swept values) are independent, so they
+// dispatch through the internal/runner pool: -jobs shards them across
+// cores and -cache-dir memoizes results; output is identical for any
+// worker count. The flags it shares with cmd/experiments live in
+// internal/cli.
 //
 // Usage:
 //
 //	cmpsim -workload eqntott                      # all three architectures, Mipsy
 //	cmpsim -workload mp3d -arch shared-l1         # one architecture
 //	cmpsim -workload ear -model mxs               # detailed dynamic superscalar model
-//	cmpsim -workload mp3d -l2assoc 4              # the Section 4.1 L2 ablation
+//	cmpsim -workload mp3d -set l2assoc=4          # the Section 4.1 L2 ablation
+//	cmpsim -workload fft -set cpus=1,2,4,8        # processor-count sweep, every architecture
+//	cmpsim -set help                              # list the knobs
 //	cmpsim -workload eqntott -quick -jobs 4       # parallel smoke run
 //	cmpsim -workload mp3d -quick -prof            # hot functions, PCs, line heatmap
 //	cmpsim -workload mp3d -quick -prof-out p.json # one profile per architecture, for simprof
@@ -24,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"cmpsim/internal/check"
 	"cmpsim/internal/cli"
@@ -55,15 +61,14 @@ func printCoherence(rep *memsys.Report) {
 
 func main() {
 	fs := flag.CommandLine
-	wlName := cli.WorkloadFlag(fs, "")
-	archFlag := cli.ArchFlag(fs, "all", true)
+	wlName := cli.WorkloadFlag(fs)
+	archFlag := cli.ArchFlag(fs)
 	model := cli.ModelFlag(fs)
 	quick := cli.QuickFlag(fs)
-	cpus := cli.CPUsFlag(fs)
+	set := cli.SetFlag(fs)
 	poolFlags := cli.PoolFlags(fs)
 	inst := cli.InstrumentFlags(fs)
 	var (
-		l2assoc  = flag.Uint("l2assoc", 0, "override L2 associativity (0 = paper default)")
 		regions  = flag.Bool("regions", false, "profile data accesses by 256KB physical region")
 		list     = flag.Bool("list", false, "list available workloads")
 		verbose  = flag.Bool("v", false, "also print raw cycle counts and IPC")
@@ -81,47 +86,59 @@ func main() {
 		}
 		return
 	}
+	if set.Help {
+		cli.WriteKnobs(os.Stdout)
+		return
+	}
 	if *wlName == "" {
 		fmt.Fprintln(os.Stderr, "cmpsim: -workload is required (try -list)")
 		os.Exit(2)
 	}
-	if err := cli.CheckQuick(*wlName, *quick); err != nil {
-		fmt.Fprintln(os.Stderr, "cmpsim:", err)
-		os.Exit(2)
+	for _, err := range []error{cli.CheckQuick(*wlName, *quick), set.CheckModel(*model)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cmpsim:", err)
+			os.Exit(2)
+		}
 	}
 
 	arches := []core.Arch{*archFlag}
 	if *archFlag == "all" {
 		arches = core.Arches()
 	}
-
-	cfg := memsys.DefaultConfig()
-	if *l2assoc > 0 {
-		cfg.L2Assoc = uint32(*l2assoc)
-	}
-	if *cpus > 0 {
-		cfg.NumCPUs = *cpus
-	}
+	points := set.Points()
 
 	pool, err := poolFlags.Open()
 	if err != nil {
 		cli.Fatal(err)
 	}
 
-	// One job per architecture, each with its own tracer, profile and
-	// checker instances so parallel runs share nothing.
-	archJobs := make([]runner.Job, len(arches))
-	rings := make([]*obsv.Ring, len(arches))
-	profs := make([]*regionProfile, len(arches))
-	checkers := make([]*check.Checker, len(arches))
-	for i, a := range arches {
-		acfg := cfg
+	// One job per architecture and point, each with its own tracer,
+	// profile and checker instances so parallel runs share nothing. A
+	// job's label heads its lines; with several jobs, its tag is spliced
+	// into its sink files.
+	n := len(arches) * len(points)
+	jobs := make([]runner.Job, n)
+	labels := make([]string, n)
+	tags := make([]string, n)
+	rings := make([]*obsv.Ring, n)
+	profs := make([]*regionProfile, n)
+	checkers := make([]*check.Checker, n)
+	for i := range jobs {
+		a, cfg := arches[i/len(points)], points[i%len(points)]
+		labels[i] = string(a)
+		if set.Knob != "" {
+			labels[i] += fmt.Sprintf(" %s%d", set.Knob, set.Values[i%len(points)])
+		}
+		run := strings.ReplaceAll(labels[i], " ", "-")
+		if n > 1 {
+			tags[i] = run
+		}
 		var tracers []obsv.Tracer
 		if *regions {
 			profs[i] = newRegionProfile()
 			tracers = append(tracers, profs[i])
 		}
-		if rings[i] = inst.Attach(&acfg); rings[i] != nil {
+		if rings[i] = inst.Attach(&cfg); rings[i] != nil {
 			tracers = append(tracers, rings[i])
 		}
 		if *sanitize {
@@ -129,54 +146,58 @@ func main() {
 			// carry the events leading up to the break.
 			checkers[i] = check.New(64)
 			tracers = append(tracers, checkers[i])
-			acfg.Check = checkers[i]
+			cfg.Check = checkers[i]
 		}
-		acfg.Trace = obsv.Tee(tracers...)
-		if *profFlag && acfg.Prof == nil {
-			acfg.Prof = prof.New(acfg.NumCPUs, acfg.LineBytes)
+		cfg.Trace = obsv.Tee(tracers...)
+		if *profFlag && cfg.Prof == nil {
+			cfg.Prof = prof.New(cfg.NumCPUs, cfg.LineBytes)
 		}
-		archJobs[i] = poolFlags.Job(*wlName, *quick, a, *model, acfg, *wlName+"-"+string(a))
+		jobs[i] = poolFlags.Job(*wlName, *quick, a, *model, cfg, *wlName+"-"+run)
 	}
 
-	results := pool.Run(archJobs)
+	results := pool.Run(jobs)
 
-	runs := map[core.Arch]*core.RunResult{}
-	for i, a := range arches {
-		if err := results[i].Err; err != nil {
-			cli.Fatal(err)
+	for i, r := range results {
+		if r.Err != nil {
+			cli.Fatal(r.Err)
 		}
-		res := results[i].Res
-		runs[a] = res
-		tag := "" // several architectures: splice each one's name into its sink files
-		if len(arches) > 1 {
-			tag = string(a)
-		}
+		res := r.Res
 		if chk := checkers[i]; chk != nil {
 			// Reaching here means every check passed (a violation panics).
-			fmt.Printf("%-11s sanitize: %d checks, 0 violations\n", a, chk.Checks())
+			fmt.Printf("%-11s sanitize: %d checks, 0 violations\n", labels[i], chk.Checks())
 		}
 		if *verbose {
-			fmt.Printf("%-11s cycles=%d insts=%d IPC=%.3f\n", a, res.Cycles, res.Instructions(), res.IPC())
+			fmt.Printf("%-11s cycles=%d insts=%d IPC=%.3f\n", labels[i], res.Cycles, res.Instructions(), res.IPC())
 			printCoherence(&res.MemReport)
 		}
 		if prof := profs[i]; prof != nil {
-			fmt.Printf("--- %s: data accesses by 256KB region (top 12 by total latency) ---\n", a)
+			fmt.Printf("--- %s: data accesses by 256KB region (top 12 by total latency) ---\n", labels[i])
 			prof.print(os.Stdout, 12)
 		}
-		if err := inst.WriteTraces(rings[i], tag); err != nil {
+		if err := inst.WriteTraces(rings[i], tags[i]); err != nil {
 			cli.Fatal(err)
 		}
 		if res.Metrics != nil {
-			fmt.Printf("--- %s: interval metrics ---\n%s", a, res.Metrics.String())
+			fmt.Printf("--- %s: interval metrics ---\n%s", labels[i], res.Metrics.String())
 		}
 		if *profFlag {
 			res.Profile.WriteReport(os.Stdout, profTop)
 		}
-		if err := inst.WriteProfile(res.Profile, tag); err != nil {
+		if err := inst.WriteProfile(res.Profile, tags[i]); err != nil {
 			cli.Fatal(err)
 		}
 	}
 
+	if set.Knob != "" {
+		for k, a := range arches {
+			printSweep(set, *wlName, a, *model, results[k*len(points):][:len(points)])
+		}
+		return
+	}
+	runs := map[core.Arch]*core.RunResult{}
+	for i, a := range arches {
+		runs[a] = results[i].Res
+	}
 	if _, ok := runs[core.SharedMem]; !ok {
 		// No baseline for normalization; print raw numbers in run order.
 		for _, a := range arches {
@@ -197,5 +218,21 @@ func main() {
 			fmt.Printf("%-11s IPC=%.3f lossI=%.3f lossD=%.3f lossPipe=%.3f\n",
 				a, row.IPC, row.LossI, row.LossD, row.LossPipe)
 		}
+	}
+}
+
+// printSweep prints one architecture's sweep: per swept value the
+// cycles, the speedup over the first value, and the L1 D-cache and L2
+// replacement and invalidation miss rates.
+func printSweep(set *cli.Set, wl string, arch core.Arch, model core.CPUModel, results []runner.Result) {
+	fmt.Printf("sweeping %s on %s/%s (%s model)\n", set.Knob, wl, arch, model)
+	fmt.Printf("%12s %12s %8s %8s %8s %8s %8s\n", set.Knob, "cycles", "speedup", "L1R%", "L1I%", "L2R%", "L2I%")
+	base := float64(results[0].Res.Cycles)
+	for i, r := range results {
+		rep := &r.Res.MemReport
+		fmt.Printf("%12d %12d %7.2fx %7.2f%% %7.2f%% %7.2f%% %7.2f%%\n",
+			set.Values[i], r.Res.Cycles, base/float64(r.Res.Cycles),
+			100*rep.L1D.ReplRate(), 100*rep.L1D.InvRate(),
+			100*rep.L2.ReplRate(), 100*rep.L2.InvRate())
 	}
 }

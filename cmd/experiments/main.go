@@ -3,7 +3,8 @@
 // (contention-free access latencies), Figures 4-10 (per-application
 // execution-time breakdowns and miss rates under the simple CPU model),
 // the Section 4.1 MP3D L2-associativity ablation, and Figure 11 (IPC
-// breakdowns under the detailed dynamic superscalar model).
+// breakdowns under the detailed dynamic superscalar model). -sweep
+// prints one ablation of DESIGN.md section 5 instead.
 //
 // The full (architecture × CPU model × workload) grid is dispatched
 // through the internal/runner worker pool: independent runs execute on
@@ -17,6 +18,7 @@
 //	experiments -skip-mxs        # only the Mipsy figures
 //	experiments -jobs 4          # shard runs across 4 workers
 //	experiments -cache-dir .sim  # reuse cached results across invocations
+//	experiments -sweep SharedL1Banks -quick  # one sweep of internal/benchfig, titled or not
 package main
 
 import (
@@ -114,12 +116,23 @@ func run(args []string, stdout io.Writer) error {
 	g := grid{quick: cli.QuickFlag(fs), pool: cli.PoolFlags(fs), inst: cli.InstrumentFlags(fs), w: stdout}
 	g.pool.RunReportFlags(fs)
 	skipMXS := fs.Bool("skip-mxs", false, "skip the detailed-CPU (Figure 11) runs")
+	sweeps := slices.DeleteFunc(benchfig.Sweeps(), func(s benchfig.Sweep) bool { return s.Title == "" })
+	var names []string
+	for _, s := range benchfig.Sweeps() {
+		names = append(names, s.Name)
+	}
+	only := false // -sweep: print that sweep alone
+	fs.Func("sweep", fmt.Sprintf("print only this sweep, titled or not: one of %v", names), func(name string) error {
+		i := slices.Index(names, name)
+		if i < 0 {
+			return fmt.Errorf("want one of %v", names)
+		}
+		sweeps, only = benchfig.Sweeps()[i:i+1], true
+		return nil
+	})
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	start := time.Now()
-	table1(stdout)
-	table2(stdout)
-
 	pool, err := g.pool.Open()
 	if err != nil {
 		return err
@@ -130,21 +143,23 @@ func run(args []string, stdout io.Writer) error {
 	// and the MXS figures — then dispatch it through one pool run so
 	// every cell can execute concurrently. Printing follows in table
 	// order, which keeps the output byte-identical to a serial run.
-	mipsySpecs := g.addFigures(core.ModelMipsy)
-	sweeps := slices.DeleteFunc(benchfig.Sweeps(), func(s benchfig.Sweep) bool { return s.Title == "" })
+	var mipsySpecs, mxsSpecs []figureSpec
+	if !only {
+		table1(stdout)
+		table2(stdout)
+		mipsySpecs = g.addFigures(core.ModelMipsy)
+	}
 	sweepJobs := make([][]int, len(sweeps)) // each sweep's jobs, in value order
 	for i, s := range sweeps {
 		for _, v := range s.Values {
-			if s.Default(v) {
-				fig := mipsySpecs[slices.IndexFunc(mipsySpecs, func(f figureSpec) bool { return f.App == s.App })]
-				sweepJobs[i] = append(sweepJobs[i], fig.jobIdx[slices.Index(core.Arches(), s.Arch)])
+			if k := slices.IndexFunc(mipsySpecs, func(f figureSpec) bool { return f.App == s.App && s.Default(v) }); k >= 0 {
+				sweepJobs[i] = append(sweepJobs[i], mipsySpecs[k].jobIdx[slices.Index(core.Arches(), s.Arch)])
 			} else {
 				sweepJobs[i] = append(sweepJobs[i], g.addJob(s.App, s.Arch, core.ModelMipsy, s.Config(v), fmt.Sprintf("ablation-%s-%s-%d", s.App, s.Knob, v)))
 			}
 		}
 	}
-	var mxsSpecs []figureSpec
-	if !*skipMXS {
+	if !*skipMXS && !only {
 		mxsSpecs = g.addFigures(core.ModelMXS)
 	}
 
@@ -157,19 +172,23 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	for i, s := range sweeps {
-		fmt.Fprintf(stdout, "=== %s ===\n", s.Title)
+		title, label := s.Title, s.Label
+		if title == "" {
+			title, label = s.Name, s.Knob+"=%d"
+		}
+		fmt.Fprintf(stdout, "=== %s ===\n", title)
 		for j, v := range s.Values {
 			res, err := g.result(sweepJobs[i][j])
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "  %s: cycles=%-10d L2 miss rate=%5.1f%%  L1R=%5.1f%%\n",
-				fmt.Sprintf(s.Label, v), res.Cycles, 100*res.MemReport.L2.MissRate(), 100*res.MemReport.L1D.ReplRate())
+				fmt.Sprintf(label, v), res.Cycles, 100*res.MemReport.L2.MissRate(), 100*res.MemReport.L1D.ReplRate())
 		}
 		fmt.Fprintln(stdout)
 	}
 
-	if !*skipMXS {
+	if len(mxsSpecs) > 0 {
 		fmt.Fprintf(stdout, "=== %s ===\n", benchfig.MXSTitle)
 		for _, spec := range mxsSpecs {
 			if err := g.printFigure(spec); err != nil {

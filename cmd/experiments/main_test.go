@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,5 +58,37 @@ func TestQuickGolden(t *testing.T) {
 	}
 	if got := campaign(t, "-quick", "-skip-mxs"); got != string(want[:cut]) {
 		t.Errorf("experiments -quick -skip-mxs is not %s cut before the MXS block:\n%s", goldenPath, got)
+	}
+}
+
+// TestSweepMatchesLedger: `experiments -sweep SharedL1Banks -quick`
+// prints for each point the cycles testdata/ledger.json pins for its
+// quick row, so the printed table and the pinned rows cannot drift
+// apart.
+func TestSweepMatchesLedger(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/ledger.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		Row    string
+		Cycles uint64
+	}
+	var ledger struct{ Rows []row }
+	if err := json.Unmarshal(data, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	sweeps := benchfig.Sweeps()
+	s := sweeps[slices.IndexFunc(sweeps, func(s benchfig.Sweep) bool { return s.Name == "SharedL1Banks" })]
+	got := campaign(t, "-sweep", s.Name, "-quick")
+	for _, v := range s.Values {
+		name := fmt.Sprintf("quick-%s/%s/%s/mipsy", s.Point(v), s.App, s.Arch)
+		i := slices.IndexFunc(ledger.Rows, func(r row) bool { return r.Row == name })
+		if i < 0 {
+			t.Fatalf("ledger has no row %s", name)
+		}
+		if want := fmt.Sprintf("  %s=%d: cycles=%-10d ", s.Knob, v, ledger.Rows[i].Cycles); !strings.Contains(got, want) {
+			t.Errorf("row %s: output lacks %q:\n%s", name, want, got)
+		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package benchfig is the paper's figure table: every figure's title,
 // bench name, workload, CPU model and configuration, plus the sweeps
-// of DESIGN.md section 5 over cmd/sweep's knobs. cmd/experiments prints
-// the titled rows and sweeps at the paper's size (workload.New) or
-// quick (workload.NewQuick); TestLedger and cmd/benchjson run the rows
-// at the paper's, and TestLedger pins every sweep point. Only the
-// memory-bound sentinel rows size their own data sets.
+// of DESIGN.md section 5 over its knobs (Knobs, which cmpsim -set
+// parses). cmd/experiments prints the titled rows and sweeps, or with
+// -sweep any one sweep, at the paper's size (workload.New) or quick
+// (workload.NewQuick); TestLedger and cmd/benchjson run the rows at the
+// paper's, and TestLedger pins every sweep point. Only the memory-bound
+// sentinel rows size their own data sets.
 package benchfig
 
 import (
@@ -128,7 +129,7 @@ type Knob struct {
 	Set  func(*memsys.Config, uint64)
 }
 
-// Knobs maps each sweepable parameter's name (cmd/sweep's -param) to
+// Knobs maps each sweepable parameter's name (cmpsim -set name=v) to
 // its knob.
 var Knobs = map[string]Knob{
 	"l1dsize":      {"private L1 D-cache bytes", math.MaxUint32, func(c *memsys.Config, v uint64) { c.L1DSize = uint32(v) }},
@@ -158,8 +159,9 @@ var Knobs = map[string]Knob{
 // Sweep is a one-knob study under the simple CPU: App on Arch with Knob
 // at each of Values (ascending) over the paper's configuration, Base
 // set first. As the value rises, cycles never fall if Dir is +1 and
-// never rise if it is -1. Title is cmd/experiments' heading ("" = a
-// sweep only the ledger runs) and Label its format of one point.
+// never rise if it is -1. Title is cmd/experiments' heading in the
+// whole campaign ("" = a sweep it prints only under -sweep) and Label
+// its format of one point.
 type Sweep struct {
 	Name, Title, Label string
 	App                string
@@ -199,8 +201,9 @@ func (s Sweep) Point(v uint64) string {
 	return fmt.Sprintf("%s%s%d", name, s.Knob, v)
 }
 
-// Sweeps returns the Section 4.1 ablation, the one sweep cmd/experiments
-// prints, then the design choices of DESIGN.md section 5.
+// Sweeps returns the Section 4.1 ablation, the one sweep the whole
+// campaign of cmd/experiments prints, then the design choices of
+// DESIGN.md section 5.
 func Sweeps() []Sweep {
 	return []Sweep{
 		{Name: "MP3DL2Assoc", Title: "Section 4.1 ablation: MP3D shared-L1 with L2 associativity 1 vs 4", Label: "L2 %d-way",

@@ -84,15 +84,21 @@ func (c *Checker) fail(rule, format string, args ...any) {
 	panic(&Violation{Rule: rule, Msg: fmt.Sprintf(format, args...), Trail: c.trail.Events()})
 }
 
-// CheckAccessTime validates one completed reference: the completion
-// cannot precede the request, and request times must be nondecreasing
-// across the whole machine (the cycle loop makes every CPU's references
-// in cycle order, so no CPU's reference reaches a shared level before
-// an earlier one of another CPU).
+// DoneAfterIssue is the rule for an accepted reference's completion
+// cycle: it is after the issue cycle, since no level of Table 2 answers
+// in zero cycles. The sanitizer (CheckAccessTime) and the root
+// package's ledger test both apply it.
+func DoneAfterIssue(now, done uint64) bool { return done > now }
+
+// CheckAccessTime validates one completed reference: it completes after
+// it was issued (DoneAfterIssue), and request times must be
+// nondecreasing across the whole machine (the cycle loop makes every
+// CPU's references in cycle order, so no CPU's reference reaches a
+// shared level before an earlier one of another CPU).
 func (c *Checker) CheckAccessTime(now, done uint64, cpu int, addr uint32) {
 	c.checks++
-	if done < now {
-		c.fail("cycle-monotonic", "cpu %d access of %#x at cycle %d completed at %d, before it was issued", cpu, addr, now, done)
+	if !DoneAfterIssue(now, done) {
+		c.fail("cycle-monotonic", "cpu %d access of %#x at cycle %d completed at %d, not after it was issued", cpu, addr, now, done)
 	}
 	if now < c.lastNow {
 		c.fail("cycle-monotonic", "cpu %d issued an access at cycle %d after cpu %d's at cycle %d", cpu, now, c.lastCPU, c.lastNow)

@@ -35,12 +35,14 @@ func line(st cache.State) *cache.Line { return &cache.Line{State: st} }
 func TestAccessTimeViolations(t *testing.T) {
 	c := New(8)
 	c.CheckAccessTime(100, 101, 0, 0x1000) // ok
-	c.CheckAccessTime(100, 100, 0, 0x1000) // ok: zero-latency boundary
+	c.CheckAccessTime(100, 101, 1, 0x2000) // ok: another CPU at the same cycle
 
-	mustViolate(t, "cycle-monotonic", func() {
-		c2 := New(8)
-		c2.CheckAccessTime(100, 99, 0, 0x1000) // completes before issue
-	})
+	for _, done := range []uint64{99, 100} { // before issue; at issue, zero latency
+		mustViolate(t, "cycle-monotonic", func() {
+			c2 := New(8)
+			c2.CheckAccessTime(100, done, 0, 0x1000)
+		})
+	}
 	mustViolate(t, "cycle-monotonic", func() {
 		c2 := New(8)
 		c2.CheckAccessTime(100, 101, 1, 0x1000)

@@ -1,11 +1,12 @@
-// Package cli is the flag surface cmd/cmpsim (one workload), cmd/sweep
-// (one parameter sweep) and cmd/experiments (the paper's whole grid)
-// share. Each registers only the groups it uses: PoolFlags (plus
-// RunReportFlags), the run-shape flags one at a time, and
-// InstrumentFlags. -workload, -arch, -model and the counts (CountVar)
-// are checked as they are parsed, and -quick against -workload right
-// after (CheckQuick), so an unknown or out-of-range value exits 2,
-// naming what is valid, before any job runs.
+// Package cli is the flag surface cmd/cmpsim (one workload, or one knob
+// swept with -set) and cmd/experiments (the paper's whole grid, or one
+// sweep of it) share. Each registers only the groups it uses: PoolFlags
+// (plus RunReportFlags), the run-shape flags one at a time, SetFlag and
+// InstrumentFlags. -workload, -arch, -model, -set and the counts
+// (CountVar) are checked as they are parsed, and -quick against
+// -workload and -set against -model right after (CheckQuick,
+// Set.CheckModel), so an unknown or out-of-range value exits 2, naming
+// what is valid, before any job runs.
 // Like internal/runner, this is driver code outside the determinism
 // analyzer's scope.
 package cli
@@ -18,7 +19,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 
+	"cmpsim/internal/benchfig"
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
@@ -109,24 +112,21 @@ func (p *Pool) Job(name string, quick bool, arch core.Arch, model core.CPUModel,
 	}
 }
 
-// WorkloadFlag registers -workload with default def, which may be ""
-// (none chosen). A name that is not a registered workload fails the
-// parse.
-func WorkloadFlag(fs *flag.FlagSet, def string) *string {
-	w, valid := def, workload.Names()
-	fs.Func("workload", fmt.Sprintf("workload to run: one of %v (default %q)", valid, def), oneOf(&w, valid))
+// WorkloadFlag registers -workload, none chosen by default. A name
+// that is not a registered workload fails the parse.
+func WorkloadFlag(fs *flag.FlagSet) *string {
+	var w string
+	valid := workload.Names()
+	fs.Func("workload", fmt.Sprintf("workload to run: one of %v (default %q)", valid, w), oneOf(&w, valid))
 	return &w
 }
 
-// ArchFlag registers -arch with default def. With all set it also
-// accepts "all", every architecture.
-func ArchFlag(fs *flag.FlagSet, def core.Arch, all bool) *core.Arch {
-	valid := core.Arches()
-	if all {
-		valid = append(valid, "all")
-	}
-	a := def
-	fs.Func("arch", fmt.Sprintf("architecture: one of %v (default %s)", valid, def), oneOf(&a, valid))
+// ArchFlag registers -arch: one architecture, or "all" (the default),
+// every architecture.
+func ArchFlag(fs *flag.FlagSet) *core.Arch {
+	a := core.Arch("all")
+	valid := append(core.Arches(), a)
+	fs.Func("arch", fmt.Sprintf("architecture: one of %v (default %s)", valid, a), oneOf(&a, valid))
 	return &a
 }
 
@@ -166,11 +166,107 @@ func CheckQuick(name string, quick bool) error {
 	return err
 }
 
-// CPUsFlag registers -cpus.
-func CPUsFlag(fs *flag.FlagSet) *int {
-	var n int
-	CountVar(fs, &n, "cpus", 0, 0, "override processor count (0 = paper's 4)")
-	return &n
+// Set is the -set flag: knobs of benchfig.Knobs set over the paper's
+// configuration. Each -set is knob=v, a base setting, or, for at most
+// one knob, knob=v1,v2,..., the knob swept over those values.
+type Set struct {
+	Help   bool               // -set help: list the knobs instead of running
+	Base   []benchfig.Setting // in command-line order
+	Knob   string             // the swept knob; "" = no sweep
+	Values []uint64           // its values, in the order given
+}
+
+// SetFlag registers the repeatable -set on fs. An unknown knob, a value
+// its field cannot hold, a knob set twice and a second swept knob each
+// fail the parse, naming the knob.
+func SetFlag(fs *flag.FlagSet) *Set {
+	s := &Set{}
+	fs.Func("set", "set a memory-system knob, knob=v; one knob given knob=v1,v2,... is swept (repeatable; -set help lists the knobs)", s.add)
+	return s
+}
+
+func (s *Set) add(arg string) error {
+	if arg == "help" {
+		s.Help = true
+		return nil
+	}
+	name, list, _ := strings.Cut(arg, "=")
+	knob, ok := benchfig.Knobs[name]
+	if !ok {
+		return fmt.Errorf("unknown knob %q (-set help lists them)", name)
+	}
+	if s.has(name) {
+		return fmt.Errorf("%s: set twice", name)
+	}
+	var values []uint64
+	for _, vs := range strings.Split(list, ",") {
+		v, err := strconv.ParseUint(vs, 10, 64)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if v > knob.Max {
+			return fmt.Errorf("%s: value %d does not fit its field (at most %d)", name, v, knob.Max)
+		}
+		values = append(values, v)
+	}
+	switch {
+	case len(values) == 1:
+		s.Base = append(s.Base, benchfig.Setting{Knob: name, Value: values[0]})
+	case s.Knob != "":
+		return fmt.Errorf("%s: a second swept knob after %s (sweep one at a time)", name, s.Knob)
+	default:
+		s.Knob, s.Values = name, values
+	}
+	return nil
+}
+
+// has reports whether knob name is set, swept or not.
+func (s *Set) has(name string) bool {
+	return name == s.Knob || slices.ContainsFunc(s.Base, func(b benchfig.Setting) bool { return b.Knob == name })
+}
+
+// CheckModel refuses a shared-L1 hit time under the MXS model, which
+// fixes it (core.NewMachine applies memsys.Config.MXS over the setting),
+// so the run would print one value and simulate another. Like
+// CheckQuick, a driver calls it right after the parse and exits 2 on
+// its error.
+func (s *Set) CheckModel(model core.CPUModel) error {
+	if model == core.ModelMXS && s.has("sharedl1hit") {
+		return fmt.Errorf("-set sharedl1hit does not apply under -model mxs: the MXS model fixes the shared-L1 hit time at 3 cycles (Config.MXS, Section 4.4)")
+	}
+	return nil
+}
+
+// Points returns the configuration of each point, in the order of the
+// swept values (one point without a sweep): the paper's, then the base
+// settings in command-line order, then the swept knob, the order
+// benchfig.Sweep.Config sets them in.
+func (s *Set) Points() []memsys.Config {
+	base := memsys.DefaultConfig()
+	for _, b := range s.Base {
+		benchfig.Knobs[b.Knob].Set(&base, b.Value)
+	}
+	if s.Knob == "" {
+		return []memsys.Config{base}
+	}
+	points := make([]memsys.Config, len(s.Values))
+	for i, v := range s.Values {
+		points[i] = base
+		benchfig.Knobs[s.Knob].Set(&points[i], v)
+	}
+	return points
+}
+
+// WriteKnobs lists every knob and its meaning, for -set help.
+func WriteKnobs(w io.Writer) {
+	var names []string
+	for name := range benchfig.Knobs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "%-14s %s\n", name, benchfig.Knobs[name].Help)
+	}
 }
 
 // CountVar registers an integer flag name on fs, stored in p, that

@@ -3,14 +3,17 @@ package cli
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"cmpsim/internal/benchfig"
 	"cmpsim/internal/core"
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
@@ -26,8 +29,8 @@ func parse(args ...string) (*Pool, *Instruments, *core.Arch, *core.CPUModel, err
 	pool := PoolFlags(fs)
 	pool.RunReportFlags(fs)
 	inst := InstrumentFlags(fs)
-	w := WorkloadFlag(fs, "")
-	arch := ArchFlag(fs, "all", true)
+	w := WorkloadFlag(fs)
+	arch := ArchFlag(fs)
 	model := ModelFlag(fs)
 	quick := QuickFlag(fs)
 	err := fs.Parse(args)
@@ -124,8 +127,8 @@ func TestPoolShape(t *testing.T) {
 
 // TestArchAndModelRejectedAtParse: an unknown -arch, -model or
 // -workload, or -quick with a workload that has no quick variant, fails
-// the parse itself, naming every valid value; "all" is valid only where
-// the command registers it, and -workload's "" default parses.
+// the parse itself, naming every valid value; -workload's "" default
+// parses.
 func TestArchAndModelRejectedAtParse(t *testing.T) {
 	_, _, arch, model, err := parse()
 	if err != nil || *arch != "all" || *model != core.ModelMipsy {
@@ -160,46 +163,134 @@ func TestArchAndModelRejectedAtParse(t *testing.T) {
 			}
 		}
 	}
-
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	ArchFlag(fs, core.SharedL1, false)
-	if err := fs.Parse([]string{"-arch", "all"}); err == nil {
-		t.Error(`-arch all parsed where the driver runs one architecture`)
-	}
 }
 
 // TestCountsRejectedAtParse: a count flag below its minimum fails the
 // parse, naming the minimum, and the defaults and the minimum itself
-// parse (0 keeps its meaning for -cpus and -jobs).
+// parse (0 keeps its meaning for -jobs).
 func TestCountsRejectedAtParse(t *testing.T) {
-	parse := func(args ...string) (*Pool, *Instruments, int, int, error) {
+	parse := func(args ...string) (*Pool, *Instruments, int, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		pool, inst, cpus := PoolFlags(fs), InstrumentFlags(fs), CPUsFlag(fs)
+		pool, inst := PoolFlags(fs), InstrumentFlags(fs)
 		var top int
 		CountVar(fs, &top, "top", 15, 1, "rows per table")
 		err := fs.Parse(args)
-		return pool, inst, *cpus, top, err
+		return pool, inst, top, err
 	}
-	pool, inst, cpus, top, err := parse()
-	if err != nil || pool.jobs != 0 || inst.traceBuf != 1<<20 || cpus != 0 || top != 15 {
-		t.Fatalf("defaults: jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, inst.traceBuf, cpus, top, err)
+	pool, inst, top, err := parse()
+	if err != nil || pool.jobs != 0 || inst.traceBuf != 1<<20 || top != 15 {
+		t.Fatalf("defaults: jobs %d trace-buf %d top %d, err %v", pool.jobs, inst.traceBuf, top, err)
 	}
-	pool, inst, cpus, top, err = parse("-jobs", "0", "-trace-buf", "1", "-cpus", "0", "-top", "0x10")
-	if err != nil || pool.jobs != 0 || inst.traceBuf != 1 || cpus != 0 || top != 16 {
-		t.Fatalf("minimums: jobs %d trace-buf %d cpus %d top %d, err %v", pool.jobs, inst.traceBuf, cpus, top, err)
+	pool, inst, top, err = parse("-jobs", "0", "-trace-buf", "1", "-top", "0x10")
+	if err != nil || pool.jobs != 0 || inst.traceBuf != 1 || top != 16 {
+		t.Fatalf("minimums: jobs %d trace-buf %d top %d, err %v", pool.jobs, inst.traceBuf, top, err)
 	}
 	for _, c := range []struct{ flag, value, want string }{
-		{"-cpus", "-1", "want at least 0"},
 		{"-jobs", "-2", "want at least 0"},
 		{"-trace-buf", "-5", "want at least 1"},
 		{"-top", "-1", "want at least 1"},
 		{"-top", "ten", "invalid syntax"},
 	} {
-		if _, _, _, _, err := parse(c.flag, c.value); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, _, _, err := parse(c.flag, c.value); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s %s: error %v, want %q", c.flag, c.value, err, c.want)
 		}
+	}
+}
+
+// parseSet parses args on a flag set that has only -set.
+func parseSet(args ...string) (*Set, error) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	set := SetFlag(fs)
+	return set, fs.Parse(args)
+}
+
+// TestSetMatchesSweeps: for every point of every benchfig.Sweeps()
+// entry, the configuration -set builds from the sweep's base settings
+// and its swept knob is the one the sweep runs. No point is simulated.
+func TestSetMatchesSweeps(t *testing.T) {
+	for _, s := range benchfig.Sweeps() {
+		var args []string
+		for _, b := range s.Base {
+			args = append(args, "-set", fmt.Sprintf("%s=%d", b.Knob, b.Value))
+		}
+		var values []string
+		for _, v := range s.Values {
+			values = append(values, fmt.Sprint(v))
+		}
+		args = append(args, "-set", s.Knob+"="+strings.Join(values, ","))
+		set, err := parseSet(args...)
+		if err != nil {
+			t.Fatalf("%s: %v: %v", s.Name, args, err)
+		}
+		points := set.Points()
+		if set.Knob != s.Knob || !slices.Equal(set.Values, s.Values) || len(points) != len(s.Values) {
+			t.Fatalf("%s: %v sweeps %s over %v in %d points", s.Name, args, set.Knob, set.Values, len(points))
+		}
+		for i, v := range s.Values {
+			if !reflect.DeepEqual(points[i], s.Config(v)) {
+				t.Errorf("%s: %v at %s=%d builds %+v, the sweep runs %+v", s.Name, args, s.Knob, v, points[i], s.Config(v))
+			}
+		}
+	}
+	set, err := parseSet()
+	if points := set.Points(); err != nil || len(points) != 1 || !reflect.DeepEqual(points[0], memsys.DefaultConfig()) {
+		t.Errorf("no -set: %v, %v; want the paper's configuration", points, err)
+	}
+}
+
+// TestValuesMustFitTheirField: a value wider than its Config field is
+// refused with the knob's name, not truncated into a point that runs
+// one design and prints another; so are an unknown knob, a knob set
+// twice and a second swept knob.
+func TestValuesMustFitTheirField(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" = parses
+	}{
+		{[]string{"-set", "l1dsize=16384,4294967295"}, ""},
+		{[]string{"-set", "l1dsize=16384,4294983680"}, "l1dsize: value 4294983680 does not fit"}, // 1<<32 + 16 KiB
+		{[]string{"-set", "l2assoc=134217728"}, ""},                                              // fits; memsys.Config.Validate refuses the geometry
+		{[]string{"-set", "sharedl1banks=4294967296"}, "sharedl1banks: value"},
+		{[]string{"-set", "wbuf=9223372036854775808"}, "wbuf: value"}, // 1<<63
+		{[]string{"-set", "memlat=18446744073709551615"}, ""},
+		{[]string{"-set", "mshrs=4,x"}, "mshrs: "},
+		{[]string{"-set", "l3assoc=4"}, `unknown knob "l3assoc"`},
+		{[]string{"-set", "cpus=2", "-set", "cpus=4"}, "cpus: set twice"},
+		{[]string{"-set", "l2assoc=1,4", "-set", "c2clat=50,60"}, "c2clat: a second swept knob after l2assoc"},
+	} {
+		_, err := parseSet(tc.args...)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
+	}
+	for name, k := range benchfig.Knobs {
+		if k.Max == 0 {
+			t.Errorf("knob %s has no largest value", name)
+		}
+	}
+}
+
+// TestSharedL1HitRefusedUnderMXS: the MXS model fixes the shared-L1 hit
+// time, so setting it under -model mxs, swept or not, is refused with
+// the reason; other knobs pass under both models.
+func TestSharedL1HitRefusedUnderMXS(t *testing.T) {
+	for _, args := range [][]string{{"-set", "sharedl1hit=1,5"}, {"-set", "sharedl1hit=1", "-set", "l2assoc=1,4"}} {
+		set, err := parseSet(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.CheckModel(core.ModelMipsy); err != nil {
+			t.Errorf("%v under mipsy: %v", args, err)
+		}
+		if err := set.CheckModel(core.ModelMXS); err == nil || !strings.Contains(err.Error(), "fixes the shared-L1 hit time at 3 cycles") || !strings.Contains(err.Error(), "Section 4.4") {
+			t.Errorf("%v under mxs: error %v does not give the reason", args, err)
+		}
+	}
+	set, _ := parseSet("-set", "sharedl1banks=1,8")
+	if err := set.CheckModel(core.ModelMXS); err != nil {
+		t.Errorf("sharedl1banks under mxs: %v", err)
 	}
 }
 
@@ -208,9 +299,9 @@ func TestCountsRejectedAtParse(t *testing.T) {
 // it with exit status 2 before anything else happens.
 func TestBadArchExitsTwo(t *testing.T) {
 	if os.Getenv("CLI_TEST_BAD_ARCH") == "1" {
-		fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-		ArchFlag(fs, core.SharedL1, false)
-		fs.Parse([]string{"-arch", "all"})
+		fs := flag.NewFlagSet("cmpsim", flag.ExitOnError)
+		ArchFlag(fs)
+		fs.Parse([]string{"-arch", "shared-l3"})
 		os.Exit(0)
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestBadArchExitsTwo$")
@@ -220,7 +311,7 @@ func TestBadArchExitsTwo(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("child exited with %v, want status 2; output:\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "want one of [shared-l1 shared-l2 shared-mem]") {
+	if !strings.Contains(string(out), "want one of [shared-l1 shared-l2 shared-mem all]") {
 		t.Errorf("output does not list the valid architectures:\n%s", out)
 	}
 }

@@ -122,7 +122,7 @@ func TestDeterminismScopeExcludesDriverPool(t *testing.T) {
 		}
 	}
 	for _, rel := range []string{
-		"internal/runner", "internal/cli", "cmd/experiments", "cmd/sweep", "cmd/cmpsim",
+		"internal/runner", "internal/cli", "cmd/experiments", "cmd/cmpsim",
 		"internal/workload", "internal/stats", "internal/obsv",
 	} {
 		if scope(rel) {

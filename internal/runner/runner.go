@@ -12,8 +12,8 @@
 // CPUs, guest programs, tracers) inside one worker goroutine, results
 // travel back through per-job channels, and the pool merges them in
 // stable job order, so a parallel run is bit-identical to a serial
-// one. cmd/experiments, cmd/sweep and cmd/cmpsim all dispatch through
-// this package.
+// one. cmd/experiments and cmd/cmpsim both dispatch through this
+// package.
 package runner
 
 import (

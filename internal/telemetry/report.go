@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// RunReport is the end-of-campaign summary printed by cmd/experiments
-// and cmd/sweep. Every field is a function of the job log and the
+// RunReport is the end-of-campaign summary printed by
+// cmd/experiments. Every field is a function of the job log and the
 // elapsed time, and the rendering is sorted, so two reports built from
 // the same log and elapsed time are byte-identical — which is what the
 // golden-file test pins down.

@@ -1,10 +1,9 @@
 // Package telemetry is the worker pool's job log: internal/runner's
 // Pool, given a *RunnerMetrics in Pool.Telem, appends one JobRecord per
 // finished job (tag, wall-clock seconds, simulated cycles, cached,
-// failed) and records the worker count of each Run. The campaign
-// commands (cmd/experiments, cmd/sweep) turn the log into the
-// deterministic end-of-campaign run report behind -run-report and
-// -run-report-out.
+// failed) and records the worker count of each Run. cmd/experiments
+// turns the log into the deterministic end-of-campaign run report
+// behind -run-report and -run-report-out.
 //
 // It observes the host, not the guest: every number here is wall-clock
 // time or a finished job's result, and no simulator package imports it,

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cmpsim/internal/benchfig"
+	"cmpsim/internal/check"
 	"cmpsim/internal/core"
 	"cmpsim/internal/cpu"
 	"cmpsim/internal/kernel"
@@ -316,8 +317,9 @@ func sweepOrder(sweeps []benchfig.Sweep, jobs []runner.Job, rows []ledgerRow) (w
 // sysCounter counts a machine's memory-system calls into its
 // ledgerWork, and checks that the calls which reach beyond a CPU's own
 // I-cache (every Access, and every IFetch that misses) arrive in cycle
-// order across the machine, and that no accepted Access or IFetch is
-// done by its issue cycle: it counts the calls that break either rule
+// order across the machine, and that every accepted Access and IFetch
+// is done after its issue cycle (check.DoneAfterIssue, the sanitizer's
+// rule): it counts the calls that break either rule
 // in bad and describes the first. It forwards the optional methods
 // core finds by type assertion; IFetchHit it hides, since
 // core.NewMachine has already handed Mipsy the system it built.
@@ -355,7 +357,7 @@ func (s *sysCounter) Access(now uint64, cpu int, addr uint32, write bool) (memsy
 	s.n.Access++
 	if !ok {
 		s.n.Refused++
-	} else if r.Done <= now {
+	} else if !check.DoneAfterIssue(now, r.Done) {
 		s.fail("Access by cpu %d at cycle %d completes at cycle %d", cpu, now, r.Done)
 	}
 	return r, ok
@@ -381,7 +383,7 @@ func (s *sysCounter) chunks(w workload.Workload) []uint32 {
 func (s *sysCounter) IFetch(now uint64, cpu int, addr uint32) memsys.Result {
 	s.n.IFetch++
 	r := s.System.IFetch(now, cpu, addr)
-	if r.Done <= now {
+	if !check.DoneAfterIssue(now, r.Done) {
 		s.fail("IFetch by cpu %d at cycle %d completes at cycle %d", cpu, now, r.Done)
 	}
 	if r.Done > now+1 {
